@@ -22,7 +22,6 @@ from .errors import (
     InvalidPermutation,
     NotMaximal,
     NotSymmetric,
-    SizeGuardExceeded,
 )
 from .groups import (
     FiniteGroup,

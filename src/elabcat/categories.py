@@ -23,7 +23,6 @@ checkable for arbitrary explicitly given hom collections.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -32,11 +31,10 @@ import numpy as np
 
 from .config import cap as _cap
 from .elabs import ElabCatalog, ElabSubgroup
-from .errors import (CatalogMismatch, ClosureGuardError, NotMaximal,
-                     SizeGuardExceeded)
+from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
 from .fpmat import (Mat, injective_count, injective_matrices, mat_inv,
                     mat_mul, mat_rank, mat_vec, subspace_bases)
-from .groups import FiniteGroup, Perm
+from .groups import FiniteGroup
 
 # -- kinds ------------------------------------------------------------
 
@@ -86,6 +84,22 @@ def a_n(n: int) -> CategoryKind:
     return CategoryKind("An", n)
 
 
+def canonical(kind: CategoryKind, rank: int) -> CategoryKind:
+    """The kind with the same hom-sets out of a domain of the given rank.
+
+    An(n) is A once n reaches the rank, An(0) is Creg, and An(1) and
+    AprimeD(1) are Aprime; every other kind is its own canonical form.
+    """
+    if kind.tag == "An":
+        if kind.param >= rank:
+            return A
+        if kind.param <= 1:
+            return CREG if kind.param == 0 else APRIME
+    if kind == aprime_d(1):
+        return APRIME
+    return kind
+
+
 # -- morphisms --------------------------------------------------------
 
 
@@ -111,10 +125,6 @@ class LinearHom:
     def apply_index(self, i: int) -> int:
         v = self.domain.vector_of_index(i)
         return self.codomain.index_of_vector(mat_vec(self.matrix, v, self.domain.prime))
-
-    def apply(self, e: Perm) -> Perm:
-        amb = self.domain.ambient
-        return amb.element(self.apply_index(amb.index(e)))
 
     def is_bijective(self) -> bool:
         return self.domain.rank == self.codomain.rank
@@ -244,12 +254,6 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     return tuple(M for M in candidates if _check_matrix(kind, E, F, M))
 
 
-def hom_set(kind: CategoryKind, E: ElabSubgroup,
-            F: ElabSubgroup) -> tuple[LinearHom, ...]:
-    """All kind-morphisms E -> F as LinearHom objects, sorted by matrix."""
-    return tuple(LinearHom(E, F, M) for M in hom_matrices(kind, E, F))
-
-
 def hom_in_kind(kind: CategoryKind, h: LinearHom) -> bool:
     """Membership test for a single map, without enumerating the hom-set."""
     return _check_matrix(kind, h.domain, h.codomain, h.matrix)
@@ -261,35 +265,32 @@ def hom_in_kind(kind: CategoryKind, h: LinearHom) -> bool:
 class SubgroupCategory:
     """A catalog plus hom-sets, either kind-backed (lazy) or explicit.
 
-    Kind-backed categories compute hom-sets on demand and cache them;
-    explicit categories carry a finished dict.  Hom-sets are tuples of
-    matrices keyed by ordered pairs of catalog subgroup indices.
+    Hom-sets are tuples of matrices keyed by ordered pairs of catalog
+    subgroup indices.  Kind-backed categories are views over the
+    catalog's hom cache, which every category over that catalog shares
+    under canonical kinds; explicit categories carry a finished dict.
     """
 
     def __init__(self, catalog: ElabCatalog, kind: Optional[CategoryKind],
                  homs: Optional[dict[tuple[int, int], tuple[Mat, ...]]] = None):
         self.catalog = catalog
         self.kind = kind
-        self._homs: dict[tuple[int, int], tuple[Mat, ...]] = dict(homs or {})
-        self._materialized = kind is None
+        if kind is None:
+            self._homs: dict[tuple[int, int], tuple[Mat, ...]] = dict(homs or {})
 
     @property
     def provenance(self) -> str:
         return self.kind.label() if self.kind is not None else "explicit"
 
     def hom(self, i: int, j: int) -> tuple[Mat, ...]:
-        key = (i, j)
-        got = self._homs.get(key)
+        if self.kind is None:
+            return self._homs.get((i, j), ())
+        E, F = self.catalog.subgroups[i], self.catalog.subgroups[j]
+        key = (canonical(self.kind, E.rank), i, j)
+        got = self.catalog.homs.get(key)
         if got is None:
-            if self.kind is None:
-                return ()
-            got = hom_matrices(self.kind, self.catalog.subgroups[i],
-                               self.catalog.subgroups[j])
-            self._homs[key] = got
+            got = self.catalog.homs[key] = hom_matrices(key[0], E, F)
         return got
-
-    def hom_between(self, E: ElabSubgroup, F: ElabSubgroup) -> tuple[Mat, ...]:
-        return self.hom(self.catalog.index_of(E), self.catalog.index_of(F))
 
     def estimated_total(self) -> int:
         p = self.catalog.prime
@@ -299,12 +300,12 @@ class SubgroupCategory:
 
     def materialize(self, hom_count_cap: Optional[int] = None) -> None:
         """Compute every hom-set; guarded by the hom count estimate."""
-        if self._materialized:
+        if self.kind is None:
             return
         limit = hom_count_cap if hom_count_cap is not None else _cap("hom_count_cap")
         est = self.estimated_total()
         if est > limit:
-            raise SizeGuardExceeded(
+            raise CapExceeded(
                 "hom_count_cap",
                 f"estimated {est} morphisms exceeds the cap ({limit}); "
                 f"raise ELABCAT_HOM_COUNT_CAP to allow more")
@@ -312,22 +313,18 @@ class SubgroupCategory:
         for i in range(n):
             for j in range(n):
                 self.hom(i, j)
-        self._materialized = True
 
     def total_homs(self) -> int:
-        if not self._materialized:
-            self.materialize()
-        return sum(len(v) for v in self._homs.values())
+        return sum(len(v) for v in self.hom_dict().values())
 
     def hom_dict(self) -> dict[tuple[int, int], tuple[Mat, ...]]:
-        if not self._materialized:
-            self.materialize()
-        return {k: v for k, v in self._homs.items() if v}
-
-    def linear_homs(self, i: int, j: int) -> tuple[LinearHom, ...]:
-        E = self.catalog.subgroups[i]
-        F = self.catalog.subgroups[j]
-        return tuple(LinearHom(E, F, M) for M in self.hom(i, j))
+        """Every non-empty hom-set, materializing a kind-backed category."""
+        if self.kind is None:
+            return {k: v for k, v in self._homs.items() if v}
+        self.materialize()
+        n = len(self.catalog)
+        pairs = ((i, j) for i in range(n) for j in range(n))
+        return {(i, j): h for i, j in pairs if (h := self.hom(i, j))}
 
 
 def build_category(kind: CategoryKind, catalog: ElabCatalog,
@@ -540,8 +537,8 @@ def generic_fibre_index(catalog: ElabCatalog, E: ElabSubgroup) -> Fraction:
     idx = catalog.index_of(E)
     if not catalog.maximal[idx]:
         raise NotMaximal(f"subgroup {idx} is not maximal in its catalog")
-    num = len(hom_matrices(APRIME, E, E))
-    den = len(hom_matrices(A, E, E))
+    num = len(build_category(APRIME, catalog).hom(idx, idx))
+    den = len(build_category(A, catalog).hom(idx, idx))
     return Fraction(num, den)
 
 

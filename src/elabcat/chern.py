@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .elabs import ElabCatalog
 from .errors import CatalogMismatch
 from .fpmat import gl_generators

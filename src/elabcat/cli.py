@@ -5,9 +5,10 @@ All structured output is JSON with a fixed key order; --pretty changes
 only whitespace.  Timing lives under the single "timing" key so reports
 are byte-comparable once that key is dropped.
 
-Exit codes: 0 success, 1 internal error, 2 malformed input, 3 a resource
-guard fired (the message names it), 4 a gallery claim failed, 5 closure
-input was missing required conjugation morphisms.
+Exit codes: 0 success, 1 internal error, 2 malformed input (a document,
+a command-line value or a cap setting), 3 a resource guard fired (the
+message names it), 4 a gallery claim failed, 5 closure input was missing
+required conjugation morphisms.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -25,7 +27,7 @@ from . import categories as cg
 from . import chern, fppoly, gallery
 from .elabs import ElabCatalog, enumerate_elabs, p_rank
 from .errors import (CapExceeded, ClosureGuardError, ElabcatError,
-                     InputFormatError, SizeGuardExceeded)
+                     InputFormatError)
 from .groups import FiniteGroup, close_generators
 
 
@@ -56,7 +58,7 @@ def load_group(path: str) -> FiniteGroup:
     name = doc.get("name", Path(path).stem)
     try:
         return close_generators(degree, gens, name=str(name))
-    except ElabcatError:
+    except (CapExceeded, InputFormatError):
         raise
     except Exception as e:
         raise InputFormatError(f"{path}: bad generator data: {e}")
@@ -71,24 +73,20 @@ def _dump(doc: dict, pretty: bool) -> str:
 # -- analyze ----------------------------------------------------------
 
 
+def parse_kind(text: str, p: int) -> cg.CategoryKind:
+    """A kind label, checked against the prime; raises ValueError."""
+    kind = cg.CategoryKind.parse(text)
+    if kind.tag == "AprimeD" and (p - 1) % kind.param:
+        raise ValueError(f"{kind.label()} needs a divisor of {p - 1} at p={p}")
+    return kind
+
+
 def default_kinds(p: int, prank: int, max_n: Optional[int]) -> list[cg.CategoryKind]:
     kinds = [cg.A, cg.APRIME]
-    for d in range(2, p):
-        if (p - 1) % d == 0:
-            kinds.append(cg.aprime_d(d))
-    if p > 2:
-        kinds.append(cg.aprime_d(p - 1))
+    kinds += [cg.aprime_d(d) for d in range(2, p) if (p - 1) % d == 0]
     top = prank if max_n is None else min(max_n, prank)
-    for n in range(1, top + 1):
-        kinds.append(cg.a_n(n))
-    # drop duplicate divisor entries while keeping first appearance
-    seen: set[str] = set()
-    out = []
-    for k in kinds:
-        if k.label() not in seen:
-            seen.add(k.label())
-            out.append(k)
-    return out
+    kinds += [cg.a_n(n) for n in range(1, top + 1)]
+    return kinds
 
 
 def analyze_report(G: FiniteGroup, p: int,
@@ -105,10 +103,8 @@ def analyze_report(G: FiniteGroup, p: int,
 
     t1 = time.perf_counter()
     kind_section: dict[str, Any] = {}
-    cats: dict[str, cg.SubgroupCategory] = {}
     for kind in kinds:
         C = cg.build_category(kind, catalog)
-        cats[kind.label()] = C
         sizes = [[len(C.hom(ri, rj)) for rj in reps] for ri in reps]
         comps = cg.maximal_objects(C)
         comp_classes = sorted(sorted({catalog.class_of[i] for i in comp})
@@ -139,10 +135,13 @@ def analyze_report(G: FiniteGroup, p: int,
 
     t3 = time.perf_counter()
     fibres = []
+    aut_a = cg.build_category(cg.A, catalog)
+    aut_aprime = cg.build_category(cg.APRIME, catalog)
     for c in catalog.maximal_class_indices():
-        E = catalog.subgroups[catalog.class_reps[c]]
-        num = len(cg.hom_matrices(cg.APRIME, E, E))
-        den = len(cg.hom_matrices(cg.A, E, E))
+        rep = catalog.class_reps[c]
+        E = catalog.subgroups[rep]
+        num = len(aut_aprime.hom(rep, rep))
+        den = len(aut_a.hom(rep, rep))
         ratio = Fraction(num, den)
         fibres.append({
             "class": c,
@@ -191,7 +190,7 @@ def cmd_analyze(args) -> int:
     kinds = None
     if args.kinds:
         try:
-            kinds = [cg.CategoryKind.parse(tok)
+            kinds = [parse_kind(tok, args.prime)
                      for tok in args.kinds.split(",") if tok.strip()]
         except ValueError as e:
             raise InputFormatError(f"bad --kinds value: {e}")
@@ -281,11 +280,10 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
     base = doc.get("base_kind")
     if base is not None:
         try:
-            kind = cg.CategoryKind.parse(base)
+            kind = parse_kind(base, catalog.prime)
         except ValueError as e:
             raise InputFormatError(f"{path}: bad base_kind: {e}")
         C = cg.build_category(kind, catalog)
-        C.materialize()
         for key, mats in C.hom_dict().items():
             homs.setdefault(key, set()).update(mats)
     for rec in doc.get("homs", []):
@@ -395,15 +393,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_numbers(args) -> None:
+    """Reject a --prime that is not prime and a --rank below 1."""
+    p = getattr(args, "prime", None)
+    if p is not None and (p < 2 or any(p % q == 0
+                                       for q in range(2, isqrt(p) + 1))):
+        raise InputFormatError(f"--prime {p} is not a prime")
+    n = getattr(args, "rank", None)
+    if n is not None and n < 1:
+        raise InputFormatError(f"--rank must be at least 1, got {n}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_numbers(args)
         return args.func(args)
     except InputFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CapExceeded, SizeGuardExceeded) as e:
+    except CapExceeded as e:
         print(f"error: guard {e.guard}: {e}", file=sys.stderr)
         return 3
     except ClosureGuardError as e:

@@ -8,6 +8,8 @@ ELABCAT_TERM_CAP       max stored monomials per polynomial (200000)
 
 import os
 
+from .errors import InputFormatError
+
 DEFAULTS = {
     "element_cap": 65536,
     "catalog_cap": 5000,
@@ -26,4 +28,5 @@ def cap(name: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"ELABCAT_{name.upper()} must be an integer, got {raw!r}")
+        raise InputFormatError(
+            f"ELABCAT_{name.upper()} must be an integer, got {raw!r}")

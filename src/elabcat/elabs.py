@@ -171,7 +171,9 @@ class ElabCatalog:
     conjugacy classes in order of first appearance; class_witness[i] is a
     group element index conjugating the class representative onto
     subgroup i (setwise).  maximal[i] is rank-maximality under inclusion
-    into other catalog members.
+    into other catalog members.  homs caches hom-sets under keys
+    (canonical kind, i, j) for every category over this catalog; only
+    categories.SubgroupCategory.hom reads or fills it.
     """
 
     group: FiniteGroup
@@ -182,6 +184,7 @@ class ElabCatalog:
     class_witness: list[int]
     maximal: list[bool]
     _by_elements: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
+    homs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)

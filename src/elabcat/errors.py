@@ -14,19 +14,11 @@ class DegreeMismatch(ElabcatError):
 
 
 class CapExceeded(ElabcatError):
-    """An enumeration grew past a configured cap.
+    """An enumeration, or a size estimate made before one, passed its cap.
 
     The guard attribute names which cap fired, so callers (and the CLI)
     can report it without parsing the message.
     """
-
-    def __init__(self, guard: str, message: str):
-        super().__init__(message)
-        self.guard = guard
-
-
-class SizeGuardExceeded(ElabcatError):
-    """A size estimate (hom count, polynomial terms) exceeded its guard."""
 
     def __init__(self, guard: str, message: str):
         super().__init__(message)
@@ -54,4 +46,5 @@ class ClosureGuardError(ElabcatError):
 
 
 class InputFormatError(ElabcatError):
-    """Malformed group, character, or category input document."""
+    """Malformed input: a group, character or category document, a
+    command-line value, or an ELABCAT_* cap setting."""

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .config import cap as _cap
-from .errors import NotSymmetric, SizeGuardExceeded
+from .errors import CapExceeded, NotSymmetric
 
 Exponents = tuple[int, ...]
 
@@ -104,7 +104,7 @@ class FpPolynomial:
                 if s:
                     out[exps] = s
                     if len(out) > limit:
-                        raise SizeGuardExceeded(
+                        raise CapExceeded(
                             "term_cap",
                             f"polynomial product passed {limit} terms; "
                             f"raise ELABCAT_TERM_CAP to allow more")

@@ -311,30 +311,10 @@ def build_prop10(p: int, n: int) -> Prop10Build:
         inside = span(p, basis)
         transversal = next(v for v in itertools.product(range(p), repeat=dim_e)
                            if v not in inside)
-        # solve r . b = 0 for b in basis, r . transversal = 1
-        rows = [list(b) for b in basis] + [list(transversal)]
-        rhs = [0] * len(basis) + [1]
-        aug = [row + [rhs[k]] for k, row in enumerate(rows)]
-        ncols = dim_e
-        rank = 0
-        pivots = []
-        for col in range(ncols):
-            piv = next((r for r in range(rank, len(aug)) if aug[r][col] % p), None)
-            if piv is None:
-                continue
-            aug[rank], aug[piv] = aug[piv], aug[rank]
-            inv = pow(aug[rank][col], -1, p)
-            aug[rank] = [(x * inv) % p for x in aug[rank]]
-            for r in range(len(aug)):
-                if r != rank and aug[r][col] % p:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[rank])]
-            pivots.append(col)
-            rank += 1
-        r = [0] * dim_e
-        for k, col in enumerate(pivots):
-            r[col] = aug[k][ncols]
-        return tuple(r)
+        # r . b = 0 for b in basis and r . transversal = 1: the last
+        # column of the inverse of the matrix with those rows
+        inv = mat_inv(tuple(basis) + (transversal,), p)
+        return tuple(row[-1] for row in inv)
 
     b_mats: list[Mat] = []
     for m_idx, basis in enumerate(maxes):
@@ -512,20 +492,12 @@ class _EntryContext:
         self.group: FiniteGroup = self.build.group
         self.prime: int = entry.prime
         self._catalog: Optional[ElabCatalog] = None
-        self._categories: dict[str, cg.SubgroupCategory] = {}
 
     @property
     def catalog(self) -> ElabCatalog:
         if self._catalog is None:
             self._catalog = enumerate_elabs(self.group, self.prime)
         return self._catalog
-
-    def category(self, label: str) -> cg.SubgroupCategory:
-        C = self._categories.get(label)
-        if C is None:
-            C = cg.build_category(cg.CategoryKind.parse(label), self.catalog)
-            self._categories[label] = C
-        return C
 
     def subgroup(self, name: str) -> ElabSubgroup:
         obj = getattr(self.build, name, None)
@@ -611,7 +583,8 @@ def _chk_p_rank(ctx, args):
 
 @_check("component_count")
 def _chk_component_count(ctx, args):
-    return len(cg.maximal_objects(ctx.category(args["kind"])))
+    kind = cg.CategoryKind.parse(args["kind"])
+    return len(cg.maximal_objects(cg.build_category(kind, ctx.catalog)))
 
 
 @_check("aut_order")

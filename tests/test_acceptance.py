@@ -6,8 +6,6 @@ fixtures); the tests recompute them from scratch and also enforce the
 stated time budget for each criterion.
 """
 import json
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -30,6 +28,7 @@ from elabcat.gallery import (_matrix_orbits, _vec_code, affine_group,
                              build_triangular, cyclic_group, gl3,
                              triangular_group)
 from elabcat.groups import conjugacy_classes
+from test_cli import run_cli
 
 
 @contextmanager
@@ -263,9 +262,7 @@ def test_criterion_14_analyze_report_is_deterministic(tmp_path):
         path.write_text(json.dumps(doc))
         outs = []
         for _ in range(2):
-            r = subprocess.run(
-                [sys.executable, "-m", "elabcat", "analyze", str(path),
-                 "--prime", "2"], capture_output=True, text=True)
+            r = run_cli("analyze", str(path), "--prime", "2")
             assert r.returncode == 0
             parsed = json.loads(r.stdout)
             parsed.pop("timing")

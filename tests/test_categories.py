@@ -4,7 +4,7 @@ import pytest
 
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
-from elabcat.errors import (CatalogMismatch, NotMaximal, SizeGuardExceeded)
+from elabcat.errors import (CapExceeded, CatalogMismatch, NotMaximal)
 from elabcat.groups import close_generators, conjugate
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
@@ -142,7 +142,7 @@ class TestCategory:
     def test_hom_count_guard(self):
         cat = a4_catalog()
         C = cg.build_category(cg.CREG, cat)
-        with pytest.raises(SizeGuardExceeded) as e:
+        with pytest.raises(CapExceeded) as e:
             C.materialize(hom_count_cap=10)
         assert e.value.guard == "hom_count_cap"
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,15 @@ SWAP_CATEGORY = {"base_kind": "A",
                            "matrices": [[[0, 1], [1, 0]]]}]}
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, full_env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "elabcat", *args],
                           capture_output=True, text=True, env=full_env)
 
@@ -93,6 +99,41 @@ class TestAnalyze:
                     env={"ELABCAT_CATALOG_CAP": "2"})
         assert r.returncode == 3
         assert "catalog_cap" in r.stderr
+
+
+def assert_input_error(r):
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("prime", ["4", "1"])
+    def test_analyze_non_prime(self, a4_path, prime):
+        assert_input_error(run_cli("analyze", a4_path, "--prime", prime))
+
+    def test_dickson_non_prime(self):
+        assert_input_error(run_cli("dickson", "--prime", "4", "--rank", "2"))
+
+    @pytest.mark.parametrize("cmd", ["dickson", "symreduce"])
+    def test_rank_below_one(self, cmd):
+        assert_input_error(run_cli(cmd, "--prime", "2", "--rank", "0"))
+
+    def test_kind_divisor_must_divide_p_minus_1(self, a4_path):
+        r = run_cli("analyze", a4_path, "--prime", "2", "--kinds", "AprimeD(2)")
+        assert_input_error(r)
+        assert "AprimeD(2)" in r.stderr
+
+    def test_non_bijective_generator(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": 3, "generators": [[0, 0, 1]]}))
+        assert_input_error(run_cli("analyze", str(path), "--prime", "2"))
+
+    def test_non_integer_cap(self, a4_path):
+        r = run_cli("analyze", a4_path, "--prime", "2",
+                    env={"ELABCAT_CATALOG_CAP": "lots"})
+        assert_input_error(r)
+        assert "ELABCAT_CATALOG_CAP" in r.stderr
 
 
 class TestGallery:

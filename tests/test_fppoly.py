@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elabcat.errors import NotSymmetric, SizeGuardExceeded
+from elabcat.errors import CapExceeded, NotSymmetric
 from elabcat.fpmat import mat_mul
 from elabcat.fppoly import (FpPolynomial, elementary_symmetric,
                             expand_in_elementaries, symmetric_reduce)
@@ -88,7 +88,7 @@ class TestArithmetic:
         for i in range(3):
             f = f * (FpPolynomial.variable(2, 3, i) + FpPolynomial.one(2, 3))
         monkeypatch.setenv("ELABCAT_TERM_CAP", "4")
-        with pytest.raises(SizeGuardExceeded) as e:
+        with pytest.raises(CapExceeded) as e:
             f * f
         assert e.value.guard == "term_cap"
 
