@@ -19,10 +19,33 @@ largest hom-sets:
 All of these are closed under composition, restriction to subgroups, and
 inverses of bijective members, which the closure operator below makes
 checkable for arbitrary explicitly given hom collections.
+
+hom_matrices builds each hom-set from the definition of its kind, once
+canonical() has merged the kinds that coincide out of the domain:
+
+  A            Quillen's transporter description (Ann. of Math. 94, 1971):
+               the maps induced by the g with g^-1 E g inside F.  Such g
+               lie in the transporter cosets taking E's first basis
+               element into F; the rest of the basis is conjugated by all
+               of them in one gather, and the distinct images are read off
+               as matrices;
+  Aprime,      a backtracking search over the images of E's basis vectors,
+  AprimeD(d)   breadth first over numpy arrays: fixing the image of basis
+               vector k fixes that of every vector whose last nonzero
+               coordinate is k, and each one is checked against its
+               allowed classes at once (early pruning as in Seress,
+               Permutation Group Algorithms, 2003, ch. 9);
+  An(n)        the Aprime maps whose restriction to every rank-n subspace
+               U of E is one of the A maps U -> F, built as above;
+  Creg         every injective matrix, enumerated.
+
+hom_in_kind checks a single matrix against the definition instead.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -147,6 +170,9 @@ class LinearHom:
 
 # -- hom-set computation ----------------------------------------------
 
+# entries per block of the Aprime search's temporary array
+_SEARCH_BLOCK = 1 << 18
+
 
 def _unit_subgroup(p: int, d: int) -> tuple[int, ...]:
     """The order-d subgroup of the units mod p; d must divide p-1."""
@@ -155,23 +181,19 @@ def _unit_subgroup(p: int, d: int) -> tuple[int, ...]:
     return tuple(t for t in range(1, p) if pow(t, d, p) == 1)
 
 
-def _power_index(G: FiniteGroup, e: int, t: int) -> int:
-    out = G.identity_index
-    for _ in range(t):
-        out = G.mul(out, e)
-    return out
-
-
 def _allowed_classes(E: ElabSubgroup, d: int) -> dict[int, frozenset[int]]:
-    """For each non-identity element, the class labels of its allowed images."""
-    G = E.ambient
-    table = G.conjugacy
+    """For each non-identity element, the class labels of its allowed images.
+
+    e^t is the element of t times e's vector, so no group product is taken.
+    """
+    class_of = E.ambient.conjugacy.class_of
     units = _unit_subgroup(E.prime, d)
     out = {}
     for e in E.elements:
-        if e == G.identity_index:
-            continue
-        out[e] = frozenset(table.class_of[_power_index(G, e, t)] for t in units)
+        v = E.vector_of_index(e)
+        if any(v):
+            out[e] = frozenset(class_of[E.index_of_vector([t * x for x in v])]
+                               for t in units)
     return out
 
 
@@ -245,13 +267,139 @@ def _check_matrix(kind: CategoryKind, E: ElabSubgroup, F: ElabSubgroup,
     return True
 
 
+def _coordinates(X: ElabSubgroup) -> tuple[np.ndarray, np.ndarray]:
+    """X's vectors in code order, code sum v_i p^i: (digits, element index).
+
+    The vectors supported on the first k coordinates are the codes below
+    p^k, which is the order the Aprime search fills them in.
+    """
+    p, r = X.prime, X.rank
+    digits = np.array([v[::-1] for v in itertools.product(range(p), repeat=r)],
+                      dtype=np.int64)
+    elems = np.array([X.index_of_vector(v) for v in digits.tolist()], dtype=np.int64)
+    return digits, elems
+
+
+def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
+                        F_elems: np.ndarray) -> np.ndarray:
+    """Rows (code in F of g^-1 e g, for e in elems) over the g in G that
+    conjugate every listed element into F, repeats included.
+
+    Only the g taking elems[0] into F can qualify: the union of one
+    transporter coset per member of F in its class.
+    """
+    class_of = G.conjugacy.class_of
+    first = elems[0]
+    targets = [c for c, f in enumerate(F_elems.tolist())
+               if class_of[f] == class_of[first]]
+    if not targets:
+        return np.zeros((0, len(elems)), dtype=np.int64)
+    if len(elems) == 1:
+        return np.array(targets, dtype=np.int64)[:, None]
+    cosets = [G.transporter_indices(first, F_elems[c]) for c in targets]
+    code_of = np.full(len(G), -1, dtype=np.int64)
+    code_of[F_elems] = np.arange(len(F_elems))
+    images = code_of[G.conjugates_by(np.concatenate(cosets), elems)]
+    return images[np.all(images >= 0, axis=1)]
+
+
+def _class_respecting(E: ElabSubgroup, d: int, F_digits: np.ndarray,
+                      F_elems: np.ndarray) -> np.ndarray:
+    """Rows of basis-image codes of the AprimeD(d) maps E -> F.
+
+    Backtracking over the basis images, breadth first and vectorized:
+    choosing the image of basis vector k fixes the image of every vector
+    whose last nonzero coordinate is k, and each one is checked against
+    its allowed classes at once.  An identity image is never allowed, so
+    every survivor is injective.
+    """
+    p, s = E.prime, F_digits.shape[1]
+    class_of = E.ambient.conjugacy.class_of
+    E_digits, E_elems = _coordinates(E)
+    E_cls = np.array([class_of[e] for e in E_elems.tolist()])
+    F_cls = np.array([class_of[e] for e in F_elems.tolist()])
+    weights = p ** np.arange(E.rank)
+    ok = np.zeros((len(E_elems), len(F_elems)), dtype=bool)
+    for t in _unit_subgroup(p, d):
+        powers = E_cls[(t * E_digits % p) @ weights]     # class of e^t
+        ok |= powers[:, None] == F_cls[None, :]
+    F_weights = p ** np.arange(s)
+    coef = np.arange(1, p)
+    cols = np.zeros((1, 0), dtype=np.int64)   # image codes of the basis so far
+    imgs = np.zeros((1, 1), dtype=np.int64)   # image code of each E code < p^k
+    for k in range(E.rank):
+        if not len(cols):
+            return np.zeros((0, E.rank), dtype=np.int64)
+        q = p ** k
+        cand = np.nonzero(ok[q])[0]
+        codes = np.arange(q) + q * coef[:, None]           # (p-1, q), code order
+        steps = F_digits[cand][:, None, :] * coef[None, :, None]  # (n, p-1, s)
+        block = max(1, _SEARCH_BLOCK // max(1, len(cand) * codes.size * s))
+        grown_cols, grown_imgs = [], []
+        for start in range(0, len(cols), block):
+            base = F_digits[imgs[start:start + block]]     # (m, q, s)
+            new = ((base[:, None, None] + steps[None, :, :, None]) % p) @ F_weights
+            mi, ni = np.nonzero(ok[codes, new].all(axis=(2, 3)))
+            grown_cols.append(np.column_stack([cols[start + mi], cand[ni]]))
+            grown_imgs.append(np.concatenate(
+                [imgs[start + mi], new[mi, ni].reshape(len(mi), codes.size)], axis=1))
+        cols = np.concatenate(grown_cols)
+        imgs = np.concatenate(grown_imgs)
+    return cols
+
+
+def _single_conjugator(E: ElabSubgroup, n: int, cols: np.ndarray,
+                       F_digits: np.ndarray, F_elems: np.ndarray) -> np.ndarray:
+    """Mask of the maps (rows of basis-image codes) whose restriction to
+    every rank-n subspace U of E is one of the A maps U -> F."""
+    p = E.prime
+    weights = p ** np.arange(F_digits.shape[1])
+    images = F_digits[cols]                            # (maps, rank E, rank F)
+    keep = np.ones(len(cols), dtype=bool)
+    for basis in subspace_bases(p, E.rank, n):
+        U = [E.index_of_vector(v) for v in basis]
+        allowed = set(map(tuple, _conjugation_images(E.ambient, U, F_elems).tolist()))
+        rest = np.nonzero(keep)[0]
+        on_U = (np.einsum("nr,mrs->mns", np.array(basis), images[rest]) % p) @ weights
+        keep[rest] = [row in allowed for row in map(tuple, on_U.tolist())]
+    return keep
+
+
+def _matrices(cols: np.ndarray, F_digits: np.ndarray) -> tuple[Mat, ...]:
+    """Sorted distinct matrices whose column k is the vector of code cols[:, k]."""
+    mats = F_digits[cols].transpose(0, 2, 1).tolist()
+    return tuple(sorted({tuple(map(tuple, M)) for M in mats}))
+
+
 def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
                  F: ElabSubgroup) -> tuple[Mat, ...]:
-    """All matrices of kind-morphisms E -> F, sorted."""
+    """All matrices of kind-morphisms E -> F, sorted.
+
+    Each kind is built from its definition; see the module docstring.
+    """
     if E.ambient is not F.ambient or E.prime != F.prime:
         raise CatalogMismatch("hom-set needs a common ambient group and prime")
-    candidates = injective_matrices(E.prime, F.rank, E.rank)
-    return tuple(M for M in candidates if _check_matrix(kind, E, F, M))
+    kind = canonical(kind, E.rank)
+    d = kind.param if kind.tag == "AprimeD" else 1
+    _unit_subgroup(E.prime, d)              # rejects d not dividing p-1
+    if E.rank > F.rank:
+        return ()
+    if kind == CREG or E.rank == 0:
+        return injective_matrices(E.prime, F.rank, E.rank)
+    class_of = E.ambient.conjugacy.class_of
+    # A, Aprime and An(n) send elements to distinct conjugates, so F must
+    # have at least E's number of elements in every class
+    if d == 1 and (Counter(class_of[e] for e in E.elements)
+                   - Counter(class_of[f] for f in F.elements)):
+        return ()
+    F_digits, F_elems = _coordinates(F)
+    if kind == A:
+        cols = _conjugation_images(E.ambient, E.basis, F_elems)
+    else:
+        cols = _class_respecting(E, d, F_digits, F_elems)
+        if kind.tag == "An":
+            cols = cols[_single_conjugator(E, kind.param, cols, F_digits, F_elems)]
+    return _matrices(cols, F_digits)
 
 
 def hom_in_kind(kind: CategoryKind, h: LinearHom) -> bool:
@@ -277,6 +425,7 @@ class SubgroupCategory:
         self.kind = kind
         if kind is None:
             self._homs: dict[tuple[int, int], tuple[Mat, ...]] = dict(homs or {})
+        self._sized = False
 
     @property
     def provenance(self) -> str:
@@ -289,19 +438,23 @@ class SubgroupCategory:
         key = (canonical(self.kind, E.rank), i, j)
         got = self.catalog.homs.get(key)
         if got is None:
+            if key[0] == CREG and not self._sized:
+                # Creg lists every injective matrix: refuse the category
+                # here as materialize() would, before the first one
+                self._check_size()
+                self._sized = True
             got = self.catalog.homs[key] = hom_matrices(key[0], E, F)
         return got
 
     def estimated_total(self) -> int:
+        """Injective matrices over all ordered pairs, a bound for any kind."""
         p = self.catalog.prime
-        ranks = self.catalog.ranks()
-        return sum(injective_count(p, rj, ri)
-                   for ri in ranks for rj in ranks)
+        ranks = Counter(self.catalog.ranks())
+        return sum(ni * nj * injective_count(p, rj, ri)
+                   for ri, ni in ranks.items() for rj, nj in ranks.items())
 
-    def materialize(self, hom_count_cap: Optional[int] = None) -> None:
-        """Compute every hom-set; guarded by the hom count estimate."""
-        if self.kind is None:
-            return
+    def _check_size(self, hom_count_cap: Optional[int] = None) -> None:
+        """Raise CapExceeded when estimated_total() passes the hom count cap."""
         limit = hom_count_cap if hom_count_cap is not None else _cap("hom_count_cap")
         est = self.estimated_total()
         if est > limit:
@@ -309,6 +462,12 @@ class SubgroupCategory:
                 "hom_count_cap",
                 f"estimated {est} morphisms exceeds the cap ({limit}); "
                 f"raise ELABCAT_HOM_COUNT_CAP to allow more")
+
+    def materialize(self, hom_count_cap: Optional[int] = None) -> None:
+        """Compute every hom-set; guarded by the hom count estimate."""
+        if self.kind is None:
+            return
+        self._check_size(hom_count_cap)
         n = len(self.catalog)
         for i in range(n):
             for j in range(n):

@@ -422,6 +422,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ElabcatError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:      # last resort: one line, never a traceback
+        text = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"internal error: {text}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 ELABCAT_ELEMENT_CAP    max group order enumerated by close_generators (65536)
 ELABCAT_CATALOG_CAP    max subgroups in one catalog (5000)
-ELABCAT_HOM_COUNT_CAP  max estimated morphisms in a materialized category (2000000)
+ELABCAT_HOM_COUNT_CAP  max estimated morphisms in a materialized category, or in
+                       a Creg one before its first hom-set (2000000)
 ELABCAT_TERM_CAP       max stored monomials per polynomial (200000)
 """
 

@@ -294,12 +294,14 @@ def enumerate_elabs(G: FiniteGroup, p: int,
         frontier = [start]
         while frontier:
             nxt_frontier = []
-            for s in frontier:
-                elems = np.array(subgroups[s].elements, dtype=np.int64)
-                for g in gen_idx:
-                    conj = G.conjugate_indices(g, elems)
-                    key = tuple(sorted(int(c) for c in conj))
-                    t = by_elements.get(key)
+            # one lookup per generator for the whole frontier (members of
+            # one class have one size), then visited in (s, g) order
+            elems = np.array([subgroups[s].elements for s in frontier], dtype=np.int64)
+            conj = [G.conjugate_indices(g, elems.ravel()).reshape(elems.shape).tolist()
+                    for g in gen_idx]
+            for k, s in enumerate(frontier):
+                for g, rows in zip(gen_idx, conj):
+                    t = by_elements.get(tuple(sorted(rows[k])))
                     if t is None:
                         raise InvalidPermutation(
                             "catalog not closed under conjugation")

@@ -95,11 +95,10 @@ def span(p: int, vecs: Iterable[Vec]) -> frozenset[Vec]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def injective_matrices(p: int, rows: int, cols: int) -> tuple[Mat, ...]:
     """All full-column-rank rows x cols matrices over F_p, sorted.
 
-    Cached per shape; the count is prod_{j<cols} (p^rows - p^j).
+    The count is injective_count(p, rows, cols).
     """
     if cols == 0:
         return (tuple(() for _ in range(rows)),)

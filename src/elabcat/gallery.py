@@ -492,12 +492,28 @@ class _EntryContext:
         self.group: FiniteGroup = self.build.group
         self.prime: int = entry.prime
         self._catalog: Optional[ElabCatalog] = None
+        # entries too large to enumerate have no catalog-level claims
+        self.uses_catalog = any(c.check in _CATALOG_CHECKS for c in entry.claims)
+        self._homs: dict = {}      # (canonical kind, E, F) without a catalog
 
     @property
     def catalog(self) -> ElabCatalog:
         if self._catalog is None:
             self._catalog = enumerate_elabs(self.group, self.prime)
         return self._catalog
+
+    def hom(self, kind: cg.CategoryKind, E: ElabSubgroup,
+            F: ElabSubgroup) -> tuple[Mat, ...]:
+        """Hom-set between builder subgroups, each computed once: through
+        the catalog's shared cache when the entry enumerates its catalog
+        anyway, else under the same canonical key here."""
+        if self.uses_catalog:
+            cat = self.catalog
+            return cg.build_category(kind, cat).hom(cat.index_of(E), cat.index_of(F))
+        key = (cg.canonical(kind, E.rank), E, F)
+        if key not in self._homs:
+            self._homs[key] = cg.hom_matrices(*key)
+        return self._homs[key]
 
     def subgroup(self, name: str) -> ElabSubgroup:
         obj = getattr(self.build, name, None)
@@ -520,11 +536,15 @@ def _jsonify(value):
 
 
 _CHECKS: dict[str, Callable] = {}
+_CATALOG_CHECKS: set[str] = set()
 
 
-def _check(name: str):
+def _check(name: str, catalog: bool = False):
+    """Register a claim check; catalog marks one that enumerates the catalog."""
     def deco(fn):
         _CHECKS[name] = fn
+        if catalog:
+            _CATALOG_CHECKS.add(name)
         return fn
     return deco
 
@@ -561,27 +581,27 @@ def _chk_order_p_classes(ctx, args):
     return sum(1 for rep in table.reps if orders[rep] == ctx.prime)
 
 
-@_check("catalog_size")
+@_check("catalog_size", catalog=True)
 def _chk_catalog_size(ctx, args):
     return len(ctx.catalog)
 
 
-@_check("class_count")
+@_check("class_count", catalog=True)
 def _chk_class_count(ctx, args):
     return ctx.catalog.class_count()
 
 
-@_check("classes_by_rank")
+@_check("classes_by_rank", catalog=True)
 def _chk_classes_by_rank(ctx, args):
     return {str(r): n for r, n in sorted(ctx.catalog.classes_by_rank().items())}
 
 
-@_check("p_rank")
+@_check("p_rank", catalog=True)
 def _chk_p_rank(ctx, args):
     return p_rank(ctx.catalog)
 
 
-@_check("component_count")
+@_check("component_count", catalog=True)
 def _chk_component_count(ctx, args):
     kind = cg.CategoryKind.parse(args["kind"])
     return len(cg.maximal_objects(cg.build_category(kind, ctx.catalog)))
@@ -591,7 +611,7 @@ def _chk_component_count(ctx, args):
 def _chk_aut_order(ctx, args):
     E = ctx.subgroup(args["object"])
     kind = cg.CategoryKind.parse(args["kind"])
-    return len(cg.hom_matrices(kind, E, E))
+    return len(ctx.hom(kind, E, E))
 
 
 @_check("hom_order")
@@ -599,16 +619,16 @@ def _chk_hom_order(ctx, args):
     D = ctx.subgroup(args["domain"])
     C = ctx.subgroup(args["codomain"])
     kind = cg.CategoryKind.parse(args["kind"])
-    return len(cg.hom_matrices(kind, D, C))
+    return len(ctx.hom(kind, D, C))
 
 
-@_check("fibre_index")
+@_check("fibre_index", catalog=True)
 def _chk_fibre_index(ctx, args):
     E = ctx.subgroup(args["object"])
     return _jsonify(cg.generic_fibre_index(ctx.catalog, E))
 
 
-@_check("a_equals_aprime")
+@_check("a_equals_aprime", catalog=True)
 def _chk_a_eq_aprime(ctx, args):
     return bool(cg.categories_equal(cg.A, cg.APRIME, ctx.catalog).equal)
 
@@ -628,7 +648,7 @@ def _chk_kind_isomorphic(ctx, args):
     if E.rank != F.rank:
         return False
     kind = cg.CategoryKind.parse(args["kind"])
-    return len(cg.hom_matrices(kind, E, F)) > 0
+    return len(ctx.hom(kind, E, F)) > 0
 
 
 @_check("conjugacy_orbit_sizes")
@@ -714,9 +734,7 @@ def _chk_distinguished_in_kind(ctx, args):
 @_check("an_equals_a_on_object")
 def _chk_an_equals_a(ctx, args):
     E = ctx.subgroup(args["object"])
-    left = set(cg.hom_matrices(cg.a_n(args["n"]), E, E))
-    right = set(cg.hom_matrices(cg.A, E, E))
-    return left == right
+    return ctx.hom(cg.a_n(args["n"]), E, E) == ctx.hom(cg.A, E, E)
 
 
 @_check("pointwise_block_witnesses")

@@ -27,6 +27,20 @@ from .errors import CapExceeded, DegreeMismatch, InvalidPermutation
 
 Perm = tuple[int, ...]
 
+# group elements per block in FiniteGroup.conjugates_by
+_BLOCK = 1024
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of images, ordered as the rows are as tuples.
+
+    Each row becomes its big-endian unsigned bytes; those compare (and
+    sort) byte by byte exactly as the image tuples do, so the keys of a
+    group's sorted elements come out sorted.
+    """
+    rows = rows.astype(">u4", order="C")
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+
 
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
@@ -140,8 +154,11 @@ class FiniteGroup:
         if len(set(self.elements)) != len(self.elements):
             raise InvalidPermutation("duplicate elements")
         self._index = {e: i for i, e in enumerate(self.elements)}
+        if identity_perm(degree) not in self._index:
+            raise InvalidPermutation("element list lacks the identity")
+        self.identity_index = self._index[identity_perm(degree)]
         self._arr = np.array(self.elements, dtype=np.int32).reshape(len(self.elements), degree)
-        self._bytes_index = {row.tobytes(): i for i, row in enumerate(self._arr)}
+        self._keys = _row_keys(self._arr)
         self._inv_idx: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._conj: ConjugacyTable | None = None
@@ -165,10 +182,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity_index(self) -> int:
-        return self._index[identity_perm(self.degree)]
-
     def element(self, i: int) -> Perm:
         return self.elements[i]
 
@@ -178,8 +191,13 @@ class FiniteGroup:
         except KeyError:
             raise KeyError(f"permutation {perm!r} not in {self.name}")
 
-    def index_of_row(self, row: np.ndarray) -> int:
-        return self._bytes_index[row.astype(np.int32).tobytes()]
+    def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each row of an (n, degree) image array."""
+        idx = np.searchsorted(self._keys, _row_keys(rows))
+        np.minimum(idx, len(self._keys) - 1, out=idx)
+        if not (self._arr[idx] == rows).all():
+            raise KeyError(f"a row is not an element of {self.name}")
+        return idx
 
     @property
     def array(self) -> np.ndarray:
@@ -198,9 +216,7 @@ class FiniteGroup:
     def inverse_indices(self) -> np.ndarray:
         if self._inv_idx is None:
             # argsort of each row is the inverse permutation
-            inv_rows = np.argsort(self._arr, axis=1).astype(np.int32)
-            self._inv_idx = np.array(
-                [self._bytes_index[row.tobytes()] for row in inv_rows], dtype=np.int32)
+            self._inv_idx = self.indices_of_rows(np.argsort(self._arr, axis=1))
         return self._inv_idx
 
     @property
@@ -213,9 +229,25 @@ class FiniteGroup:
         """Indices of g^-1 * e * g for each element index e in targets."""
         gp = self._arr[g]
         ginv = np.argsort(gp)
-        rows = gp[self._arr[targets][:, ginv]]
-        return np.array([self._bytes_index[r.tobytes()] for r in rows.astype(np.int32)],
-                        dtype=np.int64)
+        return self.indices_of_rows(gp[self._arr[targets][:, ginv]])
+
+    def conjugates_by(self, gs: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+        """(len(gs), len(targets)) indices: row i holds g^-1 * e * g for
+        g = gs[i] and each target e.
+
+        One gather per target over a block of the gs at a time, so the
+        temporary arrays stay small on large groups.
+        """
+        t_rows = self._arr[list(targets)]
+        out = np.empty((len(gs), len(t_rows)), dtype=np.int64)
+        for start in range(0, len(gs), _BLOCK):
+            g = self._arr[gs[start:start + _BLOCK]]
+            ginv = np.argsort(g, axis=1)
+            for k, ep in enumerate(t_rows):
+                # row x of g^-1 * e * g is g[e[ginv[x]]]
+                conj = np.take_along_axis(g, ep[ginv], axis=1)
+                out[start:start + _BLOCK, k] = self.indices_of_rows(conj)
+        return out
 
     # -- conjugacy ----------------------------------------------------
 
@@ -287,9 +319,7 @@ class FiniteGroup:
         g0 = self.mul(self.inv(wa), wb)     # conjugate(g0, a) == b
         cent = self.centralizer_indices(a)
         g0p = self._arr[g0]
-        rows = g0p[self._arr[cent]]         # c * g0 for each c in C(a)
-        idx = np.array([self._bytes_index[r.tobytes()] for r in rows.astype(np.int32)],
-                       dtype=np.int64)
+        idx = self.indices_of_rows(g0p[self._arr[cent]])   # c * g0 for c in C(a)
         idx.sort()
         return idx
 

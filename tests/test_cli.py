@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from elabcat import chern, cli
 
 A4 = {"name": "alt4", "degree": 4,
       "generators": [[1, 0, 3, 2], [2, 0, 1, 3]]}
@@ -134,6 +137,30 @@ class TestBadInput:
                     env={"ELABCAT_CATALOG_CAP": "lots"})
         assert_input_error(r)
         assert "ELABCAT_CATALOG_CAP" in r.stderr
+
+
+class TestGuardsAndFailures:
+    def test_lazy_creg_hom_sets_are_guarded(self, tmp_path):
+        # (Z/2)^5 acting regularly: 374 subgroups, and Creg between the
+        # two rank-5 copies alone has |GL_5(F_2)| = 9,999,360 matrices
+        gens = [[x ^ (1 << i) for x in range(32)] for i in range(5)]
+        path = tmp_path / "z2-5.json"
+        path.write_text(json.dumps({"name": "z2-5", "degree": 32,
+                                    "generators": gens}))
+        start = time.perf_counter()
+        r = run_cli("analyze", str(path), "--prime", "2", "--kinds", "Creg")
+        assert time.perf_counter() - start < 10
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: guard hom_count_cap: ")
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_unexpected_exception_is_one_line(self, monkeypatch, capsys):
+        def broken(p, n):
+            raise RuntimeError("boom\nsecond line")
+        monkeypatch.setattr(chern, "dickson_check", broken)
+        assert cli.main(["dickson", "--prime", "2", "--rank", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom second line\n"
 
 
 class TestGallery:

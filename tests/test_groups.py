@@ -141,3 +141,25 @@ class TestFiniteGroup:
             for i in range(G.order):
                 want = G.index(conjugate(G.element(g), G.element(i)))
                 assert got[i] == want
+
+    def test_conjugates_by_many(self):
+        G = close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        gs = np.arange(G.order)[::7]
+        got = G.conjugates_by(gs, [3, 50, 119])
+        assert got.shape == (len(gs), 3)
+        for row, g in zip(got, gs):
+            for e, c in zip([3, 50, 119], row):
+                assert c == G.index(conjugate(G.element(g), G.element(e)))
+
+    def test_indices_of_rows(self):
+        G = a4()
+        assert list(G.indices_of_rows(G.array[::-1])) == list(range(G.order))[::-1]
+        assert G.identity_index == 0
+        with pytest.raises(KeyError):
+            G.indices_of_rows(np.array([[1, 0, 2, 3]]))    # odd: not in A4
+        with pytest.raises(KeyError):
+            G.indices_of_rows(np.array([[3, 2, 1, 0], [3, 3, 3, 3]]))
+
+    def test_element_list_needs_identity(self):
+        with pytest.raises(InvalidPermutation):
+            from_elements(3, [(1, 2, 0), (2, 0, 1)])

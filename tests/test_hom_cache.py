@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from elabcat import categories as cg
+from elabcat import gallery
 from elabcat.cli import _dump, analyze_report, load_category, load_group
 from elabcat.elabs import enumerate_elabs, p_rank
 from elabcat.groups import close_generators
@@ -106,3 +107,9 @@ def test_closure_reuses_loaded_base_homs(counted, tmp_path):
     cg.closure(load_category(str(path), catalog))
     assert len(counted) == len(catalog) ** 2
     assert max(counted.values()) == 1
+
+
+@pytest.mark.parametrize("entry", gallery.entry_names())
+def test_gallery_computes_each_hom_set_once(counted, entry):
+    assert gallery.verify_gallery(gallery.load_entry(entry)).ok
+    assert max(counted.values(), default=1) == 1
