@@ -40,11 +40,19 @@ canonical() has merged the kinds that coincide out of the domain:
   Creg         every injective matrix, enumerated.
 
 hom_in_kind checks a single matrix against the definition instead.
+
+closure requires every A-morphism in its input.  Inclusions are among
+them, so restricting a map's domain is composing it with an inclusion,
+and the restriction rule reduces to corestriction: narrowing a codomain
+to a catalog subgroup that holds the image.  The fixpoint runs in
+semi-naive rounds (Abiteboul, Hull and Vianu, Foundations of Databases,
+1995, ch. 13): each round joins only the homs new in the last round with
+the homs at their endpoints, so each composable pair is multiplied once,
+as one numpy gather per middle object and pair of ranks.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,7 +126,7 @@ def canonical(kind: CategoryKind, rank: int) -> CategoryKind:
             return A
         if kind.param <= 1:
             return CREG if kind.param == 0 else APRIME
-    if kind == aprime_d(1):
+    if kind.tag == "AprimeD" and kind.param == 1:
         return APRIME
     return kind
 
@@ -170,8 +178,15 @@ class LinearHom:
 
 # -- hom-set computation ----------------------------------------------
 
-# entries per block of the Aprime search's temporary array
-_SEARCH_BLOCK = 1 << 18
+# entries per block of a temporary array (Aprime search, closure products)
+_BLOCK = 1 << 18
+
+
+def _blocks(rows: int, width: int) -> Iterable[slice]:
+    """Slices over range(rows) whose temporaries of width entries per row
+    stay within _BLOCK entries."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(s, s + step) for s in range(0, rows, step))
 
 
 def _unit_subgroup(p: int, d: int) -> tuple[int, ...]:
@@ -273,11 +288,14 @@ def _coordinates(X: ElabSubgroup) -> tuple[np.ndarray, np.ndarray]:
     The vectors supported on the first k coordinates are the codes below
     p^k, which is the order the Aprime search fills them in.
     """
-    p, r = X.prime, X.rank
-    digits = np.array([v[::-1] for v in itertools.product(range(p), repeat=r)],
-                      dtype=np.int64)
+    digits = _code_digits(X.prime, X.rank)
     elems = np.array([X.index_of_vector(v) for v in digits.tolist()], dtype=np.int64)
     return digits, elems
+
+
+def _code_digits(p: int, r: int) -> np.ndarray:
+    """(p^r, r) array whose row c is the vector of code c = sum v_i p^i."""
+    return np.arange(p ** r)[:, None] // p ** np.arange(r) % p
 
 
 def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
@@ -334,15 +352,14 @@ def _class_respecting(E: ElabSubgroup, d: int, F_digits: np.ndarray,
         cand = np.nonzero(ok[q])[0]
         codes = np.arange(q) + q * coef[:, None]           # (p-1, q), code order
         steps = F_digits[cand][:, None, :] * coef[None, :, None]  # (n, p-1, s)
-        block = max(1, _SEARCH_BLOCK // max(1, len(cand) * codes.size * s))
         grown_cols, grown_imgs = [], []
-        for start in range(0, len(cols), block):
-            base = F_digits[imgs[start:start + block]]     # (m, q, s)
+        for b in _blocks(len(cols), len(cand) * codes.size * s):
+            base = F_digits[imgs[b]]                       # (m, q, s)
             new = ((base[:, None, None] + steps[None, :, :, None]) % p) @ F_weights
             mi, ni = np.nonzero(ok[codes, new].all(axis=(2, 3)))
-            grown_cols.append(np.column_stack([cols[start + mi], cand[ni]]))
+            grown_cols.append(np.column_stack([cols[b][mi], cand[ni]]))
             grown_imgs.append(np.concatenate(
-                [imgs[start + mi], new[mi, ni].reshape(len(mi), codes.size)], axis=1))
+                [imgs[b][mi], new[mi, ni].reshape(len(mi), codes.size)], axis=1))
         cols = np.concatenate(grown_cols)
         imgs = np.concatenate(grown_imgs)
     return cols
@@ -520,13 +537,96 @@ def _containment_lists(catalog: ElabCatalog) -> list[list[int]]:
             for i in range(len(sets))]
 
 
+def _key_dtype(p: int, max_rank: int, n: int):
+    """int64 when every hom key over n objects of rank at most max_rank
+    fits in it, else object (exact Python ints)."""
+    return np.int64 if p ** (max_rank * max_rank) * n * n <= 2 ** 63 else object
+
+
+def _hom_keys(cols: np.ndarray, dom: np.ndarray, cod: np.ndarray, base: int,
+              n: int, dtype) -> np.ndarray:
+    """Exact key (code * n + dom) * n + cod of each hom dom -> cod given by
+    its column codes, where code = sum_k cols[:, k] base^k and base is the
+    number of vectors of the codomain.  (dom, cod) fixes the shape, so
+    keys of different shapes never meet."""
+    places = np.array([base ** k for k in range(cols.shape[1])], dtype=dtype)
+    code = cols.astype(dtype) @ places
+    return (code * n + dom.astype(dtype)) * n + cod.astype(dtype)
+
+
+def _decode(keys: np.ndarray, base: int, width: int,
+            n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dom, cod, column codes) of keys made by _hom_keys for one shape."""
+    places = np.array([base ** k for k in range(width)], dtype=keys.dtype)
+    code, pair = keys // (n * n), keys % (n * n)
+    cols = (code[:, None] // places % base).astype(np.int64)
+    return (pair // n).astype(np.int64), (pair % n).astype(np.int64), cols
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (np.unique would import numpy.ma)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
+    """Code of the image of every domain vector code, for each map given
+    by its column codes in a codomain of the given rank."""
+    width = cols.shape[1]
+    vecs, col_vecs = _code_digits(p, width), _code_digits(p, rows)
+    places = p ** np.arange(rows)
+    out = np.empty((len(cols), len(vecs)), dtype=np.int64)
+    for b in _blocks(len(cols), len(vecs) * rows):
+        images = np.einsum("vc,mck->mvk", vecs, col_vecs[cols[b]]) % p
+        out[b] = images @ places
+    return out
+
+
+def _by_object(obj: np.ndarray, other: np.ndarray,
+               data: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Split (other, data) by the object in obj."""
+    order = np.argsort(obj, kind="stable")
+    obj = obj[order]
+    starts = np.flatnonzero(np.concatenate(([True], obj[1:] != obj[:-1])))
+    ends = np.append(starts[1:], len(obj))
+    return {int(obj[a]): (other[order[a:b]], data[order[a:b]])
+            for a, b in zip(starts, ends)}
+
+
+def _extend(index: dict, parts: dict) -> None:
+    """Append each (far ends, data) part to the index entry of its rank."""
+    for r, (ends, data) in parts.items():
+        old = index.get(r)
+        index[r] = (ends, data) if old is None else (
+            np.concatenate((old[0], ends)), np.concatenate((old[1], data)))
+
+
 def closure(C: SubgroupCategory) -> SubgroupCategory:
     """Smallest hom collection containing C that is closed under
     composition, restriction (both domain and codomain), and inverses of
     bijective members.
 
     The input must contain every A-morphism (conjugation-induced maps and
-    inclusions); otherwise ClosureGuardError is raised.
+    inclusions); otherwise ClosureGuardError is raised.  With every
+    inclusion present, restricting a map's domain to S is composing it
+    with the inclusion of S, so restriction reduces to corestriction:
+    narrowing the codomain of a map to a catalog subgroup that holds its
+    image.
+
+    The fixpoint runs in semi-naive rounds (Abiteboul, Hull and Vianu,
+    Foundations of Databases, 1995, ch. 13).  Each round takes the homs
+    first found in the last one, D, and joins them only with the homs at
+    their endpoints: new = D o K_new  u  K_old o D, where K_old is the
+    collection before the round and K_new = K_old u D, so each composable
+    pair is multiplied exactly once.  A map is held as the codes of its
+    columns, and a map out of an object also as the table of the image
+    code of every vector, so g o f is a gather of f's columns from g's
+    table: one numpy gather per middle object and (domain rank, codomain
+    rank).  Each hom is known by an exact integer key (_hom_keys), and a
+    sorted array of the keys found so far sorts the products into known
+    and new.  D's corestrictions and the inverses of its square members,
+    read off the inverse permutations of their tables, join the
+    candidates of the next round.
     """
     catalog = C.catalog
     C.materialize()
@@ -541,55 +641,89 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                     f"morphism{'s' if len(missing) != 1 else ''} "
                     f"on object pair ({i}, {j})")
 
-    subs_of = _containment_lists(catalog)
-    elem_sets = [frozenset(E.elements) for E in catalog.subgroups]
-    homs: dict[tuple[int, int], set[Mat]] = {}
-    work: list[tuple[int, int, Mat]] = []
-
-    def add(i: int, j: int, M: Mat) -> None:
-        bucket = homs.setdefault((i, j), set())
-        if M not in bucket:
-            bucket.add(M)
-            work.append((i, j, M))
-
-    for (i, j), mats in C.hom_dict().items():
-        for M in mats:
-            add(i, j, M)
-
     p = catalog.prime
-    while work:
-        i, j, M = work.pop()
-        E, F = catalog.subgroups[i], catalog.subgroups[j]
-        # rule 1: compositions on either side
-        for (a, b), mats in list(homs.items()):
-            if a == j:
-                for N in list(mats):
-                    add(i, b, mat_mul(N, M, p))
-            if b == i:
-                for N in list(mats):
-                    add(a, j, mat_mul(M, N, p))
-        # rule 2: restrictions to subgroup pairs
-        for s in subs_of[i]:
-            S = catalog.subgroups[s]
-            img_of = {e: F.index_of_vector(mat_vec(M, E.vector_of_index(e), p))
-                      for e in S.elements}
-            img_set = frozenset(img_of.values())
-            for t in subs_of[j]:
-                if not img_set <= elem_sets[t]:
-                    continue
-                T = catalog.subgroups[t]
-                cols = [T.vector_of_index(img_of[b]) for b in S.basis]
-                rows = tuple(tuple(col[r] for col in cols)
-                             for r in range(T.rank))
-                add(s, t, rows)
-        # rule 3: inverses of bijective maps
-        if E.rank == F.rank:
-            inv = mat_inv(M, p)
-            if inv is not None:
-                add(j, i, inv)
+    ranks = catalog.ranks()
+    dtype = _key_dtype(p, max(ranks), n)
+    coords = [_coordinates(E) for E in catalog.subgroups]
+    code_in = [dict(zip(elems.tolist(), range(len(elems)))) for _, elems in coords]
+    # code in t of each vector code of j (-1 off t), for each t < j
+    narrowing = [[(t, np.array([code_in[t].get(e, -1) for e in coords[j][1].tolist()]))
+                  for t in subs if t != j]
+                 for j, subs in enumerate(_containment_lists(catalog))]
+    known = np.zeros(0, dtype=dtype)      # sorted keys of every hom found
+    found: list[tuple[tuple[int, int], np.ndarray]] = []
+    pool: dict[tuple[int, int], list[np.ndarray]] = {}   # shape -> new keys
 
+    def offer(cols: np.ndarray, dom: np.ndarray, cod: np.ndarray, rows: int) -> None:
+        """Queue the homs (column codes into a rank-rows codomain) that are
+        not known yet."""
+        keys = _hom_keys(cols, dom, cod, p ** rows, n, dtype)
+        if len(known):
+            at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+            keys = keys[known[at] != keys]
+        if len(keys):
+            pool.setdefault((rows, cols.shape[1]), []).append(keys)
+
+    shapes: dict[tuple[int, int], tuple[list, list, list]] = {}
+    for (i, j), mats in C.hom_dict().items():
+        doms, cods, ms = shapes.setdefault((ranks[j], ranks[i]), ([], [], []))
+        doms += [i] * len(mats)
+        cods += [j] * len(mats)
+        ms += mats
+    for (rows, width), (doms, cods, ms) in shapes.items():
+        mats = np.array(ms, dtype=np.int64).reshape(len(ms), rows, width)
+        offer((mats * p ** np.arange(rows)[:, None]).sum(axis=1),
+              np.array(doms), np.array(cods), rows)
+
+    # per object, by rank of the far end: (far ends, column codes) of the
+    # homs into it, (far ends, image tables) of the homs out of it
+    into: list[dict] = [{} for _ in range(n)]    # every hom found
+    out_of: list[dict] = [{} for _ in range(n)]  # homs found before this round
+    while pool:
+        delta = {shape: _distinct(np.concatenate(chunks))
+                 for shape, chunks in pool.items()}
+        pool.clear()
+        known = np.sort(np.concatenate([known, *delta.values()]))
+        d_in: list[dict] = [{} for _ in range(n)]
+        d_out: list[dict] = [{} for _ in range(n)]
+        for (rows, width), keys in delta.items():
+            found.append(((rows, width), keys))
+            dom, cod, cols = _decode(keys, p ** rows, width, n)
+            tables = _image_tables(cols, p, rows)
+            for j, part in _by_object(cod, dom, cols).items():
+                d_in[j][width] = part
+            for i, part in _by_object(dom, cod, tables).items():
+                d_out[i][rows] = part
+            if rows == width > 0:
+                inverse = np.argsort(tables, axis=1)[:, p ** np.arange(rows)]
+                offer(inverse, cod, dom, rows)
+        for j in range(n):
+            _extend(into[j], d_in[j])
+            for dom, cols in d_in[j].values():
+                for t, code_t in narrowing[j]:
+                    img = code_t[cols]
+                    ok = (img >= 0).all(axis=1)
+                    if ok.any():
+                        offer(img[ok], dom[ok], np.full(int(ok.sum()), t), ranks[t])
+            pairs = [(r, g, f) for r, g in d_out[j].items() for f in into[j].values()]
+            pairs += [(r, g, f) for r, g in out_of[j].items() for f in d_in[j].values()]
+            for rows, (cod, tables), (dom, cols) in pairs:
+                width = cols.shape[1]
+                for b in _blocks(len(cols), len(tables) * width):
+                    prod = tables[:, cols[b]]               # (g, f, column)
+                    offer(prod.reshape(prod.shape[0] * prod.shape[1], width),
+                          np.tile(dom[b], len(tables)), np.repeat(cod, prod.shape[1]),
+                          rows)
+            _extend(out_of[j], d_out[j])
+
+    homs: dict[tuple[int, int], list[Mat]] = {}
+    for (rows, width), keys in found:
+        dom, cod, cols = _decode(keys, p ** rows, width, n)
+        mats = _code_digits(p, rows)[cols].transpose(0, 2, 1)
+        for i, j, M in zip(dom.tolist(), cod.tolist(), mats.tolist()):
+            homs.setdefault((i, j), []).append(tuple(map(tuple, M)))
     return SubgroupCategory(catalog, None,
-                            {k: tuple(sorted(v)) for k, v in homs.items() if v})
+                            {k: tuple(sorted(v)) for k, v in homs.items()})
 
 
 # -- invariants -------------------------------------------------------

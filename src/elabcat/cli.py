@@ -276,16 +276,15 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: expected an object at top level")
-    homs: dict[tuple[int, int], set] = {}
     base = doc.get("base_kind")
+    kind_homs: dict[tuple[int, int], tuple] = {}
     if base is not None:
         try:
             kind = parse_kind(base, catalog.prime)
         except ValueError as e:
             raise InputFormatError(f"{path}: bad base_kind: {e}")
-        C = cg.build_category(kind, catalog)
-        for key, mats in C.hom_dict().items():
-            homs.setdefault(key, set()).update(mats)
+        kind_homs = cg.build_category(kind, catalog).hom_dict()
+    homs: dict[tuple[int, int], set] = {}
     for rec in doc.get("homs", []):
         if not isinstance(rec, dict):
             raise InputFormatError(f"{path}: hom records must be objects")
@@ -309,9 +308,14 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
             except (TypeError, ValueError) as e:
                 raise InputFormatError(f"{path}: bad matrix: {e}")
     try:
-        return cg.explicit_category(catalog, {k: tuple(v) for k, v in homs.items()})
+        records = cg.explicit_category(catalog, {k: tuple(v) for k, v in homs.items()})
     except (ValueError, ElabcatError) as e:
         raise InputFormatError(f"{path}: invalid morphism: {e}")
+    # the kind's hom-sets are valid, sorted and distinct as built
+    merged = dict(kind_homs)
+    for key, mats in records.hom_dict().items():
+        merged[key] = tuple(sorted(set(kind_homs.get(key, ())) | set(mats)))
+    return cg.SubgroupCategory(catalog, None, merged)
 
 
 def cmd_closure(args) -> int:

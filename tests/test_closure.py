@@ -1,11 +1,28 @@
-import pytest
+"""Closure: fixed points and laws on A4, the semi-naive closure against the
+worklist oracle and an independent closedness check on random groups,
+exact hom keys, and golden CLI reports frozen from the worklist closure.
+"""
 
+from collections import Counter, defaultdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from brute_force import brute_closure, restriction, subgroups_of
 from elabcat import categories as cg
+from elabcat import gallery
+from elabcat.cli import main
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import ClosureGuardError
+from elabcat.fpmat import injective_matrices, mat_inv, mat_mul
 from elabcat.groups import close_generators
+from test_hom_cache import small_groups
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def a4_catalog():
@@ -75,3 +92,166 @@ class TestClosureLaws:
         C = cg.explicit_category(cat, {(4, 4): (((1, 0), (0, 1)),)})
         with pytest.raises(ClosureGuardError):
             cg.closure(C)
+
+
+def check_closed(catalog, seed, closed):
+    """closed contains seed and is closed under composition, restriction
+    to every pair of catalog subgroups, and inverses of bijective members
+    (checked map by map, without the closure's own machinery)."""
+    p = catalog.prime
+    homs = defaultdict(set, {k: set(v) for k, v in closed.items()})
+    for key, mats in seed.items():
+        assert set(mats) <= homs[key]
+    out_of = defaultdict(list)
+    for (i, j), mats in closed.items():
+        out_of[i].append((j, mats))
+    subs_of = subgroups_of(catalog)
+    for (i, j), mats in closed.items():
+        E, F = catalog.subgroups[i], catalog.subgroups[j]
+        for k, after in out_of[j]:
+            assert all(mat_mul(N, M, p) in homs[(i, k)] for M in mats for N in after)
+        for M in mats:
+            for s in subs_of[i]:
+                for t in subs_of[j]:
+                    R = restriction(E, F, catalog.subgroups[s], catalog.subgroups[t], M, p)
+                    assert R is None or R in homs[(s, t)]
+            if E.rank == F.rank:
+                assert mat_inv(M, p) in homs[(j, i)]
+
+
+def check_against_oracle(C):
+    seed = C.hom_dict()
+    closed = cg.closure(C)
+    got = closed.hom_dict()
+    assert got == brute_closure(C)
+    check_closed(C.catalog, seed, got)
+    assert cg.closure(closed).hom_dict() == got
+
+
+def a_category_plus(catalog, extra):
+    """The A-category of catalog with the extra ((i, j), matrix) maps."""
+    homs = defaultdict(set, {k: set(v) for k, v in
+                             cg.build_category(cg.A, catalog).hom_dict().items()})
+    for key, M in extra:
+        homs[key].add(M)
+    return cg.explicit_category(catalog, homs)
+
+
+@st.composite
+def seeded_categories(draw):
+    """An A-category of a small group at p = 2 or 3 plus a few random
+    injective maps: one square and one not, when the catalog has such
+    pairs, and up to two more anywhere."""
+    G = draw(small_groups())
+    catalog = enumerate_elabs(G, draw(st.sampled_from([2, 3])))
+    assume(len(catalog) <= 50)
+    ranks = catalog.ranks()
+    pairs = [(i, j) for i in range(len(catalog)) for j in range(len(catalog))
+             if 1 <= ranks[i] <= ranks[j]]
+    assume(pairs)
+    square = [(i, j) for i, j in pairs if ranks[i] == ranks[j]]
+    wide = [(i, j) for i, j in pairs if ranks[i] < ranks[j]]
+    chosen = [draw(st.sampled_from(side)) for side in (square, wide) if side]
+    chosen += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    extra = [((i, j), draw(st.sampled_from(
+        injective_matrices(catalog.prime, ranks[j], ranks[i])))) for i, j in chosen]
+    return a_category_plus(catalog, extra)
+
+
+@given(C=seeded_categories())
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_closure_matches_worklist_oracle(C):
+    check_against_oracle(C)
+
+
+def a4_grow():
+    return a_category_plus(a4_catalog(), [((4, 4), ((0, 1), (1, 0)))])
+
+
+def gl3_2_grow():
+    # the Aprime map that no conjugation induces, as the benchmark adds
+    catalog = enumerate_elabs(gallery.build_gl3(2).group, 2)
+    verdict = cg.categories_equal(cg.A, cg.APRIME, catalog)
+    key = (catalog.class_reps[verdict.domain_class],
+           catalog.class_reps[verdict.codomain_class])
+    return a_category_plus(catalog, [(key, verdict.matrix)])
+
+
+class TestFixedExamples:
+    def test_a4_grow(self):
+        check_against_oracle(a4_grow())
+
+    def test_gl3_2_grow(self):
+        check_against_oracle(gl3_2_grow())
+
+    def test_s4_iso_between_classes(self):
+        # a transposition and a double transposition generate non-conjugate
+        # subgroups, so only the inverse rule maps the second onto the first
+        catalog = enumerate_elabs(close_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)]), 2)
+        lines = [k for k, E in enumerate(catalog.subgroups) if E.rank == 1]
+        i = lines[0]
+        j = next(k for k in lines if catalog.class_of[k] != catalog.class_of[i])
+        check_against_oracle(a_category_plus(catalog, [((i, j), ((1,),))]))
+
+
+@pytest.mark.parametrize("make", [a4_grow, gl3_2_grow])
+def test_each_composable_pair_is_multiplied_once(make, monkeypatch):
+    # every hom is new in exactly one round, so the closure keys each seed
+    # hom, product, corestriction and inverse once: no more, no fewer
+    keyed = []
+    real = cg._hom_keys
+    monkeypatch.setattr(cg, "_hom_keys",
+                        lambda cols, *rest: keyed.append(len(cols)) or real(cols, *rest))
+    C = make()
+    catalog, p = C.catalog, C.catalog.prime
+    closed = cg.closure(C).hom_dict()
+    into, out_of = Counter(), Counter()
+    for (i, j), mats in closed.items():
+        out_of[i] += len(mats)
+        into[j] += len(mats)
+    subs_of = subgroups_of(catalog)
+    corestrictions = inverses = 0
+    for (i, j), mats in closed.items():
+        E, F = catalog.subgroups[i], catalog.subgroups[j]
+        inverses += len(mats) if E.rank == F.rank > 0 else 0
+        corestrictions += sum(restriction(E, F, E, catalog.subgroups[t], M, p) is not None
+                              for M in mats for t in subs_of[j] if t != j)
+    seed = sum(map(len, C.hom_dict().values()))
+    products = sum(into[j] * out_of[j] for j in range(len(catalog)))
+    assert sum(keyed) == seed + products + corestrictions + inverses
+
+
+class TestHomKeys:
+    def test_int64_when_it_fits(self):
+        assert cg._key_dtype(2, 3, 271) is np.int64
+
+    def test_exact_past_int64(self):
+        # 8 x 8 over F_2: a matrix code has 64 binary places
+        dtype = cg._key_dtype(2, 8, 3)
+        assert dtype is object
+        cols = np.array([[255] * 8, [255] * 7 + [127], [0] * 7 + [128]])
+        dom, cod = np.array([2, 0, 1]), np.array([1, 2, 0])
+        keys = cg._hom_keys(cols, dom, cod, 2 ** 8, 3, dtype)
+        codes = [2 ** 64 - 1, 2 ** 63 - 1, 2 ** 63]
+        assert keys.tolist() == [(c * 3 + d) * 3 + e
+                                 for c, d, e in zip(codes, dom.tolist(), cod.tolist())]
+        back = cg._decode(keys, 2 ** 8, 8, 3)
+        for want, got in zip((dom, cod, cols), back):
+            assert (got == want).all()
+
+    def test_closure_with_python_int_keys(self, monkeypatch):
+        C = gl3_2_grow()
+        want = cg.closure(C).hom_dict()
+        monkeypatch.setattr(cg, "_key_dtype", lambda *args: object)
+        assert cg.closure(C).hom_dict() == want
+
+
+@pytest.mark.parametrize("report", sorted(p.name for p in GOLDEN.glob("*.closure.json")))
+def test_golden_closure_report(report, capsys):
+    # frozen from the worklist closure, which brute_force.py keeps
+    stem = report[:-len(".closure.json")]
+    group = stem.rsplit("-p2-", 1)[0]
+    assert main(["closure", str(GOLDEN / f"{group}.group.json"), "--prime", "2",
+                 "--category", str(GOLDEN / f"{stem}.category.json")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / report).read_text()
