@@ -65,7 +65,7 @@ from .elabs import ElabCatalog, ElabSubgroup
 from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
 from .fpmat import (Mat, injective_count, injective_matrices, mat_inv,
                     mat_mul, mat_rank, mat_vec, subspace_bases)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, find_sorted, sorted_distinct
 
 # -- kinds ------------------------------------------------------------
 
@@ -282,24 +282,17 @@ def _check_matrix(kind: CategoryKind, E: ElabSubgroup, F: ElabSubgroup,
     return True
 
 
-def _coordinates(X: ElabSubgroup) -> tuple[np.ndarray, np.ndarray]:
-    """X's vectors in code order, code sum v_i p^i: (digits, element index).
+def _code_digits(p: int, r: int) -> np.ndarray:
+    """(p^r, r) array whose row c is the vector of code c = sum v_i p^i.
 
     The vectors supported on the first k coordinates are the codes below
     p^k, which is the order the Aprime search fills them in.
     """
-    digits = _code_digits(X.prime, X.rank)
-    elems = np.array([X.index_of_vector(v) for v in digits.tolist()], dtype=np.int64)
-    return digits, elems
-
-
-def _code_digits(p: int, r: int) -> np.ndarray:
-    """(p^r, r) array whose row c is the vector of code c = sum v_i p^i."""
     return np.arange(p ** r)[:, None] // p ** np.arange(r) % p
 
 
 def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
-                        F_elems: np.ndarray) -> np.ndarray:
+                        F: ElabSubgroup) -> np.ndarray:
     """Rows (code in F of g^-1 e g, for e in elems) over the g in G that
     conjugate every listed element into F, repeats included.
 
@@ -308,21 +301,18 @@ def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
     """
     class_of = G.conjugacy.class_of
     first = elems[0]
-    targets = [c for c, f in enumerate(F_elems.tolist())
+    targets = [c for c, f in enumerate(F.by_code.tolist())
                if class_of[f] == class_of[first]]
     if not targets:
         return np.zeros((0, len(elems)), dtype=np.int64)
     if len(elems) == 1:
         return np.array(targets, dtype=np.int64)[:, None]
-    cosets = [G.transporter_indices(first, F_elems[c]) for c in targets]
-    code_of = np.full(len(G), -1, dtype=np.int64)
-    code_of[F_elems] = np.arange(len(F_elems))
-    images = code_of[G.conjugates_by(np.concatenate(cosets), elems)]
+    cosets = G.transporter_indices(first, F.by_code[targets])
+    images = F.codes_of(G.conjugates_by(cosets, elems))
     return images[np.all(images >= 0, axis=1)]
 
 
-def _class_respecting(E: ElabSubgroup, d: int, F_digits: np.ndarray,
-                      F_elems: np.ndarray) -> np.ndarray:
+def _class_respecting(E: ElabSubgroup, d: int, F: ElabSubgroup) -> np.ndarray:
     """Rows of basis-image codes of the AprimeD(d) maps E -> F.
 
     Backtracking over the basis images, breadth first and vectorized:
@@ -331,13 +321,13 @@ def _class_respecting(E: ElabSubgroup, d: int, F_digits: np.ndarray,
     its allowed classes at once.  An identity image is never allowed, so
     every survivor is injective.
     """
-    p, s = E.prime, F_digits.shape[1]
+    p, s = E.prime, F.rank
     class_of = E.ambient.conjugacy.class_of
-    E_digits, E_elems = _coordinates(E)
-    E_cls = np.array([class_of[e] for e in E_elems.tolist()])
-    F_cls = np.array([class_of[e] for e in F_elems.tolist()])
+    E_digits, F_digits = _code_digits(p, E.rank), _code_digits(p, s)
+    E_cls = np.array([class_of[e] for e in E.by_code.tolist()])
+    F_cls = np.array([class_of[e] for e in F.by_code.tolist()])
     weights = p ** np.arange(E.rank)
-    ok = np.zeros((len(E_elems), len(F_elems)), dtype=bool)
+    ok = np.zeros((len(E), len(F)), dtype=bool)
     for t in _unit_subgroup(p, d):
         powers = E_cls[(t * E_digits % p) @ weights]     # class of e^t
         ok |= powers[:, None] == F_cls[None, :]
@@ -366,16 +356,16 @@ def _class_respecting(E: ElabSubgroup, d: int, F_digits: np.ndarray,
 
 
 def _single_conjugator(E: ElabSubgroup, n: int, cols: np.ndarray,
-                       F_digits: np.ndarray, F_elems: np.ndarray) -> np.ndarray:
+                       F: ElabSubgroup) -> np.ndarray:
     """Mask of the maps (rows of basis-image codes) whose restriction to
     every rank-n subspace U of E is one of the A maps U -> F."""
     p = E.prime
-    weights = p ** np.arange(F_digits.shape[1])
-    images = F_digits[cols]                            # (maps, rank E, rank F)
+    weights = p ** np.arange(F.rank)
+    images = _code_digits(p, F.rank)[cols]             # (maps, rank E, rank F)
     keep = np.ones(len(cols), dtype=bool)
     for basis in subspace_bases(p, E.rank, n):
         U = [E.index_of_vector(v) for v in basis]
-        allowed = set(map(tuple, _conjugation_images(E.ambient, U, F_elems).tolist()))
+        allowed = set(map(tuple, _conjugation_images(E.ambient, U, F).tolist()))
         rest = np.nonzero(keep)[0]
         on_U = (np.einsum("nr,mrs->mns", np.array(basis), images[rest]) % p) @ weights
         keep[rest] = [row in allowed for row in map(tuple, on_U.tolist())]
@@ -409,14 +399,13 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     if d == 1 and (Counter(class_of[e] for e in E.elements)
                    - Counter(class_of[f] for f in F.elements)):
         return ()
-    F_digits, F_elems = _coordinates(F)
     if kind == A:
-        cols = _conjugation_images(E.ambient, E.basis, F_elems)
+        cols = _conjugation_images(E.ambient, E.basis, F)
     else:
-        cols = _class_respecting(E, d, F_digits, F_elems)
+        cols = _class_respecting(E, d, F)
         if kind.tag == "An":
-            cols = cols[_single_conjugator(E, kind.param, cols, F_digits, F_elems)]
-    return _matrices(cols, F_digits)
+            cols = cols[_single_conjugator(E, kind.param, cols, F)]
+    return _matrices(cols, _code_digits(E.prime, F.rank))
 
 
 def hom_in_kind(kind: CategoryKind, h: LinearHom) -> bool:
@@ -497,7 +486,7 @@ class SubgroupCategory:
         """Every non-empty hom-set, materializing a kind-backed category."""
         if self.kind is None:
             return {k: v for k, v in self._homs.items() if v}
-        self.materialize()
+        self._check_size()
         n = len(self.catalog)
         pairs = ((i, j) for i in range(n) for j in range(n))
         return {(i, j): h for i, j in pairs if (h := self.hom(i, j))}
@@ -563,10 +552,24 @@ def _decode(keys: np.ndarray, base: int, width: int,
     return (pair // n).astype(np.int64), (pair % n).astype(np.int64), cols
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys (np.unique would import numpy.ma)."""
-    keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+def _keys_by_shape(homs: dict[tuple[int, int], Sequence[Mat]], ranks: list[int],
+                   p: int, dtype) -> dict[tuple[int, int], np.ndarray]:
+    """Sorted _hom_keys of the matrices in homs, by (codomain rank, domain
+    rank)."""
+    n = len(ranks)
+    shapes: dict[tuple[int, int], tuple[list, list, list]] = {}
+    for (i, j), mats in homs.items():
+        doms, cods, ms = shapes.setdefault((ranks[j], ranks[i]), ([], [], []))
+        doms += [i] * len(mats)
+        cods += [j] * len(mats)
+        ms += mats
+    out = {}
+    for (rows, width), (doms, cods, ms) in shapes.items():
+        mats = np.array(ms, dtype=np.int64).reshape(len(ms), rows, width)
+        cols = (mats * p ** np.arange(rows)[:, None]).sum(axis=1)
+        out[(rows, width)] = np.sort(_hom_keys(cols, np.array(doms), np.array(cods),
+                                               p ** rows, n, dtype))
+    return out
 
 
 def _image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
@@ -629,58 +632,47 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     candidates of the next round.
     """
     catalog = C.catalog
-    C.materialize()
-    base = build_category(A, catalog)
-    n = len(catalog)
-    for i in range(n):
-        for j in range(n):
-            missing = set(base.hom(i, j)) - set(C.hom(i, j))
-            if missing:
-                raise ClosureGuardError(
-                    f"input omits {len(missing)} conjugation-induced "
-                    f"morphism{'s' if len(missing) != 1 else ''} "
-                    f"on object pair ({i}, {j})")
-
-    p = catalog.prime
-    ranks = catalog.ranks()
+    n, p, ranks = len(catalog), catalog.prime, catalog.ranks()
     dtype = _key_dtype(p, max(ranks), n)
-    coords = [_coordinates(E) for E in catalog.subgroups]
-    code_in = [dict(zip(elems.tolist(), range(len(elems)))) for _, elems in coords]
+    seed = _keys_by_shape(C.hom_dict(), ranks, p, dtype)
+    base = build_category(A, catalog)
+    # A-maps need rank i <= rank j; a key mod n^2 is its pair dom * n + cod
+    a_homs = {(i, j): base.hom(i, j) for i in range(n) for j in range(n)
+              if ranks[i] <= ranks[j]}
+    missing = [keys[~find_sorted(seed.get(shape, keys[:0]), keys)[1]] % (n * n)
+               for shape, keys in _keys_by_shape(a_homs, ranks, p, dtype).items()]
+    missing = np.concatenate(missing)
+    if len(missing):
+        i, j = divmod(int(missing.min()), n)
+        count = int((missing == i * n + j).sum())
+        raise ClosureGuardError(
+            f"input omits {count} conjugation-induced "
+            f"morphism{'s' if count != 1 else ''} "
+            f"on object pair ({i}, {j})")
+
     # code in t of each vector code of j (-1 off t), for each t < j
-    narrowing = [[(t, np.array([code_in[t].get(e, -1) for e in coords[j][1].tolist()]))
+    subgroups = catalog.subgroups
+    narrowing = [[(t, subgroups[t].codes_of(subgroups[j].by_code))
                   for t in subs if t != j]
                  for j, subs in enumerate(_containment_lists(catalog))]
     known = np.zeros(0, dtype=dtype)      # sorted keys of every hom found
     found: list[tuple[tuple[int, int], np.ndarray]] = []
-    pool: dict[tuple[int, int], list[np.ndarray]] = {}   # shape -> new keys
+    pool = {shape: [keys] for shape, keys in seed.items() if len(keys)}  # new keys
 
     def offer(cols: np.ndarray, dom: np.ndarray, cod: np.ndarray, rows: int) -> None:
         """Queue the homs (column codes into a rank-rows codomain) that are
         not known yet."""
         keys = _hom_keys(cols, dom, cod, p ** rows, n, dtype)
-        if len(known):
-            at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-            keys = keys[known[at] != keys]
+        keys = keys[~find_sorted(known, keys)[1]]
         if len(keys):
             pool.setdefault((rows, cols.shape[1]), []).append(keys)
-
-    shapes: dict[tuple[int, int], tuple[list, list, list]] = {}
-    for (i, j), mats in C.hom_dict().items():
-        doms, cods, ms = shapes.setdefault((ranks[j], ranks[i]), ([], [], []))
-        doms += [i] * len(mats)
-        cods += [j] * len(mats)
-        ms += mats
-    for (rows, width), (doms, cods, ms) in shapes.items():
-        mats = np.array(ms, dtype=np.int64).reshape(len(ms), rows, width)
-        offer((mats * p ** np.arange(rows)[:, None]).sum(axis=1),
-              np.array(doms), np.array(cods), rows)
 
     # per object, by rank of the far end: (far ends, column codes) of the
     # homs into it, (far ends, image tables) of the homs out of it
     into: list[dict] = [{} for _ in range(n)]    # every hom found
     out_of: list[dict] = [{} for _ in range(n)]  # homs found before this round
     while pool:
-        delta = {shape: _distinct(np.concatenate(chunks))
+        delta = {shape: sorted_distinct(np.concatenate(chunks))
                  for shape, chunks in pool.items()}
         pool.clear()
         known = np.sort(np.concatenate([known, *delta.values()]))
@@ -841,15 +833,6 @@ def weyl_image(G: FiniteGroup, E: ElabSubgroup) -> tuple[Mat, ...]:
         raise CatalogMismatch("subgroup does not live in the given group")
     if E.rank == 0:
         return (() ,)
-    elems = np.array(E.elements, dtype=np.int64)
-    out = set()
-    target = set(E.elements)
-    for g in range(len(G)):
-        conj = G.conjugate_indices(g, elems)
-        if set(int(c) for c in conj) != target:
-            continue
-        cols = [E.vector_of_index(int(
-                    G.conjugate_indices(g, np.array([b], dtype=np.int64))[0]))
-                for b in E.basis]
-        out.add(tuple(tuple(col[r] for col in cols) for r in range(E.rank)))
-    return tuple(sorted(out))
+    # g normalizes E once it conjugates E's basis into E
+    cols = E.codes_of(G.conjugates_by(np.arange(len(G)), E.basis))
+    return _matrices(cols[np.all(cols >= 0, axis=1)], _code_digits(E.prime, E.rank))

@@ -5,11 +5,17 @@ group plus a canonical basis chosen greedily: repeatedly take the smallest
 element (in ambient index order) outside the span so far.  Two subgroups
 with equal element sets therefore compare equal and print identically, no
 matter how they were produced.
+
+Its coordinates over F_p are one array in one order: by_code[c] is the
+element b1^v1 * ... * br^vr for the code c = sum v_i p^i.  That is the
+order in which a span grows, span * b^t for t = 0, ..., p-1, so every
+span (the greedy basis, the rank induction's candidates) is a few batched
+products of the ambient group, and the hom-set searches and the closure
+read their coordinates from the same array.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -18,7 +24,7 @@ import numpy as np
 from .config import cap as _cap
 from .errors import (CapExceeded, CatalogMismatch, ElementNotInSubgroup,
                      InvalidPermutation)
-from .groups import FiniteGroup, Perm
+from .groups import _BLOCK, FiniteGroup, Perm, find_sorted, sorted_distinct
 
 Vector = tuple[int, ...]
 
@@ -27,23 +33,22 @@ class ElabSubgroup:
     """An elementary abelian p-subgroup of a fixed ambient group.
 
     basis is the canonical ordered basis (ambient element indices), and
-    the vector tables identify the subgroup with F_p^rank.  vector_element
-    maps exponent vectors to elements via b1^v1 * ... * br^vr.
+    by_code identifies the subgroup with F_p^rank: by_code[c] is the
+    ambient index of b1^v1 * ... * br^vr for the code c = sum v_i p^i.
+    elements is the sorted tuple of the same indices.
     """
 
-    __slots__ = ("ambient", "prime", "rank", "basis", "elements",
-                 "_vec_of", "_elt_of")
+    __slots__ = ("ambient", "prime", "rank", "basis", "elements", "by_code")
 
     def __init__(self, ambient: FiniteGroup, prime: int, basis: Sequence[int],
-                 elements: Sequence[int], vec_of: dict[int, Vector],
-                 elt_of: dict[Vector, int]):
+                 by_code: np.ndarray):
         self.ambient = ambient
         self.prime = prime
         self.rank = len(basis)
         self.basis = tuple(basis)
-        self.elements = tuple(elements)
-        self._vec_of = vec_of
-        self._elt_of = elt_of
+        self.by_code = by_code
+        self.by_code.flags.writeable = False
+        self.elements = tuple(sorted(by_code.tolist()))
 
     @classmethod
     def from_element_indices(cls, ambient: FiniteGroup, prime: int,
@@ -51,66 +56,39 @@ class ElabSubgroup:
         """Canonicalize an element-index set into a subgroup object.
 
         Validates that the set is closed, every non-identity member has
-        order prime, and the size is a power of the prime.
+        order prime, and the basis generates it freely.
         """
-        idx = sorted(set(int(i) for i in indices))
         ident = ambient.identity_index
-        if ident not in idx:
-            idx = sorted(idx + [ident])
-        orders = ambient.element_orders
-        for i in idx:
-            if i != ident and orders[i] != prime:
-                raise InvalidPermutation(
-                    f"element {i} has order {orders[i]}, expected {prime}")
-        idx_set = set(idx)
-        basis: list[int] = []
-        span = {ident}
-        while len(span) < len(idx_set):
-            outside = [i for i in idx if i not in span]
-            if not outside:
-                raise InvalidPermutation("element set is not closed")
-            b = outside[0]
-            basis.append(b)
-            new_span = set()
-            for s in span:
-                cur = s
-                for _ in range(prime):
-                    new_span.add(cur)
-                    cur = ambient.mul(cur, b)
-            if not new_span <= idx_set:
-                raise InvalidPermutation("element set is not closed under products")
-            span = new_span
-        rank = len(basis)
-        if prime ** rank != len(idx_set):
+        idx = sorted_distinct(np.append(np.fromiter(indices, dtype=np.int64), ident))
+        orders = ambient.element_orders[idx]
+        bad = (orders != prime) & (idx != ident)
+        if bad.any():
+            k = int(np.argmax(bad))
             raise InvalidPermutation(
-                f"size {len(idx_set)} is not {prime}^{rank}")
-        vec_of: dict[int, Vector] = {}
-        elt_of: dict[Vector, int] = {}
-        for vec in itertools.product(range(prime), repeat=rank):
-            e = ident
-            for b, exp in zip(basis, vec):
-                for _ in range(exp):
-                    e = ambient.mul(e, b)
-            if e in vec_of:
+                f"element {idx[k]} has order {orders[k]}, expected {prime}")
+        basis: list[int] = []
+        span = idx[:1]                      # the identity, the smallest index
+        covered = np.zeros(len(idx), dtype=bool)     # which of idx span holds
+        covered[0] = True
+        while not covered.all():
+            b = int(idx[np.argmin(covered)])   # the smallest element outside
+            basis.append(b)
+            span = _times_powers(ambient, span, b, prime)
+            at, found = find_sorted(idx, span)
+            if not found.all():
+                raise InvalidPermutation("element set is not closed under products")
+            covered[at] = True
+            if covered.sum() != len(span):
                 raise InvalidPermutation("basis does not generate freely")
-            vec_of[e] = vec
-            elt_of[vec] = e
-        return cls(ambient, prime, basis, idx, vec_of, elt_of)
+        return cls(ambient, prime, basis, span)
 
     @classmethod
     def generated_by(cls, ambient: FiniteGroup, prime: int,
                      gens: Iterable[int]) -> "ElabSubgroup":
         """Subgroup generated by commuting order-p element indices."""
-        ident = ambient.identity_index
-        span = {ident}
+        span = np.array([ambient.identity_index], dtype=np.int64)
         for g in gens:
-            new_span = set()
-            for s in span:
-                cur = s
-                for _ in range(prime):
-                    new_span.add(cur)
-                    cur = ambient.mul(cur, g)
-            span = new_span
+            span = sorted_distinct(_times_powers(ambient, span, g, prime))
         return cls.from_element_indices(ambient, prime, span)
 
     @property
@@ -133,24 +111,40 @@ class ElabSubgroup:
         return (f"ElabSubgroup(rank={self.rank}, basis={self.basis}, "
                 f"ambient={self.ambient.name!r})")
 
+    def codes_of(self, indices) -> np.ndarray:
+        """Code of each ambient element index, -1 for those outside."""
+        order = np.argsort(self.by_code)
+        at, found = find_sorted(self.by_code[order], np.asarray(indices))
+        return np.where(found, order[at], -1)
+
     def contains_index(self, i: int) -> bool:
-        return i in self._vec_of
+        return i in self.elements
 
     def vector_of_index(self, i: int) -> Vector:
         try:
-            return self._vec_of[i]
-        except KeyError:
+            code = self.by_code.tolist().index(i)
+        except ValueError:
             raise ElementNotInSubgroup(f"element index {i} not in subgroup")
+        return tuple(code // self.prime ** k % self.prime for k in range(self.rank))
 
     def index_of_vector(self, v: Sequence[int]) -> int:
-        vec = tuple(x % self.prime for x in v)
-        if len(vec) != self.rank:
+        if len(v) != self.rank:
             raise ElementNotInSubgroup(
-                f"vector length {len(vec)} != rank {self.rank}")
-        return self._elt_of[vec]
+                f"vector length {len(v)} != rank {self.rank}")
+        code = 0
+        for x in reversed(v):
+            code = code * self.prime + x % self.prime
+        return int(self.by_code[code])
 
-    def element_perms(self) -> list[Perm]:
-        return [self.ambient.element(i) for i in self.elements]
+
+def _times_powers(G: FiniteGroup, span: np.ndarray, g, p: int) -> np.ndarray:
+    """span * g^t for t = 0, ..., p-1, joined in that order along the last
+    axis: the code order of a span grown by one basis element.  Rows of
+    spans may each take their own g (a column of indices)."""
+    parts = [span]
+    for _ in range(p - 1):
+        parts.append(G.mul(parts[-1], g))
+    return np.concatenate(parts, axis=-1)
 
 
 def element_vector(E: ElabSubgroup, e: Perm) -> Vector:
@@ -215,10 +209,6 @@ class ElabCatalog:
         return [c for c, rep in enumerate(self.class_reps) if self.maximal[rep]]
 
 
-def _order_p_indices(G: FiniteGroup, p: int) -> list[int]:
-    return [int(i) for i in np.nonzero(G.element_orders == p)[0]]
-
-
 def _centralizer_of_set(G: FiniteGroup, idxs: Sequence[int]) -> np.ndarray:
     keep = None
     for i in idxs:
@@ -254,25 +244,18 @@ def enumerate_elabs(G: FiniteGroup, p: int,
         nxt: dict[tuple[int, ...], ElabSubgroup] = {}
         for E in current:
             cent = _centralizer_of_set(G, E.basis)
-            orders = G.element_orders[cent]
-            candidates = cent[orders == p]
-            inside = set(E.elements)
-            for x in candidates:
-                x = int(x)
-                if x in inside:
-                    continue
-                new_elems = set(E.elements)
-                for e in E.elements:
-                    cur = e
-                    for _ in range(p - 1):
-                        cur = G.mul(cur, x)
-                        new_elems.add(cur)
-                key = tuple(sorted(new_elems))
-                if key in by_key or key in nxt:
-                    continue
-                F = ElabSubgroup.from_element_indices(G, p, key)
-                nxt[key] = F
-                guard(len(by_key) + len(nxt))
+            candidates = cent[G.element_orders[cent] == p]
+            candidates = candidates[E.codes_of(candidates) < 0]
+            step = max(1, _BLOCK // len(E))
+            for s in range(0, len(candidates), step):
+                xs = candidates[s:s + step, None]
+                # E * <x> for each candidate x, one row per x
+                spans = _times_powers(G, np.broadcast_to(E.by_code, (len(xs), len(E))), xs, p)
+                for key in map(tuple, np.sort(spans).tolist()):
+                    if key in by_key or key in nxt:
+                        continue
+                    nxt[key] = ElabSubgroup.from_element_indices(G, p, key)
+                    guard(len(by_key) + len(nxt))
         by_key.update(nxt)
         current = list(nxt.values())
 
@@ -280,25 +263,24 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     by_elements = {E.elements: i for i, E in enumerate(subgroups)}
 
     # conjugacy classes of subgroups, orbit search along group generators
-    gen_idx = [G.index(g) for g in G.generators]
+    gen_idx = G.indices_of_rows(np.array(G.generators).reshape(-1, G.degree)).tolist()
     class_of = [-1] * len(subgroups)
     class_reps: list[int] = []
-    class_witness = [ident] * len(subgroups)
+    class_witness = np.full(len(subgroups), ident, dtype=np.int64)
     for start in range(len(subgroups)):
         if class_of[start] >= 0:
             continue
         label = len(class_reps)
         class_reps.append(start)
         class_of[start] = label
-        class_witness[start] = ident
         frontier = [start]
         while frontier:
-            nxt_frontier = []
             # one lookup per generator for the whole frontier (members of
             # one class have one size), then visited in (s, g) order
             elems = np.array([subgroups[s].elements for s in frontier], dtype=np.int64)
             conj = [G.conjugate_indices(g, elems.ravel()).reshape(elems.shape).tolist()
                     for g in gen_idx]
+            reached, sources, by_gen = [], [], []
             for k, s in enumerate(frontier):
                 for g, rows in zip(gen_idx, conj):
                     t = by_elements.get(tuple(sorted(rows[k])))
@@ -307,9 +289,11 @@ def enumerate_elabs(G: FiniteGroup, p: int,
                             "catalog not closed under conjugation")
                     if class_of[t] < 0:
                         class_of[t] = label
-                        class_witness[t] = G.mul(class_witness[s], g)
-                        nxt_frontier.append(t)
-            frontier = nxt_frontier
+                        reached.append(t)
+                        sources.append(s)
+                        by_gen.append(g)
+            class_witness[reached] = G.mul(class_witness[sources], by_gen)
+            frontier = reached
 
     # maximality: contained in no rank+1 member
     by_rank: dict[int, list[int]] = {}
@@ -321,8 +305,8 @@ def enumerate_elabs(G: FiniteGroup, p: int,
         bigger = by_rank.get(E.rank + 1, [])
         maximal.append(not any(elem_sets[i] <= elem_sets[j] for j in bigger))
 
-    return ElabCatalog(G, p, subgroups, class_of, class_reps, class_witness,
-                       maximal, by_elements)
+    return ElabCatalog(G, p, subgroups, class_of, class_reps,
+                       class_witness.tolist(), maximal, by_elements)
 
 
 def p_rank(catalog: ElabCatalog) -> int:
@@ -343,17 +327,10 @@ def is_conjugate_subgroup(G: FiniteGroup, E: ElabSubgroup,
         return None
     if E.rank == 0:
         return G.element(G.identity_index)
-    target = set(F.elements)
-    b = E.basis[0]
-    e_arr = np.array(E.elements, dtype=np.int64)
-    for y in F.elements:
-        if y == F.ambient.identity_index:
-            continue
-        for g in G.transporter_indices(b, y):
-            conj = G.conjugate_indices(int(g), e_arr)
-            if set(int(c) for c in conj) == target:
-                return G.element(int(g))
-    return None
+    # g maps E onto F once it conjugates E's basis into F
+    gs = G.transporter_indices(E.basis[0], F.elements[1:])    # y != identity
+    hits = np.flatnonzero((F.codes_of(G.conjugates_by(gs, E.basis)) >= 0).all(axis=1))
+    return G.element(int(gs[hits[0]])) if len(hits) else None
 
 
 def conjugate_subgroup(G: FiniteGroup, g: Perm, E: ElabSubgroup) -> ElabSubgroup:

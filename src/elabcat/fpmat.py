@@ -15,10 +15,6 @@ Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
 
 
-def mat_from_rows(rows: Iterable[Sequence[int]], p: int) -> Mat:
-    return tuple(tuple(int(x) % p for x in row) for row in rows)
-
-
 def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -37,24 +33,28 @@ def mat_vec(A: Mat, v: Vec, p: int) -> Vec:
     return tuple(sum(a * x for a, x in zip(row, v)) % p for row in A)
 
 
-def mat_rank(A: Mat, p: int) -> int:
-    rows = [list(r) for r in A]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _row_reduce(rows: list[list[int]], ncols: int, p: int) -> int:
+    """Gauss-Jordan elimination over F_p on the first ncols columns, in
+    place; returns the rank (the number of pivot rows, now on top)."""
     rank = 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] % p), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][col], -1, p)
         rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(nrows):
+        for r in range(len(rows)):
             if r != rank and rows[r][col] % p:
                 f = rows[r][col]
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def mat_rank(A: Mat, p: int) -> int:
+    rows = [list(r) for r in A]
+    return _row_reduce(rows, len(rows[0]) if rows else 0, p)
 
 
 def mat_inv(A: Mat, p: int) -> Optional[Mat]:
@@ -64,19 +64,8 @@ def mat_inv(A: Mat, p: int) -> Optional[Mat]:
         return None
     aug = [list(r) + [1 if i == j else 0 for j in range(n)]
            for i, r in enumerate(A)]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if aug[r][col] % p), None)
-        if pivot is None:
-            return None
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = pow(aug[rank][col], -1, p)
-        aug[rank] = [(x * inv) % p for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[rank])]
-        rank += 1
+    if _row_reduce(aug, n, p) < n:
+        return None
     return tuple(tuple(row[n:]) for row in aug)
 
 

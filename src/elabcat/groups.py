@@ -9,9 +9,13 @@ Conventions, fixed once for the whole package:
 * ``conjugate(g, e)`` is ``g^-1 * e * g``, hence
   ``conjugate(g*h, e) == conjugate(h, conjugate(g, e))``.
 
-Groups are stored fully enumerated in a canonical sorted order, which makes
-every derived quantity (class labels, transporter cosets, catalog layouts)
-reproducible between runs.
+A group is one table, the (order, degree) array of its elements' images
+with rows sorted as the image tuples sort; element indices everywhere are
+positions in it, which makes class labels, transporter cosets and catalog
+layouts reproducible between runs.  Every lookup (index, membership,
+products, conjugates) is one binary search of the rows' byte keys for a
+whole batch of rows (indices_of_rows).  ``elements``, the same rows as a
+list of tuples, is built once and only read.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .errors import CapExceeded, DegreeMismatch, InvalidPermutation
 
 Perm = tuple[int, ...]
 
-# group elements per block in FiniteGroup.conjugates_by
+# group elements (rows of images) per block of a temporary array
 _BLOCK = 1024
 
 
@@ -42,26 +46,44 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 
 
+def find_sorted(sorted_arr: np.ndarray,
+                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each value in a sorted array: found says
+    whether sorted_arr[position] is the value."""
+    at = np.searchsorted(sorted_arr, values)
+    if not len(sorted_arr):
+        return at, np.zeros(np.shape(at), dtype=bool)
+    at = np.minimum(at, len(sorted_arr) - 1)
+    return at, sorted_arr[at] == values
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries (np.unique would import numpy.ma)."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
 
-def check_perm(images: Sequence[int], degree: int | None = None) -> Perm:
-    """Validate an image list and return it as a tuple.
-
-    Raises InvalidPermutation unless images is a bijection on
-    {0, ..., len(images)-1} (of the given degree, when specified).
-    """
-    p = tuple(int(x) for x in images)
-    n = len(p)
-    if degree is not None and n != degree:
-        raise InvalidPermutation(f"expected degree {degree}, got {n}")
-    seen = [False] * n
-    for x in p:
-        if not 0 <= x < n or seen[x]:
-            raise InvalidPermutation(f"images {p!r} are not a bijection")
-        seen[x] = True
-    return p
+def _perm_rows(perms, degree: int) -> np.ndarray:
+    """(n, degree) int32 array of image lists, each checked to be a
+    bijection of {0, ..., degree-1}; InvalidPermutation otherwise."""
+    try:
+        rows = np.array(perms if isinstance(perms, np.ndarray) else list(perms),
+                        dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidPermutation(f"image lists are not integer lists of one length: {e}")
+    if rows.ndim == 1 and not len(rows):
+        rows = rows.reshape(0, degree)
+    if rows.ndim != 2 or rows.shape[1] != degree:
+        raise InvalidPermutation(f"expected degree {degree}, got {rows.shape[-1]}")
+    ok = (np.sort(rows, axis=1) == np.arange(degree)).all(axis=1)
+    if not ok.all():
+        bad = tuple(rows[np.argmin(ok)].tolist())
+        raise InvalidPermutation(f"images {bad!r} are not a bijection")
+    return rows.astype(np.int32)
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -140,25 +162,27 @@ class FiniteGroup:
     """An exhaustively enumerated permutation group.
 
     Elements are kept sorted; all index-valued APIs refer to positions in
-    that sorted order.  Derived tables (inverses, orders, conjugacy data,
+    that sorted order, and the identity, the smallest permutation, is
+    index 0.  Derived tables (inverses, orders, conjugacy data,
     centralizers) are computed lazily and cached.  Everything observable
     is immutable after construction, so concurrent readers are safe.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm],
-                 elements: Sequence[Perm], name: str = ""):
+                 elements: Sequence[Perm] | np.ndarray, name: str = ""):
         self.degree = degree
-        self.generators = [check_perm(g, degree) for g in generators]
-        self.elements = sorted(check_perm(e, degree) for e in elements)
-        self.name = name or f"group<deg {degree}, order {len(self.elements)}>"
-        if len(set(self.elements)) != len(self.elements):
+        self.generators = list(map(tuple, _perm_rows(generators, degree).tolist()))
+        rows = _perm_rows(elements, degree)
+        keys = _row_keys(rows)
+        order = np.argsort(keys)
+        self._arr, self._keys = rows[order], keys[order]
+        self.name = name or f"group<deg {degree}, order {len(rows)}>"
+        if (self._keys[1:] == self._keys[:-1]).any():
             raise InvalidPermutation("duplicate elements")
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if identity_perm(degree) not in self._index:
+        if not len(rows) or (self._arr[0] != np.arange(degree)).any():
             raise InvalidPermutation("element list lacks the identity")
-        self.identity_index = self._index[identity_perm(degree)]
-        self._arr = np.array(self.elements, dtype=np.int32).reshape(len(self.elements), degree)
-        self._keys = _row_keys(self._arr)
+        self.identity_index = 0
+        self.elements = list(map(tuple, self._arr.tolist()))
         self._inv_idx: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._conj: ConjugacyTable | None = None
@@ -173,7 +197,11 @@ class FiniteGroup:
         return iter(self.elements)
 
     def __contains__(self, perm) -> bool:
-        return tuple(perm) in self._index
+        try:
+            self.index(perm)
+        except KeyError:
+            return False
+        return True
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, degree={self.degree}, order={len(self)})"
@@ -187,9 +215,9 @@ class FiniteGroup:
 
     def index(self, perm: Perm) -> int:
         try:
-            return self._index[tuple(perm)]
-        except KeyError:
-            raise KeyError(f"permutation {perm!r} not in {self.name}")
+            return int(self.indices_of_rows(_perm_rows([perm], self.degree))[0])
+        except (KeyError, InvalidPermutation):
+            raise KeyError(f"permutation {perm!r} not in {self.name}") from None
 
     def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each row of an (n, degree) image array."""
@@ -206,8 +234,17 @@ class FiniteGroup:
 
     # -- index-level arithmetic ---------------------------------------
 
-    def mul(self, i: int, j: int) -> int:
-        return self._index[compose(self.elements[i], self.elements[j])]
+    def mul(self, i, j):
+        """Index of the product of elements i and j, i applied first.
+
+        i and j may be index arrays, broadcast against each other; the
+        result is then an index array of their common shape.
+        """
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        # row x of the product is j's image of i's image of x
+        rows = self._arr.ravel()[j[..., None] * self.degree + self._arr[i]]
+        out = self.indices_of_rows(rows.reshape(-1, self.degree))
+        return int(out[0]) if rows.ndim == 1 else out.reshape(rows.shape[:-1])
 
     def inv(self, i: int) -> int:
         return int(self.inverse_indices[i])
@@ -221,8 +258,18 @@ class FiniteGroup:
 
     @property
     def element_orders(self) -> np.ndarray:
+        """Order of each element: the lcm of the cycle lengths of its points,
+        a point's cycle length being the first k with e^k(x) == x."""
         if self._orders is None:
-            self._orders = np.array([perm_order(e) for e in self.elements], dtype=np.int64)
+            points = np.arange(self.degree)
+            cycle = np.zeros(self._arr.shape, dtype=np.int64)
+            power = self._arr
+            for k in range(1, self.degree + 1):
+                cycle[(power == points) & (cycle == 0)] = k
+                if cycle.all():
+                    break
+                power = np.take_along_axis(self._arr, power, axis=1)
+            self._orders = np.lcm.reduce(cycle, axis=1)
         return self._orders
 
     def conjugate_indices(self, g: int, targets: np.ndarray) -> np.ndarray:
@@ -258,37 +305,40 @@ class FiniteGroup:
         return self._conj
 
     def _build_conjugacy(self) -> ConjugacyTable:
+        """Orbits under conjugation by the generators, breadth first; the
+        first generator to reach an element gives its witness, and a
+        level's witnesses are one batched product."""
         n = len(self.elements)
         class_of = np.full(n, -1, dtype=np.int64)
         witness = np.zeros(n, dtype=np.int64)
         reps: list[int] = []
         sizes: list[int] = []
-        gen_idx = [self._index[g] for g in self.generators]
-        ident = self.identity_index
+        gen_idx = self.indices_of_rows(_perm_rows(self.generators, self.degree))
         for start in range(n):
             if class_of[start] >= 0:
                 continue
             label = len(reps)
             reps.append(start)
             class_of[start] = label
-            witness[start] = ident
-            frontier = [start]
+            witness[start] = self.identity_index
+            frontier = np.array([start], dtype=np.int64)
             size = 1
-            while frontier:
-                nxt: list[int] = []
-                for g in gen_idx:
-                    conj = self.conjugate_indices(g, np.array(frontier, dtype=np.int64))
-                    for src, tgt in zip(frontier, conj):
-                        t = int(tgt)
-                        if class_of[t] < 0:
-                            class_of[t] = label
-                            witness[t] = self.mul(int(witness[src]), g)
-                            nxt.append(t)
-                            size += 1
-                frontier = nxt
+            while len(frontier):
+                conj = np.empty((len(gen_idx), len(frontier)), dtype=np.int64)
+                new = np.empty(conj.shape, dtype=bool)
+                for k, g in enumerate(gen_idx):
+                    # conjugation by g is a bijection: the targets are distinct
+                    conj[k] = self.conjugate_indices(g, frontier)
+                    new[k] = class_of[conj[k]] < 0
+                    class_of[conj[k][new[k]]] = label
+                by_gen, src = np.nonzero(new)
+                reached = conj[by_gen, src]
+                witness[reached] = self.mul(witness[frontier[src]], gen_idx[by_gen])
+                frontier = reached
+                size += len(reached)
             sizes.append(size)
-        return ConjugacyTable(tuple(int(c) for c in class_of), tuple(reps),
-                              tuple(sizes), tuple(int(w) for w in witness))
+        return ConjugacyTable(tuple(class_of.tolist()), tuple(reps),
+                              tuple(sizes), tuple(witness.tolist()))
 
     # -- centralizers and transporters --------------------------------
 
@@ -306,70 +356,71 @@ class FiniteGroup:
         self._cent_memo[e] = result
         return result
 
-    def transporter_indices(self, a: int, b: int) -> np.ndarray:
-        """Sorted indices of all g with conjugate(g, a) == b.
+    def transporter_indices(self, a: int, b) -> np.ndarray:
+        """Sorted indices of all g with conjugate(g, a) == b; for a list of
+        b's, those cosets joined in the order of the b's.
 
-        Built as the coset C(a) * g0 from a single witness g0, so the cost
-        after the conjugacy table exists is one centralizer scan.
+        Each is the coset C(a) * g0 from a single witness g0, so the cost
+        after the conjugacy table exists is one centralizer scan and one
+        lookup for all the b's.
         """
         table = self.conjugacy
-        if table.class_of[a] != table.class_of[b]:
-            return np.empty(0, dtype=np.int64)
-        wa, wb = table.witness[a], table.witness[b]
-        g0 = self.mul(self.inv(wa), wb)     # conjugate(g0, a) == b
-        cent = self.centralizer_indices(a)
-        g0p = self._arr[g0]
-        idx = self.indices_of_rows(g0p[self._arr[cent]])   # c * g0 for c in C(a)
-        idx.sort()
-        return idx
+        bs = [t for t in np.atleast_1d(b).tolist() if table.class_of[t] == table.class_of[a]]
+        # row of g0 = wa^-1 * wb for each b, so that conjugate(g0, a) == b
+        g0 = self._arr[[table.witness[t] for t in bs]][:, self._arr[self.inv(table.witness[a])]]
+        cent = self._arr[self.centralizer_indices(a)]
+        rows = g0[np.arange(len(bs))[:, None, None], cent]    # c * g0 for c in C(a)
+        idx = self.indices_of_rows(rows.reshape(-1, self.degree)).reshape(len(bs), len(cent))
+        idx.sort(axis=1)
+        return idx.ravel()
+
+
+def _fresh(rows: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows whose keys are not among the sorted keys seen,
+    sorted by key, and their keys."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    rows, keys = rows[order], keys[order]
+    keep = np.concatenate(([True], keys[1:] != keys[:-1]))
+    keep &= ~find_sorted(seen, keys)[1]
+    return rows[keep], keys[keep]
 
 
 def close_generators(degree: int, generators: Iterable[Sequence[int]],
                      element_cap: int | None = None, name: str = "") -> FiniteGroup:
     """Breadth-first closure of a generator list into a FiniteGroup.
 
-    Raises CapExceeded("element_cap") as soon as the enumeration would
-    pass the cap (default from config, override via argument).
+    Each level multiplies the elements first found in the last one by
+    every generator, a block of rows at a time, and keeps the products
+    whose keys are new.  Raises CapExceeded("element_cap") once the group
+    has more elements than the cap (default from config, override via
+    argument).
     """
     limit = element_cap if element_cap is not None else _cap("element_cap")
-    gens = [check_perm(g, degree) for g in generators]
-    ident = identity_perm(degree)
-    seen: dict[bytes, None] = {}
-    rows: list[np.ndarray] = []
-
-    def push(row: np.ndarray) -> bool:
-        key = row.tobytes()
-        if key in seen:
-            return False
-        if len(seen) >= limit:
+    gens = _perm_rows(generators, degree)
+    seen = _row_keys(np.zeros((0, degree), dtype=np.int32))   # sorted keys found
+    found: list[np.ndarray] = []
+    level = [np.arange(degree, dtype=np.int32)[None]]       # candidate blocks
+    while level:
+        rows, keys = _fresh(np.concatenate(level), seen)
+        if len(seen) + len(rows) > limit:
             raise CapExceeded(
                 "element_cap",
                 f"group closure passed the element cap ({limit}); "
                 f"raise ELABCAT_ELEMENT_CAP to allow more")
-        seen[key] = None
-        rows.append(row)
-        return True
-
-    gen_arrs = [np.array(g, dtype=np.int32) for g in gens]
-    frontier = [np.array(ident, dtype=np.int32)]
-    push(frontier[0])
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gen_arrs:
-                prod = g[f]    # f then g, left to right
-                if push(prod):
-                    nxt.append(prod)
-        frontier = nxt
-    elements = [tuple(int(x) for x in r) for r in rows]
-    return FiniteGroup(degree, gens, elements, name=name)
+        seen = np.sort(np.concatenate((seen, keys)))
+        found.append(rows)
+        level = [_fresh(g[rows[s:s + _BLOCK]], seen)[0]    # f then g
+                 for g in gens for s in range(0, len(rows), _BLOCK)]
+        level = [block for block in level if len(block)]
+    return FiniteGroup(degree, gens, np.concatenate(found), name=name)
 
 
-def from_elements(degree: int, elements: Iterable[Sequence[int]],
+def from_elements(degree: int, elements: Iterable[Sequence[int]] | np.ndarray,
                   name: str = "") -> FiniteGroup:
     """Wrap an already closed element list (no closure check performed)."""
-    elems = [check_perm(e, degree) for e in elements]
-    return FiniteGroup(degree, elems, elems, name=name)
+    rows = _perm_rows(elements, degree)
+    return FiniteGroup(degree, rows, rows, name=name)
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyTable:
@@ -384,24 +435,20 @@ def transporter(G: FiniteGroup, a: Perm, b: Perm) -> list[Perm]:
 
 def centralizer(G: FiniteGroup, elems: Iterable[Perm]) -> FiniteGroup:
     """Subgroup of G commuting with every listed element."""
-    targets = [G.index(e) for e in elems]
     keep = np.arange(len(G), dtype=np.int64)
-    for t in targets:
-        cent = G.centralizer_indices(t)
-        keep = np.intersect1d(keep, cent, assume_unique=True)
-    return from_elements(G.degree, [G.element(int(i)) for i in keep],
-                         name=f"centralizer in {G.name}")
+    for e in elems:
+        keep = np.intersect1d(keep, G.centralizer_indices(G.index(e)), assume_unique=True)
+    return from_elements(G.degree, G.array[keep], name=f"centralizer in {G.name}")
 
 
 def normalizer(G: FiniteGroup, subgroup: Iterable[Perm]) -> FiniteGroup:
-    """Elements g with conjugate(g, H) == H setwise."""
-    sub_idx = sorted(G.index(e) for e in subgroup)
-    target = set(sub_idx)
-    sub_arr = np.array(sub_idx, dtype=np.int64)
-    keep = []
-    for g in range(len(G)):
-        conj = G.conjugate_indices(g, sub_arr)
-        if set(int(c) for c in conj) == target:
-            keep.append(g)
-    return from_elements(G.degree, [G.element(i) for i in keep],
-                         name=f"normalizer in {G.name}")
+    """Elements g with conjugate(g, H) == H setwise.
+
+    Conjugation is injective, so g qualifies as soon as it conjugates
+    every member of H into H.
+    """
+    inside = np.zeros(len(G), dtype=bool)
+    sub = [G.index(e) for e in subgroup]
+    inside[sub] = True
+    keep = inside[G.conjugates_by(np.arange(len(G)), sub)].all(axis=1)
+    return from_elements(G.degree, G.array[keep], name=f"normalizer in {G.name}")

@@ -8,10 +8,18 @@ beyond the Creg enumeration itself.
 brute_closure: the worklist closure, which joins every new hom with every
 stored one and restricts it to every pair of catalog subgroups.  It runs
 no guard and shares no code with the semi-naive ``categories.closure``.
+
+brute_group, brute_conjugacy and brute_coordinates: groups as sorted
+tuple lists with a tuple -> index dict, every product taken one at a time
+through ``groups.compose``; none of them touches the numpy element table
+of ``FiniteGroup``.
 """
+
+import itertools
 
 from elabcat import categories as cg
 from elabcat.fpmat import injective_matrices, mat_inv, mat_mul, mat_vec
+from elabcat.groups import compose, conjugate, identity_perm
 
 
 def brute_hom_sets(kinds, E, F):
@@ -77,3 +85,84 @@ def brute_closure(C):
         if E.rank == F.rank:
             add(j, i, mat_inv(M, p))
     return {k: tuple(sorted(v)) for k, v in homs.items() if v}
+
+
+def brute_group(degree, generators):
+    """Sorted elements of the group the generators span, by a breadth-first
+    closure over tuples with a dict of the elements seen."""
+    gens = [tuple(g) for g in generators]
+    ident = identity_perm(degree)
+    seen = {ident: None}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in gens:
+                h = compose(f, g)
+                if h not in seen:
+                    seen[h] = None
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(seen)
+
+
+def brute_conjugacy(elements, generators):
+    """(class_of, reps, sizes, witness) of the sorted element list, classes
+    found in index order by orbits under conjugation by the generators,
+    generator by generator over each frontier; a witness is the first
+    product witness(source) * g to reach an element."""
+    index = {e: i for i, e in enumerate(elements)}
+    gens = [tuple(g) for g in generators]
+    class_of = [-1] * len(elements)
+    witness = [0] * len(elements)
+    reps, sizes = [], []
+    for start in range(len(elements)):
+        if class_of[start] >= 0:
+            continue
+        label = len(reps)
+        reps.append(start)
+        class_of[start] = label
+        witness[start] = index[identity_perm(len(elements[0]))]
+        frontier = [start]
+        size = 1
+        while frontier:
+            nxt = []
+            for g in gens:
+                for src in frontier:
+                    t = index[conjugate(g, elements[src])]
+                    if class_of[t] < 0:
+                        class_of[t] = label
+                        witness[t] = index[compose(elements[witness[src]], g)]
+                        nxt.append(t)
+                        size += 1
+            frontier = nxt
+        sizes.append(size)
+    return tuple(class_of), tuple(reps), tuple(sizes), tuple(witness)
+
+
+def brute_coordinates(elements, prime, members):
+    """(basis, {vector: element index}) of the subgroup whose element
+    indices are members: the greedy basis (the smallest member outside
+    the span so far), and b1^v1 * ... * br^vr for every vector."""
+    index = {e: i for i, e in enumerate(elements)}
+    members = sorted(members)
+    basis = []
+    span = {members[0]}     # the identity, index 0
+    while len(span) < len(members):
+        b = next(i for i in members if i not in span)
+        basis.append(b)
+        grown = set()
+        for s in span:
+            cur = s
+            for _ in range(prime):
+                grown.add(cur)
+                cur = index[compose(elements[cur], elements[b])]
+        span = grown
+    table = {}
+    for vec in itertools.product(range(prime), repeat=len(basis)):
+        e = elements[members[0]]
+        for b, t in zip(basis, vec):
+            for _ in range(t):
+                e = compose(e, elements[b])
+        table[vec] = index[e]
+    return tuple(basis), table

@@ -280,3 +280,21 @@ class TestMisc:
     def test_no_command_fails(self):
         r = run_cli()
         assert r.returncode != 0
+
+    def test_numpy_ma_is_never_imported(self):
+        # numpy.ma costs about 1 MiB of peak RSS and np.unique imports it,
+        # so deduplication sorts and compares instead
+        golden = Path(__file__).resolve().parent / "golden"
+        runs = [["analyze", str(golden / "alt4.group.json"), "--prime", "2"],
+                ["closure", str(golden / "alt4.group.json"), "--prime", "2",
+                 "--category", str(golden / "alt4-p2-grow.category.json")]]
+        code = ("import contextlib, io, sys\n"
+                "from elabcat.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [main(argv) for argv in {runs!r}]\n"
+                "print(codes, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env)
+        assert r.stdout.split("\n")[0] == "[0, 0] False", r.stderr

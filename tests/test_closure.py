@@ -93,6 +93,25 @@ class TestClosureLaws:
         with pytest.raises(ClosureGuardError):
             cg.closure(C)
 
+    @pytest.mark.parametrize("cuts, message", [
+        # (pair, how many of its A-maps to keep), message frozen from the
+        # pairwise set comparison the key match replaced
+        ({(4, 4): 1, (1, 4): 2}, "input omits 1 conjugation-induced morphism "
+                                 "on object pair (1, 4)"),
+        ({(4, 4): 1, (1, 4): 0}, "input omits 3 conjugation-induced morphisms "
+                                 "on object pair (1, 4)"),
+        ({(3, 2): 0, (2, 4): 2}, "input omits 1 conjugation-induced morphism "
+                                 "on object pair (2, 4)"),
+    ])
+    def test_guard_names_first_pair_and_its_count(self, cuts, message):
+        cat = a4_catalog()
+        homs = dict(cg.build_category(cg.A, cat).hom_dict())
+        for pair, keep in cuts.items():
+            homs[pair] = homs[pair][:keep]
+        with pytest.raises(ClosureGuardError) as e:
+            cg.closure(cg.explicit_category(cat, homs))
+        assert str(e.value) == message
+
 
 def check_closed(catalog, seed, closed):
     """closed contains seed and is closed under composition, restriction
@@ -198,7 +217,8 @@ class TestFixedExamples:
 @pytest.mark.parametrize("make", [a4_grow, gl3_2_grow])
 def test_each_composable_pair_is_multiplied_once(make, monkeypatch):
     # every hom is new in exactly one round, so the closure keys each seed
-    # hom, product, corestriction and inverse once: no more, no fewer
+    # hom, product, corestriction and inverse once: no more, no fewer; the
+    # guard keys each A-morphism once more, to match it against the seed
     keyed = []
     real = cg._hom_keys
     monkeypatch.setattr(cg, "_hom_keys",
@@ -218,8 +238,9 @@ def test_each_composable_pair_is_multiplied_once(make, monkeypatch):
         corestrictions += sum(restriction(E, F, E, catalog.subgroups[t], M, p) is not None
                               for M in mats for t in subs_of[j] if t != j)
     seed = sum(map(len, C.hom_dict().values()))
+    guard = sum(map(len, cg.build_category(cg.A, catalog).hom_dict().values()))
     products = sum(into[j] * out_of[j] for j in range(len(catalog)))
-    assert sum(keyed) == seed + products + corestrictions + inverses
+    assert sum(keyed) == guard + seed + products + corestrictions + inverses
 
 
 class TestHomKeys:
