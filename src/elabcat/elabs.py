@@ -8,14 +8,20 @@ matter how they were produced.
 
 Its coordinates over F_p are one array in one order: by_code[c] is the
 element b1^v1 * ... * br^vr for the code c = sum v_i p^i.  That is the
-order in which a span grows, span * b^t for t = 0, ..., p-1, so every
-span (the greedy basis, the rank induction's candidates) is a few batched
-products of the ambient group, and the hom-set searches and the closure
-read their coordinates from the same array.
+order in which a span grows, span * b^t for t = 0, ..., p-1, so a span
+is a few batched products of the ambient group, and the hom-set searches
+and the closure read their coordinates from the same array.
+
+The catalog is built rank by rank by centralizer descent (see
+enumerate_elabs): each member is built once, from one parent E and one
+x in C_G(E), and its basis and by_code are E's extended by x, read off
+the span E*<x> that built it.  from_element_indices, with its checks,
+serves every other caller.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -38,7 +44,7 @@ class ElabSubgroup:
     elements is the sorted tuple of the same indices.
     """
 
-    __slots__ = ("ambient", "prime", "rank", "basis", "elements", "by_code")
+    __slots__ = ("ambient", "prime", "rank", "basis", "elements", "by_code", "_order")
 
     def __init__(self, ambient: FiniteGroup, prime: int, basis: Sequence[int],
                  by_code: np.ndarray):
@@ -48,7 +54,8 @@ class ElabSubgroup:
         self.basis = tuple(basis)
         self.by_code = by_code
         self.by_code.flags.writeable = False
-        self.elements = tuple(sorted(by_code.tolist()))
+        self._order = np.argsort(by_code)       # codes in element order
+        self.elements = tuple(by_code[self._order].tolist())
 
     @classmethod
     def from_element_indices(cls, ambient: FiniteGroup, prime: int,
@@ -113,18 +120,18 @@ class ElabSubgroup:
 
     def codes_of(self, indices) -> np.ndarray:
         """Code of each ambient element index, -1 for those outside."""
-        order = np.argsort(self.by_code)
-        at, found = find_sorted(self.by_code[order], np.asarray(indices))
-        return np.where(found, order[at], -1)
+        at, found = find_sorted(self.by_code[self._order], np.asarray(indices))
+        return np.where(found, self._order[at], -1)
 
     def contains_index(self, i: int) -> bool:
         return i in self.elements
 
     def vector_of_index(self, i: int) -> Vector:
-        try:
-            code = self.by_code.tolist().index(i)
-        except ValueError:
+        # the scalar form of codes_of: a bisection of the sorted elements
+        at = bisect_left(self.elements, i)
+        if at == len(self.elements) or self.elements[at] != i:
             raise ElementNotInSubgroup(f"element index {i} not in subgroup")
+        code = int(self._order[at])
         return tuple(code // self.prime ** k % self.prime for k in range(self.rank))
 
     def index_of_vector(self, v: Sequence[int]) -> int:
@@ -209,26 +216,44 @@ class ElabCatalog:
         return [c for c, rep in enumerate(self.class_reps) if self.maximal[rep]]
 
 
-def _centralizer_of_set(G: FiniteGroup, idxs: Sequence[int]) -> np.ndarray:
-    keep = None
-    for i in idxs:
-        cent = G.centralizer_indices(i)
-        keep = cent if keep is None else np.intersect1d(keep, cent, assume_unique=True)
-    if keep is None:
-        keep = np.arange(len(G), dtype=np.int64)
-    return keep
+def _commuting(G: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(len(xs), len(ys)) mask of the pairs x, y with x*y == y*x, a block
+    of xs at a time."""
+    rows = G.array[ys]
+    out = np.empty((len(xs), len(ys)), dtype=bool)
+    step = max(1, (_BLOCK << 8) // max(1, rows.size))    # 2^18 entries
+    for s in range(0, len(xs), step):
+        xr = G.array[xs[s:s + step]]
+        # x*y == y*x  <=>  y(x(z)) == x(y(z)) for all points z
+        out[s:s + step] = (xr[:, rows] == rows[:, xr].swapaxes(0, 1)).all(axis=2)
+    return out
 
 
 def enumerate_elabs(G: FiniteGroup, p: int,
                     catalog_cap: int | None = None) -> ElabCatalog:
     """Full catalog of elementary abelian p-subgroups of G.
 
-    Rank induction: rank r+1 subgroups arise from rank r ones by
-    adjoining an order-p element of the centralizer not already inside.
-    Exceeding the catalog cap raises CapExceeded("catalog_cap").
+    Rank induction by centralizer descent.  Each member E carries X(E),
+    the order-p elements of C_G(E) outside E: exactly the x for which
+    E*<x> is a member of the next rank, so E is maximal exactly when X(E)
+    is empty.  For a rank-one member <x>, X is read off
+    G.centralizer_indices(x), which conjugates the centralizer of x's
+    class representative; below that, C_G(E*<x>) = C_{C_G(E)}(x) makes
+    X(E*<x>) the members of X(E) that commute with x and lie outside
+    E*<x>, one gather over X(E)'s rows.
+
+    A member F of rank r+1 is built once, from its parent E = the span of
+    its first r greedy basis elements and x = min(F minus E), which lies
+    above E's last basis element; the candidates x that fail either test
+    are dropped.  F's greedy basis is then E's basis followed by x, and
+    the span E*<x>, grown in the code order of (E's basis, x), is F's
+    by_code.  Members are sorted by (rank, elements) at the end.  Once
+    more than catalog_cap members exist, CapExceeded("catalog_cap") is
+    raised.
     """
     limit = catalog_cap if catalog_cap is not None else _cap("catalog_cap")
     ident = G.identity_index
+    orders = G.element_orders
 
     def guard(count: int):
         if count > limit:
@@ -237,29 +262,39 @@ def enumerate_elabs(G: FiniteGroup, p: int,
                 f"subgroup catalog passed the cap ({limit}); "
                 f"raise ELABCAT_CATALOG_CAP to allow more")
 
-    trivial = ElabSubgroup.from_element_indices(G, p, [ident])
-    by_key: dict[tuple[int, ...], ElabSubgroup] = {trivial.elements: trivial}
-    current = [trivial]
-    while current:
-        nxt: dict[tuple[int, ...], ElabSubgroup] = {}
-        for E in current:
-            cent = _centralizer_of_set(G, E.basis)
-            candidates = cent[G.element_orders[cent] == p]
-            candidates = candidates[E.codes_of(candidates) < 0]
+    trivial = ElabSubgroup(G, p, (), np.array([ident], dtype=np.int64))
+    found = [trivial]               # every member, in the order it is built
+    maximal_of: list[bool] = []     # and its maximality, once it is extended
+    # (E, the order-p elements of C_G(E) outside E), a rank at a time
+    level = [(trivial, np.flatnonzero(orders == p))]
+    while level:
+        nxt = []
+        for E, outside in level:
+            maximal_of.append(not len(outside))
+            xs = outside[outside > max(E.basis, default=ident)]
             step = max(1, _BLOCK // len(E))
-            for s in range(0, len(candidates), step):
-                xs = candidates[s:s + step, None]
-                # E * <x> for each candidate x, one row per x
-                spans = _times_powers(G, np.broadcast_to(E.by_code, (len(xs), len(E))), xs, p)
-                for key in map(tuple, np.sort(spans).tolist()):
-                    if key in by_key or key in nxt:
-                        continue
-                    nxt[key] = ElabSubgroup.from_element_indices(G, p, key)
-                    guard(len(by_key) + len(nxt))
-        by_key.update(nxt)
-        current = list(nxt.values())
+            for s in range(0, len(xs), step):
+                block = xs[s:s + step]
+                # E * <x> for each x, one row per x, in code order
+                spans = _times_powers(G, np.broadcast_to(E.by_code, (len(block), len(E))),
+                                      block[:, None], p)
+                keep = spans[:, len(E):].min(axis=1) == block
+                children = [ElabSubgroup(G, p, E.basis + (x,), span)
+                            for x, span in zip(block[keep].tolist(), spans[keep])]
+                found += children
+                guard(len(found))
+                if E.rank:      # C_G(E * <x>) = C_{C_G(E)}(x)
+                    within = [outside[row] for row in _commuting(G, block[keep], outside)]
+                else:
+                    within = [c[orders[c] == p]
+                              for c in map(G.centralizer_indices, block[keep].tolist())]
+                for F, ys in zip(children, within):
+                    nxt.append((F, ys[F.codes_of(ys) < 0]))
+        level = nxt
 
-    subgroups = sorted(by_key.values(), key=lambda E: (E.rank, E.elements))
+    order = sorted(range(len(found)), key=lambda i: (found[i].rank, found[i].elements))
+    subgroups = [found[i] for i in order]
+    maximal = [maximal_of[i] for i in order]
     by_elements = {E.elements: i for i, E in enumerate(subgroups)}
 
     # conjugacy classes of subgroups, orbit search along group generators
@@ -294,16 +329,6 @@ def enumerate_elabs(G: FiniteGroup, p: int,
                         by_gen.append(g)
             class_witness[reached] = G.mul(class_witness[sources], by_gen)
             frontier = reached
-
-    # maximality: contained in no rank+1 member
-    by_rank: dict[int, list[int]] = {}
-    for i, E in enumerate(subgroups):
-        by_rank.setdefault(E.rank, []).append(i)
-    elem_sets = [frozenset(E.elements) for E in subgroups]
-    maximal = []
-    for i, E in enumerate(subgroups):
-        bigger = by_rank.get(E.rank + 1, [])
-        maximal.append(not any(elem_sets[i] <= elem_sets[j] for j in bigger))
 
     return ElabCatalog(G, p, subgroups, class_of, class_reps,
                        class_witness.tolist(), maximal, by_elements)

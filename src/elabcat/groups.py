@@ -343,16 +343,27 @@ class FiniteGroup:
     # -- centralizers and transporters --------------------------------
 
     def centralizer_indices(self, e: int) -> np.ndarray:
-        """Sorted indices of elements commuting with element e."""
+        """Sorted int64 indices of the elements commuting with element e.
+
+        Only the representative rep of e's conjugacy class is found by a
+        scan of G.  Every other e is conjugate(w, rep) for its witness
+        w = conjugacy.witness[e], and conjugation by w is an automorphism,
+        so C_G(e) = w^-1 * C_G(rep) * w: one conjugate_indices call over
+        C_G(rep) and a sort.  Each result is memoized.
+        """
         memo = self._cent_memo.get(e)
         if memo is not None:
             return memo
-        ep = self._arr[e]
-        # g*e == e*g  <=>  e(g(x)) == g(e(x)) for all x
-        left = ep[self._arr]          # rows: x -> e(g(x))
-        right = self._arr[:, ep]      # rows: x -> g(e(x))
-        mask = np.all(left == right, axis=1)
-        result = np.nonzero(mask)[0].astype(np.int64)
+        table = self.conjugacy
+        rep = table.reps[table.class_of[e]]
+        if e == rep:
+            ep = self._arr[e]
+            # g*e == e*g  <=>  e(g(x)) == g(e(x)) for all x
+            mask = np.all(ep[self._arr] == self._arr[:, ep], axis=1)
+            result = np.flatnonzero(mask).astype(np.int64)
+        else:
+            result = np.sort(self.conjugate_indices(table.witness[e],
+                                                    self.centralizer_indices(rep)))
         self._cent_memo[e] = result
         return result
 

@@ -13,11 +13,20 @@ brute_group, brute_conjugacy and brute_coordinates: groups as sorted
 tuple lists with a tuple -> index dict, every product taken one at a time
 through ``groups.compose``; none of them touches the numpy element table
 of ``FiniteGroup``.
+
+scan_centralizer and brute_catalog: centralizers by a scan of every
+element, and the catalog by the rank induction that spans every
+extension of every member, canonicalizes each span from its element set,
+and tests maximality by subsets; they share no code with the descent in
+``elabs.enumerate_elabs``.
 """
 
 import itertools
 
+import numpy as np
+
 from elabcat import categories as cg
+from elabcat.elabs import ElabSubgroup
 from elabcat.fpmat import injective_matrices, mat_inv, mat_mul, mat_vec
 from elabcat.groups import compose, conjugate, identity_perm
 
@@ -166,3 +175,82 @@ def brute_coordinates(elements, prime, members):
                 e = compose(e, elements[b])
         table[vec] = index[e]
     return tuple(basis), table
+
+
+def scan_centralizer(G, e):
+    """Sorted indices of the elements of G commuting with element e, by a
+    scan of every element's images."""
+    rows, ep = G.array, G.array[e]
+    return np.flatnonzero((ep[rows] == rows[:, ep]).all(axis=1))
+
+
+def brute_catalog(G, p):
+    """(subgroups, class_of, class_reps, class_witness, maximal) of the
+    elementary abelian p-subgroups of G.
+
+    Rank r+1 members are E * <x> for every member E of rank r and every
+    order-p x outside E that commutes with E's basis (the intersection of
+    their scanned centralizers), each span made a member through
+    ElabSubgroup.from_element_indices.  Members sort by (rank, elements);
+    classes are orbits under conjugation by the generators, taken with
+    tuples member by member and generator by generator, the first product
+    witness(source) * g to reach a member giving its witness; a member is
+    maximal when no member of the next rank holds it.
+    """
+    elements = G.elements
+    index = {e: i for i, e in enumerate(elements)}
+    orders = G.element_orders
+    cents = {}
+    trivial = ElabSubgroup.from_element_indices(G, p, [0])
+    by_key = {trivial.elements: trivial}
+    current = [trivial]
+    while current:
+        nxt = {}
+        for E in current:
+            keep = np.arange(len(G))
+            for b in E.basis:
+                if b not in cents:
+                    cents[b] = scan_centralizer(G, b)
+                keep = np.intersect1d(keep, cents[b], assume_unique=True)
+            xs = np.array([x for x in keep.tolist()
+                           if orders[x] == p and x not in E.elements], dtype=np.int64)
+            # E * <x>, one row per x
+            parts = [np.broadcast_to(np.array(E.elements), (len(xs), len(E)))]
+            for _ in range(p - 1):
+                parts.append(G.mul(parts[-1], xs[:, None]))
+            for key in map(tuple, np.sort(np.concatenate(parts, axis=1)).tolist()):
+                if key not in by_key and key not in nxt:
+                    nxt[key] = ElabSubgroup.from_element_indices(G, p, key)
+        by_key.update(nxt)
+        current = list(nxt.values())
+    subgroups = sorted(by_key.values(), key=lambda E: (E.rank, E.elements))
+    position = {E.elements: i for i, E in enumerate(subgroups)}
+
+    class_of = [-1] * len(subgroups)
+    class_reps, class_witness = [], [0] * len(subgroups)
+    for start in range(len(subgroups)):
+        if class_of[start] >= 0:
+            continue
+        label = len(class_reps)
+        class_reps.append(start)
+        class_of[start] = label
+        frontier = [start]
+        while frontier:
+            reached = []
+            for s in frontier:
+                for g in G.generators:
+                    conj = tuple(sorted(index[conjugate(g, elements[e])]
+                                        for e in subgroups[s].elements))
+                    t = position[conj]
+                    if class_of[t] < 0:
+                        class_of[t] = label
+                        class_witness[t] = index[compose(elements[class_witness[s]], g)]
+                        reached.append(t)
+            frontier = reached
+
+    sets = {}
+    for E in subgroups:
+        sets.setdefault(E.rank, []).append(frozenset(E.elements))
+    maximal = [not any(S < F for F in sets.get(r + 1, ()))
+               for r in sorted(sets) for S in sets[r]]
+    return subgroups, class_of, class_reps, class_witness, maximal

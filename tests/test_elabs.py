@@ -105,6 +105,15 @@ class TestCatalog:
             enumerate_elabs(G, 2, catalog_cap=3)
         assert e.value.guard == "catalog_cap"
 
+    def test_catalog_cap_boundary(self):
+        G = close_generators(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+        assert len(enumerate_elabs(G, 2, catalog_cap=271)) == 271
+        with pytest.raises(CapExceeded) as e:
+            enumerate_elabs(G, 2, catalog_cap=270)
+        assert e.value.guard == "catalog_cap"
+        assert str(e.value) == ("subgroup catalog passed the cap (270); "
+                                "raise ELABCAT_CATALOG_CAP to allow more")
+
     def test_odd_prime_catalog(self):
         G = a4()
         cat = enumerate_elabs(G, 3)

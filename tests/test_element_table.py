@@ -1,6 +1,7 @@
-"""The numpy element table of FiniteGroup and the code-ordered coordinates
-of ElabSubgroup against tuple oracles (brute_force.py), on random groups
-of degree at most 7, plus the element cap at its boundary.
+"""The numpy element table of FiniteGroup, its conjugated centralizers,
+the code-ordered coordinates of ElabSubgroup and the catalog by
+centralizer descent against the oracles in brute_force.py, on random
+groups of degree at most 7, plus the element cap at its boundary.
 """
 
 import random
@@ -10,28 +11,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import brute_conjugacy, brute_coordinates, brute_group
+from brute_force import (brute_catalog, brute_conjugacy, brute_coordinates,
+                         brute_group, scan_centralizer)
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
 from elabcat.groups import close_generators, compose, conjugate, perm_order
 
 
 @st.composite
-def generated_groups(draw):
+def generated_groups(draw, max_degree=7):
     """(degree, generators) for two or three random permutations of
-    degree at most 7."""
-    n = draw(st.integers(min_value=2, max_value=7))
+    degree at most max_degree."""
+    n = draw(st.integers(min_value=2, max_value=max_degree))
     k = draw(st.integers(min_value=2, max_value=3))
     return n, [tuple(draw(st.permutations(range(n)))) for _ in range(k)]
 
 
 S7_GENS = [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]
+S2_CUBED = (6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)])
 
 
 @given(group=generated_groups(), rnd=st.randoms())
 @example(group=(7, S7_GENS), rnd=random.Random(0))
-@example(group=(6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)]),
-         rnd=random.Random(0))
+@example(group=S2_CUBED, rnd=random.Random(0))
 @settings(max_examples=12, deadline=None)
 def test_element_table_matches_tuple_oracle(group, rnd):
     n, gens = group
@@ -79,6 +81,41 @@ def test_element_table_matches_tuple_oracle(group, rnd):
             for vec, i in coords.items():
                 assert E.index_of_vector(vec) == i
                 assert E.vector_of_index(i) == vec
+
+
+# degree at most 6: the oracle scans all of G once per element
+@given(group=generated_groups(max_degree=6))
+@example(group=(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))
+@settings(max_examples=12, deadline=None)
+def test_centralizers_match_scan(group):
+    G = close_generators(*group)
+    # every element: the identity, each class representative and the
+    # rest; non-representatives first, so each is conjugated from a cold memo
+    for e in reversed(range(len(G))):
+        cent = G.centralizer_indices(e)
+        assert cent.dtype == np.int64
+        assert (np.diff(cent) > 0).all()
+        assert cent.tolist() == scan_centralizer(G, e).tolist()
+        assert G.centralizer_indices(e) is cent
+    assert G.centralizer_indices(G.identity_index).tolist() == list(range(len(G)))
+
+
+@given(group=generated_groups())
+@example(group=(7, S7_GENS))
+@example(group=S2_CUBED)
+@settings(max_examples=12, deadline=None)
+def test_catalog_matches_brute_force(group):
+    G = close_generators(*group)
+    for p in (2, 3):
+        cat = enumerate_elabs(G, p)
+        subgroups, class_of, class_reps, class_witness, maximal = brute_catalog(G, p)
+        assert [E.elements for E in cat.subgroups] == [E.elements for E in subgroups]
+        assert [E.basis for E in cat.subgroups] == [E.basis for E in subgroups]
+        assert [E.by_code.tolist() for E in cat.subgroups] == [
+            E.by_code.tolist() for E in subgroups]
+        assert (cat.class_of, cat.class_reps) == (class_of, class_reps)
+        assert cat.class_witness == class_witness
+        assert cat.maximal == maximal
 
 
 def test_element_cap_boundary():
