@@ -216,19 +216,6 @@ class ElabCatalog:
         return [c for c, rep in enumerate(self.class_reps) if self.maximal[rep]]
 
 
-def _commuting(G: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(len(xs), len(ys)) mask of the pairs x, y with x*y == y*x, a block
-    of xs at a time."""
-    rows = G.array[ys]
-    out = np.empty((len(xs), len(ys)), dtype=bool)
-    step = max(1, (_BLOCK << 8) // max(1, rows.size))    # 2^18 entries
-    for s in range(0, len(xs), step):
-        xr = G.array[xs[s:s + step]]
-        # x*y == y*x  <=>  y(x(z)) == x(y(z)) for all points z
-        out[s:s + step] = (xr[:, rows] == rows[:, xr].swapaxes(0, 1)).all(axis=2)
-    return out
-
-
 def enumerate_elabs(G: FiniteGroup, p: int,
                     catalog_cap: int | None = None) -> ElabCatalog:
     """Full catalog of elementary abelian p-subgroups of G.
@@ -236,11 +223,11 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     Rank induction by centralizer descent.  Each member E carries X(E),
     the order-p elements of C_G(E) outside E: exactly the x for which
     E*<x> is a member of the next rank, so E is maximal exactly when X(E)
-    is empty.  For a rank-one member <x>, X is read off
-    G.centralizer_indices(x), which conjugates the centralizer of x's
-    class representative; below that, C_G(E*<x>) = C_{C_G(E)}(x) makes
-    X(E*<x>) the members of X(E) that commute with x and lie outside
-    E*<x>, one gather over X(E)'s rows.
+    is empty.  X(trivial) is every order-p element of G, and
+    C_G(E*<x>) = C_{C_G(E)}(x) makes X(E*<x>) the members of X(E) that
+    lie in G.centralizer_indices(x) and outside E*<x>; that centralizer
+    is conjugated from the one of x's class representative, and memoized
+    from x's rank-one member on.
 
     A member F of rank r+1 is built once, from its parent E = the span of
     its first r greedy basis elements and x = min(F minus E), which lies
@@ -253,7 +240,6 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     """
     limit = catalog_cap if catalog_cap is not None else _cap("catalog_cap")
     ident = G.identity_index
-    orders = G.element_orders
 
     def guard(count: int):
         if count > limit:
@@ -266,7 +252,7 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     found = [trivial]               # every member, in the order it is built
     maximal_of: list[bool] = []     # and its maximality, once it is extended
     # (E, the order-p elements of C_G(E) outside E), a rank at a time
-    level = [(trivial, np.flatnonzero(orders == p))]
+    level = [(trivial, np.flatnonzero(G.element_orders == p))]
     while level:
         nxt = []
         for E, outside in level:
@@ -283,12 +269,9 @@ def enumerate_elabs(G: FiniteGroup, p: int,
                             for x, span in zip(block[keep].tolist(), spans[keep])]
                 found += children
                 guard(len(found))
-                if E.rank:      # C_G(E * <x>) = C_{C_G(E)}(x)
-                    within = [outside[row] for row in _commuting(G, block[keep], outside)]
-                else:
-                    within = [c[orders[c] == p]
-                              for c in map(G.centralizer_indices, block[keep].tolist())]
-                for F, ys in zip(children, within):
+                for F, x in zip(children, block[keep].tolist()):
+                    # C_G(E * <x>) = C_{C_G(E)}(x)
+                    ys = outside[find_sorted(G.centralizer_indices(x), outside)[1]]
                     nxt.append((F, ys[F.codes_of(ys) < 0]))
         level = nxt
 

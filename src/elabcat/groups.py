@@ -356,16 +356,16 @@ class FiniteGroup:
             return memo
         table = self.conjugacy
         rep = table.reps[table.class_of[e]]
-        if e == rep:
-            ep = self._arr[e]
-            # g*e == e*g  <=>  e(g(x)) == g(e(x)) for all x
-            mask = np.all(ep[self._arr] == self._arr[:, ep], axis=1)
-            result = np.flatnonzero(mask).astype(np.int64)
-        else:
-            result = np.sort(self.conjugate_indices(table.witness[e],
-                                                    self.centralizer_indices(rep)))
-        self._cent_memo[e] = result
-        return result
+        cent = self._cent_memo.get(rep)
+        if cent is None:
+            rp = self._arr[rep]
+            # g*rep == rep*g  <=>  rep(g(x)) == g(rep(x)) for all x
+            mask = np.all(rp[self._arr] == self._arr[:, rp], axis=1)
+            cent = self._cent_memo[rep] = np.flatnonzero(mask).astype(np.int64)
+        if e != rep:
+            cent = self._cent_memo[e] = np.sort(
+                self.conjugate_indices(table.witness[e], cent))
+        return cent
 
     def transporter_indices(self, a: int, b) -> np.ndarray:
         """Sorted indices of all g with conjugate(g, a) == b; for a list of
