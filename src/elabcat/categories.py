@@ -65,7 +65,7 @@ from .elabs import ElabCatalog, ElabSubgroup
 from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
 from .fpmat import (Mat, injective_count, injective_matrices, mat_inv,
                     mat_mul, mat_rank, mat_vec, subspace_bases)
-from .groups import FiniteGroup, find_sorted, sorted_distinct
+from .groups import FiniteGroup, blocks, find_sorted, sorted_distinct
 
 # -- kinds ------------------------------------------------------------
 
@@ -177,17 +177,6 @@ class LinearHom:
 
 
 # -- hom-set computation ----------------------------------------------
-
-# entries per block of a temporary array (Aprime search, closure products)
-_BLOCK = 1 << 18
-
-
-def _blocks(rows: int, width: int) -> Iterable[slice]:
-    """Slices over range(rows) whose temporaries of width entries per row
-    stay within _BLOCK entries."""
-    step = max(1, _BLOCK // max(1, width))
-    return (slice(s, s + step) for s in range(0, rows, step))
-
 
 def _unit_subgroup(p: int, d: int) -> tuple[int, ...]:
     """The order-d subgroup of the units mod p; d must divide p-1."""
@@ -343,7 +332,7 @@ def _class_respecting(E: ElabSubgroup, d: int, F: ElabSubgroup) -> np.ndarray:
         codes = np.arange(q) + q * coef[:, None]           # (p-1, q), code order
         steps = F_digits[cand][:, None, :] * coef[None, :, None]  # (n, p-1, s)
         grown_cols, grown_imgs = [], []
-        for b in _blocks(len(cols), len(cand) * codes.size * s):
+        for b in blocks(len(cols), len(cand) * codes.size * s):
             base = F_digits[imgs[b]]                       # (m, q, s)
             new = ((base[:, None, None] + steps[None, :, :, None]) % p) @ F_weights
             mi, ni = np.nonzero(ok[codes, new].all(axis=(2, 3)))
@@ -579,7 +568,7 @@ def _image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
     vecs, col_vecs = _code_digits(p, width), _code_digits(p, rows)
     places = p ** np.arange(rows)
     out = np.empty((len(cols), len(vecs)), dtype=np.int64)
-    for b in _blocks(len(cols), len(vecs) * rows):
+    for b in blocks(len(cols), len(vecs) * rows):
         images = np.einsum("vc,mck->mvk", vecs, col_vecs[cols[b]]) % p
         out[b] = images @ places
     return out
@@ -701,7 +690,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
             pairs += [(r, g, f) for r, g in out_of[j].items() for f in d_in[j].values()]
             for rows, (cod, tables), (dom, cols) in pairs:
                 width = cols.shape[1]
-                for b in _blocks(len(cols), len(tables) * width):
+                for b in blocks(len(cols), len(tables) * width):
                     prod = tables[:, cols[b]]               # (g, f, column)
                     offer(prod.reshape(prod.shape[0] * prod.shape[1], width),
                           np.tile(dom[b], len(tables)), np.repeat(cod, prod.shape[1]),

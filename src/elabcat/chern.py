@@ -11,6 +11,7 @@ nonzero degrees are p^n - p^j for 0 <= j < n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,12 +61,27 @@ def regular_weights(p: int, n: int) -> WeightList:
 
 
 def total_chern(weights: WeightList) -> FpPolynomial:
-    """Product of (1 + linear form of w) over the weight list."""
+    """Product of (1 + linear form of w) over the weight list.
+
+    The factors are multiplied as a p-ary product tree in list order:
+    each node is the product of p consecutive nodes of the level below.
+    On the regular weights, which are in lex order, the node over the
+    weights s*p^j, ..., (s+1)*p^j - 1 is then a product over a coset
+    a + U_j, where U_j holds the characters supported on the last j
+    coordinates.  For a subspace U the polynomial V_U(t) = prod over
+    u in U of (t + l_u) is additive in t (Wilkerson, "A primer on the
+    Dickson invariants", 1983), so the node is
+    prod over u in U_j of (1 + l_a + l_u) = V_U(1) + V_U(l_a),
+    which has few terms.  A left-to-right product would instead carry
+    every prefix of the list, and prefixes are not subspaces.
+    """
     p, n = weights.prime, weights.rank
-    out = FpPolynomial.one(p, n)
-    for w in weights.weights:
-        out = out * (FpPolynomial.one(p, n) + FpPolynomial.linear_form(p, w))
-    return out
+    level = [FpPolynomial.linear_form(p, w) + 1
+             for w in weights.weights] or [FpPolynomial.one(p, n)]
+    while len(level) > 1:
+        level = [math.prod(level[s + 1:s + p], start=level[s])
+                 for s in range(0, len(level), p)]
+    return level[0]
 
 
 def chern_class(weights: WeightList, i: int) -> FpPolynomial:
@@ -121,10 +137,8 @@ def regular_rep_product(p: int, n: int) -> FpPolynomial:
     """
     out = FpPolynomial.one(p, n)
     for i in range(n):
-        factor = FpPolynomial.zero(p, n)
-        for k in range(p):
-            factor = factor + FpPolynomial.variable(p, n, i) ** k
-        out = out * factor
+        out = out * FpPolynomial(p, n, {tuple(k if j == i else 0 for j in range(n)): 1
+                                        for k in range(p)})
     return out
 
 

@@ -1,38 +1,178 @@
 """Sparse multivariate polynomials over a prime field.
 
-Terms live in a dict keyed by exponent tuples; zero coefficients are never
-stored, so equality is plain dict equality.  Printing uses graded
-lexicographic order (total degree ascending, earlier variables first
-within a degree), the same order the symmetric reduction walks.
+A polynomial is two numpy arrays: ``exps``, its distinct exponent rows
+in lexicographic order, and ``coeffs``, their coefficients, each reduced
+mod p and nonzero.  The form is canonical, so equality compares arrays.
+
+Every sum, product, power and substitution ends in one routine,
+``_collect``: it sorts the terms by key and adds the coefficients of
+equal keys mod p.  The key is the exponent row packed into one int64,
+sum_i e_i * base^(n-1-i) with base = (largest exponent of the result) + 1
+(Kronecker substitution; Monagan & Pearce, ISSAC 2009), so a term product
+is one integer add and key order is row order.  When base^n passes 2^63
+the key is the row itself, ordered by ``np.lexsort``; that is exact at
+any size.  Coefficients are int64 for p < 2^31: a product of two
+residues is reduced before it is summed, and sums of up to 2^32 residues
+stay below 2^63.  Larger primes keep Python-int coefficients.
+
+A product forms the outer sum of the operands' keys and the outer
+product of their coefficients in blocks of at most ``BLOCK_ENTRIES``
+entries; once that many entries wait, ``_fold`` merges them into a
+running reduced result.  ``term_cap`` fires as soon as the running
+result passes the cap after a merge.  A substitution folds the same
+way, one variable at a time over all terms, and the cap bounds each
+term's partial product, as in a term-by-term expansion.
+
+Printing uses graded lexicographic order (total degree ascending,
+earlier variables first within a degree), the same order the symmetric
+reduction walks.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .config import cap as _cap
 from .errors import CapExceeded, NotSymmetric
+from .groups import BLOCK_ENTRIES, blocks
 
 Exponents = tuple[int, ...]
 
 
+def _pack(rows: np.ndarray, top: int) -> np.ndarray:
+    """Keys of exponent rows whose entries are at most top, ordered as the
+    rows are: packed int64 keys, or the rows themselves when the packed
+    key would pass 2^63."""
+    base, n = top + 1, rows.shape[1]
+    if base ** n >= 1 << 63:
+        return rows
+    return rows @ (base ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _unpack(keys: np.ndarray, top: int, n: int) -> np.ndarray:
+    """Exponent rows of keys made by _pack(rows, top)."""
+    if keys.ndim == 2:
+        return keys
+    rows = np.empty((len(keys), n), dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        keys, rows[:, j] = np.divmod(keys, top + 1)
+    return rows
+
+
+def _collect(keys: np.ndarray, coeffs: np.ndarray, prime: int):
+    """Sorted distinct keys with the sums mod prime of their coefficients,
+    zero sums dropped.  1-D keys are packed; 2-D keys are exponent rows."""
+    if not len(keys):
+        return keys, coeffs
+    if keys.ndim == 1:
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = keys[1:] != keys[:-1]
+    else:
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        new = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    sums = np.add.reduceat(coeffs[order], starts) % prime
+    keep = sums != 0
+    return keys[starts[keep]], sums[keep]
+
+
+def _check_cap(count: int) -> None:
+    limit = _cap("term_cap")
+    if count > limit:
+        raise CapExceeded(
+            "term_cap",
+            f"polynomial product passed {limit} terms; "
+            f"raise ELABCAT_TERM_CAP to allow more")
+
+
+def _fold(start, pieces, prime: int, count=len):
+    """Collect the (keys, coeffs) pair start and the pairs of pieces into
+    one.  Pieces wait until half of BLOCK_ENTRIES entries are held, then
+    merge into the running result, so each block of a product (more than
+    half full unless it is the last) merges on its own, while the small
+    pieces of a substitution merge together.  term_cap is checked on
+    count(keys) of the running result after every merge."""
+    held, waiting = [start], 0
+    for piece in pieces:
+        held.append(piece)
+        waiting += len(piece[1])
+        del piece                       # held alone keeps it until a merge
+        if waiting >= BLOCK_ENTRIES // 2:
+            held, waiting = [_merge(held, prime, count)], 0
+    return _merge(held, prime, count)
+
+
+def _merge(held: list, prime: int, count):
+    """Collect the pairs of held, emptying it first to free them early."""
+    keys, coeffs = (np.concatenate(part) for part in zip(*held))
+    held.clear()
+    keys, coeffs = _collect(keys, coeffs, prime)
+    _check_cap(count(keys))
+    return keys, coeffs
+
+
+def _canonical(rows: np.ndarray, coeffs: np.ndarray, prime: int):
+    """Distinct rows in lex order with the sums mod prime of their
+    coefficients, zero sums dropped."""
+    top = int(rows.max(initial=0))
+    keys, coeffs = _collect(_pack(rows, top), coeffs, prime)
+    return _unpack(keys, top, rows.shape[1]), coeffs
+
+
+def _substitution_pieces(state, coeffs, ks, powers, top):
+    """(rows, coeffs) blocks of the state rows multiplied by powers[k],
+    k being each row's exponent in ks."""
+    for k, P in powers.items():
+        sel = np.flatnonzero(ks == k)
+        pk = np.column_stack((np.zeros(len(P.coeffs), dtype=np.int64),
+                              _pack(P.exps, top)))
+        for at in (sel[blk] for blk in blocks(len(sel), len(pk))):
+            yield ((state[at, None] + pk[None]).reshape(-1, state.shape[1]),
+                   (coeffs[at, None] * P.coeffs[None]).ravel() % P.prime)
+
+
+def _top(exps: np.ndarray) -> np.ndarray:
+    """Largest exponent of each variable (0 for a zero polynomial)."""
+    return exps.max(axis=0, initial=0)
+
+
 class FpPolynomial:
-    __slots__ = ("prime", "nvars", "terms")
+    __slots__ = ("prime", "nvars", "exps", "coeffs")
 
     def __init__(self, prime: int, nvars: int,
                  terms: dict[Exponents, int] | None = None):
-        self.prime = prime
-        self.nvars = nvars
-        clean: dict[Exponents, int] = {}
-        for exps, c in (terms or {}).items():
-            c %= prime
-            if c:
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent tuple {exps} has wrong length")
-                clean[tuple(exps)] = c
-        self.terms = clean
+        terms = terms or {}
+        for exps in terms:
+            if len(exps) != nvars:
+                raise ValueError(f"exponent tuple {exps} has wrong length")
+        rows = np.array(list(terms), dtype=np.int64).reshape(len(terms), nvars)
+        coeffs = np.array([c % prime for c in terms.values()],
+                          dtype=np.int64 if prime < 1 << 31 else object)
+        self._hold(prime, nvars, *_canonical(rows, coeffs, prime))
+
+    def _hold(self, prime, nvars, exps, coeffs):
+        # read-only: arrays are shared between polynomials, and a hash
+        # must not change
+        exps.flags.writeable = coeffs.flags.writeable = False
+        self.prime, self.nvars, self.exps, self.coeffs = prime, nvars, exps, coeffs
+
+    @classmethod
+    def _wrap(cls, prime, nvars, exps, coeffs) -> "FpPolynomial":
+        """Wrap arrays that are already in canonical form."""
+        out = cls.__new__(cls)
+        out._hold(prime, nvars, exps, coeffs)
+        return out
+
+    @property
+    def terms(self) -> dict[Exponents, int]:
+        """The terms as an exponent tuple -> coefficient dict (a copy)."""
+        return dict(zip(map(tuple, self.exps.tolist()), self.coeffs.tolist()))
 
     # -- constructors -------------------------------------------------
 
@@ -56,11 +196,8 @@ class FpPolynomial:
     @classmethod
     def linear_form(cls, prime: int, coeffs: Sequence[int]) -> "FpPolynomial":
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c % prime:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c % prime
-        return cls(prime, n, terms)
+        return cls(prime, n, {tuple(1 if j == i else 0 for j in range(n)): c
+                              for i, c in enumerate(coeffs)})
 
     # -- ring operations ----------------------------------------------
 
@@ -68,99 +205,109 @@ class FpPolynomial:
         if self.prime != other.prime or self.nvars != other.nvars:
             raise ValueError("mixed primes or variable counts")
 
-    def __add__(self, other):
+    def _lift(self, other):
         if isinstance(other, int):
-            other = FpPolynomial.constant(self.prime, self.nvars, other)
+            return FpPolynomial.constant(self.prime, self.nvars, other)
         self._compat(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = (out.get(exps, 0) + c) % self.prime
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return FpPolynomial(self.prime, self.nvars, out)
+        return other
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return FpPolynomial._wrap(self.prime, self.nvars, *_canonical(
+            np.concatenate((self.exps, other.exps)),
+            np.concatenate((self.coeffs, other.coeffs)), self.prime))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.scale(self.prime - 1)
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = FpPolynomial.constant(self.prime, self.nvars, other)
-        return self + (-other)
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) + -self
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._compat(other)
-        limit = _cap("term_cap")
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = (out.get(exps, 0) + c1 * c2) % self.prime
-                if s:
-                    out[exps] = s
-                    if len(out) > limit:
-                        raise CapExceeded(
-                            "term_cap",
-                            f"polynomial product passed {limit} terms; "
-                            f"raise ELABCAT_TERM_CAP to allow more")
-                else:
-                    out.pop(exps, None)
-        return FpPolynomial(self.prime, self.nvars, out)
+        p, n = self.prime, self.nvars
+        top = int((_top(self.exps) + _top(other.exps)).max(initial=0))
+        a, b = _pack(self.exps, top), _pack(other.exps, top)
+        ca, cb = self.coeffs, other.coeffs
+        keys, coeffs = _fold((a[:0], ca[:0]), (
+            ((a[blk, None] + b[None]).reshape(-1, *b.shape[1:]),
+             (ca[blk, None] * cb[None]).ravel() % p)
+            for blk in blocks(len(a), b.size)), p)
+        return FpPolynomial._wrap(p, n, _unpack(keys, top, n), coeffs)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined")
-        result = FpPolynomial.one(self.prime, self.nvars)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return FpPolynomial.one(self.prime, self.nvars) if result is None else result
 
     def scale(self, c: int) -> "FpPolynomial":
         c %= self.prime
-        return FpPolynomial(self.prime, self.nvars,
-                            {e: (v * c) % self.prime for e, v in self.terms.items()})
+        if not c:
+            return FpPolynomial.zero(self.prime, self.nvars)
+        return FpPolynomial._wrap(self.prime, self.nvars, self.exps,
+                                  self.coeffs * c % self.prime)
 
     def __eq__(self, other) -> bool:
+        """An int n equals only the constant polynomial n with 0 <= n < p,
+        so equal objects hash equal."""
         if isinstance(other, int):
-            other = FpPolynomial.constant(self.prime, self.nvars, other)
+            return 0 <= other < self.prime and self == self._lift(other)
         return (isinstance(other, FpPolynomial) and self.prime == other.prime
-                and self.nvars == other.nvars and self.terms == other.terms)
+                and self.nvars == other.nvars
+                and np.array_equal(self.exps, other.exps)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.prime, self.nvars, frozenset(self.terms.items())))
+        if not self.exps.any():         # a constant hashes as its int
+            return hash(int(self.coeffs.sum()))
+        return hash((self.prime, self.nvars, self.exps.tobytes(),
+                     tuple(self.coeffs.tolist())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coeffs)
 
     # -- structure ----------------------------------------------------
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return int(self.exps.sum(axis=1).max(initial=-1))
 
     def degrees(self) -> list[int]:
         """Sorted list of total degrees with a nonzero homogeneous part."""
-        return sorted({sum(e) for e in self.terms})
+        return sorted(set(self.exps.sum(axis=1).tolist()))
 
     def homogeneous_part(self, d: int) -> "FpPolynomial":
-        return FpPolynomial(self.prime, self.nvars,
-                            {e: c for e, c in self.terms.items() if sum(e) == d})
+        keep = self.exps.sum(axis=1) == d
+        return FpPolynomial._wrap(self.prime, self.nvars, self.exps[keep],
+                                  self.coeffs[keep])
 
     def substitute(self, images: Sequence["FpPolynomial"]) -> "FpPolynomial":
-        """Plug images[i] in for variable i (images share one variable set)."""
+        """Plug images[i] in for variable i (images share one variable set).
+
+        One variable at a time over all terms at once: the state holds one
+        row (term id, key) with its coefficient per term of each term's
+        partial product.  The rows whose term has exponent k in variable i
+        are multiplied by images[i]**k in outer sums of at most
+        BLOCK_ENTRIES entries, each folded into the collected next state;
+        a one-term image only shifts keys and scales coefficients.
+        term_cap fires as soon as one term's partial product passes the
+        cap, as it would multiplying that term out alone.
+        """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} substitution images")
         if images:
@@ -169,24 +316,37 @@ class FpPolynomial:
             p, m = self.prime, 0
         if p != self.prime:
             raise ValueError("substitution images over a different prime")
-        out = FpPolynomial.zero(p, m)
-        power_memo: dict[tuple[int, int], FpPolynomial] = {}
-
-        def power(i: int, k: int) -> FpPolynomial:
-            key = (i, k)
-            got = power_memo.get(key)
-            if got is None:
-                got = images[i] ** k
-                power_memo[key] = got
-            return got
-
-        for exps, c in self.terms.items():
-            term = FpPolynomial.constant(p, m, c)
-            for i, k in enumerate(exps):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+        for img in images:
+            img._compat(images[0])
+        top = sum(int(k) * int(img.exps.max(initial=0))
+                  for k, img in zip(_top(self.exps), images))
+        keys = _pack(np.zeros((len(self.coeffs), m), dtype=np.int64), top)
+        # columns: term id, then the packed key or the exponent row
+        state = np.column_stack((np.arange(len(keys)), keys))
+        coeffs = self.coeffs
+        for i, img in enumerate(images):
+            ks = self.exps[state[:, 0], i]
+            if len(img.coeffs) == 1:
+                # c*x^e: shift keys and scale coefficients; the rows of one
+                # term share k, so they stay sorted and distinct
+                c = int(img.coeffs[0])
+                c_pow = np.array([pow(c, k, p) for k in range(int(ks.max(initial=0)) + 1)],
+                                 dtype=coeffs.dtype)
+                shift = np.concatenate(([0], np.atleast_1d(_pack(img.exps, top)[0])))
+                state = state + np.multiply.outer(ks, shift)
+                coeffs = coeffs * c_pow[ks] % p
+                continue
+            powers, done = {}, FpPolynomial.one(p, m)
+            for k in sorted(set(ks.tolist())):
+                done = done * img ** (k - max(powers, default=0))
+                powers[k] = done
+            state, coeffs = _fold(
+                (state[:0], coeffs[:0]),
+                _substitution_pieces(state, coeffs, ks, powers, top), p,
+                lambda rows: int(np.bincount(rows[:, 0]).max(initial=0)))
+        keys, coeffs = _collect(
+            state[:, 1] if keys.ndim == 1 else state[:, 1:], coeffs, p)
+        return FpPolynomial._wrap(p, m, _unpack(keys, top, m), coeffs)
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "FpPolynomial":
         """Linear change of variables: x_i becomes sum_j matrix[j][i] * x_j."""
@@ -205,25 +365,19 @@ class FpPolynomial:
         swap = list(range(n))
         swap[0], swap[1] = swap[1], swap[0]
         cycle = list(range(1, n)) + [0]
-        for perm in (swap, cycle):
-            permuted = {tuple(e[perm[i]] for i in range(n)): c
-                        for e, c in self.terms.items()}
-            if permuted != self.terms:
-                return False
-        return True
+        return all(FpPolynomial._wrap(self.prime, n, *_canonical(
+            self.exps[:, perm], self.coeffs, self.prime)) == self
+            for perm in (swap, cycle))
 
     # -- printing -----------------------------------------------------
 
-    @staticmethod
-    def _order_key(exps: Exponents):
-        return (sum(exps), tuple(-e for e in exps))
-
     def format(self, varname: str = "x") -> str:
-        if not self.terms:
+        if self.is_zero():
             return "0"
+        order = np.lexsort((*(-self.exps[:, ::-1].T), self.exps.sum(axis=1)))
         parts = []
-        for exps in sorted(self.terms, key=self._order_key):
-            c = self.terms[exps]
+        for exps, c in zip(self.exps[order].tolist(),
+                           self.coeffs[order].tolist()):
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
@@ -248,8 +402,6 @@ class FpPolynomial:
 @lru_cache(maxsize=None)
 def elementary_symmetric(prime: int, nvars: int, k: int) -> FpPolynomial:
     """The k-th elementary symmetric polynomial in nvars variables."""
-    if k == 0:
-        return FpPolynomial.one(prime, nvars)
     terms: dict[Exponents, int] = {}
     for combo in itertools.combinations(range(nvars), k):
         terms[tuple(1 if i in combo else 0 for i in range(nvars))] = 1
@@ -270,21 +422,27 @@ def symmetric_reduce(f: FpPolynomial) -> FpPolynomial:
     n = f.nvars
     p = f.prime
     sigmas = [elementary_symmetric(p, n, k) for k in range(1, n + 1)]
-    out = FpPolynomial.zero(p, n)
+    out: dict[Exponents, int] = {}
+    powers: dict[tuple[int, int], FpPolynomial] = {}
     rest = f
     while not rest.is_zero():
-        lead = max(rest.terms, key=lambda e: (sum(e), e))
-        c = rest.terms[lead]
+        # rows are in lex order: the last one of top degree leads
+        deg = rest.exps.sum(axis=1)
+        at = np.flatnonzero(deg == deg.max())[-1]
+        lead, c = rest.exps[at].tolist(), int(rest.coeffs[at])
         if any(lead[i] < lead[i + 1] for i in range(n - 1)):
             raise NotSymmetric("leading exponent not weakly decreasing")
-        shape = [lead[i] - (lead[i + 1] if i + 1 < n else 0) for i in range(n)]
-        prod = FpPolynomial.one(p, n)
+        shape = tuple(lead[i] - (lead[i + 1] if i + 1 < n else 0)
+                      for i in range(n))
+        prod = FpPolynomial.constant(p, n, -c)
         for i, m in enumerate(shape):
             if m:
-                prod = prod * (sigmas[i] ** m)
-        rest = rest - prod.scale(c)
-        out = out + FpPolynomial(p, n, {tuple(shape): c})
-    return out
+                if (i, m) not in powers:
+                    powers[i, m] = sigmas[i] ** m
+                prod = prod * powers[i, m]
+        rest = rest + prod
+        out[shape] = c
+    return FpPolynomial(p, n, out)
 
 
 def expand_in_elementaries(g: FpPolynomial) -> FpPolynomial:

@@ -63,6 +63,18 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
+# entries per block of a temporary array (Aprime search, closure products,
+# polynomial products)
+BLOCK_ENTRIES = 1 << 18
+
+
+def blocks(rows: int, width: int) -> Iterable[slice]:
+    """Slices over range(rows) whose temporaries of width entries per row
+    stay within BLOCK_ENTRIES entries."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    return (slice(s, s + step) for s in range(0, rows, step))
+
+
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 

@@ -19,6 +19,11 @@ element, and the catalog by the rank induction that spans every
 extension of every member, canonicalizes each span from its element set,
 and tests maximality by subsets; they share no code with the descent in
 ``elabs.enumerate_elabs``.
+
+dict_add, dict_mul, dict_pow and dict_substitute: polynomials over F_p as
+{exponent tuple: coefficient} dicts, multiplied one term pair at a time
+and substituted one term at a time; none of them touches the packed
+arrays of ``fppoly.FpPolynomial``.
 """
 
 import itertools
@@ -254,3 +259,40 @@ def brute_catalog(G, p):
     maximal = [not any(S < F for F in sets.get(r + 1, ()))
                for r in sorted(sets) for S in sets[r]]
     return subgroups, class_of, class_reps, class_witness, maximal
+
+
+# -- polynomials as {exponent tuple: coefficient} dicts ---------------
+
+
+def dict_add(p, f, g):
+    out = dict(f)
+    for exps, c in g.items():
+        out[exps] = (out.get(exps, 0) + c) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_mul(p, f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = (out.get(exps, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_pow(p, nvars, f, k):
+    out = {(0,) * nvars: 1}
+    for _ in range(k):
+        out = dict_mul(p, out, f)
+    return out
+
+
+def dict_substitute(p, nvars, f, images):
+    """f with images[i] (dicts in nvars variables) put in for variable i."""
+    out = {}
+    for exps, c in f.items():
+        term = {(0,) * nvars: c % p}
+        for img, k in zip(images, exps):
+            term = dict_mul(p, term, dict_pow(p, nvars, img, k))
+        out = dict_add(p, out, term)
+    return out

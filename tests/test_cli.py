@@ -201,6 +201,31 @@ class TestPolynomialCommands:
         r = run_cli("symreduce", "--prime", "2", "--rank", "2")
         assert r.stdout.strip() == "1 + s1 + s2"
 
+    @pytest.mark.parametrize("cmd, p, n", [
+        ("dickson", 2, 4), ("dickson", 2, 5), ("dickson", 3, 3),
+        ("dickson", 5, 2), ("symreduce", 2, 4), ("symreduce", 3, 3),
+        ("symreduce", 5, 2)])
+    def test_golden_output(self, cmd, p, n):
+        golden = Path(__file__).resolve().parent / "golden" / f"{cmd}-p{p}-r{n}.txt"
+        r = run_cli(cmd, "--prime", str(p), "--rank", str(n))
+        assert r.returncode == 0
+        assert r.stdout == golden.read_text()
+
+    def test_dickson_rank_4_at_p3_fits(self):
+        r = run_cli("dickson", "--prime", "3", "--rank", "4")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-2:] == ["degrees = [54, 72, 78, 80]",
+                                              "invariant = true"]
+
+    def test_dickson_term_cap(self):
+        start = time.monotonic()
+        r = run_cli("dickson", "--prime", "2", "--rank", "7")
+        assert time.monotonic() - start < 5
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == ("error: guard term_cap: polynomial product passed "
+                            "200000 terms; raise ELABCAT_TERM_CAP to allow more\n")
+
     def test_pregular_regular(self, a4_path):
         r = run_cli("pregular", a4_path, "--prime", "2",
                     "--character", "regular")

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import dict_add, dict_mul, dict_pow, dict_substitute
 from elabcat.errors import CapExceeded, NotSymmetric
 from elabcat.fpmat import mat_mul
 from elabcat.fppoly import (FpPolynomial, elementary_symmetric,
@@ -93,6 +96,31 @@ class TestArithmetic:
         assert e.value.guard == "term_cap"
 
 
+class TestConstants:
+    def test_constant_hashes_as_its_int(self):
+        one, zero = FpPolynomial.one(3, 1), FpPolynomial.zero(3, 1)
+        two = FpPolynomial.constant(3, 2, 2)
+        assert one == 1 and hash(one) == hash(1)
+        assert zero == 0 and hash(zero) == hash(0)
+        assert two == 2 and hash(two) == hash(2)
+        assert len({one, 1}) == 1
+
+    def test_int_equals_only_its_reduced_constant(self):
+        # 5 and 2 hash differently, so they cannot both equal the constant 2
+        assert FpPolynomial.constant(3, 1, 2) != 5
+        assert FpPolynomial.constant(3, 1, 2) != -1
+        assert FpPolynomial.variable(3, 1, 0) != 0
+
+    def test_int_on_either_side(self):
+        x = FpPolynomial.variable(5, 1, 0)
+        one = FpPolynomial.one(5, 1)
+        assert 1 - x == one - x
+        assert 1 - x == -(x - 1)
+        assert (3 - x) + x == 3
+        assert 1 + x == x + 1
+        assert 2 * x == x * 2
+
+
 class TestSubstitution:
     def test_substitute_linear_swap(self):
         x = FpPolynomial.variable(2, 2, 0)
@@ -113,6 +141,27 @@ class TestSubstitution:
         y = FpPolynomial.variable(2, 2, 1)
         assert (x * y).substitute([y, x]) == x * y
         assert (x + y ** 2).substitute([y, x]) == y + x ** 2
+
+    def test_large_expansion_within_default_cap(self):
+        # s1^40 * s2^40 -> e1^40 * e2^40: 861 * 861 products before they
+        # collect to C(122, 2) = 7,381 terms
+        g = {(40, 40, 0): 1}
+        got = expand_in_elementaries(FpPolynomial(101, 3, g))
+        assert got.terms == dict_substitute(101, 3, g, elementary_dicts(3))
+
+    def test_cap_bounds_each_terms_expansion(self, monkeypatch):
+        # every term expands to 4 terms, 16 rows in all, 4 after collecting
+        p = 5
+        f = {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1}
+        images = [{(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): p - 1}]
+        F = FpPolynomial(p, 2, f)
+        G = [FpPolynomial(p, 2, d) for d in images]
+        monkeypatch.setenv("ELABCAT_TERM_CAP", "4")
+        assert F.substitute(G).terms == dict_substitute(p, 2, f, images)
+        monkeypatch.setenv("ELABCAT_TERM_CAP", "3")
+        with pytest.raises(CapExceeded) as e:
+            F.substitute(G)
+        assert e.value.guard == "term_cap"
 
 
 class TestFormat:
@@ -160,3 +209,122 @@ class TestSymmetric:
     def test_reduce_of_elementary_is_variable(self):
         g = symmetric_reduce(elementary_symmetric(2, 3, 2))
         assert g.format("s") == "s2"
+
+
+# -- against the dict oracle ------------------------------------------
+
+
+@st.composite
+def field_and_vars(draw, max_vars=3):
+    return draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(0, max_vars))
+
+
+def term_dicts(p, nvars, max_terms=5, max_exp=4):
+    return st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * nvars),
+                           st.integers(1, p - 1), max_size=max_terms)
+
+
+def elementary_dicts(nvars):
+    return [{tuple(int(i in combo) for i in range(nvars)): 1
+             for combo in itertools.combinations(range(nvars), k)}
+            for k in range(1, nvars + 1)]
+
+
+class TestAgainstDictOracle:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations(self, data):
+        p, n = data.draw(field_and_vars())
+        f = data.draw(term_dicts(p, n))
+        g = data.draw(term_dicts(p, n))
+        k = data.draw(st.integers(0, 4))
+        F, G = FpPolynomial(p, n, f), FpPolynomial(p, n, g)
+        minus_g = {e: p - c for e, c in g.items()}
+        assert (F * G).terms == dict_mul(p, f, g)
+        assert (F + G).terms == dict_add(p, f, g)
+        assert (F - G).terms == dict_add(p, f, minus_g)
+        assert (F ** k).terms == dict_pow(p, n, f, k)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_substitute(self, data):
+        p, n = data.draw(field_and_vars())
+        m = data.draw(st.integers(0, 3))
+        f = data.draw(term_dicts(p, n))
+        images = [data.draw(term_dicts(p, m, max_terms=3, max_exp=2))
+                  for _ in range(n)]
+        got = FpPolynomial(p, n, f).substitute(
+            [FpPolynomial(p, m, img) for img in images])
+        assert got.nvars == (m if n else 0)
+        assert got.terms == dict_substitute(p, m if n else 0, f, images)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_substitute_linear(self, data):
+        p, n = data.draw(field_and_vars())
+        f = data.draw(term_dicts(p, n))
+        M = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n,
+                                        max_size=n), min_size=n, max_size=n))
+        images = [{tuple(int(j == r) for j in range(n)): M[r][i]
+                   for r in range(n) if M[r][i]} for i in range(n)]
+        got = FpPolynomial(p, n, f).substitute_linear(M)
+        assert got.terms == dict_substitute(p, n, f, images)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric_reduce(self, data):
+        p, n = data.draw(field_and_vars())
+        g = data.draw(term_dicts(p, n, max_terms=4, max_exp=3))
+        f = dict_substitute(p, n, g, elementary_dicts(n))
+        # the e_k are algebraically independent, so g is the only answer
+        assert symmetric_reduce(FpPolynomial(p, n, f)).terms == g
+
+    def test_packed_key_past_int64(self):
+        # base 601 in 8 variables: 601^8 > 2^63, so keys are exponent rows
+        p, n = 5, 8
+        f = {(300, 0, 0, 0, 0, 0, 0, 5): 1, (0, 0, 0, 310, 0, 0, 0, 0): 2,
+             (0,) * 8: 3}
+        g = {(299, 0, 0, 0, 0, 0, 0, 0): 4, (0, 1, 0, 0, 0, 0, 0, 290): 1,
+             (1, 0, 0, 0, 0, 0, 0, 0): 2}
+        F, G = FpPolynomial(p, n, f), FpPolynomial(p, n, g)
+        assert (int(F.exps.max()) + int(G.exps.max()) + 1) ** n > 2 ** 63
+        assert (F * G).terms == dict_mul(p, f, g)
+        assert (F * G * G).terms == dict_mul(p, dict_mul(p, f, g), g)
+        assert (F + G).terms == dict_add(p, f, g)
+        shift = [{tuple(int(j == (i + 1) % n) for j in range(n)): 1}
+                 for i in range(n)]
+        shift[3] = {(0, 0, 0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0, 0, 1): 1}
+        assert F.substitute([FpPolynomial(p, n, d) for d in shift]).terms == \
+            dict_substitute(p, n, f, shift)
+
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+    def test_large_primes(self, p):
+        # 2^31 - 1: sums of unreduced coefficient products pass 2^63;
+        # 2^61 - 1: the products themselves do
+        f = {(k, 20 - k): p - 1 - k for k in range(21)}
+        g = {(k, 0): p - 2 for k in range(21)}
+        F, G = FpPolynomial(p, 2, f), FpPolynomial(p, 2, g)
+        assert (F * G).terms == dict_mul(p, f, g)
+        assert (F ** 3).terms == dict_pow(p, 2, f, 3)
+        assert (F - G).terms == dict_add(p, f, {e: p - c for e, c in g.items()})
+        images = [{(1, 0): p - 1, (0, 1): 3}, {(1, 0): 2}]
+        assert F.substitute([FpPolynomial(p, 2, d) for d in images]).terms == \
+            dict_substitute(p, 2, f, images)
+        assert F.scale(p + 2).terms == {e: c * 2 % p for e, c in f.items()}
+
+    def test_zero_polynomial_and_no_variables(self):
+        for n in (0, 2):
+            z, x = FpPolynomial.zero(3, n), FpPolynomial.constant(3, n, 2)
+            assert z.is_zero() and z.terms == {} and z.degree() == -1
+            assert (z * x).is_zero() and (x * z).is_zero()
+            assert z + x == x and x - x == z and z ** 0 == 1 and z ** 2 == 0
+            assert (x * x).terms == {(0,) * n: 1}
+            assert z.format() == "0" and x.format() == "2"
+            assert symmetric_reduce(z).is_zero()
+            assert symmetric_reduce(x) == FpPolynomial.constant(3, n, 2)
+            assert z.substitute([FpPolynomial.one(3, 1)] * n).is_zero()
+        c = FpPolynomial.constant(7, 0, 4)
+        assert c.substitute([]) == 4 and c.degrees() == [0]
+        assert c.substitute_linear([]) == 4
+        assert FpPolynomial.constant(3, 2, 2).substitute(
+            [FpPolynomial.variable(3, 1, 0)] * 2).terms == {(0,): 2}
