@@ -41,6 +41,11 @@ def _load_json(path: str) -> Any:
         raise InputFormatError(f"{path} is not valid JSON: {e}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: json reads true and false as bools, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_group(path: str) -> FiniteGroup:
     """Group document: {"name": str, "degree": int, "generators": [[int..]..]}."""
     doc = _load_json(path)
@@ -51,10 +56,12 @@ def load_group(path: str) -> FiniteGroup:
             raise InputFormatError(f"{path}: missing key {key!r}")
     degree = doc["degree"]
     gens = doc["generators"]
-    if not isinstance(degree, int) or degree <= 0:
+    if not _is_int(degree) or degree <= 0:
         raise InputFormatError(f"{path}: degree must be a positive integer")
-    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-        raise InputFormatError(f"{path}: generators must be a list of image lists")
+    if not isinstance(gens, list) or not all(
+            isinstance(g, list) and all(map(_is_int, g)) for g in gens):
+        raise InputFormatError(
+            f"{path}: generators must be a list of lists of integer images")
     name = doc.get("name", Path(path).stem)
     try:
         return close_generators(degree, gens, name=str(name))
@@ -398,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_numbers(args) -> None:
-    """Reject a --prime that is not prime and a --rank below 1."""
+    """Reject a --prime that is not prime, a --rank below 1 and a negative
+    --max-n."""
     p = getattr(args, "prime", None)
     if p is not None and (p < 2 or any(p % q == 0
                                        for q in range(2, isqrt(p) + 1))):
@@ -406,6 +414,9 @@ def check_numbers(args) -> None:
     n = getattr(args, "rank", None)
     if n is not None and n < 1:
         raise InputFormatError(f"--rank must be at least 1, got {n}")
+    m = getattr(args, "max_n", None)
+    if m is not None and m < 0:
+        raise InputFormatError(f"--max-n must be non-negative, got {m}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

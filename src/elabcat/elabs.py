@@ -13,10 +13,10 @@ is a few batched products of the ambient group, and the hom-set searches
 and the closure read their coordinates from the same array.
 
 The catalog is built rank by rank by centralizer descent (see
-enumerate_elabs): each member is built once, from one parent E and one
-x in C_G(E), and its basis and by_code are E's extended by x, read off
-the span E*<x> that built it.  from_element_indices, with its checks,
-serves every other caller.
+enumerate_elabs), each rank in a few array passes: each member is built
+once, from one parent E and one x in C_G(E), and its basis and by_code
+are E's extended by x, read off the span E*<x> that built it.
+from_element_indices, with its checks, serves every other caller.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 from .config import cap as _cap
 from .errors import (CapExceeded, CatalogMismatch, ElementNotInSubgroup,
                      InvalidPermutation)
-from .groups import _BLOCK, FiniteGroup, Perm, find_sorted, sorted_distinct
+from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, row_keys,
+                     row_positions, sorted_distinct)
 
 Vector = tuple[int, ...]
 
@@ -224,22 +225,29 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     the order-p elements of C_G(E) outside E: exactly the x for which
     E*<x> is a member of the next rank, so E is maximal exactly when X(E)
     is empty.  X(trivial) is every order-p element of G, and
-    C_G(E*<x>) = C_{C_G(E)}(x) makes X(E*<x>) the members of X(E) that
-    lie in G.centralizer_indices(x) and outside E*<x>; that centralizer
-    is conjugated from the one of x's class representative, and memoized
-    from x's rank-one member on.
+    C_G(E*<x>) = C_{C_G(E)}(x) makes X(E*<x>) the members y of X(E) that
+    commute with x and lie outside E*<x>.  x*y and y*x are elements of G,
+    so they are equal exactly when they agree on G.base.
 
     A member F of rank r+1 is built once, from its parent E = the span of
     its first r greedy basis elements and x = min(F minus E), which lies
     above E's last basis element; the candidates x that fail either test
     are dropped.  F's greedy basis is then E's basis followed by x, and
     the span E*<x>, grown in the code order of (E's basis, x), is F's
-    by_code.  Members are sorted by (rank, elements) at the end.  Once
+    by_code.
+
+    Each rank is one batch: the spans of all its (E, x) candidates, then
+    the commutation and span tests of all its (F, y in X(E)) pairs, both
+    in blocks whose temporaries stay within BLOCK_ENTRIES entries.
+    Members are sorted by (rank, elements) at the end; their conjugacy
+    classes are the orbits of the permutations the generators induce on
+    the catalog, searched source by source (see groups.orbits).  Once
     more than catalog_cap members exist, CapExceeded("catalog_cap") is
     raised.
     """
     limit = catalog_cap if catalog_cap is not None else _cap("catalog_cap")
     ident = G.identity_index
+    arr, base = G.array, G.base
 
     def guard(count: int):
         if count > limit:
@@ -251,69 +259,76 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     trivial = ElabSubgroup(G, p, (), np.array([ident], dtype=np.int64))
     found = [trivial]               # every member, in the order it is built
     maximal_of: list[bool] = []     # and its maximality, once it is extended
-    # (E, the order-p elements of C_G(E) outside E), a rank at a time
-    level = [(trivial, np.flatnonzero(G.element_orders == p))]
+    # a rank at a time: its members, their by_code rows, their last basis
+    # elements, and X(E) of each as (owner, xs): member position and
+    # element, sorted by both
+    level, spans, last = [trivial], trivial.by_code[None], np.array([ident])
+    xs = np.flatnonzero(G.element_orders == p)
+    owner = np.zeros(len(xs), dtype=np.int64)
     while level:
-        nxt = []
-        for E, outside in level:
-            maximal_of.append(not len(outside))
-            xs = outside[outside > max(E.basis, default=ident)]
-            step = max(1, _BLOCK // len(E))
-            for s in range(0, len(xs), step):
-                block = xs[s:s + step]
-                # E * <x> for each x, one row per x, in code order
-                spans = _times_powers(G, np.broadcast_to(E.by_code, (len(block), len(E))),
-                                      block[:, None], p)
-                keep = spans[:, len(E):].min(axis=1) == block
-                children = [ElabSubgroup(G, p, E.basis + (x,), span)
-                            for x, span in zip(block[keep].tolist(), spans[keep])]
-                found += children
-                guard(len(found))
-                for F, x in zip(children, block[keep].tolist()):
-                    # C_G(E * <x>) = C_{C_G(E)}(x)
-                    ys = outside[find_sorted(G.centralizer_indices(x), outside)[1]]
-                    nxt.append((F, ys[F.codes_of(ys) < 0]))
-        level = nxt
+        counts = np.bincount(owner, minlength=len(level))
+        maximal_of += (counts == 0).tolist()
+        width = spans.shape[1]
+        sel = xs > last[owner]
+        cand_parent, cand_x = owner[sel], xs[sel]
+        children, parents, kept_x, kept_spans = [], [], [], []
+        for b in blocks(len(cand_x), p * width * G.degree):
+            # E * <x> for each candidate, one row each, in code order
+            grown = _times_powers(G, spans[cand_parent[b]], cand_x[b, None], p)
+            keep = grown[:, width:].min(axis=1) == cand_x[b]
+            parents.append(cand_parent[b][keep])
+            kept_x.append(cand_x[b][keep])
+            kept_spans.append(grown[keep])
+            children += [ElabSubgroup(G, p, level[j].basis + (x,), span) for j, x, span
+                         in zip(parents[-1].tolist(), kept_x[-1].tolist(), kept_spans[-1])]
+            guard(len(found) + len(children))
+        found += children
+        if not children:
+            break
+        parents, kept_x = np.concatenate(parents), np.concatenate(kept_x)
+        kept_spans = np.concatenate(kept_spans)
+
+        # X(F) for F = E * <x>: the y in X(E) commuting with x, outside F
+        starts = np.cumsum(counts) - counts
+        per_child = counts[parents]
+        new_owner, new_xs = [], []
+        for c in blocks(len(parents), int(per_child.max()) * (4 * len(base) + p * width)):
+            n = per_child[c]
+            child = np.repeat(np.arange(len(parents))[c], n)
+            within = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            y = xs[starts[parents[child]] + within]
+            x = kept_x[child]
+            # images of the base under x*y and y*x, x applied first
+            xy = arr[y[:, None], arr[x[:, None], base]]
+            yx = arr[x[:, None], arr[y[:, None], base]]
+            keep = (xy == yx).all(axis=1)
+            keep &= (kept_spans[child, width:] != y[:, None]).all(axis=1)
+            new_owner.append(child[keep])
+            new_xs.append(y[keep])
+        level, spans, last = children, kept_spans, kept_x
+        owner, xs = np.concatenate(new_owner), np.concatenate(new_xs)
 
     order = sorted(range(len(found)), key=lambda i: (found[i].rank, found[i].elements))
     subgroups = [found[i] for i in order]
     maximal = [maximal_of[i] for i in order]
     by_elements = {E.elements: i for i, E in enumerate(subgroups)}
 
-    # conjugacy classes of subgroups, orbit search along group generators
-    gen_idx = G.indices_of_rows(np.array(G.generators).reshape(-1, G.degree)).tolist()
-    class_of = [-1] * len(subgroups)
-    class_reps: list[int] = []
-    class_witness = np.full(len(subgroups), ident, dtype=np.int64)
-    for start in range(len(subgroups)):
-        if class_of[start] >= 0:
-            continue
-        label = len(class_reps)
-        class_reps.append(start)
-        class_of[start] = label
-        frontier = [start]
-        while frontier:
-            # one lookup per generator for the whole frontier (members of
-            # one class have one size), then visited in (s, g) order
-            elems = np.array([subgroups[s].elements for s in frontier], dtype=np.int64)
-            conj = [G.conjugate_indices(g, elems.ravel()).reshape(elems.shape).tolist()
-                    for g in gen_idx]
-            reached, sources, by_gen = [], [], []
-            for k, s in enumerate(frontier):
-                for g, rows in zip(gen_idx, conj):
-                    t = by_elements.get(tuple(sorted(rows[k])))
-                    if t is None:
-                        raise InvalidPermutation(
-                            "catalog not closed under conjugation")
-                    if class_of[t] < 0:
-                        class_of[t] = label
-                        reached.append(t)
-                        sources.append(s)
-                        by_gen.append(g)
-            class_witness[reached] = G.mul(class_witness[sources], by_gen)
-            frontier = reached
-
-    return ElabCatalog(G, p, subgroups, class_of, class_reps,
+    # each generator's permutation of the catalog, a rank at a time: the
+    # members of one rank are its rows of elements, sorted
+    conj, right = G.generator_tables
+    perms = np.empty((len(conj), len(subgroups)), dtype=np.int64)
+    ranks = np.array([E.rank for E in subgroups])
+    edges = np.searchsorted(ranks, np.arange(ranks[-1] + 2))
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        rows = np.array([E.elements for E in subgroups[lo:hi]], dtype=np.int64)
+        keys = row_keys(rows)
+        for k, table in enumerate(conj):
+            try:
+                perms[k, lo:hi] = lo + row_positions(rows, keys, np.sort(table[rows], axis=1))
+            except KeyError:
+                raise InvalidPermutation("catalog not closed under conjugation") from None
+    class_of, class_reps, _, class_witness = orbits(perms, right, by_source=True)
+    return ElabCatalog(G, p, subgroups, class_of.tolist(), class_reps.tolist(),
                        class_witness.tolist(), maximal, by_elements)
 
 

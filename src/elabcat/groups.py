@@ -12,10 +12,25 @@ Conventions, fixed once for the whole package:
 A group is one table, the (order, degree) array of its elements' images
 with rows sorted as the image tuples sort; element indices everywhere are
 positions in it, which makes class labels, transporter cosets and catalog
-layouts reproducible between runs.  Every lookup (index, membership,
-products, conjugates) is one binary search of the rows' byte keys for a
-whole batch of rows (indices_of_rows).  ``elements``, the same rows as a
-list of tuples, is built once and only read.
+layouts reproducible between runs.  A lookup of arbitrary rows (index,
+membership, products with arbitrary elements, conjugates) is one binary
+search of the rows' byte keys for a whole batch of rows (indices_of_rows).
+
+Two derived structures replace most such lookups (Seress, Permutation
+Group Algorithms, 2003):
+
+* generator tables: for each generator g, the index of g^-1 * e * g and of
+  e * g for every element e, each one batched lookup over the whole
+  group; orbits under the generators (conjugacy classes here, subgroup
+  classes in elabs) are then gathers from these tables: min-label
+  propagation numbers each orbit by its smallest member, and one
+  breadth-first search from all those members at once finds witnesses
+  (see orbits);
+* a base: points whose images already tell all elements of G apart, so
+  two elements of G are equal exactly when they agree on the base, and a
+  commutation test x*y == y*x is a comparison of 2*len(base) images.
+
+``elements``, the rows as a list of tuples, is built once and only read.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ Perm = tuple[int, ...]
 _BLOCK = 1024
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
+def row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque key per row of images, ordered as the rows are as tuples.
 
     Each row becomes its big-endian unsigned bytes; those compare (and
@@ -44,6 +59,16 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     """
     rows = rows.astype(">u4", order="C")
     return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+
+
+def row_positions(table: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Position of each row of rows in table, whose rows are distinct and
+    sorted with keys = row_keys(table); KeyError if a row is absent."""
+    idx = np.searchsorted(keys, row_keys(rows))
+    np.minimum(idx, len(keys) - 1, out=idx)
+    if not (table[idx] == rows).all():
+        raise KeyError("a row is not in the table")
+    return idx
 
 
 def find_sorted(sorted_arr: np.ndarray,
@@ -73,6 +98,62 @@ def blocks(rows: int, width: int) -> Iterable[slice]:
     stay within BLOCK_ENTRIES entries."""
     step = max(1, BLOCK_ENTRIES // max(1, width))
     return (slice(s, s + step) for s in range(0, rows, step))
+
+
+def orbits(perms: np.ndarray, right: np.ndarray, by_source: bool = False
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(class_of, reps, sizes, witness) of the orbits of range(n) under the
+    permutations perms[k] (a (k, n) array), with witnesses in G.
+
+    Orbits are numbered in order of their smallest member, found by
+    min-label propagation along perms and their inverses with pointer
+    jumping.  Witnesses come from one breadth-first search started from
+    every orbit's smallest member at once: each level visits its
+    candidates (k, s), target perms[k][s], generator by generator over the
+    frontier, or source by source when by_source; the first candidate to
+    reach a target t sets witness[t] = right[k][witness[s]], and the
+    targets reached, in that order, are the next frontier.  An orbit's
+    candidates keep their relative order in the joint frontier, so each
+    orbit comes out as a search from its own smallest member would give
+    it.  Every smallest member has witness 0, the identity.
+    """
+    n = perms.shape[1]
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms, np.arange(n), axis=1)
+    label = np.arange(n)
+    while True:
+        new = np.vstack((label[None], label[perms], label[inverse])).min(axis=0)
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    reps = np.flatnonzero(label == np.arange(n))
+    class_of = np.searchsorted(reps, label)
+    sizes = np.bincount(class_of, minlength=len(reps))
+
+    witness = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[reps] = True
+    frontier = reps
+    while len(frontier):
+        targets = perms[:, frontier]
+        flat = (targets.T if by_source else targets).ravel()
+        fresh = np.flatnonzero(~seen[flat])
+        # the first fresh candidate for each target, in candidate order:
+        # sort (target, position) pairs packed into one int64
+        hit, at = np.divmod(np.sort(flat[fresh] * len(flat) + fresh), len(flat))
+        keep = np.ones(len(hit), dtype=bool)
+        keep[1:] = hit[1:] != hit[:-1]
+        first = np.sort(at[keep])
+        if by_source:
+            src, gen = np.divmod(first, len(perms))
+        else:
+            gen, src = np.divmod(first, len(frontier))
+        reached = flat[first]
+        witness[reached] = right[gen, witness[frontier[src]]]
+        seen[reached] = True
+        frontier = reached
+    return class_of, reps, sizes, witness
 
 
 def identity_perm(degree: int) -> Perm:
@@ -185,7 +266,7 @@ class FiniteGroup:
         self.degree = degree
         self.generators = list(map(tuple, _perm_rows(generators, degree).tolist()))
         rows = _perm_rows(elements, degree)
-        keys = _row_keys(rows)
+        keys = row_keys(rows)
         order = np.argsort(keys)
         self._arr, self._keys = rows[order], keys[order]
         self.name = name or f"group<deg {degree}, order {len(rows)}>"
@@ -198,6 +279,8 @@ class FiniteGroup:
         self._inv_idx: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._conj: ConjugacyTable | None = None
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._base: np.ndarray | None = None
         self._cent_memo: dict[int, np.ndarray] = {}
 
     # -- basic lookups ------------------------------------------------
@@ -233,16 +316,49 @@ class FiniteGroup:
 
     def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each row of an (n, degree) image array."""
-        idx = np.searchsorted(self._keys, _row_keys(rows))
-        np.minimum(idx, len(self._keys) - 1, out=idx)
-        if not (self._arr[idx] == rows).all():
-            raise KeyError(f"a row is not an element of {self.name}")
-        return idx
+        try:
+            return row_positions(self._arr, self._keys, rows)
+        except KeyError:
+            raise KeyError(f"a row is not an element of {self.name}") from None
 
     @property
     def array(self) -> np.ndarray:
         """(order, degree) array of images; do not mutate."""
         return self._arr
+
+    @property
+    def generator_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(conj, right), each a (len(generators), order) int64 array:
+        conj[k][i] is the index of g^-1 * e * g and right[k][i] the index
+        of e * g, for e = element i and g = generators[k].  Each row is one
+        lookup over the whole group; do not mutate."""
+        if self._tables is None:
+            gens = _perm_rows(self.generators, self.degree)
+            conj = np.empty((len(gens), len(self)), dtype=np.int64)
+            right = np.empty_like(conj)
+            for k, g in enumerate(gens):
+                # row x of e * g is g[e[x]]; of g^-1 * e * g it is g[e[ginv[x]]]
+                right[k] = self.indices_of_rows(g[self._arr])
+                conj[k] = self.indices_of_rows(g[self._arr[:, np.argsort(g)]])
+            self._tables = conj, right
+        return self._tables
+
+    @property
+    def base(self) -> np.ndarray:
+        """A greedy base: int64 points whose images tell every element
+        apart.  Each point is the first one moved by the pointwise
+        stabilizer of the points before it, until that stabilizer is
+        trivial; two elements agreeing on the base differ by an element of
+        it, so they are equal.  Do not mutate."""
+        if self._base is None:
+            points = np.arange(self.degree)
+            stab, base = self._arr, []
+            while len(stab) > 1:
+                x = int(np.argmax((stab != points).any(axis=0)))
+                base.append(x)
+                stab = stab[stab[:, x] == x]
+            self._base = np.array(base, dtype=np.int64)
+        return self._base
 
     # -- index-level arithmetic ---------------------------------------
 
@@ -271,17 +387,20 @@ class FiniteGroup:
     @property
     def element_orders(self) -> np.ndarray:
         """Order of each element: the lcm of the cycle lengths of its points,
-        a point's cycle length being the first k with e^k(x) == x."""
+        a point's cycle length being the first k with e^k(x) == x.  Order is
+        a class function, so only class representatives are scanned."""
         if self._orders is None:
+            table = self.conjugacy
+            reps = self._arr[list(table.reps)]
             points = np.arange(self.degree)
-            cycle = np.zeros(self._arr.shape, dtype=np.int64)
-            power = self._arr
+            cycle = np.zeros(reps.shape, dtype=np.int64)
+            power = reps
             for k in range(1, self.degree + 1):
                 cycle[(power == points) & (cycle == 0)] = k
                 if cycle.all():
                     break
-                power = np.take_along_axis(self._arr, power, axis=1)
-            self._orders = np.lcm.reduce(cycle, axis=1)
+                power = np.take_along_axis(reps, power, axis=1)
+            self._orders = np.lcm.reduce(cycle, axis=1)[list(table.class_of)]
         return self._orders
 
     def conjugate_indices(self, g: int, targets: np.ndarray) -> np.ndarray:
@@ -317,40 +436,14 @@ class FiniteGroup:
         return self._conj
 
     def _build_conjugacy(self) -> ConjugacyTable:
-        """Orbits under conjugation by the generators, breadth first; the
-        first generator to reach an element gives its witness, and a
-        level's witnesses are one batched product."""
-        n = len(self.elements)
-        class_of = np.full(n, -1, dtype=np.int64)
-        witness = np.zeros(n, dtype=np.int64)
-        reps: list[int] = []
-        sizes: list[int] = []
-        gen_idx = self.indices_of_rows(_perm_rows(self.generators, self.degree))
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            label = len(reps)
-            reps.append(start)
-            class_of[start] = label
-            witness[start] = self.identity_index
-            frontier = np.array([start], dtype=np.int64)
-            size = 1
-            while len(frontier):
-                conj = np.empty((len(gen_idx), len(frontier)), dtype=np.int64)
-                new = np.empty(conj.shape, dtype=bool)
-                for k, g in enumerate(gen_idx):
-                    # conjugation by g is a bijection: the targets are distinct
-                    conj[k] = self.conjugate_indices(g, frontier)
-                    new[k] = class_of[conj[k]] < 0
-                    class_of[conj[k][new[k]]] = label
-                by_gen, src = np.nonzero(new)
-                reached = conj[by_gen, src]
-                witness[reached] = self.mul(witness[frontier[src]], gen_idx[by_gen])
-                frontier = reached
-                size += len(reached)
-            sizes.append(size)
-        return ConjugacyTable(tuple(class_of.tolist()), tuple(reps),
-                              tuple(sizes), tuple(witness.tolist()))
+        """Orbits under conjugation by the generators (see orbits): a class
+        is numbered by its smallest member, and a witness is the first
+        product witness(source) * g to reach an element, the search taking
+        each level generator by generator."""
+        conj, right = self.generator_tables
+        class_of, reps, sizes, witness = orbits(conj, right)
+        return ConjugacyTable(tuple(class_of.tolist()), tuple(reps.tolist()),
+                              tuple(sizes.tolist()), tuple(witness.tolist()))
 
     # -- centralizers and transporters --------------------------------
 
@@ -361,7 +454,9 @@ class FiniteGroup:
         scan of G.  Every other e is conjugate(w, rep) for its witness
         w = conjugacy.witness[e], and conjugation by w is an automorphism,
         so C_G(e) = w^-1 * C_G(rep) * w: one conjugate_indices call over
-        C_G(rep) and a sort.  Each result is memoized.
+        C_G(rep) and a sort.  Each result is memoized for the callers that
+        ask for one element's centralizer: transporter_indices and the
+        gallery checks.
         """
         memo = self._cent_memo.get(e)
         if memo is not None:
@@ -401,7 +496,7 @@ class FiniteGroup:
 def _fresh(rows: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows whose keys are not among the sorted keys seen,
     sorted by key, and their keys."""
-    keys = _row_keys(rows)
+    keys = row_keys(rows)
     order = np.argsort(keys)
     rows, keys = rows[order], keys[order]
     keep = np.concatenate(([True], keys[1:] != keys[:-1]))
@@ -421,7 +516,7 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     """
     limit = element_cap if element_cap is not None else _cap("element_cap")
     gens = _perm_rows(generators, degree)
-    seen = _row_keys(np.zeros((0, degree), dtype=np.int32))   # sorted keys found
+    seen = row_keys(np.zeros((0, degree), dtype=np.int32))   # sorted keys found
     found: list[np.ndarray] = []
     level = [np.arange(degree, dtype=np.int32)[None]]       # candidate blocks
     while level:

@@ -132,6 +132,20 @@ class TestBadInput:
         path.write_text(json.dumps({"degree": 3, "generators": [[0, 0, 1]]}))
         assert_input_error(run_cli("analyze", str(path), "--prime", "2"))
 
+    @pytest.mark.parametrize("gens", [[[1.5, 0.2]], [[True, False]]])
+    def test_non_integer_generator_images(self, tmp_path, gens):
+        # cast to integers, both would read as [[1, 0]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": 2, "generators": gens}))
+        r = run_cli("analyze", str(path), "--prime", "2")
+        assert_input_error(r)
+        assert "integer images" in r.stderr
+
+    def test_negative_max_n(self, a4_path):
+        r = run_cli("analyze", a4_path, "--prime", "2", "--max-n", "-1")
+        assert_input_error(r)
+        assert "--max-n" in r.stderr
+
     def test_non_integer_cap(self, a4_path):
         r = run_cli("analyze", a4_path, "--prime", "2",
                     env={"ELABCAT_CATALOG_CAP": "lots"})

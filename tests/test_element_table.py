@@ -1,7 +1,8 @@
-"""The numpy element table of FiniteGroup, its conjugated centralizers,
-the code-ordered coordinates of ElabSubgroup and the catalog by
-centralizer descent against the oracles in brute_force.py, on random
-groups of degree at most 7, plus the element cap at its boundary.
+"""The numpy element table of FiniteGroup, its generator tables, base and
+conjugated centralizers, the code-ordered coordinates of ElabSubgroup and
+the catalog by centralizer descent against the oracles in brute_force.py,
+on random groups of degree at most 7, plus the element cap at its
+boundary.
 """
 
 import random
@@ -20,20 +21,24 @@ from elabcat.groups import close_generators, compose, conjugate, perm_order
 
 @st.composite
 def generated_groups(draw, max_degree=7):
-    """(degree, generators) for two or three random permutations of
-    degree at most max_degree."""
+    """(degree, generators) for zero to three random permutations of
+    degree at most max_degree: no generators gives the trivial group and
+    one a cyclic group."""
     n = draw(st.integers(min_value=2, max_value=max_degree))
-    k = draw(st.integers(min_value=2, max_value=3))
+    k = draw(st.integers(min_value=0, max_value=3))
     return n, [tuple(draw(st.permutations(range(n)))) for _ in range(k)]
 
 
 S7_GENS = [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]
 S2_CUBED = (6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)])
+# S3 on {0, 1, 2} times a swap of {3, 4}, fixing 5 and 6: base (0, 1, 3)
+INTRANSITIVE = (7, [(1, 2, 0, 3, 4, 5, 6), (1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 4, 3, 5, 6)])
 
 
 @given(group=generated_groups(), rnd=st.randoms())
 @example(group=(7, S7_GENS), rnd=random.Random(0))
 @example(group=S2_CUBED, rnd=random.Random(0))
+@example(group=INTRANSITIVE, rnd=random.Random(0))
 @settings(max_examples=12, deadline=None)
 def test_element_table_matches_tuple_oracle(group, rnd):
     n, gens = group
@@ -83,6 +88,30 @@ def test_element_table_matches_tuple_oracle(group, rnd):
                 assert E.vector_of_index(i) == vec
 
 
+@given(group=generated_groups())
+@example(group=INTRANSITIVE)
+@settings(max_examples=12, deadline=None)
+def test_base_and_generator_tables_match_tuple_oracle(group):
+    n, gens = group
+    G = close_generators(n, gens)
+    elements = brute_group(n, gens)
+    index = {e: i for i, e in enumerate(elements)}
+    base = G.base.tolist()
+    assert len(set(base)) == len(base)
+    assert len({tuple(e[x] for x in base) for e in elements}) == len(elements)
+    conj, right = G.generator_tables
+    assert conj.shape == right.shape == (len(gens), len(elements))
+    for k, g in enumerate(gens):
+        assert conj[k].tolist() == [index[conjugate(g, e)] for e in elements]
+        assert right[k].tolist() == [index[compose(e, g)] for e in elements]
+
+
+def test_greedy_base():
+    assert close_generators(*INTRANSITIVE).base.tolist() == [0, 1, 3]
+    assert close_generators(7, S7_GENS).base.tolist() == [0, 1, 2, 3, 4, 5]
+    assert close_generators(4, []).base.tolist() == []
+
+
 # degree at most 6: the oracle scans all of G once per element
 @given(group=generated_groups(max_degree=6))
 @example(group=(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))
@@ -103,6 +132,7 @@ def test_centralizers_match_scan(group):
 @given(group=generated_groups())
 @example(group=(7, S7_GENS))
 @example(group=S2_CUBED)
+@example(group=INTRANSITIVE)
 @settings(max_examples=12, deadline=None)
 def test_catalog_matches_brute_force(group):
     G = close_generators(*group)
