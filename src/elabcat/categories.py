@@ -1,9 +1,14 @@
 """Categories of elementary abelian p-subgroups and injective maps.
 
 Objects are the members of an ElabCatalog.  Morphisms E -> F are injective
-linear maps, stored as (rank F x rank E) matrices over F_p acting on the
-canonical coordinates of the two subgroups.  The kinds, from smallest to
-largest hom-sets:
+linear maps on the canonical coordinates of the two subgroups.  A map is
+held as its column codes: entry k is the code in F (sum v_i p^i) of the
+image of E's basis vector k, so row i of its (rank F x rank E) matrix is
+digit i of every column code.  A hom-set is an int64 array of shape
+(maps, rank E), its rows distinct and in lexicographic order, so equal
+hom-sets are equal arrays.  Matrices as tuples of row tuples appear only
+where data leaves or enters the library (matrix_of, column_codes).  The
+kinds, from smallest to largest hom-sets:
 
   A            some single g in G conjugates every element of E onto its
                image (f(e) = g^-1 e g for all e);
@@ -27,19 +32,16 @@ canonical() has merged the kinds that coincide out of the domain:
                the maps induced by the g with g^-1 E g inside F.  Such g
                lie in the transporter cosets taking E's first basis
                element into F; the rest of the basis is conjugated by all
-               of them in one gather, and the distinct images are read off
-               as matrices;
+               of them in one gather, and the distinct images are kept;
   Aprime,      a backtracking search over the images of E's basis vectors,
-  AprimeD(d)   breadth first over numpy arrays: fixing the image of basis
-               vector k fixes that of every vector whose last nonzero
+  AprimeD(d),  breadth first over numpy arrays: fixing the image of basis
+  Creg         vector k fixes that of every vector whose last nonzero
                coordinate is k, and each one is checked against its
-               allowed classes at once (early pruning as in Seress,
-               Permutation Group Algorithms, 2003, ch. 9);
+               allowed images at once (early pruning as in Seress,
+               Permutation Group Algorithms, 2003, ch. 9).  Creg allows
+               every image but the identity;
   An(n)        the Aprime maps whose restriction to every rank-n subspace
-               U of E is one of the A maps U -> F, built as above;
-  Creg         every injective matrix, enumerated.
-
-hom_in_kind checks a single matrix against the definition instead.
+               U of E is one of the A maps U -> F, built as above.
 
 closure requires every A-morphism in its input.  Inclusions are among
 them, so restricting a map's domain is composing it with an inclusion,
@@ -63,8 +65,8 @@ import numpy as np
 from .config import cap as _cap
 from .elabs import ElabCatalog, ElabSubgroup
 from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
-from .fpmat import (Mat, injective_count, injective_matrices, mat_inv,
-                    mat_mul, mat_rank, mat_vec, subspace_bases)
+# perfbench/tracing.py counts closure joins through categories.mat_mul
+from .fpmat import Mat, injective_count, mat_mul, mat_rank, subspace_bases  # noqa: F401
 from .groups import FiniteGroup, blocks, find_sorted, sorted_distinct
 
 # -- kinds ------------------------------------------------------------
@@ -131,49 +133,30 @@ def canonical(kind: CategoryKind, rank: int) -> CategoryKind:
     return kind
 
 
-# -- morphisms --------------------------------------------------------
+# -- morphisms as column codes ---------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearHom:
-    """Injective linear map between two subgroups of one ambient group."""
+def column_codes(M: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
+    """Column codes of a matrix given by its rows, entries taken mod p."""
+    width = len(M[0]) if M else 0
+    return tuple(sum(row[k] % p * p ** r for r, row in enumerate(M))
+                 for k in range(width))
 
-    domain: ElabSubgroup
-    codomain: ElabSubgroup
-    matrix: Mat
 
-    def __post_init__(self):
-        E, F = self.domain, self.codomain
-        if E.ambient is not F.ambient or E.prime != F.prime:
-            raise CatalogMismatch("domain and codomain from different settings")
-        if len(self.matrix) != F.rank or any(len(r) != E.rank for r in self.matrix):
-            raise ValueError(
-                f"matrix shape {len(self.matrix)}x? does not map "
-                f"rank {E.rank} into rank {F.rank}")
-        if mat_rank(self.matrix, E.prime) != E.rank:
-            raise ValueError("matrix does not have full column rank")
+def matrix_of(cols: Sequence[int], p: int, rows: int) -> Mat:
+    """The matrix, as a tuple of row tuples, with the given column codes."""
+    return tuple(tuple(int(c) // p ** r % p for c in cols) for r in range(rows))
 
-    def apply_index(self, i: int) -> int:
-        v = self.domain.vector_of_index(i)
-        return self.codomain.index_of_vector(mat_vec(self.matrix, v, self.domain.prime))
 
-    def is_bijective(self) -> bool:
-        return self.domain.rank == self.codomain.rank
-
-    def compose_with(self, other: "LinearHom") -> "LinearHom":
-        """self followed by other (other.domain must be self.codomain)."""
-        if other.domain is not self.codomain and other.domain != self.codomain:
-            raise CatalogMismatch("composition needs matching middle object")
-        p = self.domain.prime
-        return LinearHom(self.domain, other.codomain,
-                         mat_mul(other.matrix, self.matrix, p))
-
-    def inverse_hom(self) -> "LinearHom":
-        if not self.is_bijective():
-            raise ValueError("only bijective maps invert")
-        inv = mat_inv(self.matrix, self.domain.prime)
-        assert inv is not None
-        return LinearHom(self.codomain, self.domain, inv)
+def distinct_rows(cols: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, in lexicographic order."""
+    if len(cols) < 2:
+        return cols
+    if cols.shape[1]:                       # lexsort needs at least one key
+        cols = cols[np.lexsort(cols.T[::-1])]
+    keep = np.ones(len(cols), dtype=bool)
+    keep[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    return cols[keep]
 
 
 # -- hom-set computation ----------------------------------------------
@@ -185,97 +168,11 @@ def _unit_subgroup(p: int, d: int) -> tuple[int, ...]:
     return tuple(t for t in range(1, p) if pow(t, d, p) == 1)
 
 
-def _allowed_classes(E: ElabSubgroup, d: int) -> dict[int, frozenset[int]]:
-    """For each non-identity element, the class labels of its allowed images.
-
-    e^t is the element of t times e's vector, so no group product is taken.
-    """
-    class_of = E.ambient.conjugacy.class_of
-    units = _unit_subgroup(E.prime, d)
-    out = {}
-    for e in E.elements:
-        v = E.vector_of_index(e)
-        if any(v):
-            out[e] = frozenset(class_of[E.index_of_vector([t * x for x in v])]
-                               for t in units)
-    return out
-
-
-def _witness_exists(G: FiniteGroup, pairs: Sequence[tuple[int, int]]) -> bool:
-    """Is there a single g with conjugate(g, a) == b for every pair."""
-    if not pairs:
-        return True
-    table = G.conjugacy
-    # a transporter is a centralizer coset, so start from the smallest one
-    sized = sorted(pairs, key=lambda ab: table.sizes[table.class_of[ab[0]]],
-                   reverse=True)
-    a0, b0 = sized[0]
-    T = G.transporter_indices(a0, b0)
-    if len(T) == 0:
-        return False
-    for a, b in sized[1:]:
-        if len(T) == 0:
-            return False
-        rows = G.array[T]
-        inv_rows = np.argsort(rows, axis=1)
-        tmp = G.array[a][inv_rows]
-        conj = np.take_along_axis(rows, tmp, axis=1)
-        T = T[np.all(conj == G.array[b], axis=1)]
-    return len(T) > 0
-
-
-def _check_matrix(kind: CategoryKind, E: ElabSubgroup, F: ElabSubgroup,
-                  M: Mat) -> bool:
-    """Kind membership for one injective matrix."""
-    G = E.ambient
-    p = E.prime
-    table = G.conjugacy
-    if kind.tag == "Creg":
-        return True
-    if kind.tag in ("Aprime", "AprimeD"):
-        d = 1 if kind.tag == "Aprime" else kind.param
-        allowed = _allowed_classes(E, d)
-        for e, classes in allowed.items():
-            img = F.index_of_vector(mat_vec(M, E.vector_of_index(e), p))
-            if table.class_of[img] not in classes:
-                return False
-        return True
-    if kind.tag == "A":
-        m = E.rank
-    else:
-        assert kind.tag == "An"
-        m = min(kind.param, E.rank)
-    if m == 0:
-        return True
-    if m == E.rank:
-        subspaces: Iterable[tuple] = [tuple(
-            tuple(1 if i == j else 0 for i in range(E.rank))
-            for j in range(E.rank))]
-    else:
-        subspaces = subspace_bases(p, E.rank, m)
-    for basis in subspaces:
-        pairs = []
-        ok = True
-        for v in basis:
-            a = E.index_of_vector(v)
-            b = F.index_of_vector(mat_vec(M, v, p))
-            if table.class_of[a] != table.class_of[b]:
-                ok = False
-                break
-            pairs.append((a, b))
-        if not ok:
-            return False
-        # one matched pair always has a witness (its transporter coset)
-        if len(pairs) >= 2 and not _witness_exists(G, pairs):
-            return False
-    return True
-
-
 def _code_digits(p: int, r: int) -> np.ndarray:
     """(p^r, r) array whose row c is the vector of code c = sum v_i p^i.
 
     The vectors supported on the first k coordinates are the codes below
-    p^k, which is the order the Aprime search fills them in.
+    p^k, which is the order the basis search fills them in.
     """
     return np.arange(p ** r)[:, None] // p ** np.arange(r) % p
 
@@ -302,25 +199,33 @@ def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
 
 
 def _class_respecting(E: ElabSubgroup, d: int, F: ElabSubgroup) -> np.ndarray:
-    """Rows of basis-image codes of the AprimeD(d) maps E -> F.
-
-    Backtracking over the basis images, breadth first and vectorized:
-    choosing the image of basis vector k fixes the image of every vector
-    whose last nonzero coordinate is k, and each one is checked against
-    its allowed classes at once.  An identity image is never allowed, so
-    every survivor is injective.
-    """
-    p, s = E.prime, F.rank
+    """ok[c, f]: is the element of code f in F in the class of e^t for
+    the element e of code c in E and some unit t with t^d = 1 mod p."""
+    p = E.prime
     class_of = E.ambient.conjugacy.class_of
-    E_digits, F_digits = _code_digits(p, E.rank), _code_digits(p, s)
     E_cls = np.array([class_of[e] for e in E.by_code.tolist()])
     F_cls = np.array([class_of[e] for e in F.by_code.tolist()])
-    weights = p ** np.arange(E.rank)
+    E_digits, weights = _code_digits(p, E.rank), p ** np.arange(E.rank)
     ok = np.zeros((len(E), len(F)), dtype=bool)
     for t in _unit_subgroup(p, d):
         powers = E_cls[(t * E_digits % p) @ weights]     # class of e^t
         ok |= powers[:, None] == F_cls[None, :]
-    F_weights = p ** np.arange(s)
+    return ok
+
+
+def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarray:
+    """Rows of basis-image codes of the linear maps E -> F that send each
+    element of code c to one of code f with ok[c, f], in lexicographic
+    order.
+
+    Backtracking over the basis images, breadth first and vectorized:
+    choosing the image of basis vector k fixes the image of every vector
+    whose last nonzero coordinate is k, and each one is checked against
+    ok at once.  ok never allows the identity as the image of another
+    element, so every survivor is injective.
+    """
+    p, s = E.prime, F.rank
+    F_digits, F_weights = _code_digits(p, s), p ** np.arange(s)
     coef = np.arange(1, p)
     cols = np.zeros((1, 0), dtype=np.int64)   # image codes of the basis so far
     imgs = np.zeros((1, 1), dtype=np.int64)   # image code of each E code < p^k
@@ -361,15 +266,10 @@ def _single_conjugator(E: ElabSubgroup, n: int, cols: np.ndarray,
     return keep
 
 
-def _matrices(cols: np.ndarray, F_digits: np.ndarray) -> tuple[Mat, ...]:
-    """Sorted distinct matrices whose column k is the vector of code cols[:, k]."""
-    mats = F_digits[cols].transpose(0, 2, 1).tolist()
-    return tuple(sorted({tuple(map(tuple, M)) for M in mats}))
-
-
 def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
-                 F: ElabSubgroup) -> tuple[Mat, ...]:
-    """All matrices of kind-morphisms E -> F, sorted.
+                 F: ElabSubgroup) -> np.ndarray:
+    """The kind-morphisms E -> F as an int64 array of column codes, one
+    map per row, rows distinct and in lexicographic order.
 
     Each kind is built from its definition; see the module docstring.
     """
@@ -378,28 +278,24 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     kind = canonical(kind, E.rank)
     d = kind.param if kind.tag == "AprimeD" else 1
     _unit_subgroup(E.prime, d)              # rejects d not dividing p-1
+    none = np.zeros((0, E.rank), dtype=np.int64)
     if E.rank > F.rank:
-        return ()
-    if kind == CREG or E.rank == 0:
-        return injective_matrices(E.prime, F.rank, E.rank)
+        return none
+    if kind == CREG:                        # any image but code 0, the identity
+        return _basis_search(E, np.broadcast_to(np.arange(len(F)) > 0, (len(E), len(F))), F)
     class_of = E.ambient.conjugacy.class_of
     # A, Aprime and An(n) send elements to distinct conjugates, so F must
     # have at least E's number of elements in every class
     if d == 1 and (Counter(class_of[e] for e in E.elements)
                    - Counter(class_of[f] for f in F.elements)):
-        return ()
-    if kind == A:
-        cols = _conjugation_images(E.ambient, E.basis, F)
-    else:
-        cols = _class_respecting(E, d, F)
-        if kind.tag == "An":
-            cols = cols[_single_conjugator(E, kind.param, cols, F)]
-    return _matrices(cols, _code_digits(E.prime, F.rank))
-
-
-def hom_in_kind(kind: CategoryKind, h: LinearHom) -> bool:
-    """Membership test for a single map, without enumerating the hom-set."""
-    return _check_matrix(kind, h.domain, h.codomain, h.matrix)
+        return none
+    if kind == A and E.rank:
+        # conjugators inducing the same map give repeated rows
+        return distinct_rows(_conjugation_images(E.ambient, E.basis, F))
+    cols = _basis_search(E, _class_respecting(E, d, F), F)
+    if kind.tag == "An":
+        cols = cols[_single_conjugator(E, kind.param, cols, F)]
+    return cols
 
 
 # -- categories -------------------------------------------------------
@@ -408,28 +304,31 @@ def hom_in_kind(kind: CategoryKind, h: LinearHom) -> bool:
 class SubgroupCategory:
     """A catalog plus hom-sets, either kind-backed (lazy) or explicit.
 
-    Hom-sets are tuples of matrices keyed by ordered pairs of catalog
-    subgroup indices.  Kind-backed categories are views over the
-    catalog's hom cache, which every category over that catalog shares
-    under canonical kinds; explicit categories carry a finished dict.
+    Hom-sets are read-only column-code arrays (see the module docstring)
+    keyed by ordered pairs of catalog subgroup indices.  Kind-backed
+    categories are views over the catalog's hom cache, which every
+    category over that catalog shares under canonical kinds; explicit
+    categories carry a finished dict.
     """
 
     def __init__(self, catalog: ElabCatalog, kind: Optional[CategoryKind],
-                 homs: Optional[dict[tuple[int, int], tuple[Mat, ...]]] = None):
+                 homs: Optional[dict[tuple[int, int], np.ndarray]] = None):
         self.catalog = catalog
         self.kind = kind
         if kind is None:
-            self._homs: dict[tuple[int, int], tuple[Mat, ...]] = dict(homs or {})
+            self._homs: dict[tuple[int, int], np.ndarray] = dict(homs or {})
+            for cols in self._homs.values():
+                cols.flags.writeable = False
         self._sized = False
 
     @property
     def provenance(self) -> str:
         return self.kind.label() if self.kind is not None else "explicit"
 
-    def hom(self, i: int, j: int) -> tuple[Mat, ...]:
-        if self.kind is None:
-            return self._homs.get((i, j), ())
+    def hom(self, i: int, j: int) -> np.ndarray:
         E, F = self.catalog.subgroups[i], self.catalog.subgroups[j]
+        if self.kind is None:
+            return self._homs.get((i, j), np.zeros((0, E.rank), dtype=np.int64))
         key = (canonical(self.kind, E.rank), i, j)
         got = self.catalog.homs.get(key)
         if got is None:
@@ -439,19 +338,16 @@ class SubgroupCategory:
                 self._check_size()
                 self._sized = True
             got = self.catalog.homs[key] = hom_matrices(key[0], E, F)
+            got.flags.writeable = False
         return got
 
-    def estimated_total(self) -> int:
-        """Injective matrices over all ordered pairs, a bound for any kind."""
-        p = self.catalog.prime
-        ranks = Counter(self.catalog.ranks())
-        return sum(ni * nj * injective_count(p, rj, ri)
-                   for ri, ni in ranks.items() for rj, nj in ranks.items())
-
     def _check_size(self, hom_count_cap: Optional[int] = None) -> None:
-        """Raise CapExceeded when estimated_total() passes the hom count cap."""
+        """Raise CapExceeded when the injective matrices over all ordered
+        pairs, a bound for any kind, pass the hom count cap."""
         limit = hom_count_cap if hom_count_cap is not None else _cap("hom_count_cap")
-        est = self.estimated_total()
+        p, ranks = self.catalog.prime, Counter(self.catalog.ranks())
+        est = sum(ni * nj * injective_count(p, rj, ri)
+                  for ri, ni in ranks.items() for rj, nj in ranks.items())
         if est > limit:
             raise CapExceeded(
                 "hom_count_cap",
@@ -460,59 +356,50 @@ class SubgroupCategory:
 
     def materialize(self, hom_count_cap: Optional[int] = None) -> None:
         """Compute every hom-set; guarded by the hom count estimate."""
-        if self.kind is None:
-            return
-        self._check_size(hom_count_cap)
-        n = len(self.catalog)
-        for i in range(n):
-            for j in range(n):
-                self.hom(i, j)
+        if self.kind is not None:
+            self._check_size(hom_count_cap)
+            self.hom_dict()
 
     def total_homs(self) -> int:
         return sum(len(v) for v in self.hom_dict().values())
 
-    def hom_dict(self) -> dict[tuple[int, int], tuple[Mat, ...]]:
+    def hom_dict(self) -> dict[tuple[int, int], np.ndarray]:
         """Every non-empty hom-set, materializing a kind-backed category."""
         if self.kind is None:
-            return {k: v for k, v in self._homs.items() if v}
+            return {k: v for k, v in self._homs.items() if len(v)}
         self._check_size()
         n = len(self.catalog)
         pairs = ((i, j) for i in range(n) for j in range(n))
-        return {(i, j): h for i, j in pairs if (h := self.hom(i, j))}
+        return {(i, j): h for i, j in pairs if len(h := self.hom(i, j))}
 
 
-def build_category(kind: CategoryKind, catalog: ElabCatalog,
-                   materialize: bool = False) -> SubgroupCategory:
-    C = SubgroupCategory(catalog, kind)
-    if materialize:
-        C.materialize()
-    return C
+def build_category(kind: CategoryKind, catalog: ElabCatalog) -> SubgroupCategory:
+    return SubgroupCategory(catalog, kind)
 
 
 def explicit_category(catalog: ElabCatalog,
-                      homs: dict[tuple[int, int], Iterable[Mat]]) -> SubgroupCategory:
-    """Wrap an explicit hom collection (validated for shape and injectivity)."""
-    cleaned: dict[tuple[int, int], tuple[Mat, ...]] = {}
+                      homs: dict[tuple[int, int], Iterable]) -> SubgroupCategory:
+    """Wrap an explicit hom collection, each hom-set given as rows of
+    column codes: validated for shape (one code per domain basis vector,
+    each a vector of the codomain) and full column rank."""
+    cleaned: dict[tuple[int, int], np.ndarray] = {}
     p = catalog.prime
-    for (i, j), mats in homs.items():
+    for (i, j), rows in homs.items():
         E, F = catalog.subgroups[i], catalog.subgroups[j]
-        out = set()
-        for M in mats:
-            M = tuple(tuple(int(x) % p for x in row) for row in M)
-            LinearHom(E, F, M)    # validates shape and rank
-            out.add(M)
-        if out:
-            cleaned[(i, j)] = tuple(sorted(out))
+        rows = list(rows)
+        cols = (np.array(rows, dtype=np.int64) if rows
+                else np.zeros((0, E.rank), dtype=np.int64))
+        if cols.shape != (len(rows), E.rank) or ((cols < 0) | (cols >= p ** F.rank)).any():
+            raise ValueError(f"column codes do not map rank {E.rank} into rank {F.rank}")
+        for M in _code_digits(p, F.rank)[cols].transpose(0, 2, 1).tolist():
+            if mat_rank(M, p) != E.rank:
+                raise ValueError("matrix does not have full column rank")
+        if len(cols):
+            cleaned[(i, j)] = distinct_rows(cols)
     return SubgroupCategory(catalog, None, cleaned)
 
 
 # -- closure ----------------------------------------------------------
-
-
-def _containment_lists(catalog: ElabCatalog) -> list[list[int]]:
-    sets = [frozenset(E.elements) for E in catalog.subgroups]
-    return [[j for j in range(len(sets)) if sets[j] <= sets[i]]
-            for i in range(len(sets))]
 
 
 def _key_dtype(p: int, max_rank: int, n: int):
@@ -541,23 +428,20 @@ def _decode(keys: np.ndarray, base: int, width: int,
     return (pair // n).astype(np.int64), (pair % n).astype(np.int64), cols
 
 
-def _keys_by_shape(homs: dict[tuple[int, int], Sequence[Mat]], ranks: list[int],
-                   p: int, dtype) -> dict[tuple[int, int], np.ndarray]:
-    """Sorted _hom_keys of the matrices in homs, by (codomain rank, domain
+def _shape_keys(homs: dict[tuple[int, int], np.ndarray], ranks: list[int],
+                p: int, dtype) -> dict[tuple[int, int], np.ndarray]:
+    """Sorted _hom_keys of the hom-sets in homs, by (codomain rank, domain
     rank)."""
-    n = len(ranks)
-    shapes: dict[tuple[int, int], tuple[list, list, list]] = {}
-    for (i, j), mats in homs.items():
-        doms, cods, ms = shapes.setdefault((ranks[j], ranks[i]), ([], [], []))
-        doms += [i] * len(mats)
-        cods += [j] * len(mats)
-        ms += mats
+    shapes: dict[tuple[int, int], list] = {}
+    for (i, j), cols in homs.items():
+        shapes.setdefault((ranks[j], ranks[i]), []).append((i, j, cols))
     out = {}
-    for (rows, width), (doms, cods, ms) in shapes.items():
-        mats = np.array(ms, dtype=np.int64).reshape(len(ms), rows, width)
-        cols = (mats * p ** np.arange(rows)[:, None]).sum(axis=1)
-        out[(rows, width)] = np.sort(_hom_keys(cols, np.array(doms), np.array(cods),
-                                               p ** rows, n, dtype))
+    for shape, parts in shapes.items():
+        doms, cods, sets = zip(*parts)
+        sizes = [len(c) for c in sets]
+        out[shape] = np.sort(_hom_keys(
+            np.concatenate(sets), np.repeat(doms, sizes), np.repeat(cods, sizes),
+            p ** shape[0], len(ranks), dtype))
     return out
 
 
@@ -623,13 +507,13 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     catalog = C.catalog
     n, p, ranks = len(catalog), catalog.prime, catalog.ranks()
     dtype = _key_dtype(p, max(ranks), n)
-    seed = _keys_by_shape(C.hom_dict(), ranks, p, dtype)
+    seed = _shape_keys(C.hom_dict(), ranks, p, dtype)
     base = build_category(A, catalog)
     # A-maps need rank i <= rank j; a key mod n^2 is its pair dom * n + cod
     a_homs = {(i, j): base.hom(i, j) for i in range(n) for j in range(n)
               if ranks[i] <= ranks[j]}
     missing = [keys[~find_sorted(seed.get(shape, keys[:0]), keys)[1]] % (n * n)
-               for shape, keys in _keys_by_shape(a_homs, ranks, p, dtype).items()]
+               for shape, keys in _shape_keys(a_homs, ranks, p, dtype).items()]
     missing = np.concatenate(missing)
     if len(missing):
         i, j = divmod(int(missing.min()), n)
@@ -641,11 +525,12 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
 
     # code in t of each vector code of j (-1 off t), for each t < j
     subgroups = catalog.subgroups
-    narrowing = [[(t, subgroups[t].codes_of(subgroups[j].by_code))
-                  for t in subs if t != j]
-                 for j, subs in enumerate(_containment_lists(catalog))]
+    sets = [frozenset(E.elements) for E in subgroups]
+    narrowing = [[(t, subgroups[t].codes_of(F.by_code))
+                  for t in range(n) if t != j and sets[t] <= sets[j]]
+                 for j, F in enumerate(subgroups)]
     known = np.zeros(0, dtype=dtype)      # sorted keys of every hom found
-    found: list[tuple[tuple[int, int], np.ndarray]] = []
+    found: dict[tuple[int, int], list] = {}   # the same, by shape
     pool = {shape: [keys] for shape, keys in seed.items() if len(keys)}  # new keys
 
     def offer(cols: np.ndarray, dom: np.ndarray, cod: np.ndarray, rows: int) -> None:
@@ -668,7 +553,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         d_in: list[dict] = [{} for _ in range(n)]
         d_out: list[dict] = [{} for _ in range(n)]
         for (rows, width), keys in delta.items():
-            found.append(((rows, width), keys))
+            found.setdefault((rows, width), []).append(keys)
             dom, cod, cols = _decode(keys, p ** rows, width, n)
             tables = _image_tables(cols, p, rows)
             for j, part in _by_object(cod, dom, cols).items():
@@ -697,14 +582,17 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                           rows)
             _extend(out_of[j], d_out[j])
 
-    homs: dict[tuple[int, int], list[Mat]] = {}
-    for (rows, width), keys in found:
-        dom, cod, cols = _decode(keys, p ** rows, width, n)
-        mats = _code_digits(p, rows)[cols].transpose(0, 2, 1)
-        for i, j, M in zip(dom.tolist(), cod.tolist(), mats.tolist()):
-            homs.setdefault((i, j), []).append(tuple(map(tuple, M)))
-    return SubgroupCategory(catalog, None,
-                            {k: tuple(sorted(v)) for k, v in homs.items()})
+    # each pair's rows in lexicographic order, as every hom-set is held
+    homs: dict[tuple[int, int], np.ndarray] = {}
+    for (rows, width), chunks in found.items():
+        dom, cod, cols = _decode(np.concatenate(chunks), p ** rows, width, n)
+        pair = dom * n + cod
+        order = np.lexsort((*cols.T[::-1], pair))
+        pair, cols = pair[order], cols[order]
+        cuts = np.flatnonzero(np.diff(pair)) + 1
+        for key, part in zip(pair[np.append(0, cuts)].tolist(), np.split(cols, cuts)):
+            homs[divmod(key, n)] = part
+    return SubgroupCategory(catalog, None, homs)
 
 
 # -- invariants -------------------------------------------------------
@@ -723,46 +611,30 @@ def maximal_objects(C: SubgroupCategory) -> list[list[int]]:
     ranks = catalog.ranks()
     n = len(catalog)
     if C.kind is not None:
-        reps = catalog.class_reps
-        maximal_classes = []
-        for c, rep in enumerate(reps):
-            if all(not C.hom(rep, rep2)
-                   for rep2 in reps if ranks[rep2] > ranks[rep]):
-                maximal_classes.append(c)
-        # group maximal classes into isomorphism classes
-        comps = _components(
-            maximal_classes,
-            lambda c1, c2: (ranks[reps[c1]] == ranks[reps[c2]]
-                            and bool(C.hom(reps[c1], reps[c2]))))
-        return [sorted(i for i in range(n)
-                       if catalog.class_of[i] in comp)
-                for comp in comps]
-    objs = [i for i in range(n)
-            if all(not C.hom(i, j) for j in range(n) if ranks[j] > ranks[i])]
-    comps = _components(objs, lambda a, b: (ranks[a] == ranks[b]
-                                            and bool(C.hom(a, b))))
-    return [sorted(comp) for comp in comps]
+        reps, label = catalog.class_reps, catalog.class_of
+    else:
+        reps = label = list(range(n))
+    maximal = [c for c, rep in enumerate(reps)
+               if all(not len(C.hom(rep, r)) for r in reps if ranks[r] > ranks[rep])]
+    # group the maximal labels into isomorphism classes
+    comps = _components(maximal, lambda a, b: (ranks[reps[a]] == ranks[reps[b]]
+                                               and len(C.hom(reps[a], reps[b])) > 0))
+    return [sorted(i for i in range(n) if label[i] in comp) for comp in comps]
 
 
-def _components(nodes: Sequence[int], related) -> list[list[int]]:
-    nodes = list(nodes)
-    comp_of: dict[int, int] = {}
-    comps: list[list[int]] = []
-    for a in nodes:
-        if a in comp_of:
-            continue
-        label = len(comps)
-        stack = [a]
-        comp_of[a] = label
-        members = [a]
+def _components(nodes: Sequence[int], related) -> list[set[int]]:
+    """Connected components of the symmetrized relation, in order of
+    their first node."""
+    left, comps = list(nodes), []
+    while left:
+        comp, stack = {left[0]}, [left.pop(0)]
         while stack:
             x = stack.pop()
-            for y in nodes:
-                if y not in comp_of and (related(x, y) or related(y, x)):
-                    comp_of[y] = label
-                    members.append(y)
-                    stack.append(y)
-        comps.append(sorted(members))
+            linked = [y for y in left if related(x, y) or related(y, x)]
+            left = [y for y in left if y not in linked]
+            comp.update(linked)
+            stack += linked
+        comps.append(comp)
     return comps
 
 
@@ -790,18 +662,21 @@ def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
     Hom-sets between conjugate objects differ only by composition with
     conjugation isomorphisms, which both kinds contain, so representative
     pairs decide equality on the whole category.  (The test suite spot
-    checks this against all pairs on small groups.)
+    checks this against all pairs on small groups.)  The witness is the
+    smallest matrix, as a tuple of row tuples, in one hom-set only.
     """
     C1 = build_category(kind1, catalog)
     C2 = build_category(kind2, catalog)
     reps = catalog.class_reps
+    p = catalog.prime
     for ci, ri in enumerate(reps):
         for cj, rj in enumerate(reps):
-            h1, h2 = set(C1.hom(ri, rj)), set(C2.hom(ri, rj))
+            h1, h2 = C1.hom(ri, rj).tolist(), C2.hom(ri, rj).tolist()
             if h1 != h2:
-                diff = sorted(h1 ^ h2)
-                M = diff[0]
-                side = kind1.label() if M in h1 else kind2.label()
+                s1, s2 = set(map(tuple, h1)), set(map(tuple, h2))
+                rows = catalog.subgroups[rj].rank
+                M, cols = min((matrix_of(c, p, rows), c) for c in s1 ^ s2)
+                side = kind1.label() if cols in s1 else kind2.label()
                 return EqualityVerdict(False, ci, cj, M, side)
     return EqualityVerdict(True)
 
@@ -815,13 +690,3 @@ def generic_fibre_index(catalog: ElabCatalog, E: ElabSubgroup) -> Fraction:
     den = len(build_category(A, catalog).hom(idx, idx))
     return Fraction(num, den)
 
-
-def weyl_image(G: FiniteGroup, E: ElabSubgroup) -> tuple[Mat, ...]:
-    """Matrices of the conjugation action of the normalizer of E on E."""
-    if E.ambient is not G:
-        raise CatalogMismatch("subgroup does not live in the given group")
-    if E.rank == 0:
-        return (() ,)
-    # g normalizes E once it conjugates E's basis into E
-    cols = E.codes_of(G.conjugates_by(np.arange(len(G)), E.basis))
-    return _matrices(cols[np.all(cols >= 0, axis=1)], _code_digits(E.prime, E.rank))

@@ -22,6 +22,8 @@ from math import isqrt
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from . import categories as cg
 from . import chern, fppoly, gallery
@@ -258,7 +260,7 @@ def cmd_pregular(args) -> int:
         values = doc["values"]
         if (not isinstance(values, list)
                 or len(values) != G.conjugacy.class_count()
-                or not all(isinstance(v, int) for v in values)):
+                or not all(map(_is_int, values))):
             raise InputFormatError(
                 f"{which}: need {G.conjugacy.class_count()} integer class values")
         chi = chern.CharacterVector(G, tuple(values))
@@ -284,44 +286,51 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: expected an object at top level")
     base = doc.get("base_kind")
-    kind_homs: dict[tuple[int, int], tuple] = {}
+    kind_homs: dict[tuple[int, int], np.ndarray] = {}
     if base is not None:
         try:
             kind = parse_kind(base, catalog.prime)
         except ValueError as e:
             raise InputFormatError(f"{path}: bad base_kind: {e}")
         kind_homs = cg.build_category(kind, catalog).hom_dict()
-    homs: dict[tuple[int, int], set] = {}
-    for rec in doc.get("homs", []):
-        if not isinstance(rec, dict):
-            raise InputFormatError(f"{path}: hom records must be objects")
+    homs: dict[tuple[int, int], list] = {}
+    records = doc.get("homs", [])
+    if not isinstance(records, list) or not all(
+            isinstance(r, dict) and {"domain", "codomain", "matrices"} <= set(r)
+            for r in records):
+        raise InputFormatError(f"{path}: homs must be a list of objects with "
+                               f"domain, codomain and matrices")
+    for rec in records:
+        ends = [rec["domain"], rec["codomain"]]
+        if not all(isinstance(e, list) and all(map(_is_int, e)) for e in ends):
+            raise InputFormatError(
+                f"{path}: hom record domain and codomain must be lists of integers")
         try:
-            dom = tuple(sorted(int(x) for x in rec["domain"]))
-            cod = tuple(sorted(int(x) for x in rec["codomain"]))
-            mats = rec["matrices"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputFormatError(f"{path}: bad hom record: {e}")
-        try:
-            i = catalog._by_elements[dom]
-            j = catalog._by_elements[cod]
+            i, j = (catalog._by_elements[tuple(sorted(e))] for e in ends)
         except KeyError:
             raise InputFormatError(
                 f"{path}: hom record names an element set that is not a "
                 f"catalog subgroup")
-        bucket = homs.setdefault((i, j), set())
-        for M in mats:
-            try:
-                bucket.add(tuple(tuple(int(x) for x in row) for row in M))
-            except (TypeError, ValueError) as e:
-                raise InputFormatError(f"{path}: bad matrix: {e}")
+        E, F = catalog.subgroups[i], catalog.subgroups[j]
+        mats = rec["matrices"]
+        if not isinstance(mats, list) or not all(
+                isinstance(M, list) and len(M) == F.rank and all(
+                    isinstance(r, list) and len(r) == E.rank and all(map(_is_int, r))
+                    for r in M) for M in mats):
+            raise InputFormatError(
+                f"{path}: bad matrix: each needs {F.rank} rows of {E.rank} integers")
+        homs.setdefault((i, j), []).extend(
+            cg.column_codes(M, catalog.prime) for M in mats)
     try:
-        records = cg.explicit_category(catalog, {k: tuple(v) for k, v in homs.items()})
+        explicit = cg.explicit_category(catalog, homs)
     except (ValueError, ElabcatError) as e:
         raise InputFormatError(f"{path}: invalid morphism: {e}")
     # the kind's hom-sets are valid, sorted and distinct as built
     merged = dict(kind_homs)
-    for key, mats in records.hom_dict().items():
-        merged[key] = tuple(sorted(set(kind_homs.get(key, ())) | set(mats)))
+    for key, cols in explicit.hom_dict().items():
+        if key in kind_homs:
+            cols = cg.distinct_rows(np.concatenate([kind_homs[key], cols]))
+        merged[key] = cols
     return cg.SubgroupCategory(catalog, None, merged)
 
 

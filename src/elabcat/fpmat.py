@@ -1,8 +1,10 @@
 """Tiny dense linear algebra over prime fields.
 
-Matrices are tuples of row tuples of ints reduced mod p.  Everything here
-is desk scale (dimensions at most a handful), so plain Gaussian
-elimination is used throughout.
+Matrices here are tuples of row tuples of ints reduced mod p: the matrix
+groups of the gallery builders, the rank check of explicit morphisms,
+and the test oracles.  Hom-sets themselves are arrays of column codes
+(see categories).  Everything here is desk scale (dimensions at most a
+handful), so plain Gaussian elimination is used throughout.
 """
 
 from __future__ import annotations
@@ -82,30 +84,6 @@ def span(p: int, vecs: Iterable[Vec]) -> frozenset[Vec]:
                 addition.add(tuple((x + c * y) % p for x, y in zip(s, v)))
         out |= addition
     return frozenset(out)
-
-
-def injective_matrices(p: int, rows: int, cols: int) -> tuple[Mat, ...]:
-    """All full-column-rank rows x cols matrices over F_p, sorted.
-
-    The count is injective_count(p, rows, cols).
-    """
-    if cols == 0:
-        return (tuple(() for _ in range(rows)),)
-    if rows < cols:
-        return ()
-    out = []
-    all_cols = list(itertools.product(range(p), repeat=rows))
-
-    def extend(chosen: list[Vec], spanned: frozenset[Vec]):
-        if len(chosen) == cols:
-            out.append(tuple(tuple(c[i] for c in chosen) for i in range(rows)))
-            return
-        for col in all_cols:
-            if col not in spanned:
-                extend(chosen + [col], span(p, chosen + [col]))
-
-    extend([], frozenset([(0,) * rows]))
-    return tuple(sorted(out))
 
 
 def injective_count(p: int, rows: int, cols: int) -> int:

@@ -16,7 +16,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -27,7 +26,7 @@ from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
 from .errors import CapExceeded, InputFormatError
 from .config import cap as _cap
 from .fpmat import (Mat, close_matrix_group, mat_inv, mat_mul, mat_vec,
-                    primitive_root, subspace_bases)
+                    subspace_bases)
 from .groups import FiniteGroup, Perm, close_generators
 
 # -- small finite fields ----------------------------------------------
@@ -280,8 +279,7 @@ class Prop10Build:
     group: FiniteGroup
     prime: int
     distinguished: ElabSubgroup        # translations by E + 0
-    c_hom: cg.LinearHom                # the Jordan block map on it
-    c_matrix: Mat                      # on E's standard coordinates
+    c_matrix: Mat                      # the Jordan block map on it
     max_subspaces: list[tuple]         # canonical bases of the M's
     b_elements: list[int]              # group element index of each b_M
     linear_order: int                  # order of the linear part
@@ -360,11 +358,9 @@ def build_prop10(p: int, n: int) -> Prop10Build:
         img = G.index(_affine_perm(identity_mat(dim), w, p, dim))
         cols.append(E.vector_of_index(img))
     c_matrix = tuple(tuple(col[r] for col in cols) for r in range(E.rank))
-    c_hom = cg.LinearHom(E, E, c_matrix)
 
     b_elements = [G.index(_affine_perm(M, zero, p, dim)) for M in b_mats]
-    return Prop10Build(G, p, E, c_hom, c_matrix, list(maxes), b_elements,
-                       len(linear))
+    return Prop10Build(G, p, E, c_matrix, list(maxes), b_elements, len(linear))
 
 
 def _translation_vector(G: FiniteGroup, idx: int, p: int, dim: int) -> tuple[int, ...]:
@@ -431,12 +427,21 @@ def load_entry(name: str) -> GalleryEntry:
     if not path.is_file():
         raise InputFormatError(f"no gallery entry named {name!r}; "
                                f"available: {', '.join(entry_names())}")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as e:      # JSONDecodeError is a ValueError
+        raise InputFormatError(f"{path} is not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{path}: expected an object at top level")
     for key in ("name", "builder", "params", "prime", "claims"):
         if key not in doc:
             raise InputFormatError(f"{path}: missing key {key!r}")
+    if not isinstance(doc["claims"], list):
+        raise InputFormatError(f"{path}: claims must be a list")
     claims = []
     for rec in doc["claims"]:
+        if not isinstance(rec, dict):
+            raise InputFormatError(f"{path}: each claim must be an object")
         for key in ("id", "text", "provenance", "check", "expected"):
             if key not in rec:
                 raise InputFormatError(f"{path}: claim missing key {key!r}")
@@ -503,7 +508,7 @@ class _EntryContext:
         return self._catalog
 
     def hom(self, kind: cg.CategoryKind, E: ElabSubgroup,
-            F: ElabSubgroup) -> tuple[Mat, ...]:
+            F: ElabSubgroup) -> np.ndarray:
         """Hom-set between builder subgroups, each computed once: through
         the catalog's shared cache when the entry enumerates its catalog
         anyway, else under the same canonical key here."""
@@ -728,13 +733,15 @@ def _chk_distinguished_matrix(ctx, args):
 @_check("distinguished_map_in_kind")
 def _chk_distinguished_in_kind(ctx, args):
     kind = cg.CategoryKind.parse(args["kind"])
-    return cg.hom_in_kind(kind, ctx.build.c_hom)
+    E = ctx.build.distinguished
+    codes = cg.column_codes(ctx.build.c_matrix, E.prime)
+    return bool((ctx.hom(kind, E, E) == codes).all(axis=1).any())
 
 
 @_check("an_equals_a_on_object")
 def _chk_an_equals_a(ctx, args):
     E = ctx.subgroup(args["object"])
-    return ctx.hom(cg.a_n(args["n"]), E, E) == ctx.hom(cg.A, E, E)
+    return np.array_equal(ctx.hom(cg.a_n(args["n"]), E, E), ctx.hom(cg.A, E, E))
 
 
 @_check("pointwise_block_witnesses")

@@ -1,9 +1,17 @@
 """Slow definitions, kept as test oracles.
 
-brute_hom_sets: every injective matrix of the right shape is enumerated
-and kept when the single-matrix membership test accepts it.  Nothing here
-shares code with the constructive search in ``categories.hom_matrices``
-beyond the Creg enumeration itself.
+Hom-sets here are sets of tuple matrices (tuples of row tuples); codes
+and code_rows turn them into the column codes the library holds, and
+matrix and matrices turn column codes back into tuple matrices.
+
+injective_oracle: every matrix of a shape, kept when ``fpmat.mat_rank``
+says it has full column rank.  hom_in_kind: membership of one matrix in a
+kind, straight from the definition (one transporter per subspace basis
+for A and An(n), the allowed classes of each element for Aprime and
+AprimeD).  brute_hom_sets filters the first by the second, and
+weyl_image reads the conjugation action of the normalizer by conjugating
+E's basis by every element of G.  None of them shares code with the
+breadth-first search in ``categories.hom_matrices``.
 
 brute_closure: the worklist closure, which joins every new hom with every
 stored one and restricts it to every pair of catalog subgroups.  It runs
@@ -27,22 +35,136 @@ arrays of ``fppoly.FpPolynomial``.
 """
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
-from elabcat import categories as cg
 from elabcat.elabs import ElabSubgroup
-from elabcat.fpmat import injective_matrices, mat_inv, mat_mul, mat_vec
+from elabcat.fpmat import mat_inv, mat_mul, mat_rank, mat_vec, subspace_bases
 from elabcat.groups import compose, conjugate, identity_perm
 
 
+def codes(M, p):
+    """Column codes of a tuple matrix: code k = sum_r M[r][k] p^r."""
+    width = len(M[0]) if M else 0
+    return tuple(sum(M[r][k] * p ** r for r in range(len(M))) for k in range(width))
+
+
+def matrix(cols, p, rows):
+    """The tuple matrix with the given column codes."""
+    return tuple(tuple(c // p ** r % p for c in cols) for r in range(rows))
+
+
+def code_rows(mats, p):
+    """A hom-set of tuple matrices as the library holds it: distinct rows
+    of column codes in lexicographic order, as lists."""
+    return [list(c) for c in sorted({codes(M, p) for M in mats})]
+
+
+def matrices(C):
+    """Every non-empty hom-set of C as a sorted tuple of tuple matrices."""
+    p, subgroups = C.catalog.prime, C.catalog.subgroups
+    return {(i, j): tuple(sorted(matrix(c, p, subgroups[j].rank) for c in cols.tolist()))
+            for (i, j), cols in C.hom_dict().items()}
+
+
+@lru_cache(maxsize=None)
+def injective_oracle(p, rows, cols):
+    """Every rows x cols matrix over F_p of full column rank, sorted."""
+    entries = itertools.product(range(p), repeat=rows * cols)
+    mats = (tuple(tuple(e[r * cols:(r + 1) * cols]) for r in range(rows))
+            for e in entries)
+    return tuple(sorted(M for M in mats if mat_rank(M, p) == cols))
+
+
+def _allowed_classes(E, d):
+    """For each non-identity element, the class labels of its allowed images.
+
+    e^t is the element of t times e's vector, so no group product is taken.
+    """
+    class_of = E.ambient.conjugacy.class_of
+    p = E.prime
+    units = [t for t in range(1, p) if pow(t, d, p) == 1]
+    out = {}
+    for e in E.elements:
+        v = E.vector_of_index(e)
+        if any(v):
+            out[e] = frozenset(class_of[E.index_of_vector([t * x for x in v])]
+                               for t in units)
+    return out
+
+
+def _witness_exists(G, pairs):
+    """Is there a single g with conjugate(g, a) == b for every pair."""
+    if not pairs:
+        return True
+    table = G.conjugacy
+    # a transporter is a centralizer coset, so start from the smallest one
+    sized = sorted(pairs, key=lambda ab: table.sizes[table.class_of[ab[0]]],
+                   reverse=True)
+    a0, b0 = sized[0]
+    T = G.transporter_indices(a0, b0)
+    for a, b in sized[1:]:
+        if len(T) == 0:
+            return False
+        rows = G.array[T]
+        inv_rows = np.argsort(rows, axis=1)
+        tmp = G.array[a][inv_rows]
+        conj = np.take_along_axis(rows, tmp, axis=1)
+        T = T[np.all(conj == G.array[b], axis=1)]
+    return len(T) > 0
+
+
+def hom_in_kind(kind, E, F, M):
+    """Is the injective tuple matrix M: E -> F a kind-morphism."""
+    G = E.ambient
+    p = E.prime
+    table = G.conjugacy
+    if kind.tag == "Creg":
+        return True
+    if kind.tag in ("Aprime", "AprimeD"):
+        d = 1 if kind.tag == "Aprime" else kind.param
+        for e, classes in _allowed_classes(E, d).items():
+            img = F.index_of_vector(mat_vec(M, E.vector_of_index(e), p))
+            if table.class_of[img] not in classes:
+                return False
+        return True
+    m = E.rank if kind.tag == "A" else min(kind.param, E.rank)
+    if m == 0:
+        return True
+    if m == E.rank:
+        subspaces = [tuple(tuple(1 if i == j else 0 for i in range(E.rank))
+                           for j in range(E.rank))]
+    else:
+        subspaces = subspace_bases(p, E.rank, m)
+    for basis in subspaces:
+        pairs = []
+        for v in basis:
+            a = E.index_of_vector(v)
+            b = F.index_of_vector(mat_vec(M, v, p))
+            if table.class_of[a] != table.class_of[b]:
+                return False
+            pairs.append((a, b))
+        # one matched pair always has a witness (its transporter coset)
+        if len(pairs) >= 2 and not _witness_exists(G, pairs):
+            return False
+    return True
+
+
 def brute_hom_sets(kinds, E, F):
-    """For each kind, all kind-morphisms E -> F, sorted, by filtering
-    every injective matrix."""
-    candidates = [cg.LinearHom(E, F, M)
-                  for M in injective_matrices(E.prime, F.rank, E.rank)]
-    return [tuple(h.matrix for h in candidates if cg.hom_in_kind(kind, h))
+    """For each kind, all kind-morphisms E -> F as code rows (code_rows),
+    by filtering every injective matrix."""
+    p = E.prime
+    candidates = injective_oracle(p, F.rank, E.rank)
+    return [code_rows([M for M in candidates if hom_in_kind(kind, E, F, M)], p)
             for kind in kinds]
+
+
+def weyl_image(G, E):
+    """Code rows of the conjugation action of the normalizer of E on E."""
+    # g normalizes E once it conjugates E's basis into E
+    cols = E.codes_of(G.conjugates_by(np.arange(len(G)), E.basis))
+    return sorted(set(map(tuple, cols[np.all(cols >= 0, axis=1)].tolist())))
 
 
 def subgroups_of(catalog):
@@ -77,7 +199,7 @@ def brute_closure(C):
             bucket.add(M)
             work.append((i, j, M))
 
-    for (i, j), mats in C.hom_dict().items():
+    for (i, j), mats in matrices(C).items():
         for M in mats:
             add(i, j, M)
     p = catalog.prime

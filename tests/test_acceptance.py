@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 from elabcat import categories as cg
-from elabcat.categories import hom_matrices
+from elabcat.categories import column_codes, hom_matrices
 from elabcat.chern import (dickson_check, frobenius_identity_check,
                            make_weights, p_regular_check,
                            permutation_character, regular_character,
@@ -37,6 +37,11 @@ def budget(seconds: float):
     yield
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
+
+
+def hom_set(kind, E, F):
+    """The kind's hom-set E -> F as a set of column-code tuples."""
+    return set(map(tuple, hom_matrices(kind, E, F).tolist()))
 
 
 def rank_rep(cat, rank):
@@ -117,11 +122,11 @@ def test_criterion_06_jordan_block_separates_tuple_kinds():
     with budget(30):
         b = build_prop10(2, 1)
         E = b.distinguished
-        a1 = set(hom_matrices(cg.a_n(1), E, E))
-        a2 = set(hom_matrices(cg.a_n(2), E, E))
-        plain = set(hom_matrices(cg.A, E, E))
-        assert b.c_matrix in a1
-        assert b.c_matrix not in a2
+        a1 = hom_set(cg.a_n(1), E, E)
+        a2 = hom_set(cg.a_n(2), E, E)
+        plain = hom_set(cg.A, E, E)
+        assert column_codes(b.c_matrix, 2) in a1
+        assert column_codes(b.c_matrix, 2) not in a2
         assert a2 == plain
 
 
@@ -133,11 +138,11 @@ def test_criterion_07_cyclic3_rank_zero_separation():
 
 
 def chain_on_pair(p, E, F):
-    creg = set(hom_matrices(cg.CREG, E, F))
-    plain = set(hom_matrices(cg.A, E, F))
-    aprime = set(hom_matrices(cg.APRIME, E, F))
+    creg = hom_set(cg.CREG, E, F)
+    plain = hom_set(cg.A, E, F)
+    aprime = hom_set(cg.APRIME, E, F)
     top = max(E.rank, 1) + 1
-    an = {n: set(hom_matrices(cg.a_n(n), E, F)) for n in range(1, top + 1)}
+    an = {n: hom_set(cg.a_n(n), E, F) for n in range(1, top + 1)}
     assert an[1] == aprime
     for n in range(1, top):
         assert an[n + 1] <= an[n]
@@ -145,7 +150,7 @@ def chain_on_pair(p, E, F):
     for n in range(max(E.rank, 1), top + 1):
         assert an[n] == plain
     divisors = [d for d in range(1, p) if (p - 1) % d == 0]
-    ad = {d: set(hom_matrices(cg.aprime_d(d), E, F)) for d in divisors}
+    ad = {d: hom_set(cg.aprime_d(d), E, F) for d in divisors}
     assert ad[1] == aprime
     for d in divisors:
         for d2 in divisors:
@@ -183,7 +188,7 @@ def test_criterion_09_closure_laws_and_fixed_points():
 
         def hom_dict(C):
             C.materialize()
-            return {k: set(v) for k, v in C.hom_dict().items() if v}
+            return {k: set(map(tuple, v.tolist())) for k, v in C.hom_dict().items()}
 
         for kind in (cg.A, cg.APRIME, cg.CREG, cg.a_n(1), cg.a_n(2)):
             C = cg.build_category(kind, cat)
@@ -195,9 +200,8 @@ def test_criterion_09_closure_laws_and_fixed_points():
 
         base = cg.build_category(cg.A, cat)
         homs = hom_dict(base)
-        homs[(4, 4)] = homs[(4, 4)] | {((0, 1), (1, 0))}
-        seeded = cg.explicit_category(cat, {k: tuple(sorted(v))
-                                            for k, v in homs.items()})
+        homs[(4, 4)] = homs[(4, 4)] | {column_codes(((0, 1), (1, 0)), 2)}
+        seeded = cg.explicit_category(cat, homs)
         closed = hom_dict(cg.closure(seeded))
         for key, val in hom_dict(seeded).items():
             assert val <= closed.get(key, set())

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from brute_force import hom_in_kind, weyl_image
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import (CapExceeded, CatalogMismatch, NotMaximal)
@@ -31,7 +33,8 @@ class TestKinds:
     def test_aprime_is_an1(self):
         cat = a4_catalog()
         V = cat.subgroups[4]
-        assert cg.hom_matrices(cg.APRIME, V, V) == cg.hom_matrices(cg.a_n(1), V, V)
+        assert np.array_equal(cg.hom_matrices(cg.APRIME, V, V),
+                              cg.hom_matrices(cg.a_n(1), V, V))
 
     def test_aprime_d_requires_divisor(self):
         with pytest.raises(ValueError):
@@ -43,35 +46,49 @@ class TestKinds:
             cg.hom_matrices(cg.aprime_d(3), V, V)
 
 
-class TestLinearHom:
+def images(cols, V):
+    """For a map of V given by its column codes, the image of each
+    element of V, computed from the vectors and codes alone."""
+    p = V.prime
+    out = {}
+    for i in V.elements:
+        vec = V.vector_of_index(i)
+        img = [0] * V.rank
+        for c, x in zip(cols, vec):
+            img = [(a + x * (c // p ** r % p)) % p for r, a in enumerate(img)]
+        out[i] = V.index_of_vector(img)
+    return out
+
+
+class TestExplicitHoms:
     def test_validates_shape_and_rank(self):
         cat = a4_catalog()
-        V = cat.subgroups[4]
-        E1 = cat.subgroups[1]
-        with pytest.raises(ValueError):
-            cg.LinearHom(V, V, ((1, 0),))
-        with pytest.raises(ValueError):
-            cg.LinearHom(V, V, ((1, 1), (1, 1)))
-        h = cg.LinearHom(E1, V, ((1,), (1,)))
-        assert not h.is_bijective()
-        k = cg.LinearHom(V, V, ((0, 1), (1, 0)))
-        assert k.is_bijective()
-        assert k.inverse_hom().matrix == ((0, 1), (1, 0))
+        with pytest.raises(ValueError):     # one code for a rank-2 domain
+            cg.explicit_category(cat, {(4, 4): [(1,)]})
+        with pytest.raises(ValueError):     # code 4 is no vector of rank 2
+            cg.explicit_category(cat, {(4, 4): [(1, 4)]})
+        with pytest.raises(ValueError):     # both basis vectors to (1, 1)
+            cg.explicit_category(cat, {(4, 4): [(3, 3)]})
+        C = cg.explicit_category(cat, {(1, 4): [(3,)], (4, 4): [(2, 1), (1, 2), (2, 1)]})
+        assert C.hom(1, 4).tolist() == [[3]]
+        assert C.hom(4, 4).tolist() == [[1, 2], [2, 1]]
+        assert C.hom(4, 4).dtype == np.int64
+        assert C.hom(4, 1).shape == (0, 2)
 
-    def test_apply_tracks_matrix(self):
+    def test_codes_track_matrix(self):
         cat = a4_catalog()
-        G = cat.group
         V = cat.subgroups[4]
-        h = cg.LinearHom(V, V, ((0, 1), (1, 0)))
-        for i in V.elements:
-            vec = V.vector_of_index(i)
-            img = h.apply_index(i)
-            want = tuple(sum(h.matrix[r][c] * vec[c] for c in range(2)) % 2
-                         for r in range(2))
-            assert V.vector_of_index(img) == want
-        # composition in diagram order
-        hh = h.compose_with(h)
-        assert hh.matrix == ((1, 0), (0, 1))
+        for M in (((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (1, 1))):
+            cols = cg.column_codes(M, 2)
+            assert cg.matrix_of(cols, 2, 2) == M
+            for i, img in images(cols, V).items():
+                vec = V.vector_of_index(i)
+                want = tuple(sum(M[r][c] * vec[c] for c in range(2)) % 2
+                             for r in range(2))
+                assert V.vector_of_index(img) == want
+        # entries are taken mod p; row r is digit r of every code
+        assert cg.column_codes(((2, 0), (1, 4)), 3) == (5, 3)
+        assert cg.matrix_of((5, 3), 3, 2) == ((2, 0), (1, 1))
 
 
 class TestHomSets:
@@ -90,11 +107,11 @@ class TestHomSets:
         cat = a4_catalog()
         G = cat.group
         V = cat.subgroups[4]
-        for M in cg.hom_matrices(cg.A, V, V):
-            h = cg.LinearHom(V, V, M)
+        for cols in cg.hom_matrices(cg.A, V, V).tolist():
+            image = images(cols, V)
             witnesses = [g for g in range(G.order)
                          if all(G.index(conjugate(G.element(g), G.element(i)))
-                                == h.apply_index(i)
+                                == image[i]
                                 for i in V.elements)]
             assert witnesses
 
@@ -103,17 +120,18 @@ class TestHomSets:
         G = cat.group
         table = G.conjugacy
         V = cat.subgroups[4]
-        for M in cg.hom_matrices(cg.APRIME, V, V):
-            h = cg.LinearHom(V, V, M)
-            for i in V.elements:
-                assert table.class_of[i] == table.class_of[h.apply_index(i)]
+        for cols in cg.hom_matrices(cg.APRIME, V, V).tolist():
+            for i, img in images(cols, V).items():
+                assert table.class_of[i] == table.class_of[img]
 
     def test_hom_in_kind(self):
         cat = a4_catalog()
         V = cat.subgroups[4]
-        swap = cg.LinearHom(V, V, ((0, 1), (1, 0)))
-        assert cg.hom_in_kind(cg.APRIME, swap)
-        assert not cg.hom_in_kind(cg.A, swap)
+        swap = ((0, 1), (1, 0))
+        assert hom_in_kind(cg.APRIME, V, V, swap)
+        assert not hom_in_kind(cg.A, V, V, swap)
+        assert [2, 1] in cg.hom_matrices(cg.APRIME, V, V).tolist()
+        assert [2, 1] not in cg.hom_matrices(cg.A, V, V).tolist()
 
     def test_standalone_requires_same_ambient(self):
         cat = a4_catalog()
@@ -125,8 +143,9 @@ class TestHomSets:
         cat = a4_catalog()
         one = cat.subgroups[0]
         V = cat.subgroups[4]
-        assert cg.hom_matrices(cg.A, one, V) == (((), ()),)
-        assert cg.hom_matrices(cg.A, one, one) == ((),)
+        for F in (V, one):
+            for kind in (cg.A, cg.APRIME, cg.CREG):
+                assert cg.hom_matrices(kind, one, F).shape == (1, 0)
 
 
 class TestCategory:
@@ -136,8 +155,12 @@ class TestCategory:
         lazy = {(i, j): C.hom(i, j) for i in range(5) for j in range(5)}
         C.materialize()
         for key, homs in C.hom_dict().items():
-            assert lazy[key] == homs
+            assert lazy[key] is homs
         assert C.total_homs() == 26
+        # every caller shares the cached arrays, so none may write to them
+        for D in (C, cg.closure(C)):
+            with pytest.raises(ValueError):
+                D.hom(4, 4)[0, 0] = 0
 
     def test_hom_count_guard(self):
         cat = a4_catalog()
@@ -149,7 +172,7 @@ class TestCategory:
     def test_provenance_tags(self):
         cat = a4_catalog()
         assert cg.build_category(cg.A, cat).provenance == "A"
-        homs = {(0, 0): ((),)}
+        homs = {(0, 0): [()]}
         assert cg.explicit_category(cat, homs).provenance == "explicit"
 
     def test_maximal_objects_and_components(self):
@@ -179,7 +202,7 @@ class TestCategory:
         cat = a4_catalog()
         G = cat.group
         V = cat.subgroups[4]
-        assert set(cg.weyl_image(G, V)) == set(cg.hom_matrices(cg.A, V, V))
+        assert weyl_image(G, V) == list(map(tuple, cg.hom_matrices(cg.A, V, V).tolist()))
 
 
 class TestInclusions:
@@ -189,11 +212,9 @@ class TestInclusions:
         for i in reps:
             for j in reps:
                 E, F = cat.subgroups[i], cat.subgroups[j]
-                a = set(cg.hom_matrices(cg.A, E, F))
-                an2 = set(cg.hom_matrices(cg.a_n(2), E, F))
-                an1 = set(cg.hom_matrices(cg.a_n(1), E, F))
-                ap = set(cg.hom_matrices(cg.APRIME, E, F))
-                reg = set(cg.hom_matrices(cg.CREG, E, F))
+                a, an2, an1, ap, reg = (
+                    set(map(tuple, cg.hom_matrices(kind, E, F).tolist()))
+                    for kind in (cg.A, cg.a_n(2), cg.a_n(1), cg.APRIME, cg.CREG))
                 assert a <= an2 <= an1 <= reg
                 assert an1 == ap
                 # p-rank of A_4 at p=2 is 2, so the rank-2 kind is A

@@ -104,6 +104,13 @@ class TestAnalyze:
         assert "catalog_cap" in r.stderr
 
 
+def main_input_error(capsys, *argv):
+    """Run the CLI in process and check for exit 2 with one stderr line."""
+    assert cli.main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+
+
 def assert_input_error(r):
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
@@ -200,6 +207,19 @@ class TestGallery:
         r = run_cli("gallery", "nope")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"name": "x", "claims": [',                       # not JSON
+        '[1, 2]',                                          # not an object
+        '{"name": "x", "builder": "affine", "params": {"q": 4}, "prime": 2, '
+        '"claims": [1]}',                                  # a claim not an object
+        '{"name": "x", "builder": "affine", "params": {"q": 4}, "prime": 2, '
+        '"claims": 7}',
+    ])
+    def test_malformed_entry_file(self, tmp_path, capsys, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        main_input_error(capsys, "gallery", str(path))
+
 
 class TestPolynomialCommands:
     def test_dickson_output(self):
@@ -268,6 +288,13 @@ class TestPolynomialCommands:
                     "--character", str(path))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("values", [[True, 1, 1, 1], [12, 0, 0, 0.5]])
+    def test_pregular_values_must_be_integers(self, a4_path, tmp_path, capsys, values):
+        path = tmp_path / "chi.json"
+        path.write_text(json.dumps({"values": values}))
+        main_input_error(capsys, "pregular", a4_path, "--prime", "2",
+                         "--character", str(path))
+
 
 class TestClosure:
     def test_swap_closes_to_aprime(self, a4_path, tmp_path):
@@ -299,6 +326,46 @@ class TestClosure:
         r = run_cli("closure", a4_path, "--prime", "2", "--category",
                     str(path))
         assert r.returncode == 5
+
+    @pytest.mark.parametrize("record", [
+        # read as the swap by int(x) before integers were required
+        {"domain": ["0", "3", 8, 11.7], "codomain": [0, 3, 8, 11],
+         "matrices": [[[0.5, 1.9], [1, 0]]]},
+        {"domain": [0, 3, 8, 11], "codomain": [0, 3, 8, 11],
+         "matrices": [[[0.5, 1.9], [1, 0]]]},
+        {"domain": [0, 3, 8, 11], "codomain": [0, 3, 8, 11],
+         "matrices": [[[False, True], [True, False]]]},
+        {"domain": [0, True, 8, 11], "codomain": [0, 3, 8, 11],
+         "matrices": [[[0, 1], [1, 0]]]},
+        {"domain": [0, 3, 8, 11], "codomain": [0, 3, 8, 11],
+         "matrices": [[[0, 1]]]},                        # one row for rank 2
+        {"domain": [0, 3, 8, 11], "codomain": [0, 3, 8, 11],
+         "matrices": [[[1, 1], [1, 1]]]},                # not injective
+        {"domain": [0, 3, 8, 11], "codomain": [0, 3, 8, 11],
+         "matrices": [[0, 1]]},
+        {"domain": [0, 3, 8, 11], "codomain": [0, 3, 8, 11]},
+        [0, 3, 8, 11],
+    ])
+    def test_malformed_record_rejected(self, a4_path, tmp_path, capsys, record):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"base_kind": "A", "homs": [record]}))
+        main_input_error(capsys, "closure", a4_path, "--prime", "2",
+                         "--category", str(path))
+
+    def test_homs_must_be_a_list(self, a4_path, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"base_kind": "A", "homs": 7}))
+        main_input_error(capsys, "closure", a4_path, "--prime", "2",
+                         "--category", str(path))
+
+    def test_entries_are_read_mod_p(self, a4_path, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"base_kind": "A", "homs": [
+            {"domain": [0, 3, 8, 11], "codomain": [0, 3, 8, 11],
+             "matrices": [[[2, -1], [3, 0]]]}]}))
+        assert cli.main(["closure", a4_path, "--prime", "2", "--category",
+                         str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["hom_count_after"] == 29
 
     def test_unknown_subgroup_rejected(self, a4_path, tmp_path):
         path = tmp_path / "cat.json"

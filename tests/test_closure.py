@@ -11,15 +11,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from brute_force import brute_closure, restriction, subgroups_of
+from brute_force import (brute_closure, codes, injective_oracle, matrices,
+                         restriction, subgroups_of)
 from elabcat import categories as cg
 from elabcat import gallery
 from elabcat.cli import main
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import ClosureGuardError
-from elabcat.fpmat import injective_matrices, mat_inv, mat_mul
+from elabcat.fpmat import mat_inv, mat_mul
 from elabcat.groups import close_generators
-from test_hom_cache import small_groups
+from test_hom_cache import assert_held_canonically, small_groups
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -30,17 +31,12 @@ def a4_catalog():
 
 
 def hom_dict(C):
-    C.materialize()
-    return {k: set(v) for k, v in C.hom_dict().items() if v}
+    """Every non-empty hom-set of C as a set of column-code tuples."""
+    return {k: set(map(tuple, v.tolist())) for k, v in C.hom_dict().items()}
 
 
 def with_extra(catalog, extra_matrix):
-    base = cg.build_category(cg.A, catalog)
-    base.materialize()
-    homs = {k: set(v) for k, v in base.hom_dict().items()}
-    homs[(4, 4)] = homs.get((4, 4), set()) | {extra_matrix}
-    return cg.explicit_category(catalog, {k: tuple(sorted(v))
-                                          for k, v in homs.items()})
+    return a_category_plus(catalog, [((4, 4), extra_matrix)])
 
 
 class TestFixedPoints:
@@ -89,7 +85,7 @@ class TestClosureLaws:
 
     def test_guard_requires_all_base_homs(self):
         cat = a4_catalog()
-        C = cg.explicit_category(cat, {(4, 4): (((1, 0), (0, 1)),)})
+        C = cg.explicit_category(cat, {(4, 4): [(1, 2)]})    # the identity
         with pytest.raises(ClosureGuardError):
             cg.closure(C)
 
@@ -139,20 +135,20 @@ def check_closed(catalog, seed, closed):
 
 
 def check_against_oracle(C):
-    seed = C.hom_dict()
+    seed = matrices(C)
     closed = cg.closure(C)
-    got = closed.hom_dict()
+    assert_held_canonically(closed.hom_dict(), C.catalog)
+    got = matrices(closed)
     assert got == brute_closure(C)
     check_closed(C.catalog, seed, got)
-    assert cg.closure(closed).hom_dict() == got
+    assert matrices(cg.closure(closed)) == got
 
 
 def a_category_plus(catalog, extra):
-    """The A-category of catalog with the extra ((i, j), matrix) maps."""
-    homs = defaultdict(set, {k: set(v) for k, v in
-                             cg.build_category(cg.A, catalog).hom_dict().items()})
+    """The A-category of catalog with the extra ((i, j), tuple matrix) maps."""
+    homs = defaultdict(set, hom_dict(cg.build_category(cg.A, catalog)))
     for key, M in extra:
-        homs[key].add(M)
+        homs[key].add(codes(M, catalog.prime))
     return cg.explicit_category(catalog, homs)
 
 
@@ -173,7 +169,7 @@ def seeded_categories(draw):
     chosen = [draw(st.sampled_from(side)) for side in (square, wide) if side]
     chosen += draw(st.lists(st.sampled_from(pairs), max_size=2))
     extra = [((i, j), draw(st.sampled_from(
-        injective_matrices(catalog.prime, ranks[j], ranks[i])))) for i, j in chosen]
+        injective_oracle(catalog.prime, ranks[j], ranks[i])))) for i, j in chosen]
     return a_category_plus(catalog, extra)
 
 
@@ -225,7 +221,7 @@ def test_each_composable_pair_is_multiplied_once(make, monkeypatch):
                         lambda cols, *rest: keyed.append(len(cols)) or real(cols, *rest))
     C = make()
     catalog, p = C.catalog, C.catalog.prime
-    closed = cg.closure(C).hom_dict()
+    closed = matrices(cg.closure(C))
     into, out_of = Counter(), Counter()
     for (i, j), mats in closed.items():
         out_of[i] += len(mats)
@@ -263,9 +259,9 @@ class TestHomKeys:
 
     def test_closure_with_python_int_keys(self, monkeypatch):
         C = gl3_2_grow()
-        want = cg.closure(C).hom_dict()
+        want = matrices(cg.closure(C))
         monkeypatch.setattr(cg, "_key_dtype", lambda *args: object)
-        assert cg.closure(C).hom_dict() == want
+        assert matrices(cg.closure(C)) == want
 
 
 @pytest.mark.parametrize("report", sorted(p.name for p in GOLDEN.glob("*.closure.json")))

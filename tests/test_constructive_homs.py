@@ -2,15 +2,21 @@
 invariants that neither computes: Weyl images and kind inclusion chains.
 
 The groups are random two-generator subgroups of S5 and S6, and every
-ordered pair of their catalogs is checked.
+ordered pair of their catalogs is checked.  The Creg search is also
+checked on its own against every full-rank matrix, for p up to 5 and
+every shape up to rank 3.
 """
 
+from functools import lru_cache
+
+
+import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import brute_hom_sets
+from brute_force import brute_hom_sets, code_rows, injective_oracle, weyl_image
 from elabcat import categories as cg
-from elabcat.elabs import enumerate_elabs, p_rank
+from elabcat.elabs import ElabSubgroup, enumerate_elabs, p_rank
 from elabcat.gallery import affine_group
 from elabcat.groups import close_generators
 from test_hom_cache import small_groups
@@ -27,13 +33,15 @@ def check_catalog(G, p):
     catalog = enumerate_elabs(G, p)
     kinds = chain(p, p_rank(catalog))
     for E in catalog.subgroups:
-        assert set(cg.weyl_image(G, E)) == set(cg.hom_matrices(cg.A, E, E))
+        a_auts = cg.hom_matrices(cg.A, E, E).tolist()
+        assert weyl_image(G, E) == list(map(tuple, a_auts))
         for F in catalog.subgroups:
             homs = [cg.hom_matrices(kind, E, F) for kind in kinds]
             for kind, got, want in zip(kinds, homs, brute_hom_sets(kinds, E, F)):
-                assert got == want, kind.label()
+                assert got.dtype == np.int64 and got.shape == (len(want), E.rank)
+                assert got.tolist() == want, kind.label()
             for small, large in zip(homs, homs[1:]):
-                assert set(small) <= set(large)
+                assert set(map(tuple, small.tolist())) <= set(map(tuple, large.tolist()))
 
 
 # products of small symmetric groups: rank 2 at p=3 and rank 3 at p=2,
@@ -65,4 +73,29 @@ def test_full_general_linear_aut_group():
     assert V.rank == 4
     assert len(cg.hom_matrices(cg.APRIME, V, V)) == 20160
     assert len(cg.hom_matrices(cg.A, V, V)) == 15
-    assert cg.hom_matrices(cg.APRIME, V, V) == cg.hom_matrices(cg.CREG, V, V)
+    assert np.array_equal(cg.hom_matrices(cg.APRIME, V, V),
+                          cg.hom_matrices(cg.CREG, V, V))
+
+
+@lru_cache(maxsize=None)
+def cycles(p, k=3):
+    """(Z/p)^k as k disjoint p-cycles on p*k points, with the element
+    index of each cycle."""
+    gens = [tuple(x - x % p + (x + 1) % p if x // p == i else x for x in range(p * k))
+            for i in range(k)]
+    G = close_generators(p * k, gens)
+    return G, [G.index(g) for g in gens]
+
+
+@given(p=st.sampled_from([2, 3, 5]), rows=st.integers(0, 3), cols=st.integers(0, 3))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_creg_search_matches_every_full_rank_matrix(p, rows, cols):
+    assume(p ** (rows * cols) <= 4096)
+    G, gens = cycles(p)
+    E = ElabSubgroup.generated_by(G, p, gens[:cols])
+    F = ElabSubgroup.generated_by(G, p, gens[:rows])
+    got = cg.hom_matrices(cg.CREG, E, F)
+    want = code_rows(injective_oracle(p, rows, cols), p)
+    assert got.dtype == np.int64 and got.shape == (len(want), cols)
+    assert got.tolist() == want

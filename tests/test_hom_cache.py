@@ -2,7 +2,9 @@
 
 Golden analyze reports pin the output; a property test checks every
 kind identity behind the canonical keys against uncached hom_matrices;
-call counting checks that no (canonical kind, pair) is computed twice.
+call counting checks that no (canonical kind, pair) is computed twice;
+every cached hom-set is held in the one form: an int64 array of column
+codes with distinct rows in lexicographic order.
 """
 
 import json
@@ -13,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from elabcat import categories as cg
-from elabcat import gallery
+from elabcat import cli, gallery
 from elabcat.cli import _dump, analyze_report, load_category, load_group
 from elabcat.elabs import enumerate_elabs, p_rank
 from elabcat.groups import close_generators
@@ -76,8 +80,40 @@ def test_canonical_kinds_agree_with_uncached_homs(G, p):
         for j, F in enumerate(catalog.subgroups):
             direct = {k: cg.hom_matrices(k, E, F) for k in kinds}
             for kind, C in zip(aliases, views):
-                assert direct[cg.canonical(kind, E.rank)] == direct[kind]
-                assert C.hom(i, j) == direct[kind]
+                assert np.array_equal(direct[cg.canonical(kind, E.rank)], direct[kind])
+                assert np.array_equal(C.hom(i, j), direct[kind])
+
+
+def assert_held_canonically(homs, catalog):
+    """Each hom-set i -> j in homs is an int64 (maps, rank i) array of
+    column codes below p^(rank j), rows distinct and increasing."""
+    p, subgroups = catalog.prime, catalog.subgroups
+    for (i, j), cols in homs.items():
+        assert cols.dtype == np.int64
+        assert cols.ndim == 2 and cols.shape[1] == subgroups[i].rank
+        assert ((cols >= 0) & (cols < p ** subgroups[j].rank)).all()
+        rows = list(map(tuple, cols.tolist()))
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+@given(G=small_groups(), p=st.sampled_from([2, 3]))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_analyze_caches_hom_sets_as_sorted_code_arrays(G, p):
+    catalogs = []
+
+    def recorded(*args):
+        catalogs.append(enumerate_elabs(*args))
+        return catalogs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "enumerate_elabs", recorded)
+        assume(len(enumerate_elabs(G, p)) <= 80)
+        analyze_report(G, p)
+    (catalog,) = catalogs
+    assert catalog.homs
+    assert_held_canonically({(i, j): cols for (_kind, i, j), cols in catalog.homs.items()},
+                            catalog)
 
 
 @pytest.fixture
