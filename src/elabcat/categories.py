@@ -55,6 +55,7 @@ as one numpy gather per middle object and pair of ranks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,13 +162,6 @@ def distinct_rows(cols: np.ndarray) -> np.ndarray:
 
 # -- hom-set computation ----------------------------------------------
 
-def _unit_subgroup(p: int, d: int) -> tuple[int, ...]:
-    """The order-d subgroup of the units mod p; d must divide p-1."""
-    if (p - 1) % d != 0:
-        raise ValueError(f"parameter {d} does not divide {p - 1}")
-    return tuple(t for t in range(1, p) if pow(t, d, p) == 1)
-
-
 def _code_digits(p: int, r: int) -> np.ndarray:
     """(p^r, r) array whose row c is the vector of code c = sum v_i p^i.
 
@@ -194,7 +188,7 @@ def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
     if len(elems) == 1:
         return np.array(targets, dtype=np.int64)[:, None]
     cosets = G.transporter_indices(first, F.by_code[targets])
-    images = F.codes_of(G.conjugates_by(cosets, elems))
+    images = F.codes_of(G.conjugate_indices(cosets, elems))
     return images[np.all(images >= 0, axis=1)]
 
 
@@ -207,7 +201,8 @@ def _class_respecting(E: ElabSubgroup, d: int, F: ElabSubgroup) -> np.ndarray:
     F_cls = np.array([class_of[e] for e in F.by_code.tolist()])
     E_digits, weights = _code_digits(p, E.rank), p ** np.arange(E.rank)
     ok = np.zeros((len(E), len(F)), dtype=bool)
-    for t in _unit_subgroup(p, d):
+    # the order-d units mod p; E has elements of order p, so p <= degree
+    for t in (t for t in range(1, p) if pow(t, d, p) == 1):
         powers = E_cls[(t * E_digits % p) @ weights]     # class of e^t
         ok |= powers[:, None] == F_cls[None, :]
     return ok
@@ -223,8 +218,19 @@ def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarra
     whose last nonzero coordinate is k, and each one is checked against
     ok at once.  ok never allows the identity as the image of another
     element, so every survivor is injective.
+
+    Raises CapExceeded("hom_count_cap") before the search when the
+    product over basis vectors of their allowed images, a bound on the
+    maps, passes the hom count cap.
     """
     p, s = E.prime, F.rank
+    limit = _cap("hom_count_cap")
+    bound = math.prod(int(ok[p ** k].sum()) for k in range(E.rank))
+    if bound > limit:
+        raise CapExceeded(
+            "hom_count_cap",
+            f"a hom-set of rank {E.rank} into rank {s} may hold {bound} maps, "
+            f"more than the cap ({limit}); raise ELABCAT_HOM_COUNT_CAP to allow more")
     F_digits, F_weights = _code_digits(p, s), p ** np.arange(s)
     coef = np.arange(1, p)
     cols = np.zeros((1, 0), dtype=np.int64)   # image codes of the basis so far
@@ -277,10 +283,13 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
         raise CatalogMismatch("hom-set needs a common ambient group and prime")
     kind = canonical(kind, E.rank)
     d = kind.param if kind.tag == "AprimeD" else 1
-    _unit_subgroup(E.prime, d)              # rejects d not dividing p-1
+    if (E.prime - 1) % d:
+        raise ValueError(f"parameter {d} does not divide {E.prime - 1}")
     none = np.zeros((0, E.rank), dtype=np.int64)
     if E.rank > F.rank:
         return none
+    if not E.rank:                          # every kind holds the one empty map
+        return np.zeros((1, 0), dtype=np.int64)
     if kind == CREG:                        # any image but code 0, the identity
         return _basis_search(E, np.broadcast_to(np.arange(len(F)) > 0, (len(E), len(F))), F)
     class_of = E.ambient.conjugacy.class_of
@@ -289,7 +298,7 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     if d == 1 and (Counter(class_of[e] for e in E.elements)
                    - Counter(class_of[f] for f in F.elements)):
         return none
-    if kind == A and E.rank:
+    if kind == A:
         # conjugators inducing the same map give repeated rows
         return distinct_rows(_conjugation_images(E.ambient, E.basis, F))
     cols = _basis_search(E, _class_respecting(E, d, F), F)

@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import cap as _cap
 from .elabs import ElabCatalog
-from .errors import CatalogMismatch
+from .errors import CapExceeded, CatalogMismatch
 from .fpmat import gl_generators
 from .fppoly import FpPolynomial
 from .groups import FiniteGroup
@@ -55,8 +56,21 @@ def make_weights(p: int, rank: int, rows: Sequence[Sequence[int]]) -> WeightList
     return WeightList(p, rank, tuple(tuple(int(x) % p for x in r) for r in rows))
 
 
+def _check_count(base: int, exp: int = 1) -> None:
+    """CapExceeded("term_cap") before base^exp weights, or terms of the
+    regular product, are built or multiplied out."""
+    limit = _cap("term_cap")
+    # a base of at least 2 passes the cap once exp passes its bit length
+    if base ** min(exp, limit.bit_length()) > limit:
+        raise CapExceeded(
+            "term_cap",
+            f"{base}^{exp} weights pass the term cap ({limit}); "
+            f"raise ELABCAT_TERM_CAP to allow more")
+
+
 def regular_weights(p: int, n: int) -> WeightList:
     """Every character of (Z/p)^n exactly once, in lex order."""
+    _check_count(p, n)
     return WeightList(p, n, tuple(itertools.product(range(p), repeat=n)))
 
 
@@ -76,6 +90,7 @@ def total_chern(weights: WeightList) -> FpPolynomial:
     every prefix of the list, and prefixes are not subspaces.
     """
     p, n = weights.prime, weights.rank
+    _check_count(len(weights))
     level = [FpPolynomial.linear_form(p, w) + 1
              for w in weights.weights] or [FpPolynomial.one(p, n)]
     while len(level) > 1:
@@ -135,6 +150,7 @@ def regular_rep_product(p: int, n: int) -> FpPolynomial:
     so this is the multiplicative form of the regular character list; it
     is symmetric and reduces to the elementary symmetric basis.
     """
+    _check_count(p, n)
     out = FpPolynomial.one(p, n)
     for i in range(n):
         out = out * FpPolynomial(p, n, {tuple(k if j == i else 0 for j in range(n)): 1

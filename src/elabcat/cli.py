@@ -92,7 +92,9 @@ def parse_kind(text: str, p: int) -> cg.CategoryKind:
 
 def default_kinds(p: int, prank: int, max_n: Optional[int]) -> list[cg.CategoryKind]:
     kinds = [cg.A, cg.APRIME]
-    kinds += [cg.aprime_d(d) for d in range(2, p) if (p - 1) % d == 0]
+    # the divisors d > 1 of p-1, by trial division up to its square root
+    small = [d for d in range(1, isqrt(p - 1) + 1) if (p - 1) % d == 0]
+    kinds += [cg.aprime_d(d) for d in sorted({*small, *((p - 1) // d for d in small)} - {1})]
     top = prank if max_n is None else min(max_n, prank)
     kinds += [cg.a_n(n) for n in range(1, top + 1)]
     return kinds
@@ -413,12 +415,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT,
+# the smallest strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n < PRIME_LIMIT."""
+    if n < 2 or any(n % a == 0 for a in MR_BASES):
+        return n in MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def check_numbers(args) -> None:
-    """Reject a --prime that is not prime, a --rank below 1 and a negative
-    --max-n."""
+    """Reject a --prime that is not prime or too large to test, a --rank
+    below 1 and a negative --max-n."""
     p = getattr(args, "prime", None)
-    if p is not None and (p < 2 or any(p % q == 0
-                                       for q in range(2, isqrt(p) + 1))):
+    if p is not None and p >= PRIME_LIMIT:
+        raise InputFormatError(f"--prime {p} is too large to test (limit {PRIME_LIMIT})")
+    if p is not None and not is_prime(p):
         raise InputFormatError(f"--prime {p} is not a prime")
     n = getattr(args, "rank", None)
     if n is not None and n < 1:

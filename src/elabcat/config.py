@@ -2,9 +2,9 @@
 
 ELABCAT_ELEMENT_CAP    max group order enumerated by close_generators (65536)
 ELABCAT_CATALOG_CAP    max subgroups in one catalog (5000)
-ELABCAT_HOM_COUNT_CAP  max estimated morphisms in a materialized category, or in
-                       a Creg one before its first hom-set (2000000)
-ELABCAT_TERM_CAP       max stored monomials per polynomial (200000)
+ELABCAT_HOM_COUNT_CAP  max estimated morphisms in a materialized category, a Creg
+                       one before its first hom-set, or a searched hom-set (2000000)
+ELABCAT_TERM_CAP       max stored monomials per polynomial, or weights per list (200000)
 """
 
 import os

@@ -352,12 +352,11 @@ def is_conjugate_subgroup(G: FiniteGroup, E: ElabSubgroup,
         return G.element(G.identity_index)
     # g maps E onto F once it conjugates E's basis into F
     gs = G.transporter_indices(E.basis[0], F.elements[1:])    # y != identity
-    hits = np.flatnonzero((F.codes_of(G.conjugates_by(gs, E.basis)) >= 0).all(axis=1))
+    hits = np.flatnonzero((F.codes_of(G.conjugate_indices(gs, E.basis)) >= 0).all(axis=1))
     return G.element(int(gs[hits[0]])) if len(hits) else None
 
 
 def conjugate_subgroup(G: FiniteGroup, g: Perm, E: ElabSubgroup) -> ElabSubgroup:
     """The subgroup g^-1 * E * g."""
-    gi = G.index(g)
-    conj = G.conjugate_indices(gi, np.array(E.elements, dtype=np.int64))
-    return ElabSubgroup.from_element_indices(G, E.prime, (int(c) for c in conj))
+    conj = G.conjugate_indices(G.index(g), E.elements)
+    return ElabSubgroup.from_element_indices(G, E.prime, conj)

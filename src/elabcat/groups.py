@@ -16,12 +16,15 @@ layouts reproducible between runs.  A lookup of arbitrary rows (index,
 membership, products with arbitrary elements, conjugates) is one binary
 search of the rows' byte keys for a whole batch of rows (indices_of_rows).
 
-Two derived structures replace most such lookups (Seress, Permutation
-Group Algorithms, 2003):
+Every group comes from one breadth-first closure (close_generators),
+whose walk of the Cayley graph forms each product e * g once (Seress,
+Permutation Group Algorithms, 2003).  It hands the group its sorted rows,
+their keys and the right tables (the index of e * g for each generator g
+and every element e), from which, with no further lookup, come
 
-* generator tables: for each generator g, the index of g^-1 * e * g and of
-  e * g for every element e, each one batched lookup over the whole
-  group; orbits under the generators (conjugacy classes here, subgroup
+* the conjugation tables, the index of g^-1 * e * g, gathered through
+  the right tables and the inverses (the one whole-group lookup);
+  orbits under the generators (conjugacy classes here, subgroup
   classes in elabs) are then gathers from these tables: min-label
   propagation numbers each orbit by its smallest member, and one
   breadth-first search from all those members at once finds witnesses
@@ -30,12 +33,13 @@ Group Algorithms, 2003):
   two elements of G are equal exactly when they agree on the base, and a
   commutation test x*y == y*x is a comparison of 2*len(base) images.
 
-``elements``, the rows as a list of tuples, is built once and only read.
+``elements``, the rows as a list of tuples, is built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -45,9 +49,6 @@ from .config import cap as _cap
 from .errors import CapExceeded, DegreeMismatch, InvalidPermutation
 
 Perm = tuple[int, ...]
-
-# group elements (rows of images) per block of a temporary array
-_BLOCK = 1024
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -252,7 +253,7 @@ class ConjugacyTable:
 
 
 class FiniteGroup:
-    """An exhaustively enumerated permutation group.
+    """An exhaustively enumerated permutation group (see close_generators).
 
     Elements are kept sorted; all index-valued APIs refer to positions in
     that sorted order, and the identity, the smallest permutation, is
@@ -261,32 +262,25 @@ class FiniteGroup:
     is immutable after construction, so concurrent readers are safe.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Perm],
-                 elements: Sequence[Perm] | np.ndarray, name: str = ""):
+    def __init__(self, degree: int, generators: np.ndarray, table: np.ndarray,
+                 keys: np.ndarray, right: np.ndarray, name: str = ""):
+        # rows sorted by their keys, identity first; right as in generator_tables
         self.degree = degree
-        self.generators = list(map(tuple, _perm_rows(generators, degree).tolist()))
-        rows = _perm_rows(elements, degree)
-        keys = row_keys(rows)
-        order = np.argsort(keys)
-        self._arr, self._keys = rows[order], keys[order]
-        self.name = name or f"group<deg {degree}, order {len(rows)}>"
-        if (self._keys[1:] == self._keys[:-1]).any():
-            raise InvalidPermutation("duplicate elements")
-        if not len(rows) or (self._arr[0] != np.arange(degree)).any():
-            raise InvalidPermutation("element list lacks the identity")
+        self.generators = list(map(tuple, generators.tolist()))
+        self._arr, self._keys, self._right = table, keys, right
+        self.name = name or f"group<deg {degree}, order {len(table)}>"
         self.identity_index = 0
-        self.elements = list(map(tuple, self._arr.tolist()))
         self._inv_idx: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._conj: ConjugacyTable | None = None
-        self._tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._conj_table: np.ndarray | None = None
         self._base: np.ndarray | None = None
         self._cent_memo: dict[int, np.ndarray] = {}
 
     # -- basic lookups ------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._arr)
 
     def __iter__(self):
         return iter(self.elements)
@@ -303,10 +297,15 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._arr)
+
+    @cached_property
+    def elements(self) -> list[Perm]:
+        """The rows as a list of tuples, built on first read; do not mutate."""
+        return list(map(tuple, self._arr.tolist()))
 
     def element(self, i: int) -> Perm:
-        return self.elements[i]
+        return tuple(self._arr[i].tolist())
 
     def index(self, perm: Perm) -> int:
         try:
@@ -330,18 +329,14 @@ class FiniteGroup:
     def generator_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(conj, right), each a (len(generators), order) int64 array:
         conj[k][i] is the index of g^-1 * e * g and right[k][i] the index
-        of e * g, for e = element i and g = generators[k].  Each row is one
-        lookup over the whole group; do not mutate."""
-        if self._tables is None:
-            gens = _perm_rows(self.generators, self.degree)
-            conj = np.empty((len(gens), len(self)), dtype=np.int64)
-            right = np.empty_like(conj)
-            for k, g in enumerate(gens):
-                # row x of e * g is g[e[x]]; of g^-1 * e * g it is g[e[ginv[x]]]
-                right[k] = self.indices_of_rows(g[self._arr])
-                conj[k] = self.indices_of_rows(g[self._arr[:, np.argsort(g)]])
-            self._tables = conj, right
-        return self._tables
+        of e * g, for e = element i and g = generators[k].  right is the
+        closure's; conj[k] = r[inv[r[inv]]] for r = right[k] and
+        inv = inverse_indices, as g^-1 * e * g = ((e^-1 * g)^-1) * g.  Do
+        not mutate."""
+        if self._conj_table is None:
+            r, inv = self._right, self.inverse_indices
+            self._conj_table = np.take_along_axis(r, inv[r[:, inv]], axis=1)
+        return self._conj_table, self._right
 
     @property
     def base(self) -> np.ndarray:
@@ -374,9 +369,6 @@ class FiniteGroup:
         out = self.indices_of_rows(rows.reshape(-1, self.degree))
         return int(out[0]) if rows.ndim == 1 else out.reshape(rows.shape[:-1])
 
-    def inv(self, i: int) -> int:
-        return int(self.inverse_indices[i])
-
     @property
     def inverse_indices(self) -> np.ndarray:
         if self._inv_idx is None:
@@ -403,29 +395,23 @@ class FiniteGroup:
             self._orders = np.lcm.reduce(cycle, axis=1)[list(table.class_of)]
         return self._orders
 
-    def conjugate_indices(self, g: int, targets: np.ndarray) -> np.ndarray:
-        """Indices of g^-1 * e * g for each element index e in targets."""
-        gp = self._arr[g]
-        ginv = np.argsort(gp)
-        return self.indices_of_rows(gp[self._arr[targets][:, ginv]])
+    def conjugate_indices(self, g, targets) -> np.ndarray:
+        """Indices of g^-1 * e * g for each element index e in targets.
 
-    def conjugates_by(self, gs: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-        """(len(gs), len(targets)) indices: row i holds g^-1 * e * g for
-        g = gs[i] and each target e.
-
-        One gather per target over a block of the gs at a time, so the
-        temporary arrays stay small on large groups.
+        g is an index, giving shape (len(targets),), or a 1-D index array,
+        giving shape (len(g), len(targets)) with row i for g[i].  Each
+        block of the g's (see blocks) is one gather and one lookup.
         """
-        t_rows = self._arr[list(targets)]
+        gs = np.atleast_1d(np.asarray(g, dtype=np.int64))
+        t_rows = self._arr[np.asarray(targets, dtype=np.int64)]
         out = np.empty((len(gs), len(t_rows)), dtype=np.int64)
-        for start in range(0, len(gs), _BLOCK):
-            g = self._arr[gs[start:start + _BLOCK]]
-            ginv = np.argsort(g, axis=1)
-            for k, ep in enumerate(t_rows):
-                # row x of g^-1 * e * g is g[e[ginv[x]]]
-                conj = np.take_along_axis(g, ep[ginv], axis=1)
-                out[start:start + _BLOCK, k] = self.indices_of_rows(conj)
-        return out
+        for b in blocks(len(gs), len(t_rows) * self.degree):
+            ginv = np.argsort(self._arr[gs[b]], axis=1)
+            # row x of g^-1 * e * g is g[e[ginv[x]]]
+            conj = self._arr.ravel()[gs[b, None, None] * self.degree
+                                     + t_rows[:, ginv].swapaxes(0, 1)]
+            out[b] = self.indices_of_rows(conj.reshape(-1, self.degree)).reshape(conj.shape[:2])
+        return out if np.ndim(g) else out[0]
 
     # -- conjugacy ----------------------------------------------------
 
@@ -448,97 +434,112 @@ class FiniteGroup:
     # -- centralizers and transporters --------------------------------
 
     def centralizer_indices(self, e: int) -> np.ndarray:
-        """Sorted int64 indices of the elements commuting with element e.
-
-        Only the representative rep of e's conjugacy class is found by a
-        scan of G.  Every other e is conjugate(w, rep) for its witness
-        w = conjugacy.witness[e], and conjugation by w is an automorphism,
-        so C_G(e) = w^-1 * C_G(rep) * w: one conjugate_indices call over
-        C_G(rep) and a sort.  Each result is memoized for the callers that
-        ask for one element's centralizer: transporter_indices and the
-        gallery checks.
-        """
-        memo = self._cent_memo.get(e)
-        if memo is not None:
-            return memo
-        table = self.conjugacy
-        rep = table.reps[table.class_of[e]]
-        cent = self._cent_memo.get(rep)
+        """Sorted int64 indices of the elements commuting with element e:
+        one scan of G, memoized for transporter_indices, which asks for
+        class representatives, and for the gallery checks."""
+        cent = self._cent_memo.get(e)
         if cent is None:
-            rp = self._arr[rep]
-            # g*rep == rep*g  <=>  rep(g(x)) == g(rep(x)) for all x
-            mask = np.all(rp[self._arr] == self._arr[:, rp], axis=1)
-            cent = self._cent_memo[rep] = np.flatnonzero(mask).astype(np.int64)
-        if e != rep:
-            cent = self._cent_memo[e] = np.sort(
-                self.conjugate_indices(table.witness[e], cent))
+            ep = self._arr[e]
+            # g*e == e*g  <=>  e(g(x)) == g(e(x)) for all x
+            mask = np.all(ep[self._arr] == self._arr[:, ep], axis=1)
+            cent = self._cent_memo[e] = np.flatnonzero(mask).astype(np.int64)
         return cent
 
     def transporter_indices(self, a: int, b) -> np.ndarray:
         """Sorted indices of all g with conjugate(g, a) == b; for a list of
         b's, those cosets joined in the order of the b's.
 
-        Each is the coset C(a) * g0 from a single witness g0, so the cost
-        after the conjugacy table exists is one centralizer scan and one
-        lookup for all the b's.
+        With rep the representative of a's class and w_a, w_b the class
+        witnesses of a and b, g qualifies exactly when w_a * g * w_b^-1
+        centralizes rep: the set w_a^-1 * C(rep) * w_b, one gather over the
+        memoized C(rep) and one lookup for all the b's.
         """
         table = self.conjugacy
         bs = [t for t in np.atleast_1d(b).tolist() if table.class_of[t] == table.class_of[a]]
-        # row of g0 = wa^-1 * wb for each b, so that conjugate(g0, a) == b
-        g0 = self._arr[[table.witness[t] for t in bs]][:, self._arr[self.inv(table.witness[a])]]
-        cent = self._arr[self.centralizer_indices(a)]
-        rows = g0[np.arange(len(bs))[:, None, None], cent]    # c * g0 for c in C(a)
-        idx = self.indices_of_rows(rows.reshape(-1, self.degree)).reshape(len(bs), len(cent))
+        # row x of w_a^-1 * h is h[w_a^-1[x]], and of h * w_b it is w_b[h[x]]
+        left = self._arr[self.centralizer_indices(table.reps[table.class_of[a]])][
+            :, self._arr[self.inverse_indices[table.witness[a]]]]
+        rows = self._arr[[table.witness[t] for t in bs]][:, left]
+        idx = self.indices_of_rows(rows.reshape(-1, self.degree)).reshape(len(bs), len(left))
         idx.sort(axis=1)
         return idx.ravel()
 
 
-def _fresh(rows: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows whose keys are not among the sorted keys seen,
-    sorted by key, and their keys."""
-    keys = row_keys(rows)
-    order = np.argsort(keys)
-    rows, keys = rows[order], keys[order]
-    keep = np.concatenate(([True], keys[1:] != keys[:-1]))
-    keep &= ~find_sorted(seen, keys)[1]
-    return rows[keep], keys[keep]
-
-
 def close_generators(degree: int, generators: Iterable[Sequence[int]],
                      element_cap: int | None = None, name: str = "") -> FiniteGroup:
-    """Breadth-first closure of a generator list into a FiniteGroup.
+    """Breadth-first closure of a generator list into a FiniteGroup, the
+    only way one is built.
 
     Each level multiplies the elements first found in the last one by
-    every generator, a block of rows at a time, and keeps the products
-    whose keys are new.  Raises CapExceeded("element_cap") once the group
-    has more elements than the cap (default from config, override via
-    argument).
+    every generator, a block of rows at a time; products whose keys are
+    not among the sorted keys found so far, made distinct, are the next
+    level.  Elements are numbered as found, a product's number is its
+    entry of the right table, and numbers become sorted positions at the
+    end.  Raises CapExceeded("element_cap") once the group has more
+    elements than the cap (default from config, override via argument).
     """
     limit = element_cap if element_cap is not None else _cap("element_cap")
     gens = _perm_rows(generators, degree)
-    seen = row_keys(np.zeros((0, degree), dtype=np.int32))   # sorted keys found
-    found: list[np.ndarray] = []
-    level = [np.arange(degree, dtype=np.int32)[None]]       # candidate blocks
-    while level:
-        rows, keys = _fresh(np.concatenate(level), seen)
-        if len(seen) + len(rows) > limit:
+    rows = np.arange(degree, dtype=np.int32)[None]    # the last level, by key
+    keys = row_keys(rows)                             # every key found, sorted
+    number = np.zeros(1, dtype=np.int64)              # and the number of each
+    found, right = [rows], []                         # rows and right, by level
+    while len(rows):
+        n = len(keys)
+        if n > limit:
             raise CapExceeded(
                 "element_cap",
                 f"group closure passed the element cap ({limit}); "
                 f"raise ELABCAT_ELEMENT_CAP to allow more")
-        seen = np.sort(np.concatenate((seen, keys)))
+        entries = np.empty((len(gens), len(rows)), dtype=np.int64)
+        fresh_rows, fresh_at = [rows[:0]], [number[:0]]
+        for k, g in enumerate(gens):
+            for b in blocks(len(rows), degree):
+                prods = g[rows[b]]                    # f then g
+                prod_keys = row_keys(prods)
+                at, old = find_sorted(keys, prod_keys)
+                entries[k, b][old] = number[at[old]]
+                fresh_rows.append(prods[~old])
+                fresh_at.append(k * len(rows) + b.start + np.flatnonzero(~old))
+        cand = row_keys(np.concatenate(fresh_rows))
+        order = np.argsort(cand)
+        cand = cand[order]
+        first = np.ones(len(cand), dtype=bool)
+        first[1:] = cand[1:] != cand[:-1]
+        entries.ravel()[np.concatenate(fresh_at)[order]] = n - 1 + np.cumsum(first)
+        rows, new_keys = np.concatenate(fresh_rows)[order[first]], cand[first]
+        at = np.searchsorted(keys, new_keys)
+        keys = np.insert(keys, at, new_keys)
+        number = np.insert(number, at, np.arange(n, n + len(rows)))
         found.append(rows)
-        level = [_fresh(g[rows[s:s + _BLOCK]], seen)[0]    # f then g
-                 for g in gens for s in range(0, len(rows), _BLOCK)]
-        level = [block for block in level if len(block)]
-    return FiniteGroup(degree, gens, np.concatenate(found), name=name)
+        right.append(entries)
+    index = np.argsort(number)                        # sorted position of each number
+    return FiniteGroup(degree, gens, np.concatenate(found)[number], keys,
+                       index[np.concatenate(right, axis=1)[:, number]], name=name)
 
 
 def from_elements(degree: int, elements: Iterable[Sequence[int]] | np.ndarray,
                   name: str = "") -> FiniteGroup:
-    """Wrap an already closed element list (no closure check performed)."""
+    """The group of exactly the listed elements, closed from greedy
+    generators: each the smallest listed element outside the subgroup so
+    far, which it at least doubles, so there are at most log2 |G|.  Raises
+    InvalidPermutation unless the closure is exactly the list."""
     rows = _perm_rows(elements, degree)
-    return FiniteGroup(degree, rows, rows, name=name)
+    keys = row_keys(rows)
+    rows, keys = rows[np.argsort(keys)], np.sort(keys)
+    gens = rows[:0]
+    while True:
+        try:
+            G = close_generators(degree, gens, element_cap=len(rows), name=name)
+        except CapExceeded:
+            raise InvalidPermutation("element list is not closed under products") from None
+        inside = find_sorted(G._keys, keys)[1]
+        if inside.all():
+            break
+        gens = np.vstack((gens, rows[np.argmin(inside)]))
+    if len(G) != len(rows) or (G._keys != keys).any():
+        raise InvalidPermutation("element list is not a group")
+    return G
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyTable:
@@ -568,5 +569,5 @@ def normalizer(G: FiniteGroup, subgroup: Iterable[Perm]) -> FiniteGroup:
     inside = np.zeros(len(G), dtype=bool)
     sub = [G.index(e) for e in subgroup]
     inside[sub] = True
-    keep = inside[G.conjugates_by(np.arange(len(G)), sub)].all(axis=1)
+    keep = inside[G.conjugate_indices(np.arange(len(G)), sub)].all(axis=1)
     return from_elements(G.degree, G.array[keep], name=f"normalizer in {G.name}")

@@ -163,7 +163,7 @@ def brute_hom_sets(kinds, E, F):
 def weyl_image(G, E):
     """Code rows of the conjugation action of the normalizer of E on E."""
     # g normalizes E once it conjugates E's basis into E
-    cols = E.codes_of(G.conjugates_by(np.arange(len(G)), E.basis))
+    cols = E.codes_of(G.conjugate_indices(np.arange(len(G)), E.basis))
     return sorted(set(map(tuple, cols[np.all(cols >= 0, axis=1)].tolist())))
 
 

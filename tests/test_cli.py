@@ -125,6 +125,25 @@ class TestBadInput:
     def test_dickson_non_prime(self):
         assert_input_error(run_cli("dickson", "--prime", "4", "--rank", "2"))
 
+    @pytest.mark.parametrize("n", [
+        3215031751,                          # strong pseudoprime to 2, 3, 5, 7
+        3825123056546413051,                 # ... to every prime base up to 23
+        318665857834031151167461,            # ... up to 37
+        (1 << 89) + 1,                       # divisible by 3
+    ])
+    def test_large_composites_are_not_prime(self, n):
+        assert not cli.is_prime(n)
+
+    def test_primality_matches_trial_division(self):
+        slow = [n for n in range(2, 5000) if all(n % q for q in range(2, n))]
+        assert [n for n in range(-3, 5000) if cli.is_prime(n)] == slow
+        assert cli.is_prime(1_000_000_000_000_000_003) and cli.is_prime((1 << 89) - 1)
+
+    def test_prime_past_the_test_limit(self):
+        r = run_cli("dickson", "--prime", str(cli.PRIME_LIMIT), "--rank", "1")
+        assert_input_error(r)
+        assert "too large" in r.stderr
+
     @pytest.mark.parametrize("cmd", ["dickson", "symreduce"])
     def test_rank_below_one(self, cmd):
         assert_input_error(run_cli(cmd, "--prime", "2", "--rank", "0"))
@@ -174,6 +193,44 @@ class TestGuardsAndFailures:
         assert r.returncode == 3
         assert r.stderr.startswith("error: guard hom_count_cap: ")
         assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_search_built_hom_sets_are_guarded(self, tmp_path):
+        # AGL(1,32) from x -> x xor 1 and x -> t*x mod t^5+t^2+1: its 31
+        # translations form one class, so Aprime on the translations may
+        # send each basis vector anywhere in it, a bound of 31^5 maps
+        def times_t(x):
+            return (x << 1) ^ 0b100101 if x & 16 else x << 1
+        gens = [[x ^ 1 for x in range(32)], [times_t(x) for x in range(32)]]
+        path = tmp_path / "agl1-32.json"
+        path.write_text(json.dumps({"name": "agl1-32", "degree": 32,
+                                    "generators": gens}))
+        start = time.perf_counter()
+        r = run_cli("analyze", str(path), "--prime", "2")
+        assert time.perf_counter() - start < 5
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: guard hom_count_cap: ")
+        assert "28629151" in r.stderr
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args, code", [
+        (["dickson", "--prime", "1000000000000000003", "--rank", "1"], 3),
+        (["symreduce", "--prime", "1000000000000000003", "--rank", "1"], 3),
+        (["dickson", "--prime", "1009", "--rank", "2"], 3),
+        (["dickson", "--prime", "2", "--rank", "1000000000"], 3),
+        (["analyze", None, "--prime", "4294967311"], 0),
+        (["analyze", None, "--prime", "4294967311", "--kinds", "A,Aprime"], 0),
+    ])
+    def test_large_primes_finish(self, a4_path, args, code):
+        start = time.perf_counter()
+        r = run_cli(*[a4_path if a is None else a for a in args])
+        assert time.perf_counter() - start < 5
+        assert r.returncode == code, r.stderr
+        if code == 3:
+            assert r.stderr.startswith("error: guard term_cap: ")
+        else:
+            doc = json.loads(r.stdout)
+            assert doc["catalog"]["size"] == 1
+            assert list(doc["kinds"])[:2] == ["A", "Aprime"]
 
     def test_unexpected_exception_is_one_line(self, monkeypatch, capsys):
         def broken(p, n):

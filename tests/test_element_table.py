@@ -16,7 +16,8 @@ from brute_force import (brute_catalog, brute_conjugacy, brute_coordinates,
                          brute_group, scan_centralizer)
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
-from elabcat.groups import close_generators, compose, conjugate, perm_order
+from elabcat.groups import (centralizer, close_generators, compose, conjugate,
+                            normalizer, perm_order)
 
 
 @st.composite
@@ -118,8 +119,7 @@ def test_greedy_base():
 @settings(max_examples=12, deadline=None)
 def test_centralizers_match_scan(group):
     G = close_generators(*group)
-    # every element: the identity, each class representative and the
-    # rest; non-representatives first, so each is conjugated from a cold memo
+    # every element: the identity, each class representative and the rest
     for e in reversed(range(len(G))):
         cent = G.centralizer_indices(e)
         assert cent.dtype == np.int64
@@ -127,6 +127,27 @@ def test_centralizers_match_scan(group):
         assert cent.tolist() == scan_centralizer(G, e).tolist()
         assert G.centralizer_indices(e) is cent
     assert G.centralizer_indices(G.identity_index).tolist() == list(range(len(G)))
+
+
+@given(group=generated_groups(max_degree=6), rnd=st.randoms())
+@example(group=(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]), rnd=random.Random(0))
+@settings(max_examples=12, deadline=None)
+def test_centralizer_and_normalizer_match_scan(group, rnd):
+    n, gens = group
+    G = close_generators(n, gens)
+    elements = brute_group(n, gens)
+    chosen = sorted({rnd.choice(elements) for _ in range(rnd.randint(1, 3))})
+    cent = [g for g in elements if all(compose(g, e) == compose(e, g) for e in chosen)]
+    norm = [g for g in elements if all(conjugate(g, e) in chosen for e in chosen)]
+    for H, want in ((centralizer(G, chosen), cent), (normalizer(G, chosen), norm)):
+        assert H.elements == want
+        # the greedy generators at least double the subgroup at each step
+        assert len(H.generators) <= len(H).bit_length() - 1
+        index = {e: i for i, e in enumerate(want)}
+        conj, right = H.generator_tables
+        for k, g in enumerate(H.generators):
+            assert right[k].tolist() == [index[compose(e, g)] for e in want]
+            assert conj[k].tolist() == [index[conjugate(g, e)] for e in want]
 
 
 @given(group=generated_groups())

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elabcat.errors import CapExceeded, InvalidPermutation
-from elabcat.groups import (centralizer, close_generators, compose,
-                            conjugacy_classes, conjugate, from_elements,
-                            identity_perm, inverse, normalizer, perm_order,
-                            perm_power, transporter)
+from elabcat.groups import (FiniteGroup, centralizer, close_generators,
+                            compose, conjugacy_classes, conjugate,
+                            from_elements, identity_perm, inverse,
+                            normalizer, perm_order, perm_power, transporter)
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
 
@@ -142,14 +142,16 @@ class TestFiniteGroup:
                 want = G.index(conjugate(G.element(g), G.element(i)))
                 assert got[i] == want
 
-    def test_conjugates_by_many(self):
+    def test_conjugate_indices_many(self):
         G = close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
         gs = np.arange(G.order)[::7]
-        got = G.conjugates_by(gs, [3, 50, 119])
+        got = G.conjugate_indices(gs, [3, 50, 119])
         assert got.shape == (len(gs), 3)
         for row, g in zip(got, gs):
             for e, c in zip([3, 50, 119], row):
                 assert c == G.index(conjugate(G.element(g), G.element(e)))
+            assert G.conjugate_indices(g, [3, 50, 119]).tolist() == row.tolist()
+        assert G.conjugate_indices(gs, []).shape == (len(gs), 0)
 
     def test_indices_of_rows(self):
         G = a4()
@@ -163,3 +165,34 @@ class TestFiniteGroup:
     def test_element_list_needs_identity(self):
         with pytest.raises(InvalidPermutation):
             from_elements(3, [(1, 2, 0), (2, 0, 1)])
+        with pytest.raises(InvalidPermutation):
+            from_elements(3, [(1, 0, 2), (1, 0, 2)])    # closes to 2 elements
+        with pytest.raises(InvalidPermutation):
+            from_elements(3, [])
+
+    def test_element_list_must_be_closed_and_distinct(self):
+        G = a4()
+        with pytest.raises(InvalidPermutation):
+            from_elements(4, G.elements[:-1])
+        with pytest.raises(InvalidPermutation):
+            from_elements(4, G.elements + [(1, 0, 2, 3)])    # an odd element
+        with pytest.raises(InvalidPermutation):
+            from_elements(4, G.elements + G.elements[3:4])
+
+    def test_from_elements_greedy_generators(self):
+        G = close_generators(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
+        H = from_elements(7, G.array[::-1], name="S7 again")
+        assert (H.array == G.array).all()
+        assert len(H.generators) <= 12
+        # each generator is the smallest element outside the ones before it
+        assert H.generators[0] == G.element(1)
+
+    def test_tables_make_one_lookup(self, monkeypatch):
+        G = close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        calls = []
+        lookup = FiniteGroup.indices_of_rows
+        monkeypatch.setattr(FiniteGroup, "indices_of_rows",
+                            lambda self, rows: calls.append(len(rows)) or lookup(self, rows))
+        G.generator_tables
+        G.conjugacy
+        assert calls == [len(G)]                # inverse_indices
