@@ -25,14 +25,20 @@ All of these are closed under composition, restriction to subgroups, and
 inverses of bijective members, which the closure operator below makes
 checkable for arbitrary explicitly given hom collections.
 
-hom_matrices builds each hom-set from the definition of its kind, once
-canonical() has merged the kinds that coincide out of the domain:
+Each hom-set is built from the definition of its kind, once canonical()
+has merged the kinds that coincide out of the domain:
 
-  A            Quillen's transporter description (Ann. of Math. 94, 1971):
-               the maps induced by the g with g^-1 E g inside F.  Such g
-               lie in the transporter cosets taking E's first basis
-               element into F; the rest of the basis is conjugated by all
-               of them in one gather, and the distinct images are kept;
+  A            a row at a time, every A-morphism out of one object, by
+               Quillen's factorization (Ann. of Math. 94, 1971): each is
+               a conjugation isomorphism followed by an inclusion, so
+               Hom_A(E, F) is Aut_A(E) carried onto each conjugate of E
+               inside F.  Aut_A(E) is read once per class representative
+               E, from the g with g^-1 E g = E; the row of another member
+               E^w is E's row composed with conjugation by w^-1, one
+               gather (_a_rows).  Without a catalog, hom_matrices builds
+               one pair from the same conjugation images: the g with
+               g^-1 E g inside F, which lie in the transporter cosets
+               taking E's first basis element into F;
   Aprime,      a backtracking search over the images of E's basis vectors,
   AprimeD(d),  breadth first over numpy arrays: fixing the image of basis
   Creg         vector k fixes that of every vector whose last nonzero
@@ -56,9 +62,11 @@ as one numpy gather per middle object and pair of ranks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -68,7 +76,7 @@ from .elabs import ElabCatalog, ElabSubgroup
 from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
 # perfbench/tracing.py counts closure joins through categories.mat_mul
 from .fpmat import Mat, injective_count, mat_mul, mat_rank, subspace_bases  # noqa: F401
-from .groups import FiniteGroup, blocks, find_sorted, sorted_distinct
+from .groups import FiniteGroup, blocks, find_sorted, ranges, sorted_distinct
 
 # -- kinds ------------------------------------------------------------
 
@@ -307,6 +315,86 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     return cols
 
 
+def _runs(keys: np.ndarray) -> list[int]:
+    """Where each run of equal entries of a non-empty array starts, then
+    its length."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))).tolist()
+
+
+def _a_rows(catalog: ElabCatalog, sources: Iterable[int], limit: int) -> None:
+    """Build row i of A, every A-morphism out of member i, for each source
+    i, as catalog.a_rows[i] = (targets, bounds, cols): Hom_A(i, targets[t])
+    is cols[bounds[t]:bounds[t + 1]], and only non-empty hom-sets appear.
+
+    Quillen's factorization: an A-morphism is a conjugation isomorphism
+    followed by an inclusion.  With E the representative of a source's
+    class and E_k = w_k^-1 E w_k its members (w_k the class witnesses),
+    Hom_A(E_s, F) is c_k o Aut_A(E) o c_s^-1 over the members E_k inside
+    F, where c_k: E -> E_k is conjugation by w_k; maps through distinct
+    E_k have distinct images, so no map repeats.  Per class, Aut_A(E) is
+    one _conjugation_images call and every c_k one conjugate_indices
+    call; catalog.containers gives the targets.  A source's c_s^-1 is a
+    gather from the image tables of Aut_A(E).  The sources of one rank
+    then share one catalog.codes_in lookup of the images and one sort.
+
+    Raises CapExceeded("hom_count_cap") before building when the maps
+    of the rows, |Aut_A(E)| per member inside a target, pass limit.
+    """
+    G, p, n = catalog.group, catalog.prime, len(catalog)
+    starts, supers = catalog.containers
+    class_starts, by_class, witnesses = catalog.class_table
+    sources, wanted = sorted(set(sources)), {}
+    # member 0, the trivial subgroup, maps into every member by the empty map
+    trivial = bool(sources) and sources[0] == 0
+    for i in sources[trivial:]:
+        wanted.setdefault(catalog.class_of[i], []).append(i)
+    plan: dict[int, list] = {}      # by rank: (E, members, witnesses, sources, Aut_A(E))
+    total = n * trivial
+    for c, srcs in sorted(wanted.items()):
+        E = catalog.subgroups[catalog.class_reps[c]]
+        span = slice(class_starts[c], class_starts[c + 1])
+        aut = distinct_rows(_conjugation_images(G, E.basis, E))
+        members = by_class[span]
+        total += len(srcs) * len(aut) * int((starts[members + 1] - starts[members]).sum())
+        plan.setdefault(E.rank, []).append((E, members, witnesses[span], np.array(srcs), aut))
+    if total > limit:
+        raise CapExceeded(
+            "hom_count_cap",
+            f"the A hom-sets out of {len(sources)} objects hold {total} maps, "
+            f"more than the cap ({limit}); raise ELABCAT_HOM_COUNT_CAP to allow more")
+    if trivial:
+        empty = np.zeros((n, 0), dtype=np.int64)
+        empty.flags.writeable = False
+        catalog.a_rows[0] = (list(range(n)), list(range(n + 1)), empty)
+    for r, classes in plan.items():
+        pairs, images = [], []
+        for E, members, witness, srcs, aut in classes:
+            conj = G.conjugate_indices(witness, E.by_code)     # row k: c_k by code
+            k_of, at = ranges(starts[members], starts[members + 1])
+            if (srcs == members[0]).all():      # the representative: c_s is 1
+                pulled = aut[:, None]
+            else:   # c_s^-1 on E_s's basis, then each automorphism: codes in E
+                onto = catalog.codes_in(srcs[:, None], conj[np.searchsorted(members, srcs)])
+                pulled = _image_tables(aut, p, r)[:, np.argsort(onto, axis=1)[:, p ** np.arange(r)]]
+            # (source, target, automorphism): the images of the basis in G
+            pairs.append((srcs[:, None] * n + supers[at]).repeat(len(aut)))
+            images.append(conj[k_of[:, None, None], pulled.swapaxes(0, 1)[:, None]]
+                          .reshape(len(pairs[-1]), r))
+        pair, cols = np.concatenate(pairs), np.concatenate(images)
+        for b in blocks(len(pair), r):
+            cols[b] = catalog.codes_in(pair[b, None] % n, cols[b])
+        order = np.lexsort((*cols.T[::-1], pair))
+        pair, cols = pair[order], cols[order]
+        cols.flags.writeable = False
+        bounds = _runs(pair)
+        src, dst = np.divmod(pair[bounds[:-1]], n)
+        mine = np.sort(np.concatenate([srcs for _, _, _, srcs, _ in classes]))
+        lo, hi = np.searchsorted(src, mine), np.searchsorted(src, mine, side="right")
+        dst = dst.tolist()
+        for i, a, b in zip(mine.tolist(), lo.tolist(), hi.tolist()):
+            catalog.a_rows[i] = (dst[a:b], bounds[a:b + 1], cols)
+
+
 # -- categories -------------------------------------------------------
 
 
@@ -340,6 +428,16 @@ class SubgroupCategory:
             return self._homs.get((i, j), np.zeros((0, E.rank), dtype=np.int64))
         key = (canonical(self.kind, E.rank), i, j)
         got = self.catalog.homs.get(key)
+        if got is None and key[0] == A:
+            # read off row i, built first if need be; a row holds only the
+            # non-empty hom-sets, each kept in the cache once read
+            if i not in self.catalog.a_rows:
+                _a_rows(self.catalog, [i], _cap("hom_count_cap"))
+            targets, bounds, cols = self.catalog.a_rows[i]
+            t = bisect_left(targets, j)
+            if t == len(targets) or targets[t] != j:
+                return np.zeros((0, E.rank), dtype=np.int64)
+            got = self.catalog.homs[key] = cols[bounds[t]:bounds[t + 1]]
         if got is None:
             if key[0] == CREG and not self._sized:
                 # Creg lists every injective matrix: refuse the category
@@ -364,20 +462,32 @@ class SubgroupCategory:
                 f"raise ELABCAT_HOM_COUNT_CAP to allow more")
 
     def materialize(self, hom_count_cap: Optional[int] = None) -> None:
-        """Compute every hom-set; guarded by the hom count estimate."""
-        if self.kind is not None:
-            self._check_size(hom_count_cap)
-            self.hom_dict()
+        """Compute every hom-set; guarded by the hom count cap."""
+        self.hom_dict(hom_count_cap)
 
     def total_homs(self) -> int:
         return sum(len(v) for v in self.hom_dict().values())
 
-    def hom_dict(self) -> dict[tuple[int, int], np.ndarray]:
-        """Every non-empty hom-set, materializing a kind-backed category."""
+    def hom_dict(self, hom_count_cap: Optional[int] = None
+                 ) -> dict[tuple[int, int], np.ndarray]:
+        """Every non-empty hom-set in row-major order, materializing a
+        kind-backed category: A by its rows, guarded by their exact size,
+        other kinds pair by pair, guarded by the estimate of _check_size."""
         if self.kind is None:
             return {k: v for k, v in self._homs.items() if len(v)}
-        self._check_size()
-        n = len(self.catalog)
+        catalog, n = self.catalog, len(self.catalog)
+        if self.kind == A:
+            limit = hom_count_cap if hom_count_cap is not None else _cap("hom_count_cap")
+            missing = [i for i in range(n) if i not in catalog.a_rows]
+            if missing:
+                _a_rows(catalog, missing, limit)
+            out = {}
+            for i in range(n):
+                targets, bounds, cols = catalog.a_rows[i]
+                for j, a, b in zip(targets, bounds, bounds[1:]):
+                    out[i, j] = catalog.homs.setdefault((A, i, j), cols[a:b])
+            return out
+        self._check_size(hom_count_cap)
         pairs = ((i, j) for i in range(n) for j in range(n))
         return {(i, j): h for i, j in pairs if len(h := self.hom(i, j))}
 
@@ -517,10 +627,8 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     n, p, ranks = len(catalog), catalog.prime, catalog.ranks()
     dtype = _key_dtype(p, max(ranks), n)
     seed = _shape_keys(C.hom_dict(), ranks, p, dtype)
-    base = build_category(A, catalog)
-    # A-maps need rank i <= rank j; a key mod n^2 is its pair dom * n + cod
-    a_homs = {(i, j): base.hom(i, j) for i in range(n) for j in range(n)
-              if ranks[i] <= ranks[j]}
+    a_homs = build_category(A, catalog).hom_dict()
+    # a key mod n^2 is its pair dom * n + cod
     missing = [keys[~find_sorted(seed.get(shape, keys[:0]), keys)[1]] % (n * n)
                for shape, keys in _shape_keys(a_homs, ranks, p, dtype).items()]
     missing = np.concatenate(missing)
@@ -532,12 +640,17 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
             f"morphism{'s' if count != 1 else ''} "
             f"on object pair ({i}, {j})")
 
-    # code in t of each vector code of j (-1 off t), for each t < j
-    subgroups = catalog.subgroups
-    sets = [frozenset(E.elements) for E in subgroups]
-    narrowing = [[(t, subgroups[t].codes_of(F.by_code))
-                  for t in range(n) if t != j and sets[t] <= sets[j]]
-                 for j, F in enumerate(subgroups)]
+    # per object j and rank: the objects t strictly inside j, and the code
+    # in each t of every vector code of j (-1 off t)
+    starts, supers = catalog.containers
+    inner, at = ranges(starts[:-1], starts[1:])
+    outer = supers[at]
+    inner, outer = inner[inner != outer], outer[inner != outer]
+    narrowing: list[dict] = [{} for _ in range(n)]
+    top = max(ranks) + 1
+    for key, (ts, _) in _by_object(outer * top + np.array(ranks)[inner], inner, inner).items():
+        j, r = divmod(key, top)
+        narrowing[j][r] = (ts, catalog.codes_in(ts[:, None], catalog.subgroups[j].by_code))
     known = np.zeros(0, dtype=dtype)      # sorted keys of every hom found
     found: dict[tuple[int, int], list] = {}   # the same, by shape
     pool = {shape: [keys] for shape, keys in seed.items() if len(keys)}  # new keys
@@ -574,12 +687,14 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                 offer(inverse, cod, dom, rows)
         for j in range(n):
             _extend(into[j], d_in[j])
-            for dom, cols in d_in[j].values():
-                for t, code_t in narrowing[j]:
-                    img = code_t[cols]
-                    ok = (img >= 0).all(axis=1)
-                    if ok.any():
-                        offer(img[ok], dom[ok], np.full(int(ok.sum()), t), ranks[t])
+            for width, (dom, cols) in d_in[j].items():
+                for rows, (ts, codes) in narrowing[j].items():
+                    if rows < width:
+                        continue
+                    for b in blocks(len(cols), len(ts) * width):
+                        img = codes[:, cols[b]]             # (t, f, column)
+                        t, f = np.nonzero((img >= 0).all(axis=2))
+                        offer(img[t, f], dom[b][f], ts[t], rows)
             pairs = [(r, g, f) for r, g in d_out[j].items() for f in into[j].values()]
             pairs += [(r, g, f) for r, g in out_of[j].items() for f in d_in[j].values()]
             for rows, (cod, tables), (dom, cols) in pairs:
@@ -598,9 +713,10 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         pair = dom * n + cod
         order = np.lexsort((*cols.T[::-1], pair))
         pair, cols = pair[order], cols[order]
-        cuts = np.flatnonzero(np.diff(pair)) + 1
-        for key, part in zip(pair[np.append(0, cuts)].tolist(), np.split(cols, cuts)):
-            homs[divmod(key, n)] = part
+        bounds = _runs(pair)
+        i, j = np.divmod(pair[bounds[:-1]], n)
+        homs.update(zip(zip(i.tolist(), j.tolist()),
+                        map(cols.__getitem__, map(slice, bounds, bounds[1:]))))
     return SubgroupCategory(catalog, None, homs)
 
 

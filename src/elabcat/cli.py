@@ -18,7 +18,8 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -90,11 +91,61 @@ def parse_kind(text: str, p: int) -> cg.CategoryKind:
     return kind
 
 
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard's rho with Brent's
+    cycle search and batched gcds (Brent, BIT 20, 1980)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g, k = gcd(q, n), k + 128
+            r *= 2
+        if g == n:          # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1: trial division of the shrinking
+    cofactor by the d below 1000 up to its square root, then Pollard-Brent
+    rho on what is left, each part tested with is_prime."""
+    out: dict[int, int] = {}
+    d = 2
+    while d < 1000 and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            rest += [f, m // f]
+    return out
+
+
 def default_kinds(p: int, prank: int, max_n: Optional[int]) -> list[cg.CategoryKind]:
     kinds = [cg.A, cg.APRIME]
-    # the divisors d > 1 of p-1, by trial division up to its square root
-    small = [d for d in range(1, isqrt(p - 1) + 1) if (p - 1) % d == 0]
-    kinds += [cg.aprime_d(d) for d in sorted({*small, *((p - 1) // d for d in small)} - {1})]
+    # the divisors d > 1 of p-1, from its prime factors
+    divisors = [1]
+    for q, e in prime_factors(p - 1).items():
+        divisors = [d * q ** k for d in divisors for k in range(e + 1)]
+    kinds += [cg.aprime_d(d) for d in sorted(divisors)[1:]]
     top = prank if max_n is None else min(max_n, prank)
     kinds += [cg.a_n(n) for n in range(1, top + 1)]
     return kinds

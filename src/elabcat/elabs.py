@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,8 +31,8 @@ import numpy as np
 from .config import cap as _cap
 from .errors import (CapExceeded, CatalogMismatch, ElementNotInSubgroup,
                      InvalidPermutation)
-from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, row_keys,
-                     row_positions, sorted_distinct)
+from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, ranges,
+                     row_keys, row_positions, sorted_distinct)
 
 Vector = tuple[int, ...]
 
@@ -174,8 +175,9 @@ class ElabCatalog:
     group element index conjugating the class representative onto
     subgroup i (setwise).  maximal[i] is rank-maximality under inclusion
     into other catalog members.  homs caches hom-sets under keys
-    (canonical kind, i, j) for every category over this catalog; only
-    categories.SubgroupCategory.hom reads or fills it.
+    (canonical kind, i, j) for every category over this catalog, and
+    a_rows holds row i of A, every A-morphism out of member i, once it
+    is built; only categories reads or fills them.
     """
 
     group: FiniteGroup
@@ -187,6 +189,7 @@ class ElabCatalog:
     maximal: list[bool]
     _by_elements: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
     homs: dict = field(default_factory=dict, repr=False, compare=False)
+    a_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -215,6 +218,65 @@ class ElabCatalog:
     def maximal_class_indices(self) -> list[int]:
         # maximality is a class invariant; checked in the test suite
         return [c for c, rep in enumerate(self.class_reps) if self.maximal[rep]]
+
+    @cached_property
+    def class_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, members, witnesses): members[starts[c]:starts[c + 1]]
+        are the members of class c, increasing, each beside its witness."""
+        class_of = np.array(self.class_of)
+        members = np.argsort(class_of, kind="stable")
+        starts = np.searchsorted(class_of[members], np.arange(len(self.class_reps) + 1))
+        return starts, members, np.array(self.class_witness)[members]
+
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, codes) of every (member j, element x of it): the sorted
+        keys j * |G| + x, and the code of x in member j at each key."""
+        sizes = np.array([len(E) for E in self.subgroups])
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        keys = owner * len(self.group) + np.concatenate([E.by_code for E in self.subgroups])
+        order = np.argsort(keys)
+        codes = np.arange(len(keys)) - (np.cumsum(sizes) - sizes)[owner]
+        return keys[order], codes[order]
+
+    def codes_in(self, members, elements) -> np.ndarray:
+        """Code of each element index in the member beside it (the two
+        broadcast together), -1 where the element lies outside."""
+        keys, codes = self._incidence
+        at, found = find_sorted(keys, np.asarray(members) * len(self.group) + elements)
+        return np.where(found, codes[at], -1)
+
+    @cached_property
+    def containers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, supers): supers[starts[i]:starts[i + 1]] are the j
+        with member i inside member j, increasing.
+
+        Besides i itself, the candidates are the members of higher rank
+        (members are sorted by rank) holding i's first basis element, read
+        off the incidence sorted by element; each further basis element
+        is one batched lookup.  Basis element k has code p^k; bases are
+        padded with the identity, which every member holds.
+        """
+        n, order, p = len(self.subgroups), len(self.group), self.prime
+        ranks = np.array(self.ranks())
+        width = max(1, ranks[-1])
+        keys, codes = self._incidence
+        powers = np.array([p ** k for k in range(width)])
+        k = np.minimum(np.searchsorted(powers, codes), width - 1)
+        at = powers[k] == codes                     # basis element k
+        basis = np.full((n, width), self.group.identity_index, dtype=np.int64)
+        basis[keys[at] // order, k[at]] = keys[at] % order
+        by_element = np.sort(keys % order * n + keys // order)     # x * n + j
+        above = np.searchsorted(ranks, ranks + 1)   # the first member of higher rank
+        src, at = ranges(np.searchsorted(by_element, basis[:, 0] * n + above),
+                         np.searchsorted(by_element, basis[:, 0] * n + n))
+        dst = by_element[at] % n
+        for k in range(1, width):
+            keep = find_sorted(keys, dst * order + basis[src, k])[1]
+            src, dst = src[keep], dst[keep]
+        src, dst = np.append(np.arange(n), src), np.append(np.arange(n), dst)
+        by_src = np.argsort(src, kind="stable")     # i itself, then larger j
+        return np.searchsorted(src[by_src], np.arange(n + 1)), dst[by_src]
 
 
 def enumerate_elabs(G: FiniteGroup, p: int,
@@ -293,10 +355,9 @@ def enumerate_elabs(G: FiniteGroup, p: int,
         per_child = counts[parents]
         new_owner, new_xs = [], []
         for c in blocks(len(parents), int(per_child.max()) * (4 * len(base) + p * width)):
-            n = per_child[c]
-            child = np.repeat(np.arange(len(parents))[c], n)
-            within = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-            y = xs[starts[parents[child]] + within]
+            child, at = ranges(starts[parents[c]], starts[parents[c]] + per_child[c])
+            child += c.start
+            y = xs[at]
             x = kept_x[child]
             # images of the base under x*y and y*x, x applied first
             xy = arr[y[:, None], arr[x[:, None], base]]

@@ -101,6 +101,13 @@ def blocks(rows: int, width: int) -> Iterable[slice]:
     return (slice(s, s + step) for s in range(0, rows, step))
 
 
+def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, x) for every x in range(lo[t], hi[t]), t increasing."""
+    sizes = hi - lo
+    t = np.repeat(np.arange(len(sizes)), sizes)
+    return t, np.arange(len(t)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + lo[t]
+
+
 def orbits(perms: np.ndarray, right: np.ndarray, by_source: bool = False
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(class_of, reps, sizes, witness) of the orbits of range(n) under the

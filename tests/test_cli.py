@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,43 @@ class TestGuardsAndFailures:
         assert r.stderr.startswith("error: guard hom_count_cap: ")
         assert "28629151" in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "closure"])
+    def test_a_hom_sets_are_guarded_before_they_are_built(self, a4_path, tmp_path, command):
+        # A4 at p=2: the row out of a rank-1 subgroup holds 6 maps (three
+        # conjugates, each inside itself and the Klein four-group)
+        args = [command, a4_path, "--prime", "2"]
+        if command == "analyze":
+            args += ["--kinds", "A"]
+        else:
+            path = tmp_path / "cat.json"
+            path.write_text(json.dumps(SWAP_CATEGORY))
+            args += ["--category", str(path)]
+        r = run_cli(*args, env={"ELABCAT_HOM_COUNT_CAP": "5"})
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: guard hom_count_cap: the A hom-sets out of ")
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert run_cli(*args, env={"ELABCAT_HOM_COUNT_CAP": "26"}).returncode == 0
+
+    def test_default_kinds_factor_large_primes(self):
+        golden = Path(__file__).resolve().parent / "golden"
+        start = time.perf_counter()
+        r = run_cli("analyze", str(golden / "alt4.group.json"),
+                    "--prime", "1000000000000000003")
+        assert time.perf_counter() - start < 5
+        assert r.returncode in (0, 3), r.stderr
+
+    def test_prime_factors(self):
+        for n in range(1, 3000):
+            factors = cli.prime_factors(n)
+            assert all(cli.is_prime(q) for q in factors)
+            assert [d for d in range(2, n + 1) if n % d == 0 and cli.is_prime(d)] == sorted(factors)
+            assert math.prod(q ** e for q, e in factors.items()) == n
+        n = 1000003 * 1000033 ** 2 * 2 ** 5
+        assert cli.prime_factors(n) == {2: 5, 1000003: 1, 1000033: 2}
+        labels = [k.label() for k in cli.default_kinds(13, 1, None)]
+        assert labels == ["A", "Aprime", "AprimeD(2)", "AprimeD(3)", "AprimeD(4)",
+                          "AprimeD(6)", "AprimeD(12)", "An(1)"]
 
     @pytest.mark.parametrize("args, code", [
         (["dickson", "--prime", "1000000000000000003", "--rank", "1"], 3),

@@ -136,13 +136,24 @@ def test_analyze_computes_each_hom_set_once(counted):
     assert max(counted.values()) == 1
 
 
-def test_closure_reuses_loaded_base_homs(counted, tmp_path):
+def test_closure_reuses_loaded_base_homs(counted, monkeypatch, tmp_path):
+    # A is built a row at a time, not through hom_matrices: every row once
     catalog = enumerate_elabs(close_generators(4, A4), 2)
+    rows = Counter()
+    inner = cg._a_rows
+
+    def counting(catalog, sources, limit):
+        sources = list(sources)
+        rows.update(sources)
+        return inner(catalog, sources, limit)
+
+    monkeypatch.setattr(cg, "_a_rows", counting)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"base_kind": "A", "homs": []}))
     cg.closure(load_category(str(path), catalog))
-    assert len(counted) == len(catalog) ** 2
-    assert max(counted.values()) == 1
+    assert not counted
+    assert sorted(rows) == list(range(len(catalog)))
+    assert max(rows.values()) == 1
 
 
 @pytest.mark.parametrize("entry", gallery.entry_names())
