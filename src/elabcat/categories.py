@@ -66,7 +66,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -395,6 +395,13 @@ def _a_rows(catalog: ElabCatalog, sources: Iterable[int], limit: int) -> None:
             catalog.a_rows[i] = (dst[a:b], bounds[a:b + 1], cols)
 
 
+def _fill_a_rows(catalog: ElabCatalog, limit: int) -> None:
+    """Build every row of A not built yet (see _a_rows)."""
+    missing = [i for i in range(len(catalog)) if i not in catalog.a_rows]
+    if missing:
+        _a_rows(catalog, missing, limit)
+
+
 # -- categories -------------------------------------------------------
 
 
@@ -477,10 +484,8 @@ class SubgroupCategory:
             return {k: v for k, v in self._homs.items() if len(v)}
         catalog, n = self.catalog, len(self.catalog)
         if self.kind == A:
-            limit = hom_count_cap if hom_count_cap is not None else _cap("hom_count_cap")
-            missing = [i for i in range(n) if i not in catalog.a_rows]
-            if missing:
-                _a_rows(catalog, missing, limit)
+            _fill_a_rows(catalog, hom_count_cap if hom_count_cap is not None
+                         else _cap("hom_count_cap"))
             out = {}
             for i in range(n):
                 targets, bounds, cols = catalog.a_rows[i]
@@ -564,6 +569,33 @@ def _shape_keys(homs: dict[tuple[int, int], np.ndarray], ranks: list[int],
     return out
 
 
+def _a_keys(catalog: ElabCatalog, p: int, dtype) -> dict[tuple[int, int], np.ndarray]:
+    """Sorted _hom_keys of every A-morphism, by (codomain rank, domain
+    rank), read off the rows of A (see _a_rows), built first where
+    missing.  The rows built together share one column-code array, and
+    their targets and bounds key all of it in one pass."""
+    n, ranks = len(catalog), np.array(catalog.ranks())
+    _fill_a_rows(catalog, _cap("hom_count_cap"))
+    shared: dict[int, tuple[np.ndarray, list]] = {}
+    for i, (targets, bounds, cols) in catalog.a_rows.items():
+        shared.setdefault(id(cols), (cols, []))[1].append((i, targets, bounds))
+    chunks: dict[tuple[int, int], list] = {}
+    for cols, rows in shared.values():
+        srcs, targets, bounds = zip(*rows)
+        cod = np.fromiter(chain.from_iterable(targets), dtype=np.int64)
+        dom = np.repeat(srcs, list(map(len, targets)))
+        lo = np.fromiter(chain.from_iterable(b[:-1] for b in bounds), dtype=np.int64)
+        hi = np.fromiter(chain.from_iterable(b[1:] for b in bounds), dtype=np.int64)
+        pair, at = ranges(lo, hi)
+        dom, cod, cols = dom[pair], cod[pair], cols[at]
+        cod_rank = ranks[cod]
+        for r in sorted_distinct(cod_rank).tolist():
+            mine = cod_rank == r
+            chunks.setdefault((r, cols.shape[1]), []).append(
+                _hom_keys(cols[mine], dom[mine], cod[mine], p ** r, n, dtype))
+    return {shape: np.sort(np.concatenate(keys)) for shape, keys in chunks.items()}
+
+
 def _image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
     """Code of the image of every domain vector code, for each map given
     by its column codes in a codomain of the given rank."""
@@ -627,10 +659,9 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     n, p, ranks = len(catalog), catalog.prime, catalog.ranks()
     dtype = _key_dtype(p, max(ranks), n)
     seed = _shape_keys(C.hom_dict(), ranks, p, dtype)
-    a_homs = build_category(A, catalog).hom_dict()
     # a key mod n^2 is its pair dom * n + cod
     missing = [keys[~find_sorted(seed.get(shape, keys[:0]), keys)[1]] % (n * n)
-               for shape, keys in _shape_keys(a_homs, ranks, p, dtype).items()]
+               for shape, keys in _a_keys(catalog, p, dtype).items()]
     missing = np.concatenate(missing)
     if len(missing):
         i, j = divmod(int(missing.min()), n)

@@ -15,8 +15,12 @@ and the closure read their coordinates from the same array.
 The catalog is built rank by rank by centralizer descent (see
 enumerate_elabs), each rank in a few array passes: each member is built
 once, from one parent E and one x in C_G(E), and its basis and by_code
-are E's extended by x, read off the span E*<x> that built it.
-from_element_indices, with its checks, serves every other caller.
+are E's extended by x, read off the span E*<x> that built it.  Which x
+lie in C_G(E) comes from one commuting-pairs relation on the order-p
+elements, tested on conjugacy class representatives only and carried to
+the other elements by their class witnesses (_commuting_pairs); every
+rank reads it by sorted lookups.  from_element_indices, with its
+checks, serves every other caller.
 """
 
 from __future__ import annotations
@@ -49,14 +53,15 @@ class ElabSubgroup:
     __slots__ = ("ambient", "prime", "rank", "basis", "elements", "by_code", "_order")
 
     def __init__(self, ambient: FiniteGroup, prime: int, basis: Sequence[int],
-                 by_code: np.ndarray):
+                 by_code: np.ndarray, order: Optional[np.ndarray] = None):
         self.ambient = ambient
         self.prime = prime
         self.rank = len(basis)
         self.basis = tuple(basis)
         self.by_code = by_code
         self.by_code.flags.writeable = False
-        self._order = np.argsort(by_code)       # codes in element order
+        # codes in element order; order, when given, is np.argsort(by_code)
+        self._order = np.argsort(by_code) if order is None else order
         self.elements = tuple(by_code[self._order].tolist())
 
     @classmethod
@@ -279,6 +284,44 @@ class ElabCatalog:
         return np.searchsorted(src[by_src], np.arange(n + 1)), dst[by_src]
 
 
+def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Sorted keys g * |G| + y of the pairs (g in gens, y in xs) with
+    g*y == y*g, xs sorted.
+
+    Commutation is invariant under conjugation: g = w^-1 * r * w for r
+    the representative of g's conjugacy class and w its class witness, so
+    C_G(g) = w^-1 * C_G(r) * w.  Only the representatives of the classes
+    of gens are tested against xs: x*y and y*x are elements of G, so they
+    are equal exactly when they agree on G.base.  The row of each g is
+    then its class's row conjugated by its witness, one batched lookup
+    for the rows of all the g with w != 1.
+    """
+    n, arr, base, table = len(G), G.array, G.base, G.conjugacy
+    gen_list = gens.tolist()
+    cls = np.array([table.class_of[g] for g in gen_list], dtype=np.int64)
+    classes = sorted_distinct(cls)
+    reps = np.array([table.reps[c] for c in classes.tolist()], dtype=np.int64)
+    hits, cents = [], []
+    for b in blocks(len(reps), 4 * len(base) * len(xs)):
+        r, y = reps[b, None, None], xs[None, :, None]
+        # images of the base under r*y and y*r, r applied first
+        rep, at = np.nonzero((arr[y, arr[r, base]] == arr[r, arr[y, base]]).all(axis=2))
+        hits.append(rep + b.start)
+        cents.append(xs[at])
+    rep, cent = np.concatenate(hits), np.concatenate(cents)
+    of_class = np.searchsorted(classes, cls)
+    owner, at = ranges(np.searchsorted(rep, of_class), np.searchsorted(rep, of_class, "right"))
+    w = np.array([table.witness[g] for g in gen_list], dtype=np.int64)[owner]
+    y, flat = cent[at], arr.ravel()
+    moved = np.flatnonzero(w != G.identity_index)
+    for b in blocks(len(moved), 3 * G.degree):
+        m = moved[b]
+        # row x of w^-1 * y * w is w[y[w^-1[x]]]
+        inner = flat[y[m, None] * G.degree + arr[G.inverse_indices[w[m]]]]
+        y[m] = G.indices_of_rows(flat[w[m, None] * G.degree + inner])
+    return np.sort(gens[owner] * n + y)
+
+
 def enumerate_elabs(G: FiniteGroup, p: int,
                     catalog_cap: int | None = None) -> ElabCatalog:
     """Full catalog of elementary abelian p-subgroups of G.
@@ -286,30 +329,38 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     Rank induction by centralizer descent.  Each member E carries X(E),
     the order-p elements of C_G(E) outside E: exactly the x for which
     E*<x> is a member of the next rank, so E is maximal exactly when X(E)
-    is empty.  X(trivial) is every order-p element of G, and
+    is empty.  X(trivial) is X0, every order-p element of G, and
     C_G(E*<x>) = C_{C_G(E)}(x) makes X(E*<x>) the members y of X(E) that
-    commute with x and lie outside E*<x>.  x*y and y*x are elements of G,
-    so they are equal exactly when they agree on G.base.
+    commute with x and lie outside E*<x>.
 
     A member F of rank r+1 is built once, from its parent E = the span of
     its first r greedy basis elements and x = min(F minus E), which lies
-    above E's last basis element; the candidates x that fail either test
-    are dropped.  F's greedy basis is then E's basis followed by x, and
-    the span E*<x>, grown in the code order of (E's basis, x), is F's
-    by_code.
+    above E's last basis element; the candidates x that are not
+    min(E*<x> minus E) are dropped.  F's greedy basis is then E's basis
+    followed by x, and the span E*<x>, grown in the code order of (E's
+    basis, x), is F's by_code.
+
+    Commutation is one relation on X0, built once the members of rank 1
+    exist and have passed the cap: its row for g = min(<g> minus 1), the
+    generator of a member of rank 1, is C_G(g) meet X0, held as sorted
+    keys g * |G| + y (see _commuting_pairs, which tests only class
+    representatives).  C_G(x) = C_G(gen(x)), so X(E*<x>) is the meet of
+    the row of gen(x) with X(E), less E*<x>.  Each rank walks whichever
+    side holds fewer pairs in total and looks every y up in the other's
+    sorted keys, X(E) packed as E * |G| + y; at rank 1 that is the rows,
+    whose total is the number of commuting pairs, and no rank walks more
+    pairs than X(E) holds.
 
     Each rank is one batch: the spans of all its (E, x) candidates, then
-    the commutation and span tests of all its (F, y in X(E)) pairs, both
-    in blocks whose temporaries stay within BLOCK_ENTRIES entries.
-    Members are sorted by (rank, elements) at the end; their conjugacy
-    classes are the orbits of the permutations the generators induce on
-    the catalog, searched source by source (see groups.orbits).  Once
-    more than catalog_cap members exist, CapExceeded("catalog_cap") is
-    raised.
+    the meets for all its members, both in blocks whose temporaries stay
+    within BLOCK_ENTRIES entries.  Members are sorted by (rank, elements)
+    at the end; their conjugacy classes are the orbits of the
+    permutations the generators induce on the catalog, searched source
+    by source (see groups.orbits).  Once more than catalog_cap members
+    exist, CapExceeded("catalog_cap") is raised.
     """
     limit = catalog_cap if catalog_cap is not None else _cap("catalog_cap")
-    ident = G.identity_index
-    arr, base = G.array, G.base
+    n, ident = len(G), G.identity_index
 
     def guard(count: int):
         if count > limit:
@@ -327,8 +378,10 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     level, spans, last = [trivial], trivial.by_code[None], np.array([ident])
     xs = np.flatnonzero(G.element_orders == p)
     owner = np.zeros(len(xs), dtype=np.int64)
+    pairs = None                    # the commuting pairs, once rank 1 is built
     while level:
         counts = np.bincount(owner, minlength=len(level))
+        starts = np.cumsum(counts) - counts
         maximal_of += (counts == 0).tolist()
         width = spans.shape[1]
         sel = xs > last[owner]
@@ -341,28 +394,38 @@ def enumerate_elabs(G: FiniteGroup, p: int,
             parents.append(cand_parent[b][keep])
             kept_x.append(cand_x[b][keep])
             kept_spans.append(grown[keep])
-            children += [ElabSubgroup(G, p, level[j].basis + (x,), span) for j, x, span
-                         in zip(parents[-1].tolist(), kept_x[-1].tolist(), kept_spans[-1])]
+            children += [ElabSubgroup(G, p, level[j].basis + (x,), span, order)
+                         for j, x, span, order in zip(parents[-1].tolist(), kept_x[-1].tolist(),
+                                                      kept_spans[-1], kept_spans[-1].argsort())]
             guard(len(found) + len(children))
         found += children
         if not children:
             break
         parents, kept_x = np.concatenate(parents), np.concatenate(kept_x)
         kept_spans = np.concatenate(kept_spans)
+        if pairs is None:
+            # the members of rank 1 are the <g>, g = gen(x) for each x in them
+            gen_of = np.zeros(n, dtype=np.int64)
+            gen_of[kept_spans[:, 1:]] = kept_x[:, None]
+            pairs = _commuting_pairs(G, xs, kept_x)
 
-        # X(F) for F = E * <x>: the y in X(E) commuting with x, outside F
-        starts = np.cumsum(counts) - counts
-        per_child = counts[parents]
+        # X(F) for F = E * <x>: the row of gen(x) meet X(E), outside F.
+        # Each side is (sorted keys, each child's bounds in them, each
+        # child's key of y = 0); walk the side with fewer pairs and look
+        # every y up in the other
+        rows = gen_of[kept_x] * n
+        walk = (pairs, np.searchsorted(pairs, rows), np.searchsorted(pairs, rows + n), rows)
+        other = (owner * n + xs, starts[parents], starts[parents] + counts[parents],
+                 parents * n)
+        if (walk[2] - walk[1]).sum() > counts[parents].sum():
+            walk, other = other, walk
+        (keys, lo, hi, shift), (look, _, _, offset) = walk, other
         new_owner, new_xs = [], []
-        for c in blocks(len(parents), int(per_child.max()) * (4 * len(base) + p * width)):
-            child, at = ranges(starts[parents[c]], starts[parents[c]] + per_child[c])
+        for c in blocks(len(parents), int((hi - lo).max()) * (2 + p * width)):
+            child, at = ranges(lo[c], hi[c])
             child += c.start
-            y = xs[at]
-            x = kept_x[child]
-            # images of the base under x*y and y*x, x applied first
-            xy = arr[y[:, None], arr[x[:, None], base]]
-            yx = arr[x[:, None], arr[y[:, None], base]]
-            keep = (xy == yx).all(axis=1)
+            y = keys[at] - shift[child]
+            keep = find_sorted(look, offset[child] + y)[1]
             keep &= (kept_spans[child, width:] != y[:, None]).all(axis=1)
             new_owner.append(child[keep])
             new_xs.append(y[keep])
@@ -382,12 +445,12 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     edges = np.searchsorted(ranks, np.arange(ranks[-1] + 2))
     for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
         rows = np.array([E.elements for E in subgroups[lo:hi]], dtype=np.int64)
-        keys = row_keys(rows)
-        for k, table in enumerate(conj):
-            try:
-                perms[k, lo:hi] = lo + row_positions(rows, keys, np.sort(table[rows], axis=1))
-            except KeyError:
-                raise InvalidPermutation("catalog not closed under conjugation") from None
+        images = np.sort(conj[:, rows], axis=2).reshape(-1, rows.shape[1])
+        try:
+            at = row_positions(rows, row_keys(rows), images)
+        except KeyError:
+            raise InvalidPermutation("catalog not closed under conjugation") from None
+        perms[:, lo:hi] = lo + at.reshape(len(conj), hi - lo)
     class_of, class_reps, _, class_witness = orbits(perms, right, by_source=True)
     return ElabCatalog(G, p, subgroups, class_of.tolist(), class_reps.tolist(),
                        class_witness.tolist(), maximal, by_elements)

@@ -31,7 +31,9 @@ and every element e), from which, with no further lookup, come
   (see orbits);
 * a base: points whose images already tell all elements of G apart, so
   two elements of G are equal exactly when they agree on the base, and a
-  commutation test x*y == y*x is a comparison of 2*len(base) images.
+  commutation test x*y == y*x is a comparison of 2*len(base) images;
+  the catalog makes these tests only while it builds its commuting-pairs
+  relation, on class representatives (elabs._commuting_pairs).
 
 ``elements``, the rows as a list of tuples, is built on first read.
 """

@@ -1,8 +1,9 @@
 """The numpy element table of FiniteGroup, its generator tables, base and
 conjugated centralizers, the code-ordered coordinates of ElabSubgroup and
 the catalog by centralizer descent against the oracles in brute_force.py,
-on random groups of degree at most 7, plus the element cap at its
-boundary.
+on random groups of degree at most 7, the descent's commuting-pairs
+relation against scanned centralizers, plus the element cap at its
+boundary and the catalog cap ahead of the relation.
 """
 
 import random
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 from brute_force import (brute_catalog, brute_conjugacy, brute_coordinates,
                          brute_group, scan_centralizer)
+from elabcat import elabs
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
 from elabcat.groups import (centralizer, close_generators, compose, conjugate,
-                            normalizer, perm_order)
+                            normalizer, perm_order, sorted_distinct)
 
 
 @st.composite
@@ -34,6 +36,16 @@ S7_GENS = [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]
 S2_CUBED = (6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)])
 # S3 on {0, 1, 2} times a swap of {3, 4}, fixing 5 and 6: base (0, 1, 3)
 INTRANSITIVE = (7, [(1, 2, 0, 3, 4, 5, 6), (1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 4, 3, 5, 6)])
+
+
+def regular(p, n):
+    """(Z/p)^n acting on itself: the translations by the unit vectors of
+    the p^n points, a point's base-p digits its coordinates.  Every
+    element is its own conjugacy class."""
+    def shift(k):
+        return tuple(x - (p - 1) * p ** k if x // p ** k % p == p - 1 else x + p ** k
+                     for x in range(p ** n))
+    return p ** n, [shift(k) for k in range(n)]
 
 
 @given(group=generated_groups(), rnd=st.randoms())
@@ -154,10 +166,12 @@ def test_centralizer_and_normalizer_match_scan(group, rnd):
 @example(group=(7, S7_GENS))
 @example(group=S2_CUBED)
 @example(group=INTRANSITIVE)
+@example(group=regular(2, 3))
+@example(group=regular(3, 2))
 @settings(max_examples=12, deadline=None)
 def test_catalog_matches_brute_force(group):
     G = close_generators(*group)
-    for p in (2, 3):
+    for p in (2, 3, 5, 7):
         cat = enumerate_elabs(G, p)
         subgroups, class_of, class_reps, class_witness, maximal = brute_catalog(G, p)
         assert [E.elements for E in cat.subgroups] == [E.elements for E in subgroups]
@@ -167,6 +181,40 @@ def test_catalog_matches_brute_force(group):
         assert (cat.class_of, cat.class_reps) == (class_of, class_reps)
         assert cat.class_witness == class_witness
         assert cat.maximal == maximal
+
+
+@pytest.mark.parametrize("group", [(7, S7_GENS), regular(2, 3), regular(3, 2)],
+                         ids=["S7", "regular-2-3", "regular-3-2"])
+def test_commuting_pairs_match_scan(group):
+    G = close_generators(*group)
+    for p in (2, 3, 5, 7):
+        xs = np.flatnonzero(G.element_orders == p)
+        if not len(xs):
+            continue
+        # gen(x) = min(<x> minus 1), the generator of x's member of rank 1
+        powers = [xs]
+        for _ in range(p - 2):
+            powers.append(G.mul(powers[-1], xs))
+        gen = np.min(powers, axis=0)
+        pairs = elabs._commuting_pairs(G, xs, sorted_distinct(gen))
+        assert (np.diff(pairs) > 0).all()
+        for x, g in zip(xs.tolist(), gen.tolist()):
+            row = pairs[pairs // len(G) == g] % len(G)
+            assert row.tolist() == np.intersect1d(scan_centralizer(G, x), xs).tolist()
+
+
+def test_catalog_cap_stops_before_commuting_pairs(monkeypatch):
+    # regular (Z/2)^6 has 63 members of rank 1, so a cap of 40 stops the
+    # catalog while they are built, before anything quadratic in them
+    def never(*args):
+        raise AssertionError("commuting pairs built before the rank-1 guard")
+
+    monkeypatch.setattr(elabs, "_commuting_pairs", never)
+    with pytest.raises(CapExceeded) as e:
+        enumerate_elabs(close_generators(*regular(2, 6)), 2, catalog_cap=40)
+    assert e.value.guard == "catalog_cap"
+    assert str(e.value) == ("subgroup catalog passed the cap (40); "
+                            "raise ELABCAT_CATALOG_CAP to allow more")
 
 
 def test_element_cap_boundary():
