@@ -294,7 +294,7 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     of gens are tested against xs: x*y and y*x are elements of G, so they
     are equal exactly when they agree on G.base.  The row of each g is
     then its class's row conjugated by its witness, one batched lookup
-    for the rows of all the g with w != 1.
+    of base images for all the g with w != 1.
     """
     n, arr, base, table = len(G), G.array, G.base, G.conjugacy
     gen_list = gens.tolist()
@@ -312,13 +312,13 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     of_class = np.searchsorted(classes, cls)
     owner, at = ranges(np.searchsorted(rep, of_class), np.searchsorted(rep, of_class, "right"))
     w = np.array([table.witness[g] for g in gen_list], dtype=np.int64)[owner]
-    y, flat = cent[at], arr.ravel()
+    y = cent[at]
     moved = np.flatnonzero(w != G.identity_index)
-    for b in blocks(len(moved), 3 * G.degree):
+    for b in blocks(len(moved), 3 * len(base)):
         m = moved[b]
-        # row x of w^-1 * y * w is w[y[w^-1[x]]]
-        inner = flat[y[m, None] * G.degree + arr[G.inverse_indices[w[m]]]]
-        y[m] = G.indices_of_rows(flat[w[m, None] * G.degree + inner])
+        # w^-1 * y * w sends a base point x to w[y[w^-1[x]]]
+        inner = arr[y[m, None], arr[G.inverse_indices[w[m]][:, None], base]]
+        y[m] = G.indices_of_base_images(arr[w[m, None], inner])
     return np.sort(gens[owner] * n + y)
 
 

@@ -12,28 +12,34 @@ Conventions, fixed once for the whole package:
 A group is one table, the (order, degree) array of its elements' images
 with rows sorted as the image tuples sort; element indices everywhere are
 positions in it, which makes class labels, transporter cosets and catalog
-layouts reproducible between runs.  A lookup of arbitrary rows (index,
-membership, products with arbitrary elements, conjugates) is one binary
-search of the rows' byte keys for a whole batch of rows (indices_of_rows).
+layouts reproducible between runs.
 
-Every group comes from one breadth-first closure (close_generators),
-whose walk of the Cayley graph forms each product e * g once (Seress,
-Permutation Group Algorithms, 2003).  It hands the group its sorted rows,
-their keys and the right tables (the index of e * g for each generator g
-and every element e), from which, with no further lookup, come
+Every group comes from a stabilizer chain (close_generators; Sims 1970,
+Seress, Permutation Group Algorithms, 2003, ch. 4) on the greedy base:
+b_k is the first point moved by G_k, the pointwise stabilizer of the
+points before it.  Two elements that agree on the base are equal.  Each
+element's int64 key packs its base images in mixed radix, digit k the
+rank of its image of b_k in the G-orbit of b_k, so keys order elements
+as their base images do, and that is the order of the rows: elements
+first differing on b_k agree on every point before it, which G_k fixes.
+A lookup is then one integer binary search for a whole batch.  Elements
+of G found by arithmetic (products, inverses, conjugates, transporters,
+the generator tables, the catalog's commuting pairs) are looked up by
+their base images alone (indices_of_base_images); arbitrary rows (index,
+membership, indices_of_rows, from_elements) are also compared with the
+element found, since a row may agree with one on the base only.
+
+One lookup builds the inverses and the right tables (the index of e * g
+for each generator g and every element e), from which come
 
 * the conjugation tables, the index of g^-1 * e * g, gathered through
-  the right tables and the inverses (the one whole-group lookup);
-  orbits under the generators (conjugacy classes here, subgroup
-  classes in elabs) are then gathers from these tables: min-label
-  propagation numbers each orbit by its smallest member, and one
-  breadth-first search from all those members at once finds witnesses
-  (see orbits);
-* a base: points whose images already tell all elements of G apart, so
-  two elements of G are equal exactly when they agree on the base, and a
-  commutation test x*y == y*x is a comparison of 2*len(base) images;
-  the catalog makes these tests only while it builds its commuting-pairs
-  relation, on class representatives (elabs._commuting_pairs).
+  the right tables and the inverses; orbits under the generators
+  (conjugacy classes here, subgroup classes in elabs) are then gathers
+  from these tables: min-label propagation numbers each orbit by its
+  smallest member, and one breadth-first search from all those members
+  at once finds witnesses (see orbits);
+* commutation tests x*y == y*x, a comparison of 2*len(base) images,
+  for centralizers and the catalog's commuting-pairs relation.
 
 ``elements``, the rows as a list of tuples, is built on first read.
 """
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,11 +60,12 @@ Perm = tuple[int, ...]
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of images, ordered as the rows are as tuples.
+    """One opaque key per row of images, ordered as the rows are as tuples,
+    for rows that are not looked up in a group (Schreier generators, the
+    catalog's rows of elements).
 
     Each row becomes its big-endian unsigned bytes; those compare (and
-    sort) byte by byte exactly as the image tuples do, so the keys of a
-    group's sorted elements come out sorted.
+    sort) byte by byte exactly as the image tuples do.
     """
     rows = rows.astype(">u4", order="C")
     return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
@@ -110,14 +117,29 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, np.arange(len(t)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + lo[t]
 
 
+def _orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """The smallest member of each point's orbit under the permutations
+    perms[k] (a (k, n) array): min-label propagation along perms and
+    their inverses, with pointer jumping."""
+    n = perms.shape[1]
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms, np.arange(n), axis=1)
+    label = np.arange(n)
+    while True:
+        new = np.vstack((label[None], label[perms], label[inverse])).min(axis=0)
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
+
+
 def orbits(perms: np.ndarray, right: np.ndarray, by_source: bool = False
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(class_of, reps, sizes, witness) of the orbits of range(n) under the
     permutations perms[k] (a (k, n) array), with witnesses in G.
 
-    Orbits are numbered in order of their smallest member, found by
-    min-label propagation along perms and their inverses with pointer
-    jumping.  Witnesses come from one breadth-first search started from
+    Orbits are numbered in order of their smallest member (see
+    _orbit_labels).  Witnesses come from one breadth-first search started from
     every orbit's smallest member at once: each level visits its
     candidates (k, s), target perms[k][s], generator by generator over the
     frontier, or source by source when by_source; the first candidate to
@@ -128,15 +150,7 @@ def orbits(perms: np.ndarray, right: np.ndarray, by_source: bool = False
     it.  Every smallest member has witness 0, the identity.
     """
     n = perms.shape[1]
-    inverse = np.empty_like(perms)
-    np.put_along_axis(inverse, perms, np.arange(n), axis=1)
-    label = np.arange(n)
-    while True:
-        new = np.vstack((label[None], label[perms], label[inverse])).min(axis=0)
-        new = new[new]
-        if (new == label).all():
-            break
-        label = new
+    label = _orbit_labels(perms)
     reps = np.flatnonzero(label == np.arange(n))
     class_of = np.searchsorted(reps, label)
     sizes = np.bincount(class_of, minlength=len(reps))
@@ -266,24 +280,30 @@ class FiniteGroup:
 
     Elements are kept sorted; all index-valued APIs refer to positions in
     that sorted order, and the identity, the smallest permutation, is
-    index 0.  Derived tables (inverses, orders, conjugacy data,
+    index 0.  base is the chain's base, int64 points; an element's key is
+    rank[images] @ weights for its base images, rank[x] being x's rank in
+    its G-orbit and weights[k] the product of the base's G-orbit sizes
+    after place k.  Derived tables (inverses, orders, conjugacy data,
     centralizers) are computed lazily and cached.  Everything observable
     is immutable after construction, so concurrent readers are safe.
     """
 
-    def __init__(self, degree: int, generators: np.ndarray, table: np.ndarray,
-                 keys: np.ndarray, right: np.ndarray, name: str = ""):
-        # rows sorted by their keys, identity first; right as in generator_tables
+    def __init__(self, degree: int, generators: np.ndarray, rows: np.ndarray,
+                 base: np.ndarray, rank: np.ndarray, weights: np.ndarray, name: str = ""):
+        # rows: every element once, in any order; kept sorted by key
         self.degree = degree
         self.generators = list(map(tuple, generators.tolist()))
-        self._arr, self._keys, self._right = table, keys, right
-        self.name = name or f"group<deg {degree}, order {len(table)}>"
+        self.base, self._gens, self._rank, self._weights = base, generators, rank, weights
+        keys = rank[rows[:, base]] @ weights
+        order = np.argsort(keys)
+        self._arr, self._keys = rows[order], keys[order]
+        self.name = name or f"group<deg {degree}, order {len(rows)}>"
         self.identity_index = 0
         self._inv_idx: np.ndarray | None = None
+        self._right: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._conj: ConjugacyTable | None = None
         self._conj_table: np.ndarray | None = None
-        self._base: np.ndarray | None = None
         self._cent_memo: dict[int, np.ndarray] = {}
 
     # -- basic lookups ------------------------------------------------
@@ -322,12 +342,26 @@ class FiniteGroup:
         except (KeyError, InvalidPermutation):
             raise KeyError(f"permutation {perm!r} not in {self.name}") from None
 
+    def indices_of_base_images(self, images: np.ndarray) -> np.ndarray:
+        """Element index of each element of G given by its images of the
+        base, an (..., len(base)) array; the result has shape (...).  The
+        images must be an element's: nothing is checked."""
+        return np.searchsorted(self._keys, self._rank[images] @ self._weights)
+
+    def _find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position, found) of each row of an (n, degree) image array: its
+        base images give the one candidate, found says whether that is it."""
+        keys = np.take(self._rank, rows[:, self.base], mode="clip") @ self._weights
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        return at, (self._arr[at] == rows).all(axis=1)
+
     def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Element index of each row of an (n, degree) image array."""
-        try:
-            return row_positions(self._arr, self._keys, rows)
-        except KeyError:
-            raise KeyError(f"a row is not an element of {self.name}") from None
+        """Element index of each row of an (n, degree) image array;
+        KeyError if a row is not an element."""
+        at, found = self._find(rows)
+        if not found.all():
+            raise KeyError(f"a row is not an element of {self.name}")
+        return at
 
     @property
     def array(self) -> np.ndarray:
@@ -338,31 +372,14 @@ class FiniteGroup:
     def generator_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(conj, right), each a (len(generators), order) int64 array:
         conj[k][i] is the index of g^-1 * e * g and right[k][i] the index
-        of e * g, for e = element i and g = generators[k].  right is the
-        closure's; conj[k] = r[inv[r[inv]]] for r = right[k] and
-        inv = inverse_indices, as g^-1 * e * g = ((e^-1 * g)^-1) * g.  Do
-        not mutate."""
+        of e * g, for e = element i and g = generators[k].  right comes
+        with inverse_indices; conj[k] = r[inv[r[inv]]] for r = right[k]
+        and inv = inverse_indices, as g^-1 * e * g = ((e^-1 * g)^-1) * g.
+        Do not mutate."""
         if self._conj_table is None:
-            r, inv = self._right, self.inverse_indices
+            inv, r = self.inverse_indices, self._right
             self._conj_table = np.take_along_axis(r, inv[r[:, inv]], axis=1)
         return self._conj_table, self._right
-
-    @property
-    def base(self) -> np.ndarray:
-        """A greedy base: int64 points whose images tell every element
-        apart.  Each point is the first one moved by the pointwise
-        stabilizer of the points before it, until that stabilizer is
-        trivial; two elements agreeing on the base differ by an element of
-        it, so they are equal.  Do not mutate."""
-        if self._base is None:
-            points = np.arange(self.degree)
-            stab, base = self._arr, []
-            while len(stab) > 1:
-                x = int(np.argmax((stab != points).any(axis=0)))
-                base.append(x)
-                stab = stab[stab[:, x] == x]
-            self._base = np.array(base, dtype=np.int64)
-        return self._base
 
     # -- index-level arithmetic ---------------------------------------
 
@@ -373,16 +390,23 @@ class FiniteGroup:
         result is then an index array of their common shape.
         """
         i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-        # row x of the product is j's image of i's image of x
-        rows = self._arr.ravel()[j[..., None] * self.degree + self._arr[i]]
-        out = self.indices_of_rows(rows.reshape(-1, self.degree))
-        return int(out[0]) if rows.ndim == 1 else out.reshape(rows.shape[:-1])
+        # the product's image of a base point is j's image of i's image
+        images = self._arr[j[..., None], self._arr[i[..., None], self.base]]
+        out = self.indices_of_base_images(images)
+        return int(out) if out.ndim == 0 else out
 
     @property
     def inverse_indices(self) -> np.ndarray:
+        """Index of each element's inverse, built in one lookup with the
+        right tables of generator_tables: e^-1 sends a base point b to
+        the x with e[x] == b, and e * g sends it to g[e[b]]."""
         if self._inv_idx is None:
-            # argsort of each row is the inverse permutation
-            self._inv_idx = self.indices_of_rows(np.argsort(self._arr, axis=1))
+            inv = np.empty_like(self._arr)
+            np.put_along_axis(inv, self._arr, np.arange(self.degree), axis=1)
+            base = self.base
+            idx = self.indices_of_base_images(np.concatenate(
+                (inv[None, :, base], np.take(self._gens, self._arr[:, base], axis=1))))
+            self._inv_idx, self._right = idx[0], idx[1:]
         return self._inv_idx
 
     @property
@@ -412,14 +436,14 @@ class FiniteGroup:
         block of the g's (see blocks) is one gather and one lookup.
         """
         gs = np.atleast_1d(np.asarray(g, dtype=np.int64))
-        t_rows = self._arr[np.asarray(targets, dtype=np.int64)]
-        out = np.empty((len(gs), len(t_rows)), dtype=np.int64)
-        for b in blocks(len(gs), len(t_rows) * self.degree):
-            ginv = np.argsort(self._arr[gs[b]], axis=1)
-            # row x of g^-1 * e * g is g[e[ginv[x]]]
-            conj = self._arr.ravel()[gs[b, None, None] * self.degree
-                                     + t_rows[:, ginv].swapaxes(0, 1)]
-            out[b] = self.indices_of_rows(conj.reshape(-1, self.degree)).reshape(conj.shape[:2])
+        ts = np.asarray(targets, dtype=np.int64)
+        # g^-1's images of the base
+        ginv = self._arr[self.inverse_indices[gs][:, None], self.base]
+        out = np.empty((len(gs), len(ts)), dtype=np.int64)
+        for b in blocks(len(gs), len(ts) * len(self.base)):
+            # g^-1 * e * g sends a base point x to g[e[g^-1[x]]]
+            inner = self._arr[ts[None, :, None], ginv[b, None]]
+            out[b] = self.indices_of_base_images(self._arr[gs[b, None, None], inner])
         return out if np.ndim(g) else out[0]
 
     # -- conjugacy ----------------------------------------------------
@@ -444,13 +468,14 @@ class FiniteGroup:
 
     def centralizer_indices(self, e: int) -> np.ndarray:
         """Sorted int64 indices of the elements commuting with element e:
-        one scan of G, memoized for transporter_indices, which asks for
-        class representatives, and for the gallery checks."""
+        one scan of G's base images, memoized for transporter_indices,
+        which asks for class representatives, and for the gallery
+        checks."""
         cent = self._cent_memo.get(e)
         if cent is None:
-            ep = self._arr[e]
-            # g*e == e*g  <=>  e(g(x)) == g(e(x)) for all x
-            mask = np.all(ep[self._arr] == self._arr[:, ep], axis=1)
+            ep, base = self._arr[e], self.base
+            # g*e and e*g are elements, equal when e(g(b)) == g(e(b)) on the base
+            mask = np.all(ep[self._arr[:, base]] == self._arr[:, ep[base]], axis=1)
             cent = self._cent_memo[e] = np.flatnonzero(mask).astype(np.int64)
         return cent
 
@@ -465,66 +490,132 @@ class FiniteGroup:
         """
         table = self.conjugacy
         bs = [t for t in np.atleast_1d(b).tolist() if table.class_of[t] == table.class_of[a]]
-        # row x of w_a^-1 * h is h[w_a^-1[x]], and of h * w_b it is w_b[h[x]]
-        left = self._arr[self.centralizer_indices(table.reps[table.class_of[a]])][
-            :, self._arr[self.inverse_indices[table.witness[a]]]]
-        rows = self._arr[[table.witness[t] for t in bs]][:, left]
-        idx = self.indices_of_rows(rows.reshape(-1, self.degree)).reshape(len(bs), len(left))
+        # w_a^-1 * h * w_b sends a base point x to w_b[h[w_a^-1[x]]]
+        winv = self._arr[self.inverse_indices[table.witness[a]], self.base]
+        left = self._arr[self.centralizer_indices(table.reps[table.class_of[a]])[:, None], winv]
+        images = self._arr[np.array([table.witness[t] for t in bs], dtype=np.int64)[:, None, None],
+                           left]
+        idx = self.indices_of_base_images(images)
         idx.sort(axis=1)
         return idx.ravel()
 
 
+# bits of an element key, an int64
+KEY_BITS = 63
+
+
+def _distinct_moving(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an image array that move some point."""
+    rows = rows[(rows != np.arange(rows.shape[1])).any(axis=1)]
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    return rows[order[first]]
+
+
+def _transversal(gens: np.ndarray, b: int, size: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(orbit, trans, tree) of the point b under gens, a (k, degree) array,
+    by a breadth-first search into arrays of size rows, a bound on the
+    orbit: orbit lists the points as found, trans[i] maps b to orbit[i]
+    (trans[0] is the identity), and tree[i, s] marks the steps
+    (orbit[i], gens[s]) that found a point, so that trans[i] * gens[s] is
+    that point's trans row."""
+    k, degree = gens.shape
+    orbit = np.empty(size, dtype=np.int64)
+    trans = np.empty((size, degree), dtype=np.int32)
+    tree = np.zeros((size, k), dtype=bool)
+    seen, finder = np.zeros(degree, dtype=bool), np.empty(degree, dtype=np.int64)
+    orbit[0], trans[0], seen[b] = b, np.arange(degree), True
+    lo, hi = 0, 1
+    while lo < hi:
+        steps = gens[:, orbit[lo:hi]].T.ravel()     # step (i, s) at (i - lo) * k + s
+        fresh = np.flatnonzero(~seen[steps])
+        finder[steps[fresh]] = fresh                # one fresh step per point
+        src, s = np.divmod(fresh[finder[steps[fresh]] == fresh], k)
+        src += lo
+        end = hi + len(src)
+        orbit[hi:end] = gens[s, orbit[src]]
+        seen[orbit[hi:end]] = True
+        trans[hi:end] = gens[s[:, None], trans[src]]
+        tree[src, s] = True
+        lo, hi = hi, end
+    return orbit[:hi], trans[:hi], tree[:hi]
+
+
+def _schreier_generators(gens: np.ndarray, orbit: np.ndarray, trans: np.ndarray,
+                         tree: np.ndarray) -> np.ndarray:
+    """The distinct non-identity u_d * s * u_(d^s)^-1 over the steps (d, s)
+    of _transversal off its tree (on it they are the identity): they
+    generate the stabilizer of orbit[0] (Schreier's lemma)."""
+    degree = gens.shape[1]
+    where = np.empty(degree, dtype=np.int64)
+    where[orbit] = np.arange(len(orbit))
+    src, s = np.nonzero(~tree)
+    found = [gens[:0]]
+    for b in blocks(len(src), degree):
+        i, g = src[b], s[b]
+        inv = np.empty((len(i), degree), dtype=trans.dtype)     # u_(d^s)^-1
+        np.put_along_axis(inv, trans[where[gens[g, orbit[i]]]], np.arange(degree), axis=1)
+        rows = np.take_along_axis(inv, gens[g[:, None], trans[i]], axis=1)
+        found.append(rows[(rows != np.arange(degree)).any(axis=1)])
+    return _distinct_moving(np.concatenate(found))
+
+
 def close_generators(degree: int, generators: Iterable[Sequence[int]],
                      element_cap: int | None = None, name: str = "") -> FiniteGroup:
-    """Breadth-first closure of a generator list into a FiniteGroup, the
-    only way one is built.
+    """The group generated by a generator list, from its stabilizer chain;
+    the only way a FiniteGroup is built.
 
-    Each level multiplies the elements first found in the last one by
-    every generator, a block of rows at a time; products whose keys are
-    not among the sorted keys found so far, made distinct, are the next
-    level.  Elements are numbered as found, a product's number is its
-    entry of the right table, and numbers become sorted positions at the
-    end.  Raises CapExceeded("element_cap") once the group has more
-    elements than the cap (default from config, override via argument).
+    The chain is built top down on the greedy base.  The generators of
+    G_1 = G are the distinct non-identity ones given; b_k is the first
+    point those of G_k move, and a search from it (_transversal) gives its
+    orbit D_k under G_k with u_d in G_k mapping b_k to each d.  The
+    Schreier generators u_d * s * u_(d^s)^-1 generate G_(k+1), the
+    stabilizer of b_k in G_k; the chain ends when none is left.
+
+    |G| is the product of the |D_k|: CapExceeded("element_cap") is raised
+    once the orbits so far pass the cap (default from config, override via
+    argument), and CapExceeded("element_key") once the keys would pass
+    KEY_BITS bits, both before any element is formed.  The elements are
+    then the products u_m * ... * u_1, one from each transversal, each
+    formed once; FiniteGroup sorts them by key.
     """
     limit = element_cap if element_cap is not None else _cap("element_cap")
     gens = _perm_rows(generators, degree)
-    rows = np.arange(degree, dtype=np.int32)[None]    # the last level, by key
-    keys = row_keys(rows)                             # every key found, sorted
-    number = np.zeros(1, dtype=np.int64)              # and the number of each
-    found, right = [rows], []                         # rows and right, by level
-    while len(rows):
-        n = len(keys)
-        if n > limit:
-            raise CapExceeded(
-                "element_cap",
-                f"group closure passed the element cap ({limit}); "
-                f"raise ELABCAT_ELEMENT_CAP to allow more")
-        entries = np.empty((len(gens), len(rows)), dtype=np.int64)
-        fresh_rows, fresh_at = [rows[:0]], [number[:0]]
-        for k, g in enumerate(gens):
-            for b in blocks(len(rows), degree):
-                prods = g[rows[b]]                    # f then g
-                prod_keys = row_keys(prods)
-                at, old = find_sorted(keys, prod_keys)
-                entries[k, b][old] = number[at[old]]
-                fresh_rows.append(prods[~old])
-                fresh_at.append(k * len(rows) + b.start + np.flatnonzero(~old))
-        cand = row_keys(np.concatenate(fresh_rows))
-        order = np.argsort(cand)
-        cand = cand[order]
-        first = np.ones(len(cand), dtype=bool)
-        first[1:] = cand[1:] != cand[:-1]
-        entries.ravel()[np.concatenate(fresh_at)[order]] = n - 1 + np.cumsum(first)
-        rows, new_keys = np.concatenate(fresh_rows)[order[first]], cand[first]
-        at = np.searchsorted(keys, new_keys)
-        keys = np.insert(keys, at, new_keys)
-        number = np.insert(number, at, np.arange(n, n + len(rows)))
-        found.append(rows)
-        right.append(entries)
-    index = np.argsort(number)                        # sorted position of each number
-    return FiniteGroup(degree, gens, np.concatenate(found)[number], keys,
-                       index[np.concatenate(right, axis=1)[:, number]], name=name)
+    points = np.arange(degree)
+    # each point's rank in its G-orbit, and the orbit's size
+    label = _orbit_labels(gens)
+    by_orbit = np.argsort(label, kind="stable")
+    rank = np.empty(degree, dtype=np.int64)
+    rank[by_orbit] = points - np.searchsorted(label[by_orbit], label[by_orbit])
+    size = np.bincount(label, minlength=degree)[label]
+
+    def guard(order: int, radix: list[int]):
+        bits = (prod(radix) - 1).bit_length()
+        if order > limit:
+            raise CapExceeded("element_cap", f"group closure passed the element cap ({limit}); "
+                                             f"raise ELABCAT_ELEMENT_CAP to allow more")
+        if bits > KEY_BITS:
+            raise CapExceeded("element_key", f"group element keys need {bits} bits, "
+                                             f"more than the {KEY_BITS} an int64 key holds")
+
+    stab, base, transversals, order = _distinct_moving(gens), [], [], 1
+    guard(order, [])
+    while len(stab):
+        base.append(int(np.argmax((stab != points).any(axis=0))))
+        orbit, trans, tree = _transversal(stab, base[-1], int(size[base[-1]]))
+        transversals.append(trans)
+        order *= len(orbit)
+        guard(order, size[base].tolist())
+        stab = _schreier_generators(stab, orbit, trans, tree)
+    rows = points.astype(np.int32)[None]
+    for trans in reversed(transversals):
+        rows = trans[:, rows].reshape(-1, degree)   # e * u: row x is u[e[x]]
+    weights = [prod(size[base[k + 1:]].tolist()) for k in range(len(base))]
+    return FiniteGroup(degree, gens, rows, np.array(base, dtype=np.int64), rank,
+                       np.array(weights, dtype=np.int64), name=name)
 
 
 def from_elements(degree: int, elements: Iterable[Sequence[int]] | np.ndarray,
@@ -534,19 +625,20 @@ def from_elements(degree: int, elements: Iterable[Sequence[int]] | np.ndarray,
     far, which it at least doubles, so there are at most log2 |G|.  Raises
     InvalidPermutation unless the closure is exactly the list."""
     rows = _perm_rows(elements, degree)
-    keys = row_keys(rows)
-    rows, keys = rows[np.argsort(keys)], np.sort(keys)
+    rows = rows[np.lexsort(rows.T[::-1])]
     gens = rows[:0]
     while True:
         try:
             G = close_generators(degree, gens, element_cap=len(rows), name=name)
-        except CapExceeded:
+        except CapExceeded as e:
+            if e.guard != "element_cap":
+                raise
             raise InvalidPermutation("element list is not closed under products") from None
-        inside = find_sorted(G._keys, keys)[1]
+        inside = G._find(rows)[1]
         if inside.all():
             break
         gens = np.vstack((gens, rows[np.argmin(inside)]))
-    if len(G) != len(rows) or (G._keys != keys).any():
+    if len(G) != len(rows) or (G.array != rows).any():
         raise InvalidPermutation("element list is not a group")
     return G
 

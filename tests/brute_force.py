@@ -17,6 +17,10 @@ brute_closure: the worklist closure, which joins every new hom with every
 stored one and restricts it to every pair of catalog subgroups.  It runs
 no guard and shares no code with the semi-naive ``categories.closure``.
 
+bfs_closure: the breadth-first closure over the numpy element table,
+with lookups by byte keys of whole rows; it shares no code with the
+stabilizer chain of ``groups.close_generators`` or its int64 keys.
+
 brute_group, brute_conjugacy and brute_coordinates: groups as sorted
 tuple lists with a tuple -> index dict, every product taken one at a time
 through ``groups.compose``; none of them touches the numpy element table
@@ -41,7 +45,10 @@ import numpy as np
 
 from elabcat.elabs import ElabSubgroup
 from elabcat.fpmat import mat_inv, mat_mul, mat_rank, mat_vec, subspace_bases
-from elabcat.groups import compose, conjugate, identity_perm
+from elabcat.config import cap
+from elabcat.errors import CapExceeded
+from elabcat.groups import (ConjugacyTable, _perm_rows, blocks, compose, conjugate,
+                            find_sorted, identity_perm, orbits, row_keys, row_positions)
 
 
 def codes(M, p):
@@ -240,6 +247,73 @@ def brute_group(degree, generators):
                     nxt.append(h)
         frontier = nxt
     return sorted(seen)
+
+
+def bfs_closure(degree, generators, element_cap=None):
+    """The breadth-first closure of a generator list, as groups built it
+    before the stabilizer chain, with its element lookups on byte keys of
+    whole rows: (array, conj, right, base, conjugacy), each computed as
+    the FiniteGroup of that closure computed it.
+
+    Each level multiplies the elements first found in the last one by
+    every generator, a block of rows at a time; products whose keys are
+    not among the sorted keys found so far, made distinct, are the next
+    level.  Elements are numbered as found, a product's number is its
+    entry of the right table, and numbers become sorted positions at the
+    end.  Raises CapExceeded("element_cap") once the group has more
+    elements than the cap.
+    """
+    limit = element_cap if element_cap is not None else cap("element_cap")
+    gens = _perm_rows(generators, degree)
+    rows = np.arange(degree, dtype=np.int32)[None]    # the last level, by key
+    keys = row_keys(rows)                             # every key found, sorted
+    number = np.zeros(1, dtype=np.int64)              # and the number of each
+    found, right = [rows], []                         # rows and right, by level
+    while len(rows):
+        n = len(keys)
+        if n > limit:
+            raise CapExceeded(
+                "element_cap",
+                f"group closure passed the element cap ({limit}); "
+                f"raise ELABCAT_ELEMENT_CAP to allow more")
+        entries = np.empty((len(gens), len(rows)), dtype=np.int64)
+        fresh_rows, fresh_at = [rows[:0]], [number[:0]]
+        for k, g in enumerate(gens):
+            for b in blocks(len(rows), degree):
+                prods = g[rows[b]]                    # f then g
+                prod_keys = row_keys(prods)
+                at, old = find_sorted(keys, prod_keys)
+                entries[k, b][old] = number[at[old]]
+                fresh_rows.append(prods[~old])
+                fresh_at.append(k * len(rows) + b.start + np.flatnonzero(~old))
+        cand = row_keys(np.concatenate(fresh_rows))
+        order = np.argsort(cand)
+        cand = cand[order]
+        first = np.ones(len(cand), dtype=bool)
+        first[1:] = cand[1:] != cand[:-1]
+        entries.ravel()[np.concatenate(fresh_at)[order]] = n - 1 + np.cumsum(first)
+        rows, new_keys = np.concatenate(fresh_rows)[order[first]], cand[first]
+        at = np.searchsorted(keys, new_keys)
+        keys = np.insert(keys, at, new_keys)
+        number = np.insert(number, at, np.arange(n, n + len(rows)))
+        found.append(rows)
+        right.append(entries)
+    index = np.argsort(number)                        # sorted position of each number
+    table = np.concatenate(found)[number]
+    right = index[np.concatenate(right, axis=1)[:, number]]
+    # argsort of each row is the inverse permutation
+    inv = row_positions(table, keys, np.argsort(table, axis=1))
+    conj = np.take_along_axis(right, inv[right[:, inv]], axis=1)
+    points = np.arange(degree)
+    stab, base = table, []
+    while len(stab) > 1:
+        x = int(np.argmax((stab != points).any(axis=0)))
+        base.append(x)
+        stab = stab[stab[:, x] == x]
+    class_of, reps, sizes, witness = orbits(conj, right)
+    conjugacy = ConjugacyTable(tuple(class_of.tolist()), tuple(reps.tolist()),
+                               tuple(sizes.tolist()), tuple(witness.tolist()))
+    return table, conj, right, np.array(base, dtype=np.int64), conjugacy
 
 
 def brute_conjugacy(elements, generators):

@@ -1,0 +1,181 @@
+"""The stabilizer-chain closure and its int64 element keys against the
+breadth-first closure of brute_force.py: element tables, generator
+tables, base and conjugacy byte for byte on named groups and random
+ones, keys increasing along the table, lookups of rows that agree with
+an element on the base only, and the guards that refuse a group before
+its elements are formed.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from brute_force import bfs_closure
+from elabcat import cli, gallery, groups
+from elabcat.errors import CapExceeded, InvalidPermutation
+from elabcat.groups import close_generators, from_elements
+
+
+def symmetric(n):
+    return n, [tuple([1, 0] + list(range(2, n))), tuple((x + 1) % n for x in range(n))]
+
+
+def cycles(*lengths):
+    """One generator: disjoint cycles of the given lengths, in order."""
+    gen, start = [], 0
+    for m in lengths:
+        gen += [start + (x + 1) % m for x in range(m)]
+        start += m
+    return start, [tuple(gen)]
+
+
+def a4_squared():
+    three, double, ident = [1, 2, 0, 3], [1, 0, 3, 2], [0, 1, 2, 3]
+    return 8, [tuple(a + [x + 4 for x in b]) for a, b in
+               ((three, ident), (double, ident), (ident, three), (ident, double))]
+
+
+def built(G):
+    return G.degree, G.generators
+
+
+NAMED = {
+    "gl3-3": lambda: built(gallery.gl3(3)),
+    "S7": lambda: symmetric(7),
+    "S8": lambda: symmetric(8),
+    "A4xA4": a4_squared,
+    "affine-8": lambda: built(gallery.affine_group(8)),
+    "tri-2-3": lambda: built(gallery.triangular_group(2, 3)),
+    "cyclic-15015": lambda: cycles(3, 5, 7, 11, 13),
+}
+
+
+def assert_matches_bfs(degree, gens, element_cap=None):
+    try:
+        array, conj, right, base, conjugacy = bfs_closure(degree, gens, element_cap)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            close_generators(degree, gens, element_cap=element_cap)
+        return
+    G = close_generators(degree, gens, element_cap=element_cap)
+    assert G.array.dtype == array.dtype and G.array.tobytes() == array.tobytes()
+    for got, want in zip(G.generator_tables, (conj, right)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert G.base.dtype == base.dtype and G.base.tobytes() == base.tobytes()
+    assert G.conjugacy == conjugacy
+    assert (np.diff(G._keys) > 0).all()
+
+
+@pytest.mark.parametrize("name", list(NAMED))
+def test_chain_matches_bfs_closure(name):
+    assert_matches_bfs(*NAMED[name]())
+
+
+@st.composite
+def generator_lists(draw):
+    """(degree, generators) for degree at most 10 and zero to four
+    generators: each the identity, a repeat of an earlier one, or a cycle
+    through a random list of points."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["cycle", "cycle", "identity", "repeat"]))
+        if kind == "identity" or (kind == "repeat" and not gens) or n == 1:
+            gens.append(tuple(range(n)))
+        elif kind == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            cycle = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2, max_size=n))
+            g = list(range(n))
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                g[x] = y
+            gens.append(tuple(g))
+    return n, gens
+
+
+@given(group=generator_lists())
+@example(group=(3, []))
+@example(group=(5, [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (1, 0, 2, 3, 4)]))
+@example(group=(7, [(1, 2, 0, 3, 4, 5, 6), tuple(range(7)), (1, 2, 0, 3, 4, 5, 6),
+                    (0, 1, 2, 4, 5, 6, 3)]))
+@example(group=(10, [(1, 2, 3, 4, 0, 5, 6, 7, 8, 9), (1, 0, 2, 3, 4, 5, 6, 7, 8, 9),
+                     (0, 1, 2, 3, 4, 6, 7, 5, 8, 9), (0, 1, 2, 3, 4, 6, 5, 7, 8, 9)]))
+@example(group=(10, [tuple(range(1, 10)) + (0,), (1, 0) + tuple(range(2, 10))]))
+@settings(max_examples=80, deadline=None)
+def test_chain_matches_bfs_closure_on_random_groups(group):
+    # the cap keeps the breadth-first oracle quick; both sides must refuse
+    # the same groups
+    assert_matches_bfs(*group, element_cap=5040)
+
+
+def test_rows_agreeing_on_the_base_are_checked():
+    for degree, gens in (NAMED["gl3-3"](), (4, [(1, 0, 3, 2), (2, 0, 1, 3)])):
+        G = close_generators(degree, gens)
+        free = [x for x in range(degree) if x not in G.base.tolist()]
+        for i in (0, 1, len(G) - 1):
+            # swap the images of two points off the base: the row agrees
+            # with element i on the base, so it is not an element
+            row = G.array[i].copy()
+            row[free[:2]] = row[free[1::-1]]
+            assert tuple(row.tolist()) not in G
+            with pytest.raises(KeyError):
+                G.index(tuple(row.tolist()))
+            with pytest.raises(KeyError):
+                G.indices_of_rows(np.vstack((G.array[:3], row)))
+            assert G.indices_of_base_images(row[G.base]) == i
+
+
+def test_element_lists_that_are_not_groups():
+    G = close_generators(*symmetric(4))
+    elements = G.elements
+    with pytest.raises(InvalidPermutation):
+        from_elements(4, elements[:-1])                 # not closed
+    with pytest.raises(InvalidPermutation):
+        from_elements(4, elements + elements[5:6])      # a duplicate
+    with pytest.raises(InvalidPermutation):
+        from_elements(4, elements[:-1] + elements[5:6])  # the same length
+    assert from_elements(4, elements[::-1]).elements == elements
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_element_cap_fires_before_any_element(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as e:
+            close_generators(*symmetric(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.guard == "element_cap"
+    assert str(e.value) == ("group closure passed the element cap (65536); "
+                            "raise ELABCAT_ELEMENT_CAP to allow more")
+    # S9 alone would be a 362,880 x 9 table of 13 MB
+    assert peak < 2 ** 20
+
+
+def test_key_width_refused_before_enumeration(monkeypatch):
+    # S5: base 0, 1, 2, 3, each in an orbit of 5 points, so keys below 5^4
+    # take 10 bits
+    assert len(close_generators(*symmetric(5))) == 120
+    monkeypatch.setattr(groups, "KEY_BITS", 9)
+    monkeypatch.setattr(groups, "FiniteGroup", None)    # no element is formed
+    with pytest.raises(CapExceeded) as e:
+        close_generators(*symmetric(5))
+    assert e.value.guard == "element_key"
+    assert str(e.value) == "group element keys need 10 bits, more than the 9 an int64 key holds"
+
+
+def test_key_width_exits_3(monkeypatch, capsys, tmp_path):
+    doc = tmp_path / "s5.json"
+    degree, gens = symmetric(5)
+    doc.write_text('{"name": "S5", "degree": 5, "generators": %s}'
+                   % [list(g) for g in gens])
+    monkeypatch.setattr(groups, "KEY_BITS", 9)
+    assert cli.main(["analyze", str(doc), "--prime", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: guard element_key: group element keys need 10 bits, "
+                   "more than the 9 an int64 key holds\n")

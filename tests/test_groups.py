@@ -190,9 +190,11 @@ class TestFiniteGroup:
     def test_tables_make_one_lookup(self, monkeypatch):
         G = close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
         calls = []
-        lookup = FiniteGroup.indices_of_rows
-        monkeypatch.setattr(FiniteGroup, "indices_of_rows",
-                            lambda self, rows: calls.append(len(rows)) or lookup(self, rows))
+        lookup = FiniteGroup.indices_of_base_images
+        monkeypatch.setattr(FiniteGroup, "indices_of_base_images",
+                            lambda self, images: calls.append(images.shape) or lookup(self, images))
+        monkeypatch.setattr(FiniteGroup, "indices_of_rows", None)   # no row is checked
         G.generator_tables
         G.conjugacy
-        assert calls == [len(G)]                # inverse_indices
+        # the inverses and the two right tables, by their base images
+        assert calls == [(3, len(G), len(G.base))]
