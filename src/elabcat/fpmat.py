@@ -1,8 +1,10 @@
 """Tiny dense linear algebra over prime fields.
 
-Matrices here are tuples of row tuples of ints reduced mod p: the matrix
-groups of the gallery builders, the rank check of explicit morphisms,
-and the test oracles.  Hom-sets themselves are arrays of column codes
+Matrices here are tuples of row tuples of ints reduced mod p: the
+generators of the gallery's matrix groups (closed as permutation groups
+on the p^n vector codes), the rank check of explicit morphisms, and the
+test oracles.  subspace_bases enumerates subspaces by reduced row
+echelon form.  Hom-sets themselves are arrays of column codes
 (see categories).  Everything here is desk scale (dimensions at most a
 handful), so plain Gaussian elimination is used throughout.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
@@ -71,21 +73,6 @@ def mat_inv(A: Mat, p: int) -> Optional[Mat]:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def span(p: int, vecs: Iterable[Vec]) -> frozenset[Vec]:
-    vecs = list(vecs)
-    if not vecs:
-        return frozenset()
-    dim = len(vecs[0])
-    out = {(0,) * dim}
-    for v in vecs:
-        addition = set()
-        for s in out:
-            for c in range(1, p):
-                addition.add(tuple((x + c * y) % p for x, y in zip(s, v)))
-        out |= addition
-    return frozenset(out)
-
-
 def injective_count(p: int, rows: int, cols: int) -> int:
     if cols == 0:
         return 1
@@ -99,29 +86,31 @@ def injective_count(p: int, rows: int, cols: int) -> int:
 
 @lru_cache(maxsize=None)
 def subspace_bases(p: int, dim: int, rank: int) -> tuple[tuple[Vec, ...], ...]:
-    """One canonical basis per rank-dimensional subspace of F_p^dim.
+    """One canonical basis per rank-dimensional subspace of F_p^dim, sorted.
 
-    Deterministic: subspaces are found by scanning independent tuples in
-    lex order and keeping the first basis seen for each span.
+    Each subspace is enumerated once, by its reduced row echelon form: the
+    pivot columns, then each row's values on its free columns (right of
+    its pivot, outside the other pivot columns), chosen independently.
+    The basis is the form's rows in descending pivot order, which is the
+    greedy lexicographically first basis: a vector's first nonzero entry
+    sits at the smallest pivot among the rows it uses, so the smallest
+    nonzero vector of the span is the row of the largest pivot, and each
+    next row is the smallest vector outside the span of those before it.
     """
-    if rank == 0:
-        return ((),)
-    seen: dict[frozenset[Vec], tuple[Vec, ...]] = {}
-    nonzero = [v for v in itertools.product(range(p), repeat=dim)
-               if any(v)]
-
-    def extend(chosen: list[Vec], spanned: frozenset[Vec]):
-        if len(chosen) == rank:
-            key = spanned
-            if key not in seen:
-                seen[key] = tuple(chosen)
-            return
-        for v in nonzero:
-            if v not in spanned and (not chosen or v > chosen[-1]):
-                extend(chosen + [v], span(p, chosen + [v]))
-
-    extend([], frozenset([(0,) * dim]))
-    return tuple(sorted(seen.values()))
+    out = []
+    for pivots in itertools.combinations(range(dim), rank):
+        choices = []
+        for pc in reversed(pivots):
+            free = [c for c in range(pc + 1, dim) if c not in pivots]
+            rows = []
+            for values in itertools.product(range(p), repeat=len(free)):
+                row = [1 if c == pc else 0 for c in range(dim)]
+                for c, x in zip(free, values):
+                    row[c] = x
+                rows.append(tuple(row))
+            choices.append(rows)
+        out.extend(itertools.product(*choices))
+    return tuple(sorted(out))
 
 
 def gl_generators(p: int, n: int) -> list[Mat]:
@@ -161,25 +150,3 @@ def primitive_root(p: int) -> int:
         if len(seen) == p - 1:
             return g
     raise ValueError(f"{p} is not prime")
-
-
-def close_matrix_group(gens: Sequence[Mat], p: int,
-                       limit: int = 10 ** 6) -> list[Mat]:
-    """Breadth-first closure of matrix generators under multiplication."""
-    if not gens:
-        return []
-    n = len(gens[0])
-    seen = {identity_mat(n)}
-    frontier = [identity_mat(n)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g, p)
-                if prod not in seen:
-                    if len(seen) >= limit:
-                        raise ValueError("matrix group closure passed limit")
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return sorted(seen)

@@ -16,6 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -25,9 +26,9 @@ from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
 from .errors import CapExceeded, InputFormatError
 from .config import cap as _cap
-from .fpmat import (Mat, close_matrix_group, mat_inv, mat_mul, mat_vec,
-                    subspace_bases)
-from .groups import FiniteGroup, Perm, close_generators
+from .fpmat import (Mat, gl_generators, identity_mat, mat_inv, mat_mul,
+                    mat_rank, mat_vec, subspace_bases)
+from .groups import FiniteGroup, Perm, _orbit_labels, close_generators, conjugate
 
 # -- small finite fields ----------------------------------------------
 
@@ -58,17 +59,16 @@ def modulus_text(q: int) -> str:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, n
-    raise ValueError(f"{q} is not a prime power")
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    n, m = 0, q
+    while m % p == 0:
+        m //= p
+        n += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, n
 
 
 class SmallField:
@@ -192,7 +192,6 @@ class GL3Build:
 
 def build_gl3(p: int) -> GL3Build:
     """GL_3(F_p) acting on the nonzero vectors of F_p^3."""
-    from .fpmat import gl_generators, identity_mat
     gens = [_matrix_perm_nonzero(M, p, 3) for M in gl_generators(p, 3)]
     G = close_generators(p ** 3 - 1, gens, name=f"gl3-{p}")
 
@@ -220,13 +219,13 @@ def gl3(p: int) -> FiniteGroup:
 class TriangularBuild:
     group: FiniteGroup
     prime: int
-    dim: int
     kernel: ElabSubgroup       # the translated vector space F_p^n
-    q_matrices: list[Mat]      # constant-diagonal unipotent block
-    u_matrices: list[Mat]      # full upper unitriangular group
+    q_group: FiniteGroup       # constant-diagonal unipotent block, on the p^n codes
+    u_group: FiniteGroup       # full upper unitriangular group, on the p^n codes
 
 
 def _affine_perm(M: Mat, v, p: int, n: int) -> Perm:
+    """x -> M x + v on the p^n vector codes."""
     images = []
     for code in range(p ** n):
         x = _code_vec(code, p, n)
@@ -236,6 +235,16 @@ def _affine_perm(M: Mat, v, p: int, n: int) -> Perm:
     return tuple(images)
 
 
+def _translation(v, p: int, n: int) -> Perm:
+    return _affine_perm(identity_mat(n), v, p, n)
+
+
+def _linear_group(mats: list[Mat], p: int, n: int, name: str) -> FiniteGroup:
+    """The matrix group the mats generate, as permutations of the p^n codes."""
+    zero = (0,) * n
+    return close_generators(p ** n, [_affine_perm(M, zero, p, n) for M in mats], name=name)
+
+
 def build_triangular(p: int, n: int) -> TriangularBuild:
     """F_p^n extended by the unipotent matrices constant along diagonals.
 
@@ -243,7 +252,6 @@ def build_triangular(p: int, n: int) -> TriangularBuild:
     Jordan block nilpotent N, order p^(n-1); the whole group has order
     p^n * p^(n-1).
     """
-    from .fpmat import identity_mat
     N = tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n))
     q_gens = []
     power = N
@@ -251,13 +259,10 @@ def build_triangular(p: int, n: int) -> TriangularBuild:
         q_gens.append(tuple(tuple((1 if i == j else 0) + power[i][j]
                                   for j in range(n)) for i in range(n)))
         power = mat_mul(power, N, p)
-    zero = (0,) * n
-    gens = [_affine_perm(M, zero, p, n) for M in q_gens]
-    for i in range(n):
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(_affine_perm(identity_mat(n), e_i, p, n))
+    q_group = _linear_group(q_gens, p, n, f"q-{p}-{n}")
+    gens = q_group.generators + [_translation(e_i, p, n) for e_i in identity_mat(n)]
     G = close_generators(p ** n, gens, name=f"triangular-{p}-{n}")
-    translations = [G.index(_affine_perm(identity_mat(n), v, p, n))
+    translations = [G.index(_translation(v, p, n))
                     for v in itertools.product(range(p), repeat=n)]
     kernel = ElabSubgroup.from_element_indices(G, p, translations)
     u_gens = []
@@ -265,9 +270,7 @@ def build_triangular(p: int, n: int) -> TriangularBuild:
         M = [list(r) for r in identity_mat(n)]
         M[i][i + 1] = 1
         u_gens.append(tuple(tuple(r) for r in M))
-    return TriangularBuild(G, p, n, kernel,
-                           close_matrix_group(q_gens, p),
-                           close_matrix_group(u_gens, p))
+    return TriangularBuild(G, p, kernel, q_group, _linear_group(u_gens, p, n, f"u-{p}-{n}"))
 
 
 def triangular_group(p: int, n: int) -> FiniteGroup:
@@ -278,8 +281,10 @@ def triangular_group(p: int, n: int) -> FiniteGroup:
 class Prop10Build:
     group: FiniteGroup
     prime: int
+    dim: int                           # of E + Z, acted on by the p^dim codes
+    jordan: Mat                        # the Jordan block c on E's coordinates
     distinguished: ElabSubgroup        # translations by E + 0
-    c_matrix: Mat                      # the Jordan block map on it
+    c_matrix: Mat                      # c in E's canonical coordinates
     max_subspaces: list[tuple]         # canonical bases of the M's
     b_elements: list[int]              # group element index of each b_M
     linear_order: int                  # order of the linear part
@@ -290,28 +295,31 @@ def build_prop10(p: int, n: int) -> Prop10Build:
 
     E has dimension n+1 carrying a single unipotent Jordan block c; Z has
     one coordinate z_M per maximal subspace M of E; psi_M kills M and
-    sends a fixed transversal vector to z_M.  The linear part is closed
-    first (cheap), and the permutation group is refused before closure if
-    its predicted order passes the element cap.
+    sends a fixed transversal vector to z_M.  The group contains all
+    p^dim translations, so it is refused when p^dim passes the element
+    cap, before any permutation is formed; past that the stabilizer chain
+    refuses it before any element is.  The translations act regularly, so
+    the linear part has order |G| / p^dim.
     """
     dim_e = n + 1
     maxes = subspace_bases(p, dim_e, n)
     dim_z = len(maxes)
-    assert dim_z == (p ** dim_e - 1) // (p - 1)
     dim = dim_e + dim_z
+    limit = _cap("element_cap")
+    if p ** dim > limit:
+        raise CapExceeded("element_cap", f"the {p}^{dim} translations pass the element cap "
+                                         f"({limit}); raise ELABCAT_ELEMENT_CAP to allow more")
 
-    c_small = tuple(tuple(1 if j == i or j == i + 1 else 0
-                          for j in range(dim_e)) for i in range(dim_e))
+    jordan = tuple(tuple(1 if j == i or j == i + 1 else 0
+                         for j in range(dim_e)) for i in range(dim_e))
 
     def functional(basis) -> tuple[int, ...]:
         # row vector vanishing on the subspace, 1 on the first vector outside
-        from .fpmat import span
-        inside = span(p, basis)
         transversal = next(v for v in itertools.product(range(p), repeat=dim_e)
-                           if v not in inside)
+                           if mat_rank(basis + (v,), p) > len(basis))
         # r . b = 0 for b in basis and r . transversal = 1: the last
         # column of the inverse of the matrix with those rows
-        inv = mat_inv(tuple(basis) + (transversal,), p)
+        inv = mat_inv(basis + (transversal,), p)
         return tuple(row[-1] for row in inv)
 
     b_mats: list[Mat] = []
@@ -319,48 +327,33 @@ def build_prop10(p: int, n: int) -> Prop10Build:
         phi = functional(basis)
         rows = []
         for i in range(dim_e):
-            rows.append(tuple(c_small[i]) + (0,) * dim_z)
+            rows.append(tuple(jordan[i]) + (0,) * dim_z)
         for zi in range(dim_z):
             psi_row = phi if zi == m_idx else (0,) * dim_e
             z_row = tuple(1 if k == zi else 0 for k in range(dim_z))
             rows.append(tuple(psi_row) + z_row)
         b_mats.append(tuple(rows))
 
-    linear = close_matrix_group(b_mats, p)
-    predicted = p ** dim * len(linear)
-    limit = _cap("element_cap")
-    if predicted > limit:
-        raise CapExceeded(
-            "element_cap",
-            f"predicted order {predicted} (= {p}^{dim} * {len(linear)}) "
-            f"passes the element cap ({limit})")
-
-    from .fpmat import identity_mat
     zero = (0,) * dim
-    gens = [_affine_perm(M, zero, p, dim) for M in b_mats]
-    for i in range(dim):
-        e_i = tuple(1 if j == i else 0 for j in range(dim))
-        gens.append(_affine_perm(identity_mat(dim), e_i, p, dim))
+    b_perms = [_affine_perm(M, zero, p, dim) for M in b_mats]
+    gens = b_perms + [_translation(e_i, p, dim) for e_i in identity_mat(dim)]
     G = close_generators(p ** dim, gens, name=f"prop10-{p}-{n}")
 
-    e_translations = []
-    for v in itertools.product(range(p), repeat=dim_e):
-        w = tuple(v) + (0,) * dim_z
-        e_translations.append(G.index(_affine_perm(identity_mat(dim), w, p, dim)))
-    E = ElabSubgroup.from_element_indices(G, p, e_translations)
+    def e_index(v) -> int:
+        return G.index(_translation(tuple(v) + (0,) * dim_z, p, dim))
+
+    E = ElabSubgroup.from_element_indices(
+        G, p, [e_index(v) for v in itertools.product(range(p), repeat=dim_e)])
 
     # matrix of the Jordan block map in E's canonical coordinates
     cols = []
     for b in E.basis:
         v = _translation_vector(G, b, p, dim)[:dim_e]
-        cv = mat_vec(c_small, v, p)
-        w = tuple(cv) + (0,) * dim_z
-        img = G.index(_affine_perm(identity_mat(dim), w, p, dim))
-        cols.append(E.vector_of_index(img))
+        cols.append(E.vector_of_index(e_index(mat_vec(jordan, v, p))))
     c_matrix = tuple(tuple(col[r] for col in cols) for r in range(E.rank))
 
-    b_elements = [G.index(_affine_perm(M, zero, p, dim)) for M in b_mats]
-    return Prop10Build(G, p, E, c_matrix, list(maxes), b_elements, len(linear))
+    return Prop10Build(G, p, dim, jordan, E, c_matrix, list(maxes),
+                       [G.index(b) for b in b_perms], G.order // G.degree)
 
 
 def _translation_vector(G: FiniteGroup, idx: int, p: int, dim: int) -> tuple[int, ...]:
@@ -452,11 +445,47 @@ def load_entry(name: str) -> GalleryEntry:
         if rec["check"] not in _CHECKS:
             raise InputFormatError(
                 f"{path}: claim {rec['id']}: unknown check {rec['check']!r}")
+        args = rec.get("args", {})
+        if not isinstance(args, dict):
+            raise InputFormatError(f"{path}: claim {rec['id']}: args must be an object")
+        for key in _NEEDS[rec["check"]]:
+            if key not in args:
+                raise InputFormatError(f"{path}: claim {rec['id']}: check "
+                                       f"{rec['check']} needs args key {key!r}")
         claims.append(GalleryClaim(rec["id"], rec["text"], rec["provenance"],
-                                   rec["check"], rec["expected"],
-                                   rec.get("args", {})))
+                                   rec["check"], rec["expected"], args))
+    _check_params(path, doc["builder"], doc["params"], doc["prime"])
     return GalleryEntry(doc["name"], doc["builder"], doc["params"],
                         doc["prime"], tuple(claims))
+
+
+def _is_prime(v) -> bool:
+    try:
+        return _prime_power(v)[1] == 1
+    except ValueError:
+        return False
+
+
+def _check_params(path, builder, params, prime) -> None:
+    """InputFormatError unless the builder is known and its params, and
+    the entry's prime, are what it reads: positive integers, p prime and
+    q the order of a field on record."""
+    if not isinstance(builder, str) or builder not in _BUILDERS:
+        raise InputFormatError(f"{path}: unknown gallery builder {builder!r}")
+    if not isinstance(params, dict):
+        raise InputFormatError(f"{path}: params must be an object")
+    values = {f"params.{key}": params.get(key) for key in _BUILDERS[builder]}
+    values["prime"] = prime
+    for key, v in values.items():
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise InputFormatError(f"{path}: {key} must be a positive integer, got {v!r}")
+        if key in ("params.p", "prime") and not _is_prime(v):
+            raise InputFormatError(f"{path}: {key} must be a prime, got {v}")
+    if builder == "affine":
+        try:
+            SmallField(params["q"])
+        except ValueError as e:
+            raise InputFormatError(f"{path}: params.q: {e}")
 
 
 @dataclass
@@ -471,6 +500,12 @@ def build_cyclic(n: int, p: int) -> CyclicBuild:
     idxs = sorted(i for i in range(G.order)
                   if G.element_orders[i] in (1, p))
     return CyclicBuild(G, p, ElabSubgroup.from_element_indices(G, p, idxs))
+
+
+# the params each builder reads
+_BUILDERS: dict[str, tuple[str, ...]] = {
+    "affine": ("q",), "cyclic": ("n",), "gl3": ("p",),
+    "triangular": ("p", "n"), "prop10": ("p", "n")}
 
 
 def _build_entry(entry: GalleryEntry):
@@ -520,12 +555,26 @@ class _EntryContext:
             self._homs[key] = cg.hom_matrices(*key)
         return self._homs[key]
 
-    def subgroup(self, name: str) -> ElabSubgroup:
-        obj = getattr(self.build, name, None)
-        if not isinstance(obj, ElabSubgroup):
-            raise InputFormatError(
-                f"entry {self.entry.name}: no subgroup named {name!r}")
+    def part(self, name: str, kind: type, what: str):
+        """The build's attribute name, which must be a kind; a claim that
+        names another raises InputFormatError."""
+        obj = getattr(self.build, name, None) if isinstance(name, str) else None
+        if not isinstance(obj, kind):
+            raise InputFormatError(f"entry {self.entry.name}: the {self.entry.builder} "
+                                   f"build has no {what} named {name!r}")
         return obj
+
+    def subgroup(self, name: str) -> ElabSubgroup:
+        return self.part(name, ElabSubgroup, "subgroup")
+
+    def matrix_group(self, which: str) -> FiniteGroup:
+        return self.part(f"{which}_group", FiniteGroup, "matrix group")
+
+    def kind(self, text: str) -> cg.CategoryKind:
+        try:
+            return cg.CategoryKind.parse(text)
+        except (AttributeError, ValueError) as e:
+            raise InputFormatError(f"entry {self.entry.name}: kind {text!r}: {e}") from None
 
 
 def _jsonify(value):
@@ -541,13 +590,16 @@ def _jsonify(value):
 
 
 _CHECKS: dict[str, Callable] = {}
+_NEEDS: dict[str, tuple[str, ...]] = {}      # the args keys each check reads
 _CATALOG_CHECKS: set[str] = set()
 
 
-def _check(name: str, catalog: bool = False):
-    """Register a claim check; catalog marks one that enumerates the catalog."""
+def _check(name: str, *needs: str, catalog: bool = False):
+    """Register a claim check reading the args keys needs; catalog marks
+    one that enumerates the catalog."""
     def deco(fn):
         _CHECKS[name] = fn
+        _NEEDS[name] = needs
         if catalog:
             _CATALOG_CHECKS.add(name)
         return fn
@@ -559,24 +611,27 @@ def _chk_group_order(ctx, args):
     return ctx.group.order
 
 
-@_check("field_modulus")
+@_check("field_modulus", "q")
 def _chk_field_modulus(ctx, args):
+    if not isinstance(args["q"], int) or args["q"] not in IRREDUCIBLE:
+        raise InputFormatError(f"entry {ctx.entry.name}: no modulus on record for "
+                               f"field order {args['q']!r}")
     return modulus_text(args["q"])
 
 
-@_check("object_rank")
+@_check("object_rank", "object")
 def _chk_object_rank(ctx, args):
     return ctx.subgroup(args["object"]).rank
 
 
-@_check("object_order")
+@_check("object_order", "object")
 def _chk_object_order(ctx, args):
     return len(ctx.subgroup(args["object"]).elements)
 
 
 @_check("linear_part_order")
 def _chk_linear_part_order(ctx, args):
-    return ctx.build.linear_order
+    return ctx.part("linear_order", int, "linear part")
 
 
 @_check("order_p_class_count")
@@ -606,28 +661,25 @@ def _chk_p_rank(ctx, args):
     return p_rank(ctx.catalog)
 
 
-@_check("component_count", catalog=True)
+@_check("component_count", "kind", catalog=True)
 def _chk_component_count(ctx, args):
-    kind = cg.CategoryKind.parse(args["kind"])
-    return len(cg.maximal_objects(cg.build_category(kind, ctx.catalog)))
+    return len(cg.maximal_objects(cg.build_category(ctx.kind(args["kind"]), ctx.catalog)))
 
 
-@_check("aut_order")
+@_check("aut_order", "object", "kind")
 def _chk_aut_order(ctx, args):
     E = ctx.subgroup(args["object"])
-    kind = cg.CategoryKind.parse(args["kind"])
-    return len(ctx.hom(kind, E, E))
+    return len(ctx.hom(ctx.kind(args["kind"]), E, E))
 
 
-@_check("hom_order")
+@_check("hom_order", "domain", "codomain", "kind")
 def _chk_hom_order(ctx, args):
     D = ctx.subgroup(args["domain"])
     C = ctx.subgroup(args["codomain"])
-    kind = cg.CategoryKind.parse(args["kind"])
-    return len(ctx.hom(kind, D, C))
+    return len(ctx.hom(ctx.kind(args["kind"]), D, C))
 
 
-@_check("fibre_index", catalog=True)
+@_check("fibre_index", "object", catalog=True)
 def _chk_fibre_index(ctx, args):
     E = ctx.subgroup(args["object"])
     return _jsonify(cg.generic_fibre_index(ctx.catalog, E))
@@ -638,7 +690,7 @@ def _chk_a_eq_aprime(ctx, args):
     return bool(cg.categories_equal(cg.A, cg.APRIME, ctx.catalog).equal)
 
 
-@_check("conjugate_objects")
+@_check("conjugate_objects", "a", "b")
 def _chk_conjugate_objects(ctx, args):
     from .elabs import is_conjugate_subgroup
     E = ctx.subgroup(args["a"])
@@ -646,17 +698,15 @@ def _chk_conjugate_objects(ctx, args):
     return is_conjugate_subgroup(ctx.group, E, F) is not None
 
 
-@_check("kind_isomorphic")
+@_check("kind_isomorphic", "a", "b", "kind")
 def _chk_kind_isomorphic(ctx, args):
     E = ctx.subgroup(args["a"])
     F = ctx.subgroup(args["b"])
-    if E.rank != F.rank:
-        return False
-    kind = cg.CategoryKind.parse(args["kind"])
-    return len(ctx.hom(kind, E, F)) > 0
+    kind = ctx.kind(args["kind"])
+    return E.rank == F.rank and len(ctx.hom(kind, E, F)) > 0
 
 
-@_check("conjugacy_orbit_sizes")
+@_check("conjugacy_orbit_sizes", "object")
 def _chk_conj_orbit_sizes(ctx, args):
     # sizes of the conjugacy class intersections with the subgroup
     E = ctx.subgroup(args["object"])
@@ -668,7 +718,7 @@ def _chk_conj_orbit_sizes(ctx, args):
     return sorted(counts.values())
 
 
-@_check("class_centralizer_order")
+@_check("class_centralizer_order", "object", "orbit_size")
 def _chk_class_centralizer(ctx, args):
     # centralizer order of a member of the unique class meeting the
     # subgroup in exactly orbit_size elements
@@ -684,94 +734,63 @@ def _chk_class_centralizer(ctx, args):
     return len(ctx.group.centralizer_indices(hits[0]))
 
 
-def _matrix_orbits(mats, p: int, dim: int) -> set:
-    seen: set[int] = set()
-    orbits = set()
-    for code in range(p ** dim):
-        if code in seen:
-            continue
-        orbit = {code}
-        frontier = [code]
-        while frontier:
-            x = frontier.pop()
-            vx = _code_vec(x, p, dim)
-            for M in mats:
-                y = _vec_code(mat_vec(M, vx, p), p)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        orbits.add(frozenset(orbit))
-    return orbits
+def _orbit_partition(G: FiniteGroup) -> np.ndarray:
+    """Each point's smallest orbit-mate under G: equal arrays are equal
+    orbit partitions."""
+    return _orbit_labels(np.array(G.generators, dtype=np.int64).reshape(-1, G.degree))
 
 
-@_check("matrix_orbit_sizes")
+@_check("matrix_orbit_sizes", "which")
 def _chk_matrix_orbit_sizes(ctx, args):
-    b = ctx.build
-    mats = b.q_matrices if args["which"] == "q" else b.u_matrices
-    return sorted(len(o) for o in _matrix_orbits(mats, b.prime, b.dim))
+    sizes = np.bincount(_orbit_partition(ctx.matrix_group(args["which"])))
+    return sorted(sizes[sizes > 0].tolist())
 
 
 @_check("matrix_orbits_match")
 def _chk_matrix_orbits_match(ctx, args):
-    b = ctx.build
-    return (_matrix_orbits(b.q_matrices, b.prime, b.dim)
-            == _matrix_orbits(b.u_matrices, b.prime, b.dim))
+    return np.array_equal(_orbit_partition(ctx.matrix_group("q")),
+                          _orbit_partition(ctx.matrix_group("u")))
 
 
-@_check("matrix_group_order")
+@_check("matrix_group_order", "which")
 def _chk_matrix_group_order(ctx, args):
-    b = ctx.build
-    return len(b.q_matrices if args["which"] == "q" else b.u_matrices)
+    return ctx.matrix_group(args["which"]).order
 
 
 @_check("distinguished_map_matrix")
 def _chk_distinguished_matrix(ctx, args):
-    return _jsonify(ctx.build.c_matrix)
+    return _jsonify(ctx.part("c_matrix", tuple, "distinguished map"))
 
 
-@_check("distinguished_map_in_kind")
+@_check("distinguished_map_in_kind", "kind")
 def _chk_distinguished_in_kind(ctx, args):
-    kind = cg.CategoryKind.parse(args["kind"])
-    E = ctx.build.distinguished
-    codes = cg.column_codes(ctx.build.c_matrix, E.prime)
+    kind = ctx.kind(args["kind"])
+    E = ctx.subgroup("distinguished")
+    codes = cg.column_codes(ctx.part("c_matrix", tuple, "distinguished map"), E.prime)
     return bool((ctx.hom(kind, E, E) == codes).all(axis=1).any())
 
 
-@_check("an_equals_a_on_object")
+@_check("an_equals_a_on_object", "object", "n")
 def _chk_an_equals_a(ctx, args):
     E = ctx.subgroup(args["object"])
-    return np.array_equal(ctx.hom(cg.a_n(args["n"]), E, E), ctx.hom(cg.A, E, E))
+    return np.array_equal(ctx.hom(ctx.kind(f"An({args['n']})"), E, E), ctx.hom(cg.A, E, E))
 
 
 @_check("pointwise_block_witnesses")
 def _chk_pointwise_witnesses(ctx, args):
     # each stored block element conjugates translation-by-v to
     # translation-by-cv for every v in its kernel subspace
-    from .fpmat import identity_mat
-    from .groups import conjugate
+    c = ctx.part("jordan", tuple, "Jordan block")
     b = ctx.build
     G, p = b.group, b.prime
-    n = ctx.entry.params["n"]
-    dim_e = n + 1
-    dim = 0
-    while p ** dim < G.degree:
-        dim += 1
-    c_small = tuple(tuple(1 if j == i or j == i + 1 else 0
-                          for j in range(dim_e)) for i in range(dim_e))
-    ident = identity_mat(dim)
-
-    def t_index(v_e):
-        w = tuple(v_e) + (0,) * (dim - dim_e)
-        return G.index(_affine_perm(ident, w, p, dim))
-
+    pad = (0,) * (b.dim - len(c))
     for basis, b_idx in zip(b.max_subspaces, b.b_elements):
         b_perm = G.element(b_idx)
         for coeffs in itertools.product(range(p), repeat=len(basis)):
             v = tuple(sum(a * vec[k] for a, vec in zip(coeffs, basis)) % p
-                      for k in range(dim_e))
-            want = t_index(mat_vec(c_small, v, p))
-            got = G.index(conjugate(b_perm, G.element(t_index(v))))
+                      for k in range(len(c)))
+            want = G.index(_translation(mat_vec(c, v, p) + pad, p, b.dim))
+            got = G.index(conjugate(b_perm, _translation(v + pad, p, b.dim)))
             if got != want:
                 return False
     return True

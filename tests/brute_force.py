@@ -13,6 +13,13 @@ weyl_image reads the conjugation action of the normalizer by conjugating
 E's basis by every element of G.  None of them shares code with the
 breadth-first search in ``categories.hom_matrices``.
 
+span, subspace_oracle and close_matrix_group: spans as sets of vector
+tuples, subspaces by scanning every increasing tuple of independent
+vectors and keeping the first basis of each span, and matrix groups by a
+breadth-first closure over ``fpmat.mat_mul``; they share no code with the
+reduced echelon enumeration of ``fpmat.subspace_bases`` or with
+``groups.close_generators``.
+
 brute_closure: the worklist closure, which joins every new hom with every
 stored one and restricts it to every pair of catalog subgroups.  It runs
 no guard and shares no code with the semi-naive ``categories.closure``.
@@ -44,7 +51,8 @@ from functools import lru_cache
 import numpy as np
 
 from elabcat.elabs import ElabSubgroup
-from elabcat.fpmat import mat_inv, mat_mul, mat_rank, mat_vec, subspace_bases
+from elabcat.fpmat import (identity_mat, mat_inv, mat_mul, mat_rank, mat_vec,
+                           subspace_bases)
 from elabcat.config import cap
 from elabcat.errors import CapExceeded
 from elabcat.groups import (ConjugacyTable, _perm_rows, blocks, compose, conjugate,
@@ -82,6 +90,66 @@ def injective_oracle(p, rows, cols):
     mats = (tuple(tuple(e[r * cols:(r + 1) * cols]) for r in range(rows))
             for e in entries)
     return tuple(sorted(M for M in mats if mat_rank(M, p) == cols))
+
+
+def span(p, vecs):
+    """Every vector of the span of vecs, as a frozenset (empty for none)."""
+    vecs = list(vecs)
+    if not vecs:
+        return frozenset()
+    dim = len(vecs[0])
+    out = {(0,) * dim}
+    for v in vecs:
+        addition = set()
+        for s in out:
+            for c in range(1, p):
+                addition.add(tuple((x + c * y) % p for x, y in zip(s, v)))
+        out |= addition
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def subspace_oracle(p, dim, rank):
+    """One basis per rank-dimensional subspace of F_p^dim, sorted: every
+    increasing tuple of independent vectors in lex order, each span
+    keeping the first basis seen."""
+    if rank == 0:
+        return ((),)
+    seen = {}
+    nonzero = [v for v in itertools.product(range(p), repeat=dim) if any(v)]
+
+    def extend(chosen, spanned):
+        if len(chosen) == rank:
+            seen.setdefault(spanned, tuple(chosen))
+            return
+        for v in nonzero:
+            if v not in spanned and (not chosen or v > chosen[-1]):
+                extend(chosen + [v], span(p, chosen + [v]))
+
+    extend([], frozenset([(0,) * dim]))
+    return tuple(sorted(seen.values()))
+
+
+def close_matrix_group(gens, p, limit=10 ** 6):
+    """Sorted elements of the matrix group gens generate, by a
+    breadth-first closure under multiplication."""
+    if not gens:
+        return []
+    n = len(gens[0])
+    seen = {identity_mat(n)}
+    frontier = [identity_mat(n)]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(m, g, p)
+                if prod not in seen:
+                    if len(seen) >= limit:
+                        raise ValueError("matrix group closure passed limit")
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return sorted(seen)
 
 
 def _allowed_classes(E, d):

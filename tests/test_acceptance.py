@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from elabcat import categories as cg
@@ -22,12 +23,13 @@ from elabcat.chern import (dickson_check, frobenius_identity_check,
                            whitney_product_check)
 from elabcat.elabs import enumerate_elabs, is_conjugate_subgroup, p_rank
 from elabcat.fppoly import expand_in_elementaries, symmetric_reduce
-from elabcat.fpmat import close_matrix_group, gl_generators, mat_vec
-from elabcat.gallery import (_matrix_orbits, _vec_code, affine_group,
+from elabcat.fpmat import gl_generators, mat_vec
+from elabcat.gallery import (_orbit_partition, _vec_code, affine_group,
                              build_cyclic, build_gl3, build_prop10,
                              build_triangular, cyclic_group, gl3,
                              triangular_group)
 from elabcat.groups import conjugacy_classes
+from brute_force import close_matrix_group
 from test_cli import run_cli
 
 
@@ -102,8 +104,9 @@ def test_criterion_04_gl3_f3_jordan_forms():
 def test_criterion_05_triangular_orbit_stabilizer():
     with budget(10):
         b = build_triangular(2, 3)
-        orbits = _matrix_orbits(b.q_matrices, 2, 3)
-        assert orbits == _matrix_orbits(b.u_matrices, 2, 3)
+        label = _orbit_partition(b.q_group)
+        assert (label == _orbit_partition(b.u_group)).all()
+        orbits = {frozenset(np.flatnonzero(label == r).tolist()) for r in set(label.tolist())}
         stab = 0
         for M in close_matrix_group(gl_generators(2, 3), 2):
             image = {frozenset(_vec_code(mat_vec(M, (code // 4, code // 2 % 2,

@@ -315,6 +315,34 @@ class TestGallery:
         path.write_text(text)
         main_input_error(capsys, "gallery", str(path))
 
+    @pytest.mark.parametrize("builder,params,prime,check,args", [
+        ("affine", {}, 2, "group_order", {}),                        # no q
+        ("affine", {"q": 6}, 2, "group_order", {}),                  # not a prime power
+        ("gl3", {"p": 4}, 2, "group_order", {}),                     # not a prime
+        ("prop10", {"p": 2, "n": 0}, 2, "group_order", {}),
+        ("cyclic", {"n": 3}, 3, "matrix_orbit_sizes", {"which": "q"}),  # no matrix groups
+        ("affine", {"q": 4}, 2, "aut_order", {"kind": "A"}),         # no object
+        ("triangular", {"p": 2, "n": 3}, 2, "matrix_group_order", {}),  # no which
+    ])
+    def test_malformed_entry_values(self, tmp_path, capsys, builder, params, prime,
+                                    check, args):
+        doc = {"name": "x", "builder": builder, "params": params, "prime": prime,
+               "claims": [{"id": "c", "text": "t", "provenance": "derived",
+                           "check": check, "expected": 1, "args": args}]}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        main_input_error(capsys, "gallery", str(path))
+
+    def test_prop10_past_the_element_cap(self, tmp_path):
+        # the (2, 2) group has 2^10 translations but far more elements
+        doc = {"name": "prop10-2-2", "builder": "prop10", "params": {"p": 2, "n": 2},
+               "prime": 2, "claims": []}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("gallery", str(path))
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: guard element_cap")
+
 
 class TestPolynomialCommands:
     def test_dickson_output(self):

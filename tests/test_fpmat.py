@@ -1,9 +1,26 @@
 import pytest
 
-from brute_force import injective_oracle
-from elabcat.fpmat import (close_matrix_group, gl_generators, identity_mat,
-                           injective_count, mat_inv, mat_mul, mat_rank,
-                           mat_vec, primitive_root, span, subspace_bases)
+from brute_force import close_matrix_group, injective_oracle, span, subspace_oracle
+from elabcat.fpmat import (gl_generators, identity_mat, injective_count, mat_inv,
+                           mat_mul, mat_rank, mat_vec, primitive_root,
+                           subspace_bases)
+from elabcat.gallery import _linear_group
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def shapes(bound):
+    """Every (p, dim) with p^dim <= bound."""
+    return [(p, dim) for p in PRIMES for dim in range(9) if p ** dim <= bound]
+
+
+def gaussian_binomial(p, dim, rank):
+    """Number of rank-dimensional subspaces of F_p^dim."""
+    num = den = 1
+    for i in range(rank):
+        num *= p ** (dim - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
 
 def gl_order(p, n):
@@ -61,11 +78,41 @@ class TestEnumerations:
             assert key not in seen
             seen.add(key)
 
+    def test_subspace_bases_match_oracle(self):
+        # (2, 5, 5) is left out: the oracle's tuple scan takes seconds there
+        for p, dim in shapes(32):
+            for rank in range(dim + 1):
+                if (p, dim, rank) != (2, 5, 5):
+                    assert subspace_bases(p, dim, rank) == subspace_oracle(p, dim, rank)
+
+    def test_subspace_counts_are_gaussian_binomials(self):
+        # __wrapped__ skips the cache: F_2^8 has 200,787 subspaces of rank 4
+        for p, dim in shapes(256):
+            for rank in range(dim + 2):
+                bases = subspace_bases.__wrapped__(p, dim, rank)
+                assert len(bases) == gaussian_binomial(p, dim, rank), (p, dim, rank)
+
+    def test_subspace_bases_are_greedy_lex_first(self):
+        # the smallest nonzero vector of the span, then each time the
+        # smallest vector outside the span so far
+        for p, dim in shapes(64):
+            for rank in range(dim + 1):
+                bases = subspace_bases(p, dim, rank)
+                assert list(bases) == sorted(set(bases))
+                for basis in bases:
+                    whole = span(p, basis) | {(0,) * dim}
+                    greedy, inside = [], {(0,) * dim}
+                    while len(inside) < len(whole):
+                        greedy.append(min(whole - inside))
+                        inside = span(p, greedy)
+                    assert tuple(greedy) == basis
+
     @pytest.mark.parametrize("p,n,order", [(2, 2, 6), (2, 3, 168), (3, 2, 48),
                                            (5, 1, 4), (7, 1, 6)])
     def test_gl_generators(self, p, n, order):
         gens = gl_generators(p, n)
-        assert len(close_matrix_group(gens, p)) == order == gl_order(p, n)
+        assert _linear_group(gens, p, n, "gl").order == order == gl_order(p, n)
+        assert len(close_matrix_group(gens, p)) == order
 
     def test_primitive_root(self):
         for p in (3, 5, 7, 11):

@@ -71,8 +71,8 @@ class TestBuilders:
     def test_triangular(self):
         b = gal.build_triangular(2, 3)
         assert b.group.order == 32
-        assert len(b.q_matrices) == 4
-        assert len(b.u_matrices) == 8
+        assert b.q_group.order == 4
+        assert b.u_group.order == 8
         assert b.kernel.rank == 3
 
     def test_prop10_small(self):
@@ -84,11 +84,18 @@ class TestBuilders:
         assert b.c_matrix == ((1, 0), (1, 1))
 
     def test_prop10_refuses_before_closure(self):
-        # predicted order blows the element cap, so the builder must
-        # refuse quickly instead of enumerating
+        # the 3^6 translations fit under the element cap, so the
+        # stabilizer chain refuses the group before any element is formed
         with pytest.raises(CapExceeded) as e:
             gal.build_prop10(3, 1)
         assert e.value.guard == "element_cap"
+
+    def test_prop10_refuses_before_any_permutation(self, monkeypatch):
+        # G holds all 2^5 translations of E + Z
+        monkeypatch.setenv("ELABCAT_ELEMENT_CAP", "31")
+        with pytest.raises(CapExceeded) as e:
+            gal.build_prop10(2, 1)
+        assert e.value.guard == "element_cap" and "2^5 translations" in str(e.value)
 
 
 class TestFixtures:
