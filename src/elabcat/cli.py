@@ -31,6 +31,7 @@ from . import chern, fppoly, gallery
 from .elabs import ElabCatalog, enumerate_elabs, p_rank
 from .errors import (CapExceeded, ClosureGuardError, ElabcatError,
                      InputFormatError)
+from .fpmat import PRIME_LIMIT, is_prime
 from .groups import FiniteGroup, close_generators
 
 
@@ -464,33 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--pretty", action="store_true")
     pc.set_defaults(func=cmd_closure)
     return parser
-
-
-# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT,
-# the smallest strong pseudoprime to all of them (Sorenson and Webster,
-# Math. Comp. 86, 2017)
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality for n < PRIME_LIMIT."""
-    if n < 2 or any(n % a == 0 for a in MR_BASES):
-        return n in MR_BASES
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def check_numbers(args) -> None:

@@ -1,12 +1,12 @@
-"""Tiny dense linear algebra over prime fields.
+"""Tiny dense linear algebra over prime fields, and is_prime.
 
 Matrices here are tuples of row tuples of ints reduced mod p: the
-generators of the gallery's matrix groups (closed as permutation groups
-on the p^n vector codes), the rank check of explicit morphisms, and the
-test oracles.  subspace_bases enumerates subspaces by reduced row
-echelon form.  Hom-sets themselves are arrays of column codes
+generators of the gallery's matrix groups, the rank check of explicit
+morphisms, and the test oracles.  subspace_bases enumerates subspaces by
+reduced row echelon form.  Hom-sets themselves are arrays of column codes
 (see categories).  Everything here is desk scale (dimensions at most a
-handful), so plain Gaussian elimination is used throughout.
+handful), so plain Gaussian elimination is used throughout.  is_prime
+checks every prime the command line and the gallery entry files take.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
 
 
-def identity_mat(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_mul(A: Mat, B: Mat, p: int) -> Mat:
     # rows(A) x cols(B); cols(A) must equal rows(B)
     if A and B and len(A[0]) != len(B):
@@ -31,10 +27,6 @@ def mat_mul(A: Mat, B: Mat, p: int) -> Mat:
     return tuple(
         tuple(sum(a * B[k][j] for k, a in enumerate(row)) % p for j in range(cols))
         for row in A)
-
-
-def mat_vec(A: Mat, v: Vec, p: int) -> Vec:
-    return tuple(sum(a * x for a, x in zip(row, v)) % p for row in A)
 
 
 def _row_reduce(rows: list[list[int]], ncols: int, p: int) -> int:
@@ -135,6 +127,33 @@ def gl_generators(p: int, n: int) -> list[Mat]:
                            for j in range(n)) for i in range(n))
         gens.append(diag)
     return gens
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT,
+# the smallest strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n < PRIME_LIMIT."""
+    if n < 2 or any(n % a == 0 for a in MR_BASES):
+        return n in MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def primitive_root(p: int) -> int:

@@ -16,7 +16,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -26,9 +25,9 @@ from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
 from .errors import CapExceeded, InputFormatError
 from .config import cap as _cap
-from .fpmat import (Mat, gl_generators, identity_mat, mat_inv, mat_mul,
-                    mat_rank, mat_vec, subspace_bases)
-from .groups import FiniteGroup, Perm, _orbit_labels, close_generators, conjugate
+from .fpmat import (PRIME_LIMIT, Mat, gl_generators, is_prime, mat_inv, mat_rank,
+                    subspace_bases)
+from .groups import FiniteGroup, _orbit_labels, close_generators
 
 # -- small finite fields ----------------------------------------------
 
@@ -58,27 +57,20 @@ def modulus_text(q: int) -> str:
     return " + ".join(parts)
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    n, m = 0, q
-    while m % p == 0:
-        m //= p
-        n += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, n
-
-
 class SmallField:
-    """Arithmetic on field element codes 0..q-1."""
+    """Arithmetic on the element codes 0..q-1 of F_q, for q a prime below
+    PRIME_LIMIT or an order in IRREDUCIBLE (ValueError otherwise)."""
 
     def __init__(self, q: int):
-        p, n = _prime_power(q)
+        if q in IRREDUCIBLE:
+            n = len(IRREDUCIBLE[q]) - 1
+            p = round(q ** (1 / n))
+        elif q < PRIME_LIMIT and is_prime(q):
+            p, n = q, 1
+        else:
+            raise ValueError(f"no field of order {q} on record: a field order is a "
+                             f"prime or one of {sorted(IRREDUCIBLE)}")
         self.q, self.p, self.n = q, p, n
-        if n > 1 and q not in IRREDUCIBLE:
-            raise ValueError(f"no modulus on record for field order {q}")
         self.modulus = IRREDUCIBLE.get(q)
 
     def digits(self, code: int) -> list[int]:
@@ -128,6 +120,39 @@ class SmallField:
 # -- builders ---------------------------------------------------------
 
 
+def _check_degree(name: str, base: int, exp: int = 1, less: int = 0) -> int:
+    """The degree base^exp - less of a gallery group, refused with
+    CapExceeded("element_cap") past the element cap before any
+    permutation is formed: every gallery group is transitive or holds all
+    its translations, so its order is at least its degree.  base^exp is
+    not formed for exp past the cap's bit length (base >= 2, less <= 1)."""
+    limit = _cap("element_cap")
+    degree = base ** exp - less if exp <= limit.bit_length() else None
+    if degree is None or degree > limit:
+        points = (f"{base}^{exp}" if exp > 1 else str(base)) + (f" - {less}" if less else "")
+        raise CapExceeded("element_cap", f"{name} acts on {points} points, past the element "
+                                         f"cap ({limit}); raise ELABCAT_ELEMENT_CAP to allow more")
+    return degree
+
+
+def code_vectors(p: int, n: int) -> np.ndarray:
+    """(p^n, n) array whose row c is the vector of F_p^n with code c: the
+    vector codes are big-endian, the first coordinate the top base-p digit
+    (the column codes of categories are little-endian)."""
+    return cg._code_digits(p, n)[:, ::-1]
+
+
+def affine_images(mats, shifts, p: int, n: int) -> np.ndarray:
+    """Images of the maps x -> M_k x + v_k on the p^n vector codes, one row
+    of p^n codes per k: mats is a (k, n, n) stack or one (n, n) matrix,
+    shifts a (k, n) stack or one (n,) vector, and one stacks against the
+    other."""
+    mats = np.asarray(mats, dtype=np.int64)
+    shifts = np.asarray(shifts, dtype=np.int64)
+    images = (code_vectors(p, n) @ np.swapaxes(mats, -1, -2) + shifts[..., None, :]) % p
+    return images @ p ** np.arange(n - 1, -1, -1)
+
+
 @dataclass
 class AffineBuild:
     group: FiniteGroup
@@ -137,16 +162,18 @@ class AffineBuild:
 
 def build_affine(q: int) -> AffineBuild:
     """All maps x -> a*x + b on F_q, a nonzero; order q*(q-1)."""
+    _check_degree(f"affine-{q}", q)
     field = SmallField(q)
+    p, n = field.p, field.n
+    # field addition adds digit vectors, so the translations of F_q are
+    # those of F_p^n on the vector codes, translation by b in row b
+    translations = affine_images(np.eye(n), code_vectors(p, n), p, n)
     g = field.primitive()
     scale = tuple(field.mul(g, x) for x in range(q))
-    shift = tuple(field.add(x, 1) for x in range(q))
-    gens = [scale, shift] if q > 2 else [shift]
+    gens = [scale, translations[1]] if q > 2 else [translations[1]]
     G = close_generators(q, gens, name=f"affine-{q}")
-    translations = [G.index(tuple(field.add(x, b) for x in range(q)))
-                    for b in range(q)]
-    kernel = ElabSubgroup.from_element_indices(G, field.p, translations)
-    return AffineBuild(G, field.p, kernel)
+    kernel = ElabSubgroup.from_element_indices(G, p, G.indices_of_rows(translations))
+    return AffineBuild(G, p, kernel)
 
 
 def affine_group(q: int) -> FiniteGroup:
@@ -154,32 +181,9 @@ def affine_group(q: int) -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    _check_degree(f"cyclic-{n}", n)
     shift = tuple((x + 1) % n for x in range(n))
     return close_generators(n, [shift], name=f"cyclic-{n}")
-
-
-def _vec_code(v, p: int) -> int:
-    out = 0
-    for x in v:
-        out = out * p + x % p
-    return out
-
-
-def _code_vec(code: int, p: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(code % p)
-        code //= p
-    return tuple(reversed(out))
-
-
-def _matrix_perm_nonzero(M: Mat, p: int, n: int) -> Perm:
-    """Permutation of the p^n - 1 nonzero vectors, point = code - 1."""
-    images = []
-    for code in range(1, p ** n):
-        v = _code_vec(code, p, n)
-        images.append(_vec_code(mat_vec(M, v, p), p) - 1)
-    return tuple(images)
 
 
 @dataclass
@@ -191,23 +195,19 @@ class GL3Build:
 
 
 def build_gl3(p: int) -> GL3Build:
-    """GL_3(F_p) acting on the nonzero vectors of F_p^3."""
-    gens = [_matrix_perm_nonzero(M, p, 3) for M in gl_generators(p, 3)]
-    G = close_generators(p ** 3 - 1, gens, name=f"gl3-{p}")
+    """GL_3(F_p) acting on the nonzero vectors of F_p^3, point = code - 1."""
+    degree = _check_degree(f"gl3-{p}", p, 3, 1)
 
-    def block(positions) -> ElabSubgroup:
-        idxs = []
-        for a, b in itertools.product(range(p), repeat=2):
-            M = [list(r) for r in identity_mat(3)]
-            (i1, j1), (i2, j2) = positions
-            M[i1][j1] = a
-            M[i2][j2] = b
-            perm = _matrix_perm_nonzero(tuple(tuple(r) for r in M), p, 3)
-            idxs.append(G.index(perm))
-        return ElabSubgroup.from_element_indices(G, p, idxs)
+    def perms(mats) -> np.ndarray:
+        # linear maps fix the code 0
+        return affine_images(mats, np.zeros(3), p, 3)[:, 1:] - 1
 
-    e1 = block([(0, 1), (0, 2)])
-    e2 = block([(0, 2), (1, 2)])
+    G = close_generators(degree, perms(gl_generators(p, 3)), name=f"gl3-{p}")
+    blocks = np.tile(np.eye(3, dtype=np.int64), (2, p * p, 1, 1))
+    blocks[0, :, 0, 1], blocks[0, :, 0, 2] = code_vectors(p, 2).T
+    blocks[1, :, 0, 2], blocks[1, :, 1, 2] = code_vectors(p, 2).T
+    idx = G.indices_of_rows(perms(blocks.reshape(-1, 3, 3))).reshape(2, -1)
+    e1, e2 = (ElabSubgroup.from_element_indices(G, p, block) for block in idx)
     return GL3Build(G, p, e1, e2)
 
 
@@ -224,27 +224,6 @@ class TriangularBuild:
     u_group: FiniteGroup       # full upper unitriangular group, on the p^n codes
 
 
-def _affine_perm(M: Mat, v, p: int, n: int) -> Perm:
-    """x -> M x + v on the p^n vector codes."""
-    images = []
-    for code in range(p ** n):
-        x = _code_vec(code, p, n)
-        y = mat_vec(M, x, p)
-        y = tuple((a + b) % p for a, b in zip(y, v))
-        images.append(_vec_code(y, p))
-    return tuple(images)
-
-
-def _translation(v, p: int, n: int) -> Perm:
-    return _affine_perm(identity_mat(n), v, p, n)
-
-
-def _linear_group(mats: list[Mat], p: int, n: int, name: str) -> FiniteGroup:
-    """The matrix group the mats generate, as permutations of the p^n codes."""
-    zero = (0,) * n
-    return close_generators(p ** n, [_affine_perm(M, zero, p, n) for M in mats], name=name)
-
-
 def build_triangular(p: int, n: int) -> TriangularBuild:
     """F_p^n extended by the unipotent matrices constant along diagonals.
 
@@ -252,25 +231,19 @@ def build_triangular(p: int, n: int) -> TriangularBuild:
     Jordan block nilpotent N, order p^(n-1); the whole group has order
     p^n * p^(n-1).
     """
-    N = tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n))
-    q_gens = []
-    power = N
-    for _ in range(1, n):
-        q_gens.append(tuple(tuple((1 if i == j else 0) + power[i][j]
-                                  for j in range(n)) for i in range(n)))
-        power = mat_mul(power, N, p)
-    q_group = _linear_group(q_gens, p, n, f"q-{p}-{n}")
-    gens = q_group.generators + [_translation(e_i, p, n) for e_i in identity_mat(n)]
-    G = close_generators(p ** n, gens, name=f"triangular-{p}-{n}")
-    translations = [G.index(_translation(v, p, n))
-                    for v in itertools.product(range(p), repeat=n)]
+    degree = _check_degree(f"triangular-{p}-{n}", p, n)
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros(n)
+    q_mats = np.reshape([eye + np.eye(n, k=k) for k in range(1, n)], (-1, n, n))
+    q_gens = affine_images(q_mats, zero, p, n)
+    q_group = close_generators(degree, q_gens, name=f"q-{p}-{n}")
+    G = close_generators(degree, np.vstack((q_gens, affine_images(eye, eye, p, n))),
+                         name=f"triangular-{p}-{n}")
+    translations = G.indices_of_rows(affine_images(eye, code_vectors(p, n), p, n))
     kernel = ElabSubgroup.from_element_indices(G, p, translations)
-    u_gens = []
-    for i in range(n - 1):
-        M = [list(r) for r in identity_mat(n)]
-        M[i][i + 1] = 1
-        u_gens.append(tuple(tuple(r) for r in M))
-    return TriangularBuild(G, p, kernel, q_group, _linear_group(u_gens, p, n, f"u-{p}-{n}"))
+    u_mats = np.reshape([eye + np.diag(np.arange(n - 1) == i, 1) for i in range(n - 1)],
+                        (-1, n, n))
+    u_group = close_generators(degree, affine_images(u_mats, zero, p, n), name=f"u-{p}-{n}")
+    return TriangularBuild(G, p, kernel, q_group, u_group)
 
 
 def triangular_group(p: int, n: int) -> FiniteGroup:
@@ -282,7 +255,7 @@ class Prop10Build:
     group: FiniteGroup
     prime: int
     dim: int                           # of E + Z, acted on by the p^dim codes
-    jordan: Mat                        # the Jordan block c on E's coordinates
+    jordan: np.ndarray                 # the Jordan block c on E's coordinates
     distinguished: ElabSubgroup        # translations by E + 0
     c_matrix: Mat                      # c in E's canonical coordinates
     max_subspaces: list[tuple]         # canonical bases of the M's
@@ -296,22 +269,18 @@ def build_prop10(p: int, n: int) -> Prop10Build:
     E has dimension n+1 carrying a single unipotent Jordan block c; Z has
     one coordinate z_M per maximal subspace M of E; psi_M kills M and
     sends a fixed transversal vector to z_M.  The group contains all
-    p^dim translations, so it is refused when p^dim passes the element
-    cap, before any permutation is formed; past that the stabilizer chain
-    refuses it before any element is.  The translations act regularly, so
-    the linear part has order |G| / p^dim.
+    p^dim translations, so the degree check refuses it when p^dim passes
+    the element cap, before the subspaces are listed or any permutation
+    is formed; past that the stabilizer chain refuses it before any
+    element is.  The translations act regularly, so the linear part has
+    order |G| / p^dim.
     """
     dim_e = n + 1
-    maxes = subspace_bases(p, dim_e, n)
-    dim_z = len(maxes)
+    dim_z = (p ** dim_e - 1) // (p - 1)        # the hyperplanes of E
     dim = dim_e + dim_z
-    limit = _cap("element_cap")
-    if p ** dim > limit:
-        raise CapExceeded("element_cap", f"the {p}^{dim} translations pass the element cap "
-                                         f"({limit}); raise ELABCAT_ELEMENT_CAP to allow more")
-
-    jordan = tuple(tuple(1 if j == i or j == i + 1 else 0
-                         for j in range(dim_e)) for i in range(dim_e))
+    degree = _check_degree(f"prop10-{p}-{n}", p, dim)
+    maxes = subspace_bases(p, dim_e, n)
+    jordan = np.eye(dim_e, dtype=np.int64) + np.eye(dim_e, k=1, dtype=np.int64)
 
     def functional(basis) -> tuple[int, ...]:
         # row vector vanishing on the subspace, 1 on the first vector outside
@@ -322,47 +291,28 @@ def build_prop10(p: int, n: int) -> Prop10Build:
         inv = mat_inv(basis + (transversal,), p)
         return tuple(row[-1] for row in inv)
 
-    b_mats: list[Mat] = []
-    for m_idx, basis in enumerate(maxes):
-        phi = functional(basis)
-        rows = []
-        for i in range(dim_e):
-            rows.append(tuple(jordan[i]) + (0,) * dim_z)
-        for zi in range(dim_z):
-            psi_row = phi if zi == m_idx else (0,) * dim_e
-            z_row = tuple(1 if k == zi else 0 for k in range(dim_z))
-            rows.append(tuple(psi_row) + z_row)
-        b_mats.append(tuple(rows))
+    # b_M is c on E and the identity on Z, plus psi_M into z_M
+    b_mats = np.tile(np.eye(dim, dtype=np.int64), (dim_z, 1, 1))
+    b_mats[:, :dim_e, :dim_e] = jordan
+    b_mats[np.arange(dim_z), dim_e + np.arange(dim_z), :dim_e] = [functional(b) for b in maxes]
+    b_perms = affine_images(b_mats, np.zeros(dim), p, dim)
+    eye = np.eye(dim, dtype=np.int64)
+    G = close_generators(degree, np.vstack((b_perms, affine_images(eye, eye, p, dim))),
+                         name=f"prop10-{p}-{n}")
+    # the b_M, then the translations by E + 0 with E's vectors in code order
+    e_shifts = np.pad(code_vectors(p, dim_e), ((0, 0), (0, dim_z)))
+    found = G.indices_of_rows(np.vstack((b_perms, affine_images(eye, e_shifts, p, dim))))
+    by_e_code = found[dim_z:]
+    E = ElabSubgroup.from_element_indices(G, p, by_e_code)
 
-    zero = (0,) * dim
-    b_perms = [_affine_perm(M, zero, p, dim) for M in b_mats]
-    gens = b_perms + [_translation(e_i, p, dim) for e_i in identity_mat(dim)]
-    G = close_generators(p ** dim, gens, name=f"prop10-{p}-{n}")
-
-    def e_index(v) -> int:
-        return G.index(_translation(tuple(v) + (0,) * dim_z, p, dim))
-
-    E = ElabSubgroup.from_element_indices(
-        G, p, [e_index(v) for v in itertools.product(range(p), repeat=dim_e)])
-
-    # matrix of the Jordan block map in E's canonical coordinates
-    cols = []
-    for b in E.basis:
-        v = _translation_vector(G, b, p, dim)[:dim_e]
-        cols.append(E.vector_of_index(e_index(mat_vec(jordan, v, p))))
-    c_matrix = tuple(tuple(col[r] for col in cols) for r in range(E.rank))
-
+    # c in E's canonical coordinates: a translation by (v, 0) sends 0 to
+    # the code of v times p^dim_z; c moves that code of v, and codes_of
+    # reads the image's translation back in E's coordinates
+    c_codes = affine_images(jordan, np.zeros(dim_e), p, dim_e)
+    v_codes = G.array[list(E.basis), 0] // p ** dim_z
+    c_matrix = cg.matrix_of(E.codes_of(by_e_code[c_codes[v_codes]]), p, E.rank)
     return Prop10Build(G, p, dim, jordan, E, c_matrix, list(maxes),
-                       [G.index(b) for b in b_perms], G.order // G.degree)
-
-
-def _translation_vector(G: FiniteGroup, idx: int, p: int, dim: int) -> tuple[int, ...]:
-    perm = G.element(idx)
-    return _code_vec(perm[0], p, dim)
-
-
-def prop10_group(p: int, n: int) -> FiniteGroup:
-    return build_prop10(p, n).group
+                       found[:dim_z].tolist(), G.order // G.degree)
 
 
 # -- fixtures and claim verification ----------------------------------
@@ -459,17 +409,10 @@ def load_entry(name: str) -> GalleryEntry:
                         doc["prime"], tuple(claims))
 
 
-def _is_prime(v) -> bool:
-    try:
-        return _prime_power(v)[1] == 1
-    except ValueError:
-        return False
-
-
 def _check_params(path, builder, params, prime) -> None:
     """InputFormatError unless the builder is known and its params, and
-    the entry's prime, are what it reads: positive integers, p prime and
-    q the order of a field on record."""
+    the entry's prime, are what it reads: positive integers, p and the
+    prime primes below PRIME_LIMIT, and q the order of a field on record."""
     if not isinstance(builder, str) or builder not in _BUILDERS:
         raise InputFormatError(f"{path}: unknown gallery builder {builder!r}")
     if not isinstance(params, dict):
@@ -479,8 +422,8 @@ def _check_params(path, builder, params, prime) -> None:
     for key, v in values.items():
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise InputFormatError(f"{path}: {key} must be a positive integer, got {v!r}")
-        if key in ("params.p", "prime") and not _is_prime(v):
-            raise InputFormatError(f"{path}: {key} must be a prime, got {v}")
+        if key in ("params.p", "prime") and not (v < PRIME_LIMIT and is_prime(v)):
+            raise InputFormatError(f"{path}: {key} must be a prime below {PRIME_LIMIT}, got {v}")
     if builder == "affine":
         try:
             SmallField(params["q"])
@@ -780,19 +723,19 @@ def _chk_an_equals_a(ctx, args):
 def _chk_pointwise_witnesses(ctx, args):
     # each stored block element conjugates translation-by-v to
     # translation-by-cv for every v in its kernel subspace
-    c = ctx.part("jordan", tuple, "Jordan block")
+    c = ctx.part("jordan", np.ndarray, "Jordan block")
     b = ctx.build
-    G, p = b.group, b.prime
-    pad = (0,) * (b.dim - len(c))
+    G, p, eye = b.group, b.prime, np.eye(b.dim)
+
+    def translations(vs) -> np.ndarray:
+        shifts = np.pad(vs, ((0, 0), (0, b.dim - len(c))))
+        return G.indices_of_rows(affine_images(eye, shifts, p, b.dim))
+
     for basis, b_idx in zip(b.max_subspaces, b.b_elements):
-        b_perm = G.element(b_idx)
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            v = tuple(sum(a * vec[k] for a, vec in zip(coeffs, basis)) % p
-                      for k in range(len(c)))
-            want = G.index(_translation(mat_vec(c, v, p) + pad, p, b.dim))
-            got = G.index(conjugate(b_perm, _translation(v + pad, p, b.dim)))
-            if got != want:
-                return False
+        vs = code_vectors(p, len(basis)) @ np.array(basis) % p
+        if not np.array_equal(G.conjugate_indices(b_idx, translations(vs)),
+                              translations(vs @ c.T % p)):
+            return False
     return True
 
 

@@ -514,20 +514,15 @@ def _distinct_moving(rows: np.ndarray) -> np.ndarray:
     return rows[order[first]]
 
 
-def _transversal(gens: np.ndarray, b: int, size: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(orbit, trans, tree) of the point b under gens, a (k, degree) array,
-    by a breadth-first search into arrays of size rows, a bound on the
-    orbit: orbit lists the points as found, trans[i] maps b to orbit[i]
-    (trans[0] is the identity), and tree[i, s] marks the steps
-    (orbit[i], gens[s]) that found a point, so that trans[i] * gens[s] is
-    that point's trans row."""
+def _orbit_search(gens: np.ndarray, b: int) -> tuple[np.ndarray, list]:
+    """(orbit, levels) of the point b under gens, a (k, degree) array, by a
+    breadth-first search on arrays of length degree: orbit lists the
+    points as found, a level at a time, and levels[j] = (src, s) says
+    that level j's points are the images of orbit[src] under gens[s]."""
     k, degree = gens.shape
-    orbit = np.empty(size, dtype=np.int64)
-    trans = np.empty((size, degree), dtype=np.int32)
-    tree = np.zeros((size, k), dtype=bool)
+    orbit, levels = np.empty(degree, dtype=np.int64), []
     seen, finder = np.zeros(degree, dtype=bool), np.empty(degree, dtype=np.int64)
-    orbit[0], trans[0], seen[b] = b, np.arange(degree), True
+    orbit[0], seen[b] = b, True
     lo, hi = 0, 1
     while lo < hi:
         steps = gens[:, orbit[lo:hi]].T.ravel()     # step (i, s) at (i - lo) * k + s
@@ -538,10 +533,26 @@ def _transversal(gens: np.ndarray, b: int, size: int
         end = hi + len(src)
         orbit[hi:end] = gens[s, orbit[src]]
         seen[orbit[hi:end]] = True
-        trans[hi:end] = gens[s[:, None], trans[src]]
-        tree[src, s] = True
+        levels.append((src, s))
         lo, hi = hi, end
-    return orbit[:hi], trans[:hi], tree[:hi]
+    return orbit[:hi], levels
+
+
+def _transversal(gens: np.ndarray, orbit: np.ndarray, levels: list
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(trans, tree) of an orbit found by _orbit_search: trans[i] maps
+    orbit[0] to orbit[i] (trans[0] is the identity), and tree[i, s] marks
+    the steps (orbit[i], gens[s]) that found a point, so that
+    trans[i] * gens[s] is that point's trans row."""
+    k, degree = gens.shape
+    trans = np.empty((len(orbit), degree), dtype=np.int32)
+    tree = np.zeros((len(orbit), k), dtype=bool)
+    trans[0], hi = np.arange(degree), 1
+    for src, s in levels:
+        trans[hi:hi + len(src)] = gens[s[:, None], trans[src]]
+        tree[src, s] = True
+        hi += len(src)
+    return trans, tree
 
 
 def _schreier_generators(gens: np.ndarray, orbit: np.ndarray, trans: np.ndarray,
@@ -570,17 +581,19 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
 
     The chain is built top down on the greedy base.  The generators of
     G_1 = G are the distinct non-identity ones given; b_k is the first
-    point those of G_k move, and a search from it (_transversal) gives its
-    orbit D_k under G_k with u_d in G_k mapping b_k to each d.  The
-    Schreier generators u_d * s * u_(d^s)^-1 generate G_(k+1), the
-    stabilizer of b_k in G_k; the chain ends when none is left.
+    point those of G_k move, and a search from it (_orbit_search) gives its
+    orbit D_k under G_k, and _transversal the u_d in G_k mapping b_k to
+    each d.  The Schreier generators u_d * s * u_(d^s)^-1 generate
+    G_(k+1), the stabilizer of b_k in G_k; the chain ends when none is
+    left.
 
     |G| is the product of the |D_k|: CapExceeded("element_cap") is raised
     once the orbits so far pass the cap (default from config, override via
     argument), and CapExceeded("element_key") once the keys would pass
-    KEY_BITS bits, both before any element is formed.  The elements are
-    then the products u_m * ... * u_1, one from each transversal, each
-    formed once; FiniteGroup sorts them by key.
+    KEY_BITS bits, both before the transversal of D_k (|D_k| rows of
+    length degree) is allocated.  The elements are then the products
+    u_m * ... * u_1, one from each transversal, each formed once;
+    FiniteGroup sorts them by key.
     """
     limit = element_cap if element_cap is not None else _cap("element_cap")
     gens = _perm_rows(generators, degree)
@@ -605,10 +618,11 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     guard(order, [])
     while len(stab):
         base.append(int(np.argmax((stab != points).any(axis=0))))
-        orbit, trans, tree = _transversal(stab, base[-1], int(size[base[-1]]))
-        transversals.append(trans)
+        orbit, levels = _orbit_search(stab, base[-1])
         order *= len(orbit)
         guard(order, size[base].tolist())
+        trans, tree = _transversal(stab, orbit, levels)
+        transversals.append(trans)
         stab = _schreier_generators(stab, orbit, trans, tree)
     rows = points.astype(np.int32)[None]
     for trans in reversed(transversals):

@@ -20,6 +20,12 @@ breadth-first closure over ``fpmat.mat_mul``; they share no code with the
 reduced echelon enumeration of ``fpmat.subspace_bases`` or with
 ``groups.close_generators``.
 
+affine_perm and matrix_perm_nonzero: matrices acting on the big-endian
+vector codes one point at a time through mat_vec; gl3_oracle,
+triangular_oracle and affine_oracle build the gallery's generators and
+distinguished subgroups from them (the affine translations from field
+additions).  They share no code with ``gallery.affine_images``.
+
 brute_closure: the worklist closure, which joins every new hom with every
 stored one and restricts it to every pair of catalog subgroups.  It runs
 no guard and shares no code with the semi-naive ``categories.closure``.
@@ -51,8 +57,8 @@ from functools import lru_cache
 import numpy as np
 
 from elabcat.elabs import ElabSubgroup
-from elabcat.fpmat import (identity_mat, mat_inv, mat_mul, mat_rank, mat_vec,
-                           subspace_bases)
+from elabcat.fpmat import gl_generators, mat_inv, mat_mul, mat_rank, subspace_bases
+from elabcat.gallery import SmallField
 from elabcat.config import cap
 from elabcat.errors import CapExceeded
 from elabcat.groups import (ConjugacyTable, _perm_rows, blocks, compose, conjugate,
@@ -128,6 +134,92 @@ def subspace_oracle(p, dim, rank):
 
     extend([], frozenset([(0,) * dim]))
     return tuple(sorted(seen.values()))
+
+
+def identity_mat(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_vec(A, v, p):
+    return tuple(sum(a * x for a, x in zip(row, v)) % p for row in A)
+
+
+def with_entries(n, entries):
+    """The n x n identity matrix with the {(i, j): value} entries set."""
+    M = [list(r) for r in identity_mat(n)]
+    for (i, j), x in entries.items():
+        M[i][j] = x
+    return tuple(map(tuple, M))
+
+
+def vec_code(v, p):
+    """Big-endian code of a vector: its first coordinate is the top digit."""
+    out = 0
+    for x in v:
+        out = out * p + x % p
+    return out
+
+
+def code_vec(code, p, n):
+    out = []
+    for _ in range(n):
+        out.append(code % p)
+        code //= p
+    return tuple(reversed(out))
+
+
+def affine_perm(M, v, p, n):
+    """x -> M x + v on the p^n vector codes, one point at a time."""
+    images = []
+    for code in range(p ** n):
+        y = mat_vec(M, code_vec(code, p, n), p)
+        images.append(vec_code(tuple((a + b) % p for a, b in zip(y, v)), p))
+    return tuple(images)
+
+
+def matrix_perm_nonzero(M, p, n):
+    """M on the p^n - 1 nonzero vector codes, point = code - 1."""
+    return tuple(vec_code(mat_vec(M, code_vec(code, p, n), p), p) - 1
+                 for code in range(1, p ** n))
+
+
+def gl3_oracle(p):
+    """The gallery's GL_3(F_p) build, one point at a time: {part: the
+    group's generators in order, or a subgroup's elements sorted}."""
+    def block(at1, at2):
+        return sorted(matrix_perm_nonzero(with_entries(3, {at1: a, at2: b}), p, 3)
+                      for a, b in itertools.product(range(p), repeat=2))
+    return {"group": [matrix_perm_nonzero(M, p, 3) for M in gl_generators(p, 3)],
+            "e1": block((0, 1), (0, 2)), "e2": block((0, 2), (1, 2))}
+
+
+def triangular_oracle(p, n):
+    """The gallery's triangular build, as gl3_oracle gives GL_3's."""
+    zero = (0,) * n
+
+    def translations(vs):
+        return [affine_perm(identity_mat(n), v, p, n) for v in vs]
+
+    q_gens = [affine_perm(with_entries(n, {(i, i + k): 1 for i in range(n - k)}), zero, p, n)
+              for k in range(1, n)]
+    u_gens = [affine_perm(with_entries(n, {(i, i + 1): 1}), zero, p, n) for i in range(n - 1)]
+    return {"group": q_gens + translations(identity_mat(n)), "q_group": q_gens,
+            "u_group": u_gens,
+            "kernel": sorted(translations(itertools.product(range(p), repeat=n)))}
+
+
+def affine_oracle(q):
+    """The gallery's affine build, as gl3_oracle gives GL_3's, with the
+    translations by field additions."""
+    field = SmallField(q)
+    g = field.primitive()
+
+    def translation(b):
+        return tuple(field.add(x, b) for x in range(q))
+
+    gens = [tuple(field.mul(g, x) for x in range(q)), translation(1)]
+    return {"group": gens if q > 2 else gens[1:],
+            "kernel": sorted(translation(b) for b in range(q))}
 
 
 def close_matrix_group(gens, p, limit=10 ** 6):

@@ -23,13 +23,13 @@ from elabcat.chern import (dickson_check, frobenius_identity_check,
                            whitney_product_check)
 from elabcat.elabs import enumerate_elabs, is_conjugate_subgroup, p_rank
 from elabcat.fppoly import expand_in_elementaries, symmetric_reduce
-from elabcat.fpmat import gl_generators, mat_vec
-from elabcat.gallery import (_orbit_partition, _vec_code, affine_group,
+from elabcat.fpmat import gl_generators
+from elabcat.gallery import (_orbit_partition, affine_group,
                              build_cyclic, build_gl3, build_prop10,
                              build_triangular, cyclic_group, gl3,
                              triangular_group)
 from elabcat.groups import conjugacy_classes
-from brute_force import close_matrix_group
+from brute_force import close_matrix_group, mat_vec, vec_code
 from test_cli import run_cli
 
 
@@ -109,8 +109,8 @@ def test_criterion_05_triangular_orbit_stabilizer():
         orbits = {frozenset(np.flatnonzero(label == r).tolist()) for r in set(label.tolist())}
         stab = 0
         for M in close_matrix_group(gl_generators(2, 3), 2):
-            image = {frozenset(_vec_code(mat_vec(M, (code // 4, code // 2 % 2,
-                                                     code % 2), 2), 2)
+            image = {frozenset(vec_code(mat_vec(M, (code // 4, code // 2 % 2,
+                                                    code % 2), 2), 2)
                                for code in orbit) for orbit in orbits}
             stab += image == orbits
         assert stab == 8

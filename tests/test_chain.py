@@ -157,6 +157,21 @@ def test_element_cap_fires_before_any_element(n):
     assert peak < 2 ** 20
 
 
+def test_element_cap_fires_before_the_transversal(monkeypatch):
+    # the orbit of 0 is found on arrays of length 4,000 before its
+    # 4,000 x 4,000 transversal (61 MiB) would be allocated
+    monkeypatch.setenv("ELABCAT_ELEMENT_CAP", "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as e:
+            close_generators(*cycles(4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.guard == "element_cap"
+    assert peak < 4 * 2 ** 20
+
+
 def test_key_width_refused_before_enumeration(monkeypatch):
     # S5: base 0, 1, 2, 3, each in an orbit of 5 points, so keys below 5^4
     # take 10 bits

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,44 @@ class TestGallery:
         r = run_cli("gallery", str(path))
         assert r.returncode == 3
         assert r.stderr.startswith("error: guard element_cap")
+
+    @pytest.mark.parametrize("builder,params,prime", [
+        ("affine", {"q": 65537}, 65537),
+        ("cyclic", {"n": 70000}, 2),
+        ("gl3", {"p": 47}, 47),
+        ("triangular", {"p": 2, "n": 17}, 2),
+    ])
+    def test_degree_past_the_element_cap(self, tmp_path, capsys, builder, params, prime):
+        # each group is transitive or holds its translations, so it is
+        # refused on its degree before any permutation is formed
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"name": "x", "builder": builder, "params": params,
+                                    "prime": prime, "claims": []}))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert cli.main(["gallery", str(path)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 16 * 2 ** 20
+        assert capsys.readouterr().err.startswith("error: guard element_cap")
+
+    def test_large_entry_prime(self, tmp_path, capsys):
+        # one Miller-Rabin test, not trial division up to 10^9
+        doc = {"name": "x", "builder": "cyclic", "params": {"n": 3},
+               "prime": 1_000_000_000_000_000_003,
+               "claims": [{"id": "c", "text": "t", "provenance": "derived",
+                           "check": "group_order", "expected": 3}]}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert cli.main(["gallery", str(path)]) == 0
+        assert time.perf_counter() - start < 2
+        doc["prime"] = cli.PRIME_LIMIT
+        path.write_text(json.dumps(doc))
+        main_input_error(capsys, "gallery", str(path))
 
 
 class TestPolynomialCommands:

@@ -1,10 +1,11 @@
 import pytest
 
-from brute_force import close_matrix_group, injective_oracle, span, subspace_oracle
-from elabcat.fpmat import (gl_generators, identity_mat, injective_count, mat_inv,
-                           mat_mul, mat_rank, mat_vec, primitive_root,
-                           subspace_bases)
-from elabcat.gallery import _linear_group
+from brute_force import (close_matrix_group, identity_mat, injective_oracle, mat_vec, span,
+                         subspace_oracle)
+from elabcat.fpmat import (gl_generators, injective_count, mat_inv, mat_mul, mat_rank,
+                           primitive_root, subspace_bases)
+from elabcat.gallery import affine_images
+from elabcat.groups import close_generators
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -111,7 +112,8 @@ class TestEnumerations:
                                            (5, 1, 4), (7, 1, 6)])
     def test_gl_generators(self, p, n, order):
         gens = gl_generators(p, n)
-        assert _linear_group(gens, p, n, "gl").order == order == gl_order(p, n)
+        on_codes = close_generators(p ** n, affine_images(gens, [0] * n, p, n))
+        assert on_codes.order == order == gl_order(p, n)
         assert len(close_matrix_group(gens, p)) == order
 
     def test_primitive_root(self):

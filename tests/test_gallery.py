@@ -1,9 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute_force import (affine_oracle, affine_perm, gl3_oracle, matrix_perm_nonzero,
+                         triangular_oracle)
 from elabcat import gallery as gal
 from elabcat.errors import CapExceeded, InputFormatError
+from elabcat.groups import FiniteGroup
 
 FAST_ENTRIES = ["affine-3", "affine-4", "affine-8", "cyclic-3", "gl3-2",
                 "prop10-2-1", "triangular-2-3"]
@@ -95,7 +100,39 @@ class TestBuilders:
         monkeypatch.setenv("ELABCAT_ELEMENT_CAP", "31")
         with pytest.raises(CapExceeded) as e:
             gal.build_prop10(2, 1)
-        assert e.value.guard == "element_cap" and "2^5 translations" in str(e.value)
+        assert e.value.guard == "element_cap" and "2^5 points" in str(e.value)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_affine_images_match_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 3))
+    vectors = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    mats = data.draw(st.lists(st.lists(vectors, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    shifts = data.draw(st.lists(vectors, min_size=k, max_size=k))
+    assert gal.affine_images(mats, shifts, p, n).tolist() == [
+        list(affine_perm(M, v, p, n)) for M, v in zip(mats, shifts)]
+    assert (gal.affine_images(mats, [0] * n, p, n)[:, 1:] - 1).tolist() == [
+        list(matrix_perm_nonzero(M, p, n)) for M in mats]
+
+
+# the gallery and benchmark groups (perfbench/gen.py reads their generators)
+@pytest.mark.parametrize("build,oracle", [
+    (lambda: gal.build_gl3(2), lambda: gl3_oracle(2)),
+    (lambda: gal.build_gl3(3), lambda: gl3_oracle(3)),
+    (lambda: gal.build_affine(8), lambda: affine_oracle(8)),
+    (lambda: gal.build_triangular(2, 3), lambda: triangular_oracle(2, 3)),
+], ids=["gl3-2", "gl3-3", "affine-8", "tri-2-3"])
+def test_builds_match_oracle(build, oracle):
+    b = build()
+    for part, want in oracle().items():
+        obj = getattr(b, part)
+        got = (obj.generators if isinstance(obj, FiniteGroup)
+               else sorted(b.group.element(i) for i in obj.elements))
+        assert got == want, part
 
 
 class TestFixtures:
