@@ -49,14 +49,11 @@ has merged the kinds that coincide out of the domain:
   An(n)        the Aprime maps whose restriction to every rank-n subspace
                U of E is one of the A maps U -> F, built as above.
 
-closure requires every A-morphism in its input.  Inclusions are among
-them, so restricting a map's domain is composing it with an inclusion,
-and the restriction rule reduces to corestriction: narrowing a codomain
-to a catalog subgroup that holds the image.  The fixpoint runs in
-semi-naive rounds (Abiteboul, Hull and Vianu, Foundations of Databases,
-1995, ch. 13): each round joins only the homs new in the last round with
-the homs at their endpoints, so each composable pair is multiplied once,
-as one numpy gather per middle object and pair of ranks.
+closure requires every A-morphism in its input, so its result holds every
+conjugation isomorphism and is decided by the hom-sets between class
+representatives: it closes that skeleton alone, in semi-naive rounds
+(Abiteboul, Hull and Vianu, Foundations of Databases, 1995, ch. 13), and
+carries any other hom-set from its representatives' pair when it is read.
 """
 
 from __future__ import annotations
@@ -412,17 +409,22 @@ class SubgroupCategory:
     keyed by ordered pairs of catalog subgroup indices.  Kind-backed
     categories are views over the catalog's hom cache, which every
     category over that catalog shares under canonical kinds; explicit
-    categories carry a finished dict.
+    categories carry a finished dict.  A skeleton one, closure's result,
+    holds the hom-sets between class representatives and carries another
+    when it is read: Hom(i, j) = c_j o Hom(rep i, rep j) o c_i^-1, one
+    gather, c_k the conjugation isomorphism onto k (conjugation_codes).
     """
 
     def __init__(self, catalog: ElabCatalog, kind: Optional[CategoryKind],
-                 homs: Optional[dict[tuple[int, int], np.ndarray]] = None):
+                 homs: Optional[dict[tuple[int, int], np.ndarray]] = None,
+                 skeleton: bool = False):
         self.catalog = catalog
         self.kind = kind
         if kind is None:
             self._homs: dict[tuple[int, int], np.ndarray] = dict(homs or {})
             for cols in self._homs.values():
                 cols.flags.writeable = False
+        self._skeleton = skeleton
         self._sized = False
 
     @property
@@ -432,6 +434,8 @@ class SubgroupCategory:
     def hom(self, i: int, j: int) -> np.ndarray:
         E, F = self.catalog.subgroups[i], self.catalog.subgroups[j]
         if self.kind is None:
+            if self._skeleton and (i, j) not in self._homs:
+                self._homs[i, j] = self._carried(i, j)
             return self._homs.get((i, j), np.zeros((0, E.rank), dtype=np.int64))
         key = (canonical(self.kind, E.rank), i, j)
         got = self.catalog.homs.get(key)
@@ -454,6 +458,33 @@ class SubgroupCategory:
             got = self.catalog.homs[key] = hom_matrices(key[0], E, F)
             got.flags.writeable = False
         return got
+
+    def _carried(self, i: int, j: int) -> np.ndarray:
+        """Hom(i, j) of a skeleton category: c_j o Hom(rep i, rep j) o c_i^-1."""
+        catalog, p, reps = self.catalog, self.catalog.prime, self.catalog.class_reps
+        r, s = catalog.subgroups[i].rank, catalog.subgroups[j].rank
+        base = self._homs.get((reps[catalog.class_of[i]], reps[catalog.class_of[j]]),
+                              np.zeros((0, r), dtype=np.int64))
+        codes = catalog.conjugation_codes
+        back = np.argsort(codes[i, :p ** r])[p ** np.arange(r)]     # c_i^-1 on i's basis
+        got = distinct_rows(_conjugated(base, s, back[None], codes[j, None, :p ** s], p))
+        got.flags.writeable = False
+        return got
+
+    def pair_sizes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, sizes) of the non-empty hom-sets of a skeleton category,
+        listing no map: keys i * n + j, increasing, and |Hom(i, j)|, which
+        is |Hom(rep i, rep j)|."""
+        catalog, reps = self.catalog, set(self.catalog.class_reps)
+        starts, members, _ = catalog.class_table
+        x, y, size = np.array([(catalog.class_of[i], catalog.class_of[j], len(h))
+                               for (i, j), h in self._homs.items() if len(h) and {i, j} <= reps],
+                              dtype=np.int64).reshape(-1, 3).T
+        t, i = ranges(starts[x], starts[x + 1])
+        u, j = ranges(starts[y[t]], starts[y[t] + 1])
+        keys = members[i][u] * len(catalog) + members[j]
+        order = np.argsort(keys)
+        return keys[order], size[t][u][order]
 
     def _check_size(self, hom_count_cap: Optional[int] = None) -> None:
         """Raise CapExceeded when the injective matrices over all ordered
@@ -479,8 +510,12 @@ class SubgroupCategory:
                  ) -> dict[tuple[int, int], np.ndarray]:
         """Every non-empty hom-set in row-major order, materializing a
         kind-backed category: A by its rows, guarded by their exact size,
-        other kinds pair by pair, guarded by the estimate of _check_size."""
+        other kinds pair by pair, guarded by the estimate of _check_size;
+        a skeleton category carries every pair of non-empty classes."""
         if self.kind is None:
+            if self._skeleton:
+                pairs = (divmod(k, len(self.catalog)) for k in self.pair_sizes()[0].tolist())
+                return {(i, j): self.hom(i, j) for i, j in pairs}
             return {k: v for k, v in self._homs.items() if len(v)}
         catalog, n = self.catalog, len(self.catalog)
         if self.kind == A:
@@ -556,16 +591,17 @@ def _shape_keys(homs: dict[tuple[int, int], np.ndarray], ranks: list[int],
                 p: int, dtype) -> dict[tuple[int, int], np.ndarray]:
     """Sorted _hom_keys of the hom-sets in homs, by (codomain rank, domain
     rank)."""
-    shapes: dict[tuple[int, int], list] = {}
-    for (i, j), cols in homs.items():
-        shapes.setdefault((ranks[j], ranks[i]), []).append((i, j, cols))
+    n, top, sets = len(ranks), max(ranks) + 1, list(homs.values())
+    dom, cod = np.fromiter(chain.from_iterable(homs), dtype=np.int64,
+                           count=2 * len(sets)).reshape(-1, 2).T
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    shape = np.array(ranks)[cod] * top + np.array(ranks)[dom]
     out = {}
-    for shape, parts in shapes.items():
-        doms, cods, sets = zip(*parts)
-        sizes = [len(c) for c in sets]
-        out[shape] = np.sort(_hom_keys(
-            np.concatenate(sets), np.repeat(doms, sizes), np.repeat(cods, sizes),
-            p ** shape[0], len(ranks), dtype))
+    for s in sorted_distinct(shape).tolist():
+        at, (rows, width) = np.flatnonzero(shape == s), divmod(s, top)
+        out[rows, width] = np.sort(_hom_keys(
+            np.concatenate([sets[k] for k in at.tolist()]), np.repeat(dom[at], sizes[at]),
+            np.repeat(cod[at], sizes[at]), p ** rows, n, dtype))
     return out
 
 
@@ -628,40 +664,55 @@ def _extend(index: dict, parts: dict) -> None:
             np.concatenate((old[0], ends)), np.concatenate((old[1], data)))
 
 
+def _conjugated(cols: np.ndarray, rows: int, at: np.ndarray, onto: np.ndarray,
+                p: int) -> np.ndarray:
+    """For maps f given by column codes into a rank-rows codomain, the maps
+    whose column k is onto[f(x_k)], x_k the vector of code at[k]: at and
+    onto give one row per map, or one row for all of them."""
+    images = np.take_along_axis(_image_tables(cols, p, rows), at, axis=1)
+    return np.take_along_axis(onto, images, axis=1)
+
+
 def closure(C: SubgroupCategory) -> SubgroupCategory:
     """Smallest hom collection containing C that is closed under
     composition, restriction (both domain and codomain), and inverses of
-    bijective members.
+    bijective members, as a skeleton category (see SubgroupCategory).
 
     The input must contain every A-morphism (conjugation-induced maps and
-    inclusions); otherwise ClosureGuardError is raised.  With every
-    inclusion present, restricting a map's domain to S is composing it
-    with the inclusion of S, so restriction reduces to corestriction:
-    narrowing the codomain of a map to a catalog subgroup that holds its
-    image.
+    inclusions), on every pair; otherwise ClosureGuardError is raised.
+    Restricting a map's domain to S is then composing it with the
+    inclusion of S, so restriction reduces to corestriction: narrowing the
+    codomain to a catalog subgroup that holds the image.  With every
+    conjugation isomorphism c present, Hom(E', F') = c o Hom(E, F) o c'
+    for conjugates E' of E and F' of F, so the full subcategory on the
+    class representatives, a skeleton, decides the closure.  Its seed is
+    the A-morphisms between representatives and every other input hom,
+    carried to its representatives' pair by the class witnesses; each
+    corestriction onto a subgroup is carried on the same way.  The
+    result lists no other hom-set until one is read, and pair_sizes
+    reports every size without forming a map.
 
-    The fixpoint runs in semi-naive rounds (Abiteboul, Hull and Vianu,
-    Foundations of Databases, 1995, ch. 13).  Each round takes the homs
+    The fixpoint runs in semi-naive rounds.  Each round takes the homs
     first found in the last one, D, and joins them only with the homs at
     their endpoints: new = D o K_new  u  K_old o D, where K_old is the
     collection before the round and K_new = K_old u D, so each composable
-    pair is multiplied exactly once.  A map is held as the codes of its
-    columns, and a map out of an object also as the table of the image
-    code of every vector, so g o f is a gather of f's columns from g's
-    table: one numpy gather per middle object and (domain rank, codomain
-    rank).  Each hom is known by an exact integer key (_hom_keys), and a
-    sorted array of the keys found so far sorts the products into known
-    and new.  D's corestrictions and the inverses of its square members,
-    read off the inverse permutations of their tables, join the
-    candidates of the next round.
+    pair is multiplied exactly once.  A map out of an object is also held
+    as the table of the image code of every vector, so g o f is a gather
+    of f's columns from g's table: one numpy gather per middle object and
+    (domain rank, codomain rank).  Each hom is known by an exact integer
+    key (_hom_keys), and a sorted array of the keys found so far sorts the
+    products into known and new.  D's corestrictions and the inverses of
+    its square members, read off the inverse permutations of their tables,
+    join the candidates of the next round.
     """
     catalog = C.catalog
     n, p, ranks = len(catalog), catalog.prime, catalog.ranks()
     dtype = _key_dtype(p, max(ranks), n)
     seed = _shape_keys(C.hom_dict(), ranks, p, dtype)
+    a_keys = _a_keys(catalog, p, dtype)
     # a key mod n^2 is its pair dom * n + cod
     missing = [keys[~find_sorted(seed.get(shape, keys[:0]), keys)[1]] % (n * n)
-               for shape, keys in _a_keys(catalog, p, dtype).items()]
+               for shape, keys in a_keys.items()]
     missing = np.concatenate(missing)
     if len(missing):
         i, j = divmod(int(missing.min()), n)
@@ -671,20 +722,12 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
             f"morphism{'s' if count != 1 else ''} "
             f"on object pair ({i}, {j})")
 
-    # per object j and rank: the objects t strictly inside j, and the code
-    # in each t of every vector code of j (-1 off t)
-    starts, supers = catalog.containers
-    inner, at = ranges(starts[:-1], starts[1:])
-    outer = supers[at]
-    inner, outer = inner[inner != outer], outer[inner != outer]
-    narrowing: list[dict] = [{} for _ in range(n)]
-    top = max(ranks) + 1
-    for key, (ts, _) in _by_object(outer * top + np.array(ranks)[inner], inner, inner).items():
-        j, r = divmod(key, top)
-        narrowing[j][r] = (ts, catalog.codes_in(ts[:, None], catalog.subgroups[j].by_code))
+    reps = catalog.class_reps
+    rep_of, codes = np.array(reps)[catalog.class_of], catalog.conjugation_codes
+    is_rep = rep_of == np.arange(n)
     known = np.zeros(0, dtype=dtype)      # sorted keys of every hom found
     found: dict[tuple[int, int], list] = {}   # the same, by shape
-    pool = {shape: [keys] for shape, keys in seed.items() if len(keys)}  # new keys
+    pool: dict[tuple[int, int], list] = {}    # new keys, by shape
 
     def offer(cols: np.ndarray, dom: np.ndarray, cod: np.ndarray, rows: int) -> None:
         """Queue the homs (column codes into a rank-rows codomain) that are
@@ -693,6 +736,35 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         keys = keys[~find_sorted(known, keys)[1]]
         if len(keys):
             pool.setdefault((rows, cols.shape[1]), []).append(keys)
+
+    for (rows, width), keys in a_keys.items():
+        pair = (keys % (n * n)).astype(np.int64)
+        mine = keys[is_rep[pair // n] & is_rep[pair % n]]
+        if len(mine):
+            pool[rows, width] = [mine]
+        # every other input hom f: dom -> cod, carried: c_cod^-1 o f o c_dom
+        extra = seed.get((rows, width), keys[:0])
+        dom, cod, cols = _decode(extra[~find_sorted(keys, extra)[1]], p ** rows, width, n)
+        basis = codes[dom[:, None], p ** np.arange(width)]     # c_dom on rep dom's basis
+        offer(_conjugated(cols, rows, basis, np.argsort(codes[cod, :p ** rows], axis=1), p),
+              rep_of[dom], rep_of[cod], rows)
+
+    # per representative j and rank: the representatives of the objects t
+    # strictly inside j, and the code there of each vector code of j
+    # carried by c_t^-1 (-1 off t), so a corestriction lands carried
+    starts, supers = catalog.containers
+    inner, at = ranges(starts[:-1], starts[1:])
+    outer = supers[at]
+    keep = (inner != outer) & is_rep[outer]
+    inner, outer = inner[keep], outer[keep]
+    narrowing: list[dict] = [{} for _ in range(n)]
+    top = max(ranks) + 1
+    for key, (ts, _) in _by_object(outer * top + np.array(ranks)[inner], inner, inner).items():
+        j, r = divmod(key, top)
+        inside = catalog.codes_in(ts[:, None], catalog.subgroups[j].by_code)
+        back = np.argsort(codes[ts, :p ** r], axis=1)
+        narrowing[j][r] = (rep_of[ts], np.where(
+            inside >= 0, np.take_along_axis(back, np.maximum(inside, 0), axis=1), -1))
 
     # per object, by rank of the far end: (far ends, column codes) of the
     # homs into it, (far ends, image tables) of the homs out of it
@@ -716,14 +788,14 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
             if rows == width > 0:
                 inverse = np.argsort(tables, axis=1)[:, p ** np.arange(rows)]
                 offer(inverse, cod, dom, rows)
-        for j in range(n):
+        for j in reps:
             _extend(into[j], d_in[j])
             for width, (dom, cols) in d_in[j].items():
-                for rows, (ts, codes) in narrowing[j].items():
+                for rows, (ts, inside) in narrowing[j].items():
                     if rows < width:
                         continue
                     for b in blocks(len(cols), len(ts) * width):
-                        img = codes[:, cols[b]]             # (t, f, column)
+                        img = inside[:, cols[b]]            # (t, f, column)
                         t, f = np.nonzero((img >= 0).all(axis=2))
                         offer(img[t, f], dom[b][f], ts[t], rows)
             pairs = [(r, g, f) for r, g in d_out[j].items() for f in into[j].values()]
@@ -748,7 +820,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         i, j = np.divmod(pair[bounds[:-1]], n)
         homs.update(zip(zip(i.tolist(), j.tolist()),
                         map(cols.__getitem__, map(slice, bounds, bounds[1:]))))
-    return SubgroupCategory(catalog, None, homs)
+    return SubgroupCategory(catalog, None, homs, skeleton=True)
 
 
 # -- invariants -------------------------------------------------------

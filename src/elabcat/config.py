@@ -1,6 +1,7 @@
 """Resource caps, each overridable through an environment variable.
 
-ELABCAT_ELEMENT_CAP    max group order enumerated by close_generators (65536)
+ELABCAT_ELEMENT_CAP    max group order enumerated by close_generators (65536); its
+                       element table may hold 64 entries per element of the cap
 ELABCAT_CATALOG_CAP    max subgroups in one catalog (5000)
 ELABCAT_HOM_COUNT_CAP  max estimated morphisms in a materialized category, a Creg
                        one before its first hom-set, or a searched hom-set; max

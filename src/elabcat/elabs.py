@@ -234,6 +234,23 @@ class ElabCatalog:
         return starts, members, np.array(self.class_witness)[members]
 
     @cached_property
+    def conjugation_codes(self) -> np.ndarray:
+        """(members, largest order) table: row i holds, for each code c of
+        the representative E of i's class, the code in member i of
+        w^-1 * E.by_code[c] * w, w = class_witness[i]: the conjugation
+        isomorphism E -> member i, in codes.  A row of rank r holds p^r
+        codes, then -1.  A representative, its class's first member, has
+        witness 1 and the identity row."""
+        starts, members, witnesses = self.class_table
+        sizes = np.array([len(E) for E in self.subgroups])[:, None]
+        out = np.where(np.arange(sizes.max()) < sizes, np.arange(sizes.max()), -1)
+        for c in np.flatnonzero(np.diff(starts) > 1).tolist():
+            E, span = self.subgroups[self.class_reps[c]], slice(starts[c] + 1, starts[c + 1])
+            conj = self.group.conjugate_indices(witnesses[span], E.by_code)
+            out[members[span], :len(E)] = self.codes_in(members[span, None], conj)
+        return out
+
+    @cached_property
     def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys, codes) of every (member j, element x of it): the sorted
         keys j * |G| + x, and the code of x in member j at each key."""

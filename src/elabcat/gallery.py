@@ -27,7 +27,7 @@ from .errors import CapExceeded, InputFormatError
 from .config import cap as _cap
 from .fpmat import (PRIME_LIMIT, Mat, gl_generators, is_prime, mat_inv, mat_rank,
                     subspace_bases)
-from .groups import FiniteGroup, _orbit_labels, close_generators
+from .groups import ENTRIES_PER_ELEMENT, FiniteGroup, _orbit_labels, close_generators
 
 # -- small finite fields ----------------------------------------------
 
@@ -122,16 +122,19 @@ class SmallField:
 
 def _check_degree(name: str, base: int, exp: int = 1, less: int = 0) -> int:
     """The degree base^exp - less of a gallery group, refused with
-    CapExceeded("element_cap") past the element cap before any
-    permutation is formed: every gallery group is transitive or holds all
-    its translations, so its order is at least its degree.  base^exp is
-    not formed for exp past the cap's bit length (base >= 2, less <= 1)."""
+    CapExceeded("element_cap") past the element cap, or when its square
+    passes the bound on element table entries (see close_generators),
+    before any permutation is formed: every gallery group is transitive
+    or holds all its translations, so its order is at least its degree.
+    base^exp is not formed for exp past the cap's bit length (base >= 2,
+    less <= 1)."""
     limit = _cap("element_cap")
     degree = base ** exp - less if exp <= limit.bit_length() else None
-    if degree is None or degree > limit:
+    if degree is None or degree > limit or degree ** 2 > ENTRIES_PER_ELEMENT * limit:
         points = (f"{base}^{exp}" if exp > 1 else str(base)) + (f" - {less}" if less else "")
-        raise CapExceeded("element_cap", f"{name} acts on {points} points, past the element "
-                                         f"cap ({limit}); raise ELABCAT_ELEMENT_CAP to allow more")
+        raise CapExceeded("element_cap", f"{name} acts on {points} points, past what the element "
+                                         f"cap ({limit}) allows; raise ELABCAT_ELEMENT_CAP to "
+                                         f"allow more")
     return degree
 
 

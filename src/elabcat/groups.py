@@ -502,6 +502,9 @@ class FiniteGroup:
 
 # bits of an element key, an int64
 KEY_BITS = 63
+# entries of an element table (order x degree) per element of the
+# configured element cap: 16 MiB of int32 at the default cap
+ENTRIES_PER_ELEMENT = 64
 
 
 def _distinct_moving(rows: np.ndarray) -> np.ndarray:
@@ -589,11 +592,14 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
 
     |G| is the product of the |D_k|: CapExceeded("element_cap") is raised
     once the orbits so far pass the cap (default from config, override via
-    argument), and CapExceeded("element_key") once the keys would pass
-    KEY_BITS bits, both before the transversal of D_k (|D_k| rows of
-    length degree) is allocated.  The elements are then the products
-    u_m * ... * u_1, one from each transversal, each formed once;
-    FiniteGroup sorts them by key.
+    argument), or their product times the degree, which bounds the element
+    table and every transversal, passes ENTRIES_PER_ELEMENT times the
+    configured cap; CapExceeded("element_key") once the keys would pass
+    KEY_BITS bits.  All are checked before the transversal of D_k (|D_k|
+    rows of length degree) is allocated, and D_1, the G-orbit of b_1, also
+    before its search.  The elements are then the products u_m * ... *
+    u_1, one from each transversal, each formed once; FiniteGroup sorts
+    them by key.
     """
     limit = element_cap if element_cap is not None else _cap("element_cap")
     gens = _perm_rows(generators, degree)
@@ -610,6 +616,10 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
         if order > limit:
             raise CapExceeded("element_cap", f"group closure passed the element cap ({limit}); "
                                              f"raise ELABCAT_ELEMENT_CAP to allow more")
+        if order * degree > ENTRIES_PER_ELEMENT * _cap("element_cap"):
+            raise CapExceeded("element_cap", f"group element table of {order} x {degree} entries "
+                                             f"passed {ENTRIES_PER_ELEMENT} per element of the cap; "
+                                             f"raise ELABCAT_ELEMENT_CAP to allow more")
         if bits > KEY_BITS:
             raise CapExceeded("element_key", f"group element keys need {bits} bits, "
                                              f"more than the {KEY_BITS} an int64 key holds")
@@ -618,6 +628,8 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     guard(order, [])
     while len(stab):
         base.append(int(np.argmax((stab != points).any(axis=0))))
+        if len(base) == 1:
+            guard(int(size[base[0]]), [])
         orbit, levels = _orbit_search(stab, base[-1])
         order *= len(orbit)
         guard(order, size[base].tolist())

@@ -6,6 +6,8 @@ an element on the base only, and the guards that refuse a group before
 its elements are formed.
 """
 
+import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -194,3 +196,52 @@ def test_key_width_exits_3(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err == ("error: guard element_key: group element keys need 10 bits, "
                    "more than the 9 an int64 key holds\n")
+
+
+def affine_line(q):
+    """AGL(1, q) on the q points of F_q, q prime: x -> 17x and x -> x + 1
+    (17 generates the units mod 65,521)."""
+    return q, [tuple(17 * x % q for x in range(q)), tuple((x + 1) % q for x in range(q))]
+
+
+@pytest.mark.parametrize("make, n", [(cycles, 65536), (affine_line, 65521)],
+                         ids=["cycle-65536", "affine-65521"])
+def test_element_table_bounded_by_its_entries(make, n):
+    # each group's first orbit passes no element cap, but its transversal
+    # alone, n x n, would take 16 GiB
+    degree, gens = make(n)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CapExceeded) as e:
+            close_generators(degree, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 16 * 2 ** 20
+    assert e.value.guard == "element_cap"
+    assert str(e.value) == (f"group element table of {n} x {n} entries passed 64 per element "
+                            f"of the cap; raise ELABCAT_ELEMENT_CAP to allow more")
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": "c", "degree": 65536, "generators": [[(x + 1) % 65536 for x in range(65536)]]},
+    {"name": "x", "builder": "affine", "params": {"q": 65521}, "prime": 65521, "claims": []},
+], ids=["cycle-65536", "gallery-affine-65521"])
+def test_element_table_bound_exits_3(doc, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    argv = (["gallery", str(path)] if "builder" in doc
+            else ["analyze", str(path), "--prime", "2"])
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert cli.main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 16 * 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: guard element_cap") and err.count("\n") == 1

@@ -3,6 +3,7 @@ worklist oracle and an independent closedness check on random groups,
 exact hom keys, and golden CLI reports frozen from the worklist closure.
 """
 
+import itertools
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -180,6 +181,39 @@ def test_closure_matches_worklist_oracle(C):
     check_against_oracle(C)
 
 
+@st.composite
+def off_representative_categories(draw):
+    """An A-category of a small group at p = 2 or 3 plus one to three
+    random injective maps, each on a pair that is not a pair of class
+    representatives: the maps the skeleton closure must carry."""
+    G = draw(small_groups())
+    catalog = enumerate_elabs(G, draw(st.sampled_from([2, 3])))
+    assume(len(catalog) <= 50)
+    ranks, reps = catalog.ranks(), set(catalog.class_reps)
+    pairs = [(i, j) for i in range(len(catalog)) for j in range(len(catalog))
+             if 1 <= ranks[i] <= ranks[j] and not {i, j} <= reps]
+    assume(pairs)
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+    extra = [((i, j), draw(st.sampled_from(
+        injective_oracle(catalog.prime, ranks[j], ranks[i])))) for i, j in chosen]
+    return a_category_plus(catalog, extra)
+
+
+@given(C=off_representative_categories())
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_skeleton_closure_carries_maps_off_the_representatives(C):
+    # the oracle, canonical arrays, closedness and idempotence
+    check_against_oracle(C)
+    closed, catalog = cg.closure(C), C.catalog
+    n, rep = len(catalog), [catalog.class_reps[c] for c in catalog.class_of]
+    sizes = {(i, j): len(closed.hom(i, j)) for i in range(n) for j in range(n)}
+    assert all(size == sizes[rep[i], rep[j]] for (i, j), size in sizes.items())
+    keys, counts = closed.pair_sizes()
+    assert dict(zip(keys.tolist(), counts.tolist())) == {
+        i * n + j: size for (i, j), size in sizes.items() if size}
+
+
 def a4_grow():
     return a_category_plus(a4_catalog(), [((4, 4), ((0, 1), (1, 0)))])
 
@@ -210,18 +244,46 @@ class TestFixedExamples:
         check_against_oracle(a_category_plus(catalog, [((i, j), ((1,),))]))
 
 
+@pytest.mark.parametrize("degree, gens, p", [
+    # A4 at p = 3: no element of order 3 is conjugate to its inverse
+    (4, [(1, 0, 3, 2), (2, 0, 1, 3)], 3),
+    # A5 at p = 2: each Klein four-group has A-automorphisms of order 3 only
+    (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 2),
+], ids=["A4-p3", "A5-p2"])
+def test_every_map_off_the_representatives(degree, gens, p):
+    # every injective map that is no A-morphism, alone on a pair of first
+    # or last members of two classes but no pair of representatives (the
+    # first members): the skeleton closure carries it to them
+    catalog = enumerate_elabs(close_generators(degree, gens), p)
+    starts, members, _ = catalog.class_table
+    ranks = catalog.ranks()
+    ends = sorted(set(members[starts[:-1]].tolist() + members[starts[1:] - 1].tolist()))
+    base = hom_dict(cg.build_category(cg.A, catalog))
+    for i, j in itertools.product(ends, repeat=2):
+        if {i, j} <= set(catalog.class_reps) or not 1 <= ranks[i] <= ranks[j]:
+            continue
+        for M in injective_oracle(p, ranks[j], ranks[i]):
+            if codes(M, p) not in base.get((i, j), ()):
+                C = a_category_plus(catalog, [((i, j), M)])
+                assert matrices(cg.closure(C)) == brute_closure(C)
+
+
 @pytest.mark.parametrize("make", [a4_grow, gl3_2_grow])
 def test_each_composable_pair_is_multiplied_once(make, monkeypatch):
-    # every hom is new in exactly one round, so the closure keys each seed
-    # hom, product, corestriction and inverse once: no more, no fewer; the
-    # guard keys each A-morphism once more, to match it against the seed
+    # the fixpoint runs on the class representatives, and every hom
+    # between them is new in exactly one round, so the closure keys each
+    # product, corestriction and inverse there once: no more, no fewer.
+    # Besides, the guard keys every input hom and every A-morphism once,
+    # and each input hom that is no A-morphism is keyed once more, carried
+    # to its representatives' pair
     keyed = []
     real = cg._hom_keys
     monkeypatch.setattr(cg, "_hom_keys",
                         lambda cols, *rest: keyed.append(len(cols)) or real(cols, *rest))
     C = make()
     catalog, p = C.catalog, C.catalog.prime
-    closed = matrices(cg.closure(C))
+    reps = set(catalog.class_reps)
+    closed = {k: v for k, v in matrices(cg.closure(C)).items() if set(k) <= reps}
     into, out_of = Counter(), Counter()
     for (i, j), mats in closed.items():
         out_of[i] += len(mats)
@@ -233,10 +295,11 @@ def test_each_composable_pair_is_multiplied_once(make, monkeypatch):
         inverses += len(mats) if E.rank == F.rank > 0 else 0
         corestrictions += sum(restriction(E, F, E, catalog.subgroups[t], M, p) is not None
                               for M in mats for t in subs_of[j] if t != j)
-    seed = sum(map(len, C.hom_dict().values()))
-    guard = sum(map(len, cg.build_category(cg.A, catalog).hom_dict().values()))
-    products = sum(into[j] * out_of[j] for j in range(len(catalog)))
-    assert sum(keyed) == guard + seed + products + corestrictions + inverses
+    seed, base = hom_dict(C), hom_dict(cg.build_category(cg.A, catalog))
+    guard = sum(map(len, base.values())) + sum(map(len, seed.values()))
+    extra = sum(len(homs - base.get(key, set())) for key, homs in seed.items())
+    products = sum(into[j] * out_of[j] for j in reps)
+    assert sum(keyed) == guard + extra + products + corestrictions + inverses
 
 
 class TestHomKeys:
