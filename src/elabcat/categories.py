@@ -25,20 +25,22 @@ All of these are closed under composition, restriction to subgroups, and
 inverses of bijective members, which the closure operator below makes
 checkable for arbitrary explicitly given hom collections.
 
-Each hom-set is built from the definition of its kind, once canonical()
-has merged the kinds that coincide out of the domain:
+Every kind holds the conjugation isomorphisms, so by Quillen's
+factorization (Ann. of Math. 94, 1971) a category over a catalog builds
+hom-sets between class representatives only and carries every other one
+from its representatives' pair (see SubgroupCategory).  Each is built
+from the definition of its kind, once canonical() has merged the kinds
+that coincide out of the domain:
 
-  A            a row at a time, every A-morphism out of one object, by
-               Quillen's factorization (Ann. of Math. 94, 1971): each is
-               a conjugation isomorphism followed by an inclusion, so
-               Hom_A(E, F) is Aut_A(E) carried onto each conjugate of E
-               inside F.  Aut_A(E) is read once per class representative
-               E, from the g with g^-1 E g = E; the row of another member
-               E^w is E's row composed with conjugation by w^-1, one
-               gather (_a_rows).  Without a catalog, hom_matrices builds
-               one pair from the same conjugation images: the g with
-               g^-1 E g inside F, which lie in the transporter cosets
-               taking E's first basis element into F;
+  A            a row at a time, every A-morphism out of one class
+               representative E: each is a conjugation isomorphism
+               followed by an inclusion, so Hom_A(E, F) is Aut_A(E)
+               carried onto each conjugate of E inside F, and Aut_A(E) is
+               read from the g with g^-1 E g = E (_a_rows).  Without a
+               catalog, hom_matrices builds one pair from the same
+               conjugation images: the g with g^-1 E g inside F, which
+               lie in the transporter cosets taking E's first basis
+               element into F;
   Aprime,      a backtracking search over the images of E's basis vectors,
   AprimeD(d),  breadth first over numpy arrays: fixing the image of basis
   Creg         vector k fixes that of every vector whose last nonzero
@@ -49,11 +51,10 @@ has merged the kinds that coincide out of the domain:
   An(n)        the Aprime maps whose restriction to every rank-n subspace
                U of E is one of the A maps U -> F, built as above.
 
-closure requires every A-morphism in its input, so its result holds every
-conjugation isomorphism and is decided by the hom-sets between class
-representatives: it closes that skeleton alone, in semi-naive rounds
-(Abiteboul, Hull and Vianu, Foundations of Databases, 1995, ch. 13), and
-carries any other hom-set from its representatives' pair when it is read.
+closure requires every A-morphism in its input, so its result too is
+decided by the hom-sets between class representatives: it closes that
+skeleton alone, in semi-naive rounds (Abiteboul, Hull and Vianu,
+Foundations of Databases, 1995, ch. 13).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -318,113 +319,81 @@ def _runs(keys: np.ndarray) -> list[int]:
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))).tolist()
 
 
-def _a_rows(catalog: ElabCatalog, sources: Iterable[int], limit: int) -> None:
-    """Build row i of A, every A-morphism out of member i, for each source
-    i, as catalog.a_rows[i] = (targets, bounds, cols): Hom_A(i, targets[t])
-    is cols[bounds[t]:bounds[t + 1]], and only non-empty hom-sets appear.
+def _a_rows(catalog: ElabCatalog, i: int, limit: int) -> None:
+    """Build row i of A for a class representative i, every A-morphism
+    out of it, as catalog.a_rows[i] = (targets, bounds, cols):
+    Hom_A(i, targets[t]) is cols[bounds[t]:bounds[t + 1]], and only
+    non-empty hom-sets appear.
 
     Quillen's factorization: an A-morphism is a conjugation isomorphism
-    followed by an inclusion.  With E the representative of a source's
-    class and E_k = w_k^-1 E w_k its members (w_k the class witnesses),
-    Hom_A(E_s, F) is c_k o Aut_A(E) o c_s^-1 over the members E_k inside
-    F, where c_k: E -> E_k is conjugation by w_k; maps through distinct
-    E_k have distinct images, so no map repeats.  Per class, Aut_A(E) is
-    one _conjugation_images call and every c_k one conjugate_indices
-    call; catalog.containers gives the targets.  A source's c_s^-1 is a
-    gather from the image tables of Aut_A(E).  The sources of one rank
-    then share one catalog.codes_in lookup of the images and one sort.
+    followed by an inclusion.  With E member i and E_k = w_k^-1 E w_k the
+    members of its class (w_k the class witnesses), Hom_A(E, F) is
+    c_k o Aut_A(E) over the members E_k inside F, where c_k: E -> E_k is
+    conjugation by w_k; maps through distinct E_k have distinct images,
+    so no map repeats.  Aut_A(E) is one _conjugation_images call and the
+    c_k one conjugate_indices call; catalog.containers gives the targets.
 
     Raises CapExceeded("hom_count_cap") before building when the maps
-    of the rows, |Aut_A(E)| per member inside a target, pass limit.
+    of the row, |Aut_A(E)| per member inside a target, pass limit.
     """
-    G, p, n = catalog.group, catalog.prime, len(catalog)
+    G, E = catalog.group, catalog.subgroups[i]
     starts, supers = catalog.containers
     class_starts, by_class, witnesses = catalog.class_table
-    sources, wanted = sorted(set(sources)), {}
-    # member 0, the trivial subgroup, maps into every member by the empty map
-    trivial = bool(sources) and sources[0] == 0
-    for i in sources[trivial:]:
-        wanted.setdefault(catalog.class_of[i], []).append(i)
-    plan: dict[int, list] = {}      # by rank: (E, members, witnesses, sources, Aut_A(E))
-    total = n * trivial
-    for c, srcs in sorted(wanted.items()):
-        E = catalog.subgroups[catalog.class_reps[c]]
-        span = slice(class_starts[c], class_starts[c + 1])
-        aut = distinct_rows(_conjugation_images(G, E.basis, E))
-        members = by_class[span]
-        total += len(srcs) * len(aut) * int((starts[members + 1] - starts[members]).sum())
-        plan.setdefault(E.rank, []).append((E, members, witnesses[span], np.array(srcs), aut))
+    c = catalog.class_of[i]
+    span = slice(class_starts[c], class_starts[c + 1])
+    members = by_class[span]
+    # the trivial subgroup has one automorphism, the empty map
+    aut = (distinct_rows(_conjugation_images(G, E.basis, E)) if E.rank
+           else np.zeros((1, 0), dtype=np.int64))
+    k_of, at = ranges(starts[members], starts[members + 1])
+    total = len(aut) * len(at)
     if total > limit:
         raise CapExceeded(
             "hom_count_cap",
-            f"the A hom-sets out of {len(sources)} objects hold {total} maps, "
+            f"the A hom-sets out of 1 objects hold {total} maps, "
             f"more than the cap ({limit}); raise ELABCAT_HOM_COUNT_CAP to allow more")
-    if trivial:
-        empty = np.zeros((n, 0), dtype=np.int64)
-        empty.flags.writeable = False
-        catalog.a_rows[0] = (list(range(n)), list(range(n + 1)), empty)
-    for r, classes in plan.items():
-        pairs, images = [], []
-        for E, members, witness, srcs, aut in classes:
-            conj = G.conjugate_indices(witness, E.by_code)     # row k: c_k by code
-            k_of, at = ranges(starts[members], starts[members + 1])
-            if (srcs == members[0]).all():      # the representative: c_s is 1
-                pulled = aut[:, None]
-            else:   # c_s^-1 on E_s's basis, then each automorphism: codes in E
-                onto = catalog.codes_in(srcs[:, None], conj[np.searchsorted(members, srcs)])
-                pulled = _image_tables(aut, p, r)[:, np.argsort(onto, axis=1)[:, p ** np.arange(r)]]
-            # (source, target, automorphism): the images of the basis in G
-            pairs.append((srcs[:, None] * n + supers[at]).repeat(len(aut)))
-            images.append(conj[k_of[:, None, None], pulled.swapaxes(0, 1)[:, None]]
-                          .reshape(len(pairs[-1]), r))
-        pair, cols = np.concatenate(pairs), np.concatenate(images)
-        for b in blocks(len(pair), r):
-            cols[b] = catalog.codes_in(pair[b, None] % n, cols[b])
-        order = np.lexsort((*cols.T[::-1], pair))
-        pair, cols = pair[order], cols[order]
-        cols.flags.writeable = False
-        bounds = _runs(pair)
-        src, dst = np.divmod(pair[bounds[:-1]], n)
-        mine = np.sort(np.concatenate([srcs for _, _, _, srcs, _ in classes]))
-        lo, hi = np.searchsorted(src, mine), np.searchsorted(src, mine, side="right")
-        dst = dst.tolist()
-        for i, a, b in zip(mine.tolist(), lo.tolist(), hi.tolist()):
-            catalog.a_rows[i] = (dst[a:b], bounds[a:b + 1], cols)
-
-
-def _fill_a_rows(catalog: ElabCatalog, limit: int) -> None:
-    """Build every row of A not built yet (see _a_rows)."""
-    missing = [i for i in range(len(catalog)) if i not in catalog.a_rows]
-    if missing:
-        _a_rows(catalog, missing, limit)
+    conj = G.conjugate_indices(witnesses[span], E.by_code)     # row k: c_k by code
+    # (target, automorphism): the images of the basis in G, then in the target
+    target = supers[at].repeat(len(aut))
+    cols = conj[k_of[:, None, None], aut].reshape(len(target), E.rank)
+    for b in blocks(len(target), E.rank):
+        cols[b] = catalog.codes_in(target[b, None], cols[b])
+    order = np.lexsort((*cols.T[::-1], target))
+    target, cols = target[order], cols[order]
+    cols.flags.writeable = False
+    bounds = _runs(target)
+    catalog.a_rows[i] = (target[bounds[:-1]].tolist(), bounds, cols)
 
 
 # -- categories -------------------------------------------------------
 
 
 class SubgroupCategory:
-    """A catalog plus hom-sets, either kind-backed (lazy) or explicit.
+    """A catalog plus hom-sets: a base, held on the pairs of class
+    representatives, and optional explicit maps keyed by pair.
 
-    Hom-sets are read-only column-code arrays (see the module docstring)
-    keyed by ordered pairs of catalog subgroup indices.  Kind-backed
-    categories are views over the catalog's hom cache, which every
-    category over that catalog shares under canonical kinds; explicit
-    categories carry a finished dict.  A skeleton one, closure's result,
-    holds the hom-sets between class representatives and carries another
-    when it is read: Hom(i, j) = c_j o Hom(rep i, rep j) o c_i^-1, one
-    gather, c_k the conjugation isomorphism onto k (conjugation_codes).
+    The base is a kind's, read from the catalog's hom cache that every
+    category over that catalog shares under canonical kinds, or given on
+    the representatives' pairs, as closure gives its result; an explicit
+    category (kind None, nothing given) has an empty one.  Every kind and
+    every closure holds the conjugation isomorphisms, so the base's
+    Hom(i, j) off the representatives is c_j o Hom(rep i, rep j) o c_i^-1,
+    one gather, c_k the conjugation isomorphism onto k (conjugation_codes).
+    hom(i, j) unites it with the explicit maps at (i, j).  Hom-sets are
+    read-only column-code arrays (see the module docstring).
     """
 
     def __init__(self, catalog: ElabCatalog, kind: Optional[CategoryKind],
                  homs: Optional[dict[tuple[int, int], np.ndarray]] = None,
-                 skeleton: bool = False):
+                 reps: Optional[dict[tuple[int, int], np.ndarray]] = None):
         self.catalog = catalog
         self.kind = kind
-        if kind is None:
-            self._homs: dict[tuple[int, int], np.ndarray] = dict(homs or {})
-            for cols in self._homs.values():
-                cols.flags.writeable = False
-        self._skeleton = skeleton
+        self.maps = {key: cols for key, cols in (homs or {}).items() if len(cols)}
+        # the base's hom-sets by (canonical kind, i, j), kind None if given
+        self._base = catalog.homs if kind is not None else {
+            (None, i, j): cols for (i, j), cols in (reps or {}).items()}
+        for cols in chain(self.maps.values(), (reps or {}).values()):
+            cols.flags.writeable = False
         self._sized = False
 
     @property
@@ -432,64 +401,72 @@ class SubgroupCategory:
         return self.kind.label() if self.kind is not None else "explicit"
 
     def hom(self, i: int, j: int) -> np.ndarray:
-        E, F = self.catalog.subgroups[i], self.catalog.subgroups[j]
-        if self.kind is None:
-            if self._skeleton and (i, j) not in self._homs:
-                self._homs[i, j] = self._carried(i, j)
-            return self._homs.get((i, j), np.zeros((0, E.rank), dtype=np.int64))
-        key = (canonical(self.kind, E.rank), i, j)
-        got = self.catalog.homs.get(key)
-        if got is None and key[0] == A:
-            # read off row i, built first if need be; a row holds only the
-            # non-empty hom-sets, each kept in the cache once read
-            if i not in self.catalog.a_rows:
-                _a_rows(self.catalog, [i], _cap("hom_count_cap"))
-            targets, bounds, cols = self.catalog.a_rows[i]
-            t = bisect_left(targets, j)
-            if t == len(targets) or targets[t] != j:
-                return np.zeros((0, E.rank), dtype=np.int64)
-            got = self.catalog.homs[key] = cols[bounds[t]:bounds[t + 1]]
-        if got is None:
-            if key[0] == CREG and not self._sized:
-                # Creg lists every injective matrix: refuse the category
-                # here as materialize() would, before the first one
-                self._check_size()
-                self._sized = True
-            got = self.catalog.homs[key] = hom_matrices(key[0], E, F)
+        got, extra = self._base_hom(i, j), self.maps.get((i, j))
+        if extra is not None:
+            got = distinct_rows(np.concatenate([got, extra])) if len(got) else extra
             got.flags.writeable = False
         return got
 
-    def _carried(self, i: int, j: int) -> np.ndarray:
-        """Hom(i, j) of a skeleton category: c_j o Hom(rep i, rep j) o c_i^-1."""
-        catalog, p, reps = self.catalog, self.catalog.prime, self.catalog.class_reps
-        r, s = catalog.subgroups[i].rank, catalog.subgroups[j].rank
-        base = self._homs.get((reps[catalog.class_of[i]], reps[catalog.class_of[j]]),
-                              np.zeros((0, r), dtype=np.int64))
-        codes = catalog.conjugation_codes
-        back = np.argsort(codes[i, :p ** r])[p ** np.arange(r)]     # c_i^-1 on i's basis
-        got = distinct_rows(_conjugated(base, s, back[None], codes[j, None, :p ** s], p))
+    def _base_hom(self, i: int, j: int) -> np.ndarray:
+        """The base's Hom(i, j): built or given on a pair of
+        representatives, carried to any other pair, kept once read."""
+        catalog, E = self.catalog, self.catalog.subgroups[i]
+        kind = canonical(self.kind, E.rank) if self.kind is not None else None
+        got = self._base.get((kind, i, j))
+        if got is not None:
+            return got
+        ri, rj = (catalog.class_reps[catalog.class_of[k]] for k in (i, j))
+        none = np.zeros((0, E.rank), dtype=np.int64)
+        if (i, j) != (ri, rj):
+            got = self._base_hom(ri, rj)
+            if len(got):
+                got = _carried(catalog, got, np.array([i]), np.array([j]))[0, 0]
+        elif kind is None:
+            return none
+        elif kind == A:
+            # read off row i, built first if need be
+            if i not in catalog.a_rows:
+                _a_rows(catalog, i, _cap("hom_count_cap"))
+            targets, bounds, cols = catalog.a_rows[i]
+            t = bisect_left(targets, j)
+            got = cols[bounds[t]:bounds[t + 1]] if targets[t:t + 1] == [j] else none
+        else:
+            if kind == CREG and not self._sized:
+                # Creg lists every injective matrix: refuse the category
+                # before the first one
+                self._check_size()
+                self._sized = True
+            got = hom_matrices(kind, E, catalog.subgroups[j])
         got.flags.writeable = False
+        self._base[kind, i, j] = got
         return got
 
     def pair_sizes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, sizes) of the non-empty hom-sets of a skeleton category,
-        listing no map: keys i * n + j, increasing, and |Hom(i, j)|, which
-        is |Hom(rep i, rep j)|."""
-        catalog, reps = self.catalog, set(self.catalog.class_reps)
+        """(keys, sizes) of the non-empty hom-sets, listing no map off
+        the representatives' pairs and the explicit maps: keys i * n + j,
+        increasing, and |Hom(i, j)|, which is |Hom(rep i, rep j)| where
+        no explicit map lies."""
+        catalog, reps, n = self.catalog, self.catalog.class_reps, len(self.catalog)
         starts, members, _ = catalog.class_table
-        x, y, size = np.array([(catalog.class_of[i], catalog.class_of[j], len(h))
-                               for (i, j), h in self._homs.items() if len(h) and {i, j} <= reps],
-                              dtype=np.int64).reshape(-1, 3).T
+        size = np.array([len(self._base_hom(ri, rj)) for ri in reps for rj in reps],
+                        dtype=np.int64)
+        x, y = np.divmod(np.flatnonzero(size), len(reps))
         t, i = ranges(starts[x], starts[x + 1])
         u, j = ranges(starts[y[t]], starts[y[t] + 1])
-        keys = members[i][u] * len(catalog) + members[j]
+        keys, size = members[i][u] * n + members[j], size[x * len(reps) + y][t][u]
+        if self.maps:
+            mine = np.array(sorted(i * n + j for i, j in self.maps), dtype=np.int64)
+            keep = ~find_sorted(mine, keys)[1]
+            keys = np.concatenate([keys[keep], mine])
+            size = np.concatenate([size[keep], [len(self.hom(*divmod(k, n)))
+                                                for k in mine.tolist()]])
         order = np.argsort(keys)
-        return keys[order], size[t][u][order]
+        return keys[order], size[order]
 
-    def _check_size(self, hom_count_cap: Optional[int] = None) -> None:
+    def _check_size(self) -> None:
         """Raise CapExceeded when the injective matrices over all ordered
         pairs, a bound for any kind, pass the hom count cap."""
-        limit = hom_count_cap if hom_count_cap is not None else _cap("hom_count_cap")
+        limit = _cap("hom_count_cap")
         p, ranks = self.catalog.prime, Counter(self.catalog.ranks())
         est = sum(ni * nj * injective_count(p, rj, ri)
                   for ri, ni in ranks.items() for rj, nj in ranks.items())
@@ -504,32 +481,55 @@ class SubgroupCategory:
         self.hom_dict(hom_count_cap)
 
     def total_homs(self) -> int:
-        return sum(len(v) for v in self.hom_dict().values())
+        return int(self.pair_sizes()[1].sum())
 
     def hom_dict(self, hom_count_cap: Optional[int] = None
                  ) -> dict[tuple[int, int], np.ndarray]:
-        """Every non-empty hom-set in row-major order, materializing a
-        kind-backed category: A by its rows, guarded by their exact size,
-        other kinds pair by pair, guarded by the estimate of _check_size;
-        a skeleton category carries every pair of non-empty classes."""
-        if self.kind is None:
-            if self._skeleton:
-                pairs = (divmod(k, len(self.catalog)) for k in self.pair_sizes()[0].tolist())
-                return {(i, j): self.hom(i, j) for i, j in pairs}
-            return {k: v for k, v in self._homs.items() if len(v)}
-        catalog, n = self.catalog, len(self.catalog)
-        if self.kind == A:
-            _fill_a_rows(catalog, hom_count_cap if hom_count_cap is not None
-                         else _cap("hom_count_cap"))
-            out = {}
-            for i in range(n):
-                targets, bounds, cols = catalog.a_rows[i]
-                for j, a, b in zip(targets, bounds, bounds[1:]):
-                    out[i, j] = catalog.homs.setdefault((A, i, j), cols[a:b])
-            return out
-        self._check_size(hom_count_cap)
-        pairs = ((i, j) for i in range(n) for j in range(n))
-        return {(i, j): h for i, j in pairs if len(h := self.hom(i, j))}
+        """Every non-empty hom-set in row-major order, refused when they
+        hold more maps than the hom count cap (pair_sizes counts them
+        before any is listed).  The base is carried a pair of classes at
+        a time, and every hom-set is kept as hom reads it."""
+        limit = hom_count_cap if hom_count_cap is not None else _cap("hom_count_cap")
+        keys, sizes = self.pair_sizes()
+        total = int(sizes.sum())
+        if total > limit:
+            raise CapExceeded(
+                "hom_count_cap",
+                f"the category holds {total} morphisms, more than the cap ({limit}); "
+                f"raise ELABCAT_HOM_COUNT_CAP to allow more")
+        catalog, n, reps = self.catalog, len(self.catalog), self.catalog.class_reps
+        starts, members, _ = catalog.class_table
+        at = np.empty(n, dtype=np.int64)            # each member's place in its class
+        at[members] = np.arange(n) - np.repeat(starts[:-1], np.diff(starts))
+        kinds = [canonical(self.kind, catalog.subgroups[r].rank) if self.kind is not None
+                 else None for r in reps]
+        carried = {}
+        for (x, ri), (y, rj) in product(enumerate(reps), repeat=2):
+            if len(base := self._base_hom(ri, rj)):
+                carried[x, y] = _carried(catalog, base, members[starts[x]:starts[x + 1]],
+                                         members[starts[y]:starts[y + 1]])
+                carried[x, y].flags.writeable = False
+        out = {}
+        for i, j in map(divmod, keys.tolist(), repeat(n)):
+            x, y = catalog.class_of[i], catalog.class_of[j]
+            out[i, j] = self.hom(i, j) if (i, j) in self.maps else self._base.setdefault(
+                (kinds[x], i, j), carried[x, y][at[i], at[j]])
+        return out
+
+
+def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
+             J: np.ndarray) -> np.ndarray:
+    """c_j o cols o c_i^-1 for each i in I and j in J, for a non-empty
+    hom-set cols between the representatives of their classes, c_k the
+    conjugation isomorphism onto k: shape (|I|, |J|, maps, rank of I),
+    the rows of each pair in lexicographic order."""
+    p, codes = catalog.prime, catalog.conjugation_codes
+    (m, r), s = cols.shape, catalog.subgroups[J[0]].rank
+    back = np.argsort(codes[I, :p ** r], axis=1)[:, p ** np.arange(r)]    # c_i^-1 on i's basis
+    pulled = _image_tables(cols, p, s)[:, back].swapaxes(0, 1)             # (i, map, column)
+    got = codes[J[:, None, None], pulled[:, None]].reshape(len(I) * len(J) * m, r)
+    order = np.lexsort((*got.T[::-1], np.arange(len(got)) // m))
+    return got[order].reshape(len(I), len(J), m, r)
 
 
 def build_category(kind: CategoryKind, catalog: ElabCatalog) -> SubgroupCategory:
@@ -553,8 +553,7 @@ def explicit_category(catalog: ElabCatalog,
         for M in _code_digits(p, F.rank)[cols].transpose(0, 2, 1).tolist():
             if mat_rank(M, p) != E.rank:
                 raise ValueError("matrix does not have full column rank")
-        if len(cols):
-            cleaned[(i, j)] = distinct_rows(cols)
+        cleaned[(i, j)] = distinct_rows(cols)
     return SubgroupCategory(catalog, None, cleaned)
 
 
@@ -605,33 +604,6 @@ def _shape_keys(homs: dict[tuple[int, int], np.ndarray], ranks: list[int],
     return out
 
 
-def _a_keys(catalog: ElabCatalog, p: int, dtype) -> dict[tuple[int, int], np.ndarray]:
-    """Sorted _hom_keys of every A-morphism, by (codomain rank, domain
-    rank), read off the rows of A (see _a_rows), built first where
-    missing.  The rows built together share one column-code array, and
-    their targets and bounds key all of it in one pass."""
-    n, ranks = len(catalog), np.array(catalog.ranks())
-    _fill_a_rows(catalog, _cap("hom_count_cap"))
-    shared: dict[int, tuple[np.ndarray, list]] = {}
-    for i, (targets, bounds, cols) in catalog.a_rows.items():
-        shared.setdefault(id(cols), (cols, []))[1].append((i, targets, bounds))
-    chunks: dict[tuple[int, int], list] = {}
-    for cols, rows in shared.values():
-        srcs, targets, bounds = zip(*rows)
-        cod = np.fromiter(chain.from_iterable(targets), dtype=np.int64)
-        dom = np.repeat(srcs, list(map(len, targets)))
-        lo = np.fromiter(chain.from_iterable(b[:-1] for b in bounds), dtype=np.int64)
-        hi = np.fromiter(chain.from_iterable(b[1:] for b in bounds), dtype=np.int64)
-        pair, at = ranges(lo, hi)
-        dom, cod, cols = dom[pair], cod[pair], cols[at]
-        cod_rank = ranks[cod]
-        for r in sorted_distinct(cod_rank).tolist():
-            mine = cod_rank == r
-            chunks.setdefault((r, cols.shape[1]), []).append(
-                _hom_keys(cols[mine], dom[mine], cod[mine], p ** r, n, dtype))
-    return {shape: np.sort(np.concatenate(keys)) for shape, keys in chunks.items()}
-
-
 def _image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
     """Code of the image of every domain vector code, for each map given
     by its column codes in a codomain of the given rank."""
@@ -676,21 +648,23 @@ def _conjugated(cols: np.ndarray, rows: int, at: np.ndarray, onto: np.ndarray,
 def closure(C: SubgroupCategory) -> SubgroupCategory:
     """Smallest hom collection containing C that is closed under
     composition, restriction (both domain and codomain), and inverses of
-    bijective members, as a skeleton category (see SubgroupCategory).
+    bijective members, as a category whose base is given on the pairs of
+    class representatives (see SubgroupCategory).
 
     The input must contain every A-morphism (conjugation-induced maps and
-    inclusions), on every pair; otherwise ClosureGuardError is raised.
-    Restricting a map's domain to S is then composing it with the
-    inclusion of S, so restriction reduces to corestriction: narrowing the
-    codomain to a catalog subgroup that holds the image.  With every
-    conjugation isomorphism c present, Hom(E', F') = c o Hom(E, F) o c'
-    for conjugates E' of E and F' of F, so the full subcategory on the
-    class representatives, a skeleton, decides the closure.  Its seed is
-    the A-morphisms between representatives and every other input hom,
-    carried to its representatives' pair by the class witnesses; each
-    corestriction onto a subgroup is carried on the same way.  The
-    result lists no other hom-set until one is read, and pair_sizes
-    reports every size without forming a map.
+    inclusions), on every pair.  Every kind does; an input without one,
+    its maps all explicit, is checked, and ClosureGuardError names the
+    first pair that misses some.  Restricting a map's domain to S is then
+    composing it with the inclusion of S, so restriction reduces to
+    corestriction: narrowing the codomain to a catalog subgroup that
+    holds the image.  With every conjugation isomorphism c present,
+    Hom(E', F') = c o Hom(E, F) o c' for conjugates E' of E and F' of F,
+    so the full subcategory on the class representatives, a skeleton,
+    decides the closure.  Its seed is the input's base on the
+    representatives' pairs (A, for an explicit input) and every other
+    input hom, carried to its representatives' pair by the class
+    witnesses; each corestriction onto a subgroup is carried on the same
+    way.
 
     The fixpoint runs in semi-naive rounds.  Each round takes the homs
     first found in the last one, D, and joins them only with the homs at
@@ -708,23 +682,30 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     catalog = C.catalog
     n, p, ranks = len(catalog), catalog.prime, catalog.ranks()
     dtype = _key_dtype(p, max(ranks), n)
-    seed = _shape_keys(C.hom_dict(), ranks, p, dtype)
-    a_keys = _a_keys(catalog, p, dtype)
-    # a key mod n^2 is its pair dom * n + cod
-    missing = [keys[~find_sorted(seed.get(shape, keys[:0]), keys)[1]] % (n * n)
-               for shape, keys in a_keys.items()]
-    missing = np.concatenate(missing)
-    if len(missing):
-        i, j = divmod(int(missing.min()), n)
-        count = int((missing == i * n + j).sum())
-        raise ClosureGuardError(
-            f"input omits {count} conjugation-induced "
-            f"morphism{'s' if count != 1 else ''} "
-            f"on object pair ({i}, {j})")
-
     reps = catalog.class_reps
     rep_of, codes = np.array(reps)[catalog.class_of], catalog.conjugation_codes
     is_rep = rep_of == np.arange(n)
+    if C.kind is None:
+        # every kind holds A; an explicit input must list it on every pair
+        base = _shape_keys(build_category(A, catalog).hom_dict(), ranks, p, dtype)
+        given = _shape_keys(C.hom_dict(), ranks, p, dtype)
+        # a key mod n^2 is its pair dom * n + cod
+        missing = np.concatenate([keys[~find_sorted(given.get(shape, keys[:0]), keys)[1]]
+                                  % (n * n) for shape, keys in base.items()])
+        if len(missing):
+            i, j = divmod(int(missing.min()), n)
+            count = int((missing == i * n + j).sum())
+            raise ClosureGuardError(
+                f"input omits {count} conjugation-induced "
+                f"morphism{'s' if count != 1 else ''} "
+                f"on object pair ({i}, {j})")
+        extra = {shape: keys[~find_sorted(base.get(shape, keys[:0]), keys)[1]]
+                 for shape, keys in given.items()}
+    else:
+        base = _shape_keys({(i, j): h for i in reps for j in reps
+                            if len(h := C._base_hom(i, j))}, ranks, p, dtype)
+        extra = _shape_keys(C.maps, ranks, p, dtype) if C.maps else {}
+
     known = np.zeros(0, dtype=dtype)      # sorted keys of every hom found
     found: dict[tuple[int, int], list] = {}   # the same, by shape
     pool: dict[tuple[int, int], list] = {}    # new keys, by shape
@@ -737,14 +718,15 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         if len(keys):
             pool.setdefault((rows, cols.shape[1]), []).append(keys)
 
-    for (rows, width), keys in a_keys.items():
+    # the seed: the base on the representatives' pairs, and every other
+    # hom f: dom -> cod carried to theirs, c_cod^-1 o f o c_dom
+    for (rows, width), keys in base.items():
         pair = (keys % (n * n)).astype(np.int64)
         mine = keys[is_rep[pair // n] & is_rep[pair % n]]
         if len(mine):
             pool[rows, width] = [mine]
-        # every other input hom f: dom -> cod, carried: c_cod^-1 o f o c_dom
-        extra = seed.get((rows, width), keys[:0])
-        dom, cod, cols = _decode(extra[~find_sorted(keys, extra)[1]], p ** rows, width, n)
+    for (rows, width), keys in extra.items():
+        dom, cod, cols = _decode(keys, p ** rows, width, n)
         basis = codes[dom[:, None], p ** np.arange(width)]     # c_dom on rep dom's basis
         offer(_conjugated(cols, rows, basis, np.argsort(codes[cod, :p ** rows], axis=1), p),
               rep_of[dom], rep_of[cod], rows)
@@ -820,7 +802,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         i, j = np.divmod(pair[bounds[:-1]], n)
         homs.update(zip(zip(i.tolist(), j.tolist()),
                         map(cols.__getitem__, map(slice, bounds, bounds[1:]))))
-    return SubgroupCategory(catalog, None, homs, skeleton=True)
+    return SubgroupCategory(catalog, None, reps=homs)
 
 
 # -- invariants -------------------------------------------------------
@@ -832,13 +814,13 @@ def maximal_objects(C: SubgroupCategory) -> list[list[int]]:
     An object is maximal when every outgoing morphism is bijective, which
     for injective linear maps means no morphism reaches a strictly larger
     rank.  Non-emptiness of hom-sets is constant on conjugacy classes for
-    kind-backed categories, so those are processed by class
-    representatives; explicit categories are processed object by object.
+    kind-backed categories without explicit maps, so those are processed
+    by class representatives; others are processed object by object.
     """
     catalog = C.catalog
     ranks = catalog.ranks()
     n = len(catalog)
-    if C.kind is not None:
+    if C.kind is not None and not C.maps:
         reps, label = catalog.class_reps, catalog.class_of
     else:
         reps = label = list(range(n))

@@ -330,7 +330,8 @@ def cmd_pregular(args) -> int:
 
 
 def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
-    """Category document: optional "base_kind" plus explicit homs.
+    """Category document: optional "base_kind" plus explicit homs, read
+    as a category over that kind with the homs as its explicit maps.
 
     Each hom record carries domain and codomain as sorted element index
     lists (into the group's canonical element order) and a list of
@@ -339,14 +340,14 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: expected an object at top level")
-    base = doc.get("base_kind")
-    kind_homs: dict[tuple[int, int], np.ndarray] = {}
+    base, kind = doc.get("base_kind"), None
     if base is not None:
         try:
+            if not isinstance(base, str):
+                raise ValueError(f"expected a kind label, got {json.dumps(base)}")
             kind = parse_kind(base, catalog.prime)
         except ValueError as e:
             raise InputFormatError(f"{path}: bad base_kind: {e}")
-        kind_homs = cg.build_category(kind, catalog).hom_dict()
     homs: dict[tuple[int, int], list] = {}
     records = doc.get("homs", [])
     if not isinstance(records, list) or not all(
@@ -379,25 +380,19 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
         explicit = cg.explicit_category(catalog, homs)
     except (ValueError, ElabcatError) as e:
         raise InputFormatError(f"{path}: invalid morphism: {e}")
-    # the kind's hom-sets are valid, sorted and distinct as built
-    merged = dict(kind_homs)
-    for key, cols in explicit.hom_dict().items():
-        if key in kind_homs:
-            cols = cg.distinct_rows(np.concatenate([kind_homs[key], cols]))
-        merged[key] = cols
-    return cg.SubgroupCategory(catalog, None, merged)
+    return cg.SubgroupCategory(catalog, kind, explicit.maps)
 
 
 def cmd_closure(args) -> int:
     G = load_group(args.group)
     catalog = enumerate_elabs(G, args.prime)
     C = load_category(args.category, catalog)
-    before = {k: len(v) for k, v in C.hom_dict().items()}
+    pairs, sizes = C.pair_sizes()
     # the input's pairs are among the closure's, as closure only adds
     keys, has = cg.closure(C).pair_sizes()
     n = len(catalog)
     had = np.zeros_like(keys)
-    had[np.searchsorted(keys, [i * n + j for i, j in before])] = list(before.values())
+    had[np.searchsorted(keys, pairs)] = sizes
     changed = [{"domain": k // n, "codomain": k % n, "before": b, "after": a}
                for k, b, a in zip(*(v[has != had].tolist() for v in (keys, had, has)))]
     report = {
@@ -406,7 +401,7 @@ def cmd_closure(args) -> int:
         "group": {"name": G.name, "degree": G.degree, "order": G.order},
         "prime": args.prime,
         "already_closed": not changed,
-        "hom_count_before": sum(before.values()),
+        "hom_count_before": int(sizes.sum()),
         "hom_count_after": int(has.sum()),
         "pairs_changed": changed,
     }

@@ -3,9 +3,10 @@
 ELABCAT_ELEMENT_CAP    max group order enumerated by close_generators (65536); its
                        element table may hold 64 entries per element of the cap
 ELABCAT_CATALOG_CAP    max subgroups in one catalog (5000)
-ELABCAT_HOM_COUNT_CAP  max estimated morphisms in a materialized category, a Creg
-                       one before its first hom-set, or a searched hom-set; max
-                       exact morphisms in the A rows about to be built (2000000)
+ELABCAT_HOM_COUNT_CAP  max exact morphisms in a materialized category or in the A
+                       row about to be built; max estimated morphisms in a Creg
+                       category before its first hom-set, or in a searched
+                       hom-set (2000000)
 ELABCAT_TERM_CAP       max stored monomials per polynomial, or weights per list (200000)
 """
 

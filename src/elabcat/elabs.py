@@ -181,8 +181,9 @@ class ElabCatalog:
     subgroup i (setwise).  maximal[i] is rank-maximality under inclusion
     into other catalog members.  homs caches hom-sets under keys
     (canonical kind, i, j) for every category over this catalog, and
-    a_rows holds row i of A, every A-morphism out of member i, once it
-    is built; only categories reads or fills them.
+    a_rows holds row i of A, every A-morphism out of a class
+    representative i, once it is built; only categories reads or fills
+    them.
     """
 
     group: FiniteGroup

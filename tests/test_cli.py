@@ -520,6 +520,16 @@ class TestClosure:
         main_input_error(capsys, "closure", a4_path, "--prime", "2",
                          "--category", str(path))
 
+    @pytest.mark.parametrize("base", [5, ["A"], "An(-1)", "Bogus"])
+    def test_bad_base_kind_rejected(self, a4_path, tmp_path, capsys, base):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"base_kind": base, "homs": []}))
+        assert cli.main(["closure", a4_path, "--prime", "2", "--category",
+                         str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bad base_kind: "), err
+        assert len(err.strip().splitlines()) == 1
+
     def test_entries_are_read_mod_p(self, a4_path, tmp_path, capsys):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"base_kind": "A", "homs": [

@@ -214,6 +214,58 @@ def test_skeleton_closure_carries_maps_off_the_representatives(C):
         i * n + j: size for (i, j), size in sizes.items() if size}
 
 
+@st.composite
+def based_categories(draw):
+    """A category of kind A or Aprime over a small group at p = 2 or 3,
+    one random injective map beside it on a pair that is not a pair of
+    class representatives, and one A-morphism off the representatives."""
+    G = draw(small_groups())
+    p = draw(st.sampled_from([2, 3]))
+    catalog = enumerate_elabs(G, p)
+    assume(len(catalog) <= 40)
+    n, ranks, reps = len(catalog), catalog.ranks(), set(catalog.class_reps)
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if 1 <= ranks[i] <= ranks[j] and not {i, j} <= reps]
+    assume(pairs)
+    key = draw(st.sampled_from(pairs))
+    M = draw(st.sampled_from(injective_oracle(p, ranks[key[1]], ranks[key[0]])))
+    a_homs = cg.build_category(cg.A, catalog).hom_dict()
+    off = [k for k in a_homs if not set(k) <= reps]
+    cut = draw(st.sampled_from(off))
+    return (draw(st.sampled_from([cg.A, cg.APRIME])), catalog, key, codes(M, p),
+            cut, draw(st.sampled_from(range(len(a_homs[cut])))))
+
+
+@given(case=based_categories())
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_based_categories_read_through_the_representatives(case):
+    kind, catalog, key, extra, cut, drop = case
+    n, subgroups = len(catalog), catalog.subgroups
+    C = cg.SubgroupCategory(catalog, kind,
+                            cg.explicit_category(catalog, {key: [extra]}).maps)
+    # every pair: the kind's hom-set built pair by pair, united with the map
+    union = {}
+    for i, E in enumerate(subgroups):
+        for j, F in enumerate(subgroups):
+            want = set(map(tuple, cg.hom_matrices(kind, E, F).tolist()))
+            want |= {extra} if (i, j) == key else set()
+            assert C.hom(i, j).tolist() == sorted(map(list, want))
+            if want:
+                union[i, j] = want
+    keys, sizes = C.pair_sizes()
+    assert dict(zip(keys.tolist(), sizes.tolist())) == {
+        i * n + j: len(maps) for (i, j), maps in union.items()}
+    assert matrices(cg.closure(C)) == brute_closure(cg.explicit_category(catalog, union))
+    # an explicit input without one A-morphism off the representatives
+    homs = dict(cg.build_category(cg.A, catalog).hom_dict())
+    homs[cut] = np.delete(homs[cut], drop, axis=0)
+    with pytest.raises(ClosureGuardError) as e:
+        cg.closure(cg.explicit_category(catalog, homs))
+    assert str(e.value) == ("input omits 1 conjugation-induced morphism "
+                            f"on object pair ({cut[0]}, {cut[1]})")
+
+
 def a4_grow():
     return a_category_plus(a4_catalog(), [((4, 4), ((0, 1), (1, 0)))])
 

@@ -136,24 +136,39 @@ def test_analyze_computes_each_hom_set_once(counted):
     assert max(counted.values()) == 1
 
 
-def test_closure_reuses_loaded_base_homs(counted, monkeypatch, tmp_path):
-    # A is built a row at a time, not through hom_matrices: every row once
-    catalog = enumerate_elabs(close_generators(4, A4), 2)
-    rows = Counter()
-    inner = cg._a_rows
+def test_closure_reuses_loaded_base_homs(counted, monkeypatch, tmp_path, capsys):
+    # A is built a row at a time, not through hom_matrices: one row per
+    # class representative, each once, and no other; the closure command
+    # never lists its input or its result pair by pair
+    catalogs, rows = [], Counter()
+    inner_rows, inner_catalog = cg._a_rows, cli.enumerate_elabs
 
-    def counting(catalog, sources, limit):
-        sources = list(sources)
-        rows.update(sources)
-        return inner(catalog, sources, limit)
+    def recorded(*args):
+        catalogs.append(inner_catalog(*args))
+        return catalogs[-1]
 
+    def counting(catalog, i, limit):
+        rows[i] += 1
+        return inner_rows(catalog, i, limit)
+
+    def listing(*args, **kwargs):
+        raise AssertionError("hom_dict called")
+
+    monkeypatch.setattr(cli, "enumerate_elabs", recorded)
     monkeypatch.setattr(cg, "_a_rows", counting)
-    path = tmp_path / "cat.json"
-    path.write_text(json.dumps({"base_kind": "A", "homs": []}))
-    cg.closure(load_category(str(path), catalog))
+    monkeypatch.setattr(cg.SubgroupCategory, "hom_dict", listing)
+    group, category = tmp_path / "a4.json", tmp_path / "cat.json"
+    group.write_text(json.dumps({"name": "a4", "degree": 4, "generators": A4}))
+    # the Klein four-group's swap, an explicit map beside the base kind
+    category.write_text(json.dumps({"base_kind": "A", "homs": [
+        {"domain": [0, 3, 8, 11], "codomain": [0, 3, 8, 11],
+         "matrices": [[[0, 1], [1, 0]]]}]}))
+    assert cli.main(["closure", str(group), "--prime", "2",
+                     "--category", str(category)]) == 0
+    assert json.loads(capsys.readouterr().out)["hom_count_after"] == 29
+    (catalog,) = catalogs
     assert not counted
-    assert sorted(rows) == list(range(len(catalog)))
-    assert max(rows.values()) == 1
+    assert rows == Counter(catalog.class_reps)
 
 
 @pytest.mark.parametrize("entry", gallery.entry_names())
