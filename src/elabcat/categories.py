@@ -7,8 +7,8 @@ image of E's basis vector k, so row i of its (rank F x rank E) matrix is
 digit i of every column code.  A hom-set is an int64 array of shape
 (maps, rank E), its rows distinct and in lexicographic order, so equal
 hom-sets are equal arrays.  Matrices as tuples of row tuples appear only
-where data leaves or enters the library (matrix_of, column_codes).  The
-kinds, from smallest to largest hom-sets:
+where data leaves or enters the library (fpmat.matrix_of, column_codes).
+The kinds, from smallest to largest hom-sets:
 
   A            some single g in G conjugates every element of E onto its
                image (f(e) = g^-1 e g for all e);
@@ -28,9 +28,11 @@ checkable for arbitrary explicitly given hom collections.
 Every kind holds the conjugation isomorphisms, so by Quillen's
 factorization (Ann. of Math. 94, 1971) a category over a catalog builds
 hom-sets between class representatives only and carries every other one
-from its representatives' pair (see SubgroupCategory).  Each is built
-from the definition of its kind, once canonical() has merged the kinds
-that coincide out of the domain:
+from its representatives' pair (see SubgroupCategory).  Their sizes,
+which every invariant reads, come from one walk over those pairs that
+skips the ones class_counts shows empty (SubgroupCategory.class_sizes).
+Each hom-set is built from the definition of its kind, once canonical()
+has merged the kinds that coincide out of the domain:
 
   A            a row at a time, every A-morphism out of one class
                representative E: each is a conjugation isomorphism
@@ -64,7 +66,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,9 +74,11 @@ import numpy as np
 from .config import cap as _cap
 from .elabs import ElabCatalog, ElabSubgroup
 from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
-# perfbench/tracing.py counts closure joins through categories.mat_mul
-from .fpmat import Mat, injective_count, mat_mul, mat_rank, subspace_bases  # noqa: F401
-from .groups import FiniteGroup, blocks, find_sorted, ranges, sorted_distinct
+# perfbench/tracing.py wraps categories.mat_mul; callers read column_codes here
+from .fpmat import (Mat, code_digits, column_codes, injective_count,  # noqa: F401
+                    mat_mul, mat_rank, matrix_of, subspace_bases)
+from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, runs,
+                     sorted_distinct)
 
 # -- kinds ------------------------------------------------------------
 
@@ -99,16 +103,17 @@ class CategoryKind:
             return self.tag
         return f"{self.tag}({self.param})"
 
-    @staticmethod
-    def parse(text: str) -> "CategoryKind":
-        text = text.strip()
-        if "(" in text and text.endswith(")"):
-            tag, raw = text[:-1].split("(", 1)
-            return CategoryKind(tag, int(raw))
-        if ":" in text:
-            tag, raw = text.split(":", 1)
-            return CategoryKind(tag, int(raw))
-        return CategoryKind(text)
+
+def parse_kind(text: str, p: int) -> CategoryKind:
+    """The kind labelled "Tag", "Tag(k)" or "Tag:k"; ValueError unless valid at p."""
+    text = text.strip()
+    if "(" in text and text.endswith(")"):
+        text = text[:-1].replace("(", ":", 1)
+    tag, colon, raw = text.partition(":")
+    kind = CategoryKind(tag, int(raw) if colon else None)
+    if kind.tag == "AprimeD" and (p - 1) % kind.param:
+        raise ValueError(f"{kind.label()} needs a divisor of {p - 1} at p={p}")
+    return kind
 
 
 CREG = CategoryKind("Creg")
@@ -140,42 +145,7 @@ def canonical(kind: CategoryKind, rank: int) -> CategoryKind:
     return kind
 
 
-# -- morphisms as column codes ---------------------------------------
-
-
-def column_codes(M: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
-    """Column codes of a matrix given by its rows, entries taken mod p."""
-    width = len(M[0]) if M else 0
-    return tuple(sum(row[k] % p * p ** r for r, row in enumerate(M))
-                 for k in range(width))
-
-
-def matrix_of(cols: Sequence[int], p: int, rows: int) -> Mat:
-    """The matrix, as a tuple of row tuples, with the given column codes."""
-    return tuple(tuple(int(c) // p ** r % p for c in cols) for r in range(rows))
-
-
-def distinct_rows(cols: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, in lexicographic order."""
-    if len(cols) < 2:
-        return cols
-    if cols.shape[1]:                       # lexsort needs at least one key
-        cols = cols[np.lexsort(cols.T[::-1])]
-    keep = np.ones(len(cols), dtype=bool)
-    keep[1:] = (cols[1:] != cols[:-1]).any(axis=1)
-    return cols[keep]
-
-
 # -- hom-set computation ----------------------------------------------
-
-def _code_digits(p: int, r: int) -> np.ndarray:
-    """(p^r, r) array whose row c is the vector of code c = sum v_i p^i.
-
-    The vectors supported on the first k coordinates are the codes below
-    p^k, which is the order the basis search fills them in.
-    """
-    return np.arange(p ** r)[:, None] // p ** np.arange(r) % p
-
 
 def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
                         F: ElabSubgroup) -> np.ndarray:
@@ -198,20 +168,24 @@ def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
     return images[np.all(images >= 0, axis=1)]
 
 
-def _class_respecting(E: ElabSubgroup, d: int, F: ElabSubgroup) -> np.ndarray:
-    """ok[c, f]: is the element of code f in F in the class of e^t for
-    the element e of code c in E and some unit t with t^d = 1 mod p."""
-    p = E.prime
-    class_of = E.ambient.conjugacy.class_of
-    E_cls = np.array([class_of[e] for e in E.by_code.tolist()])
-    F_cls = np.array([class_of[e] for e in F.by_code.tolist()])
-    E_digits, weights = _code_digits(p, E.rank), p ** np.arange(E.rank)
-    ok = np.zeros((len(E), len(F)), dtype=bool)
-    # the order-d units mod p; E has elements of order p, so p <= degree
-    for t in (t for t in range(1, p) if pow(t, d, p) == 1):
-        powers = E_cls[(t * E_digits % p) @ weights]     # class of e^t
-        ok |= powers[:, None] == F_cls[None, :]
-    return ok
+def class_counts(E: ElabSubgroup, kind: CategoryKind) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, counts): the conjugacy class of each element of E, by
+    code, merged where the kind lets an element go, and how many elements
+    of E lie in each merged class.  For AprimeD(d) the classes of e^t, for
+    the units t with t^d = 1 mod p, are one (labelled by the least); for
+    Creg every class but the identity's, class 0, is one.  A kind-morphism
+    is injective and keeps each element's merged class, so Hom(E, F) is
+    empty unless F's counts dominate E's."""
+    kind, p = canonical(kind, 1), E.prime
+    cls = np.array([E.ambient.conjugacy.class_of[e] for e in E.by_code.tolist()])
+    if kind == CREG:
+        cls = np.minimum(cls, 1)
+    elif kind.tag == "AprimeD" and E.rank:
+        digits, weights = code_digits(p, E.rank), p ** np.arange(E.rank)
+        # the order-d units mod p; E has elements of order p, so p <= degree
+        cls = np.min([cls[t * digits % p @ weights] for t in range(1, p)
+                      if pow(t, kind.param, p) == 1], axis=0)
+    return cls, np.bincount(cls, minlength=E.ambient.conjugacy.class_count())
 
 
 def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarray:
@@ -237,7 +211,7 @@ def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarra
             "hom_count_cap",
             f"a hom-set of rank {E.rank} into rank {s} may hold {bound} maps, "
             f"more than the cap ({limit}); raise ELABCAT_HOM_COUNT_CAP to allow more")
-    F_digits, F_weights = _code_digits(p, s), p ** np.arange(s)
+    F_digits, F_weights = code_digits(p, s), p ** np.arange(s)
     coef = np.arange(1, p)
     cols = np.zeros((1, 0), dtype=np.int64)   # image codes of the basis so far
     imgs = np.zeros((1, 1), dtype=np.int64)   # image code of each E code < p^k
@@ -267,7 +241,7 @@ def _single_conjugator(E: ElabSubgroup, n: int, cols: np.ndarray,
     every rank-n subspace U of E is one of the A maps U -> F."""
     p = E.prime
     weights = p ** np.arange(F.rank)
-    images = _code_digits(p, F.rank)[cols]             # (maps, rank E, rank F)
+    images = code_digits(p, F.rank)[cols]             # (maps, rank E, rank F)
     keep = np.ones(len(cols), dtype=bool)
     for basis in subspace_bases(p, E.rank, n):
         U = [E.index_of_vector(v) for v in basis]
@@ -288,35 +262,21 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     if E.ambient is not F.ambient or E.prime != F.prime:
         raise CatalogMismatch("hom-set needs a common ambient group and prime")
     kind = canonical(kind, E.rank)
-    d = kind.param if kind.tag == "AprimeD" else 1
-    if (E.prime - 1) % d:
-        raise ValueError(f"parameter {d} does not divide {E.prime - 1}")
-    none = np.zeros((0, E.rank), dtype=np.int64)
-    if E.rank > F.rank:
-        return none
+    if kind.tag == "AprimeD" and (E.prime - 1) % kind.param:
+        raise ValueError(f"parameter {kind.param} does not divide {E.prime - 1}")
     if not E.rank:                          # every kind holds the one empty map
         return np.zeros((1, 0), dtype=np.int64)
-    if kind == CREG:                        # any image but code 0, the identity
-        return _basis_search(E, np.broadcast_to(np.arange(len(F)) > 0, (len(E), len(F))), F)
-    class_of = E.ambient.conjugacy.class_of
-    # A, Aprime and An(n) send elements to distinct conjugates, so F must
-    # have at least E's number of elements in every class
-    if d == 1 and (Counter(class_of[e] for e in E.elements)
-                   - Counter(class_of[f] for f in F.elements)):
-        return none
+    (E_cls, E_counts), (F_cls, F_counts) = class_counts(E, kind), class_counts(F, kind)
+    if (E_counts > F_counts).any():
+        return np.zeros((0, E.rank), dtype=np.int64)
     if kind == A:
         # conjugators inducing the same map give repeated rows
         return distinct_rows(_conjugation_images(E.ambient, E.basis, F))
-    cols = _basis_search(E, _class_respecting(E, d, F), F)
+    # each element may go to any element of its merged class
+    cols = _basis_search(E, E_cls[:, None] == F_cls, F)
     if kind.tag == "An":
         cols = cols[_single_conjugator(E, kind.param, cols, F)]
     return cols
-
-
-def _runs(keys: np.ndarray) -> list[int]:
-    """Where each run of equal entries of a non-empty array starts, then
-    its length."""
-    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))).tolist()
 
 
 def _a_rows(catalog: ElabCatalog, i: int, limit: int) -> None:
@@ -361,7 +321,7 @@ def _a_rows(catalog: ElabCatalog, i: int, limit: int) -> None:
     order = np.lexsort((*cols.T[::-1], target))
     target, cols = target[order], cols[order]
     cols.flags.writeable = False
-    bounds = _runs(target)
+    bounds = runs(target)
     catalog.a_rows[i] = (target[bounds[:-1]].tolist(), bounds, cols)
 
 
@@ -394,7 +354,6 @@ class SubgroupCategory:
             (None, i, j): cols for (i, j), cols in (reps or {}).items()}
         for cols in chain(self.maps.values(), (reps or {}).values()):
             cols.flags.writeable = False
-        self._sized = False
 
     @property
     def provenance(self) -> str:
@@ -431,14 +390,29 @@ class SubgroupCategory:
             t = bisect_left(targets, j)
             got = cols[bounds[t]:bounds[t + 1]] if targets[t:t + 1] == [j] else none
         else:
-            if kind == CREG and not self._sized:
-                # Creg lists every injective matrix: refuse the category
-                # before the first one
-                self._check_size()
-                self._sized = True
             got = hom_matrices(kind, E, catalog.subgroups[j])
         got.flags.writeable = False
         self._base[kind, i, j] = got
+        return got
+
+    def class_sizes(self) -> np.ndarray:
+        """The base's |Hom(rep x, rep y)| for all classes x, y: the one
+        walk over the representatives' pairs, reading only those where
+        y's class_counts row dominates x's (Creg's for an explicit base,
+        whose maps are injective), kept in catalog.sizes for a kind."""
+        catalog, reps = self.catalog, self.catalog.class_reps
+        if (got := catalog.sizes.get(self.kind)) is None:
+            if self.kind is not None and canonical(self.kind, 1) == CREG:
+                self._check_size()      # Creg lists every injective matrix
+            counts = np.array([class_counts(catalog.subgroups[r], self.kind or CREG)[1]
+                               for r in reps])
+            got = np.zeros((len(reps), len(reps)), dtype=np.int64)
+            for b in blocks(len(reps), counts.size):
+                for x, y in np.argwhere((counts[b, None] <= counts).all(axis=2)).tolist():
+                    got[b.start + x, y] = len(self._base_hom(reps[b.start + x], reps[y]))
+            got.flags.writeable = False
+            if self.kind is not None:
+                catalog.sizes[self.kind] = got
         return got
 
     def pair_sizes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -448,8 +422,7 @@ class SubgroupCategory:
         no explicit map lies."""
         catalog, reps, n = self.catalog, self.catalog.class_reps, len(self.catalog)
         starts, members, _ = catalog.class_table
-        size = np.array([len(self._base_hom(ri, rj)) for ri in reps for rj in reps],
-                        dtype=np.int64)
+        size = self.class_sizes().ravel()
         x, y = np.divmod(np.flatnonzero(size), len(reps))
         t, i = ranges(starts[x], starts[x + 1])
         u, j = ranges(starts[y[t]], starts[y[t] + 1])
@@ -504,11 +477,11 @@ class SubgroupCategory:
         kinds = [canonical(self.kind, catalog.subgroups[r].rank) if self.kind is not None
                  else None for r in reps]
         carried = {}
-        for (x, ri), (y, rj) in product(enumerate(reps), repeat=2):
-            if len(base := self._base_hom(ri, rj)):
-                carried[x, y] = _carried(catalog, base, members[starts[x]:starts[x + 1]],
-                                         members[starts[y]:starts[y + 1]])
-                carried[x, y].flags.writeable = False
+        for x, y in np.argwhere(self.class_sizes()).tolist():
+            carried[x, y] = _carried(catalog, self._base_hom(reps[x], reps[y]),
+                                     members[starts[x]:starts[x + 1]],
+                                     members[starts[y]:starts[y + 1]])
+            carried[x, y].flags.writeable = False
         out = {}
         for i, j in map(divmod, keys.tolist(), repeat(n)):
             x, y = catalog.class_of[i], catalog.class_of[j]
@@ -550,7 +523,7 @@ def explicit_category(catalog: ElabCatalog,
                 else np.zeros((0, E.rank), dtype=np.int64))
         if cols.shape != (len(rows), E.rank) or ((cols < 0) | (cols >= p ** F.rank)).any():
             raise ValueError(f"column codes do not map rank {E.rank} into rank {F.rank}")
-        for M in _code_digits(p, F.rank)[cols].transpose(0, 2, 1).tolist():
+        for M in code_digits(p, F.rank)[cols].transpose(0, 2, 1).tolist():
             if mat_rank(M, p) != E.rank:
                 raise ValueError("matrix does not have full column rank")
         cleaned[(i, j)] = distinct_rows(cols)
@@ -608,7 +581,7 @@ def _image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
     """Code of the image of every domain vector code, for each map given
     by its column codes in a codomain of the given rank."""
     width = cols.shape[1]
-    vecs, col_vecs = _code_digits(p, width), _code_digits(p, rows)
+    vecs, col_vecs = code_digits(p, width), code_digits(p, rows)
     places = p ** np.arange(rows)
     out = np.empty((len(cols), len(vecs)), dtype=np.int64)
     for b in blocks(len(cols), len(vecs) * rows):
@@ -622,10 +595,9 @@ def _by_object(obj: np.ndarray, other: np.ndarray,
     """Split (other, data) by the object in obj."""
     order = np.argsort(obj, kind="stable")
     obj = obj[order]
-    starts = np.flatnonzero(np.concatenate(([True], obj[1:] != obj[:-1])))
-    ends = np.append(starts[1:], len(obj))
+    bounds = runs(obj) if len(obj) else []
     return {int(obj[a]): (other[order[a:b]], data[order[a:b]])
-            for a, b in zip(starts, ends)}
+            for a, b in zip(bounds, bounds[1:])}
 
 
 def _extend(index: dict, parts: dict) -> None:
@@ -702,8 +674,8 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         extra = {shape: keys[~find_sorted(base.get(shape, keys[:0]), keys)[1]]
                  for shape, keys in given.items()}
     else:
-        base = _shape_keys({(i, j): h for i in reps for j in reps
-                            if len(h := C._base_hom(i, j))}, ranks, p, dtype)
+        base = _shape_keys({(reps[x], reps[y]): C._base_hom(reps[x], reps[y])
+                            for x, y in np.argwhere(C.class_sizes()).tolist()}, ranks, p, dtype)
         extra = _shape_keys(C.maps, ranks, p, dtype) if C.maps else {}
 
     known = np.zeros(0, dtype=dtype)      # sorted keys of every hom found
@@ -798,7 +770,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         pair = dom * n + cod
         order = np.lexsort((*cols.T[::-1], pair))
         pair, cols = pair[order], cols[order]
-        bounds = _runs(pair)
+        bounds = runs(pair)
         i, j = np.divmod(pair[bounds[:-1]], n)
         homs.update(zip(zip(i.tolist(), j.tolist()),
                         map(cols.__getitem__, map(slice, bounds, bounds[1:]))))
@@ -809,43 +781,39 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
 
 
 def maximal_objects(C: SubgroupCategory) -> list[list[int]]:
-    """Isomorphism classes of maximal objects, as sorted subgroup indices.
+    """Isomorphism classes of maximal objects, as sorted subgroup indices,
+    in order of their smallest member.
 
     An object is maximal when every outgoing morphism is bijective, which
     for injective linear maps means no morphism reaches a strictly larger
-    rank.  Non-emptiness of hom-sets is constant on conjugacy classes for
-    kind-backed categories without explicit maps, so those are processed
-    by class representatives; others are processed object by object.
+    rank.  Both are read off class_sizes and the explicit maps, not pair
+    by pair.  A base holds the conjugation isomorphisms and is closed
+    under composition and inverses of bijections, so each of its classes
+    is one node (n + class), joined to every class of its rank it maps
+    to, and no class that is not maximal joins two that are; an explicit
+    map joins its ends.  Min-label propagation finds the components.
     """
-    catalog = C.catalog
-    ranks = catalog.ranks()
-    n = len(catalog)
-    if C.kind is not None and not C.maps:
-        reps, label = catalog.class_reps, catalog.class_of
-    else:
-        reps = label = list(range(n))
-    maximal = [c for c, rep in enumerate(reps)
-               if all(not len(C.hom(rep, r)) for r in reps if ranks[r] > ranks[rep])]
-    # group the maximal labels into isomorphism classes
-    comps = _components(maximal, lambda a, b: (ranks[reps[a]] == ranks[reps[b]]
-                                               and len(C.hom(reps[a], reps[b])) > 0))
-    return [sorted(i for i in range(n) if label[i] in comp) for comp in comps]
-
-
-def _components(nodes: Sequence[int], related) -> list[set[int]]:
-    """Connected components of the symmetrized relation, in order of
-    their first node."""
-    left, comps = list(nodes), []
-    while left:
-        comp, stack = {left[0]}, [left.pop(0)]
-        while stack:
-            x = stack.pop()
-            linked = [y for y in left if related(x, y) or related(y, x)]
-            left = [y for y in left if y not in linked]
-            comp.update(linked)
-            stack += linked
-        comps.append(comp)
-    return comps
+    catalog, n = C.catalog, len(C.catalog)
+    ranks, cls = np.array(catalog.ranks()), np.array(catalog.class_of)
+    found = C.class_sizes() > 0
+    rank = ranks[catalog.class_reps]
+    maximal = ~(found & (rank[:, None] < rank)).any(axis=1)[cls]
+    dom, cod = np.array(list(C.maps), dtype=np.int64).reshape(-1, 2).T
+    maximal[dom[ranks[dom] < ranks[cod]]] = False
+    keep = np.flatnonzero(maximal)
+    glued = keep[found.diagonal()[cls[keep]]]
+    x, y = np.nonzero(found & (rank[:, None] == rank))
+    ends = maximal[dom] & maximal[cod]
+    src = np.concatenate([n + x, glued, dom[ends]])
+    dst = np.concatenate([n + y, n + cls[glued], cod[ends]])
+    label, old = np.arange(n + len(rank)), None
+    while not np.array_equal(label, old):
+        old, label = label, label.copy()
+        np.minimum.at(label, src, old[dst])
+        np.minimum.at(label, dst, old[src])
+    keep = keep[np.argsort(label[keep], kind="stable")]
+    bounds = runs(label[keep])
+    return [keep[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
 def minimal_prime_count(kind: CategoryKind, catalog: ElabCatalog) -> int:
@@ -872,22 +840,21 @@ def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
     Hom-sets between conjugate objects differ only by composition with
     conjugation isomorphisms, which both kinds contain, so representative
     pairs decide equality on the whole category.  (The test suite spot
-    checks this against all pairs on small groups.)  The witness is the
-    smallest matrix, as a tuple of row tuples, in one hom-set only.
+    checks this against all pairs on small groups.)  Only the pairs where
+    either kind's class_sizes is non-zero are compared, in row-major
+    order.  The witness, at the first pair that differs, is the smallest
+    matrix, as a tuple of row tuples, in one hom-set only.
     """
-    C1 = build_category(kind1, catalog)
-    C2 = build_category(kind2, catalog)
-    reps = catalog.class_reps
-    p = catalog.prime
-    for ci, ri in enumerate(reps):
-        for cj, rj in enumerate(reps):
-            h1, h2 = C1.hom(ri, rj).tolist(), C2.hom(ri, rj).tolist()
-            if h1 != h2:
-                s1, s2 = set(map(tuple, h1)), set(map(tuple, h2))
-                rows = catalog.subgroups[rj].rank
-                M, cols = min((matrix_of(c, p, rows), c) for c in s1 ^ s2)
-                side = kind1.label() if cols in s1 else kind2.label()
-                return EqualityVerdict(False, ci, cj, M, side)
+    C1, C2 = build_category(kind1, catalog), build_category(kind2, catalog)
+    reps, p = catalog.class_reps, catalog.prime
+    for ci, cj in np.argwhere((C1.class_sizes() > 0) | (C2.class_sizes() > 0)).tolist():
+        h1, h2 = C1.hom(reps[ci], reps[cj]), C2.hom(reps[ci], reps[cj])
+        if not np.array_equal(h1, h2):
+            s1, s2 = set(map(tuple, h1.tolist())), set(map(tuple, h2.tolist()))
+            rows = catalog.subgroups[reps[cj]].rank
+            M, cols = min((matrix_of(c, p, rows), c) for c in s1 ^ s2)
+            side = kind1.label() if cols in s1 else kind2.label()
+            return EqualityVerdict(False, ci, cj, M, side)
     return EqualityVerdict(True)
 
 
@@ -896,7 +863,7 @@ def generic_fibre_index(catalog: ElabCatalog, E: ElabSubgroup) -> Fraction:
     idx = catalog.index_of(E)
     if not catalog.maximal[idx]:
         raise NotMaximal(f"subgroup {idx} is not maximal in its catalog")
-    num = len(build_category(APRIME, catalog).hom(idx, idx))
-    den = len(build_category(A, catalog).hom(idx, idx))
+    c = catalog.class_of[idx]
+    num, den = (int(build_category(k, catalog).class_sizes()[c, c]) for k in (APRIME, A))
     return Fraction(num, den)
 

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from itertools import count
 from math import gcd
 from pathlib import Path
@@ -82,14 +81,6 @@ def _dump(doc: dict, pretty: bool) -> str:
 
 
 # -- analyze ----------------------------------------------------------
-
-
-def parse_kind(text: str, p: int) -> cg.CategoryKind:
-    """A kind label, checked against the prime; raises ValueError."""
-    kind = cg.CategoryKind.parse(text)
-    if kind.tag == "AprimeD" and (p - 1) % kind.param:
-        raise ValueError(f"{kind.label()} needs a divisor of {p - 1} at p={p}")
-    return kind
 
 
 def _rho(n: int) -> int:
@@ -162,18 +153,16 @@ def analyze_report(G: FiniteGroup, p: int,
     prank = p_rank(catalog)
     if kinds is None:
         kinds = default_kinds(p, prank, max_n)
-    reps = catalog.class_reps
 
     t1 = time.perf_counter()
     kind_section: dict[str, Any] = {}
     for kind in kinds:
         C = cg.build_category(kind, catalog)
-        sizes = [[len(C.hom(ri, rj)) for rj in reps] for ri in reps]
         comps = cg.maximal_objects(C)
         comp_classes = sorted(sorted({catalog.class_of[i] for i in comp})
                               for comp in comps)
         kind_section[kind.label()] = {
-            "hom_sizes": sizes,
+            "hom_sizes": C.class_sizes().tolist(),
             "component_count": len(comps),
             "maximal_components": comp_classes,
         }
@@ -197,20 +186,16 @@ def analyze_report(G: FiniteGroup, p: int,
     timing["verdicts"] = round(time.perf_counter() - t2, 6)
 
     t3 = time.perf_counter()
-    fibres = []
-    aut_a = cg.build_category(cg.A, catalog)
-    aut_aprime = cg.build_category(cg.APRIME, catalog)
+    fibres, reps = [], catalog.class_reps
+    aut_a, aut_aprime = (cg.build_category(k, catalog).class_sizes() for k in (cg.A, cg.APRIME))
     for c in catalog.maximal_class_indices():
-        rep = catalog.class_reps[c]
-        E = catalog.subgroups[rep]
-        num = len(aut_aprime.hom(rep, rep))
-        den = len(aut_a.hom(rep, rep))
-        ratio = Fraction(num, den)
+        E = catalog.subgroups[reps[c]]
+        ratio = cg.generic_fibre_index(catalog, E)
         fibres.append({
             "class": c,
             "rank": E.rank,
-            "aut_a": den,
-            "aut_aprime": num,
+            "aut_a": int(aut_a[c, c]),
+            "aut_aprime": int(aut_aprime[c, c]),
             "index": [ratio.numerator, ratio.denominator],
         })
     timing["fibres"] = round(time.perf_counter() - t3, 6)
@@ -253,7 +238,7 @@ def cmd_analyze(args) -> int:
     kinds = None
     if args.kinds:
         try:
-            kinds = [parse_kind(tok, args.prime)
+            kinds = [cg.parse_kind(tok, args.prime)
                      for tok in args.kinds.split(",") if tok.strip()]
         except ValueError as e:
             raise InputFormatError(f"bad --kinds value: {e}")
@@ -345,7 +330,7 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
         try:
             if not isinstance(base, str):
                 raise ValueError(f"expected a kind label, got {json.dumps(base)}")
-            kind = parse_kind(base, catalog.prime)
+            kind = cg.parse_kind(base, catalog.prime)
         except ValueError as e:
             raise InputFormatError(f"{path}: bad base_kind: {e}")
     homs: dict[tuple[int, int], list] = {}

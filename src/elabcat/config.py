@@ -5,7 +5,7 @@ ELABCAT_ELEMENT_CAP    max group order enumerated by close_generators (65536); i
 ELABCAT_CATALOG_CAP    max subgroups in one catalog (5000)
 ELABCAT_HOM_COUNT_CAP  max exact morphisms in a materialized category or in the A
                        row about to be built; max estimated morphisms in a Creg
-                       category before its first hom-set, or in a searched
+                       category before its sizes are read, or in a searched
                        hom-set (2000000)
 ELABCAT_TERM_CAP       max stored monomials per polynomial, or weights per list (200000)
 """

@@ -180,10 +180,10 @@ class ElabCatalog:
     group element index conjugating the class representative onto
     subgroup i (setwise).  maximal[i] is rank-maximality under inclusion
     into other catalog members.  homs caches hom-sets under keys
-    (canonical kind, i, j) for every category over this catalog, and
-    a_rows holds row i of A, every A-morphism out of a class
-    representative i, once it is built; only categories reads or fills
-    them.
+    (canonical kind, i, j) for every category over this catalog, a_rows
+    holds row i of A, every A-morphism out of a class representative i,
+    once it is built, and sizes holds each kind's class_sizes matrix; only
+    categories reads or fills them.
     """
 
     group: FiniteGroup
@@ -196,6 +196,7 @@ class ElabCatalog:
     _by_elements: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
     homs: dict = field(default_factory=dict, repr=False, compare=False)
     a_rows: dict = field(default_factory=dict, repr=False, compare=False)
+    sizes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)

@@ -4,19 +4,44 @@ Matrices here are tuples of row tuples of ints reduced mod p: the
 generators of the gallery's matrix groups, the rank check of explicit
 morphisms, and the test oracles.  subspace_bases enumerates subspaces by
 reduced row echelon form.  Hom-sets themselves are arrays of column codes
-(see categories).  Everything here is desk scale (dimensions at most a
-handful), so plain Gaussian elimination is used throughout.  is_prime
-checks every prime the command line and the gallery entry files take.
+(see categories); column_codes and matrix_of convert a matrix to and
+from them, and code_digits lists the vector of every code.  Everything
+here is desk scale (dimensions at most a handful), so plain Gaussian
+elimination is used throughout.  is_prime checks every prime the command
+line and the gallery entry files take.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
+
+
+def column_codes(M: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
+    """Column codes of a matrix given by its rows, entries taken mod p."""
+    width = len(M[0]) if M else 0
+    return tuple(sum(row[k] % p * p ** r for r, row in enumerate(M))
+                 for k in range(width))
+
+
+def matrix_of(cols: Sequence[int], p: int, rows: int) -> Mat:
+    """The matrix, as a tuple of row tuples, with the given column codes."""
+    return tuple(tuple(int(c) // p ** r % p for c in cols) for r in range(rows))
+
+
+def code_digits(p: int, r: int) -> np.ndarray:
+    """(p^r, r) array whose row c is the vector of code c = sum v_i p^i.
+
+    The vectors supported on the first k coordinates are the codes below
+    p^k, which is the order the basis search of categories fills them in.
+    """
+    return np.arange(p ** r)[:, None] // p ** np.arange(r) % p
 
 
 def mat_mul(A: Mat, B: Mat, p: int) -> Mat:

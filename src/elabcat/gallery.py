@@ -25,7 +25,7 @@ from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
 from .errors import CapExceeded, InputFormatError
 from .config import cap as _cap
-from .fpmat import (PRIME_LIMIT, Mat, gl_generators, is_prime, mat_inv, mat_rank,
+from .fpmat import (PRIME_LIMIT, Mat, code_digits, gl_generators, is_prime, mat_inv, mat_rank,
                     subspace_bases)
 from .groups import ENTRIES_PER_ELEMENT, FiniteGroup, _orbit_labels, close_generators
 
@@ -142,7 +142,7 @@ def code_vectors(p: int, n: int) -> np.ndarray:
     """(p^n, n) array whose row c is the vector of F_p^n with code c: the
     vector codes are big-endian, the first coordinate the top base-p digit
     (the column codes of categories are little-endian)."""
-    return cg._code_digits(p, n)[:, ::-1]
+    return code_digits(p, n)[:, ::-1]
 
 
 def affine_images(mats, shifts, p: int, n: int) -> np.ndarray:
@@ -518,7 +518,7 @@ class _EntryContext:
 
     def kind(self, text: str) -> cg.CategoryKind:
         try:
-            return cg.CategoryKind.parse(text)
+            return cg.parse_kind(text, self.prime)
         except (AttributeError, ValueError) as e:
             raise InputFormatError(f"entry {self.entry.name}: kind {text!r}: {e}") from None
 

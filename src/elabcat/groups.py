@@ -117,6 +117,23 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, np.arange(len(t)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + lo[t]
 
 
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, in lexicographic order."""
+    if len(rows) < 2:
+        return rows
+    if rows.shape[1]:                       # lexsort needs at least one key
+        rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def runs(keys: np.ndarray) -> list[int]:
+    """Where each run of equal entries of a non-empty array starts, then
+    its length."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))).tolist()
+
+
 def _orbit_labels(perms: np.ndarray) -> np.ndarray:
     """The smallest member of each point's orbit under the permutations
     perms[k] (a (k, n) array): min-label propagation along perms and

@@ -26,6 +26,16 @@ triangular_oracle and affine_oracle build the gallery's generators and
 distinguished subgroups from them (the affine translations from field
 additions).  They share no code with ``gallery.affine_images``.
 
+counter_pruned: one pair at a time, a Counter of E's elements by the
+classes the kind allows them (from _allowed_classes), less F's; it shares
+no code with ``categories.class_counts``.  pairwise_maximal_objects and
+_components: maximality and isomorphism components by one hom call per
+pair, on class representatives for a kind without explicit maps and on
+objects otherwise, the components by a worklist search.  pairwise_equal:
+the first representative pair, row-major, on which two kinds'
+hom_matrices differ, and its smallest witness.  None of the three reads
+``SubgroupCategory.class_sizes``.
+
 brute_closure: the worklist closure, which joins every new hom with every
 stored one and restricts it to every pair of catalog subgroups.  It runs
 no guard and shares no code with the semi-naive ``categories.closure``.
@@ -52,10 +62,12 @@ arrays of ``fppoly.FpPolynomial``.
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
+from elabcat.categories import a_n, hom_matrices, matrix_of
 from elabcat.elabs import ElabSubgroup
 from elabcat.fpmat import gl_generators, mat_inv, mat_mul, mat_rank, subspace_bases
 from elabcat.gallery import SmallField
@@ -318,6 +330,19 @@ def hom_in_kind(kind, E, F, M):
     return True
 
 
+def counter_pruned(kind, E, F):
+    """Is Hom(E, F) empty because some class, merged as the kind allows
+    (every non-identity class for Creg and An(0)), holds more elements of
+    E than of F."""
+    if kind.tag == "Creg" or kind == a_n(0):
+        return E.rank > F.rank
+    d = kind.param if kind.tag == "AprimeD" else 1
+
+    def merged(S):
+        return Counter(min(classes) for classes in _allowed_classes(S, d).values())
+    return E.rank > F.rank or bool(merged(E) - merged(F))
+
+
 def brute_hom_sets(kinds, E, F):
     """For each kind, all kind-morphisms E -> F as code rows (code_rows),
     by filtering every injective matrix."""
@@ -388,6 +413,56 @@ def brute_closure(C):
         if E.rank == F.rank:
             add(j, i, mat_inv(M, p))
     return {k: tuple(sorted(v)) for k, v in homs.items() if v}
+
+
+def pairwise_maximal_objects(C):
+    """Isomorphism classes of maximal objects, as sorted subgroup indices,
+    from one hom call per pair: per class representative for a kind
+    without explicit maps, per object otherwise."""
+    catalog = C.catalog
+    ranks = catalog.ranks()
+    n = len(catalog)
+    if C.kind is not None and not C.maps:
+        reps, label = catalog.class_reps, catalog.class_of
+    else:
+        reps = label = list(range(n))
+    maximal = [c for c, rep in enumerate(reps)
+               if all(not len(C.hom(rep, r)) for r in reps if ranks[r] > ranks[rep])]
+    comps = _components(maximal, lambda a, b: (ranks[reps[a]] == ranks[reps[b]]
+                                               and len(C.hom(reps[a], reps[b])) > 0))
+    return [sorted(i for i in range(n) if label[i] in comp) for comp in comps]
+
+
+def _components(nodes, related):
+    """Connected components of the symmetrized relation, in order of
+    their first node."""
+    left, comps = list(nodes), []
+    while left:
+        comp, stack = {left[0]}, [left.pop(0)]
+        while stack:
+            x = stack.pop()
+            linked = [y for y in left if related(x, y) or related(y, x)]
+            left = [y for y in left if y not in linked]
+            comp.update(linked)
+            stack += linked
+        comps.append(comp)
+    return comps
+
+
+def pairwise_equal(kind1, kind2, catalog):
+    """(domain class, codomain class, matrix, kind label) at the first
+    pair of class representatives, row-major, whose hom_matrices differ,
+    the matrix the smallest in one hom-set only; None if none differ."""
+    reps, p = catalog.class_reps, catalog.prime
+    for ci, ri in enumerate(reps):
+        for cj, rj in enumerate(reps):
+            E, F = catalog.subgroups[ri], catalog.subgroups[rj]
+            s1 = set(map(tuple, hom_matrices(kind1, E, F).tolist()))
+            s2 = set(map(tuple, hom_matrices(kind2, E, F).tolist()))
+            if s1 != s2:
+                M, cols = min((matrix_of(c, p, F.rank), c) for c in s1 ^ s2)
+                return ci, cj, M, kind1.label() if cols in s1 else kind2.label()
+    return None
 
 
 def brute_group(degree, generators):

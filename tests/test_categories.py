@@ -23,12 +23,12 @@ def a4_catalog():
 class TestKinds:
     def test_labels_roundtrip(self):
         for kind in (cg.A, cg.APRIME, cg.CREG, cg.aprime_d(2), cg.a_n(3)):
-            assert cg.CategoryKind.parse(kind.label()) == kind
+            assert cg.parse_kind(kind.label(), 7) == kind
 
     def test_parse_rejects_garbage(self):
-        for text in ("B", "An()", "An(-1)", "AprimeD(0)", "Aprime(2)"):
+        for text in ("B", "An()", "An(-1)", "AprimeD(0)", "Aprime(2)", "A:", "AprimeD(4)"):
             with pytest.raises(ValueError):
-                cg.CategoryKind.parse(text)
+                cg.parse_kind(text, 7)
 
     def test_aprime_is_an1(self):
         cat = a4_catalog()

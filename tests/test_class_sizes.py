@@ -1,0 +1,172 @@
+"""Hom-set sizes from one class-size matrix per kind.
+
+class_sizes reads only the representatives' pairs that the class-count
+mask leaves; every reader of hom-set sizes goes through it.  Checked here:
+the mask against the per-pair Counter prune and the generate-and-test
+oracle, the matrix against every pair's hom_matrices, maximal_objects and
+categories_equal against their pairwise oracles, and the calls analyze
+makes on (Z/2)^5.
+"""
+
+import itertools
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from brute_force import (brute_hom_sets, codes, counter_pruned, injective_oracle,
+                         pairwise_equal, pairwise_maximal_objects)
+from elabcat import categories as cg
+from elabcat.cli import analyze_report, load_group
+from elabcat.elabs import enumerate_elabs, p_rank
+from elabcat.groups import close_generators
+from test_constructive_homs import S3xS3, S4xS2
+from test_hom_cache import small_groups
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def affine7(a):
+    """The translations of F_7 and x -> a x: Z/7 and its extensions by
+    the subgroup of units that a generates."""
+    return close_generators(7, [[(x + 1) % 7 for x in range(7)], [a * x % 7 for x in range(7)]])
+
+
+@st.composite
+def catalogs(draw):
+    """The catalog of a small group at p in {2, 3, 5, 7}: a subgroup of S5
+    or S6, and at p = 7, where those have no 7-torsion, a subgroup of
+    AGL(1, 7) holding the translations."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    G = affine7(draw(st.integers(1, 6))) if p == 7 else draw(small_groups())
+    catalog = enumerate_elabs(G, p)
+    assume(len(catalog) <= 60)
+    return catalog
+
+
+def kinds_of(catalog):
+    """Every kind at the catalog's prime: A, Aprime, each An(n), each
+    AprimeD(d) with d > 1 and Creg."""
+    p = catalog.prime
+    return ([cg.A, cg.APRIME, cg.CREG] + [cg.a_n(n) for n in range(p_rank(catalog) + 1)]
+            + [cg.aprime_d(d) for d in range(2, p) if (p - 1) % d == 0])
+
+
+@given(catalog=catalogs())
+@example(catalog=enumerate_elabs(S3xS3, 3))
+@example(catalog=enumerate_elabs(S4xS2, 2))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_mask_prunes_only_empty_hom_sets(catalog):
+    reps = [catalog.subgroups[r] for r in catalog.class_reps]
+    for kind in kinds_of(catalog):
+        counts = [cg.class_counts(E, kind)[1] for E in reps]
+        sizes = cg.build_category(kind, catalog).class_sizes()
+        for (x, E), (y, F) in itertools.product(enumerate(reps), repeat=2):
+            pruned = not (counts[x] <= counts[y]).all()
+            assert pruned == counter_pruned(kind, E, F), kind.label()
+            if pruned:
+                assert brute_hom_sets([kind], E, F) == [[]], kind.label()
+            assert sizes[x, y] == len(cg.hom_matrices(kind, E, F)), kind.label()
+
+
+def random_maps(data, catalog):
+    """A few random injective maps on pairs of objects of positive rank."""
+    n, p, ranks = len(catalog), catalog.prime, catalog.ranks()
+    pairs = [(i, j) for i in range(n) for j in range(n) if 1 <= ranks[i] <= ranks[j]]
+    homs = {}
+    for i, j in data.draw(st.lists(st.sampled_from(pairs), max_size=6) if pairs
+                          else st.just([])):
+        M = data.draw(st.sampled_from(injective_oracle(p, ranks[j], ranks[i])))
+        homs.setdefault((i, j), []).append(codes(M, p))
+    return cg.explicit_category(catalog, homs).maps
+
+
+@given(catalog=catalogs(), data=st.data())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_maximal_objects_match_the_pairwise_oracle(catalog, data):
+    kinds = kinds_of(catalog)
+    maps = random_maps(data, catalog)
+    cases = [cg.build_category(kind, catalog) for kind in kinds]
+    cases += [cg.SubgroupCategory(catalog, None, maps),     # no base
+              cg.SubgroupCategory(catalog, data.draw(st.sampled_from(kinds)), maps),
+              cg.closure(cg.SubgroupCategory(catalog, cg.A, maps))]
+    for C in cases:
+        assert cg.maximal_objects(C) == pairwise_maximal_objects(C), C.provenance
+
+
+@given(catalog=catalogs(), data=st.data())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_categories_equal_matches_a_pairwise_comparison(catalog, data):
+    kinds = kinds_of(catalog)
+    for _ in range(3):
+        kind1, kind2 = data.draw(st.sampled_from(kinds)), data.draw(st.sampled_from(kinds))
+        got = cg.categories_equal(kind1, kind2, catalog)
+        assert (None if got.equal else (got.domain_class, got.codomain_class, got.matrix,
+                                        got.only_in)) == pairwise_equal(kind1, kind2, catalog)
+
+
+def test_categories_equal_on_kinds_that_are_not_nested():
+    # Z/7 acting regularly: each element is its own class, so AprimeD(2)
+    # allows x -> x^t for t = 1, 6 and AprimeD(3) for t = 1, 2, 4
+    catalog = enumerate_elabs(affine7(1), 7)
+    d2, d3 = cg.aprime_d(2), cg.aprime_d(3)
+    for kind1, kind2 in ((d2, d3), (d3, d2)):
+        got = cg.categories_equal(kind1, kind2, catalog)
+        assert (got.domain_class, got.codomain_class, got.matrix, got.only_in) == (
+            1, 1, ((2,),), "AprimeD(3)")
+        assert pairwise_equal(kind1, kind2, catalog) == (1, 1, ((2,),), "AprimeD(3)")
+
+
+@pytest.mark.parametrize("kind1, kind2", [(cg.A, cg.CREG), (cg.CREG, cg.A),
+                                          (cg.APRIME, cg.CREG)])
+def test_categories_equal_where_one_hom_set_is_empty(kind1, kind2):
+    # S4 x S2 at p=2: Creg joins classes of involutions that A keeps
+    # apart, so the first pair that differs has an empty A hom-set
+    catalog = enumerate_elabs(S4xS2, 2)
+    got = cg.categories_equal(kind1, kind2, catalog)
+    assert not got.equal
+    assert (got.domain_class, got.codomain_class, got.matrix, got.only_in) == pairwise_equal(
+        kind1, kind2, catalog)
+
+
+def test_analyze_reads_each_unpruned_pair_once(monkeypatch):
+    # regular (Z/2)^5: 374 subgroups, each its own class, 5,769 of the
+    # 139,876 pairs of them nested, the only ones a map of these kinds joins
+    G = load_group(str(GOLDEN / "z2-5.group.json"))
+    built, reads = Counter(), Counter()
+    inner = cg.hom_matrices
+
+    def building(kind, E, F):
+        assert not counter_pruned(kind, E, F)
+        built[cg.canonical(kind, E.rank), E.elements, F.elements] += 1
+        return inner(kind, E, F)
+
+    def reading(name):
+        method = getattr(cg.SubgroupCategory, name)
+
+        def read(self, i, j):
+            reads[name] += 1
+            return method(self, i, j)
+        return read
+
+    monkeypatch.setattr(cg, "hom_matrices", building)
+    for name in ("hom", "_base_hom"):
+        monkeypatch.setattr(cg.SubgroupCategory, name, reading(name))
+    report = analyze_report(G, 2)
+    assert report["catalog"]["size"] == 374
+    assert max(built.values()) == 1
+    assert reads["hom"] + reads["_base_hom"] < 10 ** 5
+
+
+@pytest.mark.parametrize("kind", [cg.A, cg.APRIME, cg.a_n(2), cg.CREG])
+def test_sizes_are_shared_by_every_category_of_a_kind(kind):
+    catalog = enumerate_elabs(close_generators(6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 5, 4]]), 2)
+    sizes = cg.build_category(kind, catalog).class_sizes()
+    assert cg.build_category(kind, catalog).class_sizes() is sizes
+    assert not sizes.flags.writeable
+    assert catalog.sizes == {kind: sizes}

@@ -334,6 +334,16 @@ class TestGallery:
         path.write_text(json.dumps(doc))
         main_input_error(capsys, "gallery", str(path))
 
+    def test_kind_divisor_must_divide_p_minus_1(self, tmp_path, capsys):
+        # read by the one kind parser that --kinds and base_kind use
+        doc = {"name": "x", "builder": "cyclic", "params": {"n": 3}, "prime": 3,
+               "claims": [{"id": "c", "text": "t", "provenance": "derived",
+                           "check": "aut_order", "expected": 1,
+                           "args": {"kind": "AprimeD(4)", "object": "kernel"}}]}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        main_input_error(capsys, "gallery", str(path))
+
     def test_prop10_past_the_element_cap(self, tmp_path):
         # the (2, 2) group has 2^10 translations but far more elements
         doc = {"name": "prop10-2-2", "builder": "prop10", "params": {"p": 2, "n": 2},
@@ -479,6 +489,15 @@ class TestClosure:
                     str(path))
         doc = json.loads(r.stdout)
         assert doc["already_closed"] is True
+
+    @pytest.mark.parametrize("base", ["A", "Creg"])
+    def test_no_torsion(self, a4_path, tmp_path, capsys, base):
+        # at p=5 the catalog holds only the trivial subgroup
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"base_kind": base, "homs": []}))
+        assert cli.main(["closure", a4_path, "--prime", "5", "--category", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["already_closed"] is True and doc["hom_count_after"] == 1
 
     def test_guard_exit_code(self, a4_path, tmp_path):
         path = tmp_path / "cat.json"
