@@ -30,7 +30,9 @@ factorization (Ann. of Math. 94, 1971) a category over a catalog builds
 hom-sets between class representatives only and carries every other one
 from its representatives' pair (see SubgroupCategory).  Their sizes,
 which every invariant reads, come from one walk over those pairs that
-skips the ones class_counts shows empty (SubgroupCategory.class_sizes).
+skips the ones class_counts shows empty (SubgroupCategory.class_sizes);
+Creg's are counted, prod over k < rank E of (p^rank F - p^k).  The kinds
+above are nested, so one beside A or Creg agrees where the sizes do.
 Each hom-set is built from the definition of its kind, once canonical()
 has merged the kinds that coincide out of the domain:
 
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -188,6 +189,14 @@ def class_counts(E: ElabSubgroup, kind: CategoryKind) -> tuple[np.ndarray, np.nd
     return cls, np.bincount(cls, minlength=E.ambient.conjugacy.class_count())
 
 
+def _refuse_past_cap(holds: str, total: int, limit: Optional[int] = None) -> None:
+    """Raise CapExceeded("hom_count_cap") when total maps pass limit (default: that cap)."""
+    limit = _cap("hom_count_cap") if limit is None else limit
+    if total > limit:
+        raise CapExceeded("hom_count_cap", f"{holds} {total} maps, more than the cap "
+                          f"({limit}); raise ELABCAT_HOM_COUNT_CAP to allow more")
+
+
 def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarray:
     """Rows of basis-image codes of the linear maps E -> F that send each
     element of code c to one of code f with ok[c, f], in lexicographic
@@ -204,13 +213,8 @@ def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarra
     maps, passes the hom count cap.
     """
     p, s = E.prime, F.rank
-    limit = _cap("hom_count_cap")
-    bound = math.prod(int(ok[p ** k].sum()) for k in range(E.rank))
-    if bound > limit:
-        raise CapExceeded(
-            "hom_count_cap",
-            f"a hom-set of rank {E.rank} into rank {s} may hold {bound} maps, "
-            f"more than the cap ({limit}); raise ELABCAT_HOM_COUNT_CAP to allow more")
+    _refuse_past_cap(f"a hom-set of rank {E.rank} into rank {s} may hold",
+                     math.prod(int(ok[p ** k].sum()) for k in range(E.rank)))
     F_digits, F_weights = code_digits(p, s), p ** np.arange(s)
     coef = np.arange(1, p)
     cols = np.zeros((1, 0), dtype=np.int64)   # image codes of the basis so far
@@ -306,12 +310,7 @@ def _a_rows(catalog: ElabCatalog, i: int, limit: int) -> None:
     aut = (distinct_rows(_conjugation_images(G, E.basis, E)) if E.rank
            else np.zeros((1, 0), dtype=np.int64))
     k_of, at = ranges(starts[members], starts[members + 1])
-    total = len(aut) * len(at)
-    if total > limit:
-        raise CapExceeded(
-            "hom_count_cap",
-            f"the A hom-sets out of 1 objects hold {total} maps, "
-            f"more than the cap ({limit}); raise ELABCAT_HOM_COUNT_CAP to allow more")
+    _refuse_past_cap("the A hom-sets out of 1 objects hold", len(aut) * len(at), limit)
     conj = G.conjugate_indices(witnesses[span], E.by_code)     # row k: c_k by code
     # (target, automorphism): the images of the basis in G, then in the target
     target = supers[at].repeat(len(aut))
@@ -396,20 +395,25 @@ class SubgroupCategory:
         return got
 
     def class_sizes(self) -> np.ndarray:
-        """The base's |Hom(rep x, rep y)| for all classes x, y: the one
-        walk over the representatives' pairs, reading only those where
-        y's class_counts row dominates x's (Creg's for an explicit base,
-        whose maps are injective), kept in catalog.sizes for a kind."""
+        """The base's |Hom(rep x, rep y)| for all classes x, y, kept in
+        catalog.sizes for a kind: Creg's (and An(0)'s) from injective_count
+        by rank, any other by the one walk over the representatives' pairs
+        where y's class_counts row dominates x's (Creg's for an explicit
+        base, whose maps are injective)."""
         catalog, reps = self.catalog, self.catalog.class_reps
         if (got := catalog.sizes.get(self.kind)) is None:
             if self.kind is not None and canonical(self.kind, 1) == CREG:
-                self._check_size()      # Creg lists every injective matrix
-            counts = np.array([class_counts(catalog.subgroups[r], self.kind or CREG)[1]
-                               for r in reps])
-            got = np.zeros((len(reps), len(reps)), dtype=np.int64)
-            for b in blocks(len(reps), counts.size):
-                for x, y in np.argwhere((counts[b, None] <= counts).all(axis=2)).tolist():
-                    got[b.start + x, y] = len(self._base_hom(reps[b.start + x], reps[y]))
+                rank = np.array(catalog.ranks())[reps]
+                top = range(rank.max(initial=0) + 1)
+                got = np.array([[injective_count(catalog.prime, s, r) for s in top]
+                                for r in top], dtype=np.int64)[rank[:, None], rank]
+            else:
+                counts = np.array([class_counts(catalog.subgroups[r], self.kind or CREG)[1]
+                                   for r in reps])
+                got = np.zeros((len(reps), len(reps)), dtype=np.int64)
+                for b in blocks(len(reps), counts.size):
+                    for x, y in np.argwhere((counts[b, None] <= counts).all(axis=2)).tolist():
+                        got[b.start + x, y] = len(self._base_hom(reps[b.start + x], reps[y]))
             got.flags.writeable = False
             if self.kind is not None:
                 catalog.sizes[self.kind] = got
@@ -436,19 +440,6 @@ class SubgroupCategory:
         order = np.argsort(keys)
         return keys[order], size[order]
 
-    def _check_size(self) -> None:
-        """Raise CapExceeded when the injective matrices over all ordered
-        pairs, a bound for any kind, pass the hom count cap."""
-        limit = _cap("hom_count_cap")
-        p, ranks = self.catalog.prime, Counter(self.catalog.ranks())
-        est = sum(ni * nj * injective_count(p, rj, ri)
-                  for ri, ni in ranks.items() for rj, nj in ranks.items())
-        if est > limit:
-            raise CapExceeded(
-                "hom_count_cap",
-                f"estimated {est} morphisms exceeds the cap ({limit}); "
-                f"raise ELABCAT_HOM_COUNT_CAP to allow more")
-
     def materialize(self, hom_count_cap: Optional[int] = None) -> None:
         """Compute every hom-set; guarded by the hom count cap."""
         self.hom_dict(hom_count_cap)
@@ -462,14 +453,8 @@ class SubgroupCategory:
         hold more maps than the hom count cap (pair_sizes counts them
         before any is listed).  The base is carried a pair of classes at
         a time, and every hom-set is kept as hom reads it."""
-        limit = hom_count_cap if hom_count_cap is not None else _cap("hom_count_cap")
         keys, sizes = self.pair_sizes()
-        total = int(sizes.sum())
-        if total > limit:
-            raise CapExceeded(
-                "hom_count_cap",
-                f"the category holds {total} morphisms, more than the cap ({limit}); "
-                f"raise ELABCAT_HOM_COUNT_CAP to allow more")
+        _refuse_past_cap("the category holds", int(sizes.sum()), hom_count_cap)
         catalog, n, reps = self.catalog, len(self.catalog), self.catalog.class_reps
         starts, members, _ = catalog.class_table
         at = np.empty(n, dtype=np.int64)            # each member's place in its class
@@ -633,7 +618,8 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     Hom(E', F') = c o Hom(E, F) o c' for conjugates E' of E and F' of F,
     so the full subcategory on the class representatives, a skeleton,
     decides the closure.  Its seed is the input's base on the
-    representatives' pairs (A, for an explicit input) and every other
+    representatives' pairs (A, for an explicit input; a kind's is
+    counted first, and refused past the hom count cap) and every other
     input hom, carried to its representatives' pair by the class
     witnesses; each corestriction onto a subgroup is carried on the same
     way.
@@ -674,6 +660,8 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         extra = {shape: keys[~find_sorted(base.get(shape, keys[:0]), keys)[1]]
                  for shape, keys in given.items()}
     else:
+        _refuse_past_cap("the base between class representatives holds",
+                         int(C.class_sizes().sum()))
         base = _shape_keys({(reps[x], reps[y]): C._base_hom(reps[x], reps[y])
                             for x, y in np.argwhere(C.class_sizes()).tolist()}, ranks, p, dtype)
         extra = _shape_keys(C.maps, ranks, p, dtype) if C.maps else {}
@@ -840,14 +828,17 @@ def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
     Hom-sets between conjugate objects differ only by composition with
     conjugation isomorphisms, which both kinds contain, so representative
     pairs decide equality on the whole category.  (The test suite spot
-    checks this against all pairs on small groups.)  Only the pairs where
-    either kind's class_sizes is non-zero are compared, in row-major
+    checks this against all pairs on small groups.)  Beside A, Creg or
+    An(0) a kind is nested, so only pairs whose class_sizes differ are
+    read; otherwise every pair where either is non-zero, in row-major
     order.  The witness, at the first pair that differs, is the smallest
     matrix, as a tuple of row tuples, in one hom-set only.
     """
     C1, C2 = build_category(kind1, catalog), build_category(kind2, catalog)
     reps, p = catalog.class_reps, catalog.prime
-    for ci, cj in np.argwhere((C1.class_sizes() > 0) | (C2.class_sizes() > 0)).tolist():
+    S1, S2 = C1.class_sizes(), C2.class_sizes()
+    nested = {kind1, kind2} & {A, CREG, a_n(0)}
+    for ci, cj in np.argwhere(S1 != S2 if nested else (S1 > 0) | (S2 > 0)).tolist():
         h1, h2 = C1.hom(reps[ci], reps[cj]), C2.hom(reps[ci], reps[cj])
         if not np.array_equal(h1, h2):
             s1, s2 = set(map(tuple, h1.tolist())), set(map(tuple, h2.tolist()))

@@ -8,13 +8,14 @@ are byte-comparable once that key is dropped.
 Exit codes: 0 success, 1 internal error, 2 malformed input (a document,
 a command-line value or a cap setting), 3 a resource guard fired (the
 message names it), 4 a gallery claim failed, 5 closure input was missing
-required conjugation morphisms.
+required conjugation morphisms, 141 (128 + SIGPIPE) stdout was closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from itertools import count
@@ -467,7 +468,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         check_numbers(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:         # the reader left: exit quietly, as a shell would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -3,10 +3,9 @@
 ELABCAT_ELEMENT_CAP    max group order enumerated by close_generators (65536); its
                        element table may hold 64 entries per element of the cap
 ELABCAT_CATALOG_CAP    max subgroups in one catalog (5000)
-ELABCAT_HOM_COUNT_CAP  max exact morphisms in a materialized category or in the A
-                       row about to be built; max estimated morphisms in a Creg
-                       category before its sizes are read, or in a searched
-                       hom-set (2000000)
+ELABCAT_HOM_COUNT_CAP  max exact morphisms in a materialized category, in the A
+                       row about to be built, or in closure's base between class
+                       representatives; max bound on a searched hom-set (2000000)
 ELABCAT_TERM_CAP       max stored monomials per polynomial, or weights per list (200000)
 """
 

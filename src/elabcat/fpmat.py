@@ -35,13 +35,16 @@ def matrix_of(cols: Sequence[int], p: int, rows: int) -> Mat:
     return tuple(tuple(int(c) // p ** r % p for c in cols) for r in range(rows))
 
 
+@lru_cache(maxsize=None)
 def code_digits(p: int, r: int) -> np.ndarray:
-    """(p^r, r) array whose row c is the vector of code c = sum v_i p^i.
+    """(p^r, r) read-only array: row c is the vector of code c = sum v_i p^i.
 
     The vectors supported on the first k coordinates are the codes below
     p^k, which is the order the basis search of categories fills them in.
     """
-    return np.arange(p ** r)[:, None] // p ** np.arange(r) % p
+    out = np.arange(p ** r)[:, None] // p ** np.arange(r) % p
+    out.flags.writeable = False
+    return out
 
 
 def mat_mul(A: Mat, B: Mat, p: int) -> Mat:

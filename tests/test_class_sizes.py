@@ -21,6 +21,7 @@ from brute_force import (brute_hom_sets, codes, counter_pruned, injective_oracle
 from elabcat import categories as cg
 from elabcat.cli import analyze_report, load_group
 from elabcat.elabs import enumerate_elabs, p_rank
+from elabcat.fpmat import injective_count
 from elabcat.groups import close_generators
 from test_constructive_homs import S3xS3, S4xS2
 from test_hom_cache import small_groups
@@ -161,6 +162,23 @@ def test_analyze_reads_each_unpruned_pair_once(monkeypatch):
     assert report["catalog"]["size"] == 374
     assert max(built.values()) == 1
     assert reads["hom"] + reads["_base_hom"] < 10 ** 5
+    # the verdicts compare nested kinds, A with Aprime and An(1), by size
+    assert reads["hom"] == 0
+
+
+@pytest.mark.parametrize("G, p", [
+    (close_generators(6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]), 2),   # S6
+    (affine7(3), 7)])                                                    # AGL(1, 7)
+@pytest.mark.parametrize("kind", [cg.CREG, cg.a_n(0)])
+def test_creg_sizes_are_counted_not_built(monkeypatch, G, p, kind):
+    def refuse(*args):
+        raise AssertionError("hom_matrices called")
+
+    catalog = enumerate_elabs(G, p)
+    monkeypatch.setattr(cg, "hom_matrices", refuse)
+    sizes = cg.build_category(kind, catalog).class_sizes()
+    ranks = [catalog.subgroups[r].rank for r in catalog.class_reps]
+    assert sizes.tolist() == [[injective_count(p, s, r) for s in ranks] for r in ranks]
 
 
 @pytest.mark.parametrize("kind", [cg.A, cg.APRIME, cg.a_n(2), cg.CREG])

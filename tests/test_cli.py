@@ -10,6 +10,10 @@ from pathlib import Path
 import pytest
 
 from elabcat import chern, cli
+from elabcat.categories import CREG, build_category
+from elabcat.elabs import enumerate_elabs
+from elabcat.errors import CapExceeded
+from elabcat.fpmat import injective_count
 
 A4 = {"name": "alt4", "degree": 4,
       "generators": [[1, 0, 3, 2], [2, 0, 1, 3]]}
@@ -183,8 +187,10 @@ class TestBadInput:
 
 class TestGuardsAndFailures:
     def test_lazy_creg_hom_sets_are_guarded(self, tmp_path):
-        # (Z/2)^5 acting regularly: 374 subgroups, and Creg between the
-        # two rank-5 copies alone has |GL_5(F_2)| = 9,999,360 matrices
+        # (Z/2)^5 acting regularly: 374 subgroups, and Creg on the rank-5
+        # one alone has |GL_5(F_2)| = 9,999,360 maps.  analyze counts Creg
+        # without listing a map; closure and materialize list them, and
+        # are refused before they start
         gens = [[x ^ (1 << i) for x in range(32)] for i in range(5)]
         path = tmp_path / "z2-5.json"
         path.write_text(json.dumps({"name": "z2-5", "degree": 32,
@@ -192,9 +198,25 @@ class TestGuardsAndFailures:
         start = time.perf_counter()
         r = run_cli("analyze", str(path), "--prime", "2", "--kinds", "Creg")
         assert time.perf_counter() - start < 10
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        rank = {E["class"]: E["rank"] for E in doc["catalog"]["subgroups"]}
+        assert doc["kinds"]["Creg"]["hom_sizes"] == [
+            [injective_count(2, rank[y], rank[x]) for y in sorted(rank)] for x in sorted(rank)]
+
+        category = tmp_path / "creg.json"
+        category.write_text(json.dumps({"base_kind": "Creg", "homs": []}))
+        start = time.perf_counter()
+        r = run_cli("closure", str(path), "--prime", "2", "--category", str(category))
+        assert time.perf_counter() - start < 10
         assert r.returncode == 3
         assert r.stderr.startswith("error: guard hom_count_cap: ")
+        assert "71299041" in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
+
+        catalog = enumerate_elabs(cli.load_group(str(path)), 2)
+        with pytest.raises(CapExceeded):
+            build_category(CREG, catalog).materialize()
 
     def test_search_built_hom_sets_are_guarded(self, tmp_path):
         # AGL(1,32) from x -> x xor 1 and x -> t*x mod t^5+t^2+1: its 31
@@ -595,3 +617,18 @@ class TestMisc:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=env)
         assert r.stdout.split("\n")[0] == "[0, 0] False", r.stderr
+
+    def test_closed_stdout_exits_quietly(self):
+        # a 4 MB report, far more than a pipe holds, so the command is
+        # still writing when its reader closes the pipe after one line
+        golden = Path(__file__).resolve().parent / "golden"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "elabcat", "analyze", str(golden / "z3-4.group.json"),
+             "--prime", "3", "--pretty"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
