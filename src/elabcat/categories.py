@@ -53,7 +53,14 @@ has merged the kinds that coincide out of the domain:
                Permutation Group Algorithms, 2003, ch. 9).  Creg allows
                every image but the identity;
   An(n)        the Aprime maps whose restriction to every rank-n subspace
-               U of E is one of the A maps U -> F, built as above.
+               U of E is one of the A maps U -> F, tested for every map
+               and every U in one sorted lookup (fpmat.restricts_into).
+               Over a catalog, A and Aprime come from the cache: A <=
+               An(n) <= Aprime, so where their sizes agree the three
+               hom-sets are equal, and elsewhere the Aprime maps are
+               filtered against the A hom-sets out of the members U.
+               Without a catalog, hom_matrices searches Aprime and takes
+               the A maps U -> F from the conjugation images, as above.
 
 closure requires every A-morphism in its input, so its result too is
 decided by the hom-sets between class representatives: it closes that
@@ -76,8 +83,9 @@ from .config import cap as _cap
 from .elabs import ElabCatalog, ElabSubgroup
 from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
 # perfbench/tracing.py wraps categories.mat_mul; callers read column_codes here
-from .fpmat import (Mat, code_digits, column_codes, injective_count,  # noqa: F401
-                    mat_mul, mat_rank, matrix_of, subspace_bases)
+from .fpmat import (Mat, code_digits, column_codes, image_tables,  # noqa: F401
+                    injective_count, mat_mul, mat_rank, matrix_of, restricts_into,
+                    subspace_codes)
 from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, runs,
                      sorted_distinct)
 
@@ -239,29 +247,15 @@ def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarra
     return cols
 
 
-def _single_conjugator(E: ElabSubgroup, n: int, cols: np.ndarray,
-                       F: ElabSubgroup) -> np.ndarray:
-    """Mask of the maps (rows of basis-image codes) whose restriction to
-    every rank-n subspace U of E is one of the A maps U -> F."""
-    p = E.prime
-    weights = p ** np.arange(F.rank)
-    images = code_digits(p, F.rank)[cols]             # (maps, rank E, rank F)
-    keep = np.ones(len(cols), dtype=bool)
-    for basis in subspace_bases(p, E.rank, n):
-        U = [E.index_of_vector(v) for v in basis]
-        allowed = set(map(tuple, _conjugation_images(E.ambient, U, F).tolist()))
-        rest = np.nonzero(keep)[0]
-        on_U = (np.einsum("nr,mrs->mns", np.array(basis), images[rest]) % p) @ weights
-        keep[rest] = [row in allowed for row in map(tuple, on_U.tolist())]
-    return keep
-
-
 def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
                  F: ElabSubgroup) -> np.ndarray:
     """The kind-morphisms E -> F as an int64 array of column codes, one
     map per row, rows distinct and in lexicographic order.
 
-    Each kind is built from its definition; see the module docstring.
+    Each kind is built from its definition alone, with no catalog; see
+    the module docstring.  A category over a catalog builds A a row at
+    a time and reads An(n) off its A and Aprime hom-sets instead, and
+    this stays the definition those are tested against.
     """
     if E.ambient is not F.ambient or E.prime != F.prime:
         raise CatalogMismatch("hom-set needs a common ambient group and prime")
@@ -278,8 +272,10 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
         return distinct_rows(_conjugation_images(E.ambient, E.basis, F))
     # each element may go to any element of its merged class
     cols = _basis_search(E, E_cls[:, None] == F_cls, F)
-    if kind.tag == "An":
-        cols = cols[_single_conjugator(E, kind.param, cols, F)]
+    if kind.tag == "An" and len(cols):
+        at = subspace_codes(E.prime, E.rank, kind.param)[:, E.prime ** np.arange(kind.param)]
+        cols = cols[restricts_into(cols, E.prime, F.rank, at, [
+            _conjugation_images(E.ambient, E.by_code[a].tolist(), F) for a in at])]
     return cols
 
 
@@ -388,6 +384,20 @@ class SubgroupCategory:
             targets, bounds, cols = catalog.a_rows[i]
             t = bisect_left(targets, j)
             got = cols[bounds[t]:bounds[t + 1]] if targets[t:t + 1] == [j] else none
+        elif kind.tag == "An":
+            # A <= An(n) <= Aprime, so equal sizes decide; else keep the
+            # Aprime maps whose restriction to every rank-n member inside
+            # i is one of its A maps into j, on that member's basis
+            in_a = SubgroupCategory(catalog, A)._base_hom
+            got = SubgroupCategory(catalog, APRIME)._base_hom(i, j)
+            if len(got) == len(in_a(i, j)):
+                got = in_a(i, j)
+            else:
+                members = [catalog.index_of_elements(E.by_code[s].tolist())
+                           for s in subspace_codes(E.prime, E.rank, kind.param)]
+                at = np.array([E.codes_of(catalog.subgroups[u].basis) for u in members])
+                got = got[restricts_into(got, E.prime, catalog.subgroups[j].rank, at,
+                                         [in_a(u, j) for u in members])]
         else:
             got = hom_matrices(kind, E, catalog.subgroups[j])
         got.flags.writeable = False
@@ -484,7 +494,7 @@ def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
     p, codes = catalog.prime, catalog.conjugation_codes
     (m, r), s = cols.shape, catalog.subgroups[J[0]].rank
     back = np.argsort(codes[I, :p ** r], axis=1)[:, p ** np.arange(r)]    # c_i^-1 on i's basis
-    pulled = _image_tables(cols, p, s)[:, back].swapaxes(0, 1)             # (i, map, column)
+    pulled = image_tables(cols, p, s)[:, back].swapaxes(0, 1)              # (i, map, column)
     got = codes[J[:, None, None], pulled[:, None]].reshape(len(I) * len(J) * m, r)
     order = np.lexsort((*got.T[::-1], np.arange(len(got)) // m))
     return got[order].reshape(len(I), len(J), m, r)
@@ -562,19 +572,6 @@ def _shape_keys(homs: dict[tuple[int, int], np.ndarray], ranks: list[int],
     return out
 
 
-def _image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
-    """Code of the image of every domain vector code, for each map given
-    by its column codes in a codomain of the given rank."""
-    width = cols.shape[1]
-    vecs, col_vecs = code_digits(p, width), code_digits(p, rows)
-    places = p ** np.arange(rows)
-    out = np.empty((len(cols), len(vecs)), dtype=np.int64)
-    for b in blocks(len(cols), len(vecs) * rows):
-        images = np.einsum("vc,mck->mvk", vecs, col_vecs[cols[b]]) % p
-        out[b] = images @ places
-    return out
-
-
 def _by_object(obj: np.ndarray, other: np.ndarray,
                data: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Split (other, data) by the object in obj."""
@@ -598,7 +595,7 @@ def _conjugated(cols: np.ndarray, rows: int, at: np.ndarray, onto: np.ndarray,
     """For maps f given by column codes into a rank-rows codomain, the maps
     whose column k is onto[f(x_k)], x_k the vector of code at[k]: at and
     onto give one row per map, or one row for all of them."""
-    images = np.take_along_axis(_image_tables(cols, p, rows), at, axis=1)
+    images = np.take_along_axis(image_tables(cols, p, rows), at, axis=1)
     return np.take_along_axis(onto, images, axis=1)
 
 
@@ -722,7 +719,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         for (rows, width), keys in delta.items():
             found.setdefault((rows, width), []).append(keys)
             dom, cod, cols = _decode(keys, p ** rows, width, n)
-            tables = _image_tables(cols, p, rows)
+            tables = image_tables(cols, p, rows)
             for j, part in _by_object(cod, dom, cols).items():
                 d_in[j][width] = part
             for i, part in _by_object(dom, cod, tables).items():

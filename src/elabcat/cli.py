@@ -29,8 +29,8 @@ from . import __version__
 from . import categories as cg
 from . import chern, fppoly, gallery
 from .elabs import ElabCatalog, enumerate_elabs, p_rank
-from .errors import (CapExceeded, ClosureGuardError, ElabcatError,
-                     InputFormatError)
+from .errors import (CapExceeded, CatalogMismatch, ClosureGuardError,
+                     ElabcatError, InputFormatError)
 from .fpmat import PRIME_LIMIT, is_prime
 from .groups import FiniteGroup, close_generators
 
@@ -237,12 +237,14 @@ def analyze_report(G: FiniteGroup, p: int,
 def cmd_analyze(args) -> int:
     G = load_group(args.group)
     kinds = None
-    if args.kinds:
+    if args.kinds is not None:
         try:
             kinds = [cg.parse_kind(tok, args.prime)
                      for tok in args.kinds.split(",") if tok.strip()]
         except ValueError as e:
             raise InputFormatError(f"bad --kinds value: {e}")
+        if not kinds:
+            raise InputFormatError(f"bad --kinds value: {args.kinds!r} names no kind")
     report = analyze_report(G, args.prime, kinds, args.max_n)
     print(_dump(report, args.pretty))
     return 0
@@ -347,8 +349,8 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
             raise InputFormatError(
                 f"{path}: hom record domain and codomain must be lists of integers")
         try:
-            i, j = (catalog._by_elements[tuple(sorted(e))] for e in ends)
-        except KeyError:
+            i, j = map(catalog.index_of_elements, ends)
+        except CatalogMismatch:
             raise InputFormatError(
                 f"{path}: hom record names an element set that is not a "
                 f"catalog subgroup")

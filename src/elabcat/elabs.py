@@ -204,10 +204,15 @@ class ElabCatalog:
     def index_of(self, E: ElabSubgroup) -> int:
         if E.ambient is not self.group or E.prime != self.prime:
             raise CatalogMismatch("subgroup is not from this catalog's group")
+        return self.index_of_elements(E.elements)
+
+    def index_of_elements(self, indices: Iterable[int]) -> int:
+        """The member whose element set is the given ambient indices, in
+        any order; CatalogMismatch when no member has it."""
         try:
-            return self._by_elements[E.elements]
+            return self._by_elements[tuple(sorted(indices))]
         except KeyError:
-            raise CatalogMismatch("subgroup not present in catalog")
+            raise CatalogMismatch("subgroup not present in catalog") from None
 
     def class_count(self) -> int:
         return len(self.class_reps)

@@ -5,10 +5,13 @@ generators of the gallery's matrix groups, the rank check of explicit
 morphisms, and the test oracles.  subspace_bases enumerates subspaces by
 reduced row echelon form.  Hom-sets themselves are arrays of column codes
 (see categories); column_codes and matrix_of convert a matrix to and
-from them, and code_digits lists the vector of every code.  Everything
-here is desk scale (dimensions at most a handful), so plain Gaussian
-elimination is used throughout.  is_prime checks every prime the command
-line and the gallery entry files take.
+from them, and code_digits lists the vector of every code.  On such
+arrays, image_tables gives the code of every image of each map,
+subspace_codes the codes of every subspace's elements, and
+restricts_into which maps restrict on given subspaces to given maps.
+Everything here is desk scale (dimensions at most a handful), so plain
+Gaussian elimination is used throughout.  is_prime checks every prime
+the command line and the gallery entry files take.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .groups import blocks, find_sorted, row_keys
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
@@ -102,6 +107,49 @@ def injective_count(p: int, rows: int, cols: int) -> int:
     for j in range(cols):
         n *= p ** rows - p ** j
     return n
+
+
+def image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
+    """Code of the image of every domain vector code, for each map given
+    by its column codes in a codomain of the given rank."""
+    width = cols.shape[1]
+    vecs, col_vecs = code_digits(p, width), code_digits(p, rows)
+    places = p ** np.arange(rows)
+    out = np.empty((len(cols), len(vecs)), dtype=np.int64)
+    for b in blocks(len(cols), len(vecs) * rows):
+        images = np.einsum("vc,mck->mvk", vecs, col_vecs[cols[b]]) % p
+        out[b] = images @ places
+    return out
+
+
+def subspace_codes(p: int, dim: int, rank: int) -> np.ndarray:
+    """(subspaces, p^rank) array: row s holds the codes of the elements
+    of the span of subspace_bases(p, dim, rank)[s], in the span's code
+    order, so column p^k is the code of basis vector k."""
+    bases = subspace_bases(p, dim, rank)
+    bases = np.array(bases, dtype=np.int64).reshape(len(bases), rank, dim)
+    return code_digits(p, rank) @ bases % p @ p ** np.arange(dim)
+
+
+def restricts_into(cols: np.ndarray, p: int, rows: int, at: np.ndarray,
+                   allowed: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the maps, column codes into a rank-rows codomain, whose
+    restriction to every subspace s, read at the codes at[s] of a basis
+    of it, is a row of allowed[s] (column codes on that basis).
+
+    One sorted lookup for every map and subspace at once, each
+    restriction keyed exactly by the bytes of (s, its codes), which are
+    below 2^32 (row_keys).
+    """
+    count, n = at.shape
+    tags = np.repeat(np.arange(count), [len(a) for a in allowed])
+    known = np.sort(row_keys(np.column_stack([tags, np.concatenate(allowed)])))
+    keep = np.empty(len(cols), dtype=bool)
+    for b in blocks(len(cols), p ** cols.shape[1] + 2 * at.size):
+        on = np.insert(image_tables(cols[b], p, rows)[:, at], 0, np.arange(count), axis=2)
+        keep[b] = find_sorted(known, row_keys(on.reshape(-1, n + 1)))[1].reshape(
+            -1, count).all(axis=1)
+    return keep
 
 
 @lru_cache(maxsize=None)

@@ -144,8 +144,13 @@ def test_analyze_reads_each_unpruned_pair_once(monkeypatch):
 
     def building(kind, E, F):
         assert not counter_pruned(kind, E, F)
+        # An(n) is read off A and Aprime, never searched
+        assert cg.canonical(kind, E.rank).tag != "An", kind.label()
         built[cg.canonical(kind, E.rank), E.elements, F.elements] += 1
         return inner(kind, E, F)
+
+    def filtering(*args):
+        raise AssertionError("An(n) filtered where A and Aprime sizes agree")
 
     def reading(name):
         method = getattr(cg.SubgroupCategory, name)
@@ -156,6 +161,8 @@ def test_analyze_reads_each_unpruned_pair_once(monkeypatch):
         return read
 
     monkeypatch.setattr(cg, "hom_matrices", building)
+    # A = Aprime on every pair, so the sizes decide every An(n) hom-set
+    monkeypatch.setattr(cg, "restricts_into", filtering)
     for name in ("hom", "_base_hom"):
         monkeypatch.setattr(cg.SubgroupCategory, name, reading(name))
     report = analyze_report(G, 2)

@@ -154,6 +154,12 @@ class TestBadInput:
     def test_rank_below_one(self, cmd):
         assert_input_error(run_cli(cmd, "--prime", "2", "--rank", "0"))
 
+    @pytest.mark.parametrize("kinds", [" , ", ""])
+    def test_kinds_naming_no_kind(self, a4_path, kinds):
+        r = run_cli("analyze", a4_path, "--prime", "2", "--kinds", kinds)
+        assert_input_error(r)
+        assert "names no kind" in r.stderr
+
     def test_kind_divisor_must_divide_p_minus_1(self, a4_path):
         r = run_cli("analyze", a4_path, "--prime", "2", "--kinds", "AprimeD(2)")
         assert_input_error(r)

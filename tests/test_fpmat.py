@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from brute_force import (close_matrix_group, identity_mat, injective_oracle, mat_vec, span,
                          subspace_oracle)
-from elabcat.fpmat import (gl_generators, injective_count, mat_inv, mat_mul, mat_rank,
-                           primitive_root, subspace_bases)
+from elabcat.fpmat import (gl_generators, image_tables, injective_count, mat_inv, mat_mul,
+                           mat_rank, primitive_root, restricts_into, subspace_bases,
+                           subspace_codes)
 from elabcat.gallery import affine_images
 from elabcat.groups import close_generators
 
@@ -107,6 +109,41 @@ class TestEnumerations:
                         greedy.append(min(whole - inside))
                         inside = span(p, greedy)
                     assert tuple(greedy) == basis
+
+    def test_subspace_codes_span_the_bases(self):
+        for p, dim in shapes(64):
+            for rank in range(dim + 1):
+                for basis, codes in zip(subspace_bases(p, dim, rank),
+                                        subspace_codes(p, dim, rank).tolist()):
+                    vectors = {tuple(c // p ** k % p for k in range(dim)) for c in codes}
+                    assert len(codes) == p ** rank
+                    assert vectors == span(p, basis) | {(0,) * dim}
+                    assert [codes[p ** k] for k in range(rank)] == [
+                        sum(x * p ** k for k, x in enumerate(v)) for v in basis]
+
+    @pytest.mark.parametrize("p,width,rows,n", [(2, 3, 3, 2), (2, 4, 4, 2), (3, 3, 3, 2),
+                                                (2, 4, 5, 3), (5, 2, 2, 1)])
+    def test_restricts_into_matches_a_loop(self, p, width, rows, n):
+        # allowed[s] holds some of the restrictions of the maps to any
+        # subspace; those to other subspaces must not count for s
+        rng = np.random.default_rng(p * 1000 + width * 100 + rows * 10 + n)
+        cols = rng.integers(0, p ** rows, size=(60, width))
+        at = subspace_codes(p, width, n)[:, p ** np.arange(n)]
+        tables = image_tables(cols, p, rows)
+        for c, table in zip(cols.tolist(), tables.tolist()):
+            for code in range(p ** width):
+                image = [sum(code // p ** k % p * (col // p ** r % p) for k, col in enumerate(c))
+                         % p for r in range(rows)]
+                assert table[code] == sum(x * p ** r for r, x in enumerate(image))
+        pool = np.unique(tables[:, at].reshape(-1, n), axis=0)
+        # each map passes about half the time
+        allowed = [pool[rng.random(len(pool)) < 0.5 ** (1 / len(at))] for _ in at]
+        want = [all(tuple(table[c] for c in a) in set(map(tuple, ok.tolist()))
+                    for a, ok in zip(at.tolist(), allowed))
+                for table in tables.tolist()]
+        got = restricts_into(cols, p, rows, at, allowed)
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
 
     @pytest.mark.parametrize("p,n,order", [(2, 2, 6), (2, 3, 168), (3, 2, 48),
                                            (5, 1, 4), (7, 1, 6)])

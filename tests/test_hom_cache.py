@@ -134,6 +134,8 @@ def test_analyze_computes_each_hom_set_once(counted):
     analyze_report(close_generators(6, S6, name="S6"), 2)
     assert counted
     assert max(counted.values()) == 1
+    # An(2) is read off the A and Aprime hom-sets, never searched
+    assert {kind.tag for kind, _, _ in counted} == {"Aprime"}
 
 
 def test_closure_reuses_loaded_base_homs(counted, monkeypatch, tmp_path, capsys):
