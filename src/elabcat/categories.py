@@ -25,26 +25,20 @@ All of these are closed under composition, restriction to subgroups, and
 inverses of bijective members, which the closure operator below makes
 checkable for arbitrary explicitly given hom collections.
 
-Every kind holds the conjugation isomorphisms, so by Quillen's
-factorization (Ann. of Math. 94, 1971) a category over a catalog builds
-hom-sets between class representatives only and carries every other one
-from its representatives' pair (see SubgroupCategory).  Their sizes,
-which every invariant reads, come from one walk over those pairs that
-skips the ones class_counts shows empty (SubgroupCategory.class_sizes);
-Creg's are counted, prod over k < rank E of (p^rank F - p^k).  The kinds
-above are nested, so one beside A or Creg agrees where the sizes do.
-Each hom-set is built from the definition of its kind, once canonical()
-has merged the kinds that coincide out of the domain:
+Every kind holds the inclusions and the conjugation isomorphisms and is
+closed under corestriction, so a morphism E -> F is an isomorphism of the
+kind onto f(E) followed by an inclusion (Quillen's factorization of A,
+Ann. of Math. 94, 1971; Green and Leary use it for Aprime, Comment. Math.
+Helv. 73, 1998).  A category over a catalog builds every kind that one
+way, on the pairs of class representatives (see SubgroupCategory): the
+isomorphisms between representatives of one rank, the sizes from them
+(class_sizes), and every map out of a representative into a larger rank
+by carrying them onto each member inside each target (_rows).  Only
+those isomorphisms are searched; hom_matrices builds any one pair from
+the definition of its kind alone, with no catalog:
 
-  A            a row at a time, every A-morphism out of one class
-               representative E: each is a conjugation isomorphism
-               followed by an inclusion, so Hom_A(E, F) is Aut_A(E)
-               carried onto each conjugate of E inside F, and Aut_A(E) is
-               read from the g with g^-1 E g = E (_a_rows).  Without a
-               catalog, hom_matrices builds one pair from the same
-               conjugation images: the g with g^-1 E g inside F, which
-               lie in the transporter cosets taking E's first basis
-               element into F;
+  A            the g with g^-1 E g inside F, which lie in the transporter
+               cosets taking E's first basis element into F;
   Aprime,      a backtracking search over the images of E's basis vectors,
   AprimeD(d),  breadth first over numpy arrays: fixing the image of basis
   Creg         vector k fixes that of every vector whose last nonzero
@@ -55,12 +49,6 @@ has merged the kinds that coincide out of the domain:
   An(n)        the Aprime maps whose restriction to every rank-n subspace
                U of E is one of the A maps U -> F, tested for every map
                and every U in one sorted lookup (fpmat.restricts_into).
-               Over a catalog, A and Aprime come from the cache: A <=
-               An(n) <= Aprime, so where their sizes agree the three
-               hom-sets are equal, and elsewhere the Aprime maps are
-               filtered against the A hom-sets out of the members U.
-               Without a catalog, hom_matrices searches Aprime and takes
-               the A maps U -> F from the conjugation images, as above.
 
 closure requires every A-morphism in its input, so its result too is
 decided by the hom-sets between class representatives: it closes that
@@ -86,8 +74,8 @@ from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
 from .fpmat import (Mat, code_digits, column_codes, image_tables,  # noqa: F401
                     injective_count, mat_mul, mat_rank, matrix_of, restricts_into,
                     subspace_codes)
-from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, runs,
-                     sorted_distinct)
+from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, row_keys,
+                     runs, sorted_distinct)
 
 # -- kinds ------------------------------------------------------------
 
@@ -164,6 +152,8 @@ def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
     Only the g taking elems[0] into F can qualify: the union of one
     transporter coset per member of F in its class.
     """
+    if not elems:                           # the one empty map
+        return np.zeros((1, 0), dtype=np.int64)
     class_of = G.conjugacy.class_of
     first = elems[0]
     targets = [c for c, f in enumerate(F.by_code.tolist())
@@ -253,9 +243,10 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     map per row, rows distinct and in lexicographic order.
 
     Each kind is built from its definition alone, with no catalog; see
-    the module docstring.  A category over a catalog builds A a row at
-    a time and reads An(n) off its A and Aprime hom-sets instead, and
-    this stays the definition those are tested against.
+    the module docstring.  A category over a catalog calls it only
+    between representatives of one rank, for a kind other than A and
+    An(n), and builds every other hom-set from those isomorphisms; this
+    stays the definition they are tested against.
     """
     if E.ambient is not F.ambient or E.prime != F.prime:
         raise CatalogMismatch("hom-set needs a common ambient group and prime")
@@ -279,45 +270,40 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     return cols
 
 
-def _a_rows(catalog: ElabCatalog, i: int, limit: int) -> None:
-    """Build row i of A for a class representative i, every A-morphism
-    out of it, as catalog.a_rows[i] = (targets, bounds, cols):
-    Hom_A(i, targets[t]) is cols[bounds[t]:bounds[t + 1]], and only
-    non-empty hom-sets appear.
+def _rows(C: SubgroupCategory, i: int, limit: int) -> None:
+    """Build row i of C's kind, every morphism out of a class
+    representative i, as catalog.rows[kind, i] = (targets, bounds, cols):
+    Hom(i, targets[t]) is cols[bounds[t]:bounds[t + 1]], if non-empty.
 
-    Quillen's factorization: an A-morphism is a conjugation isomorphism
-    followed by an inclusion.  With E member i and E_k = w_k^-1 E w_k the
-    members of its class (w_k the class witnesses), Hom_A(E, F) is
-    c_k o Aut_A(E) over the members E_k inside F, where c_k: E -> E_k is
-    conjugation by w_k; maps through distinct E_k have distinct images,
-    so no map repeats.  Aut_A(E) is one _conjugation_images call and the
-    c_k one conjugate_indices call; catalog.containers gives the targets.
-
-    Raises CapExceeded("hom_count_cap") before building when the maps
-    of the row, |Aut_A(E)| per member inside a target, pass limit.
+    With Y_k = w_k^-1 Y w_k the members of a class y of i's rank (w_k the
+    class witnesses), Hom(E, F) is c_k o Iso(E, Y) over the Y_k inside F,
+    c_k: Y -> Y_k the conjugation by w_k; maps through distinct Y_k have
+    distinct images.  Refused (CapExceeded) before anything is built when
+    the row, read off class_sizes, holds more than limit maps.
     """
-    G, E = catalog.group, catalog.subgroups[i]
+    catalog, E = C.catalog, C.catalog.subgroups[i]
+    kind, reps = canonical(C.kind, E.rank), catalog.class_reps
     starts, supers = catalog.containers
     class_starts, by_class, witnesses = catalog.class_table
-    c = catalog.class_of[i]
-    span = slice(class_starts[c], class_starts[c + 1])
-    members = by_class[span]
-    # the trivial subgroup has one automorphism, the empty map
-    aut = (distinct_rows(_conjugation_images(G, E.basis, E)) if E.rank
-           else np.zeros((1, 0), dtype=np.int64))
-    k_of, at = ranges(starts[members], starts[members + 1])
-    _refuse_past_cap("the A hom-sets out of 1 objects hold", len(aut) * len(at), limit)
-    conj = G.conjugate_indices(witnesses[span], E.by_code)     # row k: c_k by code
-    # (target, automorphism): the images of the basis in G, then in the target
-    target = supers[at].repeat(len(aut))
-    cols = conj[k_of[:, None, None], aut].reshape(len(target), E.rank)
+    sizes = C.class_sizes()[catalog.class_of[i]]
+    _refuse_past_cap(f"the {kind.label()} hom-sets out of 1 objects hold",
+                     int(sizes @ np.diff(class_starts)), limit)
+    targets, parts = [], []
+    for y in np.flatnonzero(sizes * (np.array(catalog.ranks())[reps] == E.rank)).tolist():
+        span = slice(class_starts[y], class_starts[y + 1])
+        iso, members = C._base_hom(i, reps[y]), by_class[span]
+        conj = catalog.group.conjugate_indices(witnesses[span], catalog.subgroups[reps[y]].by_code)
+        k_of, at = ranges(starts[members], starts[members + 1])
+        targets.append(supers[at].repeat(len(iso)))
+        parts.append(conj[k_of[:, None, None], iso].reshape(len(targets[-1]), E.rank))
+    target, cols = np.concatenate(targets), np.concatenate(parts)
     for b in blocks(len(target), E.rank):
         cols[b] = catalog.codes_in(target[b, None], cols[b])
     order = np.lexsort((*cols.T[::-1], target))
     target, cols = target[order], cols[order]
     cols.flags.writeable = False
     bounds = runs(target)
-    catalog.a_rows[i] = (target[bounds[:-1]].tolist(), bounds, cols)
+    catalog.rows[kind, i] = (target[bounds[:-1]].tolist(), bounds, cols)
 
 
 # -- categories -------------------------------------------------------
@@ -329,7 +315,8 @@ class SubgroupCategory:
 
     The base is a kind's, read from the catalog's hom cache that every
     category over that catalog shares under canonical kinds, or given on
-    the representatives' pairs, as closure gives its result; an explicit
+    the representatives' pairs, as closure gives its result (closed like
+    a kind, so its sizes too are read off its isomorphisms); an explicit
     category (kind None, nothing given) has an empty one.  Every kind and
     every closure holds the conjugation isomorphisms, so the base's
     Hom(i, j) off the representatives is c_j o Hom(rep i, rep j) o c_i^-1,
@@ -362,9 +349,10 @@ class SubgroupCategory:
         return got
 
     def _base_hom(self, i: int, j: int) -> np.ndarray:
-        """The base's Hom(i, j): built or given on a pair of
-        representatives, carried to any other pair, kept once read."""
-        catalog, E = self.catalog, self.catalog.subgroups[i]
+        """The base's Hom(i, j): given or built on a pair of
+        representatives (isomorphisms, or a row into a larger rank),
+        carried to any other pair, kept once read."""
+        catalog, E, F = self.catalog, self.catalog.subgroups[i], self.catalog.subgroups[j]
         kind = canonical(self.kind, E.rank) if self.kind is not None else None
         got = self._base.get((kind, i, j))
         if got is not None:
@@ -375,19 +363,20 @@ class SubgroupCategory:
             got = self._base_hom(ri, rj)
             if len(got):
                 got = _carried(catalog, got, np.array([i]), np.array([j]))[0, 0]
-        elif kind is None:
+        elif kind is None or E.rank > F.rank:
             return none
-        elif kind == A:
-            # read off row i, built first if need be
-            if i not in catalog.a_rows:
-                _a_rows(catalog, i, _cap("hom_count_cap"))
-            targets, bounds, cols = catalog.a_rows[i]
+        elif E.rank < F.rank:
+            if (kind, i) not in catalog.rows:
+                _rows(self, i, _cap("hom_count_cap"))
+            targets, bounds, cols = catalog.rows[kind, i]
             t = bisect_left(targets, j)
             got = cols[bounds[t]:bounds[t + 1]] if targets[t:t + 1] == [j] else none
+        elif kind == A:       # members of different classes are not conjugate
+            got = distinct_rows(_conjugation_images(catalog.group, E.basis, E)) if i == j else none
         elif kind.tag == "An":
             # A <= An(n) <= Aprime, so equal sizes decide; else keep the
-            # Aprime maps whose restriction to every rank-n member inside
-            # i is one of its A maps into j, on that member's basis
+            # Aprime maps f whose restriction to each rank-n member U inside
+            # i is an A map: f o c_U, on the basis of U's representative
             in_a = SubgroupCategory(catalog, A)._base_hom
             got = SubgroupCategory(catalog, APRIME)._base_hom(i, j)
             if len(got) == len(in_a(i, j)):
@@ -395,35 +384,41 @@ class SubgroupCategory:
             else:
                 members = [catalog.index_of_elements(E.by_code[s].tolist())
                            for s in subspace_codes(E.prime, E.rank, kind.param)]
-                at = np.array([E.codes_of(catalog.subgroups[u].basis) for u in members])
-                got = got[restricts_into(got, E.prime, catalog.subgroups[j].rank, at,
-                                         [in_a(u, j) for u in members])]
+                at = np.array([E.codes_of(catalog.subgroups[u].by_code[catalog.conjugation_codes[
+                    u, E.prime ** np.arange(kind.param)]]) for u in members])
+                got = got[restricts_into(got, E.prime, F.rank, at, [
+                    in_a(catalog.class_reps[catalog.class_of[u]], j) for u in members])]
         else:
-            got = hom_matrices(kind, E, catalog.subgroups[j])
+            got = hom_matrices(kind, E, F)
         got.flags.writeable = False
         self._base[kind, i, j] = got
         return got
 
     def class_sizes(self) -> np.ndarray:
         """The base's |Hom(rep x, rep y)| for all classes x, y, kept in
-        catalog.sizes for a kind: Creg's (and An(0)'s) from injective_count
-        by rank, any other by the one walk over the representatives' pairs
-        where y's class_counts row dominates x's (Creg's for an explicit
-        base, whose maps are injective)."""
+        catalog.sizes for a kind: I @ catalog.class_inclusions (see _rows),
+        I[x, y] the isomorphisms rep x -> rep y, read only where the
+        class_counts rows (Creg's for an explicit base) are equal, and
+        counted as |GL_r| for Creg.  Class labels follow rank order, so
+        between classes of one rank this is I."""
         catalog, reps = self.catalog, self.catalog.class_reps
         if (got := catalog.sizes.get(self.kind)) is None:
-            if self.kind is not None and canonical(self.kind, 1) == CREG:
-                rank = np.array(catalog.ranks())[reps]
-                top = range(rank.max(initial=0) + 1)
-                got = np.array([[injective_count(catalog.prime, s, r) for s in top]
-                                for r in top], dtype=np.int64)[rank[:, None], rank]
+            key = row_keys(np.array([class_counts(catalog.subgroups[r], self.kind or CREG)[1]
+                                     for r in reps]))
+            key = np.searchsorted(sorted_distinct(key), key)      # equal rows, equal keys
+            same = key[:, None] == key
+            if canonical(self.kind or A, 1) == CREG:
+                iso = same * np.array([injective_count(catalog.prime, r, r)
+                                       for r in catalog.ranks()])[reps, None]
             else:
-                counts = np.array([class_counts(catalog.subgroups[r], self.kind or CREG)[1]
-                                   for r in reps])
-                got = np.zeros((len(reps), len(reps)), dtype=np.int64)
-                for b in blocks(len(reps), counts.size):
-                    for x, y in np.argwhere((counts[b, None] <= counts).all(axis=2)).tolist():
-                        got[b.start + x, y] = len(self._base_hom(reps[b.start + x], reps[y]))
+                iso = np.zeros(same.shape, dtype=np.int64)
+                for x, y in np.argwhere(same).tolist():
+                    iso[x, y] = len(self._base_hom(reps[x], reps[y]))
+            # Iso(x, y) is empty or one orbit of Aut(rep x), so row x of I is
+            # I[x, x] on the classes isomorphic to x, the least of them first[x]
+            first, sums = (iso > 0).argmax(axis=1), np.zeros_like(iso)
+            np.add.at(sums, first, catalog.class_inclusions)
+            got = iso.diagonal()[:, None] * sums[first]
             got.flags.writeable = False
             if self.kind is not None:
                 catalog.sizes[self.kind] = got
@@ -453,9 +448,6 @@ class SubgroupCategory:
     def materialize(self, hom_count_cap: Optional[int] = None) -> None:
         """Compute every hom-set; guarded by the hom count cap."""
         self.hom_dict(hom_count_cap)
-
-    def total_homs(self) -> int:
-        return int(self.pair_sizes()[1].sum())
 
     def hom_dict(self, hom_count_cap: Optional[int] = None
                  ) -> dict[tuple[int, int], np.ndarray]:
@@ -799,11 +791,6 @@ def maximal_objects(C: SubgroupCategory) -> list[list[int]]:
     keep = keep[np.argsort(label[keep], kind="stable")]
     bounds = runs(label[keep])
     return [keep[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
-
-
-def minimal_prime_count(kind: CategoryKind, catalog: ElabCatalog) -> int:
-    """Number of isomorphism classes of maximal objects."""
-    return len(maximal_objects(build_category(kind, catalog)))
 
 
 @dataclass(frozen=True)

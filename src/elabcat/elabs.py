@@ -96,15 +96,6 @@ class ElabSubgroup:
                 raise InvalidPermutation("basis does not generate freely")
         return cls(ambient, prime, basis, span)
 
-    @classmethod
-    def generated_by(cls, ambient: FiniteGroup, prime: int,
-                     gens: Iterable[int]) -> "ElabSubgroup":
-        """Subgroup generated by commuting order-p element indices."""
-        span = np.array([ambient.identity_index], dtype=np.int64)
-        for g in gens:
-            span = sorted_distinct(_times_powers(ambient, span, g, prime))
-        return cls.from_element_indices(ambient, prime, span)
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -129,9 +120,6 @@ class ElabSubgroup:
         """Code of each ambient element index, -1 for those outside."""
         at, found = find_sorted(self.by_code[self._order], np.asarray(indices))
         return np.where(found, self._order[at], -1)
-
-    def contains_index(self, i: int) -> bool:
-        return i in self.elements
 
     def vector_of_index(self, i: int) -> Vector:
         # the scalar form of codes_of: a bisection of the sorted elements
@@ -161,16 +149,6 @@ def _times_powers(G: FiniteGroup, span: np.ndarray, g, p: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def element_vector(E: ElabSubgroup, e: Perm) -> Vector:
-    """Exponent vector of e over E's canonical basis."""
-    return E.vector_of_index(E.ambient.index(e))
-
-
-def vector_element(E: ElabSubgroup, v: Sequence[int]) -> Perm:
-    """Element b1^v1 * ... * br^vr of E."""
-    return E.ambient.element(E.index_of_vector(v))
-
-
 @dataclass
 class ElabCatalog:
     """Every elementary abelian p-subgroup of one group, classified.
@@ -180,10 +158,9 @@ class ElabCatalog:
     group element index conjugating the class representative onto
     subgroup i (setwise).  maximal[i] is rank-maximality under inclusion
     into other catalog members.  homs caches hom-sets under keys
-    (canonical kind, i, j) for every category over this catalog, a_rows
-    holds row i of A, every A-morphism out of a class representative i,
-    once it is built, and sizes holds each kind's class_sizes matrix; only
-    categories reads or fills them.
+    (canonical kind, i, j) for every category over this catalog, rows
+    every map of a kind out of a class representative i under (kind, i),
+    and sizes each kind's class_sizes matrix; only categories uses them.
     """
 
     group: FiniteGroup
@@ -195,7 +172,7 @@ class ElabCatalog:
     maximal: list[bool]
     _by_elements: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
     homs: dict = field(default_factory=dict, repr=False, compare=False)
-    a_rows: dict = field(default_factory=dict, repr=False, compare=False)
+    rows: dict = field(default_factory=dict, repr=False, compare=False)
     sizes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -274,6 +251,17 @@ class ElabCatalog:
         keys, codes = self._incidence
         at, found = find_sorted(keys, np.asarray(members) * len(self.group) + elements)
         return np.where(found, codes[at], -1)
+
+    @cached_property
+    def class_inclusions(self) -> np.ndarray:
+        """(classes, classes) matrix: [y, z] counts the members of class y
+        inside the representative of class z."""
+        starts, supers = self.containers
+        cls, count = np.array(self.class_of), len(self.class_reps)
+        inner = np.repeat(np.arange(len(cls)), np.diff(starts))
+        keep = np.array(self.class_reps)[cls[supers]] == supers
+        return np.bincount(cls[inner[keep]] * count + cls[supers[keep]],
+                           minlength=count * count).reshape(count, count)
 
     @cached_property
     def containers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -503,8 +491,3 @@ def is_conjugate_subgroup(G: FiniteGroup, E: ElabSubgroup,
     hits = np.flatnonzero((F.codes_of(G.conjugate_indices(gs, E.basis)) >= 0).all(axis=1))
     return G.element(int(gs[hits[0]])) if len(hits) else None
 
-
-def conjugate_subgroup(G: FiniteGroup, g: Perm, E: ElabSubgroup) -> ElabSubgroup:
-    """The subgroup g^-1 * E * g."""
-    conj = G.conjugate_indices(G.index(g), E.elements)
-    return ElabSubgroup.from_element_indices(G, E.prime, conj)

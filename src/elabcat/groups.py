@@ -95,7 +95,9 @@ def find_sorted(sorted_arr: np.ndarray,
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct entries (np.unique would import numpy.ma)."""
     values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 # entries per block of a temporary array (Aprime search, closure products,

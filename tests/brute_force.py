@@ -55,6 +55,16 @@ extension of every member, canonicalizes each span from its element set,
 and tests maximality by subsets; they share no code with the descent in
 ``elabs.enumerate_elabs``.
 
+generated_by and conjugate_subgroup: subgroups from commuting generators
+and by conjugating an element set, each canonicalized through
+``ElabSubgroup.from_element_indices``.
+
+colimit_points: the F_q-points, q = p^m, of the colimit over A, Aprime and
+Creg, counted from the homomorphisms (Z/p)^m -> G alone, the m-tuples of
+pairwise commuting elements with x^p = 1, each tuple's products taken
+through ``FiniteGroup.mul``; it reads no catalog, no hom-set and no
+conjugacy table.
+
 dict_add, dict_mul, dict_pow and dict_substitute: polynomials over F_p as
 {exponent tuple: coefficient} dicts, multiplied one term pair at a time
 and substituted one term at a time; none of them touches the packed
@@ -359,6 +369,63 @@ def weyl_image(G, E):
     return sorted(set(map(tuple, cols[np.all(cols >= 0, axis=1)].tolist())))
 
 
+def generated_by(G, p, gens):
+    """The subgroup generated by commuting order-p element indices."""
+    span = np.array([G.identity_index])
+    for g in gens:
+        parts = [span]
+        for _ in range(p - 1):
+            parts.append(G.mul(parts[-1], g))
+        span = np.concatenate(parts)
+    return ElabSubgroup.from_element_indices(G, p, span.tolist())
+
+
+def conjugate_subgroup(G, g, E):
+    """The subgroup g^-1 * E * g."""
+    return ElabSubgroup.from_element_indices(
+        G, E.prime, G.conjugate_indices(G.index(g), E.elements).tolist())
+
+
+def colimit_points(G, p, m):
+    """(A, Aprime, Creg): the number of F_q-points, q = p^m, of the colimit
+    over each kind, from the homomorphisms (Z/p)^m -> G alone.
+
+    Those are the m-tuples of pairwise commuting x with x^p = 1; a tuple's
+    products x_1^c_1 ... x_m^c_m over c in F_p^m are its values.  For A a
+    point is an orbit of tuples under simultaneous conjugation (Quillen);
+    for Aprime it is the function c -> conjugacy class of the value, and
+    for Creg the kernel, the c whose value is the identity.  Conjugacy
+    classes are labelled by their smallest member, found by conjugating
+    every element by every element.
+    """
+    n, ident = len(G), G.identity_index
+    every = np.arange(n)
+    power = every
+    for _ in range(p - 1):
+        power = G.mul(power, every)
+    xs = np.flatnonzero(power == ident)
+    commute = G.mul(xs[:, None], xs) == G.mul(xs, xs[:, None])
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(m):
+        rows, new = np.nonzero(commute[tuples].all(axis=1))
+        tuples = np.column_stack([tuples[rows], new])
+    tuples = xs[tuples]
+    values = np.full((len(tuples), 1), ident)
+    for k in range(m):
+        parts = [values]
+        for _ in range(p - 1):
+            parts.append(G.mul(parts[-1], tuples[:, k:k + 1]))
+        values = np.concatenate(parts, axis=1)
+    seen, orbits = set(), 0
+    for t in map(tuple, tuples.tolist()):
+        if t not in seen:
+            orbits += 1
+            seen.update(map(tuple, G.conjugate_indices(every, t).tolist()))
+    label = G.conjugate_indices(every, every).min(axis=0)
+    return (orbits, len(set(map(tuple, label[values].tolist()))),
+            len(set(map(tuple, (values == ident).tolist()))))
+
+
 def subgroups_of(catalog):
     """For each catalog member, the indices of the members inside it."""
     sets = [frozenset(E.elements) for E in catalog.subgroups]
@@ -370,7 +437,7 @@ def restriction(E, F, S, T, M, p):
     """M: E -> F restricted to S -> T, or None when M(S) is not inside T."""
     images = [F.index_of_vector(mat_vec(M, E.vector_of_index(b), p))
               for b in S.basis]
-    if not all(T.contains_index(e) for e in images):
+    if not all(e in T.elements for e in images):
         return None
     cols = [T.vector_of_index(e) for e in images]
     return tuple(tuple(col[r] for col in cols) for r in range(T.rank))

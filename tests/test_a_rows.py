@@ -9,14 +9,16 @@ the brute-force oracle.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from brute_force import weyl_image
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
+from elabcat.errors import CapExceeded
 from elabcat.groups import close_generators
-from test_hom_cache import S6, small_groups
+from test_hom_cache import A4, S6, small_groups
 
 
 @given(G=small_groups(), p=st.sampled_from([2, 3]))
@@ -39,8 +41,10 @@ def test_rows_match_pairwise_homs_and_counts(G, p):
             assert np.array_equal(lazy.hom(i, j), want)
             assert lazy.hom(i, j).shape[1] == E.rank
             assert len(want) == sum(S <= sets[j] for S in conjugates) * aut
-    # rows out of the representatives only: every other hom-set is carried
-    assert sorted(catalog.a_rows) == sorted(catalog.class_reps)
+    # rows out of the representatives that map into a larger rank only:
+    # every other hom-set is carried, or an isomorphism
+    assert sorted(i for _kind, i in catalog.rows) == [
+        r for r in sorted(catalog.class_reps) if not catalog.maximal[r]]
 
 
 def test_s6_rows_conjugate_once_per_class(monkeypatch):
@@ -56,9 +60,22 @@ def test_s6_rows_conjugate_once_per_class(monkeypatch):
     monkeypatch.setattr(cg, "hom_matrices", None)      # never reached for A
     homs = cg.build_category(cg.A, catalog).hom_dict()
     reps = [catalog.subgroups[r] for r in catalog.class_reps]
-    # the trivial class needs no conjugation: its one map is the empty one
-    assert sorted(calls) == sorted((E.basis, E.elements) for E in reps if E.rank)
+    # one call per representative; the trivial one's returns its one map,
+    # the empty one, without a conjugation
+    assert sorted(calls) == sorted((E.basis, E.elements) for E in reps)
     assert sum(map(len, homs.values())) == 53146
     # An(n) is A out of objects of rank at most n: the same cached arrays
     an5 = cg.build_category(cg.a_n(5), catalog).hom_dict()
     assert an5.keys() == homs.keys() and all(an5[k] is homs[k] for k in homs)
+
+
+def test_row_is_refused_on_its_exact_total(monkeypatch):
+    # A4 at p=2: the row out of a rank-1 subgroup holds 6 maps, one into
+    # each of its three conjugates and three into the Klein four-group
+    catalog = enumerate_elabs(close_generators(4, A4, name="a4"), 2)
+    rep = catalog.class_reps[1]
+    monkeypatch.setenv("ELABCAT_HOM_COUNT_CAP", "5")
+    with pytest.raises(CapExceeded, match="^the A hom-sets out of 1 objects hold 6 maps, "):
+        cg.build_category(cg.A, catalog).hom(rep, len(catalog) - 1)
+    monkeypatch.setenv("ELABCAT_HOM_COUNT_CAP", "6")
+    assert len(cg.build_category(cg.A, catalog).hom(rep, len(catalog) - 1)) == 3

@@ -62,8 +62,8 @@ def test_criterion_01_alt4_kind_gap():
         assert not cg.categories_equal(cg.A, cg.APRIME, cat).equal
         assert len(hom_matrices(cg.A, V, V)) == 3
         assert len(hom_matrices(cg.APRIME, V, V)) == 6
-        assert cg.minimal_prime_count(cg.A, cat) == 1
-        assert cg.minimal_prime_count(cg.APRIME, cat) == 1
+        assert len(cg.maximal_objects(cg.build_category(cg.A, cat))) == 1
+        assert len(cg.maximal_objects(cg.build_category(cg.APRIME, cat))) == 1
         assert cg.generic_fibre_index(cat, V) == 2
 
 

@@ -244,8 +244,12 @@ class TestGuardsAndFailures:
 
     @pytest.mark.parametrize("command", ["analyze", "closure"])
     def test_a_hom_sets_are_guarded_before_they_are_built(self, a4_path, tmp_path, command):
-        # A4 at p=2: the row out of a rank-1 subgroup holds 6 maps (three
-        # conjugates, each inside itself and the Klein four-group)
+        # A4 at p=2, cap 5: analyze counts A by its isomorphisms and is
+        # stopped by the bound on the Aprime automorphisms of the Klein
+        # four-group; closure counts its A base, 10 maps between class
+        # representatives, before it builds a row
+        message = {"analyze": "a hom-set of rank 2 into rank 2 may hold 9 maps",
+                   "closure": "the base between class representatives holds 10 maps"}
         args = [command, a4_path, "--prime", "2"]
         if command == "analyze":
             args += ["--kinds", "A"]
@@ -255,7 +259,7 @@ class TestGuardsAndFailures:
             args += ["--category", str(path)]
         r = run_cli(*args, env={"ELABCAT_HOM_COUNT_CAP": "5"})
         assert r.returncode == 3
-        assert r.stderr.startswith("error: guard hom_count_cap: the A hom-sets out of ")
+        assert r.stderr.startswith(f"error: guard hom_count_cap: {message[command]}, ")
         assert len(r.stderr.strip().splitlines()) == 1
         assert run_cli(*args, env={"ELABCAT_HOM_COUNT_CAP": "26"}).returncode == 0
 
@@ -585,6 +589,19 @@ class TestClosure:
         assert cli.main(["closure", a4_path, "--prime", "2", "--category",
                          str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["hom_count_after"] == 29
+
+    @pytest.mark.parametrize("document", [{}, {"homs": []}])
+    def test_empty_input_misses_the_trivial_automorphism(self, tmp_path, document):
+        # no base kind and no maps: the first A map it omits is the empty
+        # map of the trivial subgroup
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(document))
+        golden = Path(__file__).resolve().parent / "golden"
+        r = run_cli("closure", str(golden / "alt4.group.json"), "--prime", "2",
+                    "--category", str(path))
+        assert r.returncode == 5
+        assert r.stderr == ("error: input omits 1 conjugation-induced morphism "
+                            "on object pair (0, 0)\n")
 
     def test_unknown_subgroup_rejected(self, a4_path, tmp_path):
         path = tmp_path / "cat.json"

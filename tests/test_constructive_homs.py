@@ -14,9 +14,10 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import brute_hom_sets, code_rows, injective_oracle, weyl_image
+from brute_force import (brute_hom_sets, code_rows, generated_by, injective_oracle,
+                         weyl_image)
 from elabcat import categories as cg
-from elabcat.elabs import ElabSubgroup, enumerate_elabs, p_rank
+from elabcat.elabs import enumerate_elabs, p_rank
 from elabcat.gallery import affine_group
 from elabcat.groups import close_generators
 from test_hom_cache import small_groups
@@ -93,8 +94,8 @@ def cycles(p, k=3):
 def test_creg_search_matches_every_full_rank_matrix(p, rows, cols):
     assume(p ** (rows * cols) <= 4096)
     G, gens = cycles(p)
-    E = ElabSubgroup.generated_by(G, p, gens[:cols])
-    F = ElabSubgroup.generated_by(G, p, gens[:rows])
+    E = generated_by(G, p, gens[:cols])
+    F = generated_by(G, p, gens[:rows])
     got = cg.hom_matrices(cg.CREG, E, F)
     want = code_rows(injective_oracle(p, rows, cols), p)
     assert got.dtype == np.int64 and got.shape == (len(want), cols)

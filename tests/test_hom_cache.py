@@ -138,26 +138,36 @@ def test_analyze_computes_each_hom_set_once(counted):
     assert {kind.tag for kind, _, _ in counted} == {"Aprime"}
 
 
+@pytest.mark.parametrize("name, p, calls", [("z2-5", 2, 374), ("z3-4", 3, 424),
+                                            ("a4xa4", 2, 17)])
+def test_analyze_searches_only_between_equal_ranks(counted, name, p, calls):
+    # every other hom-set is an isomorphism carried into a larger rank
+    analyze_report(load_group(str(GOLDEN / f"{name}.group.json")), p)
+    assert sum(counted.values()) == calls
+    assert all(len(E) == len(F) for _kind, E, F in counted)
+
+
 def test_closure_reuses_loaded_base_homs(counted, monkeypatch, tmp_path, capsys):
     # A is built a row at a time, not through hom_matrices: one row per
-    # class representative, each once, and no other; the closure command
-    # never lists its input or its result pair by pair
+    # class representative that maps into a larger rank, each once, and no
+    # other; the closure command never lists its input or its result pair
+    # by pair
     catalogs, rows = [], Counter()
-    inner_rows, inner_catalog = cg._a_rows, cli.enumerate_elabs
+    inner_rows, inner_catalog = cg._rows, cli.enumerate_elabs
 
     def recorded(*args):
         catalogs.append(inner_catalog(*args))
         return catalogs[-1]
 
-    def counting(catalog, i, limit):
+    def counting(C, i, limit):
         rows[i] += 1
-        return inner_rows(catalog, i, limit)
+        return inner_rows(C, i, limit)
 
     def listing(*args, **kwargs):
         raise AssertionError("hom_dict called")
 
     monkeypatch.setattr(cli, "enumerate_elabs", recorded)
-    monkeypatch.setattr(cg, "_a_rows", counting)
+    monkeypatch.setattr(cg, "_rows", counting)
     monkeypatch.setattr(cg.SubgroupCategory, "hom_dict", listing)
     group, category = tmp_path / "a4.json", tmp_path / "cat.json"
     group.write_text(json.dumps({"name": "a4", "degree": 4, "generators": A4}))
@@ -170,7 +180,7 @@ def test_closure_reuses_loaded_base_homs(counted, monkeypatch, tmp_path, capsys)
     assert json.loads(capsys.readouterr().out)["hom_count_after"] == 29
     (catalog,) = catalogs
     assert not counted
-    assert rows == Counter(catalog.class_reps)
+    assert rows == Counter(r for r in catalog.class_reps if not catalog.maximal[r])
 
 
 @pytest.mark.parametrize("entry", gallery.entry_names())
