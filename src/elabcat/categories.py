@@ -50,10 +50,12 @@ the definition of its kind alone, with no catalog:
                U of E is one of the A maps U -> F, tested for every map
                and every U in one sorted lookup (fpmat.restricts_into).
 
-closure requires every A-morphism in its input, so its result too is
-decided by the hom-sets between class representatives: it closes that
-skeleton alone, in semi-naive rounds (Abiteboul, Hull and Vianu,
-Foundations of Databases, 1995, ch. 13).
+closure requires every A-morphism in its input, so its result too is an
+isomorphism followed by an inclusion, and is decided by its isomorphisms
+between class representatives of one rank: it closes that groupoid alone,
+a rank at a time from the top, seeding each rank with the restrictions
+of the one above (semi-naive rounds, as in Abiteboul, Hull and Vianu,
+Foundations of Databases, 1995, ch. 13, within a rank).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .fpmat import (Mat, code_digits, column_codes, image_tables,  # noqa: F401
                     injective_count, mat_mul, mat_rank, matrix_of, restricts_into,
                     subspace_codes)
 from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, row_keys,
-                     runs, sorted_distinct)
+                     row_positions, runs, sorted_distinct)
 
 # -- kinds ------------------------------------------------------------
 
@@ -271,9 +273,10 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
 
 
 def _rows(C: SubgroupCategory, i: int, limit: int) -> None:
-    """Build row i of C's kind, every morphism out of a class
-    representative i, as catalog.rows[kind, i] = (targets, bounds, cols):
-    Hom(i, targets[t]) is cols[bounds[t]:bounds[t + 1]], if non-empty.
+    """Build row i of C's base, every morphism out of a class
+    representative i into a larger rank, as C._base_rows[kind, i] =
+    (targets, bounds, cols): Hom(i, targets[t]) is
+    cols[bounds[t]:bounds[t + 1]], if non-empty.
 
     With Y_k = w_k^-1 Y w_k the members of a class y of i's rank (w_k the
     class witnesses), Hom(E, F) is c_k o Iso(E, Y) over the Y_k inside F,
@@ -282,12 +285,12 @@ def _rows(C: SubgroupCategory, i: int, limit: int) -> None:
     the row, read off class_sizes, holds more than limit maps.
     """
     catalog, E = C.catalog, C.catalog.subgroups[i]
-    kind, reps = canonical(C.kind, E.rank), catalog.class_reps
+    kind, reps = C._kind_at(E.rank), catalog.class_reps
     starts, supers = catalog.containers
     class_starts, by_class, witnesses = catalog.class_table
     sizes = C.class_sizes()[catalog.class_of[i]]
-    _refuse_past_cap(f"the {kind.label()} hom-sets out of 1 objects hold",
-                     int(sizes @ np.diff(class_starts)), limit)
+    _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
+                     f"out of 1 objects hold", int(sizes @ np.diff(class_starts)), limit)
     targets, parts = [], []
     for y in np.flatnonzero(sizes * (np.array(catalog.ranks())[reps] == E.rank)).tolist():
         span = slice(class_starts[y], class_starts[y + 1])
@@ -303,7 +306,7 @@ def _rows(C: SubgroupCategory, i: int, limit: int) -> None:
     target, cols = target[order], cols[order]
     cols.flags.writeable = False
     bounds = runs(target)
-    catalog.rows[kind, i] = (target[bounds[:-1]].tolist(), bounds, cols)
+    C._base_rows[kind, i] = (target[bounds[:-1]].tolist(), bounds, cols)
 
 
 # -- categories -------------------------------------------------------
@@ -314,15 +317,17 @@ class SubgroupCategory:
     representatives, and optional explicit maps keyed by pair.
 
     The base is a kind's, read from the catalog's hom cache that every
-    category over that catalog shares under canonical kinds, or given on
-    the representatives' pairs, as closure gives its result (closed like
-    a kind, so its sizes too are read off its isomorphisms); an explicit
-    category (kind None, nothing given) has an empty one.  Every kind and
-    every closure holds the conjugation isomorphisms, so the base's
-    Hom(i, j) off the representatives is c_j o Hom(rep i, rep j) o c_i^-1,
-    one gather, c_k the conjugation isomorphism onto k (conjugation_codes).
-    hom(i, j) unites it with the explicit maps at (i, j).  Hom-sets are
-    read-only column-code arrays (see the module docstring).
+    category over that catalog shares under canonical kinds, or given by
+    its isomorphisms between representatives of one rank, as closure
+    gives its result (closed like a kind, so its sizes are read off them
+    and its rows into larger ranks built from them, both kept on the
+    category); an explicit category (kind None, nothing given) has an
+    empty one.  Every kind and every closure holds the conjugation
+    isomorphisms, so the base's Hom(i, j) off the representatives is
+    c_j o Hom(rep i, rep j) o c_i^-1, one gather, c_k the conjugation
+    isomorphism onto k (conjugation_codes).  hom(i, j) unites it with
+    the explicit maps at (i, j).  Hom-sets are read-only column-code
+    arrays (see the module docstring).
     """
 
     def __init__(self, catalog: ElabCatalog, kind: Optional[CategoryKind],
@@ -331,15 +336,23 @@ class SubgroupCategory:
         self.catalog = catalog
         self.kind = kind
         self.maps = {key: cols for key, cols in (homs or {}).items() if len(cols)}
-        # the base's hom-sets by (canonical kind, i, j), kind None if given
-        self._base = catalog.homs if kind is not None else {
+        # the base's hom-sets by (canonical kind, i, j), its rows (see
+        # _rows) and its class_sizes, shared by a kind's categories
+        shared = kind is not None
+        self._base = catalog.homs if shared else {
             (None, i, j): cols for (i, j), cols in (reps or {}).items()}
+        self._base_rows = catalog.rows if shared else {}
+        self._base_sizes = catalog.sizes if shared else {}
         for cols in chain(self.maps.values(), (reps or {}).values()):
             cols.flags.writeable = False
 
     @property
     def provenance(self) -> str:
         return self.kind.label() if self.kind is not None else "explicit"
+
+    def _kind_at(self, rank: int) -> Optional[CategoryKind]:
+        """The canonical kind out of a domain of that rank; None if given."""
+        return canonical(self.kind, rank) if self.kind is not None else None
 
     def hom(self, i: int, j: int) -> np.ndarray:
         got, extra = self._base_hom(i, j), self.maps.get((i, j))
@@ -353,24 +366,27 @@ class SubgroupCategory:
         representatives (isomorphisms, or a row into a larger rank),
         carried to any other pair, kept once read."""
         catalog, E, F = self.catalog, self.catalog.subgroups[i], self.catalog.subgroups[j]
-        kind = canonical(self.kind, E.rank) if self.kind is not None else None
+        kind = self._kind_at(E.rank)
         got = self._base.get((kind, i, j))
         if got is not None:
             return got
-        ri, rj = (catalog.class_reps[catalog.class_of[k]] for k in (i, j))
+        ci, cj = catalog.class_of[i], catalog.class_of[j]
+        ri, rj = catalog.class_reps[ci], catalog.class_reps[cj]
         none = np.zeros((0, E.rank), dtype=np.int64)
         if (i, j) != (ri, rj):
             got = self._base_hom(ri, rj)
             if len(got):
                 got = _carried(catalog, got, np.array([i]), np.array([j]))[0, 0]
-        elif kind is None or E.rank > F.rank:
+        elif E.rank > F.rank or (kind is None and E.rank == F.rank):
             return none
         elif E.rank < F.rank:
-            if (kind, i) not in catalog.rows:
+            if not self.class_sizes()[ci, cj]:
+                return none
+            if (kind, i) not in self._base_rows:
                 _rows(self, i, _cap("hom_count_cap"))
-            targets, bounds, cols = catalog.rows[kind, i]
+            targets, bounds, cols = self._base_rows[kind, i]
             t = bisect_left(targets, j)
-            got = cols[bounds[t]:bounds[t + 1]] if targets[t:t + 1] == [j] else none
+            got = cols[bounds[t]:bounds[t + 1]]
         elif kind == A:       # members of different classes are not conjugate
             got = distinct_rows(_conjugation_images(catalog.group, E.basis, E)) if i == j else none
         elif kind.tag == "An":
@@ -395,14 +411,14 @@ class SubgroupCategory:
         return got
 
     def class_sizes(self) -> np.ndarray:
-        """The base's |Hom(rep x, rep y)| for all classes x, y, kept in
-        catalog.sizes for a kind: I @ catalog.class_inclusions (see _rows),
-        I[x, y] the isomorphisms rep x -> rep y, read only where the
-        class_counts rows (Creg's for an explicit base) are equal, and
-        counted as |GL_r| for Creg.  Class labels follow rank order, so
+        """The base's |Hom(rep x, rep y)| for all classes x, y, kept once
+        read: I @ catalog.class_inclusions (see _rows), I[x, y] the
+        isomorphisms rep x -> rep y, read only where the class_counts
+        rows (Creg's for an explicit base) are equal, and counted as
+        |GL_r| for Creg.  Class labels follow rank order, so
         between classes of one rank this is I."""
         catalog, reps = self.catalog, self.catalog.class_reps
-        if (got := catalog.sizes.get(self.kind)) is None:
+        if (got := self._base_sizes.get(self.kind)) is None:
             key = row_keys(np.array([class_counts(catalog.subgroups[r], self.kind or CREG)[1]
                                      for r in reps]))
             key = np.searchsorted(sorted_distinct(key), key)      # equal rows, equal keys
@@ -420,8 +436,7 @@ class SubgroupCategory:
             np.add.at(sums, first, catalog.class_inclusions)
             got = iso.diagonal()[:, None] * sums[first]
             got.flags.writeable = False
-            if self.kind is not None:
-                catalog.sizes[self.kind] = got
+            self._base_sizes[self.kind] = got
         return got
 
     def pair_sizes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -461,8 +476,7 @@ class SubgroupCategory:
         starts, members, _ = catalog.class_table
         at = np.empty(n, dtype=np.int64)            # each member's place in its class
         at[members] = np.arange(n) - np.repeat(starts[:-1], np.diff(starts))
-        kinds = [canonical(self.kind, catalog.subgroups[r].rank) if self.kind is not None
-                 else None for r in reps]
+        kinds = [self._kind_at(catalog.subgroups[r].rank) for r in reps]
         carried = {}
         for x, y in np.argwhere(self.class_sizes()).tolist():
             carried[x, y] = _carried(catalog, self._base_hom(reps[x], reps[y]),
@@ -519,238 +533,192 @@ def explicit_category(catalog: ElabCatalog,
 
 # -- closure ----------------------------------------------------------
 
-
-def _key_dtype(p: int, max_rank: int, n: int):
-    """int64 when every hom key over n objects of rank at most max_rank
-    fits in it, else object (exact Python ints)."""
-    return np.int64 if p ** (max_rank * max_rank) * n * n <= 2 ** 63 else object
-
-
-def _hom_keys(cols: np.ndarray, dom: np.ndarray, cod: np.ndarray, base: int,
-              n: int, dtype) -> np.ndarray:
-    """Exact key (code * n + dom) * n + cod of each hom dom -> cod given by
-    its column codes, where code = sum_k cols[:, k] base^k and base is the
-    number of vectors of the codomain.  (dom, cod) fixes the shape, so
-    keys of different shapes never meet."""
-    places = np.array([base ** k for k in range(cols.shape[1])], dtype=dtype)
-    code = cols.astype(dtype) @ places
-    return (code * n + dom.astype(dtype)) * n + cod.astype(dtype)
+# Isomorphisms between class representatives of one rank r, as arrays
+# (domain classes, codomain classes, image tables): row t of the table
+# holds the code in the codomain representative of the image of every
+# vector code of the domain representative.
+Isos = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _decode(keys: np.ndarray, base: int, width: int,
-            n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dom, cod, column codes) of keys made by _hom_keys for one shape."""
-    places = np.array([base ** k for k in range(width)], dtype=keys.dtype)
-    code, pair = keys // (n * n), keys % (n * n)
-    cols = (code[:, None] // places % base).astype(np.int64)
-    return (pair // n).astype(np.int64), (pair % n).astype(np.int64), cols
+def _iso_keys(dom: np.ndarray, cod: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Exact key of each map dom -> cod between classes, given by its
+    column codes: the keys order as the tuples (dom, cod, *cols) do,
+    however many places the codes take."""
+    return row_keys(np.column_stack([dom, cod, cols]))
 
 
-def _shape_keys(homs: dict[tuple[int, int], np.ndarray], ranks: list[int],
-                p: int, dtype) -> dict[tuple[int, int], np.ndarray]:
-    """Sorted _hom_keys of the hom-sets in homs, by (codomain rank, domain
-    rank)."""
-    n, top, sets = len(ranks), max(ranks) + 1, list(homs.values())
-    dom, cod = np.fromiter(chain.from_iterable(homs), dtype=np.int64,
-                           count=2 * len(sets)).reshape(-1, 2).T
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    shape = np.array(ranks)[cod] * top + np.array(ranks)[dom]
-    out = {}
-    for s in sorted_distinct(shape).tolist():
-        at, (rows, width) = np.flatnonzero(shape == s), divmod(s, top)
-        out[rows, width] = np.sort(_hom_keys(
-            np.concatenate([sets[k] for k in at.tolist()]), np.repeat(dom[at], sizes[at]),
-            np.repeat(cod[at], sizes[at]), p ** rows, n, dtype))
-    return out
+def _joined(parts: Sequence[Isos]) -> Isos:
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _by_object(obj: np.ndarray, other: np.ndarray,
-               data: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Split (other, data) by the object in obj."""
-    order = np.argsort(obj, kind="stable")
-    obj = obj[order]
-    bounds = runs(obj) if len(obj) else []
-    return {int(obj[a]): (other[order[a:b]], data[order[a:b]])
-            for a, b in zip(bounds, bounds[1:])}
+def _unknown(maps: Isos, known: np.ndarray, basis: np.ndarray) -> tuple[Isos, np.ndarray]:
+    """The distinct maps among maps whose keys are not in known (sorted),
+    and their keys; basis holds the codes of the domain's basis."""
+    keys = _iso_keys(maps[0], maps[1], maps[2][:, basis])
+    order = np.argsort(keys)
+    keys = keys[order]
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    keep &= ~find_sorted(known, keys)[1]
+    return tuple(a[order[keep]] for a in maps), keys[keep]
 
 
-def _extend(index: dict, parts: dict) -> None:
-    """Append each (far ends, data) part to the index entry of its rank."""
-    for r, (ends, data) in parts.items():
-        old = index.get(r)
-        index[r] = (ends, data) if old is None else (
-            np.concatenate((old[0], ends)), np.concatenate((old[1], data)))
+def _composed(f: Isos, g: Isos) -> Isos:
+    """g o h for every h in f and g in g with h's codomain g's domain."""
+    order = np.argsort(g[0], kind="stable")
+    ends = g[0][order]
+    t, at = ranges(np.searchsorted(ends, f[1]), np.searchsorted(ends, f[1], side="right"))
+    at = order[at]
+    return f[0][t], g[1][at], np.take_along_axis(g[2][at], f[2][t], axis=1)
 
 
-def _conjugated(cols: np.ndarray, rows: int, at: np.ndarray, onto: np.ndarray,
-                p: int) -> np.ndarray:
-    """For maps f given by column codes into a rank-rows codomain, the maps
-    whose column k is onto[f(x_k)], x_k the vector of code at[k]: at and
-    onto give one row per map, or one row for all of them."""
-    images = np.take_along_axis(image_tables(cols, p, rows), at, axis=1)
-    return np.take_along_axis(onto, images, axis=1)
+def _groupoid(old: Isos, seeds: Isos, basis: np.ndarray) -> Optional[Isos]:
+    """The isomorphisms that seeds add to old, a groupoid that holds
+    every identity (None if they add none).  Every member of the
+    groupoid they generate is a word in old, the seeds and their
+    inverses (the argsort of a table), so it is the least set holding
+    old that is closed under composing on the left with one of those:
+    semi-naive rounds, each composing only the maps first found in the
+    last one.  Old is closed, so the first round composes the seeds and
+    their inverses with old's members."""
+    known = np.sort(_iso_keys(old[0], old[1], old[2][:, basis]))
+    seeds = _unknown(seeds, known, basis)[0]
+    gens = _joined([seeds, (seeds[1], seeds[0], np.argsort(seeds[2], axis=1))])
+    delta, keys = _unknown(_composed(old, gens), known, basis)
+    gens, added = _joined([gens, old]), []
+    while len(keys):
+        known = np.sort(np.concatenate([known, keys]))
+        added.append(delta)
+        delta, keys = _unknown(_composed(delta, gens), known, basis)
+    return _joined(added) if added else None
+
+
+def _onto_images(catalog: ElabCatalog, dom: np.ndarray, elems: np.ndarray,
+                 rank: int) -> Isos:
+    """Maps out of the representatives of the classes dom, each given by
+    the ambient elements its codes go to (one row of p^rank per map),
+    corestricted onto their images, catalog members T found among the
+    sorted element rows of one rank, and carried to the representative
+    of T by c_T^-1."""
+    ranks = np.array(catalog.ranks())
+    lo, hi = np.searchsorted(ranks, [rank, rank + 1])
+    rows = np.array([E.elements for E in catalog.subgroups[lo:hi]])
+    T = lo + row_positions(rows, row_keys(rows), np.sort(elems, axis=1))
+    back = np.argsort(catalog.conjugation_codes[T, :elems.shape[1]], axis=1)
+    return dom, np.array(catalog.class_of)[T], np.take_along_axis(
+        back, catalog.codes_in(T[:, None], elems), axis=1)
+
+
+def _restricted(catalog: ElabCatalog, maps: Isos, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(domain classes, image elements), as _onto_images reads them, of
+    every map x -> y of maps restricted to each member S of rank - 1
+    inside rep x, read on rep S through c_S."""
+    ranks, cls = np.array(catalog.ranks()), np.array(catalog.class_of)
+    ys = np.flatnonzero(ranks[catalog.class_reps] == rank)    # classes follow rank order
+    by_code = np.array([catalog.subgroups[catalog.class_reps[y]].by_code for y in ys.tolist()])
+    lo, hi = np.searchsorted(ranks, [rank - 1, rank])
+    starts, supers = catalog.containers
+    s, at = ranges(starts[lo:hi], starts[lo + 1:hi + 1])
+    s, x = s + lo, supers[at]
+    keep = (np.array(catalog.class_reps)[cls[x]] == x) & (ranks[x] == rank)
+    s, x = s[keep], x[keep]
+    q = catalog.prime ** (rank - 1)
+    inner = np.array([catalog.subgroups[k].by_code for k in s.tolist()]).reshape(len(s), q)
+    pull = catalog.codes_in(x[:, None], np.take_along_axis(
+        inner, catalog.conjugation_codes[s, :q], axis=1))     # codes in rep x
+    order = np.argsort(cls[x], kind="stable")
+    ends = cls[x][order]
+    f, k = ranges(np.searchsorted(ends, maps[0]), np.searchsorted(ends, maps[0], side="right"))
+    k = order[k]
+    images = np.take_along_axis(maps[2][f], pull[k], axis=1)
+    return cls[s][k], by_code[maps[1][f][:, None] - ys[0], images]
 
 
 def closure(C: SubgroupCategory) -> SubgroupCategory:
     """Smallest hom collection containing C that is closed under
     composition, restriction (both domain and codomain), and inverses of
-    bijective members, as a category whose base is given on the pairs of
-    class representatives (see SubgroupCategory).
+    bijective members, as a category whose base is given by its
+    isomorphisms between class representatives of one rank (see
+    SubgroupCategory).
 
     The input must contain every A-morphism (conjugation-induced maps and
     inclusions), on every pair.  Every kind does; an input without one,
     its maps all explicit, is checked, and ClosureGuardError names the
-    first pair that misses some.  Restricting a map's domain to S is then
-    composing it with the inclusion of S, so restriction reduces to
-    corestriction: narrowing the codomain to a catalog subgroup that
-    holds the image.  With every conjugation isomorphism c present,
-    Hom(E', F') = c o Hom(E, F) o c' for conjugates E' of E and F' of F,
-    so the full subcategory on the class representatives, a skeleton,
-    decides the closure.  Its seed is the input's base on the
-    representatives' pairs (A, for an explicit input; a kind's is
-    counted first, and refused past the hom count cap) and every other
-    input hom, carried to its representatives' pair by the class
-    witnesses; each corestriction onto a subgroup is carried on the same
-    way.
+    first pair that misses some.  The closure then holds the inclusions
+    and the conjugation isomorphisms and is closed under corestriction,
+    so each of its maps is an isomorphism onto its image followed by an
+    inclusion (Quillen's factorization; see the module docstring), and
+    its isomorphisms between representatives, a groupoid on the classes
+    of each rank, decide it.  A restriction of f is f o incl, whose
+    corestriction restricts f's isomorphism; and g o f corestricts to
+    the restriction of g's isomorphism to f's image, composed with f's.
+    So that groupoid is the least one that holds the seeds below and the
+    restriction, corestricted and carried, of each of its members to
+    every member inside the domain.  A restriction to a member of rank
+    r - 2 restricts one to a member of rank r - 1 that holds it, so the
+    members of one rank less suffice.
 
-    The fixpoint runs in semi-naive rounds.  Each round takes the homs
-    first found in the last one, D, and joins them only with the homs at
-    their endpoints: new = D o K_new  u  K_old o D, where K_old is the
-    collection before the round and K_new = K_old u D, so each composable
-    pair is multiplied exactly once.  A map out of an object is also held
-    as the table of the image code of every vector, so g o f is a gather
-    of f's columns from g's table: one numpy gather per middle object and
-    (domain rank, codomain rank).  Each hom is known by an exact integer
-    key (_hom_keys), and a sorted array of the keys found so far sorts the
-    products into known and new.  D's corestrictions and the inverses of
-    its square members, read off the inverse permutations of their tables,
-    join the candidates of the next round.
+    The seeds are the input base's isomorphisms (A's, for an explicit
+    input; a kind's is counted first, and refused past the hom count
+    cap) and each input map, corestricted onto its image and carried to
+    the representatives' pair by the conjugation isomorphisms.  The base
+    is closed under all three rules, so only the isomorphisms it lacks
+    are worked on.  Ranks are closed from the top down: each rank closes
+    its seeds and its base under composition and inverse (_groupoid),
+    then restricts the isomorphisms it added to every member of one rank
+    less inside their domain (_restricted), which seed the rank below.
+    No map between ranks is built; the result reads those through _rows.
     """
-    catalog = C.catalog
-    n, p, ranks = len(catalog), catalog.prime, catalog.ranks()
-    dtype = _key_dtype(p, max(ranks), n)
-    reps = catalog.class_reps
-    rep_of, codes = np.array(reps)[catalog.class_of], catalog.conjugation_codes
-    is_rep = rep_of == np.arange(n)
+    catalog, p, reps = C.catalog, C.catalog.prime, C.catalog.class_reps
+    rank, inputs = np.array(catalog.ranks())[reps], list(C.maps.items())
     if C.kind is None:
         # every kind holds A; an explicit input must list it on every pair
-        base = _shape_keys(build_category(A, catalog).hom_dict(), ranks, p, dtype)
-        given = _shape_keys(C.hom_dict(), ranks, p, dtype)
-        # a key mod n^2 is its pair dom * n + cod
-        missing = np.concatenate([keys[~find_sorted(given.get(shape, keys[:0]), keys)[1]]
-                                  % (n * n) for shape, keys in base.items()])
-        if len(missing):
-            i, j = divmod(int(missing.min()), n)
-            count = int((missing == i * n + j).sum())
-            raise ClosureGuardError(
-                f"input omits {count} conjugation-induced "
-                f"morphism{'s' if count != 1 else ''} "
-                f"on object pair ({i}, {j})")
-        extra = {shape: keys[~find_sorted(base.get(shape, keys[:0]), keys)[1]]
-                 for shape, keys in given.items()}
+        base = build_category(A, catalog)
+        for (i, j), maps in base.hom_dict().items():          # in row-major order
+            given = set(map(tuple, C.hom(i, j).tolist()))
+            count = sum(m not in given for m in map(tuple, maps.tolist()))
+            if count:
+                raise ClosureGuardError(
+                    f"input omits {count} conjugation-induced "
+                    f"morphism{'s' if count != 1 else ''} "
+                    f"on object pair ({i}, {j})")
+        # a given base (a closure's) enters by its isomorphisms
+        inputs += [((reps[x], reps[y]), C._base_hom(reps[x], reps[y]))
+                   for x, y in np.argwhere(C.class_sizes()).tolist() if rank[x] == rank[y]]
     else:
         _refuse_past_cap("the base between class representatives holds",
                          int(C.class_sizes().sum()))
-        base = _shape_keys({(reps[x], reps[y]): C._base_hom(reps[x], reps[y])
-                            for x, y in np.argwhere(C.class_sizes()).tolist()}, ranks, p, dtype)
-        extra = _shape_keys(C.maps, ranks, p, dtype) if C.maps else {}
-
-    known = np.zeros(0, dtype=dtype)      # sorted keys of every hom found
-    found: dict[tuple[int, int], list] = {}   # the same, by shape
-    pool: dict[tuple[int, int], list] = {}    # new keys, by shape
-
-    def offer(cols: np.ndarray, dom: np.ndarray, cod: np.ndarray, rows: int) -> None:
-        """Queue the homs (column codes into a rank-rows codomain) that are
-        not known yet."""
-        keys = _hom_keys(cols, dom, cod, p ** rows, n, dtype)
-        keys = keys[~find_sorted(known, keys)[1]]
-        if len(keys):
-            pool.setdefault((rows, cols.shape[1]), []).append(keys)
-
-    # the seed: the base on the representatives' pairs, and every other
-    # hom f: dom -> cod carried to theirs, c_cod^-1 o f o c_dom
-    for (rows, width), keys in base.items():
-        pair = (keys % (n * n)).astype(np.int64)
-        mine = keys[is_rep[pair // n] & is_rep[pair % n]]
-        if len(mine):
-            pool[rows, width] = [mine]
-    for (rows, width), keys in extra.items():
-        dom, cod, cols = _decode(keys, p ** rows, width, n)
-        basis = codes[dom[:, None], p ** np.arange(width)]     # c_dom on rep dom's basis
-        offer(_conjugated(cols, rows, basis, np.argsort(codes[cod, :p ** rows], axis=1), p),
-              rep_of[dom], rep_of[cod], rows)
-
-    # per representative j and rank: the representatives of the objects t
-    # strictly inside j, and the code there of each vector code of j
-    # carried by c_t^-1 (-1 off t), so a corestriction lands carried
-    starts, supers = catalog.containers
-    inner, at = ranges(starts[:-1], starts[1:])
-    outer = supers[at]
-    keep = (inner != outer) & is_rep[outer]
-    inner, outer = inner[keep], outer[keep]
-    narrowing: list[dict] = [{} for _ in range(n)]
-    top = max(ranks) + 1
-    for key, (ts, _) in _by_object(outer * top + np.array(ranks)[inner], inner, inner).items():
-        j, r = divmod(key, top)
-        inside = catalog.codes_in(ts[:, None], catalog.subgroups[j].by_code)
-        back = np.argsort(codes[ts, :p ** r], axis=1)
-        narrowing[j][r] = (rep_of[ts], np.where(
-            inside >= 0, np.take_along_axis(back, np.maximum(inside, 0), axis=1), -1))
-
-    # per object, by rank of the far end: (far ends, column codes) of the
-    # homs into it, (far ends, image tables) of the homs out of it
-    into: list[dict] = [{} for _ in range(n)]    # every hom found
-    out_of: list[dict] = [{} for _ in range(n)]  # homs found before this round
-    while pool:
-        delta = {shape: sorted_distinct(np.concatenate(chunks))
-                 for shape, chunks in pool.items()}
-        pool.clear()
-        known = np.sort(np.concatenate([known, *delta.values()]))
-        d_in: list[dict] = [{} for _ in range(n)]
-        d_out: list[dict] = [{} for _ in range(n)]
-        for (rows, width), keys in delta.items():
-            found.setdefault((rows, width), []).append(keys)
-            dom, cod, cols = _decode(keys, p ** rows, width, n)
-            tables = image_tables(cols, p, rows)
-            for j, part in _by_object(cod, dom, cols).items():
-                d_in[j][width] = part
-            for i, part in _by_object(dom, cod, tables).items():
-                d_out[i][rows] = part
-            if rows == width > 0:
-                inverse = np.argsort(tables, axis=1)[:, p ** np.arange(rows)]
-                offer(inverse, cod, dom, rows)
-        for j in reps:
-            _extend(into[j], d_in[j])
-            for width, (dom, cols) in d_in[j].items():
-                for rows, (ts, inside) in narrowing[j].items():
-                    if rows < width:
-                        continue
-                    for b in blocks(len(cols), len(ts) * width):
-                        img = inside[:, cols[b]]            # (t, f, column)
-                        t, f = np.nonzero((img >= 0).all(axis=2))
-                        offer(img[t, f], dom[b][f], ts[t], rows)
-            pairs = [(r, g, f) for r, g in d_out[j].items() for f in into[j].values()]
-            pairs += [(r, g, f) for r, g in out_of[j].items() for f in d_in[j].values()]
-            for rows, (cod, tables), (dom, cols) in pairs:
-                width = cols.shape[1]
-                for b in blocks(len(cols), len(tables) * width):
-                    prod = tables[:, cols[b]]               # (g, f, column)
-                    offer(prod.reshape(prod.shape[0] * prod.shape[1], width),
-                          np.tile(dom[b], len(tables)), np.repeat(cod, prod.shape[1]),
-                          rows)
-            _extend(out_of[j], d_out[j])
-
-    # each pair's rows in lexicographic order, as every hom-set is held
+        base = C
+    sizes, top = base.class_sizes(), int(rank.max())
+    # by rank: (domain classes, image elements) of the maps to seed it, as
+    # _onto_images reads them; each input map E -> F through c_E
+    pending: list[list] = [[] for _ in range(top + 1)]
+    for (i, j), cols in inputs:
+        r = catalog.subgroups[i].rank
+        images = image_tables(cols, p, catalog.subgroups[j].rank)
+        pending[r].append((np.full(len(cols), catalog.class_of[i]), catalog.subgroups[j].by_code[
+            images[:, catalog.conjugation_codes[i, :p ** r]]]))
     homs: dict[tuple[int, int], np.ndarray] = {}
-    for (rows, width), chunks in found.items():
-        dom, cod, cols = _decode(np.concatenate(chunks), p ** rows, width, n)
-        pair = dom * n + cod
-        order = np.lexsort((*cols.T[::-1], pair))
-        pair, cols = pair[order], cols[order]
-        bounds = runs(pair)
-        i, j = np.divmod(pair[bounds[:-1]], n)
-        homs.update(zip(zip(i.tolist(), j.tolist()),
-                        map(cols.__getitem__, map(slice, bounds, bounds[1:]))))
+    xs, ys = np.nonzero(sizes * (rank[:, None] == rank))
+    for r in range(top, -1, -1):
+        at = rank[xs] == r
+        x, y = xs[at], ys[at]
+        mine = [base._base_hom(reps[a], reps[b]) for a, b in zip(x.tolist(), y.tolist())]
+        if pending[r]:
+            count, basis = [len(cols) for cols in mine], p ** np.arange(r)
+            old = (x.repeat(count), y.repeat(count), image_tables(np.concatenate(mine), p, r))
+            dom, elems = map(np.concatenate, zip(*pending[r]))
+            added = _groupoid(old, _onto_images(catalog, dom, elems, r), basis)
+            if added is not None:
+                if r:
+                    pending[r - 1].append(_restricted(catalog, added, r))
+                dom, cod, tables = _joined([old, added])
+                cols, pair = tables[:, basis], dom * len(reps) + cod
+                order = np.lexsort((*cols.T[::-1], pair))
+                cols, bounds = cols[order], runs(pair[order])
+                x, y = np.divmod(pair[order][bounds[:-1]], len(reps))
+                mine = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+        homs.update(zip([(reps[a], reps[b]) for a, b in zip(x.tolist(), y.tolist())], mine))
     return SubgroupCategory(catalog, None, reps=homs)
 
 
@@ -812,17 +780,22 @@ def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
     Hom-sets between conjugate objects differ only by composition with
     conjugation isomorphisms, which both kinds contain, so representative
     pairs decide equality on the whole category.  (The test suite spot
-    checks this against all pairs on small groups.)  Beside A, Creg or
-    An(0) a kind is nested, so only pairs whose class_sizes differ are
-    read; otherwise every pair where either is non-zero, in row-major
-    order.  The witness, at the first pair that differs, is the smallest
-    matrix, as a tuple of row tuples, in one hom-set only.
+    checks this against all pairs on small groups.)  A hom-set into a
+    larger rank is carried from isomorphisms between representatives of
+    one rank (see _rows), and class labels follow rank order, so the
+    first pair that differs, in row-major order, is one of equal rank:
+    only those are read.  Beside A, Creg or An(0) a kind is nested, so
+    only pairs whose class_sizes differ; otherwise every pair where
+    either is non-zero.  The witness, at the first pair that differs, is
+    the smallest matrix, as a tuple of row tuples, in one hom-set only.
     """
     C1, C2 = build_category(kind1, catalog), build_category(kind2, catalog)
     reps, p = catalog.class_reps, catalog.prime
     S1, S2 = C1.class_sizes(), C2.class_sizes()
+    rank = np.array(catalog.ranks())[reps]
     nested = {kind1, kind2} & {A, CREG, a_n(0)}
-    for ci, cj in np.argwhere(S1 != S2 if nested else (S1 > 0) | (S2 > 0)).tolist():
+    walk = (S1 != S2 if nested else (S1 > 0) | (S2 > 0)) & (rank[:, None] == rank)
+    for ci, cj in np.argwhere(walk).tolist():
         h1, h2 = C1.hom(reps[ci], reps[cj]), C2.hom(reps[ci], reps[cj])
         if not np.array_equal(h1, h2):
             s1, s2 = set(map(tuple, h1.tolist())), set(map(tuple, h2.tolist()))

@@ -123,6 +123,34 @@ def test_categories_equal_on_kinds_that_are_not_nested():
         assert pairwise_equal(kind1, kind2, catalog) == (1, 1, ((2,),), "AprimeD(3)")
 
 
+@given(G=small_groups(), data=st.data())
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_categories_equal_walks_only_equal_ranks(G, data):
+    # kinds that are not nested at p = 3: the equal-rank walk finds the
+    # pair and the witness that a walk over all pairs, row-major, finds
+    catalog = enumerate_elabs(G, 3)
+    assume(len(catalog) <= 60)
+    kinds = [k for k in kinds_of(catalog) if k not in (cg.A, cg.CREG, cg.a_n(0))]
+    for _ in range(3):
+        kind1, kind2 = data.draw(st.sampled_from(kinds)), data.draw(st.sampled_from(kinds))
+        got = cg.categories_equal(kind1, kind2, catalog)
+        assert (None if got.equal else (got.domain_class, got.codomain_class, got.matrix,
+                                        got.only_in)) == pairwise_equal(kind1, kind2, catalog)
+
+
+def test_categories_equal_builds_no_row(monkeypatch):
+    # S7 at p=3: Aprime and AprimeD(2) agree, and only the isomorphisms
+    # between representatives of one rank are read to show it
+    catalog = enumerate_elabs(load_group(str(GOLDEN / "sym7.group.json")), 3)
+
+    def row(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cg, "_rows", row)
+    assert cg.categories_equal(cg.APRIME, cg.aprime_d(2), catalog).equal
+
+
 @pytest.mark.parametrize("kind1, kind2", [(cg.A, cg.CREG), (cg.CREG, cg.A),
                                           (cg.APRIME, cg.CREG)])
 def test_categories_equal_where_one_hom_set_is_empty(kind1, kind2):

@@ -1,10 +1,11 @@
-"""Closure: fixed points and laws on A4, the semi-naive closure against the
+"""Closure: fixed points and laws on A4, the groupoid closure against the
 worklist oracle and an independent closedness check on random groups,
-exact hom keys, and golden CLI reports frozen from the worklist closure.
+exact isomorphism keys, and golden CLI reports frozen from the worklist
+closure.
 """
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from brute_force import (brute_closure, codes, injective_oracle, matrices,
                          restriction, subgroups_of)
 from elabcat import categories as cg
 from elabcat import gallery
-from elabcat.cli import main
+from elabcat.cli import load_group, main
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import ClosureGuardError
 from elabcat.fpmat import mat_inv, mat_mul
@@ -321,62 +322,94 @@ def test_every_map_off_the_representatives(degree, gens, p):
 
 
 @pytest.mark.parametrize("make", [a4_grow, gl3_2_grow])
-def test_each_composable_pair_is_multiplied_once(make, monkeypatch):
-    # the fixpoint runs on the class representatives, and every hom
-    # between them is new in exactly one round, so the closure keys each
-    # product, corestriction and inverse there once: no more, no fewer.
-    # Besides, the guard keys every input hom and every A-morphism once,
-    # and each input hom that is no A-morphism is keyed once more, carried
-    # to its representatives' pair
-    keyed = []
-    real = cg._hom_keys
-    monkeypatch.setattr(cg, "_hom_keys",
-                        lambda cols, *rest: keyed.append(len(cols)) or real(cols, *rest))
+def test_closure_keys_only_isomorphisms(make, monkeypatch):
+    # the fixpoint runs on the isomorphisms between class representatives
+    # of one rank: it keys no map between ranks, every map it keys is an
+    # isomorphism of the result, and each one the result holds beyond A
+    # is keyed; a kind base with no map beside it is closed already, and
+    # nothing is keyed
+    keyed = set()
+    real = cg._iso_keys
+
+    def recording(dom, cod, cols):
+        keyed.update(zip(dom.tolist(), cod.tolist(), map(tuple, cols.tolist())))
+        return real(dom, cod, cols)
+
+    monkeypatch.setattr(cg, "_iso_keys", recording)
     C = make()
-    catalog, p = C.catalog, C.catalog.prime
-    reps = set(catalog.class_reps)
-    closed = {k: v for k, v in matrices(cg.closure(C)).items() if set(k) <= reps}
-    into, out_of = Counter(), Counter()
-    for (i, j), mats in closed.items():
-        out_of[i] += len(mats)
-        into[j] += len(mats)
-    subs_of = subgroups_of(catalog)
-    corestrictions = inverses = 0
-    for (i, j), mats in closed.items():
-        E, F = catalog.subgroups[i], catalog.subgroups[j]
-        inverses += len(mats) if E.rank == F.rank > 0 else 0
-        corestrictions += sum(restriction(E, F, E, catalog.subgroups[t], M, p) is not None
-                              for M in mats for t in subs_of[j] if t != j)
-    seed, base = hom_dict(C), hom_dict(cg.build_category(cg.A, catalog))
-    guard = sum(map(len, base.values())) + sum(map(len, seed.values()))
-    extra = sum(len(homs - base.get(key, set())) for key, homs in seed.items())
-    products = sum(into[j] * out_of[j] for j in reps)
-    assert sum(keyed) == guard + extra + products + corestrictions + inverses
+    catalog, reps = C.catalog, C.catalog.class_reps
+    ranks = [catalog.ranks()[r] for r in reps]
+    closed, base = cg.closure(C), cg.build_category(cg.A, catalog)
+    assert all(ranks[x] == ranks[y] == len(cols) for x, y, cols in keyed)
+    isos = {(x, y): set(map(tuple, closed.hom(reps[x], reps[y]).tolist()))
+            for x, y in itertools.product(range(len(reps)), repeat=2) if ranks[x] == ranks[y]}
+    assert all(cols in isos[x, y] for x, y, cols in keyed)
+    added = {(x, y, cols) for (x, y), maps in isos.items()
+             for cols in maps - set(map(tuple, base.hom(reps[x], reps[y]).tolist()))}
+    assert added and added <= keyed
+    keyed.clear()
+    cg.closure(base)
+    assert not keyed
 
 
 class TestHomKeys:
-    def test_int64_when_it_fits(self):
-        assert cg._key_dtype(2, 3, 271) is np.int64
-
     def test_exact_past_int64(self):
         # 8 x 8 over F_2: a matrix code has 64 binary places
-        dtype = cg._key_dtype(2, 8, 3)
-        assert dtype is object
-        cols = np.array([[255] * 8, [255] * 7 + [127], [0] * 7 + [128]])
-        dom, cod = np.array([2, 0, 1]), np.array([1, 2, 0])
-        keys = cg._hom_keys(cols, dom, cod, 2 ** 8, 3, dtype)
-        codes = [2 ** 64 - 1, 2 ** 63 - 1, 2 ** 63]
-        assert keys.tolist() == [(c * 3 + d) * 3 + e
-                                 for c, d, e in zip(codes, dom.tolist(), cod.tolist())]
-        back = cg._decode(keys, 2 ** 8, 8, 3)
-        for want, got in zip((dom, cod, cols), back):
-            assert (got == want).all()
+        cols = np.array([[255] * 8, [255] * 7 + [127], [0] * 7 + [128], [255] * 8,
+                         [255] * 8])
+        dom, cod = np.array([2, 0, 1, 2, 2]), np.array([1, 2, 0, 0, 1])
+        keys = cg._iso_keys(dom, cod, cols)
+        rows = [(d, c, *m) for d, c, m in zip(dom.tolist(), cod.tolist(), cols.tolist())]
+        assert [rows[k] for k in np.argsort(keys, kind="stable")] == sorted(rows)
+        assert len(set(keys.tolist())) == len(set(rows)) == 4
 
     def test_closure_with_python_int_keys(self, monkeypatch):
+        # the closure reads its keys only by order and equality
         C = gl3_2_grow()
         want = matrices(cg.closure(C))
-        monkeypatch.setattr(cg, "_key_dtype", lambda *args: object)
+
+        def int_keys(dom, cod, cols):
+            keys = np.empty(len(dom), dtype=object)
+            keys[:] = [sum(v << (32 * k) for k, v in enumerate(reversed(row)))
+                       for row in np.column_stack([dom, cod, cols]).tolist()]
+            return keys
+
+        monkeypatch.setattr(cg, "_iso_keys", int_keys)
         assert matrices(cg.closure(C)) == want
+
+
+def test_closures_over_one_catalog_keep_their_own_rows():
+    # S4 at p=2: a map between the lines of a transposition and of a
+    # double transposition, non-conjugate, joins their classes, so the two
+    # given bases differ on the rows out of those lines into the planes;
+    # each builds its rows from its own isomorphisms
+    catalog = enumerate_elabs(close_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)]), 2)
+    lines = [k for k, E in enumerate(catalog.subgroups) if E.rank == 1]
+    i = lines[0]
+    j = next(k for k in lines if catalog.class_of[k] != catalog.class_of[i])
+    seeds = [a_category_plus(catalog, [((i, j), ((1,),))]), cg.build_category(cg.A, catalog)]
+    closed = [cg.closure(C) for C in seeds]
+    got = [matrices(C) for C in closed]
+    assert any(len(closed[0].hom(i, k)) != len(closed[1].hom(i, k))
+               for k, E in enumerate(catalog.subgroups) if E.rank == 2)
+    for C, maps in zip(seeds, got):
+        assert maps == brute_closure(C)
+
+
+@pytest.mark.parametrize("kind", [cg.APRIME, cg.a_n(2), cg.aprime_d(2)])
+def test_closure_of_a_kind_with_extra_maps_is_idempotent(kind):
+    # (Z/3)^3 at p=3, with an automorphism of the top member that no kind
+    # holds and a map of a line into a plane beside the kind's base
+    catalog = enumerate_elabs(load_group(str(GOLDEN / "z3-3.group.json")), 3)
+    ranks, top = catalog.ranks(), len(catalog) - 1
+    line, plane = ranks.index(1), ranks.index(2)
+    extra = cg.explicit_category(catalog, {
+        (top, top): [codes(((0, 1, 0), (1, 0, 0), (0, 0, 1)), 3)],
+        (line, plane): [codes(((1,), (1,)), 3)]}).maps
+    once = cg.closure(cg.SubgroupCategory(catalog, kind, extra))
+    assert hom_dict(cg.closure(once)) == hom_dict(once)
+    assert sum(map(len, once.hom_dict().values())) > sum(
+        map(len, cg.build_category(kind, catalog).hom_dict().values()))
 
 
 @pytest.mark.parametrize("report", sorted(p.name for p in GOLDEN.glob("*.closure.json")))
