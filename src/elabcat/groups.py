@@ -22,15 +22,19 @@ element's int64 key packs its base images in mixed radix, digit k the
 rank of its image of b_k in the G-orbit of b_k, so keys order elements
 as their base images do, and that is the order of the rows: elements
 first differing on b_k agree on every point before it, which G_k fixes.
-A lookup is then one integer binary search for a whole batch.  Elements
-of G found by arithmetic (products, inverses, conjugates, transporters,
-the generator tables, the catalog's commuting pairs) are looked up by
-their base images alone (indices_of_base_images); arbitrary rows (index,
-membership, indices_of_rows, from_elements) are also compared with the
-element found, since a row may agree with one on the base only.
+Where the largest key is below ENTRIES_PER_ELEMENT per element, a
+direct-address table maps each key to its index and a lookup is one
+gather for a whole batch; groups with sparser keys keep one integer
+binary search.  Elements of G found by arithmetic (products, inverses,
+conjugates, transporters, the generator tables, the catalog's commuting
+pairs) are looked up by their base images alone
+(indices_of_base_images); arbitrary rows (index, membership,
+indices_of_rows, from_elements) are also compared with the element
+found, since a row may agree with one on the base only.
 
 One lookup builds the inverses and the right tables (the index of e * g
-for each generator g and every element e), from which come
+for each generator g and every element e), row-major with one row per
+generator, from which come
 
 * the conjugation tables, the index of g^-1 * e * g, gathered through
   the right tables and the inverses; orbits under the generators
@@ -302,9 +306,12 @@ class FiniteGroup:
     index 0.  base is the chain's base, int64 points; an element's key is
     rank[images] @ weights for its base images, rank[x] being x's rank in
     its G-orbit and weights[k] the product of the base's G-orbit sizes
-    after place k.  Derived tables (inverses, orders, conjugacy data,
-    centralizers) are computed lazily and cached.  Everything observable
-    is immutable after construction, so concurrent readers are safe.
+    after place k.  Keys below ENTRIES_PER_ELEMENT per element are looked
+    up in a direct-address table, position[key] = index, of one int64
+    entry per key up to the largest; sparser keys by binary search.
+    Derived tables (inverses, orders, conjugacy data, centralizers) are
+    computed lazily and cached.  Everything observable is immutable after
+    construction, so concurrent readers are safe.
     """
 
     def __init__(self, degree: int, generators: np.ndarray, rows: np.ndarray,
@@ -316,6 +323,11 @@ class FiniteGroup:
         keys = rank[rows[:, base]] @ weights
         order = np.argsort(keys)
         self._arr, self._keys = rows[order], keys[order]
+        # direct-address table of the keys, where they are dense enough
+        self._position: np.ndarray | None = None
+        if self._keys[-1] < ENTRIES_PER_ELEMENT * len(rows):
+            self._position = np.zeros(self._keys[-1] + 1, dtype=np.int64)
+            self._position[self._keys] = np.arange(len(rows))
         self.name = name or f"group<deg {degree}, order {len(rows)}>"
         self.identity_index = 0
         self._inv_idx: np.ndarray | None = None
@@ -365,13 +377,19 @@ class FiniteGroup:
         """Element index of each element of G given by its images of the
         base, an (..., len(base)) array; the result has shape (...).  The
         images must be an element's: nothing is checked."""
-        return np.searchsorted(self._keys, self._rank[images] @ self._weights)
+        return self._lookup(self._rank[images] @ self._weights)
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Element index of each key: one gather from the direct-address
+        table, else a binary search; some index for a key of no element."""
+        if self._position is None:
+            return np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        return np.take(self._position, keys, mode="clip")
 
     def _find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position, found) of each row of an (n, degree) image array: its
         base images give the one candidate, found says whether that is it."""
-        keys = np.take(self._rank, rows[:, self.base], mode="clip") @ self._weights
-        at = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        at = self._lookup(np.take(self._rank, rows[:, self.base], mode="clip") @ self._weights)
         return at, (self._arr[at] == rows).all(axis=1)
 
     def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -389,15 +407,17 @@ class FiniteGroup:
 
     @property
     def generator_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(conj, right), each a (len(generators), order) int64 array:
-        conj[k][i] is the index of g^-1 * e * g and right[k][i] the index
-        of e * g, for e = element i and g = generators[k].  right comes
-        with inverse_indices; conj[k] = r[inv[r[inv]]] for r = right[k]
-        and inv = inverse_indices, as g^-1 * e * g = ((e^-1 * g)^-1) * g.
-        Do not mutate."""
+        """(conj, right), each a C-contiguous (len(generators), order)
+        int64 array: conj[k][i] is the index of g^-1 * e * g and right[k][i]
+        the index of e * g, for e = element i and g = generators[k].  right
+        comes with inverse_indices; conj[k] = r[inv[r[inv]]] for r =
+        right[k] and inv = inverse_indices, as g^-1 * e * g = ((e^-1 * g)^-1)
+        * g, gathered row by row.  Do not mutate."""
         if self._conj_table is None:
             inv, r = self.inverse_indices, self._right
-            self._conj_table = np.take_along_axis(r, inv[r[:, inv]], axis=1)
+            self._conj_table = np.empty_like(r)
+            for rk, ck in zip(r, self._conj_table):
+                np.take(rk, inv[rk[inv]], out=ck)
         return self._conj_table, self._right
 
     # -- index-level arithmetic ---------------------------------------
@@ -434,8 +454,8 @@ class FiniteGroup:
         a point's cycle length being the first k with e^k(x) == x.  Order is
         a class function, so only class representatives are scanned."""
         if self._orders is None:
-            table = self.conjugacy
-            reps = self._arr[list(table.reps)]
+            self.conjugacy                  # sets _class_of and _class_reps
+            reps = self._arr[self._class_reps]
             points = np.arange(self.degree)
             cycle = np.zeros(reps.shape, dtype=np.int64)
             power = reps
@@ -444,7 +464,7 @@ class FiniteGroup:
                 if cycle.all():
                     break
                 power = np.take_along_axis(reps, power, axis=1)
-            self._orders = np.lcm.reduce(cycle, axis=1)[list(table.class_of)]
+            self._orders = np.lcm.reduce(cycle, axis=1)[self._class_of]
         return self._orders
 
     def conjugate_indices(self, g, targets) -> np.ndarray:
@@ -480,6 +500,7 @@ class FiniteGroup:
         each level generator by generator."""
         conj, right = self.generator_tables
         class_of, reps, sizes, witness = orbits(conj, right)
+        self._class_of, self._class_reps = class_of, reps
         return ConjugacyTable(tuple(class_of.tolist()), tuple(reps.tolist()),
                               tuple(sizes.tolist()), tuple(witness.tolist()))
 
@@ -522,7 +543,8 @@ class FiniteGroup:
 # bits of an element key, an int64
 KEY_BITS = 63
 # entries of an element table (order x degree) per element of the
-# configured element cap: 16 MiB of int32 at the default cap
+# configured element cap: 16 MiB of int32 at the default cap; also the
+# most keys per element for which a group keeps a direct-address table
 ENTRIES_PER_ELEMENT = 64
 
 

@@ -6,9 +6,11 @@ an element on the base only, and the guards that refuse a group before
 its elements are formed.
 """
 
+import itertools
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,15 @@ def a4_squared():
                ((three, ident), (double, ident), (ident, three), (ident, double))]
 
 
+def dihedral_squared(n):
+    """D_2n x D_2n on two disjoint sets of n points: each factor rotates
+    and reflects its own n-gon."""
+    ident = list(range(n))
+    rotate, reflect = [(x + 1) % n for x in ident], [-x % n for x in ident]
+    return 2 * n, [tuple(a + [x + n for x in b]) for a, b in
+                   ((rotate, ident), (reflect, ident), (ident, rotate), (ident, reflect))]
+
+
 def built(G):
     return G.degree, G.generators
 
@@ -52,6 +63,8 @@ NAMED = {
     "affine-8": lambda: built(gallery.affine_group(8)),
     "tri-2-3": lambda: built(gallery.triangular_group(2, 3)),
     "cyclic-15015": lambda: cycles(3, 5, 7, 11, 13),
+    # order 1,156 with keys up to 83,230, past 64 per element: the binary search
+    "D17xD17": lambda: dihedral_squared(17),
 }
 
 
@@ -67,6 +80,7 @@ def assert_matches_bfs(degree, gens, element_cap=None):
     for got, want in zip(G.generator_tables, (conj, right)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous               # tobytes() hides the layout
     assert G.base.dtype == base.dtype and G.base.tobytes() == base.tobytes()
     assert G.conjugacy == conjugacy
     assert (np.diff(G._keys) > 0).all()
@@ -75,6 +89,33 @@ def assert_matches_bfs(degree, gens, element_cap=None):
 @pytest.mark.parametrize("name", list(NAMED))
 def test_chain_matches_bfs_closure(name):
     assert_matches_bfs(*NAMED[name]())
+
+
+@pytest.mark.parametrize("name, direct", [("S7", True), ("gl3-3", True), ("D17xD17", False)])
+def test_direct_table_only_where_keys_are_dense(name, direct):
+    # S7: keys below 7^6 = 117,649 for 5,040 elements; gl3-3: 17,547 for
+    # 11,232; D17xD17: 83,231 for 1,156, more than 64 per element
+    G = close_generators(*NAMED[name]())
+    assert (G._position is not None) == direct
+    assert (G._keys[-1] < groups.ENTRIES_PER_ELEMENT * len(G)) == direct
+
+
+def test_keys_past_the_last_element_are_not_found():
+    doc = json.loads((Path(__file__).parent / "golden" / "a4xa4.group.json").read_text())
+    G = close_generators(doc["degree"], doc["generators"])
+    assert G._position is not None and G._keys[-1] == 238
+    rows = np.array(list(itertools.permutations(range(8))), dtype=np.int32)
+    past = rows[np.take(G._rank, rows[:, G.base]) @ G._weights > 238]
+    assert len(past) == 1440
+    assert tuple(past[0].tolist()) == (3, 7, 0, 1, 2, 4, 5, 6)
+    for row in (past[0], past[-1]):
+        perm = tuple(row.tolist())
+        assert perm not in G
+        with pytest.raises(KeyError):
+            G.index(perm)
+        with pytest.raises(KeyError):
+            G.indices_of_rows(np.vstack((G.array[:3], row)))
+    assert not G._find(past)[1].any()
 
 
 @st.composite
@@ -115,7 +156,8 @@ def test_chain_matches_bfs_closure_on_random_groups(group):
 
 
 def test_rows_agreeing_on_the_base_are_checked():
-    for degree, gens in (NAMED["gl3-3"](), (4, [(1, 0, 3, 2), (2, 0, 1, 3)])):
+    for degree, gens in (NAMED["gl3-3"](), (4, [(1, 0, 3, 2), (2, 0, 1, 3)]),
+                         NAMED["D17xD17"]()):
         G = close_generators(degree, gens)
         free = [x for x in range(degree) if x not in G.base.tolist()]
         for i in (0, 1, len(G) - 1):
