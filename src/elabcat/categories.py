@@ -64,7 +64,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -76,8 +76,8 @@ from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
 from .fpmat import (Mat, code_digits, column_codes, image_tables,  # noqa: F401
                     injective_count, mat_mul, mat_rank, matrix_of, restricts_into,
                     subspace_codes)
-from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, row_keys,
-                     row_positions, runs, sorted_distinct)
+from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, row_keys, runs,
+                     sorted_distinct)
 
 # -- kinds ------------------------------------------------------------
 
@@ -158,12 +158,11 @@ def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
         return np.zeros((1, 0), dtype=np.int64)
     class_of = G.conjugacy.class_of
     first = elems[0]
-    targets = [c for c, f in enumerate(F.by_code.tolist())
-               if class_of[f] == class_of[first]]
-    if not targets:
+    targets = np.flatnonzero(class_of[F.by_code] == class_of[first])
+    if not len(targets):
         return np.zeros((0, len(elems)), dtype=np.int64)
     if len(elems) == 1:
-        return np.array(targets, dtype=np.int64)[:, None]
+        return targets[:, None]
     cosets = G.transporter_indices(first, F.by_code[targets])
     images = F.codes_of(G.conjugate_indices(cosets, elems))
     return images[np.all(images >= 0, axis=1)]
@@ -178,7 +177,7 @@ def class_counts(E: ElabSubgroup, kind: CategoryKind) -> tuple[np.ndarray, np.nd
     is injective and keeps each element's merged class, so Hom(E, F) is
     empty unless F's counts dominate E's."""
     kind, p = canonical(kind, 1), E.prime
-    cls = np.array([E.ambient.conjugacy.class_of[e] for e in E.by_code.tolist()])
+    cls = E.ambient.conjugacy.class_of[E.by_code]
     if kind == CREG:
         cls = np.minimum(cls, 1)
     elif kind.tag == "AprimeD" and E.rank:
@@ -284,23 +283,24 @@ def _rows(C: SubgroupCategory, i: int, limit: int) -> None:
     distinct images.  Refused (CapExceeded) before anything is built when
     the row, read off class_sizes, holds more than limit maps.
     """
-    catalog, E = C.catalog, C.catalog.subgroups[i]
-    kind, reps = C._kind_at(E.rank), catalog.class_reps
+    catalog, reps = C.catalog, C.catalog.class_reps
+    rank = catalog.ranks().item(i)
+    kind = C._kind_at(rank)
     starts, supers = catalog.containers
     class_starts, by_class, witnesses = catalog.class_table
     sizes = C.class_sizes()[catalog.class_of[i]]
     _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
                      f"out of 1 objects hold", int(sizes @ np.diff(class_starts)), limit)
     targets, parts = [], []
-    for y in np.flatnonzero(sizes * (np.array(catalog.ranks())[reps] == E.rank)).tolist():
+    for y in np.flatnonzero(sizes * (catalog.ranks()[reps] == rank)).tolist():
         span = slice(class_starts[y], class_starts[y + 1])
         iso, members = C._base_hom(i, reps[y]), by_class[span]
-        conj = catalog.group.conjugate_indices(witnesses[span], catalog.subgroups[reps[y]].by_code)
+        conj = catalog.group.conjugate_indices(witnesses[span], catalog.by_code(reps[y]))
         k_of, at = ranges(starts[members], starts[members + 1])
         targets.append(supers[at].repeat(len(iso)))
-        parts.append(conj[k_of[:, None, None], iso].reshape(len(targets[-1]), E.rank))
+        parts.append(conj[k_of[:, None, None], iso].reshape(len(targets[-1]), rank))
     target, cols = np.concatenate(targets), np.concatenate(parts)
-    for b in blocks(len(target), E.rank):
+    for b in blocks(len(target), rank):
         cols[b] = catalog.codes_in(target[b, None], cols[b])
     order = np.lexsort((*cols.T[::-1], target))
     target, cols = target[order], cols[order]
@@ -365,21 +365,23 @@ class SubgroupCategory:
         """The base's Hom(i, j): given or built on a pair of
         representatives (isomorphisms, or a row into a larger rank),
         carried to any other pair, kept once read."""
-        catalog, E, F = self.catalog, self.catalog.subgroups[i], self.catalog.subgroups[j]
-        kind = self._kind_at(E.rank)
+        catalog = self.catalog
+        ranks, cls, reps = catalog.ranks(), catalog.class_of, catalog.class_reps
+        r, s = ranks.item(i), ranks.item(j)
+        kind = self._kind_at(r)
         got = self._base.get((kind, i, j))
         if got is not None:
             return got
-        ci, cj = catalog.class_of[i], catalog.class_of[j]
-        ri, rj = catalog.class_reps[ci], catalog.class_reps[cj]
-        none = np.zeros((0, E.rank), dtype=np.int64)
+        ci, cj = cls.item(i), cls.item(j)
+        ri, rj = reps.item(ci), reps.item(cj)
+        none = np.zeros((0, r), dtype=np.int64)
         if (i, j) != (ri, rj):
             got = self._base_hom(ri, rj)
             if len(got):
                 got = _carried(catalog, got, np.array([i]), np.array([j]))[0, 0]
-        elif E.rank > F.rank or (kind is None and E.rank == F.rank):
+        elif r > s or (kind is None and r == s):
             return none
-        elif E.rank < F.rank:
+        elif r < s:
             if not self.class_sizes()[ci, cj]:
                 return none
             if (kind, i) not in self._base_rows:
@@ -388,6 +390,7 @@ class SubgroupCategory:
             t = bisect_left(targets, j)
             got = cols[bounds[t]:bounds[t + 1]]
         elif kind == A:       # members of different classes are not conjugate
+            E = catalog.subgroups[i]
             got = distinct_rows(_conjugation_images(catalog.group, E.basis, E)) if i == j else none
         elif kind.tag == "An":
             # A <= An(n) <= Aprime, so equal sizes decide; else keep the
@@ -398,14 +401,14 @@ class SubgroupCategory:
             if len(got) == len(in_a(i, j)):
                 got = in_a(i, j)
             else:
-                members = [catalog.index_of_elements(E.by_code[s].tolist())
-                           for s in subspace_codes(E.prime, E.rank, kind.param)]
-                at = np.array([E.codes_of(catalog.subgroups[u].by_code[catalog.conjugation_codes[
-                    u, E.prime ** np.arange(kind.param)]]) for u in members])
-                got = got[restricts_into(got, E.prime, F.rank, at, [
-                    in_a(catalog.class_reps[catalog.class_of[u]], j) for u in members])]
+                p, n, E = catalog.prime, kind.param, catalog.subgroups[i]
+                members = catalog.indices_of_sets(E.by_code[subspace_codes(p, r, n)])
+                images = catalog.conjugation_codes[members][:, p ** np.arange(n)]
+                at = E.codes_of(np.take_along_axis(catalog.by_codes(n, members), images, axis=1))
+                got = got[restricts_into(got, p, s, at, [
+                    in_a(u, j) for u in reps[cls[members]].tolist()])]
         else:
-            got = hom_matrices(kind, E, F)
+            got = hom_matrices(kind, catalog.subgroups[i], catalog.subgroups[j])
         got.flags.writeable = False
         self._base[kind, i, j] = got
         return got
@@ -417,7 +420,7 @@ class SubgroupCategory:
         rows (Creg's for an explicit base) are equal, and counted as
         |GL_r| for Creg.  Class labels follow rank order, so
         between classes of one rank this is I."""
-        catalog, reps = self.catalog, self.catalog.class_reps
+        catalog, reps = self.catalog, self.catalog.class_reps.tolist()
         if (got := self._base_sizes.get(self.kind)) is None:
             key = row_keys(np.array([class_counts(catalog.subgroups[r], self.kind or CREG)[1]
                                      for r in reps]))
@@ -425,7 +428,7 @@ class SubgroupCategory:
             same = key[:, None] == key
             if canonical(self.kind or A, 1) == CREG:
                 iso = same * np.array([injective_count(catalog.prime, r, r)
-                                       for r in catalog.ranks()])[reps, None]
+                                       for r in catalog.ranks()[reps].tolist()])[:, None]
             else:
                 iso = np.zeros(same.shape, dtype=np.int64)
                 for x, y in np.argwhere(same).tolist():
@@ -443,22 +446,25 @@ class SubgroupCategory:
         """(keys, sizes) of the non-empty hom-sets, listing no map off
         the representatives' pairs and the explicit maps: keys i * n + j,
         increasing, and |Hom(i, j)|, which is |Hom(rep i, rep j)| where
-        no explicit map lies."""
-        catalog, reps, n = self.catalog, self.catalog.class_reps, len(self.catalog)
-        starts, members, _ = catalog.class_table
-        size = self.class_sizes().ravel()
-        x, y = np.divmod(np.flatnonzero(size), len(reps))
-        t, i = ranges(starts[x], starts[x + 1])
-        u, j = ranges(starts[y[t]], starts[y[t] + 1])
-        keys, size = members[i][u] * n + members[j], size[x * len(reps) + y][t][u]
+        no explicit map lies.  Row i of the base is the same for every i
+        of one class x, row x of class_sizes read on the members, so the
+        rows are one concatenation of a row per class, increasing as
+        built; the explicit pairs are merged in by sorted insertion."""
+        catalog, n, cls = self.catalog, len(self.catalog), self.catalog.class_of
+        rows = [row[cls] for row in self.class_sizes()]
+        js = [np.flatnonzero(row) for row in rows]
+        at = cls.tolist()
+        keys = np.concatenate([js[x] for x in at])
+        keys += np.repeat(np.arange(n) * n, np.array([len(j) for j in js])[cls])
+        size = np.concatenate([rows[x][js[x]] for x in at])
         if self.maps:
             mine = np.array(sorted(i * n + j for i, j in self.maps), dtype=np.int64)
             keep = ~find_sorted(mine, keys)[1]
-            keys = np.concatenate([keys[keep], mine])
-            size = np.concatenate([size[keep], [len(self.hom(*divmod(k, n)))
-                                                for k in mine.tolist()]])
-        order = np.argsort(keys)
-        return keys[order], size[order]
+            keys, size = keys[keep], size[keep]
+            at = np.searchsorted(keys, mine)
+            size = np.insert(size, at, [len(self.hom(*divmod(k, n))) for k in mine.tolist()])
+            keys = np.insert(keys, at, mine)
+        return keys, size
 
     def materialize(self, hom_count_cap: Optional[int] = None) -> None:
         """Compute every hom-set; guarded by the hom count cap."""
@@ -472,11 +478,11 @@ class SubgroupCategory:
         a time, and every hom-set is kept as hom reads it."""
         keys, sizes = self.pair_sizes()
         _refuse_past_cap("the category holds", int(sizes.sum()), hom_count_cap)
-        catalog, n, reps = self.catalog, len(self.catalog), self.catalog.class_reps
+        catalog, n, reps = self.catalog, len(self.catalog), self.catalog.class_reps.tolist()
         starts, members, _ = catalog.class_table
         at = np.empty(n, dtype=np.int64)            # each member's place in its class
         at[members] = np.arange(n) - np.repeat(starts[:-1], np.diff(starts))
-        kinds = [self._kind_at(catalog.subgroups[r].rank) for r in reps]
+        kinds = [self._kind_at(r) for r in catalog.ranks()[reps].tolist()]
         carried = {}
         for x, y in np.argwhere(self.class_sizes()).tolist():
             carried[x, y] = _carried(catalog, self._base_hom(reps[x], reps[y]),
@@ -484,10 +490,11 @@ class SubgroupCategory:
                                      members[starts[y]:starts[y + 1]])
             carried[x, y].flags.writeable = False
         out = {}
-        for i, j in map(divmod, keys.tolist(), repeat(n)):
-            x, y = catalog.class_of[i], catalog.class_of[j]
+        src, dst = np.divmod(keys, n)
+        for i, j, x, y, s, t in zip(*(a.tolist() for a in (
+                src, dst, catalog.class_of[src], catalog.class_of[dst], at[src], at[dst]))):
             out[i, j] = self.hom(i, j) if (i, j) in self.maps else self._base.setdefault(
-                (kinds[x], i, j), carried[x, y][at[i], at[j]])
+                (kinds[x], i, j), carried[x, y][s, t])
         return out
 
 
@@ -498,7 +505,7 @@ def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
     conjugation isomorphism onto k: shape (|I|, |J|, maps, rank of I),
     the rows of each pair in lexicographic order."""
     p, codes = catalog.prime, catalog.conjugation_codes
-    (m, r), s = cols.shape, catalog.subgroups[J[0]].rank
+    (m, r), s = cols.shape, catalog.ranks().item(J[0])
     back = np.argsort(codes[I, :p ** r], axis=1)[:, p ** np.arange(r)]    # c_i^-1 on i's basis
     pulled = image_tables(cols, p, s)[:, back].swapaxes(0, 1)              # (i, map, column)
     got = codes[J[:, None, None], pulled[:, None]].reshape(len(I) * len(J) * m, r)
@@ -518,14 +525,14 @@ def explicit_category(catalog: ElabCatalog,
     cleaned: dict[tuple[int, int], np.ndarray] = {}
     p = catalog.prime
     for (i, j), rows in homs.items():
-        E, F = catalog.subgroups[i], catalog.subgroups[j]
+        r, s = catalog.ranks().item(i), catalog.ranks().item(j)
         rows = list(rows)
         cols = (np.array(rows, dtype=np.int64) if rows
-                else np.zeros((0, E.rank), dtype=np.int64))
-        if cols.shape != (len(rows), E.rank) or ((cols < 0) | (cols >= p ** F.rank)).any():
-            raise ValueError(f"column codes do not map rank {E.rank} into rank {F.rank}")
-        for M in code_digits(p, F.rank)[cols].transpose(0, 2, 1).tolist():
-            if mat_rank(M, p) != E.rank:
+                else np.zeros((0, r), dtype=np.int64))
+        if cols.shape != (len(rows), r) or ((cols < 0) | (cols >= p ** s)).any():
+            raise ValueError(f"column codes do not map rank {r} into rank {s}")
+        for M in code_digits(p, s)[cols].transpose(0, 2, 1).tolist():
+            if mat_rank(M, p) != r:
                 raise ValueError("matrix does not have full column rank")
         cleaned[(i, j)] = distinct_rows(cols)
     return SubgroupCategory(catalog, None, cleaned)
@@ -593,19 +600,14 @@ def _groupoid(old: Isos, seeds: Isos, basis: np.ndarray) -> Optional[Isos]:
     return _joined(added) if added else None
 
 
-def _onto_images(catalog: ElabCatalog, dom: np.ndarray, elems: np.ndarray,
-                 rank: int) -> Isos:
+def _onto_images(catalog: ElabCatalog, dom: np.ndarray, elems: np.ndarray) -> Isos:
     """Maps out of the representatives of the classes dom, each given by
     the ambient elements its codes go to (one row of p^rank per map),
-    corestricted onto their images, catalog members T found among the
-    sorted element rows of one rank, and carried to the representative
-    of T by c_T^-1."""
-    ranks = np.array(catalog.ranks())
-    lo, hi = np.searchsorted(ranks, [rank, rank + 1])
-    rows = np.array([E.elements for E in catalog.subgroups[lo:hi]])
-    T = lo + row_positions(rows, row_keys(rows), np.sort(elems, axis=1))
+    corestricted onto their images, catalog members T found by their
+    element sets, and carried to the representative of T by c_T^-1."""
+    T = catalog.indices_of_sets(elems)
     back = np.argsort(catalog.conjugation_codes[T, :elems.shape[1]], axis=1)
-    return dom, np.array(catalog.class_of)[T], np.take_along_axis(
+    return dom, catalog.class_of[T], np.take_along_axis(
         back, catalog.codes_in(T[:, None], elems), axis=1)
 
 
@@ -613,17 +615,17 @@ def _restricted(catalog: ElabCatalog, maps: Isos, rank: int) -> tuple[np.ndarray
     """(domain classes, image elements), as _onto_images reads them, of
     every map x -> y of maps restricted to each member S of rank - 1
     inside rep x, read on rep S through c_S."""
-    ranks, cls = np.array(catalog.ranks()), np.array(catalog.class_of)
-    ys = np.flatnonzero(ranks[catalog.class_reps] == rank)    # classes follow rank order
-    by_code = np.array([catalog.subgroups[catalog.class_reps[y]].by_code for y in ys.tolist()])
-    lo, hi = np.searchsorted(ranks, [rank - 1, rank])
+    ranks, cls, reps = catalog.ranks(), catalog.class_of, catalog.class_reps
+    ys = np.flatnonzero(ranks[reps] == rank)    # classes follow rank order
+    by_code = catalog.by_codes(rank, reps[ys])
+    lo, hi = catalog.rank_starts[rank - 1:rank + 1]
     starts, supers = catalog.containers
     s, at = ranges(starts[lo:hi], starts[lo + 1:hi + 1])
     s, x = s + lo, supers[at]
-    keep = (np.array(catalog.class_reps)[cls[x]] == x) & (ranks[x] == rank)
+    keep = (reps[cls[x]] == x) & (ranks[x] == rank)
     s, x = s[keep], x[keep]
     q = catalog.prime ** (rank - 1)
-    inner = np.array([catalog.subgroups[k].by_code for k in s.tolist()]).reshape(len(s), q)
+    inner = catalog.by_codes(rank - 1, s)
     pull = catalog.codes_in(x[:, None], np.take_along_axis(
         inner, catalog.conjugation_codes[s, :q], axis=1))     # codes in rep x
     order = np.argsort(cls[x], kind="stable")
@@ -669,8 +671,8 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     less inside their domain (_restricted), which seed the rank below.
     No map between ranks is built; the result reads those through _rows.
     """
-    catalog, p, reps = C.catalog, C.catalog.prime, C.catalog.class_reps
-    rank, inputs = np.array(catalog.ranks())[reps], list(C.maps.items())
+    catalog, p, reps = C.catalog, C.catalog.prime, C.catalog.class_reps.tolist()
+    rank, inputs = catalog.ranks()[reps], list(C.maps.items())
     if C.kind is None:
         # every kind holds A; an explicit input must list it on every pair
         base = build_category(A, catalog)
@@ -694,9 +696,9 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     # _onto_images reads them; each input map E -> F through c_E
     pending: list[list] = [[] for _ in range(top + 1)]
     for (i, j), cols in inputs:
-        r = catalog.subgroups[i].rank
-        images = image_tables(cols, p, catalog.subgroups[j].rank)
-        pending[r].append((np.full(len(cols), catalog.class_of[i]), catalog.subgroups[j].by_code[
+        r, s = catalog.ranks().item(i), catalog.ranks().item(j)
+        images = image_tables(cols, p, s)
+        pending[r].append((np.full(len(cols), catalog.class_of[i]), catalog.by_code(j)[
             images[:, catalog.conjugation_codes[i, :p ** r]]]))
     homs: dict[tuple[int, int], np.ndarray] = {}
     xs, ys = np.nonzero(sizes * (rank[:, None] == rank))
@@ -708,7 +710,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
             count, basis = [len(cols) for cols in mine], p ** np.arange(r)
             old = (x.repeat(count), y.repeat(count), image_tables(np.concatenate(mine), p, r))
             dom, elems = map(np.concatenate, zip(*pending[r]))
-            added = _groupoid(old, _onto_images(catalog, dom, elems, r), basis)
+            added = _groupoid(old, _onto_images(catalog, dom, elems), basis)
             if added is not None:
                 if r:
                     pending[r - 1].append(_restricted(catalog, added, r))
@@ -739,7 +741,7 @@ def maximal_objects(C: SubgroupCategory) -> list[list[int]]:
     map joins its ends.  Min-label propagation finds the components.
     """
     catalog, n = C.catalog, len(C.catalog)
-    ranks, cls = np.array(catalog.ranks()), np.array(catalog.class_of)
+    ranks, cls = catalog.ranks(), catalog.class_of
     found = C.class_sizes() > 0
     rank = ranks[catalog.class_reps]
     maximal = ~(found & (rank[:, None] < rank)).any(axis=1)[cls]
@@ -790,17 +792,16 @@ def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
     the smallest matrix, as a tuple of row tuples, in one hom-set only.
     """
     C1, C2 = build_category(kind1, catalog), build_category(kind2, catalog)
-    reps, p = catalog.class_reps, catalog.prime
+    reps, p = catalog.class_reps.tolist(), catalog.prime
     S1, S2 = C1.class_sizes(), C2.class_sizes()
-    rank = np.array(catalog.ranks())[reps]
+    rank = catalog.ranks()[reps]
     nested = {kind1, kind2} & {A, CREG, a_n(0)}
     walk = (S1 != S2 if nested else (S1 > 0) | (S2 > 0)) & (rank[:, None] == rank)
     for ci, cj in np.argwhere(walk).tolist():
         h1, h2 = C1.hom(reps[ci], reps[cj]), C2.hom(reps[ci], reps[cj])
         if not np.array_equal(h1, h2):
             s1, s2 = set(map(tuple, h1.tolist())), set(map(tuple, h2.tolist()))
-            rows = catalog.subgroups[reps[cj]].rank
-            M, cols = min((matrix_of(c, p, rows), c) for c in s1 ^ s2)
+            M, cols = min((matrix_of(c, p, int(rank[cj])), c) for c in s1 ^ s2)
             side = kind1.label() if cols in s1 else kind2.label()
             return EqualityVerdict(False, ci, cj, M, side)
     return EqualityVerdict(True)
@@ -811,7 +812,7 @@ def generic_fibre_index(catalog: ElabCatalog, E: ElabSubgroup) -> Fraction:
     idx = catalog.index_of(E)
     if not catalog.maximal[idx]:
         raise NotMaximal(f"subgroup {idx} is not maximal in its catalog")
-    c = catalog.class_of[idx]
+    c = int(catalog.class_of[idx])
     num, den = (int(build_category(k, catalog).class_sizes()[c, c]) for k in (APRIME, A))
     return Fraction(num, den)
 

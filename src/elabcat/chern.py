@@ -223,11 +223,12 @@ def p_regular_failures(G: FiniteGroup, p: int, chi: CharacterVector,
         if orders[rep] == p and chi.values[c] != 0:
             failures.append(
                 f"value {chi.values[c]} on class {c} of order-{p} elements")
+    ranks = catalog.ranks()[catalog.class_reps].tolist()
     for c in catalog.maximal_class_indices():
-        E = catalog.subgroups[catalog.class_reps[c]]
-        if E.order > 0 and deg % E.order != 0:
+        order = p ** ranks[c]
+        if deg % order != 0:
             failures.append(
-                f"degree {deg} not divisible by maximal subgroup order {E.order}")
+                f"degree {deg} not divisible by maximal subgroup order {order}")
     return failures
 
 

@@ -160,8 +160,7 @@ def analyze_report(G: FiniteGroup, p: int,
     for kind in kinds:
         C = cg.build_category(kind, catalog)
         comps = cg.maximal_objects(C)
-        comp_classes = sorted(sorted({catalog.class_of[i] for i in comp})
-                              for comp in comps)
+        comp_classes = sorted(sorted(set(catalog.class_of[comp].tolist())) for comp in comps)
         kind_section[kind.label()] = {
             "hom_sizes": C.class_sizes().tolist(),
             "component_count": len(comps),
@@ -205,6 +204,9 @@ def analyze_report(G: FiniteGroup, p: int,
     if prank == 0:
         notes.append(f"no {p}-torsion")
 
+    # a basis is the by_code entries at the codes p^k, read off each rank's rows
+    bases = [b for r, codes in enumerate(catalog.codes)
+             for b in codes[:, p ** np.arange(r)].tolist()]
     report = {
         "tool": "elabcat",
         "version": __version__,
@@ -217,9 +219,9 @@ def analyze_report(G: FiniteGroup, p: int,
                                 for r, c in sorted(catalog.classes_by_rank().items())},
             "p_rank": prank,
             "subgroups": [
-                {"rank": E.rank, "basis": list(E.basis),
-                 "class": catalog.class_of[i], "maximal": catalog.maximal[i]}
-                for i, E in enumerate(catalog.subgroups)],
+                {"rank": r, "basis": b, "class": c, "maximal": m} for r, b, c, m in zip(
+                    catalog.ranks().tolist(), bases, catalog.class_of.tolist(),
+                    catalog.maximal.tolist())],
         },
         "kinds": kind_section,
         "verdicts": {

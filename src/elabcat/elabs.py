@@ -19,16 +19,23 @@ are E's extended by x, read off the span E*<x> that built it.  Which x
 lie in C_G(E) comes from one commuting-pairs relation on the order-p
 elements, tested on conjugacy class representatives only and carried to
 the other elements by their class witnesses (_commuting_pairs); every
-rank reads it by sorted lookups.  from_element_indices, with its
-checks, serves every other caller.
+rank reads it by sorted lookups.
+
+What the descent builds is what the catalog stores: each rank is one
+block of by_code rows, sorted once by the row_keys of their sorted
+elements, so a member is found from its element set by one sorted
+lookup, and the basis of a row is its entries at the codes p^k.  No
+ElabSubgroup is made while the catalog is built; catalog.subgroups[i]
+makes member i's from its row when first read and keeps it.
+from_element_indices, with its checks, serves every other caller.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -149,34 +156,89 @@ def _times_powers(G: FiniteGroup, span: np.ndarray, g, p: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-@dataclass
+class _Members(Sequence):
+    """catalog.subgroups: member i's ElabSubgroup, built from the
+    catalog's arrays on first read and kept, so repeated reads return the
+    same object."""
+
+    def __init__(self, catalog: "ElabCatalog"):
+        self._catalog, self._built = catalog, [None] * len(catalog.class_of)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]
+        E = self._built[i]
+        if E is None:
+            E = self._built[i] = self._catalog._member(i)
+        return E
+
+
 class ElabCatalog:
     """Every elementary abelian p-subgroup of one group, classified.
 
-    subgroups is sorted by (rank, element tuple).  class_of labels
-    conjugacy classes in order of first appearance; class_witness[i] is a
-    group element index conjugating the class representative onto
-    subgroup i (setwise).  maximal[i] is rank-maximality under inclusion
-    into other catalog members.  homs caches hom-sets under keys
-    (canonical kind, i, j) for every category over this catalog, rows
-    every map of a kind out of a class representative i under (kind, i),
-    and sizes each kind's class_sizes matrix; only categories uses them.
+    Members are numbered in (rank, element tuple) order, and stored as
+    arrays, a block per rank r: codes[r] holds the by_code rows of the
+    members of rank r, in member order, beside each row's sorted elements
+    and their row_keys (increasing), so a member is found from its element
+    set by one sorted lookup (indices_of_sets).  rank_starts[r] is the
+    first member of rank r.  subgroups[i], the ElabSubgroup of member i,
+    is built from its row on first read; no catalog loop builds one.
+
+    class_of labels conjugacy classes in order of first appearance;
+    class_witness[i] is a group element index conjugating the class
+    representative onto subgroup i (setwise).  maximal[i] is
+    rank-maximality under inclusion into other catalog members.  These,
+    class_reps and ranks() are read-only int64 (maximal bool) arrays.
+    homs caches hom-sets under keys (canonical kind, i, j) for every
+    category over this catalog, rows every map of a kind out of a class
+    representative i under (kind, i), and sizes each kind's class_sizes
+    matrix; only categories uses them.
     """
 
-    group: FiniteGroup
-    prime: int
-    subgroups: list[ElabSubgroup]
-    class_of: list[int]
-    class_reps: list[int]
-    class_witness: list[int]
-    maximal: list[bool]
-    _by_elements: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
-    homs: dict = field(default_factory=dict, repr=False, compare=False)
-    rows: dict = field(default_factory=dict, repr=False, compare=False)
-    sizes: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, group: FiniteGroup, prime: int, codes: list[np.ndarray],
+                 rows: list[np.ndarray], keys: list[np.ndarray], class_of: np.ndarray,
+                 class_reps: np.ndarray, class_witness: np.ndarray, maximal: np.ndarray):
+        self.group, self.prime = group, prime
+        self.codes, self._rows, self._keys = codes, rows, keys
+        # each rank's argsort of its codes rows, on the first member built
+        self._orders: list[Optional[np.ndarray]] = [None] * len(codes)
+        self.class_of, self.class_reps = class_of, class_reps
+        self.class_witness, self.maximal = class_witness, maximal
+        counts = [len(c) for c in codes]
+        self.rank_starts = np.cumsum([0] + counts)
+        self._ranks = np.repeat(np.arange(len(codes)), counts)
+        for a in (*codes, *rows, self._ranks, class_of, class_reps, class_witness, maximal):
+            a.flags.writeable = False
+        self.subgroups = _Members(self)
+        self.homs: dict = {}
+        self.rows: dict = {}
+        self.sizes: dict = {}
 
     def __len__(self) -> int:
-        return len(self.subgroups)
+        return len(self._ranks)
+
+    def _member(self, i: int) -> ElabSubgroup:
+        r = self._ranks.item(i)
+        k = i - self.rank_starts.item(r)
+        if self._orders[r] is None:
+            self._orders[r] = self.codes[r].argsort(axis=1)
+        codes = self.codes[r][k]
+        return ElabSubgroup(self.group, self.prime, codes[self.prime ** np.arange(r)].tolist(),
+                            codes, self._orders[r][k])
+
+    def by_code(self, i: int) -> np.ndarray:
+        """Member i's by_code row, read without building its ElabSubgroup."""
+        r = self._ranks.item(i)
+        return self.codes[r][i - self.rank_starts.item(r)]
+
+    def by_codes(self, rank: int, members) -> np.ndarray:
+        """The by_code rows of members, all of the given rank, as one
+        (len(members), p^rank) array."""
+        return self.codes[rank][np.asarray(members) - self.rank_starts[rank]]
 
     def index_of(self, E: ElabSubgroup) -> int:
         if E.ambient is not self.group or E.prime != self.prime:
@@ -187,35 +249,48 @@ class ElabCatalog:
         """The member whose element set is the given ambient indices, in
         any order; CatalogMismatch when no member has it."""
         try:
-            return self._by_elements[tuple(sorted(indices))]
+            sets = np.fromiter(indices, dtype=np.int64)[None]
+        except (OverflowError, TypeError, ValueError):
+            raise CatalogMismatch("subgroup not present in catalog") from None
+        return int(self.indices_of_sets(sets)[0])
+
+    def indices_of_sets(self, sets: np.ndarray) -> np.ndarray:
+        """The member of each row of sets, an element set in any order, all
+        of one length p^r; CatalogMismatch when a row is no member's.  One
+        lookup in the sorted rows of rank r."""
+        r = 0
+        while self.prime ** r < sets.shape[1]:
+            r += 1
+        if self.prime ** r != sets.shape[1] or r >= len(self.codes):
+            raise CatalogMismatch("subgroup not present in catalog")
+        try:
+            at = row_positions(self._rows[r], self._keys[r], np.sort(sets, axis=1))
         except KeyError:
             raise CatalogMismatch("subgroup not present in catalog") from None
+        return self.rank_starts[r] + at
 
     def class_count(self) -> int:
         return len(self.class_reps)
 
-    def ranks(self) -> list[int]:
-        return [E.rank for E in self.subgroups]
+    def ranks(self) -> np.ndarray:
+        """The rank of each member, non-decreasing; read-only."""
+        return self._ranks
 
     def classes_by_rank(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for rep in self.class_reps:
-            r = self.subgroups[rep].rank
-            out[r] = out.get(r, 0) + 1
-        return out
+        counts = np.bincount(self._ranks[self.class_reps]).tolist()
+        return {r: c for r, c in enumerate(counts) if c}
 
     def maximal_class_indices(self) -> list[int]:
         # maximality is a class invariant; checked in the test suite
-        return [c for c, rep in enumerate(self.class_reps) if self.maximal[rep]]
+        return np.flatnonzero(self.maximal[self.class_reps]).tolist()
 
     @cached_property
     def class_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, members, witnesses): members[starts[c]:starts[c + 1]]
         are the members of class c, increasing, each beside its witness."""
-        class_of = np.array(self.class_of)
-        members = np.argsort(class_of, kind="stable")
-        starts = np.searchsorted(class_of[members], np.arange(len(self.class_reps) + 1))
-        return starts, members, np.array(self.class_witness)[members]
+        members = np.argsort(self.class_of, kind="stable")
+        starts = np.searchsorted(self.class_of[members], np.arange(len(self.class_reps) + 1))
+        return starts, members, self.class_witness[members]
 
     @cached_property
     def conjugation_codes(self) -> np.ndarray:
@@ -226,25 +301,24 @@ class ElabCatalog:
         codes, then -1.  A representative, its class's first member, has
         witness 1 and the identity row."""
         starts, members, witnesses = self.class_table
-        sizes = np.array([len(E) for E in self.subgroups])[:, None]
+        sizes = self.prime ** self._ranks[:, None]
         out = np.where(np.arange(sizes.max()) < sizes, np.arange(sizes.max()), -1)
         for c in np.flatnonzero(np.diff(starts) > 1).tolist():
-            E, span = self.subgroups[self.class_reps[c]], slice(starts[c] + 1, starts[c + 1])
-            conj = self.group.conjugate_indices(witnesses[span], E.by_code)
-            out[members[span], :len(E)] = self.codes_in(members[span, None], conj)
+            codes, span = self.by_code(self.class_reps[c]), slice(starts[c] + 1, starts[c + 1])
+            conj = self.group.conjugate_indices(witnesses[span], codes)
+            out[members[span], :len(codes)] = self.codes_in(members[span, None], conj)
         return out
 
     @cached_property
     def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys, codes) of every (member j, element x of it): the sorted
         keys j * |G| + x, and the code of x in member j at each key."""
-        sizes = np.array([len(E) for E in self.subgroups])
+        sizes = self.prime ** self._ranks
         owner = np.repeat(np.arange(len(sizes)), sizes)
-        keys = owner * len(self.group) + np.concatenate([E.by_code for E in self.subgroups])
+        keys = owner * len(self.group) + np.concatenate([c.ravel() for c in self.codes])
         order = np.argsort(keys)
         codes = np.arange(len(keys)) - (np.cumsum(sizes) - sizes)[owner]
         return keys[order], codes[order]
-
     def codes_in(self, members, elements) -> np.ndarray:
         """Code of each element index in the member beside it (the two
         broadcast together), -1 where the element lies outside."""
@@ -257,9 +331,9 @@ class ElabCatalog:
         """(classes, classes) matrix: [y, z] counts the members of class y
         inside the representative of class z."""
         starts, supers = self.containers
-        cls, count = np.array(self.class_of), len(self.class_reps)
+        cls, count = self.class_of, len(self.class_reps)
         inner = np.repeat(np.arange(len(cls)), np.diff(starts))
-        keep = np.array(self.class_reps)[cls[supers]] == supers
+        keep = self.class_reps[cls[supers]] == supers
         return np.bincount(cls[inner[keep]] * count + cls[supers[keep]],
                            minlength=count * count).reshape(count, count)
 
@@ -274,9 +348,8 @@ class ElabCatalog:
         is one batched lookup.  Basis element k has code p^k; bases are
         padded with the identity, which every member holds.
         """
-        n, order, p = len(self.subgroups), len(self.group), self.prime
-        ranks = np.array(self.ranks())
-        width = max(1, ranks[-1])
+        n, order, p, ranks = len(self), len(self.group), self.prime, self._ranks
+        width = max(1, int(ranks[-1]))
         keys, codes = self._incidence
         powers = np.array([p ** k for k in range(width)])
         k = np.minimum(np.searchsorted(powers, codes), width - 1)
@@ -309,10 +382,9 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     of base images for all the g with w != 1.
     """
     n, arr, base, table = len(G), G.array, G.base, G.conjugacy
-    gen_list = gens.tolist()
-    cls = np.array([table.class_of[g] for g in gen_list], dtype=np.int64)
+    cls = table.class_of[gens]
     classes = sorted_distinct(cls)
-    reps = np.array([table.reps[c] for c in classes.tolist()], dtype=np.int64)
+    reps = table.reps[classes]
     hits, cents = [], []
     for b in blocks(len(reps), 4 * len(base) * len(xs)):
         r, y = reps[b, None, None], xs[None, :, None]
@@ -323,7 +395,7 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     rep, cent = np.concatenate(hits), np.concatenate(cents)
     of_class = np.searchsorted(classes, cls)
     owner, at = ranges(np.searchsorted(rep, of_class), np.searchsorted(rep, of_class, "right"))
-    w = np.array([table.witness[g] for g in gen_list], dtype=np.int64)[owner]
+    w = table.witness[gens[owner]]
     y = cent[at]
     moved = np.flatnonzero(w != G.identity_index)
     for b in blocks(len(moved), 3 * len(base)):
@@ -365,8 +437,10 @@ def enumerate_elabs(G: FiniteGroup, p: int,
 
     Each rank is one batch: the spans of all its (E, x) candidates, then
     the meets for all its members, both in blocks whose temporaries stay
-    within BLOCK_ENTRIES entries.  Members are sorted by (rank, elements)
-    at the end; their conjugacy classes are the orbits of the
+    within BLOCK_ENTRIES entries.  Each rank's members are sorted by
+    their elements as soon as it is built, so the next rank's parents
+    are catalog positions and the blocks are the catalog's (see
+    ElabCatalog); their conjugacy classes are the orbits of the
     permutations the generators induce on the catalog, searched source
     by source (see groups.orbits).  Once more than catalog_cap members
     exist, CapExceeded("catalog_cap") is raised.
@@ -381,24 +455,26 @@ def enumerate_elabs(G: FiniteGroup, p: int,
                 f"subgroup catalog passed the cap ({limit}); "
                 f"raise ELABCAT_CATALOG_CAP to allow more")
 
-    trivial = ElabSubgroup(G, p, (), np.array([ident], dtype=np.int64))
-    found = [trivial]               # every member, in the order it is built
-    maximal_of: list[bool] = []     # and its maximality, once it is extended
-    # a rank at a time: its members, their by_code rows, their last basis
-    # elements, and X(E) of each as (owner, xs): member position and
-    # element, sorted by both
-    level, spans, last = [trivial], trivial.by_code[None], np.array([ident])
+    # a rank at a time: its members' by_code rows, each row's sorted
+    # elements, their row_keys, and maximality, once extended
+    spans = np.array([[ident]], dtype=np.int64)
+    codes, rows, keys = [spans], [spans], [row_keys(spans)]
+    maximal = []
+    total = 1
+    # X(E) of each member E of the rank as (owner, xs): member position
+    # and element, sorted by both; and each member's last basis element
+    last = np.array([ident])
     xs = np.flatnonzero(G.element_orders == p)
     owner = np.zeros(len(xs), dtype=np.int64)
     pairs = None                    # the commuting pairs, once rank 1 is built
-    while level:
-        counts = np.bincount(owner, minlength=len(level))
+    while True:
+        counts = np.bincount(owner, minlength=len(spans))
         starts = np.cumsum(counts) - counts
-        maximal_of += (counts == 0).tolist()
+        maximal.append(counts == 0)
         width = spans.shape[1]
         sel = xs > last[owner]
         cand_parent, cand_x = owner[sel], xs[sel]
-        children, parents, kept_x, kept_spans = [], [], [], []
+        parents, kept_x, kept_spans, before = [], [], [], total
         for b in blocks(len(cand_x), p * width * G.degree):
             # E * <x> for each candidate, one row each, in code order
             grown = _times_powers(G, spans[cand_parent[b]], cand_x[b, None], p)
@@ -406,70 +482,70 @@ def enumerate_elabs(G: FiniteGroup, p: int,
             parents.append(cand_parent[b][keep])
             kept_x.append(cand_x[b][keep])
             kept_spans.append(grown[keep])
-            children += [ElabSubgroup(G, p, level[j].basis + (x,), span, order)
-                         for j, x, span, order in zip(parents[-1].tolist(), kept_x[-1].tolist(),
-                                                      kept_spans[-1], kept_spans[-1].argsort())]
-            guard(len(found) + len(children))
-        found += children
-        if not children:
+            total += len(kept_spans[-1])
+            guard(total)
+        if total == before:
             break
-        parents, kept_x = np.concatenate(parents), np.concatenate(kept_x)
+        # the rank's members in order of their sorted elements
         kept_spans = np.concatenate(kept_spans)
+        sorted_rows = np.sort(kept_spans, axis=1)
+        key = row_keys(sorted_rows)
+        at = np.argsort(key)
+        parents, kept_x = np.concatenate(parents)[at], np.concatenate(kept_x)[at]
+        spans = kept_spans[at]
+        codes.append(spans)
+        rows.append(sorted_rows[at])
+        keys.append(key[at])
         if pairs is None:
             # the members of rank 1 are the <g>, g = gen(x) for each x in them
             gen_of = np.zeros(n, dtype=np.int64)
-            gen_of[kept_spans[:, 1:]] = kept_x[:, None]
+            gen_of[spans[:, 1:]] = kept_x[:, None]
             pairs = _commuting_pairs(G, xs, kept_x)
 
         # X(F) for F = E * <x>: the row of gen(x) meet X(E), outside F.
         # Each side is (sorted keys, each child's bounds in them, each
         # child's key of y = 0); walk the side with fewer pairs and look
         # every y up in the other
-        rows = gen_of[kept_x] * n
-        walk = (pairs, np.searchsorted(pairs, rows), np.searchsorted(pairs, rows + n), rows)
+        heads = gen_of[kept_x] * n
+        walk = (pairs, np.searchsorted(pairs, heads), np.searchsorted(pairs, heads + n), heads)
         other = (owner * n + xs, starts[parents], starts[parents] + counts[parents],
                  parents * n)
         if (walk[2] - walk[1]).sum() > counts[parents].sum():
             walk, other = other, walk
-        (keys, lo, hi, shift), (look, _, _, offset) = walk, other
+        (pair_keys, lo, hi, shift), (look, _, _, offset) = walk, other
         new_owner, new_xs = [], []
         for c in blocks(len(parents), int((hi - lo).max()) * (2 + p * width)):
             child, at = ranges(lo[c], hi[c])
             child += c.start
-            y = keys[at] - shift[child]
+            y = pair_keys[at] - shift[child]
             keep = find_sorted(look, offset[child] + y)[1]
-            keep &= (kept_spans[child, width:] != y[:, None]).all(axis=1)
+            keep &= (spans[child, width:] != y[:, None]).all(axis=1)
             new_owner.append(child[keep])
             new_xs.append(y[keep])
-        level, spans, last = children, kept_spans, kept_x
+        last = kept_x
         owner, xs = np.concatenate(new_owner), np.concatenate(new_xs)
 
-    order = sorted(range(len(found)), key=lambda i: (found[i].rank, found[i].elements))
-    subgroups = [found[i] for i in order]
-    maximal = [maximal_of[i] for i in order]
-    by_elements = {E.elements: i for i, E in enumerate(subgroups)}
-
     # each generator's permutation of the catalog, a rank at a time: the
-    # members of one rank are its rows of elements, sorted
+    # members of one rank are its sorted rows of elements
     conj, right = G.generator_tables
-    perms = np.empty((len(conj), len(subgroups)), dtype=np.int64)
-    ranks = np.array([E.rank for E in subgroups])
-    edges = np.searchsorted(ranks, np.arange(ranks[-1] + 2))
-    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        rows = np.array([E.elements for E in subgroups[lo:hi]], dtype=np.int64)
-        images = np.sort(conj[:, rows], axis=2).reshape(-1, rows.shape[1])
+    perms = np.zeros((len(conj), total), dtype=np.int64)
+    lo = 1
+    for r in range(1, len(rows)):
+        hi = lo + len(rows[r])
+        images = np.sort(conj[:, rows[r]], axis=2).reshape(-1, rows[r].shape[1])
         try:
-            at = row_positions(rows, row_keys(rows), images)
+            at = row_positions(rows[r], keys[r], images)
         except KeyError:
             raise InvalidPermutation("catalog not closed under conjugation") from None
         perms[:, lo:hi] = lo + at.reshape(len(conj), hi - lo)
+        lo = hi
     class_of, class_reps, _, class_witness = orbits(perms, right, by_source=True)
-    return ElabCatalog(G, p, subgroups, class_of.tolist(), class_reps.tolist(),
-                       class_witness.tolist(), maximal, by_elements)
+    return ElabCatalog(G, p, codes, rows, keys, class_of, class_reps, class_witness,
+                       np.concatenate(maximal))
 
 
 def p_rank(catalog: ElabCatalog) -> int:
-    return max(E.rank for E in catalog.subgroups)
+    return int(catalog.ranks()[-1])
 
 
 def is_conjugate_subgroup(G: FiniteGroup, E: ElabSubgroup,

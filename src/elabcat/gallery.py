@@ -481,6 +481,7 @@ class _EntryContext:
         # entries too large to enumerate have no catalog-level claims
         self.uses_catalog = any(c.check in _CATALOG_CHECKS for c in entry.claims)
         self._homs: dict = {}      # (canonical kind, E, F) without a catalog
+        self._index: dict = {}     # catalog index of each builder subgroup
 
     @property
     def catalog(self) -> ElabCatalog:
@@ -494,8 +495,11 @@ class _EntryContext:
         the catalog's shared cache when the entry enumerates its catalog
         anyway, else under the same canonical key here."""
         if self.uses_catalog:
-            cat = self.catalog
-            return cg.build_category(kind, cat).hom(cat.index_of(E), cat.index_of(F))
+            cat, at = self.catalog, self._index
+            for X in (E, F):
+                if X not in at:
+                    at[X] = cat.index_of(X)
+            return cg.build_category(kind, cat).hom(at[E], at[F])
         key = (cg.canonical(kind, E.rank), E, F)
         if key not in self._homs:
             self._homs[key] = cg.hom_matrices(*key)

@@ -279,9 +279,10 @@ def perm_power(p: Perm, k: int) -> Perm:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyTable:
-    """Conjugacy data for a fully enumerated group.
+    """Conjugacy data for a fully enumerated group, as read-only int64
+    arrays.
 
     class_of[i] is the class label of element i, classes numbered in order
     of their smallest member.  witness[i] is the index of some g with
@@ -289,10 +290,14 @@ class ConjugacyTable:
     witness[rep] is the identity.
     """
 
-    class_of: tuple[int, ...]
-    reps: tuple[int, ...]
-    sizes: tuple[int, ...]
-    witness: tuple[int, ...]
+    class_of: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+    witness: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.class_of, self.reps, self.sizes, self.witness):
+            a.flags.writeable = False
 
     def class_count(self) -> int:
         return len(self.reps)
@@ -454,8 +459,8 @@ class FiniteGroup:
         a point's cycle length being the first k with e^k(x) == x.  Order is
         a class function, so only class representatives are scanned."""
         if self._orders is None:
-            self.conjugacy                  # sets _class_of and _class_reps
-            reps = self._arr[self._class_reps]
+            table = self.conjugacy
+            reps = self._arr[table.reps]
             points = np.arange(self.degree)
             cycle = np.zeros(reps.shape, dtype=np.int64)
             power = reps
@@ -464,7 +469,7 @@ class FiniteGroup:
                 if cycle.all():
                     break
                 power = np.take_along_axis(reps, power, axis=1)
-            self._orders = np.lcm.reduce(cycle, axis=1)[self._class_of]
+            self._orders = np.lcm.reduce(cycle, axis=1)[table.class_of]
         return self._orders
 
     def conjugate_indices(self, g, targets) -> np.ndarray:
@@ -499,10 +504,7 @@ class FiniteGroup:
         product witness(source) * g to reach an element, the search taking
         each level generator by generator."""
         conj, right = self.generator_tables
-        class_of, reps, sizes, witness = orbits(conj, right)
-        self._class_of, self._class_reps = class_of, reps
-        return ConjugacyTable(tuple(class_of.tolist()), tuple(reps.tolist()),
-                              tuple(sizes.tolist()), tuple(witness.tolist()))
+        return ConjugacyTable(*orbits(conj, right))
 
     # -- centralizers and transporters --------------------------------
 
@@ -529,12 +531,13 @@ class FiniteGroup:
         memoized C(rep) and one lookup for all the b's.
         """
         table = self.conjugacy
-        bs = [t for t in np.atleast_1d(b).tolist() if table.class_of[t] == table.class_of[a]]
+        bs = np.atleast_1d(np.asarray(b, dtype=np.int64))
+        bs = bs[table.class_of[bs] == table.class_of[a]]
         # w_a^-1 * h * w_b sends a base point x to w_b[h[w_a^-1[x]]]
         winv = self._arr[self.inverse_indices[table.witness[a]], self.base]
-        left = self._arr[self.centralizer_indices(table.reps[table.class_of[a]])[:, None], winv]
-        images = self._arr[np.array([table.witness[t] for t in bs], dtype=np.int64)[:, None, None],
-                           left]
+        rep = table.reps.item(table.class_of[a])
+        left = self._arr[self.centralizer_indices(rep)[:, None], winv]
+        images = self._arr[table.witness[bs][:, None, None], left]
         idx = self.indices_of_base_images(images)
         idx.sort(axis=1)
         return idx.ravel()

@@ -612,9 +612,7 @@ def bfs_closure(degree, generators, element_cap=None):
         x = int(np.argmax((stab != points).any(axis=0)))
         base.append(x)
         stab = stab[stab[:, x] == x]
-    class_of, reps, sizes, witness = orbits(conj, right)
-    conjugacy = ConjugacyTable(tuple(class_of.tolist()), tuple(reps.tolist()),
-                               tuple(sizes.tolist()), tuple(witness.tolist()))
+    conjugacy = ConjugacyTable(*orbits(conj, right))
     return table, conj, right, np.array(base, dtype=np.int64), conjugacy
 
 

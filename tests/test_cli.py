@@ -565,6 +565,23 @@ class TestClosure:
         main_input_error(capsys, "closure", a4_path, "--prime", "2",
                          "--category", str(path))
 
+    @pytest.mark.parametrize("domain, message", [
+        ([0, 0], "not a catalog subgroup"),
+        ([-1, 0], "not a catalog subgroup"),
+        ([99999999999999999999999], "not a catalog subgroup"),
+        ([0, 1, 2, 3], "not a catalog subgroup"),         # distinct, not a member
+        ([0, 1.0], "must be lists of integers"),
+        ([True, 0], "must be lists of integers"),
+    ])
+    def test_domain_lookup(self, a4_path, tmp_path, capsys, domain, message):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"base_kind": "A", "homs": [
+            {"domain": domain, "codomain": [0, 3, 8, 11], "matrices": []}]}))
+        assert cli.main(["closure", a4_path, "--prime", "2", "--category", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: hom record ") and message in err, err
+        assert len(err.strip().splitlines()) == 1
+
     def test_homs_must_be_a_list(self, a4_path, tmp_path, capsys):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"base_kind": "A", "homs": 7}))

@@ -401,8 +401,8 @@ def test_closure_of_a_kind_with_extra_maps_is_idempotent(kind):
     # (Z/3)^3 at p=3, with an automorphism of the top member that no kind
     # holds and a map of a line into a plane beside the kind's base
     catalog = enumerate_elabs(load_group(str(GOLDEN / "z3-3.group.json")), 3)
-    ranks, top = catalog.ranks(), len(catalog) - 1
-    line, plane = ranks.index(1), ranks.index(2)
+    top = len(catalog) - 1
+    line, plane = catalog.rank_starts[1:3].tolist()     # the first of each rank
     extra = cg.explicit_category(catalog, {
         (top, top): [codes(((0, 1, 0), (1, 0, 0), (0, 0, 1)), 3)],
         (line, plane): [codes(((1,), (1,)), 3)]}).maps

@@ -67,8 +67,9 @@ def test_element_table_matches_tuple_oracle(group, rnd):
 
     table = G.conjugacy
     class_of, reps, sizes, witness = brute_conjugacy(elements, gens)
-    assert (table.class_of, table.reps, table.sizes) == (class_of, reps, sizes)
-    assert table.witness == witness
+    assert (table.class_of.tolist(), table.reps.tolist(), table.sizes.tolist()) == (
+        list(class_of), list(reps), list(sizes))
+    assert table.witness.tolist() == list(witness)
     for i, e in enumerate(elements):
         rep = elements[table.reps[table.class_of[i]]]
         assert conjugate(elements[table.witness[i]], rep) == e
@@ -178,9 +179,9 @@ def test_catalog_matches_brute_force(group):
         assert [E.basis for E in cat.subgroups] == [E.basis for E in subgroups]
         assert [E.by_code.tolist() for E in cat.subgroups] == [
             E.by_code.tolist() for E in subgroups]
-        assert (cat.class_of, cat.class_reps) == (class_of, class_reps)
-        assert cat.class_witness == class_witness
-        assert cat.maximal == maximal
+        assert (cat.class_of.tolist(), cat.class_reps.tolist()) == (class_of, class_reps)
+        assert cat.class_witness.tolist() == class_witness
+        assert cat.maximal.tolist() == maximal
 
 
 @pytest.mark.parametrize("group", [(7, S7_GENS), regular(2, 3), regular(3, 2)],
