@@ -69,9 +69,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import cap as _cap
+from .config import cap as _cap, refuse
 from .elabs import ElabCatalog, ElabSubgroup
-from .errors import CapExceeded, CatalogMismatch, ClosureGuardError, NotMaximal
+from .errors import CatalogMismatch, ClosureGuardError, NotMaximal
 # perfbench/tracing.py wraps categories.mat_mul; callers read column_codes here
 from .fpmat import (Mat, code_digits, column_codes, image_tables,  # noqa: F401
                     injective_count, mat_mul, mat_rank, matrix_of, restricts_into,
@@ -188,12 +188,11 @@ def class_counts(E: ElabSubgroup, kind: CategoryKind) -> tuple[np.ndarray, np.nd
     return cls, np.bincount(cls, minlength=E.ambient.conjugacy.class_count())
 
 
-def _refuse_past_cap(holds: str, total: int, limit: Optional[int] = None) -> None:
-    """Raise CapExceeded("hom_count_cap") when total maps pass limit (default: that cap)."""
-    limit = _cap("hom_count_cap") if limit is None else limit
+def _refuse_past_cap(holds: str, total: int) -> None:
+    """Raise CapExceeded("hom_count_cap") when total maps pass that cap."""
+    limit = _cap("hom_count_cap")
     if total > limit:
-        raise CapExceeded("hom_count_cap", f"{holds} {total} maps, more than the cap "
-                          f"({limit}); raise ELABCAT_HOM_COUNT_CAP to allow more")
+        refuse("hom_count_cap", f"{holds} {total} maps, more than the cap ({limit})")
 
 
 def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarray:
@@ -271,7 +270,7 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     return cols
 
 
-def _rows(C: SubgroupCategory, i: int, limit: int) -> None:
+def _rows(C: SubgroupCategory, i: int) -> None:
     """Build row i of C's base, every morphism out of a class
     representative i into a larger rank, as C._base_rows[kind, i] =
     (targets, bounds, cols): Hom(i, targets[t]) is
@@ -281,7 +280,8 @@ def _rows(C: SubgroupCategory, i: int, limit: int) -> None:
     class witnesses), Hom(E, F) is c_k o Iso(E, Y) over the Y_k inside F,
     c_k: Y -> Y_k the conjugation by w_k; maps through distinct Y_k have
     distinct images.  Refused (CapExceeded) before anything is built when
-    the row, read off class_sizes, holds more than limit maps.
+    the row, read off class_sizes, holds more maps than the hom count
+    cap allows.
     """
     catalog, reps = C.catalog, C.catalog.class_reps
     rank = catalog.ranks().item(i)
@@ -290,7 +290,7 @@ def _rows(C: SubgroupCategory, i: int, limit: int) -> None:
     class_starts, by_class, witnesses = catalog.class_table
     sizes = C.class_sizes()[catalog.class_of[i]]
     _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
-                     f"out of 1 objects hold", int(sizes @ np.diff(class_starts)), limit)
+                     f"out of 1 objects hold", int(sizes @ np.diff(class_starts)))
     targets, parts = [], []
     for y in np.flatnonzero(sizes * (catalog.ranks()[reps] == rank)).tolist():
         span = slice(class_starts[y], class_starts[y + 1])
@@ -385,7 +385,7 @@ class SubgroupCategory:
             if not self.class_sizes()[ci, cj]:
                 return none
             if (kind, i) not in self._base_rows:
-                _rows(self, i, _cap("hom_count_cap"))
+                _rows(self, i)
             targets, bounds, cols = self._base_rows[kind, i]
             t = bisect_left(targets, j)
             got = cols[bounds[t]:bounds[t + 1]]
@@ -466,18 +466,17 @@ class SubgroupCategory:
             keys = np.insert(keys, at, mine)
         return keys, size
 
-    def materialize(self, hom_count_cap: Optional[int] = None) -> None:
+    def materialize(self) -> None:
         """Compute every hom-set; guarded by the hom count cap."""
-        self.hom_dict(hom_count_cap)
+        self.hom_dict()
 
-    def hom_dict(self, hom_count_cap: Optional[int] = None
-                 ) -> dict[tuple[int, int], np.ndarray]:
+    def hom_dict(self) -> dict[tuple[int, int], np.ndarray]:
         """Every non-empty hom-set in row-major order, refused when they
         hold more maps than the hom count cap (pair_sizes counts them
         before any is listed).  The base is carried a pair of classes at
         a time, and every hom-set is kept as hom reads it."""
         keys, sizes = self.pair_sizes()
-        _refuse_past_cap("the category holds", int(sizes.sum()), hom_count_cap)
+        _refuse_past_cap("the category holds", int(sizes.sum()))
         catalog, n, reps = self.catalog, len(self.catalog), self.catalog.class_reps.tolist()
         starts, members, _ = catalog.class_table
         at = np.empty(n, dtype=np.int64)            # each member's place in its class

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import cap as _cap
+from .config import cap as _cap, refuse
 from .elabs import ElabCatalog
-from .errors import CapExceeded, CatalogMismatch
+from .errors import CatalogMismatch
 from .fpmat import gl_generators
 from .fppoly import FpPolynomial
 from .groups import FiniteGroup
@@ -62,10 +62,7 @@ def _check_count(base: int, exp: int = 1) -> None:
     limit = _cap("term_cap")
     # a base of at least 2 passes the cap once exp passes its bit length
     if base ** min(exp, limit.bit_length()) > limit:
-        raise CapExceeded(
-            "term_cap",
-            f"{base}^{exp} weights pass the term cap ({limit}); "
-            f"raise ELABCAT_TERM_CAP to allow more")
+        refuse("term_cap", f"{base}^{exp} weights pass the term cap ({limit})")
 
 
 def regular_weights(p: int, n: int) -> WeightList:

@@ -39,9 +39,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import cap as _cap
-from .errors import (CapExceeded, CatalogMismatch, ElementNotInSubgroup,
-                     InvalidPermutation)
+from .config import cap as _cap, refuse
+from .errors import CatalogMismatch, ElementNotInSubgroup, InvalidPermutation
 from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, ranges,
                      row_keys, row_positions, sorted_distinct)
 
@@ -406,8 +405,7 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     return np.sort(gens[owner] * n + y)
 
 
-def enumerate_elabs(G: FiniteGroup, p: int,
-                    catalog_cap: int | None = None) -> ElabCatalog:
+def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
     """Full catalog of elementary abelian p-subgroups of G.
 
     Rank induction by centralizer descent.  Each member E carries X(E),
@@ -442,18 +440,11 @@ def enumerate_elabs(G: FiniteGroup, p: int,
     are catalog positions and the blocks are the catalog's (see
     ElabCatalog); their conjugacy classes are the orbits of the
     permutations the generators induce on the catalog, searched source
-    by source (see groups.orbits).  Once more than catalog_cap members
-    exist, CapExceeded("catalog_cap") is raised.
+    by source (see groups.orbits).  Once more members exist than the
+    catalog cap allows, CapExceeded("catalog_cap") is raised.
     """
-    limit = catalog_cap if catalog_cap is not None else _cap("catalog_cap")
+    limit = _cap("catalog_cap")
     n, ident = len(G), G.identity_index
-
-    def guard(count: int):
-        if count > limit:
-            raise CapExceeded(
-                "catalog_cap",
-                f"subgroup catalog passed the cap ({limit}); "
-                f"raise ELABCAT_CATALOG_CAP to allow more")
 
     # a rank at a time: its members' by_code rows, each row's sorted
     # elements, their row_keys, and maximality, once extended
@@ -483,7 +474,8 @@ def enumerate_elabs(G: FiniteGroup, p: int,
             kept_x.append(cand_x[b][keep])
             kept_spans.append(grown[keep])
             total += len(kept_spans[-1])
-            guard(total)
+            if total > limit:
+                refuse("catalog_cap", f"subgroup catalog passed the cap ({limit})")
         if total == before:
             break
         # the rank's members in order of their sorted elements

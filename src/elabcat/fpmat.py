@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -187,9 +187,9 @@ def gl_generators(p: int, n: int) -> list[Mat]:
     Transvection, cyclic permutation matrix, and (for p > 2) a diagonal
     matrix carrying a primitive root so the determinant map is onto.
     """
+    lam = primitive_element(p, lambda a, b: a * b % p)
     if n == 1:
-        g = primitive_root(p)
-        return [((g % p,),)]
+        return [((lam,),)]
     transvection = tuple(tuple(1 if i == j or (i == 0 and j == 1) else 0
                                for j in range(n)) for i in range(n))
     cycle = [[0] * n for _ in range(n)]
@@ -198,7 +198,6 @@ def gl_generators(p: int, n: int) -> list[Mat]:
     cycle[0][n - 1] = 1
     gens = [transvection, tuple(tuple(r) for r in cycle)]
     if p > 2:
-        lam = primitive_root(p)
         diag = tuple(tuple(lam if i == j == 0 else (1 if i == j else 0)
                            for j in range(n)) for i in range(n))
         gens.append(diag)
@@ -232,16 +231,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group of F_p."""
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
+def primitive_element(q: int, mul: Callable[[int, int], int]) -> int:
+    """Smallest generator g of the multiplicative group of F_q, on the
+    codes 0..q-1 with product mul: the smallest g whose powers take
+    q - 1 values; 1 when q = 2."""
+    for g in range(2, q):
+        x, seen = 1, set()
+        for _ in range(q - 1):
+            x = mul(x, g)
             seen.add(x)
-        if len(seen) == p - 1:
+        if len(seen) == q - 1:
             return g
-    raise ValueError(f"{p} is not prime")
+    return 1

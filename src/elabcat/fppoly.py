@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import cap as _cap
-from .errors import CapExceeded, NotSymmetric
+from .config import cap as _cap, refuse
+from .errors import NotSymmetric
 from .groups import BLOCK_ENTRIES, blocks
 
 Exponents = tuple[int, ...]
@@ -82,15 +82,6 @@ def _collect(keys: np.ndarray, coeffs: np.ndarray, prime: int):
     return keys[starts[keep]], sums[keep]
 
 
-def _check_cap(count: int) -> None:
-    limit = _cap("term_cap")
-    if count > limit:
-        raise CapExceeded(
-            "term_cap",
-            f"polynomial product passed {limit} terms; "
-            f"raise ELABCAT_TERM_CAP to allow more")
-
-
 def _fold(start, pieces, prime: int, count=len):
     """Collect the (keys, coeffs) pair start and the pairs of pieces into
     one.  Pieces wait until half of BLOCK_ENTRIES entries are held, then
@@ -113,7 +104,9 @@ def _merge(held: list, prime: int, count):
     keys, coeffs = (np.concatenate(part) for part in zip(*held))
     held.clear()
     keys, coeffs = _collect(keys, coeffs, prime)
-    _check_cap(count(keys))
+    limit = _cap("term_cap")
+    if count(keys) > limit:
+        refuse("term_cap", f"polynomial product passed {limit} terms")
     return keys, coeffs
 
 

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
-from .errors import CapExceeded, InputFormatError
-from .config import cap as _cap
+from .errors import InputFormatError
+from .config import cap as _cap, refuse
 from .fpmat import (PRIME_LIMIT, Mat, code_digits, gl_generators, is_prime, mat_inv, mat_rank,
-                    subspace_bases)
+                    primitive_element, subspace_bases)
 from .groups import ENTRIES_PER_ELEMENT, FiniteGroup, _orbit_labels, close_generators
 
 # -- small finite fields ----------------------------------------------
@@ -107,14 +107,7 @@ class SmallField:
         return self.code(prod[:self.n])
 
     def primitive(self) -> int:
-        for g in range(2, self.q):
-            x, seen = 1, set()
-            for _ in range(self.q - 1):
-                x = self.mul(x, g)
-                seen.add(x)
-            if len(seen) == self.q - 1:
-                return g
-        return 1
+        return primitive_element(self.q, self.mul)
 
 
 # -- builders ---------------------------------------------------------
@@ -132,9 +125,8 @@ def _check_degree(name: str, base: int, exp: int = 1, less: int = 0) -> int:
     degree = base ** exp - less if exp <= limit.bit_length() else None
     if degree is None or degree > limit or degree ** 2 > ENTRIES_PER_ELEMENT * limit:
         points = (f"{base}^{exp}" if exp > 1 else str(base)) + (f" - {less}" if less else "")
-        raise CapExceeded("element_cap", f"{name} acts on {points} points, past what the element "
-                                         f"cap ({limit}) allows; raise ELABCAT_ELEMENT_CAP to "
-                                         f"allow more")
+        refuse("element_cap", f"{name} acts on {points} points, past what the element cap "
+                              f"({limit}) allows")
     return degree
 
 
@@ -586,9 +578,7 @@ def _chk_linear_part_order(ctx, args):
 
 @_check("order_p_class_count")
 def _chk_order_p_classes(ctx, args):
-    table = ctx.group.conjugacy
-    orders = ctx.group.element_orders
-    return sum(1 for rep in table.reps if orders[rep] == ctx.prime)
+    return int((ctx.group.element_orders[ctx.group.conjugacy.reps] == ctx.prime).sum())
 
 
 @_check("catalog_size", catalog=True)
@@ -659,29 +649,20 @@ def _chk_kind_isomorphic(ctx, args):
 @_check("conjugacy_orbit_sizes", "object")
 def _chk_conj_orbit_sizes(ctx, args):
     # sizes of the conjugacy class intersections with the subgroup
-    E = ctx.subgroup(args["object"])
-    class_of = ctx.group.conjugacy.class_of
-    counts: dict[int, int] = {}
-    for i in E.elements:
-        c = class_of[i]
-        counts[c] = counts.get(c, 0) + 1
-    return sorted(counts.values())
+    counts = cg.class_counts(ctx.subgroup(args["object"]), cg.A)[1]
+    return sorted(counts[counts > 0].tolist())
 
 
 @_check("class_centralizer_order", "object", "orbit_size")
 def _chk_class_centralizer(ctx, args):
-    # centralizer order of a member of the unique class meeting the
-    # subgroup in exactly orbit_size elements
+    # centralizer order of the smallest member of the unique class meeting
+    # the subgroup in exactly orbit_size elements
     E = ctx.subgroup(args["object"])
-    want = args["orbit_size"]
-    class_of = ctx.group.conjugacy.class_of
-    members: dict[int, list[int]] = {}
-    for i in E.elements:
-        members.setdefault(class_of[i], []).append(i)
-    hits = [idx[0] for idx in members.values() if len(idx) == want]
+    cls, counts = cg.class_counts(E, cg.A)
+    hits = [c for c, k in enumerate(counts.tolist()) if k and k == args["orbit_size"]]
     if len(hits) != 1:
         return None
-    return len(ctx.group.centralizer_indices(hits[0]))
+    return len(ctx.group.centralizer_indices(int(E.by_code[cls == hits[0]].min())))
 
 
 def _orbit_partition(G: FiniteGroup) -> np.ndarray:

@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import cap as _cap
+from .config import cap as _cap, refuse
 from .errors import CapExceeded, DegreeMismatch, InvalidPermutation
 
 Perm = tuple[int, ...]
@@ -335,11 +335,7 @@ class FiniteGroup:
             self._position[self._keys] = np.arange(len(rows))
         self.name = name or f"group<deg {degree}, order {len(rows)}>"
         self.identity_index = 0
-        self._inv_idx: np.ndarray | None = None
-        self._right: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
         self._conj: ConjugacyTable | None = None
-        self._conj_table: np.ndarray | None = None
         self._cent_memo: dict[int, np.ndarray] = {}
 
     # -- basic lookups ------------------------------------------------
@@ -410,20 +406,20 @@ class FiniteGroup:
         """(order, degree) array of images; do not mutate."""
         return self._arr
 
-    @property
+    @cached_property
     def generator_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(conj, right), each a C-contiguous (len(generators), order)
         int64 array: conj[k][i] is the index of g^-1 * e * g and right[k][i]
         the index of e * g, for e = element i and g = generators[k].  right
-        comes with inverse_indices; conj[k] = r[inv[r[inv]]] for r =
-        right[k] and inv = inverse_indices, as g^-1 * e * g = ((e^-1 * g)^-1)
-        * g, gathered row by row.  Do not mutate."""
-        if self._conj_table is None:
-            inv, r = self.inverse_indices, self._right
-            self._conj_table = np.empty_like(r)
-            for rk, ck in zip(r, self._conj_table):
-                np.take(rk, inv[rk[inv]], out=ck)
-        return self._conj_table, self._right
+        comes with the inverses (_inverses_and_right); conj[k] =
+        r[inv[r[inv]]] for r = right[k] and inv = inverse_indices, as
+        g^-1 * e * g = ((e^-1 * g)^-1) * g, gathered row by row.  Do not
+        mutate."""
+        inv, right = self._inverses_and_right
+        conj = np.empty_like(right)
+        for rk, ck in zip(right, conj):
+            np.take(rk, inv[rk[inv]], out=ck)
+        return conj, right
 
     # -- index-level arithmetic ---------------------------------------
 
@@ -439,38 +435,39 @@ class FiniteGroup:
         out = self.indices_of_base_images(images)
         return int(out) if out.ndim == 0 else out
 
-    @property
-    def inverse_indices(self) -> np.ndarray:
-        """Index of each element's inverse, built in one lookup with the
-        right tables of generator_tables: e^-1 sends a base point b to
-        the x with e[x] == b, and e * g sends it to g[e[b]]."""
-        if self._inv_idx is None:
-            inv = np.empty_like(self._arr)
-            np.put_along_axis(inv, self._arr, np.arange(self.degree), axis=1)
-            base = self.base
-            idx = self.indices_of_base_images(np.concatenate(
-                (inv[None, :, base], np.take(self._gens, self._arr[:, base], axis=1))))
-            self._inv_idx, self._right = idx[0], idx[1:]
-        return self._inv_idx
+    @cached_property
+    def _inverses_and_right(self) -> tuple[np.ndarray, np.ndarray]:
+        """(inverse indices, right tables of generator_tables), built in one
+        lookup: e^-1 sends a base point b to the x with e[x] == b, and
+        e * g sends it to g[e[b]]."""
+        inv = np.empty_like(self._arr)
+        np.put_along_axis(inv, self._arr, np.arange(self.degree), axis=1)
+        base = self.base
+        idx = self.indices_of_base_images(np.concatenate(
+            (inv[None, :, base], np.take(self._gens, self._arr[:, base], axis=1))))
+        return idx[0], idx[1:]
 
     @property
+    def inverse_indices(self) -> np.ndarray:
+        """Index of each element's inverse."""
+        return self._inverses_and_right[0]
+
+    @cached_property
     def element_orders(self) -> np.ndarray:
         """Order of each element: the lcm of the cycle lengths of its points,
         a point's cycle length being the first k with e^k(x) == x.  Order is
         a class function, so only class representatives are scanned."""
-        if self._orders is None:
-            table = self.conjugacy
-            reps = self._arr[table.reps]
-            points = np.arange(self.degree)
-            cycle = np.zeros(reps.shape, dtype=np.int64)
-            power = reps
-            for k in range(1, self.degree + 1):
-                cycle[(power == points) & (cycle == 0)] = k
-                if cycle.all():
-                    break
-                power = np.take_along_axis(reps, power, axis=1)
-            self._orders = np.lcm.reduce(cycle, axis=1)[table.class_of]
-        return self._orders
+        table = self.conjugacy
+        reps = self._arr[table.reps]
+        points = np.arange(self.degree)
+        cycle = np.zeros(reps.shape, dtype=np.int64)
+        power = reps
+        for k in range(1, self.degree + 1):
+            cycle[(power == points) & (cycle == 0)] = k
+            if cycle.all():
+                break
+            power = np.take_along_axis(reps, power, axis=1)
+        return np.lcm.reduce(cycle, axis=1)[table.class_of]
 
     def conjugate_indices(self, g, targets) -> np.ndarray:
         """Indices of g^-1 * e * g for each element index e in targets.
@@ -494,17 +491,13 @@ class FiniteGroup:
 
     @property
     def conjugacy(self) -> ConjugacyTable:
-        if self._conj is None:
-            self._conj = self._build_conjugacy()
-        return self._conj
-
-    def _build_conjugacy(self) -> ConjugacyTable:
         """Orbits under conjugation by the generators (see orbits): a class
         is numbered by its smallest member, and a witness is the first
         product witness(source) * g to reach an element, the search taking
-        each level generator by generator."""
-        conj, right = self.generator_tables
-        return ConjugacyTable(*orbits(conj, right))
+        each level generator by generator.  Built on first read."""
+        if self._conj is None:
+            self._conj = ConjugacyTable(*orbits(*self.generator_tables))
+        return self._conj
 
     # -- centralizers and transporters --------------------------------
 
@@ -658,12 +651,10 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     def guard(order: int, radix: list[int]):
         bits = (prod(radix) - 1).bit_length()
         if order > limit:
-            raise CapExceeded("element_cap", f"group closure passed the element cap ({limit}); "
-                                             f"raise ELABCAT_ELEMENT_CAP to allow more")
+            refuse("element_cap", f"group closure passed the element cap ({limit})")
         if order * degree > ENTRIES_PER_ELEMENT * _cap("element_cap"):
-            raise CapExceeded("element_cap", f"group element table of {order} x {degree} entries "
-                                             f"passed {ENTRIES_PER_ELEMENT} per element of the cap; "
-                                             f"raise ELABCAT_ELEMENT_CAP to allow more")
+            refuse("element_cap", f"group element table of {order} x {degree} entries "
+                                  f"passed {ENTRIES_PER_ELEMENT} per element of the cap")
         if bits > KEY_BITS:
             raise CapExceeded("element_key", f"group element keys need {bits} bits, "
                                              f"more than the {KEY_BITS} an int64 key holds")

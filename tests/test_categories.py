@@ -162,11 +162,12 @@ class TestCategory:
             with pytest.raises(ValueError):
                 D.hom(4, 4)[0, 0] = 0
 
-    def test_hom_count_guard(self):
+    def test_hom_count_guard(self, monkeypatch):
         cat = a4_catalog()
         C = cg.build_category(cg.CREG, cat)
+        monkeypatch.setenv("ELABCAT_HOM_COUNT_CAP", "10")
         with pytest.raises(CapExceeded) as e:
-            C.materialize(hom_count_cap=10)
+            C.materialize()
         assert e.value.guard == "hom_count_cap"
 
     def test_provenance_tags(self):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from elabcat import chern, cli
-from elabcat.categories import CREG, build_category
+from elabcat.categories import A, CREG, build_category
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
 from elabcat.fpmat import injective_count
@@ -310,6 +310,75 @@ class TestGuardsAndFailures:
         assert cli.main(["dickson", "--prime", "2", "--rank", "2"]) == 1
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom second line\n"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def a_row_past_the_cap():
+    # A4 at p=2: the A row out of a rank-1 subgroup holds 6 maps; no
+    # command builds a row alone, so it is read through the library
+    catalog = enumerate_elabs(cli.load_group(str(GOLDEN / "alt4.group.json")), 2)
+    build_category(A, catalog).hom(catalog.class_reps[1], len(catalog) - 1)
+
+
+# every cap refusal: (caps set, the command or the library call, the
+# stderr line after "error: guard ")
+CAP_REFUSALS = {
+    "catalog": ({"ELABCAT_CATALOG_CAP": "10"},
+                ["analyze", str(GOLDEN / "sym5.group.json"), "--prime", "2"],
+                "catalog_cap: subgroup catalog passed the cap (10); "
+                "raise ELABCAT_CATALOG_CAP to allow more"),
+    "product-terms": ({"ELABCAT_TERM_CAP": "100"}, ["dickson", "--prime", "2", "--rank", "5"],
+                      "term_cap: polynomial product passed 100 terms; "
+                      "raise ELABCAT_TERM_CAP to allow more"),
+    "weights": ({"ELABCAT_TERM_CAP": "20"}, ["dickson", "--prime", "2", "--rank", "5"],
+                "term_cap: 2^5 weights pass the term cap (20); "
+                "raise ELABCAT_TERM_CAP to allow more"),
+    "searched-hom-set": ({"ELABCAT_HOM_COUNT_CAP": "3"},
+                         ["analyze", str(GOLDEN / "sym5.group.json"), "--prime", "2",
+                          "--kinds", "Aprime"],
+                         "hom_count_cap: a hom-set of rank 2 into rank 2 may hold 4 maps, "
+                         "more than the cap (3); raise ELABCAT_HOM_COUNT_CAP to allow more"),
+    "group-closure": ({"ELABCAT_ELEMENT_CAP": "100"},
+                      ["analyze", str(GOLDEN / "sym5.group.json"), "--prime", "2"],
+                      "element_cap: group closure passed the element cap (100); "
+                      "raise ELABCAT_ELEMENT_CAP to allow more"),
+    "hom-dict": ({"ELABCAT_HOM_COUNT_CAP": "5"},
+                 ["closure", str(GOLDEN / "alt4.group.json"), "--prime", "2",
+                  "--category", "explicit.json"],
+                 "hom_count_cap: the category holds 26 maps, more than the cap (5); "
+                 "raise ELABCAT_HOM_COUNT_CAP to allow more"),
+    "closure-base": ({"ELABCAT_HOM_COUNT_CAP": "5"},
+                     ["closure", str(GOLDEN / "alt4.group.json"), "--prime", "2",
+                      "--category", str(GOLDEN / "alt4-p2-grow.category.json")],
+                     "hom_count_cap: the base between class representatives holds 10 maps, "
+                     "more than the cap (5); raise ELABCAT_HOM_COUNT_CAP to allow more"),
+    "gallery-degree": ({"ELABCAT_ELEMENT_CAP": "7"}, ["gallery", "affine-8"],
+                       "element_cap: affine-8 acts on 8 points, past what the element cap "
+                       "(7) allows; raise ELABCAT_ELEMENT_CAP to allow more"),
+    "row": ({"ELABCAT_HOM_COUNT_CAP": "5"}, a_row_past_the_cap,
+            "hom_count_cap: the A hom-sets out of 1 objects hold 6 maps, more than the cap "
+            "(5); raise ELABCAT_HOM_COUNT_CAP to allow more"),
+}
+
+
+@pytest.mark.parametrize("env,run,line", CAP_REFUSALS.values(), ids=CAP_REFUSALS)
+def test_cap_refusal(monkeypatch, tmp_path, capsys, env, run, line):
+    # a command exits 3 with one line; a library call raises what the
+    # command line would print
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "explicit.json").write_text(json.dumps({"homs": []}))   # every map explicit
+    if callable(run):
+        with pytest.raises(CapExceeded) as e:
+            run()
+        err = f"error: guard {e.value.guard}: {e.value}\n"
+    else:
+        assert cli.main(run) == 3
+        err = capsys.readouterr().err
+    assert err == f"error: guard {line}\n"
 
 
 class TestGallery:

@@ -96,17 +96,20 @@ class TestCatalog:
         assert len(cat) == 1
         assert p_rank(cat) == 0
 
-    def test_catalog_cap(self):
+    def test_catalog_cap(self, monkeypatch):
         G = a4()
+        monkeypatch.setenv("ELABCAT_CATALOG_CAP", "3")
         with pytest.raises(CapExceeded) as e:
-            enumerate_elabs(G, 2, catalog_cap=3)
+            enumerate_elabs(G, 2)
         assert e.value.guard == "catalog_cap"
 
-    def test_catalog_cap_boundary(self):
+    def test_catalog_cap_boundary(self, monkeypatch):
         G = close_generators(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
-        assert len(enumerate_elabs(G, 2, catalog_cap=271)) == 271
+        monkeypatch.setenv("ELABCAT_CATALOG_CAP", "271")
+        assert len(enumerate_elabs(G, 2)) == 271
+        monkeypatch.setenv("ELABCAT_CATALOG_CAP", "270")
         with pytest.raises(CapExceeded) as e:
-            enumerate_elabs(G, 2, catalog_cap=270)
+            enumerate_elabs(G, 2)
         assert e.value.guard == "catalog_cap"
         assert str(e.value) == ("subgroup catalog passed the cap (270); "
                                 "raise ELABCAT_CATALOG_CAP to allow more")

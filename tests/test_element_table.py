@@ -211,8 +211,9 @@ def test_catalog_cap_stops_before_commuting_pairs(monkeypatch):
         raise AssertionError("commuting pairs built before the rank-1 guard")
 
     monkeypatch.setattr(elabs, "_commuting_pairs", never)
+    monkeypatch.setenv("ELABCAT_CATALOG_CAP", "40")
     with pytest.raises(CapExceeded) as e:
-        enumerate_elabs(close_generators(*regular(2, 6)), 2, catalog_cap=40)
+        enumerate_elabs(close_generators(*regular(2, 6)), 2)
     assert e.value.guard == "catalog_cap"
     assert str(e.value) == ("subgroup catalog passed the cap (40); "
                             "raise ELABCAT_CATALOG_CAP to allow more")

@@ -4,7 +4,7 @@ import pytest
 from brute_force import (close_matrix_group, identity_mat, injective_oracle, mat_vec, span,
                          subspace_oracle)
 from elabcat.fpmat import (gl_generators, image_tables, injective_count, mat_inv, mat_mul,
-                           mat_rank, primitive_root, restricts_into, subspace_bases,
+                           mat_rank, primitive_element, restricts_into, subspace_bases,
                            subspace_codes)
 from elabcat.gallery import affine_images
 from elabcat.groups import close_generators
@@ -155,8 +155,9 @@ class TestEnumerations:
 
     def test_primitive_root(self):
         for p in (3, 5, 7, 11):
-            g = primitive_root(p)
+            g = primitive_element(p, lambda a, b: a * b % p)
             assert sorted(pow(g, k, p) for k in range(p - 1)) == list(range(1, p))
+        assert primitive_element(2, lambda a, b: a * b % 2) == 1
 
     def test_close_matrix_group_identity_only(self):
         assert close_matrix_group([identity_mat(2)], 2) == [identity_mat(2)]

@@ -184,6 +184,18 @@ class TestFixtures:
         failed = [r.claim_id for r in report.results if not r.ok]
         assert report.ok, f"failed claims: {failed}"
 
+    @pytest.mark.parametrize("orbit_size,computed", [(4, 8), (0, None), ("4", None), (2.5, None)])
+    def test_class_centralizer_order_needs_a_class_met(self, tmp_path, orbit_size, computed):
+        # the kernel of triangular-2-3 meets one class in 4 elements; no
+        # class it misses, and no size that is not a count, picks a class
+        doc = {"name": "x", "builder": "triangular", "params": {"p": 2, "n": 3}, "prime": 2,
+               "claims": [{"id": "c", "text": "t", "provenance": "derived",
+                           "check": "class_centralizer_order", "expected": 8,
+                           "args": {"object": "kernel", "orbit_size": orbit_size}}]}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        assert gal.verify_gallery(gal.load_entry(str(path))).results[0].computed == computed
+
     def test_failing_claim_reported(self, tmp_path):
         doc = {"name": "x", "builder": "affine", "params": {"q": 4},
                "prime": 2,

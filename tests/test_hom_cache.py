@@ -159,9 +159,9 @@ def test_closure_reuses_loaded_base_homs(counted, monkeypatch, tmp_path, capsys)
         catalogs.append(inner_catalog(*args))
         return catalogs[-1]
 
-    def counting(C, i, limit):
+    def counting(C, i):
         rows[i] += 1
-        return inner_rows(C, i, limit)
+        return inner_rows(C, i)
 
     def listing(*args, **kwargs):
         raise AssertionError("hom_dict called")
