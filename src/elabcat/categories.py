@@ -31,11 +31,12 @@ kind onto f(E) followed by an inclusion (Quillen's factorization of A,
 Ann. of Math. 94, 1971; Green and Leary use it for Aprime, Comment. Math.
 Helv. 73, 1998).  A category over a catalog builds every kind that one
 way, on the pairs of class representatives (see SubgroupCategory): the
-isomorphisms between representatives of one rank, the sizes from them
-(class_sizes), and every map out of a representative into a larger rank
-by carrying them onto each member inside each target (_rows).  Only
-those isomorphisms are searched; hom_matrices builds any one pair from
-the definition of its kind alone, with no catalog:
+isomorphisms between representatives of one rank, classified once
+(iso_classes), the sizes from them (class_sizes), and every map out of a
+representative into a larger rank by carrying them onto each member
+inside each target (_rows).  Only those isomorphisms are searched;
+hom_matrices builds any one pair from the definition of its kind alone,
+with no catalog:
 
   A            the g with g^-1 E g inside F, which lie in the transporter
                cosets taking E's first basis element into F;
@@ -64,6 +65,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -131,17 +133,18 @@ def a_n(n: int) -> CategoryKind:
 def canonical(kind: CategoryKind, rank: int) -> CategoryKind:
     """The kind with the same hom-sets out of a domain of the given rank.
 
-    An(n) is A once n reaches the rank, An(0) is Creg, and An(1) and
-    AprimeD(1) are Aprime; every other kind is its own canonical form.
+    An(n) is A once n reaches the rank, An(0) is Creg, An(1) and
+    AprimeD(1) are Aprime, Aprime is A at rank 1 (one conjugator of the
+    generator), and every kind is A at rank 0; other kinds are their own.
     """
     if kind.tag == "An":
         if kind.param >= rank:
             return A
         if kind.param <= 1:
-            return CREG if kind.param == 0 else APRIME
+            kind = CREG if kind.param == 0 else APRIME
     if kind.tag == "AprimeD" and kind.param == 1:
-        return APRIME
-    return kind
+        kind = APRIME
+    return A if not rank or (kind == APRIME and rank == 1) else kind
 
 
 # -- hom-set computation ----------------------------------------------
@@ -250,11 +253,9 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     """
     if E.ambient is not F.ambient or E.prime != F.prime:
         raise CatalogMismatch("hom-set needs a common ambient group and prime")
-    kind = canonical(kind, E.rank)
     if kind.tag == "AprimeD" and (E.prime - 1) % kind.param:
         raise ValueError(f"parameter {kind.param} does not divide {E.prime - 1}")
-    if not E.rank:                          # every kind holds the one empty map
-        return np.zeros((1, 0), dtype=np.int64)
+    kind = canonical(kind, E.rank)          # A at rank 0: the one empty map
     (E_cls, E_counts), (F_cls, F_counts) = class_counts(E, kind), class_counts(F, kind)
     if (E_counts > F_counts).any():
         return np.zeros((0, E.rank), dtype=np.int64)
@@ -279,20 +280,20 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     With Y_k = w_k^-1 Y w_k the members of a class y of i's rank (w_k the
     class witnesses), Hom(E, F) is c_k o Iso(E, Y) over the Y_k inside F,
     c_k: Y -> Y_k the conjugation by w_k; maps through distinct Y_k have
-    distinct images.  Refused (CapExceeded) before anything is built when
-    the row, read off class_sizes, holds more maps than the hom count
-    cap allows.
+    distinct images; the y are the classes isomorphic to i's (iso_classes).
+    Refused (CapExceeded) before anything is built when the row, read off
+    class_sizes, holds more maps than the hom count cap allows.
     """
-    catalog, reps = C.catalog, C.catalog.class_reps
+    catalog, reps, x = C.catalog, C.catalog.class_reps, C.catalog.class_of.item(i)
     rank = catalog.ranks().item(i)
     kind = C._kind_at(rank)
     starts, supers = catalog.containers
     class_starts, by_class, witnesses = catalog.class_table
-    sizes = C.class_sizes()[catalog.class_of[i]]
     _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
-                     f"out of 1 objects hold", int(sizes @ np.diff(class_starts)))
+                     f"out of 1 objects hold", int(C.class_sizes()[x] @ np.diff(class_starts)))
+    first = C.iso_classes()[1]
     targets, parts = [], []
-    for y in np.flatnonzero(sizes * (catalog.ranks()[reps] == rank)).tolist():
+    for y in np.flatnonzero(first == first[x]).tolist():
         span = slice(class_starts[y], class_starts[y + 1])
         iso, members = C._base_hom(i, reps[y]), by_class[span]
         conj = catalog.group.conjugate_indices(witnesses[span], catalog.by_code(reps[y]))
@@ -336,13 +337,12 @@ class SubgroupCategory:
         self.catalog = catalog
         self.kind = kind
         self.maps = {key: cols for key, cols in (homs or {}).items() if len(cols)}
-        # the base's hom-sets by (canonical kind, i, j), its rows (see
-        # _rows) and its class_sizes, shared by a kind's categories
+        # the base's hom-sets by (canonical kind, i, j) and its rows (see
+        # _rows), shared by a kind's categories
         shared = kind is not None
         self._base = catalog.homs if shared else {
             (None, i, j): cols for (i, j), cols in (reps or {}).items()}
         self._base_rows = catalog.rows if shared else {}
-        self._base_sizes = catalog.sizes if shared else {}
         for cols in chain(self.maps.values(), (reps or {}).values()):
             cols.flags.writeable = False
 
@@ -413,34 +413,52 @@ class SubgroupCategory:
         self._base[kind, i, j] = got
         return got
 
+    @cached_property
+    def _classes(self) -> dict:
+        """Where the base's iso_classes and class_sizes are kept once read:
+        the catalog's entry for the kind's canonical form at each rank, so
+        kinds with equal hom-sets share one."""
+        if self.kind is None:
+            return {}
+        return self.catalog.sizes.setdefault(tuple(
+            canonical(self.kind, r) for r in range(len(self.catalog.codes))), {})
+
+    def iso_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(aut, first): aut[x] = |Aut(rep x)| in the base (0 if it is
+        empty) and first[x] the least class isomorphic to x, the one test
+        of isomorphism between classes.  Isomorphic classes have equal
+        class_counts rows (Creg's for a given base), so x is tested only
+        against the first class of each isomorphism class with its row;
+        for Creg all of those are isomorphic, and aut is |GL_r|, counted."""
+        if "iso" not in self._classes:
+            catalog, reps = self.catalog, self.catalog.class_reps.tolist()
+            aut, first = np.zeros(len(reps), dtype=np.int64), np.arange(len(reps))
+            leaders: dict[bytes, list[int]] = {}
+            for x, (i, r) in enumerate(zip(reps, catalog.ranks()[reps].tolist())):
+                found = leaders.setdefault(
+                    class_counts(catalog.subgroups[i], self.kind or CREG)[1].tobytes(), [])
+                creg = self._kind_at(r) == CREG
+                aut[x] = injective_count(catalog.prime, r, r) if creg else len(self._base_hom(i, i))
+                first[x] = next((y for y in found if creg or len(self._base_hom(reps[y], i))), x)
+                if first[x] == x:
+                    found.append(x)
+            aut.flags.writeable = first.flags.writeable = False
+            self._classes["iso"] = aut, first
+        return self._classes["iso"]
+
     def class_sizes(self) -> np.ndarray:
-        """The base's |Hom(rep x, rep y)| for all classes x, y, kept once
-        read: I @ catalog.class_inclusions (see _rows), I[x, y] the
-        isomorphisms rep x -> rep y, read only where the class_counts
-        rows (Creg's for an explicit base) are equal, and counted as
-        |GL_r| for Creg.  Class labels follow rank order, so
-        between classes of one rank this is I."""
-        catalog, reps = self.catalog, self.catalog.class_reps.tolist()
-        if (got := self._base_sizes.get(self.kind)) is None:
-            key = row_keys(np.array([class_counts(catalog.subgroups[r], self.kind or CREG)[1]
-                                     for r in reps]))
-            key = np.searchsorted(sorted_distinct(key), key)      # equal rows, equal keys
-            same = key[:, None] == key
-            if canonical(self.kind or A, 1) == CREG:
-                iso = same * np.array([injective_count(catalog.prime, r, r)
-                                       for r in catalog.ranks()[reps].tolist()])[:, None]
-            else:
-                iso = np.zeros(same.shape, dtype=np.int64)
-                for x, y in np.argwhere(same).tolist():
-                    iso[x, y] = len(self._base_hom(reps[x], reps[y]))
-            # Iso(x, y) is empty or one orbit of Aut(rep x), so row x of I is
-            # I[x, x] on the classes isomorphic to x, the least of them first[x]
-            first, sums = (iso > 0).argmax(axis=1), np.zeros_like(iso)
-            np.add.at(sums, first, catalog.class_inclusions)
-            got = iso.diagonal()[:, None] * sums[first]
+        """The base's |Hom(rep x, rep y)| for all classes x, y, kept with
+        iso_classes.  A map out of rep x is an isomorphism onto a member
+        of a class isomorphic to x, aut[x] of them onto each, followed by
+        the inclusion, so row x is aut[x] times the sum of the rows of
+        catalog.class_inclusions over the classes isomorphic to x."""
+        if "sizes" not in self._classes:
+            aut, first = self.iso_classes()
+            sums = np.zeros_like(self.catalog.class_inclusions)
+            np.add.at(sums, first, self.catalog.class_inclusions)
+            self._classes["sizes"] = got = sums[first] * aut[:, None]
             got.flags.writeable = False
-            self._base_sizes[self.kind] = got
-        return got
+        return self._classes["sizes"]
 
     def pair_sizes(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys, sizes) of the non-empty hom-sets, listing no map off
@@ -537,6 +555,14 @@ def explicit_category(catalog: ElabCatalog,
     return SubgroupCategory(catalog, None, cleaned)
 
 
+def _matches(keys: np.ndarray, among: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) for every keys[s] == among[t], in increasing order of s, then t."""
+    order = np.argsort(among, kind="stable")
+    s, at = ranges(*(np.searchsorted(among[order], keys, side=side)
+                     for side in ("left", "right")))
+    return s, order[at]
+
+
 # -- closure ----------------------------------------------------------
 
 # Isomorphisms between class representatives of one rank r, as arrays
@@ -571,10 +597,7 @@ def _unknown(maps: Isos, known: np.ndarray, basis: np.ndarray) -> tuple[Isos, np
 
 def _composed(f: Isos, g: Isos) -> Isos:
     """g o h for every h in f and g in g with h's codomain g's domain."""
-    order = np.argsort(g[0], kind="stable")
-    ends = g[0][order]
-    t, at = ranges(np.searchsorted(ends, f[1]), np.searchsorted(ends, f[1], side="right"))
-    at = order[at]
+    t, at = _matches(f[1], g[0])
     return f[0][t], g[1][at], np.take_along_axis(g[2][at], f[2][t], axis=1)
 
 
@@ -627,10 +650,7 @@ def _restricted(catalog: ElabCatalog, maps: Isos, rank: int) -> tuple[np.ndarray
     inner = catalog.by_codes(rank - 1, s)
     pull = catalog.codes_in(x[:, None], np.take_along_axis(
         inner, catalog.conjugation_codes[s, :q], axis=1))     # codes in rep x
-    order = np.argsort(cls[x], kind="stable")
-    ends = cls[x][order]
-    f, k = ranges(np.searchsorted(ends, maps[0]), np.searchsorted(ends, maps[0], side="right"))
-    k = order[k]
+    f, k = _matches(maps[0], cls[x])
     images = np.take_along_axis(maps[2][f], pull[k], axis=1)
     return cls[s][k], by_code[maps[1][f][:, None] - ys[0], images]
 
@@ -684,13 +704,15 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                     f"morphism{'s' if count != 1 else ''} "
                     f"on object pair ({i}, {j})")
         # a given base (a closure's) enters by its isomorphisms
+        aut, first = C.iso_classes()
         inputs += [((reps[x], reps[y]), C._base_hom(reps[x], reps[y]))
-                   for x, y in np.argwhere(C.class_sizes()).tolist() if rank[x] == rank[y]]
+                   for x, y in zip(*(a.tolist() for a in _matches(first, first))) if aut[x]]
     else:
-        _refuse_past_cap("the base between class representatives holds",
-                         int(C.class_sizes().sum()))
+        aut, first = C.iso_classes()        # the total of class_sizes
+        held = np.bincount(first, catalog.class_inclusions.sum(axis=1)).astype(np.int64)
+        _refuse_past_cap("the base between class representatives holds", int(aut @ held[first]))
         base = C
-    sizes, top = base.class_sizes(), int(rank.max())
+    top = int(rank.max())
     # by rank: (domain classes, image elements) of the maps to seed it, as
     # _onto_images reads them; each input map E -> F through c_E
     pending: list[list] = [[] for _ in range(top + 1)]
@@ -700,7 +722,8 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         pending[r].append((np.full(len(cols), catalog.class_of[i]), catalog.by_code(j)[
             images[:, catalog.conjugation_codes[i, :p ** r]]]))
     homs: dict[tuple[int, int], np.ndarray] = {}
-    xs, ys = np.nonzero(sizes * (rank[:, None] == rank))
+    first = base.iso_classes()[1]
+    xs, ys = _matches(first, first)           # the pairs of isomorphic classes
     for r in range(top, -1, -1):
         at = rank[xs] == r
         x, y = xs[at], ys[at]
@@ -732,27 +755,28 @@ def maximal_objects(C: SubgroupCategory) -> list[list[int]]:
 
     An object is maximal when every outgoing morphism is bijective, which
     for injective linear maps means no morphism reaches a strictly larger
-    rank.  Both are read off class_sizes and the explicit maps, not pair
-    by pair.  A base holds the conjugation isomorphisms and is closed
+    rank.  Both are read off iso_classes and the explicit maps, not pair
+    by pair: a base maps a class into a larger rank when some class
+    isomorphic to it is not maximal in the catalog.  A base is closed
     under composition and inverses of bijections, so each of its classes
-    is one node (n + class), joined to every class of its rank it maps
-    to, and no class that is not maximal joins two that are; an explicit
-    map joins its ends.  Min-label propagation finds the components.
+    is one node (n + class), joined to first[class], and no class that is
+    not maximal joins two that are; an explicit map joins its ends.
+    Min-label propagation finds the components.
     """
     catalog, n = C.catalog, len(C.catalog)
     ranks, cls = catalog.ranks(), catalog.class_of
-    found = C.class_sizes() > 0
-    rank = ranks[catalog.class_reps]
-    maximal = ~(found & (rank[:, None] < rank)).any(axis=1)[cls]
+    aut, first = C.iso_classes()
+    grows = np.zeros(len(first), dtype=bool)
+    grows[first[~catalog.maximal[catalog.class_reps]]] = True
+    maximal = ~(grows[first] & (aut > 0))[cls]
     dom, cod = np.array(list(C.maps), dtype=np.int64).reshape(-1, 2).T
     maximal[dom[ranks[dom] < ranks[cod]]] = False
     keep = np.flatnonzero(maximal)
-    glued = keep[found.diagonal()[cls[keep]]]
-    x, y = np.nonzero(found & (rank[:, None] == rank))
+    glued = keep[aut[cls[keep]] > 0]
     ends = maximal[dom] & maximal[cod]
-    src = np.concatenate([n + x, glued, dom[ends]])
-    dst = np.concatenate([n + y, n + cls[glued], cod[ends]])
-    label, old = np.arange(n + len(rank)), None
+    src = np.concatenate([n + np.arange(len(first)), glued, dom[ends]])
+    dst = np.concatenate([n + first, n + cls[glued], cod[ends]])
+    label, old = np.arange(n + len(first)), None
     while not np.array_equal(label, old):
         old, label = label, label.copy()
         np.minimum.at(label, src, old[dst])
@@ -785,22 +809,24 @@ def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
     larger rank is carried from isomorphisms between representatives of
     one rank (see _rows), and class labels follow rank order, so the
     first pair that differs, in row-major order, is one of equal rank:
-    only those are read.  Beside A, Creg or An(0) a kind is nested, so
-    only pairs whose class_sizes differ; otherwise every pair where
-    either is non-zero.  The witness, at the first pair that differs, is
-    the smallest matrix, as a tuple of row tuples, in one hom-set only.
+    only pairs isomorphic in either kind are read (iso_classes).  Beside
+    A, Creg or An(0) a kind is nested, so only those whose sizes differ.
+    The witness, at the first pair that differs, is the smallest matrix,
+    as a tuple of row tuples, in one hom-set only.
     """
     C1, C2 = build_category(kind1, catalog), build_category(kind2, catalog)
-    reps, p = catalog.class_reps.tolist(), catalog.prime
-    S1, S2 = C1.class_sizes(), C2.class_sizes()
-    rank = catalog.ranks()[reps]
-    nested = {kind1, kind2} & {A, CREG, a_n(0)}
-    walk = (S1 != S2 if nested else (S1 > 0) | (S2 > 0)) & (rank[:, None] == rank)
-    for ci, cj in np.argwhere(walk).tolist():
+    reps, p, k = catalog.class_reps.tolist(), catalog.prime, catalog.class_count()
+    (a1, f1), (a2, f2) = C1.iso_classes(), C2.iso_classes()
+    x, y = np.divmod(sorted_distinct(np.concatenate(
+        [np.ravel_multi_index(_matches(f, f), (k, k)) for f in (f1, f2)])), k)
+    if {kind1, kind2} & {A, CREG, a_n(0)}:
+        walk = a1[x] * (f1[x] == f1[y]) != a2[x] * (f2[x] == f2[y])
+        x, y = x[walk], y[walk]
+    for ci, cj in zip(x.tolist(), y.tolist()):
         h1, h2 = C1.hom(reps[ci], reps[cj]), C2.hom(reps[ci], reps[cj])
         if not np.array_equal(h1, h2):
             s1, s2 = set(map(tuple, h1.tolist())), set(map(tuple, h2.tolist()))
-            M, cols = min((matrix_of(c, p, int(rank[cj])), c) for c in s1 ^ s2)
+            M, cols = min((matrix_of(c, p, catalog.ranks().item(reps[cj])), c) for c in s1 ^ s2)
             side = kind1.label() if cols in s1 else kind2.label()
             return EqualityVerdict(False, ci, cj, M, side)
     return EqualityVerdict(True)
@@ -812,6 +838,6 @@ def generic_fibre_index(catalog: ElabCatalog, E: ElabSubgroup) -> Fraction:
     if not catalog.maximal[idx]:
         raise NotMaximal(f"subgroup {idx} is not maximal in its catalog")
     c = int(catalog.class_of[idx])
-    num, den = (int(build_category(k, catalog).class_sizes()[c, c]) for k in (APRIME, A))
+    num, den = (int(build_category(k, catalog).iso_classes()[0][c]) for k in (APRIME, A))
     return Fraction(num, den)
 

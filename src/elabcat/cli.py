@@ -187,15 +187,15 @@ def analyze_report(G: FiniteGroup, p: int,
 
     t3 = time.perf_counter()
     fibres, reps = [], catalog.class_reps
-    aut_a, aut_aprime = (cg.build_category(k, catalog).class_sizes() for k in (cg.A, cg.APRIME))
+    aut_a, aut_aprime = (cg.build_category(k, catalog).iso_classes()[0] for k in (cg.A, cg.APRIME))
     for c in catalog.maximal_class_indices():
         E = catalog.subgroups[reps[c]]
         ratio = cg.generic_fibre_index(catalog, E)
         fibres.append({
             "class": c,
             "rank": E.rank,
-            "aut_a": int(aut_a[c, c]),
-            "aut_aprime": int(aut_aprime[c, c]),
+            "aut_a": int(aut_a[c]),
+            "aut_aprime": int(aut_aprime[c]),
             "index": [ratio.numerator, ratio.denominator],
         })
     timing["fibres"] = round(time.perf_counter() - t3, 6)
@@ -467,9 +467,14 @@ def check_numbers(args) -> None:
         raise InputFormatError(f"--max-n must be non-negative, got {m}")
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:         # built once per process; each parse is fresh
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         check_numbers(args)
         code = args.func(args)

@@ -194,8 +194,8 @@ class ElabCatalog:
     class_reps and ranks() are read-only int64 (maximal bool) arrays.
     homs caches hom-sets under keys (canonical kind, i, j) for every
     category over this catalog, rows every map of a kind out of a class
-    representative i under (kind, i), and sizes each kind's class_sizes
-    matrix; only categories uses them.
+    representative i under (kind, i), and sizes iso_classes and class_sizes
+    by the kind's canonical form at each rank; only categories uses them.
     """
 
     def __init__(self, group: FiniteGroup, prime: int, codes: list[np.ndarray],

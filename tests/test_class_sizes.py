@@ -1,17 +1,19 @@
-"""Hom-set sizes from one class-size matrix per kind.
+"""Hom-set sizes from one isomorphism classification per distinct kind.
 
-class_sizes reads only the representatives' pairs that the class-count
-mask leaves; every reader of hom-set sizes goes through it.  Checked here:
-the mask against the per-pair Counter prune and the generate-and-test
-oracle, the matrix against every pair's hom_matrices, maximal_objects and
-categories_equal against their pairwise oracles, and the calls analyze
-makes on (Z/2)^5.
+iso_classes tests each class only against the first class of each
+isomorphism class with its class-count row; class_sizes and every
+same-rank question read it.  Checked here: the mask against the per-pair
+Counter prune and the generate-and-test oracle, iso_classes against the
+isomorphisms between representatives, class_sizes against every pair's
+hom_matrices and the dense I @ M, maximal_objects and categories_equal
+against their pairwise oracles, and the calls analyze makes on (Z/2)^5.
 """
 
 import itertools
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,51 @@ def random_maps(data, catalog):
         M = data.draw(st.sampled_from(injective_oracle(p, ranks[j], ranks[i])))
         homs.setdefault((i, j), []).append(codes(M, p))
     return cg.explicit_category(catalog, homs).maps
+
+
+def dense_class_sizes(C, kind):
+    """(I, I @ M), the sizes class_sizes once built densely: I[x, y] the
+    isomorphisms rep x -> rep y, from hom_matrices for a kind and from the
+    base's hom-sets for a given or empty base, on every pair of one rank,
+    and M = catalog.class_inclusions."""
+    catalog = C.catalog
+    reps = catalog.class_reps.tolist()
+    I = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    for (x, i), (y, j) in itertools.product(enumerate(reps), repeat=2):
+        if catalog.ranks()[i] == catalog.ranks()[j]:
+            E, F = catalog.subgroups[i], catalog.subgroups[j]
+            I[x, y] = len(C._base_hom(i, j) if kind is None else cg.hom_matrices(kind, E, F))
+    return I, I @ catalog.class_inclusions
+
+
+@given(catalog=catalogs(), data=st.data())
+@example(catalog=enumerate_elabs(S3xS3, 3), data=None)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_iso_classes_match_the_hom_sets_between_representatives(catalog, data):
+    maps = random_maps(data, catalog) if data is not None else {}
+    cases = [(cg.build_category(kind, catalog), kind) for kind in kinds_of(catalog)]
+    cases += [(cg.closure(cg.SubgroupCategory(catalog, cg.A, maps)), None),   # a given base
+              (cg.SubgroupCategory(catalog, None, maps), None)]                # an empty one
+    for C, kind in cases:
+        I, sizes = dense_class_sizes(C, kind)
+        aut, first = C.iso_classes()
+        assert aut.tolist() == I.diagonal().tolist(), C.provenance
+        assert first.tolist() == [next((y for y in range(len(I)) if I[y, x]), x)
+                                  for x in range(len(I))], C.provenance
+        assert C.class_sizes().tolist() == sizes.tolist(), C.provenance
+
+
+def test_iso_classes_reach_past_the_first_class_of_a_row():
+    # S3 x S3 at p=2: three classes of order-2 subgroups, whose counts rows
+    # are equal in a given base; a closure that joins the last two makes
+    # the third isomorphic to the second, not to the first
+    catalog = enumerate_elabs(S3xS3, 2)
+    reps = catalog.class_reps.tolist()
+    x, y, z = [c for c, i in enumerate(reps) if catalog.ranks()[i] == 1]
+    C = cg.closure(cg.SubgroupCategory(catalog, cg.A, {(reps[y], reps[z]): np.array([[1]])}))
+    assert C.iso_classes()[1][[x, y, z]].tolist() == [x, y, y]
+    assert C.class_sizes().tolist() == dense_class_sizes(C, None)[1].tolist()
 
 
 @given(catalog=catalogs(), data=st.data())
@@ -218,8 +265,25 @@ def test_creg_sizes_are_counted_not_built(monkeypatch, G, p, kind):
 
 @pytest.mark.parametrize("kind", [cg.A, cg.APRIME, cg.a_n(2), cg.CREG])
 def test_sizes_are_shared_by_every_category_of_a_kind(kind):
+    # Z/2 x Z/2 at p=2, p-rank 2: An(2) is A, An(1) Aprime and An(0) Creg
+    # at every rank, so each pair shares the one entry of its canonical forms
     catalog = enumerate_elabs(close_generators(6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 5, 4]]), 2)
-    sizes = cg.build_category(kind, catalog).class_sizes()
+    alias = {cg.A: cg.a_n(2), cg.APRIME: cg.a_n(1), cg.a_n(2): cg.A, cg.CREG: cg.a_n(0)}[kind]
+    C = cg.build_category(kind, catalog)
+    sizes, classes = C.class_sizes(), C.iso_classes()
     assert cg.build_category(kind, catalog).class_sizes() is sizes
-    assert not sizes.flags.writeable
-    assert catalog.sizes == {kind: sizes}
+    D = cg.build_category(alias, catalog)
+    assert D.class_sizes() is sizes and D.iso_classes() is classes
+    assert not sizes.flags.writeable and not any(a.flags.writeable for a in classes)
+    assert len(catalog.sizes) == 1
+
+
+@given(catalog=catalogs())
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_one_sizes_entry_per_canonical_tuple(catalog):
+    kinds = kinds_of(catalog) + [cg.aprime_d(1)]
+    tuples = {tuple(cg.canonical(k, r) for r in range(p_rank(catalog) + 1)) for k in kinds}
+    for kind in kinds:
+        cg.build_category(kind, catalog).class_sizes()
+    assert len(catalog.sizes) == len(tuples)

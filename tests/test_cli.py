@@ -700,6 +700,25 @@ class TestClosure:
 
 
 class TestMisc:
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        # a build costs about 0.7 ms, a tenth of a short command; the
+        # parser kept from one command parses the next as a fresh one would
+        built, inner = [], cli.build_parser
+
+        def building():
+            built.append(1)
+            return inner()
+
+        monkeypatch.setattr(cli, "build_parser", building)
+        runs = [["dickson", "--prime", "2", "--rank", "3"],
+                ["symreduce", "--prime", "3", "--rank", "2"]]
+        outs = []
+        for argv in runs:
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(built) <= 1
+        assert outs == [run_cli(*argv).stdout for argv in runs]
+
     def test_version(self):
         r = run_cli("--version")
         assert r.returncode == 0
