@@ -62,7 +62,6 @@ Foundations of Databases, 1995, ch. 13, within a rank).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -273,30 +272,34 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
 
 def _rows(C: SubgroupCategory, i: int) -> None:
     """Build row i of C's base, every morphism out of a class
-    representative i into a larger rank, as C._base_rows[kind, i] =
-    (targets, bounds, cols): Hom(i, targets[t]) is
-    cols[bounds[t]:bounds[t + 1]], if non-empty.
+    representative i into a member of its rank or larger, and keep each
+    non-empty Hom(i, t) in the base's hom cache (an array already there
+    stays).
 
     With Y_k = w_k^-1 Y w_k the members of a class y of i's rank (w_k the
     class witnesses), Hom(E, F) is c_k o Iso(E, Y) over the Y_k inside F,
-    c_k: Y -> Y_k the conjugation by w_k; maps through distinct Y_k have
-    distinct images; the y are the classes isomorphic to i's (iso_classes).
-    Refused (CapExceeded) before anything is built when the row, read off
-    class_sizes, holds more maps than the hom count cap allows.
+    c_k: Y -> Y_k the conjugation by w_k (conjugation_codes); maps
+    through distinct Y_k have distinct images; the y are the classes
+    isomorphic to i's (iso_classes).  Refused (CapExceeded) before
+    anything is built when the row holds more maps than the hom count cap
+    allows: aut of i's class times the containers of every member of
+    those classes.
     """
-    catalog, reps, x = C.catalog, C.catalog.class_reps, C.catalog.class_of.item(i)
-    rank = catalog.ranks().item(i)
+    catalog, reps, cls = C.catalog, C.catalog.class_reps, C.catalog.class_of
+    x, rank = cls.item(i), catalog.ranks().item(i)
     kind = C._kind_at(rank)
     starts, supers = catalog.containers
-    class_starts, by_class, witnesses = catalog.class_table
+    class_starts, by_class, _ = catalog.class_table
+    aut, first = C.iso_classes()
+    held = np.diff(starts)[first[cls] == first[x]].sum()
     _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
-                     f"out of 1 objects hold", int(C.class_sizes()[x] @ np.diff(class_starts)))
-    first = C.iso_classes()[1]
+                     f"out of 1 objects hold", int(aut[x] * held))
     targets, parts = [], []
     for y in np.flatnonzero(first == first[x]).tolist():
-        span = slice(class_starts[y], class_starts[y + 1])
-        iso, members = C._base_hom(i, reps[y]), by_class[span]
-        conj = catalog.group.conjugate_indices(witnesses[span], catalog.by_code(reps[y]))
+        iso, members = C._base_hom(i, reps[y]), by_class[class_starts[y]:class_starts[y + 1]]
+        conj = np.take_along_axis(catalog.by_codes(rank, members),
+                                  catalog.conjugation_codes[members, :catalog.prime ** rank],
+                                  axis=1)
         k_of, at = ranges(starts[members], starts[members + 1])
         targets.append(supers[at].repeat(len(iso)))
         parts.append(conj[k_of[:, None, None], iso].reshape(len(targets[-1]), rank))
@@ -307,7 +310,8 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     target, cols = target[order], cols[order]
     cols.flags.writeable = False
     bounds = runs(target)
-    C._base_rows[kind, i] = (target[bounds[:-1]].tolist(), bounds, cols)
+    for t, a, b in zip(target[bounds[:-1]].tolist(), bounds, bounds[1:]):
+        C._base.setdefault((kind, i, t), cols[a:b])
 
 
 # -- categories -------------------------------------------------------
@@ -323,11 +327,12 @@ class SubgroupCategory:
     gives its result (closed like a kind, so its sizes are read off them
     and its rows into larger ranks built from them, both kept on the
     category); an explicit category (kind None, nothing given) has an
-    empty one.  Every kind and every closure holds the conjugation
-    isomorphisms, so the base's Hom(i, j) off the representatives is
-    c_j o Hom(rep i, rep j) o c_i^-1, one gather, c_k the conjugation
-    isomorphism onto k (conjugation_codes).  hom(i, j) unites it with
-    the explicit maps at (i, j).  Hom-sets are read-only column-code
+    empty one.  One cache holds the base's hom-sets, those of its rows
+    too, and never replaces an array it holds.  Every kind and every
+    closure holds the conjugation isomorphisms, so the base's Hom(i, j)
+    off the representatives is c_j o Hom(rep i, rep j) o c_i^-1, one
+    gather, c_k the conjugation isomorphism onto k (conjugation_codes).
+    hom(i, j) unites it with the explicit maps at (i, j).  Hom-sets are read-only column-code
     arrays (see the module docstring).
     """
 
@@ -337,12 +342,10 @@ class SubgroupCategory:
         self.catalog = catalog
         self.kind = kind
         self.maps = {key: cols for key, cols in (homs or {}).items() if len(cols)}
-        # the base's hom-sets by (canonical kind, i, j) and its rows (see
-        # _rows), shared by a kind's categories
-        shared = kind is not None
-        self._base = catalog.homs if shared else {
+        # the base's hom-sets by (canonical kind, i, j), shared by a kind's
+        # categories
+        self._base = catalog.homs if kind is not None else {
             (None, i, j): cols for (i, j), cols in (reps or {}).items()}
-        self._base_rows = catalog.rows if shared else {}
         for cols in chain(self.maps.values(), (reps or {}).values()):
             cols.flags.writeable = False
 
@@ -362,9 +365,10 @@ class SubgroupCategory:
         return got
 
     def _base_hom(self, i: int, j: int) -> np.ndarray:
-        """The base's Hom(i, j): given or built on a pair of
-        representatives (isomorphisms, or a row into a larger rank),
-        carried to any other pair, kept once read."""
+        """The base's Hom(i, j): given, read off the row out of a
+        representative i into a larger rank (_rows), or built on a pair of
+        representatives of one rank and carried to any other pair; kept
+        once read."""
         catalog = self.catalog
         ranks, cls, reps = catalog.ranks(), catalog.class_of, catalog.class_reps
         r, s = ranks.item(i), ranks.item(j)
@@ -375,20 +379,19 @@ class SubgroupCategory:
         ci, cj = cls.item(i), cls.item(j)
         ri, rj = reps.item(ci), reps.item(cj)
         none = np.zeros((0, r), dtype=np.int64)
+        if i == ri and r < s:
+            # empty unless a class isomorphic to i's has a member inside j
+            aut, first = self.iso_classes()
+            if not (aut[ci] and catalog.class_inclusions[first == first[ci], cj].any()):
+                return none
+            _rows(self, i)
+            return self._base[kind, i, j]
         if (i, j) != (ri, rj):
             got = self._base_hom(ri, rj)
             if len(got):
                 got = _carried(catalog, got, np.array([i]), np.array([j]))[0, 0]
         elif r > s or (kind is None and r == s):
             return none
-        elif r < s:
-            if not self.class_sizes()[ci, cj]:
-                return none
-            if (kind, i) not in self._base_rows:
-                _rows(self, i)
-            targets, bounds, cols = self._base_rows[kind, i]
-            t = bisect_left(targets, j)
-            got = cols[bounds[t]:bounds[t + 1]]
         elif kind == A:       # members of different classes are not conjugate
             E = catalog.subgroups[i]
             got = distinct_rows(_conjugation_images(catalog.group, E.basis, E)) if i == j else none

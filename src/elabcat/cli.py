@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from itertools import count
 from math import gcd
 from pathlib import Path
@@ -189,13 +190,12 @@ def analyze_report(G: FiniteGroup, p: int,
     fibres, reps = [], catalog.class_reps
     aut_a, aut_aprime = (cg.build_category(k, catalog).iso_classes()[0] for k in (cg.A, cg.APRIME))
     for c in catalog.maximal_class_indices():
-        E = catalog.subgroups[reps[c]]
-        ratio = cg.generic_fibre_index(catalog, E)
+        ratio = Fraction(aut_aprime.item(c), aut_a.item(c))
         fibres.append({
             "class": c,
-            "rank": E.rank,
-            "aut_a": int(aut_a[c]),
-            "aut_aprime": int(aut_aprime[c]),
+            "rank": catalog.ranks().item(reps[c]),
+            "aut_a": aut_a.item(c),
+            "aut_aprime": aut_aprime.item(c),
             "index": [ratio.numerator, ratio.denominator],
         })
     timing["fibres"] = round(time.perf_counter() - t3, 6)

@@ -32,7 +32,6 @@ from_element_indices, with its checks, serves every other caller.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from functools import cached_property
 from typing import Iterable, Optional
@@ -59,15 +58,14 @@ class ElabSubgroup:
     __slots__ = ("ambient", "prime", "rank", "basis", "elements", "by_code", "_order")
 
     def __init__(self, ambient: FiniteGroup, prime: int, basis: Sequence[int],
-                 by_code: np.ndarray, order: Optional[np.ndarray] = None):
+                 by_code: np.ndarray):
         self.ambient = ambient
         self.prime = prime
         self.rank = len(basis)
         self.basis = tuple(basis)
         self.by_code = by_code
         self.by_code.flags.writeable = False
-        # codes in element order; order, when given, is np.argsort(by_code)
-        self._order = np.argsort(by_code) if order is None else order
+        self._order = np.argsort(by_code)           # codes in element order
         self.elements = tuple(by_code[self._order].tolist())
 
     @classmethod
@@ -128,11 +126,11 @@ class ElabSubgroup:
         return np.where(found, self._order[at], -1)
 
     def vector_of_index(self, i: int) -> Vector:
-        # the scalar form of codes_of: a bisection of the sorted elements
-        at = bisect_left(self.elements, i)
-        if at == len(self.elements) or self.elements[at] != i:
-            raise ElementNotInSubgroup(f"element index {i} not in subgroup")
-        code = int(self._order[at])
+        # the scalar form of codes_of: a scan of the sorted elements
+        try:
+            code = self._order.item(self.elements.index(i))
+        except ValueError:
+            raise ElementNotInSubgroup(f"element index {i} not in subgroup") from None
         return tuple(code // self.prime ** k % self.prime for k in range(self.rank))
 
     def index_of_vector(self, v: Sequence[int]) -> int:
@@ -193,9 +191,9 @@ class ElabCatalog:
     rank-maximality under inclusion into other catalog members.  These,
     class_reps and ranks() are read-only int64 (maximal bool) arrays.
     homs caches hom-sets under keys (canonical kind, i, j) for every
-    category over this catalog, rows every map of a kind out of a class
-    representative i under (kind, i), and sizes iso_classes and class_sizes
-    by the kind's canonical form at each rank; only categories uses them.
+    category over this catalog, each once read and every non-empty one of
+    a row once the row is built, and sizes iso_classes and class_sizes by
+    the kind's canonical form at each rank; only categories uses them.
     """
 
     def __init__(self, group: FiniteGroup, prime: int, codes: list[np.ndarray],
@@ -203,8 +201,6 @@ class ElabCatalog:
                  class_reps: np.ndarray, class_witness: np.ndarray, maximal: np.ndarray):
         self.group, self.prime = group, prime
         self.codes, self._rows, self._keys = codes, rows, keys
-        # each rank's argsort of its codes rows, on the first member built
-        self._orders: list[Optional[np.ndarray]] = [None] * len(codes)
         self.class_of, self.class_reps = class_of, class_reps
         self.class_witness, self.maximal = class_witness, maximal
         counts = [len(c) for c in codes]
@@ -214,20 +210,15 @@ class ElabCatalog:
             a.flags.writeable = False
         self.subgroups = _Members(self)
         self.homs: dict = {}
-        self.rows: dict = {}
         self.sizes: dict = {}
 
     def __len__(self) -> int:
         return len(self._ranks)
 
     def _member(self, i: int) -> ElabSubgroup:
-        r = self._ranks.item(i)
-        k = i - self.rank_starts.item(r)
-        if self._orders[r] is None:
-            self._orders[r] = self.codes[r].argsort(axis=1)
-        codes = self.codes[r][k]
+        codes, r = self.by_code(i), self._ranks.item(i)
         return ElabSubgroup(self.group, self.prime, codes[self.prime ** np.arange(r)].tolist(),
-                            codes, self._orders[r][k])
+                            codes)
 
     def by_code(self, i: int) -> np.ndarray:
         """Member i's by_code row, read without building its ElabSubgroup."""

@@ -5,8 +5,13 @@ carried) is checked against the pairwise construction hom_matrices keeps
 for callers without a catalog,
 against the count |Hom_A(E, F)| = #{conjugates of E inside F} * |Aut_A(E)|
 with containment read off element sets, and against the Weyl image of
-the brute-force oracle.
+the brute-force oracle.  Every kind's row is refused on the total the
+dense class sizes give, and a single read into a larger rank builds no
+class-size matrix.
 """
+
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +20,12 @@ from hypothesis import strategies as st
 
 from brute_force import weyl_image
 from elabcat import categories as cg
+from elabcat.cli import load_group
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
 from elabcat.groups import close_generators
-from test_hom_cache import A4, S6, small_groups
+from test_class_sizes import catalogs, dense_class_sizes, kinds_of, random_maps
+from test_hom_cache import A4, GOLDEN, S6, small_groups
 
 
 @given(G=small_groups(), p=st.sampled_from([2, 3]))
@@ -27,24 +34,34 @@ from test_hom_cache import A4, S6, small_groups
 def test_rows_match_pairwise_homs_and_counts(G, p):
     catalog = enumerate_elabs(G, p)
     assume(len(catalog) <= 80)
-    rows = cg.build_category(cg.A, catalog).hom_dict()
-    # a second catalog whose rows are built one source at a time
-    lazy = cg.build_category(cg.A, enumerate_elabs(G, p))
-    sets = [frozenset(E.elements) for E in catalog.subgroups]
-    for i, E in enumerate(catalog.subgroups):
-        aut = len(weyl_image(G, E))
-        conjugates = [sets[k] for k, c in enumerate(catalog.class_of)
-                      if c == catalog.class_of[i]]
-        for j, F in enumerate(catalog.subgroups):
-            want = cg.hom_matrices(cg.A, E, F)
-            assert np.array_equal(rows.get((i, j), want[:0]), want)
-            assert np.array_equal(lazy.hom(i, j), want)
-            assert lazy.hom(i, j).shape[1] == E.rank
-            assert len(want) == sum(S <= sets[j] for S in conjugates) * aut
-    # rows out of the representatives that map into a larger rank only:
-    # every other hom-set is carried, or an isomorphism
-    assert sorted(i for _kind, i in catalog.rows) == [
-        r for r in sorted(catalog.class_reps) if not catalog.maximal[r]]
+    built, inner = Counter(), cg._rows
+
+    def counting(C, i):
+        built[C.catalog is catalog, i] += 1
+        return inner(C, i)
+
+    with mock.patch.object(cg, "_rows", counting):
+        rows = cg.build_category(cg.A, catalog).hom_dict()
+        # a second catalog whose rows are built one source at a time
+        lazy = cg.build_category(cg.A, enumerate_elabs(G, p))
+        sets = [frozenset(E.elements) for E in catalog.subgroups]
+        for i, E in enumerate(catalog.subgroups):
+            aut = len(weyl_image(G, E))
+            conjugates = [sets[k] for k, c in enumerate(catalog.class_of)
+                          if c == catalog.class_of[i]]
+            for j, F in enumerate(catalog.subgroups):
+                want = cg.hom_matrices(cg.A, E, F)
+                assert np.array_equal(rows.get((i, j), want[:0]), want)
+                assert np.array_equal(lazy.hom(i, j), want)
+                assert lazy.hom(i, j).shape[1] == E.rank
+                assert len(want) == sum(S <= sets[j] for S in conjugates) * aut
+    # rows out of the representatives that map into a larger rank only,
+    # once each on either catalog: every other hom-set is carried, or an
+    # isomorphism
+    want = [r for r in sorted(catalog.class_reps.tolist()) if not catalog.maximal[r]]
+    for listed in (True, False):
+        assert sorted(i for (mine, i) in built if mine is listed) == want
+    assert set(built.values()) <= {1}
 
 
 def test_s6_rows_conjugate_once_per_class(monkeypatch):
@@ -79,3 +96,42 @@ def test_row_is_refused_on_its_exact_total(monkeypatch):
         cg.build_category(cg.A, catalog).hom(rep, len(catalog) - 1)
     monkeypatch.setenv("ELABCAT_HOM_COUNT_CAP", "6")
     assert len(cg.build_category(cg.A, catalog).hom(rep, len(catalog) - 1)) == 3
+
+
+@given(catalog=catalogs(), data=st.data())
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_row_totals_match_the_dense_class_sizes(catalog, data):
+    # the total each row passes to the cap, aut times the containers of the
+    # members of the isomorphic classes, is row x of I @ M summed over the
+    # members of every class
+    cases = [(cg.build_category(kind, catalog), kind) for kind in kinds_of(catalog)]
+    cases.append((cg.closure(cg.SubgroupCategory(catalog, cg.A, random_maps(data, catalog))),
+                  None))                                                # a given base
+    members = np.diff(catalog.class_table[0])
+    totals, inner = [], cg._refuse_past_cap
+
+    def recording(holds, total):
+        if holds.endswith("hom-sets out of 1 objects hold"):
+            totals.append(total)
+        return inner(holds, total)
+
+    with mock.patch.object(cg, "_refuse_past_cap", recording):
+        for C, kind in cases:
+            sizes = dense_class_sizes(C, kind)[1]
+            for x, i in enumerate(catalog.class_reps.tolist()):
+                cg._rows(C, i)
+                assert totals.pop() == sizes[x] @ members, (C.provenance, x)
+                assert not totals
+
+
+def test_one_map_into_a_larger_rank_builds_no_class_sizes():
+    # regular (Z/2)^5 at p=2: the one A map of a line into the whole group
+    # is read off the line's row, decided empty or not by iso_classes and
+    # one column of the class inclusions
+    catalog = enumerate_elabs(load_group(str(GOLDEN / "z2-5.group.json")), 2)
+    C, top = cg.build_category(cg.A, catalog), len(catalog) - 1
+    got = C.hom(1, top)
+    assert np.array_equal(got, cg.hom_matrices(cg.A, catalog.subgroups[1], catalog.subgroups[top]))
+    assert len(got) == 1
+    assert "sizes" not in C._classes
