@@ -32,11 +32,11 @@ Ann. of Math. 94, 1971; Green and Leary use it for Aprime, Comment. Math.
 Helv. 73, 1998).  A category over a catalog builds every kind that one
 way, on the pairs of class representatives (see SubgroupCategory): the
 isomorphisms between representatives of one rank, classified once
-(iso_classes), the sizes from them (class_sizes), and every map out of a
-representative into a larger rank by carrying them onto each member
-inside each target (_rows).  Only those isomorphisms are searched;
-hom_matrices builds any one pair from the definition of its kind alone,
-with no catalog:
+(iso_classes), the sizes of the non-empty pairs from them (class_sizes,
+sorted), and every map out of a representative into a larger rank by
+carrying them onto each member inside each target (_rows).  Only those
+isomorphisms are searched; hom_matrices builds any one pair from the
+definition of its kind alone, with no catalog:
 
   A            the g with g^-1 E g inside F, which lie in the transporter
                cosets taking E's first basis element into F;
@@ -282,18 +282,19 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     through distinct Y_k have distinct images; the y are the classes
     isomorphic to i's (iso_classes).  Refused (CapExceeded) before
     anything is built when the row holds more maps than the hom count cap
-    allows: aut of i's class times the containers of every member of
-    those classes.
+    allows: row x of class_sizes, each size once per member of its
+    target's class.
     """
     catalog, reps, cls = C.catalog, C.catalog.class_reps, C.catalog.class_of
     x, rank = cls.item(i), catalog.ranks().item(i)
     kind = C._kind_at(rank)
     starts, supers = catalog.containers
     class_starts, by_class, _ = catalog.class_table
-    aut, first = C.iso_classes()
-    held = np.diff(starts)[first[cls] == first[x]].sum()
+    first, (keys, sizes) = C.iso_classes()[1], C.class_sizes()
+    a, b = np.searchsorted(keys, [x * len(reps), x * len(reps) + len(reps)])
     _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
-                     f"out of 1 objects hold", int(aut[x] * held))
+                     f"out of 1 objects hold",
+                     int(sizes[a:b] @ np.diff(class_starts)[keys[a:b] % len(reps)]))
     targets, parts = [], []
     for y in np.flatnonzero(first == first[x]).tolist():
         iso, members = C._base_hom(i, reps[y]), by_class[class_starts[y]:class_starts[y + 1]]
@@ -324,15 +325,16 @@ class SubgroupCategory:
     The base is a kind's, read from the catalog's hom cache that every
     category over that catalog shares under canonical kinds, or given by
     its isomorphisms between representatives of one rank, as closure
-    gives its result (closed like a kind, so its sizes are read off them
-    and its rows into larger ranks built from them, both kept on the
-    category); an explicit category (kind None, nothing given) has an
-    empty one.  One cache holds the base's hom-sets, those of its rows
-    too, and never replaces an array it holds.  Every kind and every
-    closure holds the conjugation isomorphisms, so the base's Hom(i, j)
-    off the representatives is c_j o Hom(rep i, rep j) o c_i^-1, one
-    gather, c_k the conjugation isomorphism onto k (conjugation_codes).
-    hom(i, j) unites it with the explicit maps at (i, j).  Hom-sets are read-only column-code
+    gives its result (closed like a kind, so the sizes of its non-empty
+    pairs of classes are read off them and its rows into larger ranks
+    built from them, both kept on the category); an explicit category
+    (kind None, nothing given) has an empty one.  One cache holds the
+    base's hom-sets, those of its rows too, and never replaces an array
+    it holds.  Every kind and every closure holds the conjugation
+    isomorphisms, so the base's Hom(i, j) off the representatives is
+    c_j o Hom(rep i, rep j) o c_i^-1, one gather, c_k the conjugation
+    isomorphism onto k (conjugation_codes).  hom(i, j) unites it with
+    the explicit maps at (i, j).  Hom-sets are read-only column-code
     arrays (see the module docstring).
     """
 
@@ -381,11 +383,9 @@ class SubgroupCategory:
         none = np.zeros((0, r), dtype=np.int64)
         if i == ri and r < s:
             # empty unless a class isomorphic to i's has a member inside j
-            aut, first = self.iso_classes()
-            if not (aut[ci] and catalog.class_inclusions[first == first[ci], cj].any()):
-                return none
-            _rows(self, i)
-            return self._base[kind, i, j]
+            if find_sorted(self.class_sizes()[0], ci * len(reps) + cj)[1]:
+                _rows(self, i)
+            return self._base.get((kind, i, j), none)
         if (i, j) != (ri, rj):
             got = self._base_hom(ri, rj)
             if len(got):
@@ -449,18 +449,25 @@ class SubgroupCategory:
             self._classes["iso"] = aut, first
         return self._classes["iso"]
 
-    def class_sizes(self) -> np.ndarray:
-        """The base's |Hom(rep x, rep y)| for all classes x, y, kept with
-        iso_classes.  A map out of rep x is an isomorphism onto a member
-        of a class isomorphic to x, aut[x] of them onto each, followed by
-        the inclusion, so row x is aut[x] times the sum of the rows of
-        catalog.class_inclusions over the classes isomorphic to x."""
+    def class_sizes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, sizes): keys x * k + y, increasing, over the classes x, y
+        of k with a non-empty Hom(rep x, rep y) in the base, and its size;
+        read-only, kept with iso_classes.  A map out of rep x is an
+        isomorphism onto a member of a class isomorphic to x, aut[x] of
+        them onto each, then the inclusion: aut[x] times the members
+        inside rep y (catalog.containers) of classes isomorphic to x."""
         if "sizes" not in self._classes:
-            aut, first = self.iso_classes()
-            sums = np.zeros_like(self.catalog.class_inclusions)
-            np.add.at(sums, first, self.catalog.class_inclusions)
-            self._classes["sizes"] = got = sums[first] * aut[:, None]
-            got.flags.writeable = False
+            catalog, k, cls = self.catalog, self.catalog.class_count(), self.catalog.class_of
+            (starts, supers), (aut, first) = catalog.containers, self.iso_classes()
+            keep = catalog.class_reps[cls[supers]] == supers
+            pairs = np.sort(np.repeat(first[cls], np.diff(starts))[keep] * k + cls[supers[keep]])
+            bounds = runs(pairs)
+            pairs, count = pairs[bounds[:-1]], np.diff(bounds)
+            xs = np.flatnonzero(aut)
+            s, t = _matches(first[xs], pairs // k)       # each row onto its leader's
+            got = xs[s] * k + pairs[t] % k, aut[xs[s]] * count[t]
+            got[0].flags.writeable = got[1].flags.writeable = False
+            self._classes["sizes"] = got
         return self._classes["sizes"]
 
     def pair_sizes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -468,16 +475,18 @@ class SubgroupCategory:
         the representatives' pairs and the explicit maps: keys i * n + j,
         increasing, and |Hom(i, j)|, which is |Hom(rep i, rep j)| where
         no explicit map lies.  Row i of the base is the same for every i
-        of one class x, row x of class_sizes read on the members, so the
-        rows are one concatenation of a row per class, increasing as
-        built; the explicit pairs are merged in by sorted insertion."""
+        of one class x: class_sizes' row x spread over the members of each
+        target class, then sorted; the explicit pairs are merged in by
+        sorted insertion."""
         catalog, n, cls = self.catalog, len(self.catalog), self.catalog.class_of
-        rows = [row[cls] for row in self.class_sizes()]
-        js = [np.flatnonzero(row) for row in rows]
-        at = cls.tolist()
-        keys = np.concatenate([js[x] for x in at])
-        keys += np.repeat(np.arange(n) * n, np.array([len(j) for j in js])[cls])
-        size = np.concatenate([rows[x][js[x]] for x in at])
+        (starts, members, _), (xy, size) = catalog.class_table, self.class_sizes()
+        x, y = np.divmod(xy, catalog.class_count())
+        t, at = ranges(starts[y], starts[y + 1])
+        row = x[t] * n + members[at]                # class x to member j
+        order = np.argsort(row)
+        row, size = row[order], size[t[order]]
+        i, at = ranges(*np.searchsorted(row, [cls * n, cls * n + n]))
+        keys, size = i * n + row[at] % n, size[at]
         if self.maps:
             mine = np.array(sorted(i * n + j for i, j in self.maps), dtype=np.int64)
             keep = ~find_sorted(mine, keys)[1]
@@ -504,7 +513,7 @@ class SubgroupCategory:
         at[members] = np.arange(n) - np.repeat(starts[:-1], np.diff(starts))
         kinds = [self._kind_at(r) for r in catalog.ranks()[reps].tolist()]
         carried = {}
-        for x, y in np.argwhere(self.class_sizes()).tolist():
+        for x, y in zip(*(a.tolist() for a in np.divmod(self.class_sizes()[0], len(reps)))):
             carried[x, y] = _carried(catalog, self._base_hom(reps[x], reps[y]),
                                      members[starts[x]:starts[x + 1]],
                                      members[starts[y]:starts[y + 1]])
@@ -711,9 +720,8 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
         inputs += [((reps[x], reps[y]), C._base_hom(reps[x], reps[y]))
                    for x, y in zip(*(a.tolist() for a in _matches(first, first))) if aut[x]]
     else:
-        aut, first = C.iso_classes()        # the total of class_sizes
-        held = np.bincount(first, catalog.class_inclusions.sum(axis=1)).astype(np.int64)
-        _refuse_past_cap("the base between class representatives holds", int(aut @ held[first]))
+        _refuse_past_cap("the base between class representatives holds",
+                         int(C.class_sizes()[1].sum()))
         base = C
     top = int(rank.max())
     # by rank: (domain classes, image elements) of the maps to seed it, as

@@ -158,12 +158,15 @@ def analyze_report(G: FiniteGroup, p: int,
 
     t1 = time.perf_counter()
     kind_section: dict[str, Any] = {}
+    k = catalog.class_count()
     for kind in kinds:
         C = cg.build_category(kind, catalog)
         comps = cg.maximal_objects(C)
         comp_classes = sorted(sorted(set(catalog.class_of[comp].tolist())) for comp in comps)
+        dense = np.zeros((k, k), dtype=np.int64)    # the report lists every pair
+        np.put(dense, *C.class_sizes())
         kind_section[kind.label()] = {
-            "hom_sizes": C.class_sizes().tolist(),
+            "hom_sizes": dense.tolist(),
             "component_count": len(comps),
             "maximal_components": comp_classes,
         }

@@ -317,17 +317,6 @@ class ElabCatalog:
         return np.where(found, codes[at], -1)
 
     @cached_property
-    def class_inclusions(self) -> np.ndarray:
-        """(classes, classes) matrix: [y, z] counts the members of class y
-        inside the representative of class z."""
-        starts, supers = self.containers
-        cls, count = self.class_of, len(self.class_reps)
-        inner = np.repeat(np.arange(len(cls)), np.diff(starts))
-        keep = self.class_reps[cls[supers]] == supers
-        return np.bincount(cls[inner[keep]] * count + cls[supers[keep]],
-                           minlength=count * count).reshape(count, count)
-
-    @cached_property
     def containers(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, supers): supers[starts[i]:starts[i + 1]] are the j
         with member i inside member j, increasing.

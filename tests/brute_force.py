@@ -34,7 +34,9 @@ pair, on class representatives for a kind without explicit maps and on
 objects otherwise, the components by a worklist search.  pairwise_equal:
 the first representative pair, row-major, on which two kinds'
 hom_matrices differ, and its smallest witness.  None of the three reads
-``SubgroupCategory.class_sizes``.
+``SubgroupCategory.class_sizes``.  class_inclusions: the members of each
+class inside each class representative, by comparing element sets one
+member at a time; it never reads ``ElabCatalog.containers``.
 
 brute_closure: the worklist closure, which joins every new hom with every
 stored one and restricts it to every pair of catalog subgroups.  It runs
@@ -441,6 +443,19 @@ def restriction(E, F, S, T, M, p):
         return None
     cols = [T.vector_of_index(e) for e in images]
     return tuple(tuple(col[r] for col in cols) for r in range(T.rank))
+
+
+def class_inclusions(catalog):
+    """(classes, classes) array: [y, z] counts the members of class y
+    whose element set lies inside that of the representative of z."""
+    k = catalog.class_count()
+    reps = [frozenset(catalog.subgroups[r].elements) for r in catalog.class_reps]
+    out = np.zeros((k, k), dtype=np.int64)
+    for E, y in zip(catalog.subgroups, catalog.class_of):
+        inner = frozenset(E.elements)
+        for z, rep in enumerate(reps):
+            out[y, z] += inner <= rep
+    return out
 
 
 def brute_closure(C):

@@ -7,7 +7,7 @@ against the count |Hom_A(E, F)| = #{conjugates of E inside F} * |Aut_A(E)|
 with containment read off element sets, and against the Weyl image of
 the brute-force oracle.  Every kind's row is refused on the total the
 dense class sizes give, and a single read into a larger rank builds no
-class-size matrix.
+classes x classes array.
 """
 
 from collections import Counter
@@ -127,11 +127,12 @@ def test_row_totals_match_the_dense_class_sizes(catalog, data):
 
 def test_one_map_into_a_larger_rank_builds_no_class_sizes():
     # regular (Z/2)^5 at p=2: the one A map of a line into the whole group
-    # is read off the line's row, decided empty or not by iso_classes and
-    # one column of the class inclusions
+    # is read off the line's row, decided empty or not by one lookup in the
+    # class sizes, which hold the 5,769 non-empty pairs of the 374 x 374
     catalog = enumerate_elabs(load_group(str(GOLDEN / "z2-5.group.json")), 2)
     C, top = cg.build_category(cg.A, catalog), len(catalog) - 1
     got = C.hom(1, top)
     assert np.array_equal(got, cg.hom_matrices(cg.A, catalog.subgroups[1], catalog.subgroups[top]))
     assert len(got) == 1
-    assert "sizes" not in C._classes
+    keys, sizes = C.class_sizes()
+    assert keys.shape == sizes.shape == (5769,)

@@ -5,8 +5,10 @@ isomorphism class with its class-count row; class_sizes and every
 same-rank question read it.  Checked here: the mask against the per-pair
 Counter prune and the generate-and-test oracle, iso_classes against the
 isomorphisms between representatives, class_sizes against every pair's
-hom_matrices and the dense I @ M, maximal_objects and categories_equal
-against their pairwise oracles, and the calls analyze makes on (Z/2)^5.
+hom_matrices and the dense I @ M (M counted from element sets),
+pair_sizes against every member pair's hom, maximal_objects and
+categories_equal against their pairwise oracles, and the calls analyze
+makes on (Z/2)^5.
 """
 
 import itertools
@@ -18,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import (brute_hom_sets, codes, counter_pruned, injective_oracle,
-                         pairwise_equal, pairwise_maximal_objects)
+from brute_force import (brute_hom_sets, class_inclusions, codes, counter_pruned,
+                         injective_oracle, pairwise_equal, pairwise_maximal_objects)
 from elabcat import categories as cg
 from elabcat.cli import analyze_report, load_group
 from elabcat.elabs import enumerate_elabs, p_rank
@@ -66,13 +68,22 @@ def test_mask_prunes_only_empty_hom_sets(catalog):
     reps = [catalog.subgroups[r] for r in catalog.class_reps]
     for kind in kinds_of(catalog):
         counts = [cg.class_counts(E, kind)[1] for E in reps]
-        sizes = cg.build_category(kind, catalog).class_sizes()
+        sizes = dense_sizes(cg.build_category(kind, catalog))
         for (x, E), (y, F) in itertools.product(enumerate(reps), repeat=2):
             pruned = not (counts[x] <= counts[y]).all()
             assert pruned == counter_pruned(kind, E, F), kind.label()
             if pruned:
                 assert brute_hom_sets([kind], E, F) == [[]], kind.label()
             assert sizes[x, y] == len(cg.hom_matrices(kind, E, F)), kind.label()
+
+
+def dense_sizes(C):
+    """C.class_sizes() as a dense (classes, classes) array, zero off its
+    keys."""
+    k = C.catalog.class_count()
+    dense = np.zeros((k, k), dtype=np.int64)
+    np.put(dense, *C.class_sizes())
+    return dense
 
 
 def random_maps(data, catalog):
@@ -88,10 +99,10 @@ def random_maps(data, catalog):
 
 
 def dense_class_sizes(C, kind):
-    """(I, I @ M), the sizes class_sizes once built densely: I[x, y] the
+    """(I, I @ M), the sizes class_sizes holds, built densely: I[x, y] the
     isomorphisms rep x -> rep y, from hom_matrices for a kind and from the
     base's hom-sets for a given or empty base, on every pair of one rank,
-    and M = catalog.class_inclusions."""
+    and M the class inclusions counted from element sets."""
     catalog = C.catalog
     reps = catalog.class_reps.tolist()
     I = np.zeros((len(reps), len(reps)), dtype=np.int64)
@@ -99,7 +110,7 @@ def dense_class_sizes(C, kind):
         if catalog.ranks()[i] == catalog.ranks()[j]:
             E, F = catalog.subgroups[i], catalog.subgroups[j]
             I[x, y] = len(C._base_hom(i, j) if kind is None else cg.hom_matrices(kind, E, F))
-    return I, I @ catalog.class_inclusions
+    return I, I @ class_inclusions(catalog)
 
 
 @given(catalog=catalogs(), data=st.data())
@@ -117,7 +128,15 @@ def test_iso_classes_match_the_hom_sets_between_representatives(catalog, data):
         assert aut.tolist() == I.diagonal().tolist(), C.provenance
         assert first.tolist() == [next((y for y in range(len(I)) if I[y, x]), x)
                                   for x in range(len(I))], C.provenance
-        assert C.class_sizes().tolist() == sizes.tolist(), C.provenance
+        assert dense_sizes(C).tolist() == sizes.tolist(), C.provenance
+        keys, got = C.class_sizes()
+        assert (np.diff(keys) > 0).all() and (got > 0).all(), C.provenance
+        n = len(catalog)
+        want = {i * n + j: len(C.hom(i, j)) for i in range(n) for j in range(n)}
+        keys, got = C.pair_sizes()
+        assert dict(zip(keys.tolist(), got.tolist())) == {
+            key: size for key, size in want.items() if size}, C.provenance
+        assert (np.diff(keys) > 0).all(), C.provenance
 
 
 def test_iso_classes_reach_past_the_first_class_of_a_row():
@@ -129,7 +148,7 @@ def test_iso_classes_reach_past_the_first_class_of_a_row():
     x, y, z = [c for c, i in enumerate(reps) if catalog.ranks()[i] == 1]
     C = cg.closure(cg.SubgroupCategory(catalog, cg.A, {(reps[y], reps[z]): np.array([[1]])}))
     assert C.iso_classes()[1][[x, y, z]].tolist() == [x, y, y]
-    assert C.class_sizes().tolist() == dense_class_sizes(C, None)[1].tolist()
+    assert dense_sizes(C).tolist() == dense_class_sizes(C, None)[1].tolist()
 
 
 @given(catalog=catalogs(), data=st.data())
@@ -258,7 +277,7 @@ def test_creg_sizes_are_counted_not_built(monkeypatch, G, p, kind):
 
     catalog = enumerate_elabs(G, p)
     monkeypatch.setattr(cg, "hom_matrices", refuse)
-    sizes = cg.build_category(kind, catalog).class_sizes()
+    sizes = dense_sizes(cg.build_category(kind, catalog))
     ranks = [catalog.subgroups[r].rank for r in catalog.class_reps]
     assert sizes.tolist() == [[injective_count(p, s, r) for s in ranks] for r in ranks]
 
@@ -274,7 +293,7 @@ def test_sizes_are_shared_by_every_category_of_a_kind(kind):
     assert cg.build_category(kind, catalog).class_sizes() is sizes
     D = cg.build_category(alias, catalog)
     assert D.class_sizes() is sizes and D.iso_classes() is classes
-    assert not sizes.flags.writeable and not any(a.flags.writeable for a in classes)
+    assert not any(a.flags.writeable for a in (*sizes, *classes))
     assert len(catalog.sizes) == 1
 
 

@@ -25,11 +25,12 @@ from elabcat.cli import load_group
 from elabcat.elabs import enumerate_elabs
 from elabcat.fpmat import injective_count
 from elabcat.groups import close_generators
+from test_class_sizes import dense_sizes
 from test_hom_cache import GOLDEN, S6, small_groups
 
 
 def points(kind, catalog, m):
-    sizes = cg.build_category(kind, catalog).class_sizes()
+    sizes = dense_sizes(cg.build_category(kind, catalog))
     rank = np.array(catalog.ranks())[catalog.class_reps]
     iso = np.where(rank[:, None] == rank, sizes, 0).sum(axis=1)
     total = sum(Fraction(injective_count(catalog.prime, m, int(r)), int(k))
