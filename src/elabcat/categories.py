@@ -307,7 +307,7 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     target, cols = np.concatenate(targets), np.concatenate(parts)
     for b in blocks(len(target), rank):
         cols[b] = catalog.codes_in(target[b, None], cols[b])
-    order = np.lexsort((*cols.T[::-1], target))
+    order = np.argsort(row_keys(np.column_stack([target, cols])))
     target, cols = target[order], cols[order]
     cols.flags.writeable = False
     bounds = runs(target)
@@ -538,7 +538,7 @@ def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
     back = np.argsort(codes[I, :p ** r], axis=1)[:, p ** np.arange(r)]    # c_i^-1 on i's basis
     pulled = image_tables(cols, p, s)[:, back].swapaxes(0, 1)              # (i, map, column)
     got = codes[J[:, None, None], pulled[:, None]].reshape(len(I) * len(J) * m, r)
-    order = np.lexsort((*got.T[::-1], np.arange(len(got)) // m))
+    order = np.argsort(row_keys(np.column_stack([np.arange(len(got)) // m, got])))
     return got[order].reshape(len(I), len(J), m, r)
 
 
@@ -749,7 +749,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                     pending[r - 1].append(_restricted(catalog, added, r))
                 dom, cod, tables = _joined([old, added])
                 cols, pair = tables[:, basis], dom * len(reps) + cod
-                order = np.lexsort((*cols.T[::-1], pair))
+                order = np.argsort(_iso_keys(dom, cod, cols))
                 cols, bounds = cols[order], runs(pair[order])
                 x, y = np.divmod(pair[order][bounds[:-1]], len(reps))
                 mine = [cols[a:b] for a, b in zip(bounds, bounds[1:])]

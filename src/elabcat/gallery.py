@@ -412,7 +412,7 @@ def _check_params(path, builder, params, prime) -> None:
         raise InputFormatError(f"{path}: unknown gallery builder {builder!r}")
     if not isinstance(params, dict):
         raise InputFormatError(f"{path}: params must be an object")
-    values = {f"params.{key}": params.get(key) for key in _BUILDERS[builder]}
+    values = {f"params.{key}": params.get(key) for key in _BUILDERS[builder][0]}
     values["prime"] = prime
     for key, v in values.items():
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -440,25 +440,18 @@ def build_cyclic(n: int, p: int) -> CyclicBuild:
     return CyclicBuild(G, p, ElabSubgroup.from_element_indices(G, p, idxs))
 
 
-# the params each builder reads
-_BUILDERS: dict[str, tuple[str, ...]] = {
-    "affine": ("q",), "cyclic": ("n",), "gl3": ("p",),
-    "triangular": ("p", "n"), "prop10": ("p", "n")}
+# each builder: the params it reads, and its build from the params and
+# the entry's prime
+_BUILDERS: dict[str, tuple[tuple[str, ...], Callable[[dict, int], Any]]] = {
+    "affine": (("q",), lambda ps, prime: build_affine(ps["q"])),
+    "cyclic": (("n",), lambda ps, prime: build_cyclic(ps["n"], prime)),
+    "gl3": (("p",), lambda ps, prime: build_gl3(ps["p"])),
+    "triangular": (("p", "n"), lambda ps, prime: build_triangular(ps["p"], ps["n"])),
+    "prop10": (("p", "n"), lambda ps, prime: build_prop10(ps["p"], ps["n"]))}
 
 
 def _build_entry(entry: GalleryEntry):
-    b, ps = entry.builder, entry.params
-    if b == "affine":
-        return build_affine(ps["q"])
-    if b == "cyclic":
-        return build_cyclic(ps["n"], entry.prime)
-    if b == "gl3":
-        return build_gl3(ps["p"])
-    if b == "triangular":
-        return build_triangular(ps["p"], ps["n"])
-    if b == "prop10":
-        return build_prop10(ps["p"], ps["n"])
-    raise InputFormatError(f"unknown gallery builder {b!r}")
+    return _BUILDERS[entry.builder][1](entry.params, entry.prime)
 
 
 class _EntryContext:
@@ -632,10 +625,8 @@ def _chk_a_eq_aprime(ctx, args):
 
 @_check("conjugate_objects", "a", "b")
 def _chk_conjugate_objects(ctx, args):
-    from .elabs import is_conjugate_subgroup
-    E = ctx.subgroup(args["a"])
-    F = ctx.subgroup(args["b"])
-    return is_conjugate_subgroup(ctx.group, E, F) is not None
+    # an A map between subgroups of one rank is a conjugation onto the target
+    return _chk_kind_isomorphic(ctx, {**args, "kind": "A"})
 
 
 @_check("kind_isomorphic", "a", "b", "kind")

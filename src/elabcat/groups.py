@@ -64,13 +64,15 @@ Perm = tuple[int, ...]
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of images, ordered as the rows are as tuples,
-    for rows that are not looked up in a group (Schreier generators, the
-    catalog's rows of elements).
+    """One opaque key per row of a 2-D array of entries in [0, 2^32),
+    ordered as the rows are as tuples: the one order of rows in groups and
+    categories (elements, codes, images), for every sort and dedupe.
 
     Each row becomes its big-endian unsigned bytes; those compare (and
-    sort) byte by byte exactly as the image tuples do.
+    sort) byte by byte exactly as the tuples do.
     """
+    if not rows.shape[1]:                       # rows of no entries are equal
+        return np.zeros(len(rows), dtype="V1")
     rows = rows.astype(">u4", order="C")
     return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 
@@ -124,14 +126,15 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, in lexicographic order."""
+    """The distinct rows of a 2-D array of entries in [0, 2^32), in
+    lexicographic order (row_keys)."""
     if len(rows) < 2:
         return rows
-    if rows.shape[1]:                       # lexsort needs at least one key
-        rows = rows[np.lexsort(rows.T[::-1])]
+    keys = row_keys(rows)
+    order = np.argsort(keys)
     keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    keep[1:] = keys[order[1:]] != keys[order[:-1]]
+    return rows[order[keep]]
 
 
 def runs(keys: np.ndarray) -> list[int]:
@@ -544,16 +547,6 @@ KEY_BITS = 63
 ENTRIES_PER_ELEMENT = 64
 
 
-def _distinct_moving(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an image array that move some point."""
-    rows = rows[(rows != np.arange(rows.shape[1])).any(axis=1)]
-    keys = row_keys(rows)
-    order = np.argsort(keys)
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = keys[order[1:]] != keys[order[:-1]]
-    return rows[order[first]]
-
-
 def _orbit_search(gens: np.ndarray, b: int) -> tuple[np.ndarray, list]:
     """(orbit, levels) of the point b under gens, a (k, degree) array, by a
     breadth-first search on arrays of length degree: orbit lists the
@@ -611,7 +604,7 @@ def _schreier_generators(gens: np.ndarray, orbit: np.ndarray, trans: np.ndarray,
         np.put_along_axis(inv, trans[where[gens[g, orbit[i]]]], np.arange(degree), axis=1)
         rows = np.take_along_axis(inv, gens[g[:, None], trans[i]], axis=1)
         found.append(rows[(rows != np.arange(degree)).any(axis=1)])
-    return _distinct_moving(np.concatenate(found))
+    return distinct_rows(np.concatenate(found))
 
 
 def close_generators(degree: int, generators: Iterable[Sequence[int]],
@@ -659,7 +652,7 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
             raise CapExceeded("element_key", f"group element keys need {bits} bits, "
                                              f"more than the {KEY_BITS} an int64 key holds")
 
-    stab, base, transversals, order = _distinct_moving(gens), [], [], 1
+    stab, base, transversals, order = distinct_rows(gens[(gens != points).any(axis=1)]), [], [], 1
     guard(order, [])
     while len(stab):
         base.append(int(np.argmax((stab != points).any(axis=0))))
@@ -686,7 +679,7 @@ def from_elements(degree: int, elements: Iterable[Sequence[int]] | np.ndarray,
     far, which it at least doubles, so there are at most log2 |G|.  Raises
     InvalidPermutation unless the closure is exactly the list."""
     rows = _perm_rows(elements, degree)
-    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[np.argsort(row_keys(rows))]
     gens = rows[:0]
     while True:
         try:

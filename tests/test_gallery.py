@@ -196,6 +196,27 @@ class TestFixtures:
         path.write_text(json.dumps(doc))
         assert gal.verify_gallery(gal.load_entry(str(path))).results[0].computed == computed
 
+    @pytest.mark.parametrize("name,check,args,expected", [
+        ("affine-4", "object_order", {"object": "kernel"}, 4),
+        ("affine-4", "hom_order", {"domain": "kernel", "codomain": "kernel", "kind": "A"}, 3),
+        ("affine-4", "hom_order",
+         {"domain": "kernel", "codomain": "kernel", "kind": "Aprime"}, 6),
+        ("gl3-2", "conjugate_objects", {"a": "e1", "b": "e1"}, True),
+    ])
+    def test_checks_no_fixture_claims(self, tmp_path, name, check, args, expected):
+        # the fixtures hold no object_order or hom_order claim, and only
+        # false conjugate_objects ones
+        entry = gal.load_entry(name)
+        doc = {"name": "x", "builder": entry.builder, "params": entry.params,
+               "prime": entry.prime,
+               "claims": [{"id": "c", "text": "t", "provenance": "derived",
+                           "check": check, "expected": expected, "args": args}]}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        report = gal.verify_gallery(gal.load_entry(str(path)))
+        assert report.ok
+        assert report.results[0].computed == expected
+
     def test_failing_claim_reported(self, tmp_path):
         doc = {"name": "x", "builder": "affine", "params": {"q": 4},
                "prime": 2,
