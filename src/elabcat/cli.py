@@ -348,6 +348,7 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
             for r in records):
         raise InputFormatError(f"{path}: homs must be a list of objects with "
                                f"domain, codomain and matrices")
+    ranks = catalog.ranks()
     for rec in records:
         ends = [rec["domain"], rec["codomain"]]
         if not all(isinstance(e, list) and all(map(_is_int, e)) for e in ends):
@@ -359,14 +360,14 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
             raise InputFormatError(
                 f"{path}: hom record names an element set that is not a "
                 f"catalog subgroup")
-        E, F = catalog.subgroups[i], catalog.subgroups[j]
+        rank_e, rank_f = ranks[[i, j]].tolist()
         mats = rec["matrices"]
         if not isinstance(mats, list) or not all(
-                isinstance(M, list) and len(M) == F.rank and all(
-                    isinstance(r, list) and len(r) == E.rank and all(map(_is_int, r))
+                isinstance(M, list) and len(M) == rank_f and all(
+                    isinstance(r, list) and len(r) == rank_e and all(map(_is_int, r))
                     for r in M) for M in mats):
             raise InputFormatError(
-                f"{path}: bad matrix: each needs {F.rank} rows of {E.rank} integers")
+                f"{path}: bad matrix: each needs {rank_f} rows of {rank_e} integers")
         homs.setdefault((i, j), []).extend(
             cg.column_codes(M, catalog.prime) for M in mats)
     try:
@@ -384,8 +385,11 @@ def cmd_closure(args) -> int:
     # the input's pairs are among the closure's, as closure only adds
     keys, has = cg.closure(C).pair_sizes()
     n = len(catalog)
-    had = np.zeros_like(keys)
-    had[np.searchsorted(keys, pairs)] = sizes
+    if len(pairs) == len(keys):         # then the pairs are the same
+        had = sizes
+    else:
+        had = np.zeros_like(keys)
+        had[np.searchsorted(keys, pairs)] = sizes
     changed = [{"domain": k // n, "codomain": k % n, "before": b, "after": a}
                for k, b, a in zip(*(v[has != had].tolist() for v in (keys, had, has)))]
     report = {

@@ -463,10 +463,7 @@ class _EntryContext:
         self.group: FiniteGroup = self.build.group
         self.prime: int = entry.prime
         self._catalog: Optional[ElabCatalog] = None
-        # entries too large to enumerate have no catalog-level claims
-        self.uses_catalog = any(c.check in _CATALOG_CHECKS for c in entry.claims)
         self._homs: dict = {}      # (canonical kind, E, F) without a catalog
-        self._index: dict = {}     # catalog index of each builder subgroup
 
     @property
     def catalog(self) -> ElabCatalog:
@@ -477,14 +474,12 @@ class _EntryContext:
     def hom(self, kind: cg.CategoryKind, E: ElabSubgroup,
             F: ElabSubgroup) -> np.ndarray:
         """Hom-set between builder subgroups, each computed once: through
-        the catalog's shared cache when the entry enumerates its catalog
-        anyway, else under the same canonical key here."""
-        if self.uses_catalog:
-            cat, at = self.catalog, self._index
-            for X in (E, F):
-                if X not in at:
-                    at[X] = cat.index_of(X)
-            return cg.build_category(kind, cat).hom(at[E], at[F])
+        the catalog's shared cache once the entry has enumerated its
+        catalog (entries too large to enumerate never do), else under the
+        same canonical key here."""
+        cat = self._catalog
+        if cat is not None:
+            return cg.build_category(kind, cat).hom(cat.index_of(E), cat.index_of(F))
         key = (cg.canonical(kind, E.rank), E, F)
         if key not in self._homs:
             self._homs[key] = cg.hom_matrices(*key)
@@ -526,17 +521,13 @@ def _jsonify(value):
 
 _CHECKS: dict[str, Callable] = {}
 _NEEDS: dict[str, tuple[str, ...]] = {}      # the args keys each check reads
-_CATALOG_CHECKS: set[str] = set()
 
 
-def _check(name: str, *needs: str, catalog: bool = False):
-    """Register a claim check reading the args keys needs; catalog marks
-    one that enumerates the catalog."""
+def _check(name: str, *needs: str):
+    """Register a claim check reading the args keys needs."""
     def deco(fn):
         _CHECKS[name] = fn
         _NEEDS[name] = needs
-        if catalog:
-            _CATALOG_CHECKS.add(name)
         return fn
     return deco
 
@@ -574,27 +565,27 @@ def _chk_order_p_classes(ctx, args):
     return int((ctx.group.element_orders[ctx.group.conjugacy.reps] == ctx.prime).sum())
 
 
-@_check("catalog_size", catalog=True)
+@_check("catalog_size")
 def _chk_catalog_size(ctx, args):
     return len(ctx.catalog)
 
 
-@_check("class_count", catalog=True)
+@_check("class_count")
 def _chk_class_count(ctx, args):
     return ctx.catalog.class_count()
 
 
-@_check("classes_by_rank", catalog=True)
+@_check("classes_by_rank")
 def _chk_classes_by_rank(ctx, args):
     return {str(r): n for r, n in sorted(ctx.catalog.classes_by_rank().items())}
 
 
-@_check("p_rank", catalog=True)
+@_check("p_rank")
 def _chk_p_rank(ctx, args):
     return p_rank(ctx.catalog)
 
 
-@_check("component_count", "kind", catalog=True)
+@_check("component_count", "kind")
 def _chk_component_count(ctx, args):
     return len(cg.maximal_objects(cg.build_category(ctx.kind(args["kind"]), ctx.catalog)))
 
@@ -612,13 +603,13 @@ def _chk_hom_order(ctx, args):
     return len(ctx.hom(ctx.kind(args["kind"]), D, C))
 
 
-@_check("fibre_index", "object", catalog=True)
+@_check("fibre_index", "object")
 def _chk_fibre_index(ctx, args):
     E = ctx.subgroup(args["object"])
     return _jsonify(cg.generic_fibre_index(ctx.catalog, E))
 
 
-@_check("a_equals_aprime", catalog=True)
+@_check("a_equals_aprime")
 def _chk_a_eq_aprime(ctx, args):
     return bool(cg.categories_equal(cg.A, cg.APRIME, ctx.catalog).equal)
 

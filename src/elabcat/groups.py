@@ -40,8 +40,9 @@ generator, from which come
   the right tables and the inverses; orbits under the generators
   (conjugacy classes here, subgroup classes in elabs) are then gathers
   from these tables: min-label propagation numbers each orbit by its
-  smallest member, and one breadth-first search from all those members
-  at once finds witnesses (see orbits);
+  smallest member, and one breadth-first search (_search) from all
+  those members at once finds witnesses (see orbits); the same search
+  gives the chain's basic orbits, whose transversals read its levels;
 * commutation tests x*y == y*x, a comparison of 2*len(base) images,
   for centralizers and the catalog's commuting-pairs relation.
 
@@ -159,50 +160,62 @@ def _orbit_labels(perms: np.ndarray) -> np.ndarray:
         label = new
 
 
+def _search(perms: np.ndarray, starts: np.ndarray, by_source: bool = False
+            ) -> tuple[np.ndarray, list]:
+    """(visit, levels) of one breadth-first search under the permutations
+    perms[k] (a (k, n) array) from the distinct starts at once: visit
+    lists the points reached, starts first, then level by level, and
+    levels[j] = (src, gen, at) says visit[at] (a slice) is
+    perms[gen][visit[src]].  A level takes its candidates generator by
+    generator over the frontier, or source by source when by_source, and
+    the first to reach a point keeps it.  A start's candidates keep their
+    relative order in the joint frontier, so each orbit comes out as a
+    search from its own start alone would give it.
+    """
+    k, n = perms.shape
+    visit, levels = np.empty(n, dtype=np.int64), []
+    seen, finder = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)
+    visit[:len(starts)], seen[starts] = starts, True
+    lo, hi = 0, len(starts)
+    while lo < hi:
+        targets = perms[:, visit[lo:hi]]
+        flat = (targets.T if by_source else targets).ravel()
+        fresh = np.flatnonzero(~seen[flat])
+        hits = flat[fresh]
+        finder[hits] = len(flat)
+        np.minimum.at(finder, hits, fresh)          # each target's first candidate
+        first = fresh[finder[hits] == fresh]
+        if by_source:                               # candidate at src * k + gen
+            src, gen = np.divmod(first, k)
+        else:                                       # at gen * (hi - lo) + src
+            gen, src = np.divmod(first, hi - lo)
+        at = slice(hi, hi + len(first))
+        visit[at] = flat[first]
+        seen[visit[at]] = True
+        levels.append((src + lo, gen, at))
+        lo, hi = hi, at.stop
+    return visit[:hi], levels
+
+
 def orbits(perms: np.ndarray, right: np.ndarray, by_source: bool = False
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(class_of, reps, sizes, witness) of the orbits of range(n) under the
     permutations perms[k] (a (k, n) array), with witnesses in G.
 
     Orbits are numbered in order of their smallest member (see
-    _orbit_labels).  Witnesses come from one breadth-first search started from
-    every orbit's smallest member at once: each level visits its
-    candidates (k, s), target perms[k][s], generator by generator over the
-    frontier, or source by source when by_source; the first candidate to
-    reach a target t sets witness[t] = right[k][witness[s]], and the
-    targets reached, in that order, are the next frontier.  An orbit's
-    candidates keep their relative order in the joint frontier, so each
-    orbit comes out as a search from its own smallest member would give
-    it.  Every smallest member has witness 0, the identity.
+    _orbit_labels).  Witnesses come from one search (_search) from every
+    orbit's smallest member at once, whose witness is 0, the identity: a
+    point reached from s by perms[k] has witness right[k][witness[s]].
     """
     n = perms.shape[1]
     label = _orbit_labels(perms)
     reps = np.flatnonzero(label == np.arange(n))
     class_of = np.searchsorted(reps, label)
     sizes = np.bincount(class_of, minlength=len(reps))
-
+    visit, levels = _search(perms, reps, by_source)
     witness = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[reps] = True
-    frontier = reps
-    while len(frontier):
-        targets = perms[:, frontier]
-        flat = (targets.T if by_source else targets).ravel()
-        fresh = np.flatnonzero(~seen[flat])
-        # the first fresh candidate for each target, in candidate order:
-        # sort (target, position) pairs packed into one int64
-        hit, at = np.divmod(np.sort(flat[fresh] * len(flat) + fresh), len(flat))
-        keep = np.ones(len(hit), dtype=bool)
-        keep[1:] = hit[1:] != hit[:-1]
-        first = np.sort(at[keep])
-        if by_source:
-            src, gen = np.divmod(first, len(perms))
-        else:
-            gen, src = np.divmod(first, len(frontier))
-        reached = flat[first]
-        witness[reached] = right[gen, witness[frontier[src]]]
-        seen[reached] = True
-        frontier = reached
+    for src, gen, at in levels:
+        witness[visit[at]] = right[gen, witness[visit[src]]]
     return class_of, reps, sizes, witness
 
 
@@ -547,44 +560,19 @@ KEY_BITS = 63
 ENTRIES_PER_ELEMENT = 64
 
 
-def _orbit_search(gens: np.ndarray, b: int) -> tuple[np.ndarray, list]:
-    """(orbit, levels) of the point b under gens, a (k, degree) array, by a
-    breadth-first search on arrays of length degree: orbit lists the
-    points as found, a level at a time, and levels[j] = (src, s) says
-    that level j's points are the images of orbit[src] under gens[s]."""
-    k, degree = gens.shape
-    orbit, levels = np.empty(degree, dtype=np.int64), []
-    seen, finder = np.zeros(degree, dtype=bool), np.empty(degree, dtype=np.int64)
-    orbit[0], seen[b] = b, True
-    lo, hi = 0, 1
-    while lo < hi:
-        steps = gens[:, orbit[lo:hi]].T.ravel()     # step (i, s) at (i - lo) * k + s
-        fresh = np.flatnonzero(~seen[steps])
-        finder[steps[fresh]] = fresh                # one fresh step per point
-        src, s = np.divmod(fresh[finder[steps[fresh]] == fresh], k)
-        src += lo
-        end = hi + len(src)
-        orbit[hi:end] = gens[s, orbit[src]]
-        seen[orbit[hi:end]] = True
-        levels.append((src, s))
-        lo, hi = hi, end
-    return orbit[:hi], levels
-
-
 def _transversal(gens: np.ndarray, orbit: np.ndarray, levels: list
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(trans, tree) of an orbit found by _orbit_search: trans[i] maps
-    orbit[0] to orbit[i] (trans[0] is the identity), and tree[i, s] marks
-    the steps (orbit[i], gens[s]) that found a point, so that
+    """(trans, tree) of an orbit found by _search from orbit[0]: trans[i]
+    maps orbit[0] to orbit[i] (trans[0] is the identity), and tree[i, s]
+    marks the steps (orbit[i], gens[s]) that found a point, so that
     trans[i] * gens[s] is that point's trans row."""
     k, degree = gens.shape
     trans = np.empty((len(orbit), degree), dtype=np.int32)
     tree = np.zeros((len(orbit), k), dtype=bool)
-    trans[0], hi = np.arange(degree), 1
-    for src, s in levels:
-        trans[hi:hi + len(src)] = gens[s[:, None], trans[src]]
+    trans[0] = np.arange(degree)
+    for src, s, at in levels:
+        trans[at] = gens[s[:, None], trans[src]]
         tree[src, s] = True
-        hi += len(src)
     return trans, tree
 
 
@@ -614,11 +602,11 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
 
     The chain is built top down on the greedy base.  The generators of
     G_1 = G are the distinct non-identity ones given; b_k is the first
-    point those of G_k move, and a search from it (_orbit_search) gives its
-    orbit D_k under G_k, and _transversal the u_d in G_k mapping b_k to
-    each d.  The Schreier generators u_d * s * u_(d^s)^-1 generate
-    G_(k+1), the stabilizer of b_k in G_k; the chain ends when none is
-    left.
+    point those of G_k move, and a search from it (_search, source by
+    source) gives its orbit D_k under G_k, and _transversal the u_d in G_k
+    mapping b_k to each d.  The Schreier generators u_d * s * u_(d^s)^-1
+    generate G_(k+1), the stabilizer of b_k in G_k; the chain ends when
+    none is left.
 
     |G| is the product of the |D_k|: CapExceeded("element_cap") is raised
     once the orbits so far pass the cap (default from config, override via
@@ -658,7 +646,7 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
         base.append(int(np.argmax((stab != points).any(axis=0))))
         if len(base) == 1:
             guard(int(size[base[0]]), [])
-        orbit, levels = _orbit_search(stab, base[-1])
+        orbit, levels = _search(stab, np.array(base[-1:]), by_source=True)
         order *= len(orbit)
         guard(order, size[base].tolist())
         trans, tree = _transversal(stab, orbit, levels)

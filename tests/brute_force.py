@@ -51,6 +51,9 @@ tuple lists with a tuple -> index dict, every product taken one at a time
 through ``groups.compose``; none of them touches the numpy element table
 of ``FiniteGroup``.
 
+brute_search: the breadth-first search of ``groups._search`` as tuple
+loops over lists, one candidate at a time, with a set of points seen.
+
 scan_centralizer and brute_catalog: centralizers by a scan of every
 element, and the catalog by the rank induction that spans every
 extension of every member, canonicalizes each span from its element set,
@@ -663,6 +666,30 @@ def brute_conjugacy(elements, generators):
             frontier = nxt
         sizes.append(size)
     return tuple(class_of), tuple(reps), tuple(sizes), tuple(witness)
+
+
+def brute_search(perms, starts, by_source=False):
+    """(visit, steps) of the breadth-first search under the permutations
+    perms (tuples) from the starts at once: each level tries its
+    candidates generator by generator over the frontier, or source by
+    source when by_source, and the first to reach an unseen point keeps
+    it; steps[t] = (s, k) for the point t = perms[k][s] so reached."""
+    visit, steps = list(starts), {}
+    seen, frontier = set(starts), list(starts)
+    while frontier:
+        if by_source:
+            candidates = [(s, k) for s in frontier for k in range(len(perms))]
+        else:
+            candidates = [(s, k) for k in range(len(perms)) for s in frontier]
+        frontier = []
+        for s, k in candidates:
+            t = perms[k][s]
+            if t not in seen:
+                seen.add(t)
+                steps[t] = (s, k)
+                frontier.append(t)
+        visit += frontier
+    return visit, steps
 
 
 def brute_coordinates(elements, prime, members):

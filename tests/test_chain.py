@@ -3,7 +3,8 @@ breadth-first closure of brute_force.py: element tables, generator
 tables, base and conjugacy byte for byte on named groups and random
 ones, keys increasing along the table, lookups of rows that agree with
 an element on the base only, and the guards that refuse a group before
-its elements are formed.
+its elements are formed; the one breadth-first search (groups._search)
+against the tuple loops of brute_force.py.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import bfs_closure
+from brute_force import bfs_closure, brute_search
 from elabcat import cli, gallery, groups
 from elabcat.errors import CapExceeded, InvalidPermutation
 from elabcat.groups import close_generators, from_elements
@@ -154,6 +155,49 @@ def test_chain_matches_bfs_closure_on_random_groups(group):
     # the cap keeps the breadth-first oracle quick; both sides must refuse
     # the same groups
     assert_matches_bfs(*group, element_cap=5040)
+
+
+@st.composite
+def searches(draw):
+    """(perms, starts): one to three random permutations of degree at most
+    40, and one random member of each of their orbits, in random order."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    starts, seen = [], set()
+    for x in range(n):
+        if x in seen:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            fresh = {p[y] for p in perms} - orbit
+            orbit |= fresh
+            todo += fresh
+        seen |= orbit
+        starts.append(draw(st.sampled_from(sorted(orbit))))
+    return [tuple(p) for p in perms], draw(st.permutations(starts))
+
+
+@given(case=searches(), by_source=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_search_keeps_each_points_first_candidate(case, by_source):
+    perms, starts = case
+    arr = np.array(perms, dtype=np.int64)
+    visit, levels = groups._search(arr, np.array(starts), by_source)
+    steps = {}
+    for src, gen, at in levels:
+        assert (visit[at] == arr[gen, visit[src]]).all()
+        steps.update(zip(visit[at].tolist(), zip(visit[src].tolist(), gen.tolist())))
+    assert sorted(visit.tolist()) == list(range(arr.shape[1]))
+    # the first candidate in the level's order reaches each point
+    assert (visit.tolist(), steps) == brute_search(perms, starts, by_source)
+    for s in starts:
+        # each orbit comes out in the order of a search from its start alone
+        orbit, alone = groups._search(arr, np.array([s]), by_source)
+        assert visit[np.isin(visit, orbit)].tolist() == orbit.tolist()
+        # transversal row i sends the start to orbit[i]
+        trans, _ = groups._transversal(arr, orbit, alone)
+        assert trans[:, s].tolist() == orbit.tolist()
 
 
 def test_rows_agreeing_on_the_base_are_checked():

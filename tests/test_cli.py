@@ -651,6 +651,15 @@ class TestClosure:
         assert err.startswith(f"error: {path}: hom record ") and message in err, err
         assert len(err.strip().splitlines()) == 1
 
+    def test_bad_matrix_names_both_ranks(self, a4_path, tmp_path, capsys):
+        # a map from a member of rank 1 into one of rank 2 is 2 rows of 1 entry
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"base_kind": "A", "homs": [
+            {"domain": [0, 3], "codomain": [0, 3, 8, 11], "matrices": [[[1, 0]]]}]}))
+        assert cli.main(["closure", a4_path, "--prime", "2", "--category", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad matrix: each needs 2 rows of 1 integers\n")
+
     def test_homs_must_be_a_list(self, a4_path, tmp_path, capsys):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"base_kind": "A", "homs": 7}))
