@@ -65,7 +65,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -280,10 +280,10 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     class witnesses), Hom(E, F) is c_k o Iso(E, Y) over the Y_k inside F,
     c_k: Y -> Y_k the conjugation by w_k (conjugation_codes); maps
     through distinct Y_k have distinct images; the y are the classes
-    isomorphic to i's (iso_classes).  Refused (CapExceeded) before
-    anything is built when the row holds more maps than the hom count cap
-    allows: row x of class_sizes, each size once per member of its
-    target's class.
+    isomorphic to i's (first of iso_classes, a given base's read off its
+    own isomorphisms).  Refused (CapExceeded) before anything is built
+    when the row holds more maps than the hom count cap allows: row x of
+    class_sizes, each size once per member of its target's class.
     """
     catalog, reps, cls = C.catalog, C.catalog.class_reps, C.catalog.class_of
     x, rank = cls.item(i), catalog.ranks().item(i)
@@ -325,10 +325,11 @@ class SubgroupCategory:
     The base is a kind's, read from the catalog's hom cache that every
     category over that catalog shares under canonical kinds, or given by
     its isomorphisms between representatives of one rank, as closure
-    gives its result (closed like a kind, so the sizes of its non-empty
-    pairs of classes are read off them and its rows into larger ranks
-    built from them, both kept on the category); an explicit category
-    (kind None, nothing given) has an empty one.  One cache holds the
+    gives its result (a groupoid on each rank's classes, which its keys
+    classify; its class_sizes and rows are built from them and kept on
+    the category); an explicit category (kind None, nothing given) has
+    an empty one.  Sizes are read per pair of classes (class_sizes,
+    hom_count).  One cache holds the
     base's hom-sets, those of its rows too, and never replaces an array
     it holds.  Every kind and every closure holds the conjugation
     isomorphisms, so the base's Hom(i, j) off the representatives is
@@ -344,12 +345,20 @@ class SubgroupCategory:
         self.catalog = catalog
         self.kind = kind
         self.maps = {key: cols for key, cols in (homs or {}).items() if len(cols)}
-        # the base's hom-sets by (canonical kind, i, j), shared by a kind's
-        # categories
+        self.given = reps or {}         # a given base's isomorphisms, by pair of reps
+        # the base's hom-sets by (canonical kind, i, j), shared by a kind's categories
         self._base = catalog.homs if kind is not None else {
-            (None, i, j): cols for (i, j), cols in (reps or {}).items()}
-        for cols in chain(self.maps.values(), (reps or {}).values()):
+            (None, i, j): cols for (i, j), cols in self.given.items()}
+        for cols in chain(self.maps.values(), self.given.values()):
             cols.flags.writeable = False
+        if kind is None:
+            # a groupoid: aut[x] is its (rep x, rep x) size, first[y] the least x with (x, y)
+            x, y = catalog.class_of[np.array(list(self.given), dtype=np.int64).reshape(-1, 2)].T
+            aut, first = np.zeros_like(catalog.class_reps), np.arange(len(catalog.class_reps))
+            aut[x[x == y]] = [len(cols) for (i, j), cols in self.given.items() if i == j]
+            np.minimum.at(first, y, x)
+            aut.flags.writeable = first.flags.writeable = False
+            self._classes = {"iso": (aut, first)}
 
     @property
     def provenance(self) -> str:
@@ -418,28 +427,27 @@ class SubgroupCategory:
 
     @cached_property
     def _classes(self) -> dict:
-        """Where the base's iso_classes and class_sizes are kept once read:
+        """Where a kind's iso_classes and class_sizes are kept once read:
         the catalog's entry for the kind's canonical form at each rank, so
-        kinds with equal hom-sets share one."""
-        if self.kind is None:
-            return {}
+        kinds with equal hom-sets share one; a given base sets its own."""
         return self.catalog.sizes.setdefault(tuple(
             canonical(self.kind, r) for r in range(len(self.catalog.codes))), {})
 
     def iso_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(aut, first): aut[x] = |Aut(rep x)| in the base (0 if it is
         empty) and first[x] the least class isomorphic to x, the one test
-        of isomorphism between classes.  Isomorphic classes have equal
-        class_counts rows (Creg's for a given base), so x is tested only
-        against the first class of each isomorphism class with its row;
-        for Creg all of those are isomorphic, and aut is |GL_r|, counted."""
+        of isomorphism between classes; a given base's are read off its
+        keys when it is made.  A kind's isomorphic classes have equal
+        class_counts rows, so x is tested only against the first class of
+        each isomorphism class with its row; for Creg all of those are
+        isomorphic, and aut is |GL_r|, counted."""
         if "iso" not in self._classes:
             catalog, reps = self.catalog, self.catalog.class_reps.tolist()
             aut, first = np.zeros(len(reps), dtype=np.int64), np.arange(len(reps))
             leaders: dict[bytes, list[int]] = {}
             for x, (i, r) in enumerate(zip(reps, catalog.ranks()[reps].tolist())):
                 found = leaders.setdefault(
-                    class_counts(catalog.subgroups[i], self.kind or CREG)[1].tobytes(), [])
+                    class_counts(catalog.subgroups[i], self.kind)[1].tobytes(), [])
                 creg = self._kind_at(r) == CREG
                 aut[x] = injective_count(catalog.prime, r, r) if creg else len(self._base_hom(i, i))
                 first[x] = next((y for y in found if creg or len(self._base_hom(reps[y], i))), x)
@@ -470,31 +478,20 @@ class SubgroupCategory:
             self._classes["sizes"] = got
         return self._classes["sizes"]
 
-    def pair_sizes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, sizes) of the non-empty hom-sets, listing no map off
-        the representatives' pairs and the explicit maps: keys i * n + j,
-        increasing, and |Hom(i, j)|, which is |Hom(rep i, rep j)| where
-        no explicit map lies.  Row i of the base is the same for every i
-        of one class x: class_sizes' row x spread over the members of each
-        target class, then sorted; the explicit pairs are merged in by
-        sorted insertion."""
-        catalog, n, cls = self.catalog, len(self.catalog), self.catalog.class_of
-        (starts, members, _), (xy, size) = catalog.class_table, self.class_sizes()
-        x, y = np.divmod(xy, catalog.class_count())
-        t, at = ranges(starts[y], starts[y + 1])
-        row = x[t] * n + members[at]                # class x to member j
-        order = np.argsort(row)
-        row, size = row[order], size[t[order]]
-        i, at = ranges(*np.searchsorted(row, [cls * n, cls * n + n]))
-        keys, size = i * n + row[at] % n, size[at]
-        if self.maps:
-            mine = np.array(sorted(i * n + j for i, j in self.maps), dtype=np.int64)
-            keep = ~find_sorted(mine, keys)[1]
-            keys, size = keys[keep], size[keep]
-            at = np.searchsorted(keys, mine)
-            size = np.insert(size, at, [len(self.hom(*divmod(k, n))) for k in mine.tolist()])
-            keys = np.insert(keys, at, mine)
-        return keys, size
+    def _sizes_at(self, xy: np.ndarray) -> np.ndarray:
+        """The class_sizes entry at each key x * k + y, 0 off its keys."""
+        keys, sizes = self.class_sizes()
+        at, found = find_sorted(keys, xy)
+        return np.append(sizes, 0)[np.where(found, at, len(sizes))]
+
+    def hom_count(self) -> int:
+        """The maps of every hom-set, listing none: size * |x| * |y| over
+        class_sizes (|x| the members of class x), each explicit pair's
+        hom-set in place of the base's there, read in row-major order."""
+        (keys, sizes), k = self.class_sizes(), self.catalog.class_count()
+        members = np.diff(self.catalog.class_table[0])
+        return int(sizes @ (members[keys // k] * members[keys % k])) + sum(
+            len(self.hom(*key)) - len(self._base_hom(*key)) for key in sorted(self.maps))
 
     def materialize(self) -> None:
         """Compute every hom-set; guarded by the hom count cap."""
@@ -502,29 +499,22 @@ class SubgroupCategory:
 
     def hom_dict(self) -> dict[tuple[int, int], np.ndarray]:
         """Every non-empty hom-set in row-major order, refused when they
-        hold more maps than the hom count cap (pair_sizes counts them
-        before any is listed).  The base is carried a pair of classes at
-        a time, and every hom-set is kept as hom reads it."""
-        keys, sizes = self.pair_sizes()
-        _refuse_past_cap("the category holds", int(sizes.sum()))
-        catalog, n, reps = self.catalog, len(self.catalog), self.catalog.class_reps.tolist()
+        hold more maps than the hom count cap (hom_count counts them
+        before any is listed).  Each class pair of class_sizes is carried
+        to its member pairs, the explicit pairs are read by hom, and every
+        hom-set is kept as hom reads it."""
+        _refuse_past_cap("the category holds", self.hom_count())
+        catalog, reps, out = self.catalog, self.catalog.class_reps.tolist(), {}
         starts, members, _ = catalog.class_table
-        at = np.empty(n, dtype=np.int64)            # each member's place in its class
-        at[members] = np.arange(n) - np.repeat(starts[:-1], np.diff(starts))
-        kinds = [self._kind_at(r) for r in catalog.ranks()[reps].tolist()]
-        carried = {}
         for x, y in zip(*(a.tolist() for a in np.divmod(self.class_sizes()[0], len(reps)))):
-            carried[x, y] = _carried(catalog, self._base_hom(reps[x], reps[y]),
-                                     members[starts[x]:starts[x + 1]],
-                                     members[starts[y]:starts[y + 1]])
-            carried[x, y].flags.writeable = False
-        out = {}
-        src, dst = np.divmod(keys, n)
-        for i, j, x, y, s, t in zip(*(a.tolist() for a in (
-                src, dst, catalog.class_of[src], catalog.class_of[dst], at[src], at[dst]))):
-            out[i, j] = self.hom(i, j) if (i, j) in self.maps else self._base.setdefault(
-                (kinds[x], i, j), carried[x, y][s, t])
-        return out
+            I, J = members[starts[x]:starts[x + 1]], members[starts[y]:starts[y + 1]]
+            carried = _carried(catalog, self._base_hom(reps[x], reps[y]), I, J)
+            carried.flags.writeable = False
+            kind = self._kind_at(catalog.ranks().item(reps[x]))
+            for (s, i), (t, j) in product(enumerate(I.tolist()), enumerate(J.tolist())):
+                out[i, j] = self._base.setdefault((kind, i, j), carried[s, t])
+        out.update((key, self.hom(*key)) for key in self.maps)
+        return dict(sorted(out.items()))
 
 
 def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
@@ -703,7 +693,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     No map between ranks is built; the result reads those through _rows.
     """
     catalog, p, reps = C.catalog, C.catalog.prime, C.catalog.class_reps.tolist()
-    rank, inputs = catalog.ranks()[reps], list(C.maps.items())
+    rank, inputs = catalog.ranks()[reps], list(C.maps.items()) + list(C.given.items())
     if C.kind is None:
         # every kind holds A; an explicit input must list it on every pair
         base = build_category(A, catalog)
@@ -715,10 +705,6 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                     f"input omits {count} conjugation-induced "
                     f"morphism{'s' if count != 1 else ''} "
                     f"on object pair ({i}, {j})")
-        # a given base (a closure's) enters by its isomorphisms
-        aut, first = C.iso_classes()
-        inputs += [((reps[x], reps[y]), C._base_hom(reps[x], reps[y]))
-                   for x, y in zip(*(a.tolist() for a in _matches(first, first))) if aut[x]]
     else:
         _refuse_past_cap("the base between class representatives holds",
                          int(C.class_sizes()[1].sum()))
@@ -755,6 +741,27 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                 mine = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
         homs.update(zip([(reps[a], reps[b]) for a, b in zip(x.tolist(), y.tolist())], mine))
     return SubgroupCategory(catalog, None, reps=homs)
+
+
+def changed_pairs(C: SubgroupCategory,
+                  closed: SubgroupCategory) -> list[tuple[int, int, int, int]]:
+    """(i, j, |Hom(i, j)| in C, in closed) for every pair whose sizes
+    differ between C and its closure, in row-major order.  Off C's
+    explicit pairs, read by hom, a pair has its classes' sizes, so only
+    the class pairs whose sizes differ (closed's keys hold C's, as the
+    closure only adds) are spread to their members."""
+    catalog, n, k = C.catalog, len(C.catalog), C.catalog.class_count()
+    (starts, members, _), cls = catalog.class_table, catalog.class_of
+    keys, sizes = closed.class_sizes()
+    x, y = np.divmod(keys[C._sizes_at(keys) != sizes], k)
+    t, at = ranges(starts[x], starts[x + 1])              # member at of class x[t]
+    u, to = ranges(starts[y[t]], starts[y[t] + 1])        # and member to of class y[t]
+    mine = np.array(sorted(C.maps), dtype=np.int64).reshape(-1, 2) @ [n, 1]   # explicit pairs
+    i, j = np.divmod(sorted_distinct(np.concatenate([members[at[u]] * n + members[to], mine])), n)
+    before, after = C._sizes_at(cls[i] * k + cls[j]), closed._sizes_at(cls[i] * k + cls[j])
+    before[np.searchsorted(i * n + j, mine)] = [len(C.hom(*divmod(g, n))) for g in mine.tolist()]
+    keep = before != after
+    return list(zip(*(a[keep].tolist() for a in (i, j, before, after))))
 
 
 # -- invariants -------------------------------------------------------

@@ -381,25 +381,18 @@ def cmd_closure(args) -> int:
     G = load_group(args.group)
     catalog = enumerate_elabs(G, args.prime)
     C = load_category(args.category, catalog)
-    pairs, sizes = C.pair_sizes()
-    # the input's pairs are among the closure's, as closure only adds
-    keys, has = cg.closure(C).pair_sizes()
-    n = len(catalog)
-    if len(pairs) == len(keys):         # then the pairs are the same
-        had = sizes
-    else:
-        had = np.zeros_like(keys)
-        had[np.searchsorted(keys, pairs)] = sizes
-    changed = [{"domain": k // n, "codomain": k % n, "before": b, "after": a}
-               for k, b, a in zip(*(v[has != had].tolist() for v in (keys, had, has)))]
+    before = C.hom_count()          # counted first, as a row it reads may be refused
+    closed = cg.closure(C)
+    changed = [{"domain": i, "codomain": j, "before": b, "after": a}
+               for i, j, b, a in cg.changed_pairs(C, closed)]
     report = {
         "tool": "elabcat",
         "version": __version__,
         "group": {"name": G.name, "degree": G.degree, "order": G.order},
         "prime": args.prime,
         "already_closed": not changed,
-        "hom_count_before": int(sizes.sum()),
-        "hom_count_after": int(has.sum()),
+        "hom_count_before": before,
+        "hom_count_after": closed.hom_count(),
         "pairs_changed": changed,
     }
     print(_dump(report, args.pretty))

@@ -6,7 +6,7 @@ same-rank question read it.  Checked here: the mask against the per-pair
 Counter prune and the generate-and-test oracle, iso_classes against the
 isomorphisms between representatives, class_sizes against every pair's
 hom_matrices and the dense I @ M (M counted from element sets),
-pair_sizes against every member pair's hom, maximal_objects and
+hom_count and hom_dict against every member pair's hom, maximal_objects and
 categories_equal against their pairwise oracles, and the calls analyze
 makes on (Z/2)^5.
 """
@@ -132,11 +132,11 @@ def test_iso_classes_match_the_hom_sets_between_representatives(catalog, data):
         keys, got = C.class_sizes()
         assert (np.diff(keys) > 0).all() and (got > 0).all(), C.provenance
         n = len(catalog)
-        want = {i * n + j: len(C.hom(i, j)) for i in range(n) for j in range(n)}
-        keys, got = C.pair_sizes()
-        assert dict(zip(keys.tolist(), got.tolist())) == {
-            key: size for key, size in want.items() if size}, C.provenance
-        assert (np.diff(keys) > 0).all(), C.provenance
+        want = {(i, j): len(C.hom(i, j)) for i in range(n) for j in range(n)}
+        assert C.hom_count() == sum(want.values()), C.provenance
+        # row-major, and no empty pair listed
+        assert [(key, len(maps)) for key, maps in C.hom_dict().items()] == [
+            (key, size) for key, size in want.items() if size], C.provenance
 
 
 def test_iso_classes_reach_past_the_first_class_of_a_row():

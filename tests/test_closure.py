@@ -210,9 +210,10 @@ def test_skeleton_closure_carries_maps_off_the_representatives(C):
     n, rep = len(catalog), [catalog.class_reps[c] for c in catalog.class_of]
     sizes = {(i, j): len(closed.hom(i, j)) for i in range(n) for j in range(n)}
     assert all(size == sizes[rep[i], rep[j]] for (i, j), size in sizes.items())
-    keys, counts = closed.pair_sizes()
-    assert dict(zip(keys.tolist(), counts.tolist())) == {
-        i * n + j: size for (i, j), size in sizes.items() if size}
+    assert closed.hom_count() == sum(sizes.values())
+    # row-major, and no empty pair listed
+    assert [(key, len(maps)) for key, maps in closed.hom_dict().items()] == [
+        (key, size) for key, size in sizes.items() if size]
 
 
 @st.composite
@@ -242,7 +243,7 @@ def based_categories(draw):
           suppress_health_check=[HealthCheck.filter_too_much])
 def test_based_categories_read_through_the_representatives(case):
     kind, catalog, key, extra, cut, drop = case
-    n, subgroups = len(catalog), catalog.subgroups
+    subgroups = catalog.subgroups
     C = cg.SubgroupCategory(catalog, kind,
                             cg.explicit_category(catalog, {key: [extra]}).maps)
     # every pair: the kind's hom-set built pair by pair, united with the map
@@ -254,9 +255,10 @@ def test_based_categories_read_through_the_representatives(case):
             assert C.hom(i, j).tolist() == sorted(map(list, want))
             if want:
                 union[i, j] = want
-    keys, sizes = C.pair_sizes()
-    assert dict(zip(keys.tolist(), sizes.tolist())) == {
-        i * n + j: len(maps) for (i, j), maps in union.items()}
+    assert C.hom_count() == sum(map(len, union.values()))
+    # row-major, and no empty pair listed
+    assert [(pair, len(maps)) for pair, maps in C.hom_dict().items()] == [
+        (pair, len(maps)) for pair, maps in union.items()]
     assert matrices(cg.closure(C)) == brute_closure(cg.explicit_category(catalog, union))
     # an explicit input without one A-morphism off the representatives
     homs = dict(cg.build_category(cg.A, catalog).hom_dict())
@@ -265,6 +267,71 @@ def test_based_categories_read_through_the_representatives(case):
         cg.closure(cg.explicit_category(catalog, homs))
     assert str(e.value) == ("input omits 1 conjugation-induced morphism "
                             f"on object pair ({cut[0]}, {cut[1]})")
+
+
+def changed_by_pairs(C, closed):
+    """(i, j, before, after) of every pair whose hom-set closure changes in
+    size, read pair by pair in row-major order."""
+    n = len(C.catalog)
+    sizes = [(i, j, len(C.hom(i, j)), len(closed.hom(i, j))) for i in range(n) for j in range(n)]
+    return [size for size in sizes if size[2] != size[3]]
+
+
+@given(case=based_categories())
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_changed_pairs_match_every_member_pair(case):
+    # the pairs cmd_closure prints: a kind with a map beside it, and the
+    # same maps listed explicitly
+    kind, catalog, key, extra = case[:4]
+    homs = defaultdict(set, hom_dict(cg.build_category(cg.A, catalog)))
+    homs[key].add(extra)
+    for C in (cg.SubgroupCategory(catalog, kind,
+                                  cg.explicit_category(catalog, {key: [extra]}).maps),
+              cg.explicit_category(catalog, homs)):
+        closed = cg.closure(C)
+        assert cg.changed_pairs(C, closed) == changed_by_pairs(C, closed)
+
+
+def test_changed_pairs_skip_an_explicit_pair_its_class_pair_outgrows():
+    # S4 at p=2: one map from a transposition's line to a double
+    # transposition's joins the two classes; every other pair of their
+    # members grows from 0 to 1 map, the explicit pair keeps its 1
+    catalog = enumerate_elabs(close_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)]), 2)
+    lines = [k for k, E in enumerate(catalog.subgroups) if E.rank == 1]
+    i = lines[0]
+    j = next(k for k in lines if catalog.class_of[k] != catalog.class_of[i])
+    maps = cg.explicit_category(catalog, {(i, j): [(1,)]}).maps
+    for C in (cg.SubgroupCategory(catalog, cg.A, maps),
+              a_category_plus(catalog, [((i, j), ((1,),))])):
+        closed = cg.closure(C)
+        got = cg.changed_pairs(C, closed)
+        assert got == changed_by_pairs(C, closed)
+        assert len(C.hom(i, j)) == len(closed.hom(i, j)) == 1
+        assert (i, j, 0, 1) not in got and (i, j, 1, 1) not in got
+        grown = {(s, t) for s, t, before, after in got if (before, after) == (0, 1)}
+        cls = catalog.class_of
+        assert {(s, t) for s in range(len(catalog)) for t in range(len(catalog))
+                if (cls[s], cls[t]) == (cls[i], cls[j])} - grown == {(i, j)}
+
+
+def test_a_closure_is_classified_from_its_own_keys(monkeypatch):
+    # S7 at p=2: the closure of A reads its isomorphism classes off the
+    # isomorphisms it holds, with no hom-set read
+    catalog = enumerate_elabs(load_group(str(GOLDEN / "sym7.group.json")), 2)
+    closed = cg.closure(cg.build_category(cg.A, catalog))
+    reads, read = [], cg.SubgroupCategory._base_hom
+
+    def counting(self, i, j):
+        reads.append((i, j))
+        return read(self, i, j)
+
+    monkeypatch.setattr(cg.SubgroupCategory, "_base_hom", counting)
+    aut, first = closed.iso_classes()
+    assert not reads
+    A = cg.build_category(cg.A, catalog).iso_classes()
+    assert aut.tolist() == A[0].tolist() and first.tolist() == A[1].tolist()
+    assert closed.hom_count() == 1451178
 
 
 def a4_grow():
