@@ -31,8 +31,9 @@ kind onto f(E) followed by an inclusion (Quillen's factorization of A,
 Ann. of Math. 94, 1971; Green and Leary use it for Aprime, Comment. Math.
 Helv. 73, 1998).  A category over a catalog builds every kind that one
 way, on the pairs of class representatives (see SubgroupCategory): the
-isomorphisms between representatives of one rank, classified once
-(iso_classes), the sizes of the non-empty pairs from them (class_sizes,
+isomorphisms between representatives of one rank, classified once, a
+rank at a time, every representative of the rank at once (iso_classes,
+_isos), the sizes of the non-empty pairs from them (class_sizes,
 sorted), and every map out of a representative into a larger rank by
 carrying them onto each member inside each target (_rows).  Only those
 isomorphisms are searched; hom_matrices builds any one pair from the
@@ -61,7 +62,6 @@ Foundations of Databases, 1995, ch. 13, within a rank).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,14 +71,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import cap as _cap, refuse
-from .elabs import ElabCatalog, ElabSubgroup
+from .elabs import ElabCatalog, ElabSubgroup, conjugation_images
 from .errors import CatalogMismatch, ClosureGuardError, NotMaximal
 # perfbench/tracing.py wraps categories.mat_mul; callers read column_codes here
-from .fpmat import (Mat, code_digits, column_codes, image_tables,  # noqa: F401
-                    injective_count, mat_mul, mat_rank, matrix_of, restricts_into,
-                    subspace_codes)
+from .fpmat import (Mat, basis_search, code_digits, column_codes,  # noqa: F401
+                    image_tables, injective_count, mat_mul, mat_rank, matrix_of,
+                    restricts_into, subspace_codes)
 from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, row_keys, runs,
-                     sorted_distinct)
+                     sorted_distinct, split_rows)
 
 # -- kinds ------------------------------------------------------------
 
@@ -148,26 +148,21 @@ def canonical(kind: CategoryKind, rank: int) -> CategoryKind:
 
 # -- hom-set computation ----------------------------------------------
 
-def _conjugation_images(G: FiniteGroup, elems: Sequence[int],
-                        F: ElabSubgroup) -> np.ndarray:
-    """Rows (code in F of g^-1 e g, for e in elems) over the g in G that
-    conjugate every listed element into F, repeats included.
-
-    Only the g taking elems[0] into F can qualify: the union of one
-    transporter coset per member of F in its class.
-    """
-    if not elems:                           # the one empty map
-        return np.zeros((1, 0), dtype=np.int64)
-    class_of = G.conjugacy.class_of
-    first = elems[0]
-    targets = np.flatnonzero(class_of[F.by_code] == class_of[first])
-    if not len(targets):
-        return np.zeros((0, len(elems)), dtype=np.int64)
-    if len(elems) == 1:
-        return targets[:, None]
-    cosets = G.transporter_indices(first, F.by_code[targets])
-    images = F.codes_of(G.conjugate_indices(cosets, elems))
-    return images[np.all(images >= 0, axis=1)]
+def _labels(G: FiniteGroup, p: int, rank: int, by_code: np.ndarray,
+            kind: CategoryKind) -> np.ndarray:
+    """The conjugacy class of each element of by_code, one row per
+    subgroup of the given rank (or one by_code), merged where the kind
+    lets an element go (see class_counts): one gather for every row."""
+    kind = canonical(kind, 1)
+    cls = G.conjugacy.class_of[by_code]
+    if kind == CREG:
+        return np.minimum(cls, 1)
+    if kind.tag == "AprimeD":
+        digits, weights = code_digits(p, rank), p ** np.arange(rank)
+        # the order-d units mod p; E has elements of order p, so p <= degree
+        return np.min([cls[..., t * digits % p @ weights] for t in range(1, p)
+                       if pow(t, kind.param, p) == 1], axis=0)
+    return cls
 
 
 def class_counts(E: ElabSubgroup, kind: CategoryKind) -> tuple[np.ndarray, np.ndarray]:
@@ -177,16 +172,10 @@ def class_counts(E: ElabSubgroup, kind: CategoryKind) -> tuple[np.ndarray, np.nd
     the units t with t^d = 1 mod p, are one (labelled by the least); for
     Creg every class but the identity's, class 0, is one.  A kind-morphism
     is injective and keeps each element's merged class, so Hom(E, F) is
-    empty unless F's counts dominate E's."""
-    kind, p = canonical(kind, 1), E.prime
-    cls = E.ambient.conjugacy.class_of[E.by_code]
-    if kind == CREG:
-        cls = np.minimum(cls, 1)
-    elif kind.tag == "AprimeD" and E.rank:
-        digits, weights = code_digits(p, E.rank), p ** np.arange(E.rank)
-        # the order-d units mod p; E has elements of order p, so p <= degree
-        cls = np.min([cls[t * digits % p @ weights] for t in range(1, p)
-                      if pow(t, kind.param, p) == 1], axis=0)
+    empty unless F's counts dominate E's, and an isomorphism needs equal
+    counts: equal sorted label rows, which iso_classes compares for every
+    representative of a rank at once (_labels)."""
+    cls = _labels(E.ambient, E.prime, E.rank, E.by_code, kind)
     return cls, np.bincount(cls, minlength=E.ambient.conjugacy.class_count())
 
 
@@ -197,58 +186,16 @@ def _refuse_past_cap(holds: str, total: int) -> None:
         refuse("hom_count_cap", f"{holds} {total} maps, more than the cap ({limit})")
 
 
-def _basis_search(E: ElabSubgroup, ok: np.ndarray, F: ElabSubgroup) -> np.ndarray:
-    """Rows of basis-image codes of the linear maps E -> F that send each
-    element of code c to one of code f with ok[c, f], in lexicographic
-    order.
-
-    Backtracking over the basis images, breadth first and vectorized:
-    choosing the image of basis vector k fixes the image of every vector
-    whose last nonzero coordinate is k, and each one is checked against
-    ok at once.  ok never allows the identity as the image of another
-    element, so every survivor is injective.
-
-    Raises CapExceeded("hom_count_cap") before the search when the
-    product over basis vectors of their allowed images, a bound on the
-    maps, passes the hom count cap.
-    """
-    p, s = E.prime, F.rank
-    _refuse_past_cap(f"a hom-set of rank {E.rank} into rank {s} may hold",
-                     math.prod(int(ok[p ** k].sum()) for k in range(E.rank)))
-    F_digits, F_weights = code_digits(p, s), p ** np.arange(s)
-    coef = np.arange(1, p)
-    cols = np.zeros((1, 0), dtype=np.int64)   # image codes of the basis so far
-    imgs = np.zeros((1, 1), dtype=np.int64)   # image code of each E code < p^k
-    for k in range(E.rank):
-        if not len(cols):
-            return np.zeros((0, E.rank), dtype=np.int64)
-        q = p ** k
-        cand = np.nonzero(ok[q])[0]
-        codes = np.arange(q) + q * coef[:, None]           # (p-1, q), code order
-        steps = F_digits[cand][:, None, :] * coef[None, :, None]  # (n, p-1, s)
-        grown_cols, grown_imgs = [], []
-        for b in blocks(len(cols), len(cand) * codes.size * s):
-            base = F_digits[imgs[b]]                       # (m, q, s)
-            new = ((base[:, None, None] + steps[None, :, :, None]) % p) @ F_weights
-            mi, ni = np.nonzero(ok[codes, new].all(axis=(2, 3)))
-            grown_cols.append(np.column_stack([cols[b][mi], cand[ni]]))
-            grown_imgs.append(np.concatenate(
-                [imgs[b][mi], new[mi, ni].reshape(len(mi), codes.size)], axis=1))
-        cols = np.concatenate(grown_cols)
-        imgs = np.concatenate(grown_imgs)
-    return cols
-
-
 def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
                  F: ElabSubgroup) -> np.ndarray:
     """The kind-morphisms E -> F as an int64 array of column codes, one
     map per row, rows distinct and in lexicographic order.
 
     Each kind is built from its definition alone, with no catalog; see
-    the module docstring.  A category over a catalog calls it only
-    between representatives of one rank, for a kind other than A and
-    An(n), and builds every other hom-set from those isomorphisms; this
-    stays the definition they are tested against.
+    the module docstring.  A category over a catalog never calls it: it
+    searches the isomorphisms between representatives of one rank for
+    many pairs at once (_isos) and builds every other hom-set from them;
+    this stays the definition they are tested against.
     """
     if E.ambient is not F.ambient or E.prime != F.prime:
         raise CatalogMismatch("hom-set needs a common ambient group and prime")
@@ -260,14 +207,64 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
         return np.zeros((0, E.rank), dtype=np.int64)
     if kind == A:
         # conjugators inducing the same map give repeated rows
-        return distinct_rows(_conjugation_images(E.ambient, E.basis, F))
+        return distinct_rows(conjugation_images(E.ambient, E.basis, F))
     # each element may go to any element of its merged class
-    cols = _basis_search(E, E_cls[:, None] == F_cls, F)
+    cols = basis_search(E.prime, E_cls[None], F_cls[None], E.rank, F.rank)[1]
     if kind.tag == "An" and len(cols):
         at = subspace_codes(E.prime, E.rank, kind.param)[:, E.prime ** np.arange(kind.param)]
         cols = cols[restricts_into(cols, E.prime, F.rank, at, [
-            _conjugation_images(E.ambient, E.by_code[a].tolist(), F) for a in at])]
+            conjugation_images(E.ambient, E.by_code[a].tolist(), F) for a in at])]
     return cols
+
+
+def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
+          j: np.ndarray) -> list[np.ndarray]:
+    """Hom(i[t], j[t]) of a canonical kind for each pair of class
+    representatives of one rank, in order: each built once per catalog,
+    all those missing at once, and kept in catalog.homs.
+
+      A            only an automorphism group is non-empty (members of
+                   different classes are not conjugate), all those of a
+                   rank built at once (catalog.automorphisms);
+      An(n)        the maps of A where A and Aprime (or An(m), m < n,
+                   already built) have as many, else those maps whose
+                   restriction to every rank-n member inside i is an A
+                   map, every map at once (catalog.conjugations_on);
+      others       one basis_search over the pairs whose sorted label
+                   rows agree (an isomorphism keeps each label's count).
+    """
+    homs, p = catalog.homs, catalog.prime
+    got = [homs.get((kind, a, b)) for a, b in zip(i.tolist(), j.tolist())]
+    todo = [t for t, h in enumerate(got) if h is None]
+    if not todo:
+        return got
+    i, j = i[todo], j[todo]
+    r = catalog.ranks().item(i[0])
+    if kind == A:                           # members of different classes are not conjugate
+        if any((A, a, a) not in homs for a in i.tolist()):      # all of rank r at once
+            homs.update(((A, a, a), h) for a, h in zip(catalog.rank_reps(r).tolist(),
+                                                       catalog.automorphisms(r)))
+        built = [homs[A, a, a] if a == b else homs[A, a, a][:0]
+                 for a, b in zip(i.tolist(), j.tolist())]
+    elif kind.tag == "An":
+        built, maps = _isos(catalog, A, i, j), _isos(catalog, APRIME, i, j)
+        for m in range(2, kind.param):      # A <= An(n) <= An(m) <= Aprime for m < n
+            maps = [homs.get((a_n(m), a, b), h) for a, b, h in zip(i.tolist(), j.tolist(), maps)]
+        wide = [t for t, (a, b) in enumerate(zip(built, maps)) if len(a) != len(b)]
+        if wide:                            # equal sizes decide the others
+            reps = catalog.rank_reps(kind.param)
+            for t, h in zip(wide, catalog.conjugations_on(kind.param, i[wide], j[wide], [
+                    maps[t] for t in wide], _isos(catalog, A, reps, reps))):
+                built[t] = h
+    else:
+        dom, cod = np.split(_labels(catalog.group, p, r, catalog.by_codes(r, np.append(i, j)),
+                                    kind), 2)
+        at = np.flatnonzero((np.sort(dom, axis=1) == np.sort(cod, axis=1)).all(axis=1))
+        pair, cols = basis_search(p, dom[at], cod[at], r, r)
+        built = split_rows(at[pair], cols, len(i))
+    for t, a, b, h in zip(todo, i.tolist(), j.tolist(), built):
+        got[t] = homs[kind, a, b] = h
+    return got
 
 
 def _rows(C: SubgroupCategory, i: int) -> None:
@@ -395,32 +392,12 @@ class SubgroupCategory:
             if find_sorted(self.class_sizes()[0], ci * len(reps) + cj)[1]:
                 _rows(self, i)
             return self._base.get((kind, i, j), none)
-        if (i, j) != (ri, rj):
-            got = self._base_hom(ri, rj)
-            if len(got):
-                got = _carried(catalog, got, np.array([i]), np.array([j]))[0, 0]
-        elif r > s or (kind is None and r == s):
-            return none
-        elif kind == A:       # members of different classes are not conjugate
-            E = catalog.subgroups[i]
-            got = distinct_rows(_conjugation_images(catalog.group, E.basis, E)) if i == j else none
-        elif kind.tag == "An":
-            # A <= An(n) <= Aprime, so equal sizes decide; else keep the
-            # Aprime maps f whose restriction to each rank-n member U inside
-            # i is an A map: f o c_U, on the basis of U's representative
-            in_a = SubgroupCategory(catalog, A)._base_hom
-            got = SubgroupCategory(catalog, APRIME)._base_hom(i, j)
-            if len(got) == len(in_a(i, j)):
-                got = in_a(i, j)
-            else:
-                p, n, E = catalog.prime, kind.param, catalog.subgroups[i]
-                members = catalog.indices_of_sets(E.by_code[subspace_codes(p, r, n)])
-                images = catalog.conjugation_codes[members][:, p ** np.arange(n)]
-                at = E.codes_of(np.take_along_axis(catalog.by_codes(n, members), images, axis=1))
-                got = got[restricts_into(got, p, s, at, [
-                    in_a(u, j) for u in reps[cls[members]].tolist()])]
-        else:
-            got = hom_matrices(kind, catalog.subgroups[i], catalog.subgroups[j])
+        if (i, j) == (ri, rj):                  # and r >= s
+            return (_isos(catalog, kind, np.array([i]), np.array([j]))[0] if kind and r == s
+                    else none)
+        got = self._base_hom(ri, rj)
+        if len(got):
+            got = _carried(catalog, got, np.array([i]), np.array([j]))[0, 0]
         got.flags.writeable = False
         self._base[kind, i, j] = got
         return got
@@ -437,22 +414,14 @@ class SubgroupCategory:
         """(aut, first): aut[x] = |Aut(rep x)| in the base (0 if it is
         empty) and first[x] the least class isomorphic to x, the one test
         of isomorphism between classes; a given base's are read off its
-        keys when it is made.  A kind's isomorphic classes have equal
-        class_counts rows, so x is tested only against the first class of
-        each isomorphism class with its row; for Creg all of those are
-        isomorphic, and aut is |GL_r|, counted."""
+        keys when it is made.  A kind's are read a rank at a time, every
+        representative of the rank at once (_classify)."""
         if "iso" not in self._classes:
-            catalog, reps = self.catalog, self.catalog.class_reps.tolist()
+            catalog, reps = self.catalog, self.catalog.class_reps
             aut, first = np.zeros(len(reps), dtype=np.int64), np.arange(len(reps))
-            leaders: dict[bytes, list[int]] = {}
-            for x, (i, r) in enumerate(zip(reps, catalog.ranks()[reps].tolist())):
-                found = leaders.setdefault(
-                    class_counts(catalog.subgroups[i], self.kind)[1].tobytes(), [])
-                creg = self._kind_at(r) == CREG
-                aut[x] = injective_count(catalog.prime, r, r) if creg else len(self._base_hom(i, i))
-                first[x] = next((y for y in found if creg or len(self._base_hom(reps[y], i))), x)
-                if first[x] == x:
-                    found.append(x)
+            for r in range(len(catalog.codes)):         # every rank up to the p-rank
+                xs = np.flatnonzero(catalog.ranks()[reps] == r)
+                _classify(catalog, canonical(self.kind, r), r, xs, aut, first)
             aut.flags.writeable = first.flags.writeable = False
             self._classes["iso"] = aut, first
         return self._classes["iso"]
@@ -515,6 +484,41 @@ class SubgroupCategory:
                 out[i, j] = self._base.setdefault((kind, i, j), carried[s, t])
         out.update((key, self.hom(*key)) for key in self.maps)
         return dict(sorted(out.items()))
+
+
+def _classify(catalog: ElabCatalog, kind: CategoryKind, r: int, xs: np.ndarray,
+              aut: np.ndarray, first: np.ndarray) -> None:
+    """Set aut and first (see iso_classes) on the classes xs of rank r,
+    for a canonical kind.  Creg's aut is |GL_r|, counted, and all of them
+    are isomorphic; no two of A's are (members of different classes are
+    not conjugate).  Otherwise isomorphic classes have equal sorted label
+    rows (class_counts), one row_keys sort groups them, and in rounds
+    every class left is tested against the least one left in its group,
+    which leads it; the first round searches every automorphism group
+    too, so most ranks are one _isos call."""
+    reps, p = catalog.class_reps[xs], catalog.prime
+    if kind == CREG:
+        aut[xs], first[xs] = injective_count(p, r, r), xs[0]
+        return
+    distinct = xs
+    if kind != A and len(xs) > 1:
+        keys = row_keys(np.sort(_labels(catalog.group, p, r, catalog.by_codes(r, reps), kind),
+                                axis=1))
+        distinct = sorted_distinct(keys)
+    if len(distinct) == len(xs):                    # no two classes are isomorphic
+        aut[xs] = [len(h) for h in _isos(catalog, kind, reps, reps)]
+        return
+    group = np.searchsorted(distinct, keys)
+    left = dom = np.arange(len(xs))                 # dom: the automorphism groups
+    while len(left):
+        lead = np.full(len(xs), len(xs))            # by group
+        np.minimum.at(lead, group[left], left)
+        left = left[lead[group[left]] != left]
+        sizes = [len(h) for h in _isos(catalog, kind, reps[np.append(dom, lead[group[left]])],
+                                       reps[np.append(dom, left)])]
+        aut[xs[dom]], found = sizes[:len(dom)], np.array(sizes[len(dom):], dtype=bool)
+        first[xs[left[found]]] = xs[lead[group[left[found]]]]
+        left, dom = left[~found], dom[:0]
 
 
 def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,

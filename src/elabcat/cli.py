@@ -158,15 +158,23 @@ def analyze_report(G: FiniteGroup, p: int,
 
     t1 = time.perf_counter()
     kind_section: dict[str, Any] = {}
-    k = catalog.class_count()
+    k, listed = catalog.class_count(), []
     for kind in kinds:
         C = cg.build_category(kind, catalog)
         comps = cg.maximal_objects(C)
         comp_classes = sorted(sorted(set(catalog.class_of[comp].tolist())) for comp in comps)
-        dense = np.zeros((k, k), dtype=np.int64)    # the report lists every pair
-        np.put(dense, *C.class_sizes())
+        # the report lists every pair; kinds with equal class sizes (those
+        # sharing a catalog.sizes entry, and others) share one list
+        keys, sizes = C.class_sizes()
+        hom_sizes = next((rows for a, b, rows in listed
+                          if np.array_equal(a, keys) and np.array_equal(b, sizes)), None)
+        if hom_sizes is None:
+            dense = np.zeros((k, k), dtype=np.int64)
+            np.put(dense, keys, sizes)
+            hom_sizes = dense.tolist()
+            listed.append((keys, sizes, hom_sizes))
         kind_section[kind.label()] = {
-            "hom_sizes": dense.tolist(),
+            "hom_sizes": hom_sizes,
             "component_count": len(comps),
             "maximal_components": comp_classes,
         }

@@ -40,8 +40,9 @@ import numpy as np
 
 from .config import cap as _cap, refuse
 from .errors import CatalogMismatch, ElementNotInSubgroup, InvalidPermutation
-from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, ranges,
-                     row_keys, row_positions, sorted_distinct)
+from .fpmat import image_tables, subspace_codes
+from .groups import (FiniteGroup, Perm, blocks, distinct_rows, find_sorted, orbits, ranges,
+                     row_keys, row_positions, sorted_distinct, split_rows)
 
 Vector = tuple[int, ...]
 
@@ -266,6 +267,10 @@ class ElabCatalog:
         """The rank of each member, non-decreasing; read-only."""
         return self._ranks
 
+    def rank_reps(self, rank: int) -> np.ndarray:
+        """The class representatives of the given rank, in class order."""
+        return self.class_reps[self._ranks[self.class_reps] == rank]
+
     def classes_by_rank(self) -> dict[int, int]:
         counts = np.bincount(self._ranks[self.class_reps]).tolist()
         return {r: c for r, c in enumerate(counts) if c}
@@ -289,15 +294,78 @@ class ElabCatalog:
         w^-1 * E.by_code[c] * w, w = class_witness[i]: the conjugation
         isomorphism E -> member i, in codes.  A row of rank r holds p^r
         codes, then -1.  A representative, its class's first member, has
-        witness 1 and the identity row."""
-        starts, members, witnesses = self.class_table
+        witness 1 and the identity row; the others of each rank are
+        conjugated in one step."""
         sizes = self.prime ** self._ranks[:, None]
         out = np.where(np.arange(sizes.max()) < sizes, np.arange(sizes.max()), -1)
-        for c in np.flatnonzero(np.diff(starts) > 1).tolist():
-            codes, span = self.by_code(self.class_reps[c]), slice(starts[c] + 1, starts[c + 1])
-            conj = self.group.conjugate_indices(witnesses[span], codes)
-            out[members[span], :len(codes)] = self.codes_in(members[span, None], conj)
+        reps = self.class_reps[self.class_of]
+        for r, (lo, hi) in enumerate(zip(self.rank_starts.tolist(), self.rank_starts[1:].tolist())):
+            # every member of the rank but the representatives, at once
+            i = lo + np.flatnonzero(reps[lo:hi] != np.arange(lo, hi))
+            conj = self.group.conjugate_indices(self.class_witness[i], self.by_codes(r, reps[i]))
+            out[i, :self.prime ** r] = self.codes_in(i[:, None], conj)
         return out
+
+    def automorphisms(self, rank: int) -> list[np.ndarray]:
+        """The automorphisms induced by conjugation of each class
+        representative of the given rank, in class order, as read-only
+        column-code arrays, rows distinct and in lexicographic order.  The
+        g taking a member onto itself take its first basis element (code
+        1) to one of its class inside it: the transporter cosets to those,
+        for every representative in one step, then one conjugation of the
+        stacked bases keeps the g taking every basis element inside."""
+        if not rank:                                # the one empty map of the trivial group
+            return split_rows(np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64), 1)
+        G, reps = self.group, self.rank_reps(rank)
+        by_code = self.by_codes(rank, reps)
+        cls = G.conjugacy.class_of[by_code]
+        owner, f = np.nonzero(cls == cls[:, 1, None])
+        cols = f[:, None]
+        if rank > 1:
+            g = G.transporter_indices(by_code[owner, 1], by_code[owner, f])
+            owner = owner.repeat(len(G) // G.conjugacy.sizes[cls[owner, 1]])
+            cols = self.codes_in(reps[owner, None], G.conjugate_indices(
+                g, by_code[:, self.prime ** np.arange(rank)][owner]))
+            rows = distinct_rows(np.column_stack([owner, cols])[(cols >= 0).all(axis=1)])
+            owner, cols = rows[:, 0], rows[:, 1:]
+        return split_rows(owner, cols, len(reps))
+
+    def conjugations_on(self, n: int, members: np.ndarray, targets: np.ndarray,
+                        maps: list, autos: list) -> list:
+        """The maps f of maps[t], column codes from members[t] into
+        targets[t], all of one rank above n, whose restriction to every
+        rank-n member U inside the domain is induced by conjugation: f o
+        c_U is one of the maps c_V o a, V a member of U's class inside the
+        target and a one of autos, the automorphisms of their
+        representative (as automorphisms(n) lists them; c_X the
+        conjugation isomorphism onto X, conjugation_codes).  Those maps are
+        listed once per target, and every map and every U are looked up at
+        once, in blocks; read-only, in the order given."""
+        of, cols = np.arange(len(maps)).repeat([len(f) for f in maps]), np.concatenate(maps)
+        p, r = self.prime, self._ranks.item(members[0])
+        subs = subspace_codes(p, r, n)
+        U, V = (self.indices_of_sets(self.by_codes(r, x)[:, subs].reshape(-1, p ** n))
+                for x in (members, targets))
+        # autos[k] belongs to the k-th class of rank n (classes follow rank order)
+        k = (self.class_of[V] - self.class_of[self.rank_starts[n]]).tolist()
+        count = [len(autos[x]) for x in k]
+        W, a = V.repeat(count), np.concatenate([autos[x] for x in k])
+        # the codes of c_U on the basis of U's representative in each domain,
+        # and of every c_V o a in each target
+        basis = np.broadcast_to(p ** np.arange(n), (len(U), n))
+        at, into = (self.codes_in(x.repeat(len(subs)).repeat(reps)[:, None], np.take_along_axis(
+            self.by_codes(n, X), np.take_along_axis(self.conjugation_codes[X], codes, axis=1),
+            axis=1)) for x, X, reps, codes in ((members, U, 1, basis), (targets, W, count, a)))
+        pair = np.arange(len(targets)).repeat(len(subs)).repeat(count)
+        known = np.sort(row_keys(np.column_stack([pair, self.class_of[W], into])))
+        at, u = at.reshape(len(members), -1), self.class_of[U].reshape(len(members), -1)
+        keep = np.empty(len(cols), dtype=bool)
+        for b in blocks(len(cols), subs.size + p ** r):
+            onto = np.take_along_axis(image_tables(cols[b], p, r), at[of[b]], axis=1)
+            found = find_sorted(known, row_keys(np.column_stack(
+                [of[b].repeat(len(subs)), u[of[b]].ravel(), onto.reshape(-1, n)])))[1]
+            keep[b] = found.reshape(-1, len(subs)).all(axis=1)
+        return split_rows(of[keep], cols[keep], len(maps))
 
     @cached_property
     def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
@@ -518,6 +586,24 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
 
 def p_rank(catalog: ElabCatalog) -> int:
     return int(catalog.ranks()[-1])
+
+
+def conjugation_images(G: FiniteGroup, elems: Sequence[int],
+                       F: ElabSubgroup) -> np.ndarray:
+    """Rows (code in F of g^-1 e g, for e in elems) over the g in G that
+    conjugate every listed element into F, repeats included.
+
+    Only the g taking elems[0] into F can qualify: the union of one
+    transporter coset per member of F in its class.
+    """
+    if not elems:                           # the one empty map
+        return np.zeros((1, 0), dtype=np.int64)
+    class_of = G.conjugacy.class_of
+    first = elems[0]
+    targets = np.flatnonzero(class_of[F.by_code] == class_of[first])
+    cosets = G.transporter_indices(first, F.by_code[targets])
+    images = F.codes_of(G.conjugate_indices(cosets, elems))
+    return images[np.all(images >= 0, axis=1)]
 
 
 def is_conjugate_subgroup(G: FiniteGroup, E: ElabSubgroup,

@@ -7,8 +7,10 @@ reduced row echelon form.  Hom-sets themselves are arrays of column codes
 (see categories); column_codes and matrix_of convert a matrix to and
 from them, and code_digits lists the vector of every code.  On such
 arrays, image_tables gives the code of every image of each map,
-subspace_codes the codes of every subspace's elements, and
-restricts_into which maps restrict on given subspaces to given maps.
+subspace_codes the codes of every subspace's elements, restricts_into
+which maps restrict on given subspaces to given maps, and basis_search
+the linear maps that keep a label on each vector, for many pairs of
+spaces at once.
 Everything here is desk scale (dimensions at most a handful), so plain
 Gaussian elimination is used throughout.  is_prime checks every prime
 the command line and the gallery entry files take.
@@ -17,11 +19,13 @@ the command line and the gallery entry files take.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import cap, refuse
 from .groups import blocks, find_sorted, row_keys
 
 Mat = tuple[tuple[int, ...], ...]
@@ -117,8 +121,7 @@ def image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
     places = p ** np.arange(rows)
     out = np.empty((len(cols), len(vecs)), dtype=np.int64)
     for b in blocks(len(cols), len(vecs) * rows):
-        images = np.einsum("vc,mck->mvk", vecs, col_vecs[cols[b]]) % p
-        out[b] = images @ places
+        out[b] = vecs @ col_vecs[cols[b]] % p @ places     # (maps, vectors, rows) digits
     return out
 
 
@@ -150,6 +153,57 @@ def restricts_into(cols: np.ndarray, p: int, rows: int, at: np.ndarray,
         keep[b] = find_sorted(known, row_keys(on.reshape(-1, n + 1)))[1].reshape(
             -1, count).all(axis=1)
     return keep
+
+
+def basis_search(p: int, dom: np.ndarray, cod: np.ndarray, r: int,
+                 s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pair, cols) over a stack of pairs of a rank-r domain and a rank-s
+    codomain, given by a label on each code (rows of dom and cod): rows
+    of basis-image codes of the linear maps of pair t that send each
+    vector of code c to one of code f with dom[t, c] == cod[t, f], pair by
+    pair, each pair's in lexicographic order.  Only the zero vector may
+    carry label 0, so every map found is injective.
+
+    Backtracking over the basis images, breadth first and vectorized
+    over every pair at once: choosing the image of basis vector k fixes
+    the image of every vector whose last nonzero coordinate is k, and
+    each one is checked against its label at once.  Where every label of
+    a domain is its own, each basis vector has one allowed image, so each
+    step is one lookup.
+
+    Raises CapExceeded("hom_count_cap") before the search when, for some
+    pair (the first), the product over basis vectors of their allowed
+    images, a bound on its maps, passes the hom count cap.
+    """
+    ok = dom[:, :, None] == cod[:, None, :]          # (pairs, p^r, p^s): the allowed images
+    counts = ok[:, p ** np.arange(r)].sum(axis=2)    # of each basis vector
+    limit = cap("hom_count_cap")
+    # the float product picks the pairs to check, the exact one decides
+    for total in map(math.prod, counts[counts.prod(axis=1, dtype=float) > limit / 2].tolist()):
+        if total > limit:
+            refuse("hom_count_cap", f"a hom-set of rank {r} into rank {s} may hold {total} "
+                   f"maps, more than the cap ({limit})")
+    digits, weights, coef = code_digits(p, s), p ** np.arange(s), np.arange(1, p)[:, None, None]
+    pair = np.arange(len(dom))
+    cols = np.zeros((len(dom), 0), dtype=np.int64)   # image codes of the basis so far
+    imgs = np.zeros((len(dom), 1), dtype=np.int64)   # image code of each code < p^k
+    for k in range(r):
+        if not len(pair):
+            return pair, np.zeros((0, r), dtype=np.int64)
+        q, n = p ** k, len(digits)
+        # each pair's allowed images of basis vector k, increasing, padded with n
+        cand = np.sort(np.where(ok[:, q], np.arange(n), n), axis=1)[:, :max(1, counts[:, k].max())]
+        codes = np.arange(q) + q * coef[:, 0]                # (p-1, q), code order
+        grown = []
+        for b in blocks(len(cols), cand.shape[1] * codes.size * s):
+            c = cand[pair[b]]                                 # (rows, candidates)
+            new = (digits[imgs[b]][:, None, None] + digits[np.minimum(c, n - 1)][
+                :, :, None, None] * coef) % p @ weights      # (rows, candidates, p-1, q)
+            t, x = np.nonzero((c < n) & ok[pair[b, None, None, None], codes, new].all(axis=(2, 3)))
+            grown.append((pair[b][t], np.column_stack([cols[b][t], c[t, x]]), np.concatenate(
+                [imgs[b][t], new[t, x].reshape(len(t), codes.size)], axis=1)))
+        pair, cols, imgs = (np.concatenate(a) for a in zip(*grown))
+    return pair, cols
 
 
 @lru_cache(maxsize=None)

@@ -144,6 +144,15 @@ def runs(keys: np.ndarray) -> list[int]:
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))).tolist()
 
 
+def split_rows(owner: np.ndarray, rows: np.ndarray, count: int) -> list[np.ndarray]:
+    """Read-only views of the rows of each owner in range(count), from
+    rows grouped by increasing owner."""
+    rows = np.ascontiguousarray(rows)
+    rows.flags.writeable = False
+    bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _orbit_labels(perms: np.ndarray) -> np.ndarray:
     """The smallest member of each point's orbit under the permutations
     perms[k] (a (k, n) array): min-label propagation along perms and
@@ -489,17 +498,18 @@ class FiniteGroup:
         """Indices of g^-1 * e * g for each element index e in targets.
 
         g is an index, giving shape (len(targets),), or a 1-D index array,
-        giving shape (len(g), len(targets)) with row i for g[i].  Each
-        block of the g's (see blocks) is one gather and one lookup.
+        giving shape (len(g), len(targets)) with row i for g[i]; targets
+        may also be 2-D, one row of its own for each g.  Each block of
+        the g's (see blocks) is one gather and one lookup.
         """
         gs = np.atleast_1d(np.asarray(g, dtype=np.int64))
         ts = np.asarray(targets, dtype=np.int64)
         # g^-1's images of the base
         ginv = self._arr[self.inverse_indices[gs][:, None], self.base]
-        out = np.empty((len(gs), len(ts)), dtype=np.int64)
-        for b in blocks(len(gs), len(ts) * len(self.base)):
+        out = np.empty((len(gs), ts.shape[-1]), dtype=np.int64)
+        for b in blocks(len(gs), ts.shape[-1] * len(self.base)):
             # g^-1 * e * g sends a base point x to g[e[g^-1[x]]]
-            inner = self._arr[ts[None, :, None], ginv[b, None]]
+            inner = self._arr[(ts[b] if ts.ndim == 2 else ts[None])[..., None], ginv[b, None]]
             out[b] = self.indices_of_base_images(self._arr[gs[b, None, None], inner])
         return out if np.ndim(g) else out[0]
 
@@ -530,26 +540,38 @@ class FiniteGroup:
             cent = self._cent_memo[e] = np.flatnonzero(mask).astype(np.int64)
         return cent
 
-    def transporter_indices(self, a: int, b) -> np.ndarray:
-        """Sorted indices of all g with conjugate(g, a) == b; for a list of
-        b's, those cosets joined in the order of the b's.
+    def transporter_indices(self, a, b) -> np.ndarray:
+        """Sorted indices of all g with conjugate(g, a) == b; for arrays of
+        b's (and of a's beside them, or one a), the coset of each pair
+        whose two are conjugate, joined in their order, each
+        |C(a)| = |G| / |class of a| long.
 
         With rep the representative of a's class and w_a, w_b the class
         witnesses of a and b, g qualifies exactly when w_a * g * w_b^-1
         centralizes rep: the set w_a^-1 * C(rep) * w_b, one gather over the
-        memoized C(rep) and one lookup for all the b's.
+        memoized C(rep) of each class met and one lookup for all pairs.
         """
         table = self.conjugacy
-        bs = np.atleast_1d(np.asarray(b, dtype=np.int64))
-        bs = bs[table.class_of[bs] == table.class_of[a]]
-        # w_a^-1 * h * w_b sends a base point x to w_b[h[w_a^-1[x]]]
-        winv = self._arr[self.inverse_indices[table.witness[a]], self.base]
-        rep = table.reps.item(table.class_of[a])
-        left = self._arr[self.centralizer_indices(rep)[:, None], winv]
-        images = self._arr[table.witness[bs][:, None, None], left]
-        idx = self.indices_of_base_images(images)
-        idx.sort(axis=1)
-        return idx.ravel()
+        a, bs = np.asarray(a, dtype=np.int64), np.atleast_1d(np.asarray(b, dtype=np.int64))
+        keep = table.class_of[bs] == table.class_of[a]
+        a, bs = a[keep] if a.ndim else a[None], bs[keep]
+        cls, parts = table.class_of[bs], []
+        for c in sorted_distinct(cls).tolist():
+            at = np.flatnonzero(cls == c)
+            # w_a^-1 * h * w_b sends a base point x to w_b[h[w_a^-1[x]]]
+            wa = table.witness[a[at] if len(a) > 1 else a]
+            winv = self._arr[self.inverse_indices[wa][:, None, None], self.base]
+            left = self._arr[self.centralizer_indices(table.reps.item(c))[:, None], winv]
+            idx = self.indices_of_base_images(self._arr[table.witness[bs[at], None, None], left])
+            idx.sort(axis=1)
+            parts.append((at, idx))
+        if len(parts) < 2:                              # no scatter for one class
+            return parts[0][1].ravel() if parts else bs
+        size = len(self) // table.sizes[cls]
+        out, starts = np.empty(size.sum(), dtype=np.int64), np.cumsum(size) - size
+        for at, idx in parts:
+            out[starts[at, None] + np.arange(idx.shape[1])] = idx
+        return out
 
 
 # bits of an element key, an int64

@@ -70,6 +70,13 @@ pairwise commuting elements with x^p = 1, each tuple's products taken
 through ``FiniteGroup.mul``; it reads no catalog, no hom-set and no
 conjugacy table.
 
+leader_scan: a kind's (aut, first) by the per-class scan that
+``SubgroupCategory.iso_classes`` once made: class by class, the
+automorphisms of its representative, and a test against the first class
+of each isomorphism class found so far with its class_counts row, each a
+``hom_matrices`` call on one pair of representatives (Creg's counted).
+It reads no batched search and no catalog cache.
+
 dict_add, dict_mul, dict_pow and dict_substitute: polynomials over F_p as
 {exponent tuple: coefficient} dicts, multiplied one term pair at a time
 and substituted one term at a time; none of them touches the packed
@@ -82,9 +89,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from elabcat.categories import a_n, hom_matrices, matrix_of
+from elabcat.categories import CREG, a_n, canonical, class_counts, hom_matrices, matrix_of
 from elabcat.elabs import ElabSubgroup
-from elabcat.fpmat import gl_generators, mat_inv, mat_mul, mat_rank, subspace_bases
+from elabcat.fpmat import (gl_generators, injective_count, mat_inv, mat_mul, mat_rank,
+                           subspace_bases)
 from elabcat.gallery import SmallField
 from elabcat.config import cap
 from elabcat.errors import CapExceeded
@@ -429,6 +437,25 @@ def colimit_points(G, p, m):
     label = G.conjugate_indices(every, every).min(axis=0)
     return (orbits, len(set(map(tuple, label[values].tolist()))),
             len(set(map(tuple, (values == ident).tolist()))))
+
+
+def leader_scan(kind, catalog):
+    """(aut, first) of a kind, as lists over the classes: aut[x] the
+    automorphisms of rep x and first[x] the least class isomorphic to x,
+    testing x only against the first class of each isomorphism class with
+    its class_counts row, one hom_matrices call per pair."""
+    reps, p = catalog.class_reps.tolist(), catalog.prime
+    aut, first, leaders = [], [], {}
+    for x, i in enumerate(reps):
+        E = catalog.subgroups[i]
+        found = leaders.setdefault(class_counts(E, kind)[1].tobytes(), [])
+        creg = canonical(kind, E.rank) == CREG
+        aut.append(injective_count(p, E.rank, E.rank) if creg else len(hom_matrices(kind, E, E)))
+        first.append(next((y for y in found if creg or len(
+            hom_matrices(kind, catalog.subgroups[reps[y]], E))), x))
+        if first[x] == x:
+            found.append(x)
+    return aut, first
 
 
 def subgroups_of(catalog):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from brute_force import weyl_image
 from elabcat import categories as cg
 from elabcat.cli import load_group
-from elabcat.elabs import enumerate_elabs
+from elabcat.elabs import ElabCatalog, enumerate_elabs
 from elabcat.errors import CapExceeded
 from elabcat.groups import close_generators
 from test_class_sizes import catalogs, dense_class_sizes, kinds_of, random_maps
@@ -66,20 +66,18 @@ def test_rows_match_pairwise_homs_and_counts(G, p):
 
 def test_s6_rows_conjugate_once_per_class(monkeypatch):
     catalog = enumerate_elabs(close_generators(6, S6, name="S6"), 2)
-    calls = []
-    inner = cg._conjugation_images
+    built = []
+    inner = ElabCatalog.automorphisms
 
-    def counting(G, elems, F):
-        calls.append((tuple(elems), F.elements))
-        return inner(G, elems, F)
+    def counting(self, rank):
+        built.append(rank)
+        return inner(self, rank)
 
-    monkeypatch.setattr(cg, "_conjugation_images", counting)
+    monkeypatch.setattr(ElabCatalog, "automorphisms", counting)
     monkeypatch.setattr(cg, "hom_matrices", None)      # never reached for A
     homs = cg.build_category(cg.A, catalog).hom_dict()
-    reps = [catalog.subgroups[r] for r in catalog.class_reps]
-    # one call per representative; the trivial one's returns its one map,
-    # the empty one, without a conjugation
-    assert sorted(calls) == sorted((E.basis, E.elements) for E in reps)
+    # every representative's automorphisms, all those of a rank at once
+    assert sorted(built) == list(range(len(catalog.codes)))
     assert sum(map(len, homs.values())) == 53146
     # An(n) is A out of objects of rank at most n: the same cached arrays
     an5 = cg.build_category(cg.a_n(5), catalog).hom_dict()

@@ -2,10 +2,11 @@
 
 A <= An(n) <= Aprime, so a category over a catalog takes A's hom-set
 where the A and Aprime sizes agree and otherwise keeps the Aprime maps
-whose restriction to every rank-n member is one of its A maps.  Checked
-here: that construction against hom_matrices, which builds An(n) from
-its definition alone, on every representatives' pair, the inclusion
-chain on the same arrays, and which pairs analyze filters.
+whose restriction to every rank-n member is an A map (or those of An(m),
+m < n, when already built).  Checked here: that construction against
+hom_matrices, which builds An(n) from its definition alone, on every
+representatives' pair, the inclusion chain on the same arrays, and which
+pairs analyze filters.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from elabcat import categories as cg
 from elabcat.cli import analyze_report, load_group
-from elabcat.elabs import enumerate_elabs, p_rank
+from elabcat.elabs import ElabCatalog, enumerate_elabs, p_rank
 from test_constructive_homs import S3xS3, S4xS2
 from test_hom_cache import small_groups
 
@@ -48,22 +49,19 @@ def test_an_from_the_cache_matches_its_definition(G, p):
 
 
 def test_analyze_filters_the_pairs_sizes_leave_open(monkeypatch):
-    # A4xA4 at p=2: An(2) and An(3) lie strictly between A and Aprime on
-    # some pairs, which are filtered; no An(n) hom-set is searched
+    # A4xA4 at p=2: An(2) lies strictly between A and Aprime on some
+    # pairs, which are filtered; no hom-set is searched from its
+    # definition, and An(3) is read off An(2), which has A's sizes
     filtered = []
-    inner_filter, inner_search = cg.restricts_into, cg.hom_matrices
+    inner_filter = ElabCatalog.conjugations_on
 
-    def filtering(cols, *args):
-        filtered.append(len(cols))
-        return inner_filter(cols, *args)
+    def filtering(catalog, n, *args):
+        filtered.append(n)
+        return inner_filter(catalog, n, *args)
 
-    def searching(kind, E, F):
-        assert cg.canonical(kind, E.rank).tag != "An", kind.label()
-        return inner_search(kind, E, F)
-
-    monkeypatch.setattr(cg, "restricts_into", filtering)
-    monkeypatch.setattr(cg, "hom_matrices", searching)
+    monkeypatch.setattr(ElabCatalog, "conjugations_on", filtering)
+    monkeypatch.setattr(cg, "hom_matrices", None)
     report = analyze_report(A4xA4, 2)
     assert report["verdicts"]["an_collapse"] == 2
-    assert filtered
+    assert filtered and set(filtered) == {2}
     assert report["kinds"]["An(2)"]["hom_sizes"] != report["kinds"]["Aprime"]["hom_sizes"]

@@ -1,14 +1,14 @@
 """Hom-set sizes from one isomorphism classification per distinct kind.
 
-iso_classes tests each class only against the first class of each
-isomorphism class with its class-count row; class_sizes and every
-same-rank question read it.  Checked here: the mask against the per-pair
-Counter prune and the generate-and-test oracle, iso_classes against the
-isomorphisms between representatives, class_sizes against every pair's
-hom_matrices and the dense I @ M (M counted from element sets),
-hom_count and hom_dict against every member pair's hom, maximal_objects and
-categories_equal against their pairwise oracles, and the calls analyze
-makes on (Z/2)^5.
+iso_classes tests each class only against the least class of each
+isomorphism class with its sorted label row, a rank at a time;
+class_sizes and every same-rank question read it.  Checked here: the
+mask against the per-pair Counter prune and the generate-and-test
+oracle, iso_classes against the isomorphisms between representatives,
+class_sizes against every pair's hom_matrices and the dense I @ M (M
+counted from element sets), hom_count and hom_dict against every member
+pair's hom, maximal_objects and categories_equal against their pairwise
+oracles, and the calls analyze makes on (Z/2)^5.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from brute_force import (brute_hom_sets, class_inclusions, codes, counter_pruned
                          injective_oracle, pairwise_equal, pairwise_maximal_objects)
 from elabcat import categories as cg
 from elabcat.cli import analyze_report, load_group
-from elabcat.elabs import enumerate_elabs, p_rank
+from elabcat.elabs import ElabCatalog, enumerate_elabs, p_rank
 from elabcat.fpmat import injective_count
 from elabcat.groups import close_generators
 from test_constructive_homs import S3xS3, S4xS2
@@ -233,15 +233,20 @@ def test_analyze_reads_each_unpruned_pair_once(monkeypatch):
     # regular (Z/2)^5: 374 subgroups, each its own class, 5,769 of the
     # 139,876 pairs of them nested, the only ones a map of these kinds joins
     G = load_group(str(GOLDEN / "z2-5.group.json"))
-    built, reads = Counter(), Counter()
-    inner = cg.hom_matrices
+    built, reads, searched = Counter(), Counter(), []
+    inner_isos, inner_search = cg._isos, cg.basis_search
 
-    def building(kind, E, F):
-        assert not counter_pruned(kind, E, F)
-        # An(n) is read off A and Aprime, never searched
-        assert cg.canonical(kind, E.rank).tag != "An", kind.label()
-        built[cg.canonical(kind, E.rank), E.elements, F.elements] += 1
-        return inner(kind, E, F)
+    def building(catalog, kind, i, j):
+        for a, b in zip(i.tolist(), j.tolist()):
+            if (kind, a, b) not in catalog.homs:
+                E, F = catalog.subgroups[a], catalog.subgroups[b]
+                assert not counter_pruned(kind, E, F)
+                built[kind, E.elements, F.elements] += 1
+        return inner_isos(catalog, kind, i, j)
+
+    def searching(p, dom, *args):
+        searched.append(len(dom))
+        return inner_search(p, dom, *args)
 
     def filtering(*args):
         raise AssertionError("An(n) filtered where A and Aprime sizes agree")
@@ -254,14 +259,17 @@ def test_analyze_reads_each_unpruned_pair_once(monkeypatch):
             return method(self, i, j)
         return read
 
-    monkeypatch.setattr(cg, "hom_matrices", building)
+    monkeypatch.setattr(cg, "_isos", building)
+    monkeypatch.setattr(cg, "basis_search", searching)
     # A = Aprime on every pair, so the sizes decide every An(n) hom-set
-    monkeypatch.setattr(cg, "restricts_into", filtering)
+    monkeypatch.setattr(ElabCatalog, "conjugations_on", filtering)
     for name in ("hom", "_base_hom"):
         monkeypatch.setattr(cg.SubgroupCategory, name, reading(name))
     report = analyze_report(G, 2)
     assert report["catalog"]["size"] == 374
     assert max(built.values()) == 1
+    # An(n) is read off A and Aprime: every pair searched is Aprime's
+    assert sum(searched) == sum(n for (kind, _, _), n in built.items() if kind == cg.APRIME)
     assert reads["hom"] + reads["_base_hom"] < 10 ** 5
     # the verdicts compare nested kinds, A with Aprime and An(1), by size
     assert reads["hom"] == 0

@@ -153,6 +153,27 @@ class TestFiniteGroup:
             assert G.conjugate_indices(g, [3, 50, 119]).tolist() == row.tolist()
         assert G.conjugate_indices(gs, []).shape == (len(gs), 0)
 
+    def test_conjugate_indices_with_a_row_of_targets_per_g(self):
+        G = close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        gs = np.arange(G.order)[::5]
+        targets = (gs[:, None] * [3, 7] + [1, 2]) % G.order
+        got = G.conjugate_indices(gs, targets)
+        assert got.shape == targets.shape
+        for g, row, want in zip(gs, targets, got):
+            assert G.conjugate_indices(g, row).tolist() == want.tolist()
+
+    def test_transporter_pairs_match_one_a_at_a_time(self):
+        # pairs from several classes, some not conjugate: each conjugate
+        # pair's coset, in order, as the one-a form gives it
+        G = close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        a = np.arange(G.order)[::3]
+        b = (a * 7 + 11) % G.order
+        b[::2] = G.conjugate_indices(a[::2] * 5 % G.order, a[::2]).diagonal()
+        want = [G.transporter_indices(int(x), int(y)) for x, y in zip(a, b)]
+        assert any(len(w) == 0 for w in want) and len({len(w) for w in want}) > 2
+        assert G.transporter_indices(a, b).tolist() == np.concatenate(want).tolist()
+        assert G.transporter_indices(a[:0], b[:0]).tolist() == []
+
     def test_indices_of_rows(self):
         G = a4()
         assert list(G.indices_of_rows(G.array[::-1])) == list(range(G.order))[::-1]

@@ -147,24 +147,57 @@ def counted(monkeypatch):
     return calls
 
 
-def test_analyze_computes_each_hom_set_once(counted):
+@pytest.fixture
+def built(monkeypatch):
+    """Every (canonical kind, domain, codomain) whose hom-set _isos
+    builds, rather than finds in the catalog's cache."""
+    calls = Counter()
+    inner = cg._isos
+
+    def building(catalog, kind, i, j):
+        for a, b in zip(i.tolist(), j.tolist()):
+            if (kind, a, b) not in catalog.homs:
+                E, F = catalog.subgroups[a], catalog.subgroups[b]
+                calls[(cg.canonical(kind, E.rank), E.elements, F.elements)] += 1
+        return inner(catalog, kind, i, j)
+
+    monkeypatch.setattr(cg, "_isos", building)
+    return calls
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """(domain rank, codomain rank) of every pair basis_search searches."""
+    pairs = []
+    inner = cg.basis_search
+
+    def searching(p, dom, cod, r, s):
+        pairs.extend([(r, s)] * len(dom))
+        return inner(p, dom, cod, r, s)
+
+    monkeypatch.setattr(cg, "basis_search", searching)
+    return pairs
+
+
+def test_analyze_computes_each_hom_set_once(built, searched):
     analyze_report(close_generators(6, S6, name="S6"), 2)
-    assert counted
-    assert max(counted.values()) == 1
-    # An(2) is read off the A and Aprime hom-sets, never searched
-    assert {kind.tag for kind, _, _ in counted} == {"Aprime"}
+    assert built
+    assert max(built.values()) == 1
+    # An(2) is read off the A and Aprime hom-sets: every search is Aprime's
+    assert {kind.tag for kind, _, _ in built} == {"A", "Aprime", "An"}
+    assert len(searched) == sum(n for (kind, _, _), n in built.items() if kind.tag == "Aprime")
 
 
 @pytest.mark.parametrize("name, p, calls", [("z2-5", 2, 342), ("z3-4", 3, 382),
                                             ("a4xa4", 2, 12)])
-def test_analyze_searches_only_between_equal_ranks(counted, name, p, calls):
+def test_analyze_searches_only_between_equal_ranks(searched, name, p, calls):
     # every other hom-set is an isomorphism carried into a larger rank; at
     # rank 0 every kind, and at rank 1 Aprime, is A, which is not searched:
     # on (Z/2)^5 only Aprime's 342 automorphism groups of ranks 2 to 5, on
     # (Z/3)^4 those of ranks 2 to 4 and AprimeD(2)'s of ranks 1 to 4
     analyze_report(load_group(str(GOLDEN / f"{name}.group.json")), p)
-    assert sum(counted.values()) == calls
-    assert all(len(E) == len(F) for _kind, E, F in counted)
+    assert len(searched) == calls
+    assert all(r == s for r, s in searched)
 
 
 def test_closure_reuses_loaded_base_homs(counted, monkeypatch, tmp_path, capsys):
