@@ -11,15 +11,16 @@ nonzero degrees are p^n - p^j for 0 <= j < n.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .config import cap as _cap, refuse
 from .elabs import ElabCatalog
 from .errors import CatalogMismatch
 from .fpmat import gl_generators
-from .fppoly import FpPolynomial
+from .fppoly import FpPolynomial, product_tree
 from .groups import FiniteGroup
 
 Weight = tuple[int, ...]
@@ -85,15 +86,18 @@ def total_chern(weights: WeightList) -> FpPolynomial:
     prod over u in U_j of (1 + l_a + l_u) = V_U(1) + V_U(l_a),
     which has few terms.  A left-to-right product would instead carry
     every prefix of the list, and prefixes are not subspaces.
+
+    ``fppoly.product_tree`` builds the tree a level at a time, p - 1
+    batched products per level however many nodes it has.
     """
     p, n = weights.prime, weights.rank
     _check_count(len(weights))
-    level = [FpPolynomial.linear_form(p, w) + 1
-             for w in weights.weights] or [FpPolynomial.one(p, n)]
-    while len(level) > 1:
-        level = [math.prod(level[s + 1:s + p], start=level[s])
-                 for s in range(0, len(level), p)]
-    return level[0]
+    if not len(weights):
+        return FpPolynomial.one(p, n)
+    # factor s is 1 + sum_i w_i x_i: a term for the 1 and for each w_i != 0
+    w = np.column_stack((np.ones(len(weights), dtype=np.int64), weights.weights))
+    node, var = np.nonzero(w)
+    return product_tree(p, n, node, np.eye(n + 1, dtype=np.int64)[var, 1:], w[node, var], p)
 
 
 def chern_class(weights: WeightList, i: int) -> FpPolynomial:
@@ -145,14 +149,11 @@ def regular_rep_product(p: int, n: int) -> FpPolynomial:
 
     Expanding it enumerates every exponent vector in {0,...,p-1}^n once,
     so this is the multiplicative form of the regular character list; it
-    is symmetric and reduces to the elementary symmetric basis.
+    is symmetric and reduces to the elementary symmetric basis.  It is
+    built expanded: coefficient 1 on every such vector.
     """
     _check_count(p, n)
-    out = FpPolynomial.one(p, n)
-    for i in range(n):
-        out = out * FpPolynomial(p, n, {tuple(k if j == i else 0 for j in range(n)): 1
-                                        for k in range(p)})
-    return out
+    return FpPolynomial(p, n, dict.fromkeys(itertools.product(range(p), repeat=n), 1))
 
 
 # -- characters and p-regularity --------------------------------------

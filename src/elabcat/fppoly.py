@@ -6,22 +6,25 @@ mod p and nonzero.  The form is canonical, so equality compares arrays.
 
 Every sum, product, power and substitution ends in one routine,
 ``_collect``: it sorts the terms by key and adds the coefficients of
-equal keys mod p.  The key is the exponent row packed into one int64,
-sum_i e_i * base^(n-1-i) with base = (largest exponent of the result) + 1
-(Kronecker substitution; Monagan & Pearce, ISSAC 2009), so a term product
-is one integer add and key order is row order.  When base^n passes 2^63
-the key is the row itself, ordered by ``np.lexsort``; that is exact at
-any size.  Coefficients are int64 for p < 2^31: a product of two
-residues is reduced before it is summed, and sums of up to 2^32 residues
-stay below 2^63.  Larger primes keep Python-int coefficients.
+equal keys mod p.  A key is an owner (the polynomial a term belongs to)
+and an exponent row packed into one int64, owner * base^n + sum_i e_i *
+base^(n-1-i) with base = (largest exponent of the result) + 1 (Kronecker
+substitution; Monagan & Pearce, ISSAC 2009), so a term product is one
+integer add and key order is (owner, row) order.  When owners * base^n
+passes 2^63 the key is the row after an owner column, ordered by
+``np.lexsort``; that is exact at any size.  Coefficients are int64 for
+p < 2^31: a product of two residues is reduced before it is summed, and
+sums of up to 2^32 residues stay below 2^63.  Larger primes keep
+Python-int coefficients.
 
-A product forms the outer sum of the operands' keys and the outer
-product of their coefficients in blocks of at most ``BLOCK_ENTRIES``
-entries; once that many entries wait, ``_fold`` merges them into a
-running reduced result.  ``term_cap`` fires as soon as the running
-result passes the cap after a merge.  A substitution folds the same
-way, one variable at a time over all terms, and the cap bounds each
-term's partial product, as in a term-by-term expansion.
+Every product is ``_times``: each row meets every term of its owner's
+factor, a row of a (factor, term) table padded with coefficient 0, in
+broadcast blocks of at most ``BLOCK_ENTRIES`` entries.  ``__mul__`` has
+one owner; ``product_tree`` owns by tree node; a substitution owns by
+term, and builds the powers of an image that its terms need together,
+one product per binary digit.  ``term_cap`` fires as soon as the
+largest owner passes the cap after a merge, as in a term-by-term
+expansion.
 
 Printing uses graded lexicographic order (total degree ascending,
 earlier variables first within a degree), the same order the symmetric
@@ -38,34 +41,50 @@ import numpy as np
 
 from .config import cap as _cap, refuse
 from .errors import NotSymmetric
-from .groups import BLOCK_ENTRIES, blocks
+from .groups import BLOCK_ENTRIES, blocks, sorted_distinct
 
 Exponents = tuple[int, ...]
 
 
-def _pack(rows: np.ndarray, top: int) -> np.ndarray:
-    """Keys of exponent rows whose entries are at most top, ordered as the
-    rows are: packed int64 keys, or the rows themselves when the packed
-    key would pass 2^63."""
+def _dtype(prime: int):
+    return np.int64 if prime < 1 << 31 else object
+
+
+def _pack(rows: np.ndarray, top: int, owners: int = 1) -> np.ndarray:
+    """Keys of owner 0 for exponent rows whose entries are at most top,
+    ordered as the rows are: packed int64 keys, or the rows after an
+    owner column when owners * base^n would pass 2^63."""
     base, n = top + 1, rows.shape[1]
-    if base ** n >= 1 << 63:
-        return rows
+    if owners * base ** n >= 1 << 63:
+        return np.column_stack((np.zeros(len(rows), dtype=np.int64), rows))
     return rows @ (base ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
 def _unpack(keys: np.ndarray, top: int, n: int) -> np.ndarray:
-    """Exponent rows of keys made by _pack(rows, top)."""
+    """Exponent rows of keys of owner 0 made by _pack(rows, top)."""
     if keys.ndim == 2:
-        return keys
+        return keys[:, 1:]
     rows = np.empty((len(keys), n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
         keys, rows[:, j] = np.divmod(keys, top + 1)
     return rows
 
 
+def _owners(keys: np.ndarray, span: int) -> np.ndarray:
+    """The owner of each key; span is base^n."""
+    return keys // span if keys.ndim == 1 else keys[:, 0]
+
+
+def _own(keys: np.ndarray, owners, span: int) -> np.ndarray:
+    """The keys moved to owners (an array, or one owner for all)."""
+    if keys.ndim == 1:
+        return owners * span + keys % span
+    return np.column_stack((np.broadcast_to(owners, len(keys)), keys[:, 1:]))
+
+
 def _collect(keys: np.ndarray, coeffs: np.ndarray, prime: int):
     """Sorted distinct keys with the sums mod prime of their coefficients,
-    zero sums dropped.  1-D keys are packed; 2-D keys are exponent rows."""
+    zero sums dropped.  1-D keys are packed; 2-D keys are owned rows."""
     if not len(keys):
         return keys, coeffs
     if keys.ndim == 1:
@@ -82,30 +101,49 @@ def _collect(keys: np.ndarray, coeffs: np.ndarray, prime: int):
     return keys[starts[keep]], sums[keep]
 
 
-def _fold(start, pieces, prime: int, count=len):
-    """Collect the (keys, coeffs) pair start and the pairs of pieces into
-    one.  Pieces wait until half of BLOCK_ENTRIES entries are held, then
-    merge into the running result, so each block of a product (more than
-    half full unless it is the last) merges on its own, while the small
-    pieces of a substitution merge together.  term_cap is checked on
-    count(keys) of the running result after every merge."""
-    held, waiting = [start], 0
-    for piece in pieces:
-        held.append(piece)
-        waiting += len(piece[1])
-        del piece                       # held alone keeps it until a merge
+def _table(keys: np.ndarray, coeffs: np.ndarray, size: int, span: int):
+    """The terms of owners 0..size-1, keys sorted, as a (factor, term)
+    table: row f holds owner f's terms moved to owner 0, padded with key
+    0 and coefficient 0."""
+    owners = _owners(keys, span)
+    pos = np.arange(len(owners)) - np.searchsorted(owners, owners)
+    tkeys = np.zeros((size, int(pos.max(initial=-1)) + 1, *keys.shape[1:]),
+                     dtype=np.int64)
+    tcoeffs = np.zeros(tkeys.shape[:2], dtype=coeffs.dtype)
+    tkeys[owners, pos], tcoeffs[owners, pos] = _own(keys, 0, span), coeffs
+    return tkeys, tcoeffs
+
+
+def _times(keys, coeffs, table, prime: int, span: int, fac=None):
+    """Collected sum of every row (keys, coeffs) times every term of its
+    factor, row fac[row] of the table (its one row, broadcast, if it has
+    one; rows with fac -1 are kept).  A padding product adds 0 to its
+    row's key.  Blocks merge into the running result once half of
+    BLOCK_ENTRIES entries wait, so a large product merges block by block."""
+    tkeys, tcoeffs = table
+    held, waiting = [(keys[:0], coeffs[:0])], 0
+    if fac is not None:
+        keep = fac < 0
+        held, fac = [(keys[keep], coeffs[keep])], fac[~keep]
+        keys, coeffs = keys[~keep], coeffs[~keep]
+    for blk in blocks(len(keys), tkeys[0].size):
+        tk, tc = (tkeys, tcoeffs) if len(tkeys) == 1 else (tkeys[fac[blk]], tcoeffs[fac[blk]])
+        held.append(((keys[blk, None] + tk).reshape(-1, *keys.shape[1:]),
+                     (coeffs[blk, None] * tc % prime).ravel()))
+        waiting += len(held[-1][1])
         if waiting >= BLOCK_ENTRIES // 2:
-            held, waiting = [_merge(held, prime, count)], 0
-    return _merge(held, prime, count)
+            held, waiting = [_merge(held, prime, span)], 0
+    return _merge(held, prime, span)
 
 
-def _merge(held: list, prime: int, count):
-    """Collect the pairs of held, emptying it first to free them early."""
+def _merge(held: list, prime: int, span: int):
+    """Collect the pairs of held, emptying it first to free them early;
+    term_cap is checked on the largest owner."""
     keys, coeffs = (np.concatenate(part) for part in zip(*held))
     held.clear()
     keys, coeffs = _collect(keys, coeffs, prime)
     limit = _cap("term_cap")
-    if count(keys) > limit:
+    if len(keys) > limit and np.bincount(_owners(keys, span)).max() > limit:
         refuse("term_cap", f"polynomial product passed {limit} terms")
     return keys, coeffs
 
@@ -118,21 +156,25 @@ def _canonical(rows: np.ndarray, coeffs: np.ndarray, prime: int):
     return _unpack(keys, top, rows.shape[1]), coeffs
 
 
-def _substitution_pieces(state, coeffs, ks, powers, top):
-    """(rows, coeffs) blocks of the state rows multiplied by powers[k],
-    k being each row's exponent in ks."""
-    for k, P in powers.items():
-        sel = np.flatnonzero(ks == k)
-        pk = np.column_stack((np.zeros(len(P.coeffs), dtype=np.int64),
-                              _pack(P.exps, top)))
-        for at in (sel[blk] for blk in blocks(len(sel), len(pk))):
-            yield ((state[at, None] + pk[None]).reshape(-1, state.shape[1]),
-                   (coeffs[at, None] * P.coeffs[None]).ravel() % P.prime)
-
-
 def _top(exps: np.ndarray) -> np.ndarray:
     """Largest exponent of each variable (0 for a zero polynomial)."""
     return exps.max(axis=0, initial=0)
+
+
+def _powers(img: "FpPolynomial", ks: np.ndarray, top: int, owners: int):
+    """Table of img**k for the increasing positive exponents ks: each
+    starts at 1, and at binary digit j one product multiplies those whose
+    k has the digit by img**(2^j)."""
+    p, m, span = img.prime, img.nvars, (top + 1) ** img.nvars
+    keys = _own(_pack(np.zeros((len(ks), m), dtype=np.int64), top, owners),
+                np.arange(len(ks)), span)
+    coeffs, square = np.ones(len(ks), dtype=img.coeffs.dtype), img
+    for j in range(int(ks[-1]).bit_length()):
+        square = square * square if j else img
+        keys, coeffs = _times(keys, coeffs,
+                              (_pack(square.exps, top, owners)[None], square.coeffs[None]),
+                              p, span, np.where(ks[_owners(keys, span)] >> j & 1, 0, -1))
+    return _table(keys, coeffs, len(ks), span)
 
 
 class FpPolynomial:
@@ -142,11 +184,11 @@ class FpPolynomial:
                  terms: dict[Exponents, int] | None = None):
         terms = terms or {}
         for exps in terms:
-            if len(exps) != nvars:
-                raise ValueError(f"exponent tuple {exps} has wrong length")
+            if len(exps) != nvars or not all(isinstance(e, (int, np.integer)) and e >= 0
+                                             for e in exps):
+                raise ValueError(f"exponent tuple {exps} is not {nvars} non-negative integers")
         rows = np.array(list(terms), dtype=np.int64).reshape(len(terms), nvars)
-        coeffs = np.array([c % prime for c in terms.values()],
-                          dtype=np.int64 if prime < 1 << 31 else object)
+        coeffs = np.array([c % prime for c in terms.values()], dtype=_dtype(prime))
         self._hold(prime, nvars, *_canonical(rows, coeffs, prime))
 
     def _hold(self, prime, nvars, exps, coeffs):
@@ -227,12 +269,9 @@ class FpPolynomial:
         self._compat(other)
         p, n = self.prime, self.nvars
         top = int((_top(self.exps) + _top(other.exps)).max(initial=0))
-        a, b = _pack(self.exps, top), _pack(other.exps, top)
-        ca, cb = self.coeffs, other.coeffs
-        keys, coeffs = _fold((a[:0], ca[:0]), (
-            ((a[blk, None] + b[None]).reshape(-1, *b.shape[1:]),
-             (ca[blk, None] * cb[None]).ravel() % p)
-            for blk in blocks(len(a), b.size)), p)
+        keys, coeffs = _times(_pack(self.exps, top), self.coeffs,
+                              (_pack(other.exps, top)[None], other.coeffs[None]),
+                              p, (top + 1) ** n)
         return FpPolynomial._wrap(p, n, _unpack(keys, top, n), coeffs)
 
     __rmul__ = __mul__
@@ -292,14 +331,14 @@ class FpPolynomial:
     def substitute(self, images: Sequence["FpPolynomial"]) -> "FpPolynomial":
         """Plug images[i] in for variable i (images share one variable set).
 
-        One variable at a time over all terms at once: the state holds one
-        row (term id, key) with its coefficient per term of each term's
-        partial product.  The rows whose term has exponent k in variable i
-        are multiplied by images[i]**k in outer sums of at most
-        BLOCK_ENTRIES entries, each folded into the collected next state;
-        a one-term image only shifts keys and scales coefficients.
-        term_cap fires as soon as one term's partial product passes the
-        cap, as it would multiplying that term out alone.
+        One variable at a time over all terms at once: the state holds the
+        terms of every term's partial product, owned by the term id.  A
+        one-term image only shifts keys and scales coefficients.  For a
+        multi-term image, _powers builds every power images[i]**k that a
+        term needs from the binary digits of k, and one product then
+        multiplies each row by the power of its term's exponent.
+        term_cap fires as soon as one power or one term's partial product
+        passes the cap, as it would multiplying that term out alone.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} substitution images")
@@ -313,32 +352,28 @@ class FpPolynomial:
             img._compat(images[0])
         top = sum(int(k) * int(img.exps.max(initial=0))
                   for k, img in zip(_top(self.exps), images))
-        keys = _pack(np.zeros((len(self.coeffs), m), dtype=np.int64), top)
-        # columns: term id, then the packed key or the exponent row
-        state = np.column_stack((np.arange(len(keys)), keys))
+        terms, span = len(self.coeffs), (top + 1) ** m
+        # a power's exponent is at most top, so top + 1 bounds its owners
+        owners = max(terms, top + 1)
+        keys = _own(_pack(np.zeros((terms, m), dtype=np.int64), top, owners),
+                    np.arange(terms), span)
         coeffs = self.coeffs
         for i, img in enumerate(images):
-            ks = self.exps[state[:, 0], i]
+            ks = self.exps[_owners(keys, span), i]
             if len(img.coeffs) == 1:
                 # c*x^e: shift keys and scale coefficients; the rows of one
                 # term share k, so they stay sorted and distinct
                 c = int(img.coeffs[0])
                 c_pow = np.array([pow(c, k, p) for k in range(int(ks.max(initial=0)) + 1)],
                                  dtype=coeffs.dtype)
-                shift = np.concatenate(([0], np.atleast_1d(_pack(img.exps, top)[0])))
-                state = state + np.multiply.outer(ks, shift)
+                keys = keys + np.multiply.outer(ks, _pack(img.exps, top, owners)[0])
                 coeffs = coeffs * c_pow[ks] % p
                 continue
-            powers, done = {}, FpPolynomial.one(p, m)
-            for k in sorted(set(ks.tolist())):
-                done = done * img ** (k - max(powers, default=0))
-                powers[k] = done
-            state, coeffs = _fold(
-                (state[:0], coeffs[:0]),
-                _substitution_pieces(state, coeffs, ks, powers, top), p,
-                lambda rows: int(np.bincount(rows[:, 0]).max(initial=0)))
-        keys, coeffs = _collect(
-            state[:, 1] if keys.ndim == 1 else state[:, 1:], coeffs, p)
+            need = sorted_distinct(ks[ks > 0])
+            if len(need):
+                keys, coeffs = _times(keys, coeffs, _powers(img, need, top, owners), p, span,
+                                      np.where(ks > 0, np.searchsorted(need, ks), -1))
+        keys, coeffs = _collect(_own(keys, 0, span), coeffs, p)
         return FpPolynomial._wrap(p, m, _unpack(keys, top, m), coeffs)
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "FpPolynomial":
@@ -390,6 +425,31 @@ class FpPolynomial:
 
     def __repr__(self) -> str:
         return f"FpPolynomial(p={self.prime}, {self.format()})"
+
+
+def product_tree(prime: int, nvars: int, node: np.ndarray, exps: np.ndarray,
+                 coeffs: np.ndarray, arity: int) -> FpPolynomial:
+    """Product of the polynomials 0, 1, ..., given as terms (exps[t],
+    coeffs[t]) of polynomial node[t], node increasing, as an arity-ary
+    tree in node order, one level at a time: owner g of the next level
+    starts as node g*arity, and position i = 1..arity-1 is one product
+    that multiplies each owner by its i-th node, if it has one."""
+    # the sum of all the terms' exponents bounds the product's
+    count, top = int(node[-1]) + 1, int(exps.sum(axis=0).max(initial=0))
+    span = (top + 1) ** nvars
+    keys, coeffs = _own(_pack(exps, top, count), node, span), coeffs.astype(_dtype(prime))
+    if count == 1:
+        keys, coeffs = _collect(keys, coeffs, prime)
+    while count > 1:
+        owners = _owners(keys, span)
+        pos, held, held_coeffs = owners % arity, _own(keys, owners // arity, span), coeffs
+        keys, coeffs, size = held[pos == 0], coeffs[pos == 0], -(-count // arity)
+        for i in range(1, min(arity, count)):
+            at, g = pos == i, _owners(keys, span)
+            keys, coeffs = _times(keys, coeffs, _table(held[at], held_coeffs[at], size, span),
+                                  prime, span, np.where(g * arity + i < count, g, -1))
+        count = size
+    return FpPolynomial._wrap(prime, nvars, _unpack(keys, top, nvars), coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brute_force import dict_mul
 
 from elabcat.chern import (CharacterVector, chern_class, dickson_check,
                            frobenius_identity_check, make_weights,
@@ -9,7 +13,7 @@ from elabcat.chern import (CharacterVector, chern_class, dickson_check,
                            regular_rep_product, regular_weights, total_chern,
                            trivial_character, whitney_product_check)
 from elabcat.elabs import enumerate_elabs
-from elabcat.errors import CatalogMismatch
+from elabcat.errors import CapExceeded, CatalogMismatch
 from elabcat.fppoly import FpPolynomial, symmetric_reduce
 from elabcat.gallery import affine_group
 from elabcat.groups import close_generators
@@ -20,6 +24,16 @@ A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
 def random_weights(rng, p, rank, count):
     rows = [[rng.randrange(p) for _ in range(rank)] for _ in range(count)]
     return make_weights(p, rank, rows)
+
+
+def left_to_right(p, rank, rows):
+    """The product of (1 + sum_i w_i x_i) over rows, as a dict, factor by factor."""
+    out = {(0,) * rank: 1}
+    for w in rows:
+        factor = {(0,) * rank: 1}
+        factor.update({tuple(int(j == i) for j in range(rank)): c for i, c in enumerate(w) if c})
+        out = dict_mul(p, out, factor)
+    return out
 
 
 class TestTotalChern:
@@ -46,6 +60,47 @@ class TestTotalChern:
         both = w.concat(v)
         assert total_chern(both) == total_chern(w) * total_chern(v)
         assert total_chern(w.repeat(2)) == total_chern(w) ** 2
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tree_matches_left_to_right_product(self, data):
+        # lengths that are not a multiple of p leave groups short of a
+        # node at some level; zero weights are constant factors
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        rank = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=rank,
+                                           max_size=rank), max_size=30))
+        assert total_chern(make_weights(p, rank, rows)).terms == left_to_right(p, rank, rows)
+
+    @pytest.mark.parametrize("p,rank,rows", [
+        (2 ** 61 - 1, 2, [[2 ** 61 - 2, 3], [2, 5], [0, 0], [5, 7]]),
+        (5, 0, [[], [], []]),
+    ])
+    def test_large_prime_and_rank_0(self, p, rank, rows):
+        assert total_chern(make_weights(p, rank, rows)).terms == left_to_right(p, rank, rows)
+
+    def test_tree_keys_past_int64(self):
+        # 40 factors in 12 variables, x1 in 28 of them: 40 * 29^12 passes
+        # 2^63, so the tree's keys are exponent rows after an owner column,
+        # while every __mul__ of the left-to-right product packs its keys
+        rows = ([[1] + [0] * 11] * 28 + [[int(j == i) for j in range(12)] for i in range(1, 12)]
+                + [[0] * 12])
+        assert 40 * 29 ** 12 >= 2 ** 63 > 29 ** 12
+        want = FpPolynomial.one(2, 12)
+        for r in rows:
+            want = want * (FpPolynomial.linear_form(2, r) + 1)
+        assert total_chern(make_weights(2, 12, rows)) == want
+
+    def test_tree_term_cap(self, monkeypatch):
+        # 27 weights pass the weight count; the product's 74 terms do not
+        monkeypatch.setenv("ELABCAT_TERM_CAP", "73")
+        with pytest.raises(CapExceeded) as e:
+            total_chern(regular_weights(3, 3))
+        assert f"error: guard {e.value.guard}: {e.value}" == (
+            "error: guard term_cap: polynomial product passed 73 terms; "
+            "raise ELABCAT_TERM_CAP to allow more")
+        monkeypatch.setenv("ELABCAT_TERM_CAP", "74")
+        assert len(total_chern(regular_weights(3, 3)).coeffs) == 74
 
 
 class TestDickson:
@@ -103,6 +158,14 @@ class TestRegularProduct:
     def test_3_2_golden(self):
         g = symmetric_reduce(regular_rep_product(3, 2))
         assert g.format("s") == "1 + s1 + 2*s2 + s1^2 + s1*s2 + s2^2"
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in range(4)])
+    def test_expansion_is_the_product_of_its_factors(self, p, n):
+        want = FpPolynomial.one(p, n)
+        for i in range(n):
+            want = want * FpPolynomial(p, n, {tuple(k * (j == i) for j in range(n)): 1
+                                              for k in range(p)})
+        assert regular_rep_product(p, n) == want
 
     def test_2_3_golden(self):
         g = symmetric_reduce(regular_rep_product(2, 3))

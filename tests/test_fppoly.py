@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,23 @@ class TestArithmetic:
         with pytest.raises(CapExceeded) as e:
             f * f
         assert e.value.guard == "term_cap"
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("nvars,terms", [
+        (2, {(-1, 0): 1, (0, 0): 1}),   # once printed as the non-canonical "1 + 1"
+        (2, {(2, -1): 1}),              # once read as x1*x2^2
+        (1, {(1.5,): 1}),               # once truncated to x1
+        (1, {("1",): 1}),
+        (2, {(1,): 1}),
+    ])
+    def test_exponents_are_non_negative_integers(self, nvars, terms):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            FpPolynomial(3, nvars, terms)
+
+    def test_numpy_integer_exponents(self):
+        assert FpPolynomial(3, 1, {(np.int64(2),): 1}) == \
+            FpPolynomial.variable(3, 1, 0) ** 2
 
 
 class TestConstants:
@@ -257,6 +275,21 @@ class TestAgainstDictOracle:
             [FpPolynomial(p, m, img) for img in images])
         assert got.nvars == (m if n else 0)
         assert got.terms == dict_substitute(p, m if n else 0, f, images)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_substitute_powers_by_digits(self, data):
+        # multi-term images and exponents up to p^2: each power an image
+        # needs is built from the binary digits of its exponent
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        f = data.draw(term_dicts(p, n, max_terms=4, max_exp=p * p))
+        images = [data.draw(st.dictionaries(st.tuples(*[st.integers(0, 1)] * m),
+                                            st.integers(1, p - 1), min_size=2, max_size=3))
+                  for _ in range(n)]
+        got = FpPolynomial(p, n, f).substitute(
+            [FpPolynomial(p, m, img) for img in images])
+        assert got.terms == dict_substitute(p, m, f, images)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
