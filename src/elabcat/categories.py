@@ -40,7 +40,8 @@ isomorphisms are searched; hom_matrices builds any one pair from the
 definition of its kind alone, with no catalog:
 
   A            the g with g^-1 E g inside F, which lie in the transporter
-               cosets taking E's first basis element into F;
+               cosets taking E's first basis element into F
+               (FiniteGroup.conjugators, which builds every A map);
   Aprime,      a backtracking search over the images of E's basis vectors,
   AprimeD(d),  breadth first over numpy arrays: fixing the image of basis
   Creg         vector k fixes that of every vector whose last nonzero
@@ -49,8 +50,9 @@ definition of its kind alone, with no catalog:
                Permutation Group Algorithms, 2003, ch. 9).  Creg allows
                every image but the identity;
   An(n)        the Aprime maps whose restriction to every rank-n subspace
-               U of E is one of the A maps U -> F, tested for every map
-               and every U in one sorted lookup (fpmat.restricts_into).
+               U of E is one of the A maps U -> F (every U's in one
+               conjugators call), tested for every map and every U in
+               one sorted lookup (fpmat.restricts_into).
 
 closure requires every A-morphism in its input, so its result too is an
 isomorphism followed by an inclusion, and is decided by its isomorphisms
@@ -71,7 +73,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import cap as _cap, refuse
-from .elabs import ElabCatalog, ElabSubgroup, conjugation_images
+from .elabs import ElabCatalog, ElabSubgroup
 from .errors import CatalogMismatch, ClosureGuardError, NotMaximal
 # perfbench/tracing.py wraps categories.mat_mul; callers read column_codes here
 from .fpmat import (Mat, basis_search, code_digits, column_codes,  # noqa: F401
@@ -207,13 +209,19 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
         return np.zeros((0, E.rank), dtype=np.int64)
     if kind == A:
         # conjugators inducing the same map give repeated rows
-        return distinct_rows(conjugation_images(E.ambient, E.basis, F))
+        cols = F.codes_of(E.ambient.conjugators([E.basis], F.by_code[None])[2])
+        return distinct_rows(cols[(cols >= 0).all(axis=1)])
     # each element may go to any element of its merged class
     cols = basis_search(E.prime, E_cls[None], F_cls[None], E.rank, F.rank)[1]
     if kind.tag == "An" and len(cols):
         at = subspace_codes(E.prime, E.rank, kind.param)[:, E.prime ** np.arange(kind.param)]
-        cols = cols[restricts_into(cols, E.prime, F.rank, at, [
-            conjugation_images(E.ambient, E.by_code[a].tolist(), F) for a in at])]
+        # the A maps into F of every rank-n subspace, in one step
+        owner, _, images = E.ambient.conjugators(E.by_code[at], np.broadcast_to(
+            F.by_code, (len(at), len(F))))
+        images = F.codes_of(images)
+        keep = (images >= 0).all(axis=1)
+        cols = cols[restricts_into(cols, E.prime, F.rank, at,
+                                   split_rows(owner[keep], images[keep], len(at)))]
     return cols
 
 
@@ -225,7 +233,9 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
 
       A            only an automorphism group is non-empty (members of
                    different classes are not conjugate), all those of a
-                   rank built at once (catalog.automorphisms);
+                   rank from one FiniteGroup.conjugators call over every
+                   representative, read by catalog.codes_in; at rank 1
+                   <b> onto itself sends b to each of its class inside;
       An(n)        the maps of A where A and Aprime (or An(m), m < n,
                    already built) have as many, else those maps whose
                    restriction to every rank-n member inside i is an A
@@ -242,8 +252,18 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
     r = catalog.ranks().item(i[0])
     if kind == A:                           # members of different classes are not conjugate
         if any((A, a, a) not in homs for a in i.tolist()):      # all of rank r at once
-            homs.update(((A, a, a), h) for a, h in zip(catalog.rank_reps(r).tolist(),
-                                                       catalog.automorphisms(r)))
+            reps = catalog.rank_reps(r)
+            by_code = catalog.by_codes(r, reps)
+            if r == 1:                      # <b> onto itself: b to each of its class inside
+                cls = catalog.group.conjugacy.class_of[by_code]
+                owner, f = np.nonzero(cls == cls[:, 1, None])
+                cols = f[:, None]
+            else:
+                owner, _, images = catalog.group.conjugators(by_code[:, p ** np.arange(r)], by_code)
+                cols = catalog.codes_in(reps[owner, None], images)
+                rows = distinct_rows(np.column_stack([owner, cols])[(cols >= 0).all(axis=1)])
+                owner, cols = rows[:, 0], rows[:, 1:]
+            homs.update(zip([(A, a, a) for a in reps.tolist()], split_rows(owner, cols, len(reps))))
         built = [homs[A, a, a] if a == b else homs[A, a, a][:0]
                  for a, b in zip(i.tolist(), j.tolist())]
     elif kind.tag == "An":

@@ -41,8 +41,8 @@ import numpy as np
 from .config import cap as _cap, refuse
 from .errors import CatalogMismatch, ElementNotInSubgroup, InvalidPermutation
 from .fpmat import image_tables, subspace_codes
-from .groups import (FiniteGroup, Perm, blocks, distinct_rows, find_sorted, orbits, ranges,
-                     row_keys, row_positions, sorted_distinct, split_rows)
+from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, ranges, row_keys,
+                     row_positions, sorted_distinct, split_rows)
 
 Vector = tuple[int, ...]
 
@@ -306,38 +306,14 @@ class ElabCatalog:
             out[i, :self.prime ** r] = self.codes_in(i[:, None], conj)
         return out
 
-    def automorphisms(self, rank: int) -> list[np.ndarray]:
-        """The automorphisms induced by conjugation of each class
-        representative of the given rank, in class order, as read-only
-        column-code arrays, rows distinct and in lexicographic order.  The
-        g taking a member onto itself take its first basis element (code
-        1) to one of its class inside it: the transporter cosets to those,
-        for every representative in one step, then one conjugation of the
-        stacked bases keeps the g taking every basis element inside."""
-        if not rank:                                # the one empty map of the trivial group
-            return split_rows(np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64), 1)
-        G, reps = self.group, self.rank_reps(rank)
-        by_code = self.by_codes(rank, reps)
-        cls = G.conjugacy.class_of[by_code]
-        owner, f = np.nonzero(cls == cls[:, 1, None])
-        cols = f[:, None]
-        if rank > 1:
-            g = G.transporter_indices(by_code[owner, 1], by_code[owner, f])
-            owner = owner.repeat(len(G) // G.conjugacy.sizes[cls[owner, 1]])
-            cols = self.codes_in(reps[owner, None], G.conjugate_indices(
-                g, by_code[:, self.prime ** np.arange(rank)][owner]))
-            rows = distinct_rows(np.column_stack([owner, cols])[(cols >= 0).all(axis=1)])
-            owner, cols = rows[:, 0], rows[:, 1:]
-        return split_rows(owner, cols, len(reps))
-
     def conjugations_on(self, n: int, members: np.ndarray, targets: np.ndarray,
                         maps: list, autos: list) -> list:
         """The maps f of maps[t], column codes from members[t] into
         targets[t], all of one rank above n, whose restriction to every
         rank-n member U inside the domain is induced by conjugation: f o
         c_U is one of the maps c_V o a, V a member of U's class inside the
-        target and a one of autos, the automorphisms of their
-        representative (as automorphisms(n) lists them; c_X the
+        target and a one of autos, the A automorphisms of their
+        representative, as column-code arrays in class order (c_X the
         conjugation isomorphism onto X, conjugation_codes).  Those maps are
         listed once per target, and every map and every U are looked up at
         once, in blocks; read-only, in the order given."""
@@ -425,8 +401,8 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     C_G(g) = w^-1 * C_G(r) * w.  Only the representatives of the classes
     of gens are tested against xs: x*y and y*x are elements of G, so they
     are equal exactly when they agree on G.base.  The row of each g is
-    then its class's row conjugated by its witness, one batched lookup
-    of base images for all the g with w != 1.
+    then its class's row conjugated by its witness, one conjugate_indices
+    call for every row.
     """
     n, arr, base, table = len(G), G.array, G.base, G.conjugacy
     cls = table.class_of[gens]
@@ -442,14 +418,7 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     rep, cent = np.concatenate(hits), np.concatenate(cents)
     of_class = np.searchsorted(classes, cls)
     owner, at = ranges(np.searchsorted(rep, of_class), np.searchsorted(rep, of_class, "right"))
-    w = table.witness[gens[owner]]
-    y = cent[at]
-    moved = np.flatnonzero(w != G.identity_index)
-    for b in blocks(len(moved), 3 * len(base)):
-        m = moved[b]
-        # w^-1 * y * w sends a base point x to w[y[w^-1[x]]]
-        inner = arr[y[m, None], arr[G.inverse_indices[w[m]][:, None], base]]
-        y[m] = G.indices_of_base_images(arr[w[m, None], inner])
+    y = G.conjugate_indices(table.witness[gens[owner]], cent[at, None])[:, 0]
     return np.sort(gens[owner] * n + y)
 
 
@@ -588,40 +557,20 @@ def p_rank(catalog: ElabCatalog) -> int:
     return int(catalog.ranks()[-1])
 
 
-def conjugation_images(G: FiniteGroup, elems: Sequence[int],
-                       F: ElabSubgroup) -> np.ndarray:
-    """Rows (code in F of g^-1 e g, for e in elems) over the g in G that
-    conjugate every listed element into F, repeats included.
-
-    Only the g taking elems[0] into F can qualify: the union of one
-    transporter coset per member of F in its class.
-    """
-    if not elems:                           # the one empty map
-        return np.zeros((1, 0), dtype=np.int64)
-    class_of = G.conjugacy.class_of
-    first = elems[0]
-    targets = np.flatnonzero(class_of[F.by_code] == class_of[first])
-    cosets = G.transporter_indices(first, F.by_code[targets])
-    images = F.codes_of(G.conjugate_indices(cosets, elems))
-    return images[np.all(images >= 0, axis=1)]
-
-
 def is_conjugate_subgroup(G: FiniteGroup, E: ElabSubgroup,
                           F: ElabSubgroup) -> Optional[Perm]:
     """A witness g with conjugate(g, E) == F setwise, or None.
 
-    Searches the transporter coset of one basis element against each
-    order-p element of F, so the cost is bounded by
-    |F| * |centralizer(basis element)|.
+    Searches the transporter coset of E's first basis element to each
+    element of F in its class (FiniteGroup.conjugators), so the cost is
+    bounded by |F| * |centralizer(basis element)|.
     """
     if E.ambient is not G or F.ambient is not G or E.prime != F.prime:
         raise CatalogMismatch("subgroups must live in the given group")
     if E.rank != F.rank:
         return None
-    if E.rank == 0:
-        return G.element(G.identity_index)
     # g maps E onto F once it conjugates E's basis into F
-    gs = G.transporter_indices(E.basis[0], F.elements[1:])    # y != identity
-    hits = np.flatnonzero((F.codes_of(G.conjugate_indices(gs, E.basis)) >= 0).all(axis=1))
+    _, gs, images = G.conjugators(np.array([E.basis], dtype=np.int64), np.array([F.elements]))
+    hits = np.flatnonzero((F.codes_of(images) >= 0).all(axis=1))
     return G.element(int(gs[hits[0]])) if len(hits) else None
 

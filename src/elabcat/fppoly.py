@@ -377,14 +377,17 @@ class FpPolynomial:
         return FpPolynomial._wrap(p, m, _unpack(keys, top, m), coeffs)
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "FpPolynomial":
-        """Linear change of variables: x_i becomes sum_j matrix[j][i] * x_j."""
-        n = self.nvars
+        """Linear change of variables: x_i becomes sum_j matrix[j][i] * x_j.
+        Each image is built in canonical form, its unit rows x_n's first
+        and its coefficients the nonzero entries mod p of column i."""
+        n, p = self.nvars, self.prime
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError(f"need an {n}x{n} matrix")
-        images = [FpPolynomial.linear_form(self.prime,
-                                           [matrix[j][i] for j in range(n)])
-                  for i in range(n)]
-        return self.substitute(images)
+        units = np.eye(n, dtype=np.int64)[::-1]
+        rows = np.array([[c % p for c in matrix[j]] for j in range(n - 1, -1, -1)],
+                        dtype=_dtype(p)).reshape(n, n)
+        return self.substitute([FpPolynomial._wrap(p, n, units[c != 0], c[c != 0])
+                                for c in rows.T])
 
     def is_symmetric(self) -> bool:
         if self.nvars <= 1:

@@ -26,11 +26,11 @@ Where the largest key is below ENTRIES_PER_ELEMENT per element, a
 direct-address table maps each key to its index and a lookup is one
 gather for a whole batch; groups with sparser keys keep one integer
 binary search.  Elements of G found by arithmetic (products, inverses,
-conjugates, transporters, the generator tables, the catalog's commuting
-pairs) are looked up by their base images alone
-(indices_of_base_images); arbitrary rows (index, membership,
-indices_of_rows, from_elements) are also compared with the element
-found, since a row may agree with one on the base only.
+conjugates, transporters, the conjugators behind every A map, the
+generator tables, the catalog's commuting pairs) are looked up by their
+base images alone (indices_of_base_images); arbitrary rows (index,
+membership, indices_of_rows, from_elements) are also compared with the
+element found, since a row may agree with one on the base only.
 
 One lookup builds the inverses and the right tables (the index of e * g
 for each generator g and every element e), row-major with one row per
@@ -573,6 +573,24 @@ class FiniteGroup:
             out[starts[at, None] + np.arange(idx.shape[1])] = idx
         return out
 
+    def conjugators(self, bases, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(owner, g, images) over a stack of pairs of a basis bases[t] and
+        a target's element indices targets[t]: each g taking bases[t, 0]
+        into targets[t] (the transporter cosets to the target's elements
+        of its class, in their order, in one transporter_indices call),
+        owner t, and the row g^-1 * b * g of every b in bases[t] (one
+        conjugate_indices call), which the caller looks up in the target.
+        An empty basis gets the identity alone."""
+        bases, targets = np.asarray(bases, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+        if not bases.shape[1]:
+            return np.arange(len(bases)), np.zeros(len(bases), dtype=np.int64), bases
+        table = self.conjugacy
+        first = bases[:, 0]
+        owner, at = np.nonzero(table.class_of[targets] == table.class_of[first, None])
+        g = self.transporter_indices(first[owner], targets[owner, at])
+        owner = owner.repeat(len(self) // table.sizes[table.class_of[first[owner]]])
+        return owner, g, self.conjugate_indices(g, bases[owner])
+
 
 # bits of an element key, an int64
 KEY_BITS = 63
@@ -637,11 +655,15 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     configured cap; CapExceeded("element_key") once the keys would pass
     KEY_BITS bits.  All are checked before the transversal of D_k (|D_k|
     rows of length degree) is allocated, and D_1, the G-orbit of b_1, also
-    before its search.  The elements are then the products u_m * ... *
-    u_1, one from each transversal, each formed once; FiniteGroup sorts
-    them by key.
+    before its search; the degree alone, the identity's row of the table,
+    before any per-point array is built.  The elements are then the
+    products u_m * ... * u_1, one from each transversal, each formed once;
+    FiniteGroup sorts them by key.
     """
     limit = element_cap if element_cap is not None else _cap("element_cap")
+    if degree > ENTRIES_PER_ELEMENT * _cap("element_cap"):       # before any per-point array
+        refuse("element_cap", f"group element table of 1 x {degree} entries "
+                              f"passed {ENTRIES_PER_ELEMENT} per element of the cap")
     gens = _perm_rows(generators, degree)
     points = np.arange(degree)
     # each point's rank in its G-orbit, and the orbit's size

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from brute_force import weyl_image
 from elabcat import categories as cg
 from elabcat.cli import load_group
-from elabcat.elabs import ElabCatalog, enumerate_elabs
+from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
-from elabcat.groups import close_generators
+from elabcat.groups import FiniteGroup, close_generators
 from test_class_sizes import catalogs, dense_class_sizes, kinds_of, random_maps
 from test_hom_cache import A4, GOLDEN, S6, small_groups
 
@@ -67,17 +67,19 @@ def test_rows_match_pairwise_homs_and_counts(G, p):
 def test_s6_rows_conjugate_once_per_class(monkeypatch):
     catalog = enumerate_elabs(close_generators(6, S6, name="S6"), 2)
     built = []
-    inner = ElabCatalog.automorphisms
+    inner = FiniteGroup.conjugators
 
-    def counting(self, rank):
-        built.append(rank)
-        return inner(self, rank)
+    def counting(self, bases, targets):
+        built.append(np.shape(bases)[1])
+        return inner(self, bases, targets)
 
-    monkeypatch.setattr(ElabCatalog, "automorphisms", counting)
+    monkeypatch.setattr(FiniteGroup, "conjugators", counting)
     monkeypatch.setattr(cg, "hom_matrices", None)      # never reached for A
     homs = cg.build_category(cg.A, catalog).hom_dict()
-    # every representative's automorphisms, all those of a rank at once
-    assert sorted(built) == list(range(len(catalog.codes)))
+    # every representative's automorphisms, all those of a rank in one
+    # conjugation step, and none at rank 1 (<b> onto itself sends b to
+    # each element of its class inside)
+    assert sorted(built) == [0, *range(2, len(catalog.codes))]
     assert sum(map(len, homs.values())) == 53146
     # An(n) is A out of objects of rank at most n: the same cached arrays
     an5 = cg.build_category(cg.a_n(5), catalog).hom_dict()

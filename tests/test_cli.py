@@ -354,6 +354,11 @@ CAP_REFUSALS = {
                       "--category", str(GOLDEN / "alt4-p2-grow.category.json")],
                      "hom_count_cap: the base between class representatives holds 10 maps, "
                      "more than the cap (5); raise ELABCAT_HOM_COUNT_CAP to allow more"),
+    # refused on its degree alone, before any per-point array is built
+    "document-degree": ({}, ["analyze", "huge.group.json", "--prime", "2"],
+                        "element_cap: group element table of 1 x 1000000000000 entries "
+                        "passed 64 per element of the cap; raise ELABCAT_ELEMENT_CAP to "
+                        "allow more"),
     "gallery-degree": ({"ELABCAT_ELEMENT_CAP": "7"}, ["gallery", "affine-8"],
                        "element_cap: affine-8 acts on 8 points, past what the element cap "
                        "(7) allows; raise ELABCAT_ELEMENT_CAP to allow more"),
@@ -371,6 +376,7 @@ def test_cap_refusal(monkeypatch, tmp_path, capsys, env, run, line):
         monkeypatch.setenv(name, value)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "explicit.json").write_text(json.dumps({"homs": []}))   # every map explicit
+    (tmp_path / "huge.group.json").write_text(json.dumps({"degree": 10 ** 12, "generators": []}))
     if callable(run):
         with pytest.raises(CapExceeded) as e:
             run()

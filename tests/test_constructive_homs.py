@@ -2,9 +2,10 @@
 invariants that neither computes: Weyl images and kind inclusion chains.
 
 The groups are random two-generator subgroups of S5 and S6, and every
-ordered pair of their catalogs is checked.  The Creg search is also
-checked on its own against every full-rank matrix, for p up to 5 and
-every shape up to rank 3.
+ordered pair of their catalogs is checked, both pairwise (hom_matrices)
+and through each kind's category over the catalog.  The Creg search is
+also checked on its own against every full-rank matrix, for p up to 5
+and every shape up to rank 3.
 """
 
 from functools import lru_cache
@@ -31,16 +32,20 @@ def chain(p, top):
 
 
 def check_catalog(G, p):
+    # the catalog's categories and hom_matrices share the conjugation
+    # step behind A, so each is held to the oracle on its own
     catalog = enumerate_elabs(G, p)
     kinds = chain(p, p_rank(catalog))
-    for E in catalog.subgroups:
+    cats = [cg.build_category(kind, catalog) for kind in kinds]
+    for i, E in enumerate(catalog.subgroups):
         a_auts = cg.hom_matrices(cg.A, E, E).tolist()
         assert weyl_image(G, E) == list(map(tuple, a_auts))
-        for F in catalog.subgroups:
+        for j, F in enumerate(catalog.subgroups):
             homs = [cg.hom_matrices(kind, E, F) for kind in kinds]
-            for kind, got, want in zip(kinds, homs, brute_hom_sets(kinds, E, F)):
+            for kind, C, got, want in zip(kinds, cats, homs, brute_hom_sets(kinds, E, F)):
                 assert got.dtype == np.int64 and got.shape == (len(want), E.rank)
                 assert got.tolist() == want, kind.label()
+                assert C.hom(i, j).tolist() == want, kind.label()
             for small, large in zip(homs, homs[1:]):
                 assert set(map(tuple, small.tolist())) <= set(map(tuple, large.tolist()))
 
