@@ -50,9 +50,11 @@ definition of its kind alone, with no catalog:
                Permutation Group Algorithms, 2003, ch. 9).  Creg allows
                every image but the identity;
   An(n)        the Aprime maps whose restriction to every rank-n subspace
-               U of E is one of the A maps U -> F (every U's in one
-               conjugators call), tested for every map and every U in
-               one sorted lookup (fpmat.restricts_into).
+               U of E is one of the A maps U -> F, listed one block of
+               U's at a time (one conjugators call, at most |G| maps per
+               U) and tested for every map and every U of the block in
+               one sorted lookup (fpmat.restricts_into, the test the
+               catalog's _conjugations_on shares).
 
 closure requires every A-morphism in its input, so its result too is an
 isomorphism followed by an inclusion, and is decided by its isomorphisms
@@ -215,13 +217,14 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     cols = basis_search(E.prime, E_cls[None], F_cls[None], E.rank, F.rank)[1]
     if kind.tag == "An" and len(cols):
         at = subspace_codes(E.prime, E.rank, kind.param)[:, E.prime ** np.arange(kind.param)]
-        # the A maps into F of every rank-n subspace, in one step
-        owner, _, images = E.ambient.conjugators(E.by_code[at], np.broadcast_to(
-            F.by_code, (len(at), len(F))))
-        images = F.codes_of(images)
-        keep = (images >= 0).all(axis=1)
-        cols = cols[restricts_into(cols, E.prime, F.rank, at,
-                                   split_rows(owner[keep], images[keep], len(at)))]
+        # the A maps into F of a block of rank-n subspaces, at most |G| each
+        for b in blocks(len(at), len(E.ambient) * (kind.param + 2)):
+            owner, _, images = E.ambient.conjugators(E.by_code[at[b]], np.broadcast_to(
+                F.by_code, (len(at[b]), len(F))))
+            rows = np.column_stack([owner, F.codes_of(images)])
+            rows = distinct_rows(rows[(rows >= 0).all(axis=1)])
+            cols = cols[restricts_into(cols, np.zeros(len(cols), dtype=np.int64), E.prime, F.rank,
+                                       at[None, b], np.arange(len(at[b]))[None, :, None], rows)]
     return cols
 
 
@@ -239,7 +242,8 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
       An(n)        the maps of A where A and Aprime (or An(m), m < n,
                    already built) have as many, else those maps whose
                    restriction to every rank-n member inside i is an A
-                   map, every map at once (catalog.conjugations_on);
+                   map, every map at once (_conjugations_on, through
+                   hom_matrices' restriction test, restricts_into);
       others       one basis_search over the pairs whose sorted label
                    rows agree (an isomorphism keeps each label's count).
     """
@@ -273,7 +277,7 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
         wide = [t for t, (a, b) in enumerate(zip(built, maps)) if len(a) != len(b)]
         if wide:                            # equal sizes decide the others
             reps = catalog.rank_reps(kind.param)
-            for t, h in zip(wide, catalog.conjugations_on(kind.param, i[wide], j[wide], [
+            for t, h in zip(wide, _conjugations_on(catalog, kind.param, i[wide], j[wide], [
                     maps[t] for t in wide], _isos(catalog, A, reps, reps))):
                 built[t] = h
     else:
@@ -285,6 +289,39 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
     for t, a, b, h in zip(todo, i.tolist(), j.tolist(), built):
         got[t] = homs[kind, a, b] = h
     return got
+
+
+def _conjugations_on(catalog: ElabCatalog, n: int, members: np.ndarray, targets: np.ndarray,
+                     maps: list, autos: list) -> list:
+    """The maps f of maps[t], column codes from members[t] into
+    targets[t], all of one rank above n, whose restriction to every
+    rank-n member U inside the domain is induced by conjugation: f o c_U
+    is one of the maps c_V o a, V a member of U's class inside the
+    target and a one of autos, the A automorphisms of their
+    representative, as column-code arrays in class order (c_X the
+    conjugation isomorphism onto X, conjugation_codes).  Those maps are
+    listed once per target, tagged by (t, U's class), for one call of
+    restricts_into over every map and every U; read-only, in order."""
+    of, cols = np.arange(len(maps)).repeat([len(f) for f in maps]), np.concatenate(maps)
+    p, r = catalog.prime, catalog.ranks().item(members[0])
+    subs = subspace_codes(p, r, n)
+    U, V = (catalog.indices_of_sets(catalog.by_codes(r, x)[:, subs].reshape(-1, p ** n))
+            for x in (members, targets))
+    # autos[k] belongs to the k-th class of rank n (classes follow rank order)
+    k = (catalog.class_of[V] - catalog.class_of[catalog.rank_starts[n]]).tolist()
+    count = [len(autos[x]) for x in k]
+    W, a = V.repeat(count), np.concatenate([autos[x] for x in k])
+    # the codes of c_U on the basis of U's representative in each domain,
+    # and of every c_V o a in each target
+    basis = np.broadcast_to(p ** np.arange(n), (len(U), n))
+    at, into = (catalog.codes_in(x.repeat(len(subs)).repeat(reps)[:, None], np.take_along_axis(
+        catalog.by_codes(n, X), np.take_along_axis(catalog.conjugation_codes[X], codes, axis=1),
+        axis=1)) for x, X, reps, codes in ((members, U, 1, basis), (targets, W, count, a)))
+    pair = np.arange(len(targets)).repeat(len(subs))
+    tag = np.column_stack([pair, catalog.class_of[U]]).reshape(len(members), len(subs), 2)
+    keep = restricts_into(cols, of, p, r, at.reshape(len(members), len(subs), n), tag,
+                          np.column_stack([pair.repeat(count), catalog.class_of[W], into]))
+    return split_rows(of[keep], cols[keep], len(maps))
 
 
 def _rows(C: SubgroupCategory, i: int) -> None:

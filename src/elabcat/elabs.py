@@ -40,9 +40,8 @@ import numpy as np
 
 from .config import cap as _cap, refuse
 from .errors import CatalogMismatch, ElementNotInSubgroup, InvalidPermutation
-from .fpmat import image_tables, subspace_codes
 from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, ranges, row_keys,
-                     row_positions, sorted_distinct, split_rows)
+                     row_positions, sorted_distinct)
 
 Vector = tuple[int, ...]
 
@@ -305,43 +304,6 @@ class ElabCatalog:
             conj = self.group.conjugate_indices(self.class_witness[i], self.by_codes(r, reps[i]))
             out[i, :self.prime ** r] = self.codes_in(i[:, None], conj)
         return out
-
-    def conjugations_on(self, n: int, members: np.ndarray, targets: np.ndarray,
-                        maps: list, autos: list) -> list:
-        """The maps f of maps[t], column codes from members[t] into
-        targets[t], all of one rank above n, whose restriction to every
-        rank-n member U inside the domain is induced by conjugation: f o
-        c_U is one of the maps c_V o a, V a member of U's class inside the
-        target and a one of autos, the A automorphisms of their
-        representative, as column-code arrays in class order (c_X the
-        conjugation isomorphism onto X, conjugation_codes).  Those maps are
-        listed once per target, and every map and every U are looked up at
-        once, in blocks; read-only, in the order given."""
-        of, cols = np.arange(len(maps)).repeat([len(f) for f in maps]), np.concatenate(maps)
-        p, r = self.prime, self._ranks.item(members[0])
-        subs = subspace_codes(p, r, n)
-        U, V = (self.indices_of_sets(self.by_codes(r, x)[:, subs].reshape(-1, p ** n))
-                for x in (members, targets))
-        # autos[k] belongs to the k-th class of rank n (classes follow rank order)
-        k = (self.class_of[V] - self.class_of[self.rank_starts[n]]).tolist()
-        count = [len(autos[x]) for x in k]
-        W, a = V.repeat(count), np.concatenate([autos[x] for x in k])
-        # the codes of c_U on the basis of U's representative in each domain,
-        # and of every c_V o a in each target
-        basis = np.broadcast_to(p ** np.arange(n), (len(U), n))
-        at, into = (self.codes_in(x.repeat(len(subs)).repeat(reps)[:, None], np.take_along_axis(
-            self.by_codes(n, X), np.take_along_axis(self.conjugation_codes[X], codes, axis=1),
-            axis=1)) for x, X, reps, codes in ((members, U, 1, basis), (targets, W, count, a)))
-        pair = np.arange(len(targets)).repeat(len(subs)).repeat(count)
-        known = np.sort(row_keys(np.column_stack([pair, self.class_of[W], into])))
-        at, u = at.reshape(len(members), -1), self.class_of[U].reshape(len(members), -1)
-        keep = np.empty(len(cols), dtype=bool)
-        for b in blocks(len(cols), subs.size + p ** r):
-            onto = np.take_along_axis(image_tables(cols[b], p, r), at[of[b]], axis=1)
-            found = find_sorted(known, row_keys(np.column_stack(
-                [of[b].repeat(len(subs)), u[of[b]].ravel(), onto.reshape(-1, n)])))[1]
-            keep[b] = found.reshape(-1, len(subs)).all(axis=1)
-        return split_rows(of[keep], cols[keep], len(maps))
 
     @cached_property
     def _incidence(self) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,8 @@ reduced row echelon form.  Hom-sets themselves are arrays of column codes
 from them, and code_digits lists the vector of every code.  On such
 arrays, image_tables gives the code of every image of each map,
 subspace_codes the codes of every subspace's elements, restricts_into
-which maps restrict on given subspaces to given maps, and basis_search
+which maps restrict on the subspaces of their domain to given maps (the
+one An(n) test of categories, with or without a catalog), and basis_search
 the linear maps that keep a label on each vector, for many pairs of
 spaces at once.
 Everything here is desk scale (dimensions at most a handful), so plain
@@ -134,24 +135,23 @@ def subspace_codes(p: int, dim: int, rank: int) -> np.ndarray:
     return code_digits(p, rank) @ bases % p @ p ** np.arange(dim)
 
 
-def restricts_into(cols: np.ndarray, p: int, rows: int, at: np.ndarray,
-                   allowed: Sequence[np.ndarray]) -> np.ndarray:
-    """Mask of the maps, column codes into a rank-rows codomain, whose
-    restriction to every subspace s, read at the codes at[s] of a basis
-    of it, is a row of allowed[s] (column codes on that basis).
+def restricts_into(cols: np.ndarray, of: np.ndarray, p: int, rows: int, at: np.ndarray,
+                   tag: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Mask of the maps, column codes into a rank-rows codomain, map t out
+    of domain of[t], whose restriction to every subspace s of its domain d,
+    read at the codes at[d, s] of a basis of it, is allowed: the tag
+    columns tag[d, s], then those codes, make a row of allowed.
 
-    One sorted lookup for every map and subspace at once, each
-    restriction keyed exactly by the bytes of (s, its codes), which are
+    One sorted lookup for every map and subspace at once, in blocks, each
+    restriction keyed exactly by the bytes of its row, whose entries are
     below 2^32 (row_keys).
     """
-    count, n = at.shape
-    tags = np.repeat(np.arange(count), [len(a) for a in allowed])
-    known = np.sort(row_keys(np.column_stack([tags, np.concatenate(allowed)])))
+    known = np.sort(row_keys(allowed))
     keep = np.empty(len(cols), dtype=bool)
-    for b in blocks(len(cols), p ** cols.shape[1] + 2 * at.size):
-        on = np.insert(image_tables(cols[b], p, rows)[:, at], 0, np.arange(count), axis=2)
-        keep[b] = find_sorted(known, row_keys(on.reshape(-1, n + 1)))[1].reshape(
-            -1, count).all(axis=1)
+    for b in blocks(len(cols), p ** cols.shape[1] + at[0].size + tag[0].size):
+        onto = np.take_along_axis(image_tables(cols[b], p, rows)[:, None], at[of[b]], axis=2)
+        keys = row_keys(np.concatenate([tag[of[b]], onto], axis=2).reshape(-1, allowed.shape[1]))
+        keep[b] = find_sorted(known, keys)[1].reshape(-1, at.shape[1]).all(axis=1)
     return keep
 
 

@@ -266,11 +266,16 @@ def build_prop10(p: int, n: int) -> Prop10Build:
     sends a fixed transversal vector to z_M.  The group contains all
     p^dim translations, so the degree check refuses it when p^dim passes
     the element cap, before the subspaces are listed or any permutation
-    is formed; past that the stabilizer chain refuses it before any
-    element is.  The translations act regularly, so the linear part has
-    order |G| / p^dim.
+    is formed, and before p^(n+1) is once n+1 passes the cap's bit
+    length; past that the stabilizer chain refuses it before any element
+    is.  The translations act regularly, so the linear part has order
+    |G| / p^dim.
     """
     dim_e = n + 1
+    limit = _cap("element_cap")
+    if dim_e > limit.bit_length():              # then p^dim > p^dim_e > limit
+        refuse("element_cap", f"prop10-{p}-{n} acts on more than {p}^{dim_e} points, past "
+                              f"what the element cap ({limit}) allows")
     dim_z = (p ** dim_e - 1) // (p - 1)        # the hyperplanes of E
     dim = dim_e + dim_z
     degree = _check_degree(f"prop10-{p}-{n}", p, dim)

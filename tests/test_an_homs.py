@@ -10,20 +10,24 @@ pairs analyze filters.
 """
 
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from elabcat import categories as cg
 from elabcat.cli import analyze_report, load_group
-from elabcat.elabs import ElabCatalog, enumerate_elabs, p_rank
+from elabcat.elabs import ElabSubgroup, enumerate_elabs, p_rank
+from elabcat.groups import close_generators
 from test_constructive_homs import S3xS3, S4xS2
 from test_hom_cache import small_groups
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 A4xA4 = load_group(str(GOLDEN / "a4xa4.group.json"))
+S6 = load_group(str(GOLDEN / "sym6.group.json"))
 
 
 @given(G=small_groups(), p=st.sampled_from([2, 3]))
@@ -48,20 +52,52 @@ def test_an_from_the_cache_matches_its_definition(G, p):
         assert all(a <= b for a, b in zip(sets, sets[1:]))
 
 
+@pytest.mark.parametrize("G", [A4xA4, S6], ids=["A4xA4", "S6"])
+def test_restriction_test_keeps_pairs_and_classes_apart(G):
+    # every injective map between representatives of rank 3 at p=2 as the
+    # candidates, not only Aprime's: a restriction looked up among another
+    # pair's maps, or another class's, lets some of them through
+    catalog = enumerate_elabs(G, 2)
+    reps = catalog.rank_reps(3)
+    i, j = (x.ravel() for x in np.meshgrid(reps, reps, indexing="ij"))
+    pairs = [(catalog.subgroups[a], catalog.subgroups[b]) for a, b in zip(i.tolist(), j.tolist())]
+    autos = cg._isos(catalog, cg.A, catalog.rank_reps(2), catalog.rank_reps(2))
+    got = cg._conjugations_on(catalog, 2, i, j, [cg.hom_matrices(cg.CREG, E, F)
+                                                 for E, F in pairs], autos)
+    for (E, F), h in zip(pairs, got):
+        assert np.array_equal(h, cg.hom_matrices(cg.a_n(2), E, F))
+
+
 def test_analyze_filters_the_pairs_sizes_leave_open(monkeypatch):
     # A4xA4 at p=2: An(2) lies strictly between A and Aprime on some
     # pairs, which are filtered; no hom-set is searched from its
     # definition, and An(3) is read off An(2), which has A's sizes
     filtered = []
-    inner_filter = ElabCatalog.conjugations_on
+    inner_filter = cg._conjugations_on
 
     def filtering(catalog, n, *args):
         filtered.append(n)
         return inner_filter(catalog, n, *args)
 
-    monkeypatch.setattr(ElabCatalog, "conjugations_on", filtering)
+    monkeypatch.setattr(cg, "_conjugations_on", filtering)
     monkeypatch.setattr(cg, "hom_matrices", None)
     report = analyze_report(A4xA4, 2)
     assert report["verdicts"]["an_collapse"] == 2
     assert filtered and set(filtered) == {2}
     assert report["kinds"]["An(2)"]["hom_sizes"] != report["kinds"]["Aprime"]["hom_sizes"]
+
+
+def test_an_from_its_definition_takes_the_subspaces_a_block_at_a_time():
+    # regular (Z/2)^7: 2,667 subspaces of rank 2, each with 128
+    # conjugators; listing them all at once peaks at 32 MiB
+    G = close_generators(128, [[x ^ (1 << k) for x in range(128)] for k in range(7)])
+    V = ElabSubgroup.from_element_indices(G, 2, range(len(G)))
+    want = cg.hom_matrices(cg.A, V, V)
+    tracemalloc.start()
+    try:
+        got = cg.hom_matrices(cg.a_n(2), V, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 16 * 2 ** 20

@@ -24,7 +24,7 @@ from brute_force import (brute_hom_sets, class_inclusions, codes, counter_pruned
                          injective_oracle, pairwise_equal, pairwise_maximal_objects)
 from elabcat import categories as cg
 from elabcat.cli import analyze_report, load_group
-from elabcat.elabs import ElabCatalog, enumerate_elabs, p_rank
+from elabcat.elabs import enumerate_elabs, p_rank
 from elabcat.fpmat import injective_count
 from elabcat.groups import close_generators
 from test_constructive_homs import S3xS3, S4xS2
@@ -262,7 +262,7 @@ def test_analyze_reads_each_unpruned_pair_once(monkeypatch):
     monkeypatch.setattr(cg, "_isos", building)
     monkeypatch.setattr(cg, "basis_search", searching)
     # A = Aprime on every pair, so the sizes decide every An(n) hom-set
-    monkeypatch.setattr(ElabCatalog, "conjugations_on", filtering)
+    monkeypatch.setattr(cg, "_conjugations_on", filtering)
     for name in ("hom", "_base_hom"):
         monkeypatch.setattr(cg.SubgroupCategory, name, reading(name))
     report = analyze_report(G, 2)

@@ -362,6 +362,11 @@ CAP_REFUSALS = {
     "gallery-degree": ({"ELABCAT_ELEMENT_CAP": "7"}, ["gallery", "affine-8"],
                        "element_cap: affine-8 acts on 8 points, past what the element cap "
                        "(7) allows; raise ELABCAT_ELEMENT_CAP to allow more"),
+    # refused before p^(n+1) is formed, and its exponent stays short
+    "gallery-prop10-degree": ({}, ["gallery", "prop10.json"],
+                              "element_cap: prop10-2-14300 acts on more than 2^14301 points, "
+                              "past what the element cap (65536) allows; raise "
+                              "ELABCAT_ELEMENT_CAP to allow more"),
     "row": ({"ELABCAT_HOM_COUNT_CAP": "5"}, a_row_past_the_cap,
             "hom_count_cap: the A hom-sets out of 1 objects hold 6 maps, more than the cap "
             "(5); raise ELABCAT_HOM_COUNT_CAP to allow more"),
@@ -377,6 +382,9 @@ def test_cap_refusal(monkeypatch, tmp_path, capsys, env, run, line):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "explicit.json").write_text(json.dumps({"homs": []}))   # every map explicit
     (tmp_path / "huge.group.json").write_text(json.dumps({"degree": 10 ** 12, "generators": []}))
+    (tmp_path / "prop10.json").write_text(json.dumps({
+        "name": "prop10-2-14300", "builder": "prop10", "params": {"p": 2, "n": 14300},
+        "prime": 2, "claims": []}))
     if callable(run):
         with pytest.raises(CapExceeded) as e:
             run()

@@ -121,27 +121,40 @@ class TestEnumerations:
                     assert [codes[p ** k] for k in range(rank)] == [
                         sum(x * p ** k for k, x in enumerate(v)) for v in basis]
 
-    @pytest.mark.parametrize("p,width,rows,n", [(2, 3, 3, 2), (2, 4, 4, 2), (3, 3, 3, 2),
-                                                (2, 4, 5, 3), (5, 2, 2, 1)])
-    def test_restricts_into_matches_a_loop(self, p, width, rows, n):
-        # allowed[s] holds some of the restrictions of the maps to any
-        # subspace; those to other subspaces must not count for s
-        rng = np.random.default_rng(p * 1000 + width * 100 + rows * 10 + n)
+    @pytest.mark.parametrize("p,width,rows,n,domains", [
+        pytest.param(*c, id="-".join(map(str, c[:4])) + (f"-{c[4]}-domains" if c[4] > 1 else ""))
+        for c in [(2, 3, 3, 2, 1), (2, 4, 4, 2, 1), (3, 3, 3, 2, 1), (2, 4, 5, 3, 1),
+                  (5, 2, 2, 1, 1), (2, 4, 4, 2, 2), (3, 3, 3, 2, 3), (2, 4, 5, 3, 3)]])
+    def test_restricts_into_matches_a_loop(self, p, width, rows, n, domains):
+        # one domain tags its subspaces by index; several tag them by
+        # (domain, a class shared by some of them), as the catalog does.
+        # Restrictions allowed under any other tag must not count
+        rng = np.random.default_rng(p * 10000 + width * 1000 + rows * 100 + n * 10 + domains)
         cols = rng.integers(0, p ** rows, size=(60, width))
-        at = subspace_codes(p, width, n)[:, p ** np.arange(n)]
+        of = rng.integers(0, domains, size=len(cols))
+        subs = subspace_codes(p, width, n)[:, p ** np.arange(n)]
+        # each domain lists the subspaces in an order of its own
+        at = np.stack([subs[rng.permutation(len(subs))] for _ in range(domains)])
+        if domains == 1:
+            tag = np.arange(len(subs))[None, :, None]
+        else:
+            tag = np.stack([np.arange(domains).repeat(len(subs)).reshape(domains, -1),
+                            rng.integers(0, 3, size=(domains, len(subs)))], axis=2)
         tables = image_tables(cols, p, rows)
         for c, table in zip(cols.tolist(), tables.tolist()):
             for code in range(p ** width):
                 image = [sum(code // p ** k % p * (col // p ** r % p) for k, col in enumerate(c))
                          % p for r in range(rows)]
                 assert table[code] == sum(x * p ** r for r, x in enumerate(image))
-        pool = np.unique(tables[:, at].reshape(-1, n), axis=0)
+        pool = np.unique(tables[:, subs].reshape(-1, n), axis=0).tolist()
+        tags = np.unique(tag.reshape(-1, tag.shape[2]), axis=0).tolist()
         # each map passes about half the time
-        allowed = [pool[rng.random(len(pool)) < 0.5 ** (1 / len(at))] for _ in at]
-        want = [all(tuple(table[c] for c in a) in set(map(tuple, ok.tolist()))
-                    for a, ok in zip(at.tolist(), allowed))
-                for table in tables.tolist()]
-        got = restricts_into(cols, p, rows, at, allowed)
+        allowed = [t + r for t in tags for r in pool if rng.random() < 0.5 ** (1 / len(subs))]
+        ok = set(map(tuple, allowed))
+        want = [all(tuple(tag[d, s].tolist() + [table[c] for c in at[d, s].tolist()]) in ok
+                    for s in range(len(subs)))
+                for d, table in zip(of.tolist(), tables.tolist())]
+        got = restricts_into(cols, of, p, rows, at, tag, np.array(allowed))
         assert got.tolist() == want
         assert 0 < sum(want) < len(want)
 
