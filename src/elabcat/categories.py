@@ -330,37 +330,43 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     non-empty Hom(i, t) in the base's hom cache (an array already there
     stays).
 
-    With Y_k = w_k^-1 Y w_k the members of a class y of i's rank (w_k the
-    class witnesses), Hom(E, F) is c_k o Iso(E, Y) over the Y_k inside F,
-    c_k: Y -> Y_k the conjugation by w_k (conjugation_codes); maps
-    through distinct Y_k have distinct images; the y are the classes
-    isomorphic to i's (first of iso_classes, a given base's read off its
-    own isomorphisms).  Refused (CapExceeded) before anything is built
-    when the row holds more maps than the hom count cap allows: row x of
-    class_sizes, each size once per member of its target's class.
+    Such a map is c_m o Iso(i, Y), then an inclusion, for m a member of a
+    class y isomorphic to i's (first of iso_classes), Y its representative
+    and c_m: Y -> m the conjugation isomorphism (conjugation_codes); maps
+    through distinct m have distinct images.  Those into a representative
+    R are read off the m inside R (catalog.inside) and carried to each
+    member j of R's class by c_j: each base holds A and is closed under
+    composition, so Iso(i, Y) is closed under Aut_A(Y).  Refused
+    (CapExceeded) before anything is built when the row holds more maps
+    than the hom count cap allows: row x of class_sizes, each size once
+    per member of its target's class.
     """
     catalog, reps, cls = C.catalog, C.catalog.class_reps, C.catalog.class_of
     x, rank = cls.item(i), catalog.ranks().item(i)
     kind = C._kind_at(rank)
-    starts, supers = catalog.containers
     class_starts, by_class, _ = catalog.class_table
     first, (keys, sizes) = C.iso_classes()[1], C.class_sizes()
     a, b = np.searchsorted(keys, [x * len(reps), x * len(reps) + len(reps)])
     _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
                      f"out of 1 objects hold",
                      int(sizes[a:b] @ np.diff(class_starts)[keys[a:b] % len(reps)]))
-    targets, parts = [], []
-    for y in np.flatnonzero(first == first[x]).tolist():
-        iso, members = C._base_hom(i, reps[y]), by_class[class_starts[y]:class_starts[y + 1]]
-        conj = np.take_along_axis(catalog.by_codes(rank, members),
-                                  catalog.conjugation_codes[members, :catalog.prime ** rank],
-                                  axis=1)
-        k_of, at = ranges(starts[members], starts[members + 1])
-        targets.append(supers[at].repeat(len(iso)))
-        parts.append(conj[k_of[:, None, None], iso].reshape(len(targets[-1]), rank))
-    target, cols = np.concatenate(targets), np.concatenate(parts)
-    for b in blocks(len(target), rank):
-        cols[b] = catalog.codes_in(target[b, None], cols[b])
+    ys = np.flatnonzero(first == first[x])
+    isos = [C._base_hom(i, reps[y]) for y in ys.tolist()]
+    # the pairs (m, R) of catalog.inside with m in a class ys[y], by
+    # sorted lookups of those members; each beside each map i -> rep ys[y]
+    members, supers = catalog.inside
+    y, at = ranges(class_starts[ys], class_starts[ys + 1])
+    k, at = ranges(*(np.searchsorted(members, by_class[at], side) for side in ("left", "right")))
+    m, R, y = members[at], supers[at], y[k]
+    lengths = np.array([len(h) for h in isos])
+    starts = np.cumsum(lengths) - lengths
+    pair, row = ranges(starts[y], starts[y] + lengths[y])
+    conj = np.take_along_axis(catalog.by_codes(rank, m),
+                              catalog.conjugation_codes[m, :catalog.prime ** rank], axis=1)
+    inner = catalog.codes_in(R[pair, None], conj[pair[:, None], np.concatenate(isos)[row]])
+    t, at = ranges(class_starts[cls[R[pair]]], class_starts[cls[R[pair]] + 1])
+    target = by_class[at]
+    cols = catalog.conjugation_codes[target[:, None], inner[t]]
     order = np.argsort(row_keys(np.column_stack([target, cols])))
     target, cols = target[order], cols[order]
     cols.flags.writeable = False
@@ -489,12 +495,11 @@ class SubgroupCategory:
         read-only, kept with iso_classes.  A map out of rep x is an
         isomorphism onto a member of a class isomorphic to x, aut[x] of
         them onto each, then the inclusion: aut[x] times the members
-        inside rep y (catalog.containers) of classes isomorphic to x."""
+        inside rep y (catalog.inside) of classes isomorphic to x."""
         if "sizes" not in self._classes:
             catalog, k, cls = self.catalog, self.catalog.class_count(), self.catalog.class_of
-            (starts, supers), (aut, first) = catalog.containers, self.iso_classes()
-            keep = catalog.class_reps[cls[supers]] == supers
-            pairs = np.sort(np.repeat(first[cls], np.diff(starts))[keep] * k + cls[supers[keep]])
+            (m, R), (aut, first) = catalog.inside, self.iso_classes()
+            pairs = np.sort(first[cls[m]] * k + cls[R])
             bounds = runs(pairs)
             pairs, count = pairs[bounds[:-1]], np.diff(bounds)
             xs = np.flatnonzero(aut)
@@ -703,11 +708,8 @@ def _restricted(catalog: ElabCatalog, maps: Isos, rank: int) -> tuple[np.ndarray
     ranks, cls, reps = catalog.ranks(), catalog.class_of, catalog.class_reps
     ys = np.flatnonzero(ranks[reps] == rank)    # classes follow rank order
     by_code = catalog.by_codes(rank, reps[ys])
-    lo, hi = catalog.rank_starts[rank - 1:rank + 1]
-    starts, supers = catalog.containers
-    s, at = ranges(starts[lo:hi], starts[lo + 1:hi + 1])
-    s, x = s + lo, supers[at]
-    keep = (reps[cls[x]] == x) & (ranks[x] == rank)
+    s, x = catalog.inside
+    keep = (ranks[s] == rank - 1) & (ranks[x] == rank)
     s, x = s[keep], x[keep]
     q = catalog.prime ** (rank - 1)
     inner = catalog.by_codes(rank - 1, s)

@@ -40,6 +40,7 @@ import numpy as np
 
 from .config import cap as _cap, refuse
 from .errors import CatalogMismatch, ElementNotInSubgroup, InvalidPermutation
+from .fpmat import subspace_codes
 from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, ranges, row_keys,
                      row_positions, sorted_distinct)
 
@@ -190,10 +191,12 @@ class ElabCatalog:
     representative onto subgroup i (setwise).  maximal[i] is
     rank-maximality under inclusion into other catalog members.  These,
     class_reps and ranks() are read-only int64 (maximal bool) arrays.
-    homs caches hom-sets under keys (canonical kind, i, j) for every
-    category over this catalog, each once read and every non-empty one of
-    a row once the row is built, and sizes iso_classes and class_sizes by
-    the kind's canonical form at each rank; only categories uses them.
+    Inclusions are read only into class representatives: inside lists
+    each member inside each of them, from their subspaces.  homs caches
+    hom-sets under keys (canonical kind, i, j) for every category over
+    this catalog, each once read and every non-empty one of a row once
+    the row is built, and sizes iso_classes and class_sizes by the kind's
+    canonical form at each rank; only categories uses them.
     """
 
     def __init__(self, group: FiniteGroup, prime: int, codes: list[np.ndarray],
@@ -323,35 +326,29 @@ class ElabCatalog:
         return np.where(found, codes[at], -1)
 
     @cached_property
-    def containers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, supers): supers[starts[i]:starts[i + 1]] are the j
-        with member i inside member j, increasing.
+    def inside(self) -> tuple[np.ndarray, np.ndarray]:
+        """(members, reps): every pair of a member m inside a class
+        representative R, sorted by (m, R); read-only.
 
-        Besides i itself, the candidates are the members of higher rank
-        (members are sorted by rank) holding i's first basis element, read
-        off the incidence sorted by element; each further basis element
-        is one batched lookup.  Basis element k has code p^k; bases are
-        padded with the identity, which every member holds.
+        Inside R of rank s lie the trivial member, R itself, and for each
+        0 < r < s the members whose element sets are R's rank-r subspaces
+        (fpmat.subspace_codes), looked up for every representative of rank
+        s at once (indices_of_sets).
         """
-        n, order, p, ranks = len(self), len(self.group), self.prime, self._ranks
-        width = max(1, int(ranks[-1]))
-        keys, codes = self._incidence
-        powers = np.array([p ** k for k in range(width)])
-        k = np.minimum(np.searchsorted(powers, codes), width - 1)
-        at = powers[k] == codes                     # basis element k
-        basis = np.full((n, width), self.group.identity_index, dtype=np.int64)
-        basis[keys[at] // order, k[at]] = keys[at] % order
-        by_element = np.sort(keys % order * n + keys // order)     # x * n + j
-        above = np.searchsorted(ranks, ranks + 1)   # the first member of higher rank
-        src, at = ranges(np.searchsorted(by_element, basis[:, 0] * n + above),
-                         np.searchsorted(by_element, basis[:, 0] * n + n))
-        dst = by_element[at] % n
-        for k in range(1, width):
-            keep = find_sorted(keys, dst * order + basis[src, k])[1]
-            src, dst = src[keep], dst[keep]
-        src, dst = np.append(np.arange(n), src), np.append(np.arange(n), dst)
-        by_src = np.argsort(src, kind="stable")     # i itself, then larger j
-        return np.searchsorted(src[by_src], np.arange(n + 1)), dst[by_src]
+        p, reps = self.prime, self.class_reps         # reps[0] is the trivial member
+        members, supers = [np.zeros(len(reps) - 1, dtype=np.int64), reps], [reps[1:], reps]
+        for s in range(2, len(self.codes)):
+            R = self.rank_reps(s)
+            for r in range(1, s):
+                subs = subspace_codes(p, s, r)
+                members.append(self.indices_of_sets(
+                    self.by_codes(s, R)[:, subs].reshape(-1, p ** r)))
+                supers.append(R.repeat(len(subs)))
+        members, supers = np.concatenate(members), np.concatenate(supers)
+        order = np.argsort(members * len(self) + supers)
+        members, supers = members[order], supers[order]
+        members.flags.writeable = supers.flags.writeable = False
+        return members, supers
 
 
 def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.ndarray:

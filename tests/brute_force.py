@@ -34,9 +34,10 @@ pair, on class representatives for a kind without explicit maps and on
 objects otherwise, the components by a worklist search.  pairwise_equal:
 the first representative pair, row-major, on which two kinds'
 hom_matrices differ, and its smallest witness.  None of the three reads
-``SubgroupCategory.class_sizes``.  class_inclusions: the members of each
-class inside each class representative, by comparing element sets one
-member at a time; it never reads ``ElabCatalog.containers``.
+``SubgroupCategory.class_sizes``.  subgroups_of and class_inclusions:
+the members inside each member, and the members of each class inside
+each class representative, by comparing element sets one member at a
+time; neither reads ``ElabCatalog.inside`` or its subspace lookups.
 
 brute_closure: the worklist closure, which joins every new hom with every
 stored one and restricts it to every pair of catalog subgroups.  It runs

@@ -1,13 +1,13 @@
-"""A hom-sets built a row at a time by Quillen's factorization.
+"""Hom-sets built a row at a time by Quillen's factorization.
 
-Each row (every A hom-set out of one class representative, the others
-carried) is checked against the pairwise construction hom_matrices keeps
-for callers without a catalog,
-against the count |Hom_A(E, F)| = #{conjugates of E inside F} * |Aut_A(E)|
-with containment read off element sets, and against the Weyl image of
-the brute-force oracle.  Every kind's row is refused on the total the
-dense class sizes give, and a single read into a larger rank builds no
-classes x classes array.
+Each row (every hom-set of A, Aprime or An(1) out of one class
+representative, the others carried) is checked against the pairwise
+construction hom_matrices keeps for callers without a catalog, against
+the count |Hom(E, F)| = #{members isomorphic to E inside F} * |Aut(E)|
+with containment read off element sets, and for A against the Weyl
+image of the brute-force oracle.  Every kind's row is refused on the
+total the dense class sizes give, and a single read into a larger rank
+builds no classes x classes array.
 """
 
 from collections import Counter
@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import weyl_image
@@ -28,39 +28,52 @@ from test_class_sizes import catalogs, dense_class_sizes, kinds_of, random_maps
 from test_hom_cache import A4, GOLDEN, S6, small_groups
 
 
-@given(G=small_groups(), p=st.sampled_from([2, 3]))
-@settings(max_examples=10, deadline=None,
+ROW_KINDS = [cg.A, cg.APRIME, cg.a_n(1)]
+# an order-64 subgroup of S8 (78 members at p=2): two classes of Klein
+# four-groups, not conjugate, are Aprime-isomorphic and lie inside larger
+# ranks, so a row reads members of a class other than its own
+G64 = close_generators(8, [(4, 3, 7, 6, 0, 1, 5, 2), (4, 5, 1, 7, 6, 0, 3, 2)])
+
+
+@given(G=small_groups(), p=st.sampled_from([2, 3]), kind=st.sampled_from(ROW_KINDS))
+@example(G=G64, p=2, kind=cg.APRIME)
+@example(G=G64, p=2, kind=cg.a_n(1))
+@settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
-def test_rows_match_pairwise_homs_and_counts(G, p):
+def test_rows_match_pairwise_homs_and_counts(G, p, kind):
     catalog = enumerate_elabs(G, p)
     assume(len(catalog) <= 80)
     built, inner = Counter(), cg._rows
+    subgroups, ranks = list(catalog.subgroups), catalog.ranks()
+    want = [[cg.hom_matrices(kind, E, F) for F in subgroups] for E in subgroups]
 
     def counting(C, i):
         built[C.catalog is catalog, i] += 1
         return inner(C, i)
 
     with mock.patch.object(cg, "_rows", counting):
-        rows = cg.build_category(cg.A, catalog).hom_dict()
+        rows = cg.build_category(kind, catalog).hom_dict()
         # a second catalog whose rows are built one source at a time
-        lazy = cg.build_category(cg.A, enumerate_elabs(G, p))
-        sets = [frozenset(E.elements) for E in catalog.subgroups]
-        for i, E in enumerate(catalog.subgroups):
-            aut = len(weyl_image(G, E))
-            conjugates = [sets[k] for k, c in enumerate(catalog.class_of)
-                          if c == catalog.class_of[i]]
-            for j, F in enumerate(catalog.subgroups):
-                want = cg.hom_matrices(cg.A, E, F)
-                assert np.array_equal(rows.get((i, j), want[:0]), want)
-                assert np.array_equal(lazy.hom(i, j), want)
+        lazy = cg.build_category(kind, enumerate_elabs(G, p))
+        sets = [frozenset(E.elements) for E in subgroups]
+        for i, E in enumerate(subgroups):
+            aut = len(want[i][i])
+            if kind == cg.A:
+                assert aut == len(weyl_image(G, E))
+            isomorphic = [sets[k] for k in range(len(sets))
+                          if ranks[k] == E.rank and len(want[i][k])]
+            for j in range(len(subgroups)):
+                assert np.array_equal(rows.get((i, j), want[i][j][:0]), want[i][j])
+                assert np.array_equal(lazy.hom(i, j), want[i][j])
                 assert lazy.hom(i, j).shape[1] == E.rank
-                assert len(want) == sum(S <= sets[j] for S in conjugates) * aut
+                assert len(want[i][j]) == sum(S <= sets[j] for S in isomorphic) * aut
     # rows out of the representatives that map into a larger rank only,
     # once each on either catalog: every other hom-set is carried, or an
     # isomorphism
-    want = [r for r in sorted(catalog.class_reps.tolist()) if not catalog.maximal[r]]
+    grows = [r for r in sorted(catalog.class_reps.tolist())
+             if any(len(h) for h, s in zip(want[r], ranks) if s > ranks[r])]
     for listed in (True, False):
-        assert sorted(i for (mine, i) in built if mine is listed) == want
+        assert sorted(i for (mine, i) in built if mine is listed) == grows
     assert set(built.values()) <= {1}
 
 
@@ -102,9 +115,9 @@ def test_row_is_refused_on_its_exact_total(monkeypatch):
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 def test_row_totals_match_the_dense_class_sizes(catalog, data):
-    # the total each row passes to the cap, aut times the containers of the
-    # members of the isomorphic classes, is row x of I @ M summed over the
-    # members of every class
+    # the total each row passes to the cap, aut times the members of the
+    # isomorphic classes inside each representative, once per member of
+    # its class, is row x of I @ M summed over the members of every class
     cases = [(cg.build_category(kind, catalog), kind) for kind in kinds_of(catalog)]
     cases.append((cg.closure(cg.SubgroupCategory(catalog, cg.A, random_maps(data, catalog))),
                   None))                                                # a given base

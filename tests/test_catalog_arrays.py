@@ -3,10 +3,11 @@
 Every member read lazily is the subgroup that from_element_indices
 canonicalizes from its element set; members come in (rank, elements)
 order; index_of_elements finds each member from its elements in any
-order and refuses sets that are no member's.  Counting ElabSubgroup
-constructions pins where member objects are built: enumeration builds
-none, pregular only maximal class representatives, analyze only class
-representatives.
+order and refuses sets that are no member's; inside lists the members
+inside each class representative, as their element sets give them.
+Counting ElabSubgroup constructions pins where member objects are
+built: enumeration builds none, pregular only maximal class
+representatives, analyze only class representatives.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute_force import subgroups_of
 from elabcat import cli
 from elabcat.cli import analyze_report, load_group
 from elabcat.elabs import ElabSubgroup, enumerate_elabs
@@ -65,6 +67,17 @@ def test_members_match_from_element_indices(G, p, rnd):
         at = np.array(rnd.sample(range(len(codes)), len(codes)))
         sets = np.array([rnd.sample(row, len(row)) for row in codes[at].tolist()])
         assert np.array_equal(catalog.indices_of_sets(sets), catalog.rank_starts[r] + at)
+
+
+@given(G=small_groups(), p=st.sampled_from([2, 3]))
+@example(G=load_group(str(GOLDEN / "a4xa4.group.json")), p=2)      # rank 4
+@settings(max_examples=12, deadline=None)
+def test_inside_lists_the_members_inside_each_representative(G, p):
+    catalog = enumerate_elabs(G, p)
+    below = subgroups_of(catalog)
+    want = sorted((m, R) for R in catalog.class_reps.tolist() for m in below[R])
+    members, reps = catalog.inside
+    assert list(zip(members.tolist(), reps.tolist())) == want      # the pairs, in (m, R) order
 
 
 @pytest.fixture
