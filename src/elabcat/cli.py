@@ -1,19 +1,24 @@
 """Command line reporting.
 
-Subcommands: analyze, gallery, dickson, symreduce, pregular, closure.
+Subcommands: analyze, gallery, dickson, symreduce, pregular, closure,
+each read off one table, COMMANDS, by parse_args: ``elabcat COMMAND
+[ARGS]``, the command's options (--name VALUE or --name=VALUE, a flag
+alone) and positionals in any order after it.  Option names are exact:
+no abbreviations and no ``--`` separator.  -h/--help, alone or after a
+command, prints usage lines; --version prints the version.
+
 All structured output is JSON with a fixed key order; --pretty changes
 only whitespace.  Timing lives under the single "timing" key so reports
 are byte-comparable once that key is dropped.
 
-Exit codes: 0 success, 1 internal error, 2 malformed input (a document,
-a command-line value or a cap setting), 3 a resource guard fired (the
+Exit codes: 0 success, 1 internal error, 2 malformed input (a command
+line, a document, a command-line value or a cap setting), 3 a resource guard fired (the
 message names it), 4 a gallery claim failed, 5 closure input was missing
 required conjugation morphisms, 141 (128 + SIGPIPE) stdout was closed early.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -22,7 +27,8 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -410,53 +416,116 @@ def cmd_closure(args) -> int:
 # -- entry point ------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="elabcat",
-        description="subgroup category and Chern class reports")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    handler: Callable[[Any], int]
+    help: str
+    positionals: tuple[str, ...]    # in order; "[name]" may be left out
+    options: dict[str, type]        # read as int or str, or bool for a flag
+    required: tuple[str, ...]       # options that must be given
 
-    pa = sub.add_parser("analyze", help="full report for one group")
-    pa.add_argument("group", help="path to a group JSON document")
-    pa.add_argument("--prime", type=int, required=True)
-    pa.add_argument("--kinds", help="comma list, e.g. A,Aprime,An(2),Creg")
-    pa.add_argument("--max-n", type=int, default=None,
-                    help="largest An(n) kind to include")
-    pa.add_argument("--pretty", action="store_true")
-    pa.set_defaults(func=cmd_analyze)
 
-    pg = sub.add_parser("gallery", help="recheck the bundled example claims")
-    pg.add_argument("entry", nargs="?", help="one entry name (default: all)")
-    pg.set_defaults(func=cmd_gallery)
+COMMANDS = {
+    "analyze": Command(cmd_analyze, "full report for one group", ("group",),
+                       {"--prime": int, "--kinds": str, "--max-n": int, "--pretty": bool},
+                       ("--prime",)),
+    "gallery": Command(cmd_gallery, "recheck the bundled example claims", ("[entry]",),
+                       {}, ()),
+    "dickson": Command(cmd_dickson, "regular weight list invariants", (),
+                       {"--prime": int, "--rank": int}, ("--prime", "--rank")),
+    "symreduce": Command(cmd_symreduce, "regular product in the elementary symmetric basis",
+                         (), {"--prime": int, "--rank": int}, ("--prime", "--rank")),
+    "pregular": Command(cmd_pregular, "p-regularity test for a character", ("group",),
+                        {"--prime": int, "--character": str}, ("--prime", "--character")),
+    "closure": Command(cmd_closure, "close an explicit hom collection", ("group",),
+                       {"--prime": int, "--category": str, "--pretty": bool},
+                       ("--prime", "--category")),
+}
 
-    pd = sub.add_parser("dickson", help="regular weight list invariants")
-    pd.add_argument("--prime", type=int, required=True)
-    pd.add_argument("--rank", type=int, required=True)
-    pd.set_defaults(func=cmd_dickson)
 
-    ps = sub.add_parser("symreduce",
-                        help="regular product in the elementary symmetric basis")
-    ps.add_argument("--prime", type=int, required=True)
-    ps.add_argument("--rank", type=int, required=True)
-    ps.set_defaults(func=cmd_symreduce)
+def usage(name: str) -> str:
+    """The usage line of one command, read off COMMANDS."""
+    cmd = COMMANDS[name]
+    words = ["elabcat", name, *(p.upper() for p in cmd.positionals)]
+    for opt, kind in cmd.options.items():
+        word = opt if kind is bool else f"{opt} {opt[2:].upper().replace('-', '_')}"
+        words.append(word if opt in cmd.required else f"[{word}]")
+    return " ".join(words)
 
-    pp = sub.add_parser("pregular", help="p-regularity test for a character")
-    pp.add_argument("group", help="path to a group JSON document")
-    pp.add_argument("--prime", type=int, required=True)
-    pp.add_argument("--character", required=True,
-                    help="regular, permutation, trivial, or a values file")
-    pp.set_defaults(func=cmd_pregular)
 
-    pc = sub.add_parser("closure", help="close an explicit hom collection")
-    pc.add_argument("group", help="path to a group JSON document")
-    pc.add_argument("--prime", type=int, required=True)
-    pc.add_argument("--category", required=True,
-                    help="path to a category JSON document")
-    pc.add_argument("--pretty", action="store_true")
-    pc.set_defaults(func=cmd_closure)
-    return parser
+def print_help(args) -> int:
+    if args.command:
+        print(f"usage: {usage(args.command)}\n    {COMMANDS[args.command].help}")
+        return 0
+    print("usage: elabcat COMMAND [ARGS]\n       elabcat [COMMAND] --help\n"
+          "       elabcat --version\n\n"
+          "subgroup category and Chern class reports:")
+    for name, cmd in COMMANDS.items():
+        print(f"  {usage(name)}\n      {cmd.help}")
+    return 0
+
+
+def print_version(args) -> int:
+    print(f"elabcat {__version__}")
+    return 0
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read argv, COMMAND [ARGS], against COMMANDS.
+
+    After the command, options (--name VALUE or --name=VALUE, a flag
+    without a value) and positionals come in any order; a value may start
+    with "-", and a repeated option keeps its last value.  Returns func
+    (the handler), command, and one attribute per option (--max-n as
+    max_n; None or False when left out) and per positional (None when
+    left out).  -h or --help, alone or after a command, and a leading
+    --version return the handler that prints them instead.  A malformed
+    command line raises InputFormatError.
+    """
+    if not argv:
+        raise InputFormatError(f"no command given; choose from {', '.join(COMMANDS)}")
+    name, *rest = argv
+    if name == "--version":
+        return SimpleNamespace(func=print_version, command=None)
+    if name in ("-h", "--help"):
+        return SimpleNamespace(func=print_help, command=None)
+    cmd = COMMANDS.get(name)
+    if cmd is None:
+        raise InputFormatError(f"unknown command {name!r}; choose from {', '.join(COMMANDS)}")
+    values = {opt: False if kind is bool else None for opt, kind in cmd.options.items()}
+    given, tokens = [], iter(rest)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            return SimpleNamespace(func=print_help, command=name)
+        if not tok.startswith("-") or tok[1:].isdigit():
+            given.append(tok)
+            continue
+        opt, eq, value = tok.partition("=")
+        kind = cmd.options.get(opt)
+        if kind is None:
+            raise InputFormatError(f"{name}: unknown option {opt!r}")
+        if kind is bool:
+            if eq:
+                raise InputFormatError(f"{name}: {opt} takes no value")
+            values[opt] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise InputFormatError(f"{name}: {opt} needs a value")
+        try:
+            values[opt] = kind(value)
+        except ValueError:
+            raise InputFormatError(f"{name}: {opt} needs an integer, got {value!r}")
+    wanted = [p.strip("[]") for p in cmd.positionals]
+    if len(given) > len(wanted):
+        raise InputFormatError(f"{name}: unexpected argument {given[len(wanted)]!r}")
+    missing = [p.upper() for p in cmd.positionals[len(given):] if not p.startswith("[")]
+    missing += [opt for opt in cmd.required if values[opt] is None]
+    if missing:
+        raise InputFormatError(f"{name}: missing {', '.join(missing)}")
+    args = {opt[2:].replace("-", "_"): value for opt, value in values.items()}
+    args.update(zip(wanted, given + [None] * len(wanted)))
+    return SimpleNamespace(func=cmd.handler, command=name, **args)
 
 
 def check_numbers(args) -> None:
@@ -475,15 +544,9 @@ def check_numbers(args) -> None:
         raise InputFormatError(f"--max-n must be non-negative, got {m}")
 
 
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _parser
-    if _parser is None:         # built once per process; each parse is fresh
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         check_numbers(args)
         code = args.func(args)
         sys.stdout.flush()          # a closed stdout raises here, not at exit

@@ -331,16 +331,20 @@ class ElabCatalog:
         representative R, sorted by (m, R); read-only.
 
         Inside R of rank s lie the trivial member, R itself, and for each
-        0 < r < s the members whose element sets are R's rank-r subspaces
-        (fpmat.subspace_codes), looked up for every representative of rank
-        s at once (indices_of_sets).
+        0 < r < s the members whose element sets are R's rank-r subspaces,
+        looked up for every representative of rank s at once
+        (indices_of_sets).  The subspaces are read for every s from one
+        fpmat.subspace_codes(p, top, r) per r, top the p-rank: its rows
+        whose codes all lie below p^s are subspace_codes(p, s, r), in order.
         """
-        p, reps = self.prime, self.class_reps         # reps[0] is the trivial member
+        p, reps, top = self.prime, self.class_reps, len(self.codes) - 1
+        # reps[0] is the trivial member
         members, supers = [np.zeros(len(reps) - 1, dtype=np.int64), reps], [reps[1:], reps]
-        for s in range(2, len(self.codes)):
+        tops = {r: subspace_codes(p, top, r) for r in range(1, top)}
+        for s in range(2, top + 1):
             R = self.rank_reps(s)
             for r in range(1, s):
-                subs = subspace_codes(p, s, r)
+                subs = tops[r][(tops[r] < p ** s).all(axis=1)]
                 members.append(self.indices_of_sets(
                     self.by_codes(s, R)[:, subs].reshape(-1, p ** r)))
                 supers.append(R.repeat(len(subs)))

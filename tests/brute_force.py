@@ -82,14 +82,19 @@ dict_add, dict_mul, dict_pow and dict_substitute: polynomials over F_p as
 {exponent tuple: coefficient} dicts, multiplied one term pair at a time
 and substituted one term at a time; none of them touches the packed
 arrays of ``fppoly.FpPolynomial``.
+
+build_parser: the argparse parser the command line was once read with;
+it shares no code with ``cli.parse_args`` or its COMMANDS table.
 """
 
+import argparse
 import itertools
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
+from elabcat import __version__, cli
 from elabcat.categories import CREG, a_n, canonical, class_counts, hom_matrices, matrix_of
 from elabcat.elabs import ElabSubgroup
 from elabcat.fpmat import (gl_generators, injective_count, mat_inv, mat_mul, mat_rank,
@@ -862,3 +867,52 @@ def dict_substitute(p, nvars, f, images):
             term = dict_mul(p, term, dict_pow(p, nvars, img, k))
         out = dict_add(p, out, term)
     return out
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="elabcat",
+        description="subgroup category and Chern class reports")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    pa = sub.add_parser("analyze", help="full report for one group")
+    pa.add_argument("group", help="path to a group JSON document")
+    pa.add_argument("--prime", type=int, required=True)
+    pa.add_argument("--kinds", help="comma list, e.g. A,Aprime,An(2),Creg")
+    pa.add_argument("--max-n", type=int, default=None,
+                    help="largest An(n) kind to include")
+    pa.add_argument("--pretty", action="store_true")
+    pa.set_defaults(func=cli.cmd_analyze)
+
+    pg = sub.add_parser("gallery", help="recheck the bundled example claims")
+    pg.add_argument("entry", nargs="?", help="one entry name (default: all)")
+    pg.set_defaults(func=cli.cmd_gallery)
+
+    pd = sub.add_parser("dickson", help="regular weight list invariants")
+    pd.add_argument("--prime", type=int, required=True)
+    pd.add_argument("--rank", type=int, required=True)
+    pd.set_defaults(func=cli.cmd_dickson)
+
+    ps = sub.add_parser("symreduce",
+                        help="regular product in the elementary symmetric basis")
+    ps.add_argument("--prime", type=int, required=True)
+    ps.add_argument("--rank", type=int, required=True)
+    ps.set_defaults(func=cli.cmd_symreduce)
+
+    pp = sub.add_parser("pregular", help="p-regularity test for a character")
+    pp.add_argument("group", help="path to a group JSON document")
+    pp.add_argument("--prime", type=int, required=True)
+    pp.add_argument("--character", required=True,
+                    help="regular, permutation, trivial, or a values file")
+    pp.set_defaults(func=cli.cmd_pregular)
+
+    pc = sub.add_parser("closure", help="close an explicit hom collection")
+    pc.add_argument("group", help="path to a group JSON document")
+    pc.add_argument("--prime", type=int, required=True)
+    pc.add_argument("--category", required=True,
+                    help="path to a category JSON document")
+    pc.add_argument("--pretty", action="store_true")
+    pc.set_defaults(func=cli.cmd_closure)
+    return parser

@@ -8,8 +8,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from brute_force import build_parser
 
-from elabcat import chern, cli
+from elabcat import __version__, chern, cli
 from elabcat.categories import A, CREG, build_category
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
@@ -189,6 +190,91 @@ class TestBadInput:
                     env={"ELABCAT_CATALOG_CAP": "lots"})
         assert_input_error(r)
         assert "ELABCAT_CATALOG_CAP" in r.stderr
+
+
+# valid command lines: every command, options before and after the
+# positionals, --name=value, flags present and absent
+VALID_COMMAND_LINES = [
+    ["analyze", "g.json", "--prime", "2"],
+    ["analyze", "--prime", "2", "g.json"],
+    ["analyze", "g.json", "--prime=3", "--kinds", "A,Creg", "--max-n", "0", "--pretty"],
+    ["analyze", "--pretty", "--max-n=2", "g.json", "--kinds=An(2)", "--prime", "5"],
+    ["analyze", "g.json", "--prime", "2", "--prime", "3"],      # the last one is kept
+    ["analyze", "g.json", "--prime", "2", "--max-n", "-1"],     # for check_numbers to refuse
+    ["analyze", "g.json", "--prime", "2", "--kinds="],
+    ["gallery"],
+    ["gallery", "affine-4"],
+    ["gallery", "-1"],
+    ["dickson", "--prime", "2", "--rank", "4"],
+    ["dickson", "--rank=3", "--prime=3"],
+    ["symreduce", "--rank", "2", "--prime", "5"],
+    ["pregular", "g.json", "--prime", "2", "--character", "regular"],
+    ["pregular", "--character=values.json", "--prime", "3", "g.json"],
+    ["closure", "g.json", "--prime", "2", "--category", "c.json"],
+    ["closure", "--pretty", "--category=c.json", "g.json", "--prime=2"],
+]
+
+# each malformed in its command line alone: read as argparse read them,
+# the abbreviated option and the separator ran the command
+ALT4 = str(Path(__file__).resolve().parent / "golden" / "alt4.group.json")
+MALFORMED_COMMAND_LINES = {
+    "no command": [],
+    "unknown command": ["frobnicate"],
+    "unknown option": ["analyze", ALT4, "--prime", "2", "--colour"],
+    "abbreviated option": ["analyze", ALT4, "--pri", "2"],
+    "separator": ["analyze", "--prime", "2", "--", ALT4],
+    "single-dash option": ["dickson", "-p", "2", "--rank", "2"],
+    "version after a command": ["analyze", ALT4, "--prime", "2", "--version"],
+    "option with no value": ["analyze", ALT4, "--prime"],
+    "flag with a value": ["analyze", ALT4, "--prime", "2", "--pretty=yes"],
+    "non-integer prime": ["analyze", ALT4, "--prime", "two"],
+    "non-integer rank": ["dickson", "--prime", "2", "--rank", "2.0"],
+    "non-integer max-n": ["analyze", ALT4, "--prime", "2", "--max-n=x"],
+    "missing required option": ["dickson", "--prime", "2"],
+    "missing positional": ["closure", "--prime", "2", "--category", "c.json"],
+    "nothing after the command": ["analyze"],
+    "extra positional": ["analyze", ALT4, "h.json", "--prime", "2"],
+    "extra gallery entry": ["gallery", "affine-4", "affine-8"],
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", VALID_COMMAND_LINES, ids=" ".join)
+    def test_reader_matches_argparse(self, argv):
+        assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", MALFORMED_COMMAND_LINES.values(),
+                             ids=MALFORMED_COMMAND_LINES.keys())
+    def test_malformed_command_line(self, capsys, argv):
+        main_input_error(capsys, *argv)
+
+    def test_malformed_command_line_in_a_fresh_process(self):
+        r = run_cli("analyze")
+        assert_input_error(r)
+        assert r.stderr == "error: analyze: missing GROUP, --prime\n"
+
+    def test_help_lists_every_command(self, capsys):
+        assert cli.usage("analyze") == (
+            "elabcat analyze GROUP --prime PRIME [--kinds KINDS] [--max-n MAX_N] [--pretty]")
+        for argv in (["--help"], ["-h"]):
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert all(f"  {cli.usage(name)}\n      {cmd.help}\n" in out
+                       for name, cmd in cli.COMMANDS.items())
+
+    @pytest.mark.parametrize("name", ["analyze", "gallery", "dickson", "symreduce",
+                                      "pregular", "closure"])
+    def test_help_after_a_command(self, capsys, name):
+        # asked for anywhere after the command, before a missing or extra
+        # argument is reported
+        assert cli.main([name, "--help"]) == cli.main([name, "x", "y", "-h"]) == 0
+        out = capsys.readouterr().out
+        assert out == 2 * f"usage: {cli.usage(name)}\n    {cli.COMMANDS[name].help}\n"
+
+    def test_help_in_a_fresh_process(self):
+        r = run_cli("--help")
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout.startswith("usage: elabcat COMMAND [ARGS]\n")
 
 
 class TestGuardsAndFailures:
@@ -723,29 +809,21 @@ class TestClosure:
 
 
 class TestMisc:
-    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
-        # a build costs about 0.7 ms, a tenth of a short command; the
-        # parser kept from one command parses the next as a fresh one would
-        built, inner = [], cli.build_parser
-
-        def building():
-            built.append(1)
-            return inner()
-
-        monkeypatch.setattr(cli, "build_parser", building)
+    def test_in_process_output_matches_a_fresh_process(self, capsys):
+        # commands run one after another in one process, as the benchmark
+        # runs them, print what each prints in a process of its own
         runs = [["dickson", "--prime", "2", "--rank", "3"],
                 ["symreduce", "--prime", "3", "--rank", "2"]]
         outs = []
         for argv in runs:
             assert cli.main(argv) == 0
             outs.append(capsys.readouterr().out)
-        assert len(built) <= 1
         assert outs == [run_cli(*argv).stdout for argv in runs]
 
     def test_version(self):
         r = run_cli("--version")
         assert r.returncode == 0
-        assert "elabcat" in r.stdout
+        assert r.stdout == f"elabcat {__version__}\n"
 
     def test_no_command_fails(self):
         r = run_cli()
@@ -768,6 +846,28 @@ class TestMisc:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=env)
         assert r.stdout.split("\n")[0] == "[0, 0] False", r.stderr
+
+    def test_argparse_is_never_imported(self):
+        # building an argparse parser imports locale and gettext and costs
+        # about 3 ms, a quarter of a short command; the COMMANDS table is read
+        # without them
+        golden = Path(__file__).resolve().parent / "golden"
+        runs = [["analyze", str(golden / "alt4.group.json"), "--prime", "2"],
+                ["closure", str(golden / "alt4.group.json"), "--prime", "2",
+                 "--category", str(golden / "alt4-p2-grow.category.json")],
+                ["gallery", "affine-4"],
+                ["dickson", "--prime", "2", "--rank", "3"]]
+        code = ("import contextlib, io, sys\n"
+                "from elabcat.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [main(argv) for argv in {runs!r}]\n"
+                "print(codes, [m for m in ('argparse', 'gettext', 'locale') "
+                "if m in sys.modules])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env)
+        assert r.stdout.split("\n")[0] == "[0, 0, 0, 0] []", r.stderr
 
     def test_closed_stdout_exits_quietly(self):
         # a 4 MB report, far more than a pipe holds, so the command is

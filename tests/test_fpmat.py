@@ -121,6 +121,15 @@ class TestEnumerations:
                     assert [codes[p ** k] for k in range(rank)] == [
                         sum(x * p ** k for k, x in enumerate(v)) for v in basis]
 
+    @pytest.mark.parametrize("p,top", [(2, 5), (3, 4), (5, 3)])
+    def test_subspace_codes_of_a_smaller_dimension_are_rows_of_the_top(self, p, top):
+        # ElabCatalog.inside reads every dimension's subspaces off the top's
+        for rank in range(1, top):
+            rows = subspace_codes(p, top, rank)
+            for dim in range(rank, top + 1):
+                kept = rows[(rows < p ** dim).all(axis=1)]
+                assert np.array_equal(kept, subspace_codes(p, dim, rank)), (rank, dim)
+
     @pytest.mark.parametrize("p,width,rows,n,domains", [
         pytest.param(*c, id="-".join(map(str, c[:4])) + (f"-{c[4]}-domains" if c[4] > 1 else ""))
         for c in [(2, 3, 3, 2, 1), (2, 4, 4, 2, 1), (3, 3, 3, 2, 1), (2, 4, 5, 3, 1),
