@@ -34,8 +34,9 @@ way, on the pairs of class representatives (see SubgroupCategory): the
 isomorphisms between representatives of one rank, classified once, a
 rank at a time, every representative of the rank at once (iso_classes,
 _isos), the sizes of the non-empty pairs from them (class_sizes,
-sorted), and every map out of a representative into a larger rank by
-carrying them onto each member inside each target (_rows).  Only those
+sorted), every map out of a representative into a representative of a
+larger rank by carrying them onto each member inside it (_rows), and
+any other pair's from its representatives' pair (_carried).  Only those
 isomorphisms are searched; hom_matrices builds any one pair from the
 definition of its kind alone, with no catalog:
 
@@ -326,30 +327,27 @@ def _conjugations_on(catalog: ElabCatalog, n: int, members: np.ndarray, targets:
 
 def _rows(C: SubgroupCategory, i: int) -> None:
     """Build row i of C's base, every morphism out of a class
-    representative i into a member of its rank or larger, and keep each
-    non-empty Hom(i, t) in the base's hom cache (an array already there
-    stays).
+    representative i into a class representative R of its rank or
+    larger, and keep each non-empty Hom(i, R) in the base's hom cache (an
+    array already there stays); _carried takes them to the other members
+    of R's class.
 
-    Such a map is c_m o Iso(i, Y), then an inclusion, for m a member of a
-    class y isomorphic to i's (first of iso_classes), Y its representative
-    and c_m: Y -> m the conjugation isomorphism (conjugation_codes); maps
-    through distinct m have distinct images.  Those into a representative
-    R are read off the m inside R (catalog.inside) and carried to each
-    member j of R's class by c_j: each base holds A and is closed under
-    composition, so Iso(i, Y) is closed under Aut_A(Y).  Refused
-    (CapExceeded) before anything is built when the row holds more maps
-    than the hom count cap allows: row x of class_sizes, each size once
-    per member of its target's class.
+    Such a map is c_m o Iso(i, Y), then the inclusion of m in R, for m a
+    member inside R (catalog.inside) of a class y isomorphic to i's
+    (first of iso_classes), Y its representative and c_m: Y -> m the
+    conjugation isomorphism (conjugation_codes); maps through distinct m
+    have distinct images.  Refused (CapExceeded) before anything is built
+    when the row holds more maps than the hom count cap allows: row x of
+    class_sizes, summed.
     """
     catalog, reps, cls = C.catalog, C.catalog.class_reps, C.catalog.class_of
     x, rank = cls.item(i), catalog.ranks().item(i)
     kind = C._kind_at(rank)
-    class_starts, by_class, _ = catalog.class_table
+    class_starts, by_class = catalog.class_table
     first, (keys, sizes) = C.iso_classes()[1], C.class_sizes()
     a, b = np.searchsorted(keys, [x * len(reps), x * len(reps) + len(reps)])
     _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
-                     f"out of 1 objects hold",
-                     int(sizes[a:b] @ np.diff(class_starts)[keys[a:b] % len(reps)]))
+                     f"out of 1 objects hold", int(sizes[a:b].sum()))
     ys = np.flatnonzero(first == first[x])
     isos = [C._base_hom(i, reps[y]) for y in ys.tolist()]
     # the pairs (m, R) of catalog.inside with m in a class ys[y], by
@@ -363,10 +361,8 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     pair, row = ranges(starts[y], starts[y] + lengths[y])
     conj = np.take_along_axis(catalog.by_codes(rank, m),
                               catalog.conjugation_codes[m, :catalog.prime ** rank], axis=1)
-    inner = catalog.codes_in(R[pair, None], conj[pair[:, None], np.concatenate(isos)[row]])
-    t, at = ranges(class_starts[cls[R[pair]]], class_starts[cls[R[pair]] + 1])
-    target = by_class[at]
-    cols = catalog.conjugation_codes[target[:, None], inner[t]]
+    target = R[pair]
+    cols = catalog.codes_in(target[:, None], conj[pair[:, None], np.concatenate(isos)[row]])
     order = np.argsort(row_keys(np.column_stack([target, cols])))
     target, cols = target[order], cols[order]
     cols.flags.writeable = False
@@ -389,14 +385,14 @@ class SubgroupCategory:
     classify; its class_sizes and rows are built from them and kept on
     the category); an explicit category (kind None, nothing given) has
     an empty one.  Sizes are read per pair of classes (class_sizes,
-    hom_count).  One cache holds the
-    base's hom-sets, those of its rows too, and never replaces an array
-    it holds.  Every kind and every closure holds the conjugation
-    isomorphisms, so the base's Hom(i, j) off the representatives is
-    c_j o Hom(rep i, rep j) o c_i^-1, one gather, c_k the conjugation
-    isomorphism onto k (conjugation_codes).  hom(i, j) unites it with
-    the explicit maps at (i, j).  Hom-sets are read-only column-code
-    arrays (see the module docstring).
+    hom_count).  One cache holds the base's hom-sets, those of its rows
+    too, and never replaces an array it holds.  Only hom-sets between
+    representatives are built (_base_hom); every kind and every closure
+    holds the conjugation isomorphisms, so the base's Hom(i, j) off them
+    is c_j o Hom(rep i, rep j) o c_i^-1, one gather (_carried), c_k the
+    conjugation isomorphism onto k (conjugation_codes).  hom(i, j) unites
+    it with the explicit maps at (i, j).  Hom-sets are read-only
+    column-code arrays (see the module docstring).
     """
 
     def __init__(self, catalog: ElabCatalog, kind: Optional[CategoryKind],
@@ -436,10 +432,10 @@ class SubgroupCategory:
         return got
 
     def _base_hom(self, i: int, j: int) -> np.ndarray:
-        """The base's Hom(i, j): given, read off the row out of a
-        representative i into a larger rank (_rows), or built on a pair of
-        representatives of one rank and carried to any other pair; kept
-        once read."""
+        """The base's Hom(i, j), kept once read: on a pair of class
+        representatives given, or built (_isos at one rank, the row out of
+        i into a larger rank by _rows, none into a smaller one); on any
+        other pair carried from its representatives' pair (_carried)."""
         catalog = self.catalog
         ranks, cls, reps = catalog.ranks(), catalog.class_of, catalog.class_reps
         r, s = ranks.item(i), ranks.item(j)
@@ -450,7 +446,7 @@ class SubgroupCategory:
         ci, cj = cls.item(i), cls.item(j)
         ri, rj = reps.item(ci), reps.item(cj)
         none = np.zeros((0, r), dtype=np.int64)
-        if i == ri and r < s:
+        if (i, j) == (ri, rj) and r < s:
             # empty unless a class isomorphic to i's has a member inside j
             if find_sorted(self.class_sizes()[0], ci * len(reps) + cj)[1]:
                 _rows(self, i)
@@ -531,15 +527,16 @@ class SubgroupCategory:
     def hom_dict(self) -> dict[tuple[int, int], np.ndarray]:
         """Every non-empty hom-set in row-major order, refused when they
         hold more maps than the hom count cap (hom_count counts them
-        before any is listed).  Each class pair of class_sizes is carried
-        to its member pairs, the explicit pairs are read by hom, and every
-        hom-set is kept as hom reads it."""
+        before any is listed).  Each class pair of class_sizes with more
+        than one member pair is carried to them at once, the explicit pairs
+        are read by hom, and every hom-set is kept as hom reads it."""
         _refuse_past_cap("the category holds", self.hom_count())
         catalog, reps, out = self.catalog, self.catalog.class_reps.tolist(), {}
-        starts, members, _ = catalog.class_table
+        starts, members = catalog.class_table
         for x, y in zip(*(a.tolist() for a in np.divmod(self.class_sizes()[0], len(reps)))):
             I, J = members[starts[x]:starts[x + 1]], members[starts[y]:starts[y + 1]]
-            carried = _carried(catalog, self._base_hom(reps[x], reps[y]), I, J)
+            got = self._base_hom(reps[x], reps[y])
+            carried = _carried(catalog, got, I, J) if len(I) * len(J) > 1 else got[None, None]
             carried.flags.writeable = False
             kind = self._kind_at(catalog.ranks().item(reps[x]))
             for (s, i), (t, j) in product(enumerate(I.tolist()), enumerate(J.tolist())):
@@ -552,35 +549,36 @@ def _classify(catalog: ElabCatalog, kind: CategoryKind, r: int, xs: np.ndarray,
               aut: np.ndarray, first: np.ndarray) -> None:
     """Set aut and first (see iso_classes) on the classes xs of rank r,
     for a canonical kind.  Creg's aut is |GL_r|, counted, and all of them
-    are isomorphic; no two of A's are (members of different classes are
-    not conjugate).  Otherwise isomorphic classes have equal sorted label
-    rows (class_counts), one row_keys sort groups them, and in rounds
-    every class left is tested against the least one left in its group,
-    which leads it; the first round searches every automorphism group
-    too, so most ranks are one _isos call."""
+    are isomorphic.  Otherwise the classes are grouped, each of A's alone
+    (members of different classes are not conjugate), any other kind's by
+    one row_keys sort of their sorted label rows (class_counts), which
+    isomorphic classes share.  In rounds every class left is tested
+    against the least one left in its group, which leads it; the first
+    round searches every automorphism group too, so most ranks are one
+    _isos call, and a rank whose groups have one class each is exactly
+    that call."""
     reps, p = catalog.class_reps[xs], catalog.prime
     if kind == CREG:
         aut[xs], first[xs] = injective_count(p, r, r), xs[0]
         return
-    distinct = xs
+    group = range(len(xs))
     if kind != A and len(xs) > 1:
-        keys = row_keys(np.sort(_labels(catalog.group, p, r, catalog.by_codes(r, reps), kind),
-                                axis=1))
-        distinct = sorted_distinct(keys)
-    if len(distinct) == len(xs):                    # no two classes are isomorphic
-        aut[xs] = [len(h) for h in _isos(catalog, kind, reps, reps)]
-        return
-    group = np.searchsorted(distinct, keys)
-    left = dom = np.arange(len(xs))                 # dom: the automorphism groups
-    while len(left):
-        lead = np.full(len(xs), len(xs))            # by group
-        np.minimum.at(lead, group[left], left)
-        left = left[lead[group[left]] != left]
-        sizes = [len(h) for h in _isos(catalog, kind, reps[np.append(dom, lead[group[left]])],
-                                       reps[np.append(dom, left)])]
-        aut[xs[dom]], found = sizes[:len(dom)], np.array(sizes[len(dom):], dtype=bool)
-        first[xs[left[found]]] = xs[lead[group[left[found]]]]
-        left, dom = left[~found], dom[:0]
+        group = row_keys(np.sort(_labels(catalog.group, p, r, catalog.by_codes(r, reps), kind),
+                                 axis=1)).tolist()
+    left = dom = list(range(len(xs)))               # dom: the automorphism groups
+    while left:
+        lead: dict = {}                             # each group's least class left
+        for t in left:
+            lead.setdefault(group[t], t)
+        left = [t for t in left if lead[group[t]] != t]
+        led = [lead[group[t]] for t in left]
+        pairs = reps[np.array([dom + led, dom + left], dtype=np.int64)]
+        sizes = [len(h) for h in _isos(catalog, kind, *pairs)]
+        aut[xs[dom]], found = sizes[:len(dom)], sizes[len(dom):]
+        for t, a, f in zip(left, led, found):
+            if f:
+                first[xs[t]] = xs[a]
+        left, dom = [t for t, f in zip(left, found) if not f], []
 
 
 def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
@@ -814,7 +812,7 @@ def changed_pairs(C: SubgroupCategory,
     the class pairs whose sizes differ (closed's keys hold C's, as the
     closure only adds) are spread to their members."""
     catalog, n, k = C.catalog, len(C.catalog), C.catalog.class_count()
-    (starts, members, _), cls = catalog.class_table, catalog.class_of
+    (starts, members), cls = catalog.class_table, catalog.class_of
     keys, sizes = closed.class_sizes()
     x, y = np.divmod(keys[C._sizes_at(keys) != sizes], k)
     t, at = ranges(starts[x], starts[x + 1])              # member at of class x[t]

@@ -4,10 +4,10 @@ the one place a cap turns into a refusal.
 ELABCAT_ELEMENT_CAP    max group order enumerated by close_generators (65536); its
                        element table may hold 64 entries per element of the cap
 ELABCAT_CATALOG_CAP    max subgroups in one catalog (5000)
-ELABCAT_HOM_COUNT_CAP  max exact morphisms in a materialized category, in the
-                       row about to be built, or in closure's base between class
-                       representatives; max bound on a searched hom-set, searched
-                       over a catalog only between classes of one rank (2000000)
+ELABCAT_HOM_COUNT_CAP  max exact morphisms in a materialized category, in a row
+                       into class representatives, or in closure's base between
+                       them; max bound on a searched hom-set, searched over a
+                       catalog only between classes of one rank (2000000)
 ELABCAT_TERM_CAP       max stored monomials per polynomial, or weights per list (200000)
 
 A guard reads its cap with cap(name), compares, and calls refuse(name,

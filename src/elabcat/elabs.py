@@ -194,7 +194,7 @@ class ElabCatalog:
     Inclusions are read only into class representatives: inside lists
     each member inside each of them, from their subspaces.  homs caches
     hom-sets under keys (canonical kind, i, j) for every category over
-    this catalog, each once read and every non-empty one of a row once
+    this catalog, each once read and a row's, into representatives, once
     the row is built, and sizes iso_classes and class_sizes by the kind's
     canonical form at each rank; only categories uses them.
     """
@@ -282,12 +282,12 @@ class ElabCatalog:
         return np.flatnonzero(self.maximal[self.class_reps]).tolist()
 
     @cached_property
-    def class_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, members, witnesses): members[starts[c]:starts[c + 1]]
-        are the members of class c, increasing, each beside its witness."""
+    def class_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, members): members[starts[c]:starts[c + 1]] are the
+        members of class c, increasing."""
         members = np.argsort(self.class_of, kind="stable")
         starts = np.searchsorted(self.class_of[members], np.arange(len(self.class_reps) + 1))
-        return starts, members, self.class_witness[members]
+        return starts, members
 
     @cached_property
     def conjugation_codes(self) -> np.ndarray:

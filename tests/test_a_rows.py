@@ -5,9 +5,11 @@ representative, the others carried) is checked against the pairwise
 construction hom_matrices keeps for callers without a catalog, against
 the count |Hom(E, F)| = #{members isomorphic to E inside F} * |Aut(E)|
 with containment read off element sets, and for A against the Weyl
-image of the brute-force oracle.  Every kind's row is refused on the
-total the dense class sizes give, and a single read into a larger rank
-builds no classes x classes array.
+image of the brute-force oracle.  A row keeps the hom-sets into class
+representatives alone, and a hom_dict of single-member classes carries
+none.  Every kind's row is refused on the total the dense class sizes
+give, and a single read into a larger rank builds no classes x classes
+array.
 """
 
 from collections import Counter
@@ -77,6 +79,34 @@ def test_rows_match_pairwise_homs_and_counts(G, p, kind):
     assert set(built.values()) <= {1}
 
 
+@pytest.mark.parametrize("kind", ROW_KINDS, ids=lambda kind: kind.label())
+@pytest.mark.parametrize("G", [close_generators(4, A4, name="a4"), G64], ids=["a4", "G64"])
+def test_rows_keep_maps_into_representatives_only(G, kind):
+    # a row holds Hom(i, R) for representatives R alone, every one of a
+    # larger rank that i maps into; any other member's is carried
+    catalog = enumerate_elabs(G, 2)
+    C, subgroups, ranks = cg.build_category(kind, catalog), catalog.subgroups, catalog.ranks()
+    reps = set(catalog.class_reps.tolist())
+    for i in sorted(reps):
+        cg._rows(C, i)
+        row = {t: cols for (_, a, t), cols in catalog.homs.items() if a == i}
+        assert set(row) <= reps, (i, sorted(set(row) - reps))
+        assert {t for t in reps if ranks[t] > ranks[i]
+                and len(cg.hom_matrices(kind, subgroups[i], subgroups[t]))} <= set(row)
+        for t, cols in row.items():
+            assert np.array_equal(cols, cg.hom_matrices(kind, subgroups[i], subgroups[t]))
+
+
+def test_hom_dict_of_single_member_classes_carries_nothing():
+    # regular (Z/2)^5 at p=2: every class has one member, so each of the
+    # 5,769 non-empty hom-sets is its representatives' own
+    catalog = enumerate_elabs(load_group(str(GOLDEN / "z2-5.group.json")), 2)
+    with mock.patch.object(cg, "_carried", side_effect=AssertionError("carried")):
+        homs = cg.build_category(cg.A, catalog).hom_dict()
+    assert len(homs) == 5769
+    assert sum(map(len, homs.values())) == cg.build_category(cg.A, catalog).hom_count()
+
+
 def test_s6_rows_conjugate_once_per_class(monkeypatch):
     catalog = enumerate_elabs(close_generators(6, S6, name="S6"), 2)
     built = []
@@ -100,14 +130,14 @@ def test_s6_rows_conjugate_once_per_class(monkeypatch):
 
 
 def test_row_is_refused_on_its_exact_total(monkeypatch):
-    # A4 at p=2: the row out of a rank-1 subgroup holds 6 maps, one into
-    # each of its three conjugates and three into the Klein four-group
+    # A4 at p=2: the row out of a rank-1 representative holds 4 maps into
+    # representatives, one onto itself and three into the Klein four-group
     catalog = enumerate_elabs(close_generators(4, A4, name="a4"), 2)
     rep = catalog.class_reps[1]
-    monkeypatch.setenv("ELABCAT_HOM_COUNT_CAP", "5")
-    with pytest.raises(CapExceeded, match="^the A hom-sets out of 1 objects hold 6 maps, "):
+    monkeypatch.setenv("ELABCAT_HOM_COUNT_CAP", "3")
+    with pytest.raises(CapExceeded, match="^the A hom-sets out of 1 objects hold 4 maps, "):
         cg.build_category(cg.A, catalog).hom(rep, len(catalog) - 1)
-    monkeypatch.setenv("ELABCAT_HOM_COUNT_CAP", "6")
+    monkeypatch.setenv("ELABCAT_HOM_COUNT_CAP", "4")
     assert len(cg.build_category(cg.A, catalog).hom(rep, len(catalog) - 1)) == 3
 
 
@@ -116,12 +146,11 @@ def test_row_is_refused_on_its_exact_total(monkeypatch):
           suppress_health_check=[HealthCheck.filter_too_much])
 def test_row_totals_match_the_dense_class_sizes(catalog, data):
     # the total each row passes to the cap, aut times the members of the
-    # isomorphic classes inside each representative, once per member of
-    # its class, is row x of I @ M summed over the members of every class
+    # isomorphic classes inside each representative, is row x of I @ M
+    # summed over the representatives
     cases = [(cg.build_category(kind, catalog), kind) for kind in kinds_of(catalog)]
     cases.append((cg.closure(cg.SubgroupCategory(catalog, cg.A, random_maps(data, catalog))),
                   None))                                                # a given base
-    members = np.diff(catalog.class_table[0])
     totals, inner = [], cg._refuse_past_cap
 
     def recording(holds, total):
@@ -134,7 +163,7 @@ def test_row_totals_match_the_dense_class_sizes(catalog, data):
             sizes = dense_class_sizes(C, kind)[1]
             for x, i in enumerate(catalog.class_reps.tolist()):
                 cg._rows(C, i)
-                assert totals.pop() == sizes[x] @ members, (C.provenance, x)
+                assert totals.pop() == sizes[x].sum(), (C.provenance, x)
                 assert not totals
 
 

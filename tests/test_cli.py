@@ -402,8 +402,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def a_row_past_the_cap():
-    # A4 at p=2: the A row out of a rank-1 subgroup holds 6 maps; no
-    # command builds a row alone, so it is read through the library
+    # A4 at p=2: the A row out of a rank-1 representative holds 4 maps
+    # into representatives; no command builds a row alone, so it is read
+    # through the library
     catalog = enumerate_elabs(cli.load_group(str(GOLDEN / "alt4.group.json")), 2)
     build_category(A, catalog).hom(catalog.class_reps[1], len(catalog) - 1)
 
@@ -453,9 +454,9 @@ CAP_REFUSALS = {
                               "element_cap: prop10-2-14300 acts on more than 2^14301 points, "
                               "past what the element cap (65536) allows; raise "
                               "ELABCAT_ELEMENT_CAP to allow more"),
-    "row": ({"ELABCAT_HOM_COUNT_CAP": "5"}, a_row_past_the_cap,
-            "hom_count_cap: the A hom-sets out of 1 objects hold 6 maps, more than the cap "
-            "(5); raise ELABCAT_HOM_COUNT_CAP to allow more"),
+    "row": ({"ELABCAT_HOM_COUNT_CAP": "3"}, a_row_past_the_cap,
+            "hom_count_cap: the A hom-sets out of 1 objects hold 4 maps, more than the cap "
+            "(3); raise ELABCAT_HOM_COUNT_CAP to allow more"),
 }
 
 

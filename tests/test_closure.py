@@ -375,7 +375,7 @@ def test_every_map_off_the_representatives(degree, gens, p):
     # or last members of two classes but no pair of representatives (the
     # first members): the skeleton closure carries it to them
     catalog = enumerate_elabs(close_generators(degree, gens), p)
-    starts, members, _ = catalog.class_table
+    starts, members = catalog.class_table
     ranks = catalog.ranks()
     ends = sorted(set(members[starts[:-1]].tolist() + members[starts[1:] - 1].tolist()))
     base = hom_dict(cg.build_category(cg.A, catalog))
