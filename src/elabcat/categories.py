@@ -385,14 +385,14 @@ class SubgroupCategory:
     classify; its class_sizes and rows are built from them and kept on
     the category); an explicit category (kind None, nothing given) has
     an empty one.  Sizes are read per pair of classes (class_sizes,
-    hom_count).  One cache holds the base's hom-sets, those of its rows
-    too, and never replaces an array it holds.  Only hom-sets between
-    representatives are built (_base_hom); every kind and every closure
-    holds the conjugation isomorphisms, so the base's Hom(i, j) off them
-    is c_j o Hom(rep i, rep j) o c_i^-1, one gather (_carried), c_k the
-    conjugation isomorphism onto k (conjugation_codes).  hom(i, j) unites
-    it with the explicit maps at (i, j).  Hom-sets are read-only
-    column-code arrays (see the module docstring).
+    hom_count).  Only hom-sets between representatives are built and
+    kept, in one cache that never replaces an array it holds (_base_hom);
+    every kind and every closure holds the conjugation isomorphisms, so
+    the base's Hom(i, j) off them is c_j o Hom(rep i, rep j) o c_i^-1,
+    one gather (_carried) at each read, c_k the conjugation isomorphism
+    onto k (conjugation_codes).  hom(i, j) unites it with the explicit
+    maps at (i, j).  Hom-sets are read-only column-code arrays (see the
+    module docstring).
     """
 
     def __init__(self, catalog: ElabCatalog, kind: Optional[CategoryKind],
@@ -432,10 +432,11 @@ class SubgroupCategory:
         return got
 
     def _base_hom(self, i: int, j: int) -> np.ndarray:
-        """The base's Hom(i, j), kept once read: on a pair of class
-        representatives given, or built (_isos at one rank, the row out of
-        i into a larger rank by _rows, none into a smaller one); on any
-        other pair carried from its representatives' pair (_carried)."""
+        """The base's Hom(i, j).  On a pair of class representatives it is
+        given, or built and kept (_isos at one rank, the row out of i into
+        a larger rank by _rows, none into a smaller one); any other pair's
+        is carried from its representatives' pair (_carried) at each read
+        and never kept, so the cache holds only representatives' pairs."""
         catalog = self.catalog
         ranks, cls, reps = catalog.ranks(), catalog.class_of, catalog.class_reps
         r, s = ranks.item(i), ranks.item(j)
@@ -445,21 +446,19 @@ class SubgroupCategory:
             return got
         ci, cj = cls.item(i), cls.item(j)
         ri, rj = reps.item(ci), reps.item(cj)
-        none = np.zeros((0, r), dtype=np.int64)
-        if (i, j) == (ri, rj) and r < s:
-            # empty unless a class isomorphic to i's has a member inside j
-            if find_sorted(self.class_sizes()[0], ci * len(reps) + cj)[1]:
-                _rows(self, i)
-            return self._base.get((kind, i, j), none)
-        if (i, j) == (ri, rj):                  # and r >= s
-            return (_isos(catalog, kind, np.array([i]), np.array([j]))[0] if kind and r == s
-                    else none)
-        got = self._base_hom(ri, rj)
-        if len(got):
-            got = _carried(catalog, got, np.array([i]), np.array([j]))[0, 0]
-        got.flags.writeable = False
-        self._base[kind, i, j] = got
-        return got
+        if (i, j) != (ri, rj):
+            got = self._base_hom(ri, rj)
+            got = _carried(catalog, got, np.array([i]), np.array([j]))[0] if len(got) else got[:0]
+            got.flags.writeable = False
+            return got
+        # empty into a smaller rank, and into a larger one unless a class
+        # isomorphic to i's has a member inside j
+        if r < s and find_sorted(self.class_sizes()[0], ci * len(reps) + cj)[1]:
+            _rows(self, i)
+            got = self._base.get((kind, i, j))
+        elif kind and r == s:
+            got = _isos(catalog, kind, np.array([i]), np.array([j]))[0]
+        return np.zeros((0, r), dtype=np.int64) if got is None else got
 
     @cached_property
     def _classes(self) -> dict:
@@ -528,19 +527,17 @@ class SubgroupCategory:
         """Every non-empty hom-set in row-major order, refused when they
         hold more maps than the hom count cap (hom_count counts them
         before any is listed).  Each class pair of class_sizes with more
-        than one member pair is carried to them at once, the explicit pairs
-        are read by hom, and every hom-set is kept as hom reads it."""
+        than one member pair is carried to them at once, a pair of
+        one-member classes is its representatives' own array, and the
+        explicit pairs are read by hom; nothing is kept."""
         _refuse_past_cap("the category holds", self.hom_count())
         catalog, reps, out = self.catalog, self.catalog.class_reps.tolist(), {}
         starts, members = catalog.class_table
         for x, y in zip(*(a.tolist() for a in np.divmod(self.class_sizes()[0], len(reps)))):
             I, J = members[starts[x]:starts[x + 1]], members[starts[y]:starts[y + 1]]
             got = self._base_hom(reps[x], reps[y])
-            carried = _carried(catalog, got, I, J) if len(I) * len(J) > 1 else got[None, None]
-            carried.flags.writeable = False
-            kind = self._kind_at(catalog.ranks().item(reps[x]))
-            for (s, i), (t, j) in product(enumerate(I.tolist()), enumerate(J.tolist())):
-                out[i, j] = self._base.setdefault((kind, i, j), carried[s, t])
+            out.update(zip(product(I.tolist(), J.tolist()),
+                           _carried(catalog, got, I, J) if len(I) * len(J) > 1 else [got]))
         out.update((key, self.hom(*key)) for key in self.maps)
         return dict(sorted(out.items()))
 
@@ -585,15 +582,18 @@ def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
              J: np.ndarray) -> np.ndarray:
     """c_j o cols o c_i^-1 for each i in I and j in J, for a non-empty
     hom-set cols between the representatives of their classes, c_k the
-    conjugation isomorphism onto k: shape (|I|, |J|, maps, rank of I),
-    the rows of each pair in lexicographic order."""
+    conjugation isomorphism onto k: one read-only array of shape
+    (|I| * |J|, maps, rank of I), the pairs (i, j) in row-major order and
+    the rows of each in lexicographic order."""
     p, codes = catalog.prime, catalog.conjugation_codes
     (m, r), s = cols.shape, catalog.ranks().item(J[0])
     back = np.argsort(codes[I, :p ** r], axis=1)[:, p ** np.arange(r)]    # c_i^-1 on i's basis
     pulled = image_tables(cols, p, s)[:, back].swapaxes(0, 1)              # (i, map, column)
     got = codes[J[:, None, None], pulled[:, None]].reshape(len(I) * len(J) * m, r)
     order = np.argsort(row_keys(np.column_stack([np.arange(len(got)) // m, got])))
-    return got[order].reshape(len(I), len(J), m, r)
+    got = got[order].reshape(len(I) * len(J), m, r)
+    got.flags.writeable = False
+    return got
 
 
 def build_category(kind: CategoryKind, catalog: ElabCatalog) -> SubgroupCategory:

@@ -193,10 +193,10 @@ class ElabCatalog:
     class_reps and ranks() are read-only int64 (maximal bool) arrays.
     Inclusions are read only into class representatives: inside lists
     each member inside each of them, from their subspaces.  homs caches
-    hom-sets under keys (canonical kind, i, j) for every category over
-    this catalog, each once read and a row's, into representatives, once
-    the row is built, and sizes iso_classes and class_sizes by the kind's
-    canonical form at each rank; only categories uses them.
+    the hom-sets between class representatives under keys (canonical
+    kind, i, j) for every category over this catalog, each once built,
+    and sizes iso_classes and class_sizes by the kind's canonical form at
+    each rank; only categories uses them.
     """
 
     def __init__(self, group: FiniteGroup, prime: int, codes: list[np.ndarray],

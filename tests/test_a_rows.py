@@ -124,9 +124,12 @@ def test_s6_rows_conjugate_once_per_class(monkeypatch):
     # each element of its class inside)
     assert sorted(built) == [0, *range(2, len(catalog.codes))]
     assert sum(map(len, homs.values())) == 53146
-    # An(n) is A out of objects of rank at most n: the same cached arrays
+    # An(n) is A out of objects of rank at most n: it reads A's cached
+    # arrays and adds none
+    cached = set(catalog.homs)
     an5 = cg.build_category(cg.a_n(5), catalog).hom_dict()
-    assert an5.keys() == homs.keys() and all(an5[k] is homs[k] for k in homs)
+    assert set(catalog.homs) == cached
+    assert an5.keys() == homs.keys() and all(np.array_equal(an5[k], homs[k]) for k in homs)
 
 
 def test_row_is_refused_on_its_exact_total(monkeypatch):

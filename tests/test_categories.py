@@ -155,7 +155,7 @@ class TestCategory:
         lazy = {(i, j): C.hom(i, j) for i in range(5) for j in range(5)}
         C.materialize()
         for key, homs in C.hom_dict().items():
-            assert lazy[key] is homs
+            assert np.array_equal(lazy[key], homs) and not homs.flags.writeable
         # row-major, and no empty pair listed
         assert list(C.hom_dict()) == [key for key, homs in lazy.items() if len(homs)]
         assert C.hom_count() == sum(map(len, lazy.values())) == 26

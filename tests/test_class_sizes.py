@@ -7,7 +7,8 @@ mask against the per-pair Counter prune and the generate-and-test
 oracle, iso_classes against the isomorphisms between representatives,
 class_sizes against every pair's hom_matrices and the dense I @ M (M
 counted from element sets), hom_count and hom_dict against every member
-pair's hom, maximal_objects and categories_equal against their pairwise
+pair's hom, the hom caches' keys against the class representatives,
+maximal_objects and categories_equal against their pairwise
 oracles, and the calls analyze makes on (Z/2)^5.
 """
 
@@ -132,11 +133,21 @@ def test_iso_classes_match_the_hom_sets_between_representatives(catalog, data):
         keys, got = C.class_sizes()
         assert (np.diff(keys) > 0).all() and (got > 0).all(), C.provenance
         n = len(catalog)
-        want = {(i, j): len(C.hom(i, j)) for i in range(n) for j in range(n)}
-        assert C.hom_count() == sum(want.values()), C.provenance
-        # row-major, and no empty pair listed
-        assert [(key, len(maps)) for key, maps in C.hom_dict().items()] == [
-            (key, size) for key, size in want.items() if size], C.provenance
+        want = {(i, j): C.hom(i, j) for i in range(n) for j in range(n)}
+        assert C.hom_count() == sum(map(len, want.values())), C.provenance
+        # row-major, and no empty pair listed; a pair off the
+        # representatives is carried again at each read, read-only each time
+        got = C.hom_dict()
+        assert list(got) == [key for key, maps in want.items() if len(maps)], C.provenance
+        for key, maps in got.items():
+            again = C.hom(*key)
+            assert np.array_equal(maps, want[key]) and np.array_equal(maps, again), key
+            assert not (maps.flags.writeable or want[key].flags.writeable
+                        or again.flags.writeable), key
+    # only the hom-sets between class representatives are kept
+    reps = set(catalog.class_reps.tolist())
+    assert all({i, j} <= reps for _, i, j in itertools.chain(
+        catalog.homs, *(C._base for C, _ in cases)))
 
 
 def test_iso_classes_reach_past_the_first_class_of_a_row():
