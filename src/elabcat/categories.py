@@ -240,11 +240,12 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
                    rank from one FiniteGroup.conjugators call over every
                    representative, read by catalog.codes_in; at rank 1
                    <b> onto itself sends b to each of its class inside;
-      An(n)        the maps of A where A and Aprime (or An(m), m < n,
-                   already built) have as many, else those maps whose
-                   restriction to every rank-n member inside i is an A
-                   map, every map at once (_conjugations_on, through
-                   hom_matrices' restriction test, restricts_into);
+      An(n)        the maps of A where A and An(n-1) (built first if
+                   missing; An(1) is Aprime) have as many, else those
+                   maps of An(n-1) whose restriction to every rank-n
+                   member inside i is an A map, every map at once
+                   (_conjugations_on, through hom_matrices' restriction
+                   test, restricts_into);
       others       one basis_search over the pairs whose sorted label
                    rows agree (an isomorphism keeps each label's count).
     """
@@ -272,9 +273,8 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
         built = [homs[A, a, a] if a == b else homs[A, a, a][:0]
                  for a, b in zip(i.tolist(), j.tolist())]
     elif kind.tag == "An":
-        built, maps = _isos(catalog, A, i, j), _isos(catalog, APRIME, i, j)
-        for m in range(2, kind.param):      # A <= An(n) <= An(m) <= Aprime for m < n
-            maps = [homs.get((a_n(m), a, b), h) for a, b, h in zip(i.tolist(), j.tolist(), maps)]
+        built = _isos(catalog, A, i, j)
+        maps = _isos(catalog, canonical(a_n(kind.param - 1), r), i, j)    # A <= An(n) <= An(n-1)
         wide = [t for t, (a, b) in enumerate(zip(built, maps)) if len(a) != len(b)]
         if wide:                            # equal sizes decide the others
             reps = catalog.rank_reps(kind.param)
@@ -600,11 +600,12 @@ def build_category(kind: CategoryKind, catalog: ElabCatalog) -> SubgroupCategory
     return SubgroupCategory(catalog, kind)
 
 
-def explicit_category(catalog: ElabCatalog,
-                      homs: dict[tuple[int, int], Iterable]) -> SubgroupCategory:
-    """Wrap an explicit hom collection, each hom-set given as rows of
-    column codes: validated for shape (one code per domain basis vector,
-    each a vector of the codomain) and full column rank."""
+def explicit_category(catalog: ElabCatalog, homs: dict[tuple[int, int], Iterable],
+                      kind: Optional[CategoryKind] = None) -> SubgroupCategory:
+    """The category over a kind's base (none when kind is None) whose
+    explicit maps are the given hom collection, each hom-set given as
+    rows of column codes: validated for shape (one code per domain basis
+    vector, each a vector of the codomain) and full column rank."""
     cleaned: dict[tuple[int, int], np.ndarray] = {}
     p = catalog.prime
     for (i, j), rows in homs.items():
@@ -618,7 +619,7 @@ def explicit_category(catalog: ElabCatalog,
             if mat_rank(M, p) != r:
                 raise ValueError("matrix does not have full column rank")
         cleaned[(i, j)] = distinct_rows(cols)
-    return SubgroupCategory(catalog, None, cleaned)
+    return SubgroupCategory(catalog, kind, cleaned)
 
 
 def _matches(keys: np.ndarray, among: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -304,16 +304,17 @@ def cmd_symreduce(args) -> int:
     return 0
 
 
+# the characters pregular names; any other --character is a file of values
+CHARACTERS = {"regular": chern.regular_character, "permutation": chern.permutation_character,
+              "trivial": chern.trivial_character}
+
+
 def cmd_pregular(args) -> int:
     G = load_group(args.group)
     catalog = enumerate_elabs(G, args.prime)
     which = args.character
-    if which == "regular":
-        chi = chern.regular_character(G)
-    elif which == "permutation":
-        chi = chern.permutation_character(G)
-    elif which == "trivial":
-        chi = chern.trivial_character(G)
+    if which in CHARACTERS:
+        chi = CHARACTERS[which](G)
     else:
         doc = _load_json(which)
         if not isinstance(doc, dict) or "values" not in doc:
@@ -385,10 +386,9 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
         homs.setdefault((i, j), []).extend(
             cg.column_codes(M, catalog.prime) for M in mats)
     try:
-        explicit = cg.explicit_category(catalog, homs)
+        return cg.explicit_category(catalog, homs, kind)
     except (ValueError, ElabcatError) as e:
         raise InputFormatError(f"{path}: invalid morphism: {e}")
-    return cg.SubgroupCategory(catalog, kind, explicit.maps)
 
 
 def cmd_closure(args) -> int:

@@ -419,9 +419,9 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
     their elements as soon as it is built, so the next rank's parents
     are catalog positions and the blocks are the catalog's (see
     ElabCatalog); their conjugacy classes are the orbits of the
-    permutations the generators induce on the catalog, searched source
-    by source (see groups.orbits).  Once more members exist than the
-    catalog cap allows, CapExceeded("catalog_cap") is raised.
+    permutations the generators induce on the catalog (see
+    groups.orbits).  Once more members exist than the catalog cap
+    allows, CapExceeded("catalog_cap") is raised.
     """
     limit = _cap("catalog_cap")
     n, ident = len(G), G.identity_index
@@ -511,7 +511,7 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
             raise InvalidPermutation("catalog not closed under conjugation") from None
         perms[:, lo:hi] = lo + at.reshape(len(conj), hi - lo)
         lo = hi
-    class_of, class_reps, _, class_witness = orbits(perms, right, by_source=True)
+    class_of, class_reps, _, class_witness = orbits(perms, right)
     return ElabCatalog(G, p, codes, rows, keys, class_of, class_reps, class_witness,
                        np.concatenate(maximal))
 

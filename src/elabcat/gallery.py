@@ -15,9 +15,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -467,24 +468,17 @@ class _EntryContext:
         self.build = _build_entry(entry)
         self.group: FiniteGroup = self.build.group
         self.prime: int = entry.prime
-        self._catalog: Optional[ElabCatalog] = None
-        self._homs: dict = {}      # (canonical kind, E, F) without a catalog
+        self._homs: dict = {}      # (canonical kind, E, F)
 
-    @property
+    @cached_property
     def catalog(self) -> ElabCatalog:
-        if self._catalog is None:
-            self._catalog = enumerate_elabs(self.group, self.prime)
-        return self._catalog
+        return enumerate_elabs(self.group, self.prime)
 
     def hom(self, kind: cg.CategoryKind, E: ElabSubgroup,
             F: ElabSubgroup) -> np.ndarray:
-        """Hom-set between builder subgroups, each computed once: through
-        the catalog's shared cache once the entry has enumerated its
-        catalog (entries too large to enumerate never do), else under the
-        same canonical key here."""
-        cat = self._catalog
-        if cat is not None:
-            return cg.build_category(kind, cat).hom(cat.index_of(E), cat.index_of(F))
+        """Hom-set between builder subgroups from its kind's definition
+        (hom_matrices), computed once under its canonical key: the same
+        way whether or not an earlier claim enumerated the catalog."""
         key = (cg.canonical(kind, E.rank), E, F)
         if key not in self._homs:
             self._homs[key] = cg.hom_matrices(*key)
@@ -611,7 +605,7 @@ def _chk_hom_order(ctx, args):
 @_check("fibre_index", "object")
 def _chk_fibre_index(ctx, args):
     E = ctx.subgroup(args["object"])
-    return _jsonify(cg.generic_fibre_index(ctx.catalog, E))
+    return cg.generic_fibre_index(ctx.catalog, E)
 
 
 @_check("a_equals_aprime")
@@ -677,7 +671,7 @@ def _chk_matrix_group_order(ctx, args):
 
 @_check("distinguished_map_matrix")
 def _chk_distinguished_matrix(ctx, args):
-    return _jsonify(ctx.part("c_matrix", tuple, "distinguished map"))
+    return ctx.part("c_matrix", tuple, "distinguished map")
 
 
 @_check("distinguished_map_in_kind", "kind")

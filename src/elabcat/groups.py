@@ -169,35 +169,30 @@ def _orbit_labels(perms: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _search(perms: np.ndarray, starts: np.ndarray, by_source: bool = False
-            ) -> tuple[np.ndarray, list]:
+def _search(perms: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, list]:
     """(visit, levels) of one breadth-first search under the permutations
     perms[k] (a (k, n) array) from the distinct starts at once: visit
     lists the points reached, starts first, then level by level, and
     levels[j] = (src, gen, at) says visit[at] (a slice) is
     perms[gen][visit[src]].  A level takes its candidates generator by
-    generator over the frontier, or source by source when by_source, and
-    the first to reach a point keeps it.  A start's candidates keep their
-    relative order in the joint frontier, so each orbit comes out as a
-    search from its own start alone would give it.
+    generator over the frontier, and the first to reach a point keeps it.
+    A start's candidates keep their relative order in the joint frontier,
+    so each orbit comes out as a search from its own start alone would
+    give it.
     """
-    k, n = perms.shape
+    n = perms.shape[1]
     visit, levels = np.empty(n, dtype=np.int64), []
     seen, finder = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)
     visit[:len(starts)], seen[starts] = starts, True
     lo, hi = 0, len(starts)
     while lo < hi:
-        targets = perms[:, visit[lo:hi]]
-        flat = (targets.T if by_source else targets).ravel()
+        flat = perms[:, visit[lo:hi]].ravel()       # candidate at gen * (hi - lo) + src
         fresh = np.flatnonzero(~seen[flat])
         hits = flat[fresh]
         finder[hits] = len(flat)
         np.minimum.at(finder, hits, fresh)          # each target's first candidate
         first = fresh[finder[hits] == fresh]
-        if by_source:                               # candidate at src * k + gen
-            src, gen = np.divmod(first, k)
-        else:                                       # at gen * (hi - lo) + src
-            gen, src = np.divmod(first, hi - lo)
+        gen, src = np.divmod(first, hi - lo)
         at = slice(hi, hi + len(first))
         visit[at] = flat[first]
         seen[visit[at]] = True
@@ -206,22 +201,23 @@ def _search(perms: np.ndarray, starts: np.ndarray, by_source: bool = False
     return visit[:hi], levels
 
 
-def orbits(perms: np.ndarray, right: np.ndarray, by_source: bool = False
+def orbits(perms: np.ndarray, right: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(class_of, reps, sizes, witness) of the orbits of range(n) under the
     permutations perms[k] (a (k, n) array), with witnesses in G.
 
     Orbits are numbered in order of their smallest member (see
-    _orbit_labels).  Witnesses come from one search (_search) from every
-    orbit's smallest member at once, whose witness is 0, the identity: a
-    point reached from s by perms[k] has witness right[k][witness[s]].
+    _orbit_labels).  Witnesses come from one search (_search, generator
+    by generator over each frontier) from every orbit's smallest member
+    at once, whose witness is 0, the identity: a point reached from s by
+    perms[k] has witness right[k][witness[s]].
     """
     n = perms.shape[1]
     label = _orbit_labels(perms)
     reps = np.flatnonzero(label == np.arange(n))
     class_of = np.searchsorted(reps, label)
     sizes = np.bincount(class_of, minlength=len(reps))
-    visit, levels = _search(perms, reps, by_source)
+    visit, levels = _search(perms, reps)
     witness = np.zeros(n, dtype=np.int64)
     for src, gen, at in levels:
         witness[visit[at]] = right[gen, witness[visit[src]]]
@@ -565,8 +561,6 @@ class FiniteGroup:
             idx = self.indices_of_base_images(self._arr[table.witness[bs[at], None, None], left])
             idx.sort(axis=1)
             parts.append((at, idx))
-        if len(parts) < 2:                              # no scatter for one class
-            return parts[0][1].ravel() if parts else bs
         size = len(self) // table.sizes[cls]
         out, starts = np.empty(size.sum(), dtype=np.int64), np.cumsum(size) - size
         for at, idx in parts:
@@ -642,11 +636,10 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
 
     The chain is built top down on the greedy base.  The generators of
     G_1 = G are the distinct non-identity ones given; b_k is the first
-    point those of G_k move, and a search from it (_search, source by
-    source) gives its orbit D_k under G_k, and _transversal the u_d in G_k
-    mapping b_k to each d.  The Schreier generators u_d * s * u_(d^s)^-1
-    generate G_(k+1), the stabilizer of b_k in G_k; the chain ends when
-    none is left.
+    point those of G_k move, a search from it (_search) gives its orbit
+    D_k under G_k, and _transversal the u_d in G_k mapping b_k to each d.
+    The Schreier generators u_d * s * u_(d^s)^-1 generate G_(k+1), the
+    stabilizer of b_k in G_k; the chain ends when none is left.
 
     |G| is the product of the |D_k|: CapExceeded("element_cap") is raised
     once the orbits so far pass the cap (default from config, override via
@@ -690,7 +683,7 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
         base.append(int(np.argmax((stab != points).any(axis=0))))
         if len(base) == 1:
             guard(int(size[base[0]]), [])
-        orbit, levels = _search(stab, np.array(base[-1:]), by_source=True)
+        orbit, levels = _search(stab, np.array(base[-1:]))
         order *= len(orbit)
         guard(order, size[base].tolist())
         trans, tree = _transversal(stab, orbit, levels)

@@ -701,19 +701,16 @@ def brute_conjugacy(elements, generators):
     return tuple(class_of), tuple(reps), tuple(sizes), tuple(witness)
 
 
-def brute_search(perms, starts, by_source=False):
+def brute_search(perms, starts):
     """(visit, steps) of the breadth-first search under the permutations
     perms (tuples) from the starts at once: each level tries its
-    candidates generator by generator over the frontier, or source by
-    source when by_source, and the first to reach an unseen point keeps
-    it; steps[t] = (s, k) for the point t = perms[k][s] so reached."""
+    candidates generator by generator over the frontier, and the first
+    to reach an unseen point keeps it; steps[t] = (s, k) for the point
+    t = perms[k][s] so reached."""
     visit, steps = list(starts), {}
     seen, frontier = set(starts), list(starts)
     while frontier:
-        if by_source:
-            candidates = [(s, k) for s in frontier for k in range(len(perms))]
-        else:
-            candidates = [(s, k) for k in range(len(perms)) for s in frontier]
+        candidates = [(s, k) for k in range(len(perms)) for s in frontier]
         frontier = []
         for s, k in candidates:
             t = perms[k][s]
@@ -769,7 +766,7 @@ def brute_catalog(G, p):
     their scanned centralizers), each span made a member through
     ElabSubgroup.from_element_indices.  Members sort by (rank, elements);
     classes are orbits under conjugation by the generators, taken with
-    tuples member by member and generator by generator, the first product
+    tuples generator by generator over each frontier, the first product
     witness(source) * g to reach a member giving its witness; a member is
     maximal when no member of the next rank holds it.
     """
@@ -813,8 +810,8 @@ def brute_catalog(G, p):
         frontier = [start]
         while frontier:
             reached = []
-            for s in frontier:
-                for g in G.generators:
+            for g in G.generators:
+                for s in frontier:
                     conj = tuple(sorted(index[conjugate(g, elements[e])]
                                         for e in subgroups[s].elements))
                     t = position[conj]

@@ -1,12 +1,12 @@
-"""An(n) hom-sets read off the cached A and Aprime hom-sets.
+"""An(n) hom-sets read off the cached A and An(n-1) hom-sets.
 
-A <= An(n) <= Aprime, so a category over a catalog takes A's hom-set
-where the A and Aprime sizes agree and otherwise keeps the Aprime maps
-whose restriction to every rank-n member is an A map (or those of An(m),
-m < n, when already built).  Checked here: that construction against
-hom_matrices, which builds An(n) from its definition alone, on every
-representatives' pair, the inclusion chain on the same arrays, and which
-pairs analyze filters.
+A <= An(n) <= An(n-1), and An(1) is Aprime, so a category over a catalog
+takes A's hom-set where the A and An(n-1) sizes agree and otherwise keeps
+the An(n-1) maps whose restriction to every rank-n member is an A map,
+An(n-1) built first when missing.  Checked here: that construction
+against hom_matrices, which builds An(n) from its definition alone, on
+every representatives' pair, whatever the cache held before, the
+inclusion chain on the same arrays, and which pairs analyze filters.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from elabcat import categories as cg
+from elabcat import cli
 from elabcat.cli import analyze_report, load_group
 from elabcat.elabs import ElabSubgroup, enumerate_elabs, p_rank
 from elabcat.groups import close_generators
@@ -85,6 +86,29 @@ def test_analyze_filters_the_pairs_sizes_leave_open(monkeypatch):
     assert report["verdicts"]["an_collapse"] == 2
     assert filtered and set(filtered) == {2}
     assert report["kinds"]["An(2)"]["hom_sizes"] != report["kinds"]["Aprime"]["hom_sizes"]
+
+
+def test_an_reads_the_same_on_a_cold_and_a_warm_catalog(monkeypatch):
+    # A4xA4 at p=2: An(3) on a catalog with nothing built is read off
+    # An(2), built first; after analyze's default kinds, off what they
+    # left in the cache; both are its definition
+    cold, warm = enumerate_elabs(A4xA4, 2), []
+
+    def recorded(*args):
+        warm.append(enumerate_elabs(*args))
+        return warm[-1]
+
+    reps = cold.rank_reps(4).tolist()
+    assert reps and not cold.homs
+    got = {(i, j): cg.build_category(cg.a_n(3), cold).hom(i, j)
+           for i, j in itertools.product(reps, repeat=2)}
+    monkeypatch.setattr(cli, "enumerate_elabs", recorded)
+    analyze_report(A4xA4, 2)
+    assert len(warm) == 1 and warm[0].homs
+    for (i, j), h in got.items():
+        want = cg.hom_matrices(cg.a_n(3), cold.subgroups[i], cold.subgroups[j])
+        assert np.array_equal(h, want)
+        assert np.array_equal(cg.build_category(cg.a_n(3), warm[0]).hom(i, j), want)
 
 
 def test_an_from_its_definition_takes_the_subspaces_a_block_at_a_time():

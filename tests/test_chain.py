@@ -178,22 +178,22 @@ def searches(draw):
     return [tuple(p) for p in perms], draw(st.permutations(starts))
 
 
-@given(case=searches(), by_source=st.booleans())
+@given(case=searches())
 @settings(max_examples=80, deadline=None)
-def test_search_keeps_each_points_first_candidate(case, by_source):
+def test_search_keeps_each_points_first_candidate(case):
     perms, starts = case
     arr = np.array(perms, dtype=np.int64)
-    visit, levels = groups._search(arr, np.array(starts), by_source)
+    visit, levels = groups._search(arr, np.array(starts))
     steps = {}
     for src, gen, at in levels:
         assert (visit[at] == arr[gen, visit[src]]).all()
         steps.update(zip(visit[at].tolist(), zip(visit[src].tolist(), gen.tolist())))
     assert sorted(visit.tolist()) == list(range(arr.shape[1]))
     # the first candidate in the level's order reaches each point
-    assert (visit.tolist(), steps) == brute_search(perms, starts, by_source)
+    assert (visit.tolist(), steps) == brute_search(perms, starts)
     for s in starts:
         # each orbit comes out in the order of a search from its start alone
-        orbit, alone = groups._search(arr, np.array([s]), by_source)
+        orbit, alone = groups._search(arr, np.array([s]))
         assert visit[np.isin(visit, orbit)].tolist() == orbit.tolist()
         # transversal row i sends the start to orbit[i]
         trans, _ = groups._transversal(arr, orbit, alone)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -183,6 +184,16 @@ class TestFixtures:
         report = gal.verify_gallery(gal.load_entry("gl3-3"))
         failed = [r.claim_id for r in report.results if not r.ok]
         assert report.ok, f"failed claims: {failed}"
+
+    @pytest.mark.parametrize("name", gal.entry_names())
+    def test_claims_in_reverse_order_compute_the_same(self, name):
+        # a claim computes its value one way, whatever the claims before
+        # it have built
+        entry = gal.load_entry(name)
+        forward = gal.verify_gallery(entry).results
+        backward = gal.verify_gallery(dataclasses.replace(entry, claims=entry.claims[::-1]))
+        assert [(r.claim_id, r.computed) for r in backward.results[::-1]] == [
+            (r.claim_id, r.computed) for r in forward]
 
     @pytest.mark.parametrize("orbit_size,computed", [(4, 8), (0, None), ("4", None), (2.5, None)])
     def test_class_centralizer_order_needs_a_class_met(self, tmp_path, orbit_size, computed):
