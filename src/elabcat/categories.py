@@ -115,7 +115,11 @@ def parse_kind(text: str, p: int) -> CategoryKind:
     if "(" in text and text.endswith(")"):
         text = text[:-1].replace("(", ":", 1)
     tag, colon, raw = text.partition(":")
-    kind = CategoryKind(tag, int(raw) if colon else None)
+    try:
+        param = int(raw) if colon else None
+    except ValueError:
+        raise ValueError(f"the parameter of {tag} must be an integer, got {raw!r}") from None
+    kind = CategoryKind(tag, param)
     if kind.tag == "AprimeD" and (p - 1) % kind.param:
         raise ValueError(f"{kind.label()} needs a divisor of {p - 1} at p={p}")
     return kind

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,10 +50,6 @@ class WeightList:
         if other.prime != self.prime or other.rank != self.rank:
             raise ValueError("weight lists over different groups")
         return WeightList(self.prime, self.rank, self.weights + other.weights)
-
-
-def make_weights(p: int, rank: int, rows: Sequence[Sequence[int]]) -> WeightList:
-    return WeightList(p, rank, tuple(tuple(int(x) % p for x in r) for r in rows))
 
 
 def _check_count(base: int, exp: int = 1) -> None:
@@ -100,10 +95,6 @@ def total_chern(weights: WeightList) -> FpPolynomial:
     return product_tree(p, n, node, np.eye(n + 1, dtype=np.int64)[var, 1:], w[node, var], p)
 
 
-def chern_class(weights: WeightList, i: int) -> FpPolynomial:
-    return total_chern(weights).homogeneous_part(i)
-
-
 @dataclass(frozen=True)
 class DicksonReport:
     prime: int
@@ -129,19 +120,6 @@ def dickson_check(p: int, n: int) -> DicksonReport:
     found = tuple(d for d in D.degrees() if d > 0)
     invariant = all(D.substitute_linear(g) == D for g in gl_generators(p, n))
     return DicksonReport(p, n, expected, found, found == expected, invariant, D)
-
-
-def frobenius_identity_check(weights: WeightList, m: int) -> bool:
-    """Does the (p*m)-fold total Chern equal the m-fold one to the p-th power."""
-    p = weights.prime
-    lhs = total_chern(weights.repeat(p * m))
-    rhs = total_chern(weights.repeat(m)) ** p
-    return lhs == rhs
-
-
-def whitney_product_check(w1: WeightList, w2: WeightList) -> bool:
-    """Does concatenation multiply total Chern classes."""
-    return total_chern(w1.concat(w2)) == total_chern(w1) * total_chern(w2)
 
 
 def regular_rep_product(p: int, n: int) -> FpPolynomial:
@@ -228,8 +206,3 @@ def p_regular_failures(G: FiniteGroup, p: int, chi: CharacterVector,
             failures.append(
                 f"degree {deg} not divisible by maximal subgroup order {order}")
     return failures
-
-
-def p_regular_check(G: FiniteGroup, p: int, chi: CharacterVector,
-                    catalog: ElabCatalog) -> bool:
-    return not p_regular_failures(G, p, chi, catalog)

@@ -36,49 +36,28 @@ from . import __version__
 from . import categories as cg
 from . import chern, fppoly, gallery
 from .elabs import ElabCatalog, enumerate_elabs, p_rank
-from .errors import (CapExceeded, CatalogMismatch, ClosureGuardError,
-                     ElabcatError, InputFormatError)
+from .config import INT64, POSITIVE, read_file
+from .errors import (CapExceeded, CatalogMismatch, ClosureGuardError, ElabcatError,
+                     InputFormatError, InvalidPermutation)
 from .fpmat import PRIME_LIMIT, is_prime
 from .groups import FiniteGroup, close_generators
 
 
-def _load_json(path: str) -> Any:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise InputFormatError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise InputFormatError(f"{path} is not valid JSON: {e}")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: json reads true and false as bools, an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# the documents the commands read, each a table for config.read
+GROUP = {"name?": str, "degree": POSITIVE, "generators": [[INT64]]}
+CATEGORY = {"base_kind?": str,
+            "homs?": [{"domain": [int], "codomain": [int], "matrices": [[[int]]]}]}
+CHARACTER = {"values": [int]}
 
 
 def load_group(path: str) -> FiniteGroup:
-    """Group document: {"name": str, "degree": int, "generators": [[int..]..]}."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InputFormatError(f"{path}: expected an object at top level")
-    for key in ("degree", "generators"):
-        if key not in doc:
-            raise InputFormatError(f"{path}: missing key {key!r}")
-    degree = doc["degree"]
-    gens = doc["generators"]
-    if not _is_int(degree) or degree <= 0:
-        raise InputFormatError(f"{path}: degree must be a positive integer")
-    if not isinstance(gens, list) or not all(
-            isinstance(g, list) and all(map(_is_int, g)) for g in gens):
-        raise InputFormatError(
-            f"{path}: generators must be a list of lists of integer images")
-    name = doc.get("name", Path(path).stem)
+    """Group document: {"name": str, "degree": int, "generators": [[int..]..]};
+    a name left out or null is the file's stem."""
+    doc = read_file(path, GROUP)
     try:
-        return close_generators(degree, gens, name=str(name))
-    except (CapExceeded, InputFormatError):
-        raise
-    except Exception as e:
+        return close_generators(doc["degree"], doc["generators"],
+                                name=doc.get("name", Path(path).stem))
+    except InvalidPermutation as e:
         raise InputFormatError(f"{path}: bad generator data: {e}")
 
 
@@ -274,16 +253,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_gallery(args) -> int:
     names = [args.entry] if args.entry else gallery.entry_names()
-    all_ok = True
+    failed = 0
     for name in names:
         report = gallery.verify_gallery(gallery.load_entry(name))
         for res in report.results:
-            status = "PASS" if res.ok else "FAIL"
-            all_ok = all_ok and res.ok
-            print(f"{status} {report.name} {res.claim_id} [{res.provenance}]: "
-                  f"expected {json.dumps(res.expected)}, "
+            failed += not res.ok
+            print(f"{'PASS' if res.ok else 'FAIL'} {report.name} {res.claim_id} "
+                  f"[{res.provenance}]: expected {json.dumps(res.expected)}, "
                   f"computed {json.dumps(res.computed)}")
-    return 0 if all_ok else 4
+    if failed:
+        print(f"error: gallery claims failed: {failed}", file=sys.stderr)
+    return 4 if failed else 0
 
 
 # -- polynomial commands ----------------------------------------------
@@ -316,13 +296,8 @@ def cmd_pregular(args) -> int:
     if which in CHARACTERS:
         chi = CHARACTERS[which](G)
     else:
-        doc = _load_json(which)
-        if not isinstance(doc, dict) or "values" not in doc:
-            raise InputFormatError(f"{which}: expected {{\"values\": [...]}}")
-        values = doc["values"]
-        if (not isinstance(values, list)
-                or len(values) != G.conjugacy.class_count()
-                or not all(map(_is_int, values))):
+        values = read_file(which, CHARACTER)["values"]
+        if len(values) != G.conjugacy.class_count():
             raise InputFormatError(
                 f"{which}: need {G.conjugacy.class_count()} integer class values")
         chi = chern.CharacterVector(G, tuple(values))
@@ -345,42 +320,25 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
     lists (into the group's canonical element order) and a list of
     matrices, rows over F_p.
     """
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InputFormatError(f"{path}: expected an object at top level")
-    base, kind = doc.get("base_kind"), None
-    if base is not None:
+    doc = read_file(path, CATEGORY)
+    kind = None
+    if "base_kind" in doc:
         try:
-            if not isinstance(base, str):
-                raise ValueError(f"expected a kind label, got {json.dumps(base)}")
-            kind = cg.parse_kind(base, catalog.prime)
+            kind = cg.parse_kind(doc["base_kind"], catalog.prime)
         except ValueError as e:
             raise InputFormatError(f"{path}: bad base_kind: {e}")
     homs: dict[tuple[int, int], list] = {}
-    records = doc.get("homs", [])
-    if not isinstance(records, list) or not all(
-            isinstance(r, dict) and {"domain", "codomain", "matrices"} <= set(r)
-            for r in records):
-        raise InputFormatError(f"{path}: homs must be a list of objects with "
-                               f"domain, codomain and matrices")
     ranks = catalog.ranks()
-    for rec in records:
-        ends = [rec["domain"], rec["codomain"]]
-        if not all(isinstance(e, list) and all(map(_is_int, e)) for e in ends):
-            raise InputFormatError(
-                f"{path}: hom record domain and codomain must be lists of integers")
+    for rec in doc.get("homs", []):
         try:
-            i, j = map(catalog.index_of_elements, ends)
+            i, j = map(catalog.index_of_elements, (rec["domain"], rec["codomain"]))
         except CatalogMismatch:
             raise InputFormatError(
                 f"{path}: hom record names an element set that is not a "
                 f"catalog subgroup")
         rank_e, rank_f = ranks[[i, j]].tolist()
         mats = rec["matrices"]
-        if not isinstance(mats, list) or not all(
-                isinstance(M, list) and len(M) == rank_f and all(
-                    isinstance(r, list) and len(r) == rank_e and all(map(_is_int, r))
-                    for r in M) for M in mats):
+        if not all(len(M) == rank_f and all(len(r) == rank_e for r in M) for M in mats):
             raise InputFormatError(
                 f"{path}: bad matrix: each needs {rank_f} rows of {rank_e} integers")
         homs.setdefault((i, j), []).extend(

@@ -14,10 +14,14 @@ A guard reads its cap with cap(name), compares, and calls refuse(name,
 text): CapExceeded(name) with text and the variable to raise.  The caps
 are read from the environment alone; only close_generators also takes a
 bound of its own (from_elements bounds a closure by its list).
+
+Every input document is read here too, by read against a table of its
+fields' types: the one place a type is checked and a type error worded.
 """
 
+import json
 import os
-from typing import NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 from .errors import CapExceeded, InputFormatError
 
@@ -47,3 +51,72 @@ def refuse(name: str, text: str) -> NoReturn:
     """Raise CapExceeded(name) for text, naming the variable that raises
     the cap."""
     raise CapExceeded(name, f"{text}; raise ELABCAT_{name.upper()} to allow more")
+
+
+# -- input documents --------------------------------------------------
+
+
+class Ints(NamedTuple):
+    """The JSON integers passing test, named in messages by words."""
+    words: str
+    test: Callable[[int], bool]
+
+
+INT64 = Ints("an integer of at most 64 bits", lambda v: -2 ** 63 <= v < 2 ** 63)
+POSITIVE = Ints("a positive integer", lambda v: v > 0)
+_WORDS = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
+
+
+def _fits(value, kind) -> bool:
+    if kind is int or isinstance(kind, Ints):
+        # a JSON integer is an int, never a bool (true and false are bools)
+        return type(value) is int and (kind is int or kind.test(value))
+    if isinstance(kind, tuple):             # the strings allowed
+        return value in kind
+    return kind is object or isinstance(value, kind)
+
+
+def read(doc, table, where, at: str = ""):
+    """doc, a JSON value from where, checked against table: str, int,
+    object (any value), an Ints, a tuple of the strings allowed, [T] for a
+    list of T, or {key: T} for an object with those keys (others ignored),
+    "key?" for one that may be left out or null.  Returns doc, each object
+    cut to its table's keys present.  InputFormatError names the first
+    value that does not fit by its place at in doc (claims[2].args.kind).
+    """
+    kind = type(table) if isinstance(table, (dict, list)) else table
+    if not _fits(doc, kind):
+        words = (kind.words if isinstance(kind, Ints) else _WORDS.get(kind)
+                 or f"one of {', '.join(map(json.dumps, kind))}")
+        shown = json.dumps(doc)
+        shown = shown if len(shown) <= 40 else shown[:37] + "..."
+        place = f"bad {at}: expected {words}" if at else f"expected {words} at top level"
+        raise InputFormatError(f"{where}: {place}, got {shown}")
+    if isinstance(table, dict):
+        out = {}
+        for key, inner in table.items():
+            name = key.rstrip("?")
+            place = f"{at}.{name}" if at else name
+            if key != name and doc.get(name) is None:       # optional, left out or null
+                continue
+            if name not in doc:
+                raise InputFormatError(f"{where}: missing key {place!r}")
+            out[name] = read(doc[name], inner, where, place)
+        return out
+    # a list of scalars takes one pass, and goes item by item only to name a misfit
+    if isinstance(table, list) and (isinstance(table[0], (dict, list))
+                                    or not all(_fits(v, table[0]) for v in doc)):
+        return [read(v, table[0], where, f"{at}[{k}]") for k, v in enumerate(doc)]
+    return doc
+
+
+def read_file(path, table):
+    """The JSON document at path, checked against table by read."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise InputFormatError(f"cannot read {path}: {e}")
+    except (ValueError, RecursionError) as e:      # not JSON, not UTF-8, or nested too deep
+        raise InputFormatError(f"{path} is not valid JSON: {e}")
+    return read(doc, table, path)

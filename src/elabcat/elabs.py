@@ -34,17 +34,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .config import cap as _cap, refuse
-from .errors import CatalogMismatch, ElementNotInSubgroup, InvalidPermutation
+from .errors import CatalogMismatch, InvalidPermutation
 from .fpmat import subspace_codes
-from .groups import (FiniteGroup, Perm, blocks, find_sorted, orbits, ranges, row_keys,
+from .groups import (FiniteGroup, blocks, find_sorted, orbits, ranges, row_keys,
                      row_positions, sorted_distinct)
-
-Vector = tuple[int, ...]
 
 
 class ElabSubgroup:
@@ -125,23 +123,6 @@ class ElabSubgroup:
         """Code of each ambient element index, -1 for those outside."""
         at, found = find_sorted(self.by_code[self._order], np.asarray(indices))
         return np.where(found, self._order[at], -1)
-
-    def vector_of_index(self, i: int) -> Vector:
-        # the scalar form of codes_of: a scan of the sorted elements
-        try:
-            code = self._order.item(self.elements.index(i))
-        except ValueError:
-            raise ElementNotInSubgroup(f"element index {i} not in subgroup") from None
-        return tuple(code // self.prime ** k % self.prime for k in range(self.rank))
-
-    def index_of_vector(self, v: Sequence[int]) -> int:
-        if len(v) != self.rank:
-            raise ElementNotInSubgroup(
-                f"vector length {len(v)} != rank {self.rank}")
-        code = 0
-        for x in reversed(v):
-            code = code * self.prime + x % self.prime
-        return int(self.by_code[code])
 
 
 def _times_powers(G: FiniteGroup, span: np.ndarray, g, p: int) -> np.ndarray:
@@ -518,22 +499,4 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
 
 def p_rank(catalog: ElabCatalog) -> int:
     return int(catalog.ranks()[-1])
-
-
-def is_conjugate_subgroup(G: FiniteGroup, E: ElabSubgroup,
-                          F: ElabSubgroup) -> Optional[Perm]:
-    """A witness g with conjugate(g, E) == F setwise, or None.
-
-    Searches the transporter coset of E's first basis element to each
-    element of F in its class (FiniteGroup.conjugators), so the cost is
-    bounded by |F| * |centralizer(basis element)|.
-    """
-    if E.ambient is not G or F.ambient is not G or E.prime != F.prime:
-        raise CatalogMismatch("subgroups must live in the given group")
-    if E.rank != F.rank:
-        return None
-    # g maps E onto F once it conjugates E's basis into F
-    _, gs, images = G.conjugators(np.array([E.basis], dtype=np.int64), np.array([F.elements]))
-    hits = np.flatnonzero((F.codes_of(images) >= 0).all(axis=1))
-    return G.element(int(gs[hits[0]])) if len(hits) else None
 

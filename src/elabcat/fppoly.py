@@ -228,12 +228,6 @@ class FpPolynomial:
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(prime, nvars, {exps: 1})
 
-    @classmethod
-    def linear_form(cls, prime: int, coeffs: Sequence[int]) -> "FpPolynomial":
-        n = len(coeffs)
-        return cls(prime, n, {tuple(1 if j == i else 0 for j in range(n)): c
-                              for i, c in enumerate(coeffs)})
-
     # -- ring operations ----------------------------------------------
 
     def _compat(self, other: "FpPolynomial"):
@@ -499,10 +493,3 @@ def symmetric_reduce(f: FpPolynomial) -> FpPolynomial:
         rest = rest + prod
         out[shape] = c
     return FpPolynomial(p, n, out)
-
-
-def expand_in_elementaries(g: FpPolynomial) -> FpPolynomial:
-    """Inverse direction of symmetric_reduce: plug e_k in for variable k-1."""
-    sigmas = [elementary_symmetric(g.prime, g.nvars, k)
-              for k in range(1, g.nvars + 1)]
-    return g.substitute(sigmas)

@@ -13,7 +13,6 @@ per field order, listed in IRREDUCIBLE and echoed by the fixture files.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -25,7 +24,7 @@ import numpy as np
 from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
 from .errors import InputFormatError
-from .config import cap as _cap, refuse
+from .config import POSITIVE, Ints, cap as _cap, read, read_file, refuse
 from .fpmat import (PRIME_LIMIT, Mat, code_digits, gl_generators, is_prime, mat_inv, mat_rank,
                     primitive_element, subspace_bases)
 from .groups import ENTRIES_PER_ELEMENT, FiniteGroup, _orbit_labels, close_generators
@@ -172,10 +171,6 @@ def build_affine(q: int) -> AffineBuild:
     return AffineBuild(G, p, kernel)
 
 
-def affine_group(q: int) -> FiniteGroup:
-    return build_affine(q).group
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     _check_degree(f"cyclic-{n}", n)
     shift = tuple((x + 1) % n for x in range(n))
@@ -240,10 +235,6 @@ def build_triangular(p: int, n: int) -> TriangularBuild:
                         (-1, n, n))
     u_group = close_generators(degree, affine_images(u_mats, zero, p, n), name=f"u-{p}-{n}")
     return TriangularBuild(G, p, kernel, q_group, u_group)
-
-
-def triangular_group(p: int, n: int) -> FiniteGroup:
-    return build_triangular(p, n).group
 
 
 @dataclass
@@ -365,73 +356,6 @@ def entry_names() -> list[str]:
     return sorted(path.stem for path in _FIXTURE_DIR.glob("*.json"))
 
 
-def load_entry(name: str) -> GalleryEntry:
-    # a bare name selects a bundled fixture; a .json path loads directly
-    path = Path(name) if name.endswith(".json") else _FIXTURE_DIR / f"{name}.json"
-    if not path.is_file():
-        raise InputFormatError(f"no gallery entry named {name!r}; "
-                               f"available: {', '.join(entry_names())}")
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError) as e:      # JSONDecodeError is a ValueError
-        raise InputFormatError(f"{path} is not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise InputFormatError(f"{path}: expected an object at top level")
-    for key in ("name", "builder", "params", "prime", "claims"):
-        if key not in doc:
-            raise InputFormatError(f"{path}: missing key {key!r}")
-    if not isinstance(doc["claims"], list):
-        raise InputFormatError(f"{path}: claims must be a list")
-    claims = []
-    for rec in doc["claims"]:
-        if not isinstance(rec, dict):
-            raise InputFormatError(f"{path}: each claim must be an object")
-        for key in ("id", "text", "provenance", "check", "expected"):
-            if key not in rec:
-                raise InputFormatError(f"{path}: claim missing key {key!r}")
-        if rec["provenance"] not in _PROVENANCE:
-            raise InputFormatError(
-                f"{path}: claim {rec['id']}: provenance must be one of "
-                f"{_PROVENANCE}")
-        if rec["check"] not in _CHECKS:
-            raise InputFormatError(
-                f"{path}: claim {rec['id']}: unknown check {rec['check']!r}")
-        args = rec.get("args", {})
-        if not isinstance(args, dict):
-            raise InputFormatError(f"{path}: claim {rec['id']}: args must be an object")
-        for key in _NEEDS[rec["check"]]:
-            if key not in args:
-                raise InputFormatError(f"{path}: claim {rec['id']}: check "
-                                       f"{rec['check']} needs args key {key!r}")
-        claims.append(GalleryClaim(rec["id"], rec["text"], rec["provenance"],
-                                   rec["check"], rec["expected"], args))
-    _check_params(path, doc["builder"], doc["params"], doc["prime"])
-    return GalleryEntry(doc["name"], doc["builder"], doc["params"],
-                        doc["prime"], tuple(claims))
-
-
-def _check_params(path, builder, params, prime) -> None:
-    """InputFormatError unless the builder is known and its params, and
-    the entry's prime, are what it reads: positive integers, p and the
-    prime primes below PRIME_LIMIT, and q the order of a field on record."""
-    if not isinstance(builder, str) or builder not in _BUILDERS:
-        raise InputFormatError(f"{path}: unknown gallery builder {builder!r}")
-    if not isinstance(params, dict):
-        raise InputFormatError(f"{path}: params must be an object")
-    values = {f"params.{key}": params.get(key) for key in _BUILDERS[builder][0]}
-    values["prime"] = prime
-    for key, v in values.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise InputFormatError(f"{path}: {key} must be a positive integer, got {v!r}")
-        if key in ("params.p", "prime") and not (v < PRIME_LIMIT and is_prime(v)):
-            raise InputFormatError(f"{path}: {key} must be a prime below {PRIME_LIMIT}, got {v}")
-    if builder == "affine":
-        try:
-            SmallField(params["q"])
-        except ValueError as e:
-            raise InputFormatError(f"{path}: params.q: {e}")
-
-
 @dataclass
 class CyclicBuild:
     group: FiniteGroup
@@ -446,18 +370,52 @@ def build_cyclic(n: int, p: int) -> CyclicBuild:
     return CyclicBuild(G, p, ElabSubgroup.from_element_indices(G, p, idxs))
 
 
-# each builder: the params it reads, and its build from the params and
-# the entry's prime
-_BUILDERS: dict[str, tuple[tuple[str, ...], Callable[[dict, int], Any]]] = {
-    "affine": (("q",), lambda ps, prime: build_affine(ps["q"])),
-    "cyclic": (("n",), lambda ps, prime: build_cyclic(ps["n"], prime)),
-    "gl3": (("p",), lambda ps, prime: build_gl3(ps["p"])),
-    "triangular": (("p", "n"), lambda ps, prime: build_triangular(ps["p"], ps["n"])),
-    "prop10": (("p", "n"), lambda ps, prime: build_prop10(ps["p"], ps["n"]))}
+# the integers an entry reads as a prime, and as the order of a field
+PRIME = Ints(f"a prime below {PRIME_LIMIT}", lambda v: v < PRIME_LIMIT and is_prime(v))
+FIELD_ORDER = Ints(f"a field order on record, a prime or one of {sorted(IRREDUCIBLE)}",
+                   lambda v: v in IRREDUCIBLE or PRIME.test(v))
+
+# each builder: the table of the params it reads, and its build from the
+# params and the entry's prime
+_BUILDERS: dict[str, tuple[dict, Callable[[dict, int], Any]]] = {
+    "affine": ({"q": FIELD_ORDER}, lambda ps, prime: build_affine(ps["q"])),
+    "cyclic": ({"n": POSITIVE}, lambda ps, prime: build_cyclic(ps["n"], prime)),
+    "gl3": ({"p": PRIME}, lambda ps, prime: build_gl3(ps["p"])),
+    "triangular": ({"p": PRIME, "n": POSITIVE},
+                   lambda ps, prime: build_triangular(ps["p"], ps["n"])),
+    "prop10": ({"p": PRIME, "n": POSITIVE},
+               lambda ps, prime: build_prop10(ps["p"], ps["n"]))}
 
 
 def _build_entry(entry: GalleryEntry):
     return _BUILDERS[entry.builder][1](entry.params, entry.prime)
+
+
+# an entry document; its params are read against its builder's table,
+# and each claim's args against its check's
+ENTRY = {"name": str, "builder": tuple(_BUILDERS), "params": dict, "prime": PRIME,
+         "claims": [{"id": str, "text": str, "provenance": _PROVENANCE, "check": str,
+                     "expected": object, "args?": dict}]}
+
+
+def load_entry(name: str) -> GalleryEntry:
+    """The bundled entry name, or the entry file name ending in .json;
+    InputFormatError unless it fits ENTRY and each claim names a check."""
+    path = Path(name) if name.endswith(".json") else _FIXTURE_DIR / f"{name}.json"
+    if not path.is_file():
+        raise InputFormatError(f"no gallery entry named {name!r}; "
+                               f"available: {', '.join(entry_names())}")
+    doc = read_file(path, ENTRY)
+    params = read(doc["params"], _BUILDERS[doc["builder"]][0], path, "params")
+    claims = []
+    for k, rec in enumerate(doc["claims"]):
+        if rec["check"] not in _CHECKS:
+            raise InputFormatError(
+                f"{path}: claim {rec['id']}: unknown check {rec['check']!r}")
+        args = read(rec.get("args", {}), _CHECKS[rec["check"]][1], path, f"claims[{k}].args")
+        claims.append(GalleryClaim(rec["id"], rec["text"], rec["provenance"],
+                                   rec["check"], rec["expected"], args))
+    return GalleryEntry(doc["name"], doc["builder"], params, doc["prime"], tuple(claims))
 
 
 class _EntryContext:
@@ -487,7 +445,7 @@ class _EntryContext:
     def part(self, name: str, kind: type, what: str):
         """The build's attribute name, which must be a kind; a claim that
         names another raises InputFormatError."""
-        obj = getattr(self.build, name, None) if isinstance(name, str) else None
+        obj = getattr(self.build, name, None)
         if not isinstance(obj, kind):
             raise InputFormatError(f"entry {self.entry.name}: the {self.entry.builder} "
                                    f"build has no {what} named {name!r}")
@@ -502,7 +460,7 @@ class _EntryContext:
     def kind(self, text: str) -> cg.CategoryKind:
         try:
             return cg.parse_kind(text, self.prime)
-        except (AttributeError, ValueError) as e:
+        except ValueError as e:
             raise InputFormatError(f"entry {self.entry.name}: kind {text!r}: {e}") from None
 
 
@@ -518,15 +476,13 @@ def _jsonify(value):
     return value
 
 
-_CHECKS: dict[str, Callable] = {}
-_NEEDS: dict[str, tuple[str, ...]] = {}      # the args keys each check reads
+_CHECKS: dict[str, tuple[Callable, dict]] = {}      # each check and its args table
 
 
-def _check(name: str, *needs: str):
-    """Register a claim check reading the args keys needs."""
+def _check(name: str, **args):
+    """Register a claim check reading the args of the given types."""
     def deco(fn):
-        _CHECKS[name] = fn
-        _NEEDS[name] = needs
+        _CHECKS[name] = fn, args
         return fn
     return deco
 
@@ -536,20 +492,18 @@ def _chk_group_order(ctx, args):
     return ctx.group.order
 
 
-@_check("field_modulus", "q")
+@_check("field_modulus", q=Ints(f"a field order with a modulus on record, one of "
+                                 f"{sorted(IRREDUCIBLE)}", IRREDUCIBLE.__contains__))
 def _chk_field_modulus(ctx, args):
-    if not isinstance(args["q"], int) or args["q"] not in IRREDUCIBLE:
-        raise InputFormatError(f"entry {ctx.entry.name}: no modulus on record for "
-                               f"field order {args['q']!r}")
     return modulus_text(args["q"])
 
 
-@_check("object_rank", "object")
+@_check("object_rank", object=str)
 def _chk_object_rank(ctx, args):
     return ctx.subgroup(args["object"]).rank
 
 
-@_check("object_order", "object")
+@_check("object_order", object=str)
 def _chk_object_order(ctx, args):
     return len(ctx.subgroup(args["object"]).elements)
 
@@ -584,25 +538,25 @@ def _chk_p_rank(ctx, args):
     return p_rank(ctx.catalog)
 
 
-@_check("component_count", "kind")
+@_check("component_count", kind=str)
 def _chk_component_count(ctx, args):
     return len(cg.maximal_objects(cg.build_category(ctx.kind(args["kind"]), ctx.catalog)))
 
 
-@_check("aut_order", "object", "kind")
+@_check("aut_order", object=str, kind=str)
 def _chk_aut_order(ctx, args):
     E = ctx.subgroup(args["object"])
     return len(ctx.hom(ctx.kind(args["kind"]), E, E))
 
 
-@_check("hom_order", "domain", "codomain", "kind")
+@_check("hom_order", domain=str, codomain=str, kind=str)
 def _chk_hom_order(ctx, args):
     D = ctx.subgroup(args["domain"])
     C = ctx.subgroup(args["codomain"])
     return len(ctx.hom(ctx.kind(args["kind"]), D, C))
 
 
-@_check("fibre_index", "object")
+@_check("fibre_index", object=str)
 def _chk_fibre_index(ctx, args):
     E = ctx.subgroup(args["object"])
     return cg.generic_fibre_index(ctx.catalog, E)
@@ -613,13 +567,13 @@ def _chk_a_eq_aprime(ctx, args):
     return bool(cg.categories_equal(cg.A, cg.APRIME, ctx.catalog).equal)
 
 
-@_check("conjugate_objects", "a", "b")
+@_check("conjugate_objects", a=str, b=str)
 def _chk_conjugate_objects(ctx, args):
     # an A map between subgroups of one rank is a conjugation onto the target
     return _chk_kind_isomorphic(ctx, {**args, "kind": "A"})
 
 
-@_check("kind_isomorphic", "a", "b", "kind")
+@_check("kind_isomorphic", a=str, b=str, kind=str)
 def _chk_kind_isomorphic(ctx, args):
     E = ctx.subgroup(args["a"])
     F = ctx.subgroup(args["b"])
@@ -627,14 +581,14 @@ def _chk_kind_isomorphic(ctx, args):
     return E.rank == F.rank and len(ctx.hom(kind, E, F)) > 0
 
 
-@_check("conjugacy_orbit_sizes", "object")
+@_check("conjugacy_orbit_sizes", object=str)
 def _chk_conj_orbit_sizes(ctx, args):
     # sizes of the conjugacy class intersections with the subgroup
     counts = cg.class_counts(ctx.subgroup(args["object"]), cg.A)[1]
     return sorted(counts[counts > 0].tolist())
 
 
-@_check("class_centralizer_order", "object", "orbit_size")
+@_check("class_centralizer_order", object=str, orbit_size=object)
 def _chk_class_centralizer(ctx, args):
     # centralizer order of the smallest member of the unique class meeting
     # the subgroup in exactly orbit_size elements
@@ -652,7 +606,7 @@ def _orbit_partition(G: FiniteGroup) -> np.ndarray:
     return _orbit_labels(np.array(G.generators, dtype=np.int64).reshape(-1, G.degree))
 
 
-@_check("matrix_orbit_sizes", "which")
+@_check("matrix_orbit_sizes", which=str)
 def _chk_matrix_orbit_sizes(ctx, args):
     sizes = np.bincount(_orbit_partition(ctx.matrix_group(args["which"])))
     return sorted(sizes[sizes > 0].tolist())
@@ -664,7 +618,7 @@ def _chk_matrix_orbits_match(ctx, args):
                           _orbit_partition(ctx.matrix_group("u")))
 
 
-@_check("matrix_group_order", "which")
+@_check("matrix_group_order", which=str)
 def _chk_matrix_group_order(ctx, args):
     return ctx.matrix_group(args["which"]).order
 
@@ -674,7 +628,7 @@ def _chk_distinguished_matrix(ctx, args):
     return ctx.part("c_matrix", tuple, "distinguished map")
 
 
-@_check("distinguished_map_in_kind", "kind")
+@_check("distinguished_map_in_kind", kind=str)
 def _chk_distinguished_in_kind(ctx, args):
     kind = ctx.kind(args["kind"])
     E = ctx.subgroup("distinguished")
@@ -682,7 +636,7 @@ def _chk_distinguished_in_kind(ctx, args):
     return bool((ctx.hom(kind, E, E) == codes).all(axis=1).any())
 
 
-@_check("an_equals_a_on_object", "object", "n")
+@_check("an_equals_a_on_object", object=str, n=int)
 def _chk_an_equals_a(ctx, args):
     E = ctx.subgroup(args["object"])
     return np.array_equal(ctx.hom(ctx.kind(f"An({args['n']})"), E, E), ctx.hom(cg.A, E, E))
@@ -713,7 +667,7 @@ def verify_gallery(entry: GalleryEntry) -> GalleryReport:
     ctx = _EntryContext(entry)
     results = []
     for claim in entry.claims:
-        computed = _jsonify(_CHECKS[claim.check](ctx, claim.args))
+        computed = _jsonify(_CHECKS[claim.check][0](ctx, claim.args))
         results.append(ClaimResult(claim.claim_id, claim.text,
                                    claim.provenance, claim.expected,
                                    computed, computed == claim.expected))

@@ -234,8 +234,8 @@ def _perm_rows(perms, degree: int) -> np.ndarray:
     try:
         rows = np.array(perms if isinstance(perms, np.ndarray) else list(perms),
                         dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise InvalidPermutation(f"image lists are not integer lists of one length: {e}")
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidPermutation("image lists are not integer lists of one length") from None
     if rows.ndim == 1 and not len(rows):
         rows = rows.reshape(0, degree)
     if rows.ndim != 2 or rows.shape[1] != degree:

@@ -85,6 +85,14 @@ arrays of ``fppoly.FpPolynomial``.
 
 build_parser: the argparse parser the command line was once read with;
 it shares no code with ``cli.parse_args`` or its COMMANDS table.
+
+vector_of_index, index_of_vector, is_conjugate_subgroup, affine_group,
+triangular_group, linear_form, expand_in_elementaries, make_weights,
+chern_class, frobenius_identity_check, whitney_product_check and
+p_regular_check: helpers no command reaches, kept for the tests that
+read them.  Each is a scalar or one-call form of what the library
+computes (is_conjugate_subgroup searches ``G.conjugators`` beside the
+catalog's class_of), not an independent derivation.
 """
 
 import argparse
@@ -96,12 +104,14 @@ import numpy as np
 
 from elabcat import __version__, cli
 from elabcat.categories import CREG, a_n, canonical, class_counts, hom_matrices, matrix_of
+from elabcat.chern import WeightList, p_regular_failures, total_chern
 from elabcat.elabs import ElabSubgroup
+from elabcat.fppoly import FpPolynomial, elementary_symmetric
 from elabcat.fpmat import (gl_generators, injective_count, mat_inv, mat_mul, mat_rank,
                            subspace_bases)
-from elabcat.gallery import SmallField
+from elabcat.gallery import SmallField, build_affine, build_triangular
 from elabcat.config import cap
-from elabcat.errors import CapExceeded
+from elabcat.errors import CapExceeded, CatalogMismatch, ElementNotInSubgroup
 from elabcat.groups import (ConjugacyTable, _perm_rows, blocks, compose, conjugate,
                             find_sorted, identity_perm, orbits, row_keys, row_positions)
 
@@ -295,9 +305,9 @@ def _allowed_classes(E, d):
     units = [t for t in range(1, p) if pow(t, d, p) == 1]
     out = {}
     for e in E.elements:
-        v = E.vector_of_index(e)
+        v = vector_of_index(E, e)
         if any(v):
-            out[e] = frozenset(class_of[E.index_of_vector([t * x for x in v])]
+            out[e] = frozenset(class_of[index_of_vector(E, [t * x for x in v])]
                                for t in units)
     return out
 
@@ -333,7 +343,7 @@ def hom_in_kind(kind, E, F, M):
     if kind.tag in ("Aprime", "AprimeD"):
         d = 1 if kind.tag == "Aprime" else kind.param
         for e, classes in _allowed_classes(E, d).items():
-            img = F.index_of_vector(mat_vec(M, E.vector_of_index(e), p))
+            img = index_of_vector(F, mat_vec(M, vector_of_index(E, e), p))
             if table.class_of[img] not in classes:
                 return False
         return True
@@ -348,8 +358,8 @@ def hom_in_kind(kind, E, F, M):
     for basis in subspaces:
         pairs = []
         for v in basis:
-            a = E.index_of_vector(v)
-            b = F.index_of_vector(mat_vec(M, v, p))
+            a = index_of_vector(E, v)
+            b = index_of_vector(F, mat_vec(M, v, p))
             if table.class_of[a] != table.class_of[b]:
                 return False
             pairs.append((a, b))
@@ -473,11 +483,11 @@ def subgroups_of(catalog):
 
 def restriction(E, F, S, T, M, p):
     """M: E -> F restricted to S -> T, or None when M(S) is not inside T."""
-    images = [F.index_of_vector(mat_vec(M, E.vector_of_index(b), p))
+    images = [index_of_vector(F, mat_vec(M, vector_of_index(E, b), p))
               for b in S.basis]
     if not all(e in T.elements for e in images):
         return None
-    cols = [T.vector_of_index(e) for e in images]
+    cols = [vector_of_index(T, e) for e in images]
     return tuple(tuple(col[r] for col in cols) for r in range(T.rank))
 
 
@@ -913,3 +923,79 @@ def build_parser():
     pc.add_argument("--pretty", action="store_true")
     pc.set_defaults(func=cli.cmd_closure)
     return parser
+
+
+# -- helpers no command reaches ---------------------------------------
+
+
+def vector_of_index(E, i):
+    """The coordinates of element index i in E's basis."""
+    code = E.codes_of([i]).item()
+    if code < 0:
+        raise ElementNotInSubgroup(f"element index {i} not in subgroup")
+    return tuple(code // E.prime ** k % E.prime for k in range(E.rank))
+
+
+def index_of_vector(E, v):
+    """The element index of the coordinate vector v, read mod p."""
+    if len(v) != E.rank:
+        raise ElementNotInSubgroup(f"vector length {len(v)} != rank {E.rank}")
+    return int(E.by_code[sum(x % E.prime * E.prime ** k for k, x in enumerate(v))])
+
+
+def is_conjugate_subgroup(G, E, F):
+    """A witness g with conjugate(g, E) == F setwise, or None: the
+    transporters of E's first basis element to the elements of F in its
+    class (``FiniteGroup.conjugators``), kept when they carry E's basis
+    into F."""
+    if E.ambient is not G or F.ambient is not G or E.prime != F.prime:
+        raise CatalogMismatch("subgroups must live in the given group")
+    if E.rank != F.rank:
+        return None
+    _, gs, images = G.conjugators(np.array([E.basis], dtype=np.int64), np.array([F.elements]))
+    hits = np.flatnonzero((F.codes_of(images) >= 0).all(axis=1))
+    return G.element(int(gs[hits[0]])) if len(hits) else None
+
+
+def affine_group(q):
+    return build_affine(q).group
+
+
+def triangular_group(p, n):
+    return build_triangular(p, n).group
+
+
+def linear_form(prime, coeffs):
+    """The polynomial sum_i coeffs[i] x_i."""
+    n = len(coeffs)
+    return FpPolynomial(prime, n, {tuple(int(j == i) for j in range(n)): c
+                                   for i, c in enumerate(coeffs)})
+
+
+def expand_in_elementaries(g):
+    """Inverse direction of symmetric_reduce: plug e_k in for variable k-1."""
+    return g.substitute([elementary_symmetric(g.prime, g.nvars, k)
+                         for k in range(1, g.nvars + 1)])
+
+
+def make_weights(p, rank, rows):
+    return WeightList(p, rank, tuple(tuple(int(x) % p for x in r) for r in rows))
+
+
+def chern_class(weights, i):
+    return total_chern(weights).homogeneous_part(i)
+
+
+def frobenius_identity_check(weights, m):
+    """Does the (p*m)-fold total Chern class equal the m-fold one to the p-th power."""
+    p = weights.prime
+    return total_chern(weights.repeat(p * m)) == total_chern(weights.repeat(m)) ** p
+
+
+def whitney_product_check(w1, w2):
+    """Does concatenation multiply total Chern classes."""
+    return total_chern(w1.concat(w2)) == total_chern(w1) * total_chern(w2)
+
+
+def p_regular_check(G, p, chi, catalog):
+    return not p_regular_failures(G, p, chi, catalog)

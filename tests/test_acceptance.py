@@ -16,20 +16,17 @@ import pytest
 
 from elabcat import categories as cg
 from elabcat.categories import column_codes, hom_matrices
-from elabcat.chern import (dickson_check, frobenius_identity_check,
-                           make_weights, p_regular_check,
-                           permutation_character, regular_character,
-                           regular_rep_product, trivial_character,
-                           whitney_product_check)
-from elabcat.elabs import enumerate_elabs, is_conjugate_subgroup, p_rank
-from elabcat.fppoly import expand_in_elementaries, symmetric_reduce
+from elabcat.chern import (dickson_check, permutation_character, regular_character,
+                           regular_rep_product, trivial_character)
+from elabcat.elabs import enumerate_elabs, p_rank
+from elabcat.fppoly import symmetric_reduce
 from elabcat.fpmat import gl_generators
-from elabcat.gallery import (_orbit_partition, affine_group,
-                             build_cyclic, build_gl3, build_prop10,
-                             build_triangular, cyclic_group, gl3,
-                             triangular_group)
+from elabcat.gallery import (_orbit_partition, build_cyclic, build_gl3, build_prop10,
+                             build_triangular, cyclic_group, gl3)
 from elabcat.groups import conjugacy_classes
-from brute_force import close_matrix_group, mat_vec, vec_code
+from brute_force import (affine_group, close_matrix_group, expand_in_elementaries,
+                         frobenius_identity_check, is_conjugate_subgroup, make_weights, mat_vec,
+                         p_regular_check, triangular_group, vec_code, whitney_product_check)
 from test_cli import run_cli
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute_force import hom_in_kind, weyl_image
+from brute_force import hom_in_kind, index_of_vector, vector_of_index, weyl_image
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import (CapExceeded, CatalogMismatch, NotMaximal)
@@ -52,11 +52,11 @@ def images(cols, V):
     p = V.prime
     out = {}
     for i in V.elements:
-        vec = V.vector_of_index(i)
+        vec = vector_of_index(V, i)
         img = [0] * V.rank
         for c, x in zip(cols, vec):
             img = [(a + x * (c // p ** r % p)) % p for r, a in enumerate(img)]
-        out[i] = V.index_of_vector(img)
+        out[i] = index_of_vector(V, img)
     return out
 
 
@@ -82,10 +82,10 @@ class TestExplicitHoms:
             cols = cg.column_codes(M, 2)
             assert cg.matrix_of(cols, 2, 2) == M
             for i, img in images(cols, V).items():
-                vec = V.vector_of_index(i)
+                vec = vector_of_index(V, i)
                 want = tuple(sum(M[r][c] * vec[c] for c in range(2)) % 2
                              for r in range(2))
-                assert V.vector_of_index(img) == want
+                assert vector_of_index(V, img) == want
         # entries are taken mod p; row r is digit r of every code
         assert cg.column_codes(((2, 0), (1, 4)), 3) == (5, 3)
         assert cg.matrix_of((5, 3), 3, 2) == ((2, 0), (1, 1))

@@ -61,8 +61,8 @@ NAMED = {
     "S7": lambda: symmetric(7),
     "S8": lambda: symmetric(8),
     "A4xA4": a4_squared,
-    "affine-8": lambda: built(gallery.affine_group(8)),
-    "tri-2-3": lambda: built(gallery.triangular_group(2, 3)),
+    "affine-8": lambda: built(gallery.build_affine(8).group),
+    "tri-2-3": lambda: built(gallery.build_triangular(2, 3).group),
     "cyclic-15015": lambda: cycles(3, 5, 7, 11, 13),
     # order 1,156 with keys up to 83,230, past 64 per element: the binary search
     "D17xD17": lambda: dihedral_squared(17),

@@ -178,7 +178,7 @@ class TestBadInput:
         path.write_text(json.dumps({"degree": 2, "generators": gens}))
         r = run_cli("analyze", str(path), "--prime", "2")
         assert_input_error(r)
-        assert "integer images" in r.stderr
+        assert f"{path}: bad generators[0][0]: expected an integer" in r.stderr
 
     def test_negative_max_n(self, a4_path):
         r = run_cli("analyze", a4_path, "--prime", "2", "--max-n", "-1")
@@ -190,6 +190,66 @@ class TestBadInput:
                     env={"ELABCAT_CATALOG_CAP": "lots"})
         assert_input_error(r)
         assert "ELABCAT_CATALOG_CAP" in r.stderr
+
+
+def gallery_entry(tmp_path, **claim):
+    """An affine-4 entry file holding one claim, its fields overridden by claim."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({
+        "name": "x", "builder": "affine", "params": {"q": 4}, "prime": 2,
+        "claims": [{"id": "c", "text": "t", "provenance": "derived",
+                    "check": "group_order", "expected": 12, **claim}]}))
+    return str(path)
+
+
+class TestDocumentReader:
+    """Malformed values in a document, each one line in the reader's words."""
+
+    def test_kind_parameter_must_be_an_integer(self, a4_path, tmp_path, capsys):
+        assert cli.main(["analyze", a4_path, "--prime", "2", "--kinds", "An(x)"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad --kinds value: the parameter of An must be an integer, got 'x'\n")
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"base_kind": "An(x)"}))
+        assert cli.main(["closure", a4_path, "--prime", "2", "--category", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad base_kind: the parameter of An must be an integer, got 'x'\n")
+
+    @pytest.mark.parametrize("claim, message", [
+        ({"check": []}, "bad claims[0].check: expected a string, got []"),
+        ({"check": "aut_order", "args": {"object": "kernel", "kind": []}},
+         "bad claims[0].args.kind: expected a string, got []"),
+        ({"check": "aut_order", "args": {"kind": "A"}}, "missing key 'claims[0].args.object'"),
+        ({"provenance": None},
+         'bad claims[0].provenance: expected one of "cited", "derived", "trivial", got null'),
+    ], ids=["check", "kind", "args key", "provenance"])
+    def test_gallery_claim(self, tmp_path, capsys, claim, message):
+        path = gallery_entry(tmp_path, **claim)
+        assert cli.main(["gallery", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_generator_image_past_int64(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({**A4, "generators": [[1, 0, 3, 2 ** 70]]}))
+        assert cli.main(["analyze", str(path), "--prime", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad generators[0][3]: expected an integer of at most 64 bits, "
+            f"got 1180591620717411303424\n")
+
+    def test_null_name_is_the_file_stem(self, tmp_path, capsys):
+        # an optional key set to null reads as left out
+        path = tmp_path / "nameless.json"
+        path.write_text(json.dumps({**A4, "name": None}))
+        assert cli.main(["analyze", str(path), "--prime", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["group"]["name"] == "nameless"
+        path.write_text(json.dumps({**A4, "name": 5}))
+        main_input_error(capsys, "analyze", str(path), "--prime", "2")
+
+    def test_failed_claim_prints_one_error_line(self, tmp_path, capsys):
+        assert cli.main(["gallery", gallery_entry(tmp_path, expected=13)]) == 4
+        out, err = capsys.readouterr()
+        assert out.startswith("FAIL x c [derived]: expected 13, computed 12")
+        assert err == "error: gallery claims failed: 1\n"
 
 
 # valid command lines: every command, options before and after the
@@ -740,17 +800,17 @@ class TestClosure:
         ([-1, 0], "not a catalog subgroup"),
         ([99999999999999999999999], "not a catalog subgroup"),
         ([0, 1, 2, 3], "not a catalog subgroup"),         # distinct, not a member
-        ([0, 1.0], "must be lists of integers"),
-        ([True, 0], "must be lists of integers"),
+        ([0, 1.0], "bad homs[0].domain[1]: expected an integer, got 1.0"),
+        ([True, 0], "bad homs[0].domain[0]: expected an integer, got true"),
     ])
     def test_domain_lookup(self, a4_path, tmp_path, capsys, domain, message):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"base_kind": "A", "homs": [
             {"domain": domain, "codomain": [0, 3, 8, 11], "matrices": []}]}))
         assert cli.main(["closure", a4_path, "--prime", "2", "--category", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: hom record ") and message in err, err
-        assert len(err.strip().splitlines()) == 1
+        if not message.startswith("bad "):
+            message = f"hom record names an element set that is {message}"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_bad_matrix_names_both_ranks(self, a4_path, tmp_path, capsys):
         # a map from a member of rank 1 into one of rank 2 is 2 rows of 1 entry

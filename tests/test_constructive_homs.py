@@ -15,11 +15,10 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import (brute_hom_sets, code_rows, generated_by, injective_oracle,
+from brute_force import (affine_group, brute_hom_sets, code_rows, generated_by, injective_oracle,
                          weyl_image)
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs, p_rank
-from elabcat.gallery import affine_group
 from elabcat.groups import close_generators
 from test_hom_cache import small_groups
 

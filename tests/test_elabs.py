@@ -1,8 +1,9 @@
 import pytest
 
-from brute_force import conjugate_subgroup, generated_by
-from elabcat.elabs import ElabSubgroup, enumerate_elabs, is_conjugate_subgroup, p_rank
-from elabcat.errors import (CapExceeded, CatalogMismatch, ElementNotInSubgroup)
+from brute_force import (conjugate_subgroup, generated_by, index_of_vector, is_conjugate_subgroup,
+                         vector_of_index)
+from elabcat.elabs import ElabSubgroup, enumerate_elabs, p_rank
+from elabcat.errors import CapExceeded, CatalogMismatch, ElementNotInSubgroup
 from elabcat.groups import close_generators
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
@@ -39,19 +40,19 @@ class TestElabSubgroup:
         v = sorted(i for i in range(G.order) if G.element_orders[i] in (1, 2))
         E = ElabSubgroup.from_element_indices(G, 2, v)
         for i in E.elements:
-            vec = E.vector_of_index(i)
-            assert E.index_of_vector(vec) == i
+            vec = vector_of_index(E, i)
+            assert index_of_vector(E, vec) == i
         outside = next(i for i in range(G.order) if i not in E.elements)
         with pytest.raises(ElementNotInSubgroup):
-            E.vector_of_index(outside)
+            vector_of_index(E, outside)
 
     def test_element_vector_helpers(self):
         G = a4()
         v = sorted(i for i in range(G.order) if G.element_orders[i] in (1, 2))
         E = ElabSubgroup.from_element_indices(G, 2, v)
         perm = G.element(E.elements[3])
-        vec = E.vector_of_index(G.index(perm))
-        assert G.element(E.index_of_vector(vec)) == perm
+        vec = vector_of_index(E, G.index(perm))
+        assert G.element(index_of_vector(E, vec)) == perm
 
 
 class TestCatalog:

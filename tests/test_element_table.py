@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import (brute_catalog, brute_conjugacy, brute_coordinates,
+from brute_force import (brute_catalog, brute_conjugacy, brute_coordinates, index_of_vector,
+                         vector_of_index,
                          brute_group, scan_centralizer)
 from elabcat import elabs
 from elabcat.elabs import enumerate_elabs
@@ -98,8 +99,8 @@ def test_element_table_matches_tuple_oracle(group, rnd):
             assert E.basis == basis
             assert E.elements == tuple(sorted(coords.values()))
             for vec, i in coords.items():
-                assert E.index_of_vector(vec) == i
-                assert E.vector_of_index(i) == vec
+                assert index_of_vector(E, vec) == i
+                assert vector_of_index(E, i) == vec
 
 
 @given(group=generated_groups())

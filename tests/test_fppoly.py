@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import dict_add, dict_mul, dict_pow, dict_substitute
+from brute_force import (dict_add, dict_mul, dict_pow, dict_substitute, expand_in_elementaries,
+                         linear_form)
 from elabcat.errors import CapExceeded, NotSymmetric
 from elabcat.fpmat import mat_mul
-from elabcat.fppoly import (FpPolynomial, elementary_symmetric,
-                            expand_in_elementaries, symmetric_reduce)
+from elabcat.fppoly import FpPolynomial, elementary_symmetric, symmetric_reduce
 
 
 def monomial(prime, nvars, exps):
@@ -58,7 +58,7 @@ class TestArithmetic:
         assert (x + y) ** 2 == x ** 2 + y ** 2
 
     def test_linear_form(self):
-        f = FpPolynomial.linear_form(3, (1, 2))
+        f = linear_form(3, (1, 2))
         x = FpPolynomial.variable(3, 2, 0)
         y = FpPolynomial.variable(3, 2, 1)
         assert f == x + y.scale(2)

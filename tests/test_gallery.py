@@ -50,9 +50,9 @@ class TestSmallField:
 
 class TestBuilders:
     def test_affine_orders(self):
-        assert gal.affine_group(3).order == 6
-        assert gal.affine_group(4).order == 12
-        assert gal.affine_group(8).order == 56
+        assert gal.build_affine(3).group.order == 6
+        assert gal.build_affine(4).group.order == 12
+        assert gal.build_affine(8).group.order == 56
 
     def test_affine_kernel_is_translations(self):
         b = gal.build_affine(4)
