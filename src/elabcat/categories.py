@@ -77,7 +77,7 @@ import numpy as np
 
 from .config import cap as _cap, refuse
 from .elabs import ElabCatalog, ElabSubgroup
-from .errors import CatalogMismatch, ClosureGuardError, NotMaximal
+from .errors import CatalogMismatch, ClosureGuardError, InputFormatError, NotMaximal
 # perfbench/tracing.py wraps categories.mat_mul; callers read column_codes here
 from .fpmat import (Mat, basis_search, code_digits, column_codes,  # noqa: F401
                     image_tables, injective_count, mat_mul, mat_rank, matrix_of,
@@ -109,8 +109,9 @@ class CategoryKind:
         return f"{self.tag}({self.param})"
 
 
-def parse_kind(text: str, p: int) -> CategoryKind:
-    """The kind labelled "Tag", "Tag(k)" or "Tag:k"; ValueError unless valid at p."""
+def parse_kind(text: str, p: int, place: str) -> CategoryKind:
+    """The kind labelled "Tag", "Tag(k)" or "Tag:k"; InputFormatError,
+    its message after place, unless it is valid at p."""
     text = text.strip()
     if "(" in text and text.endswith(")"):
         text = text[:-1].replace("(", ":", 1)
@@ -118,10 +119,14 @@ def parse_kind(text: str, p: int) -> CategoryKind:
     try:
         param = int(raw) if colon else None
     except ValueError:
-        raise ValueError(f"the parameter of {tag} must be an integer, got {raw!r}") from None
-    kind = CategoryKind(tag, param)
+        raise InputFormatError(
+            f"{place}: the parameter of {tag} must be an integer, got {raw!r}") from None
+    try:
+        kind = CategoryKind(tag, param)
+    except ValueError as e:
+        raise InputFormatError(f"{place}: {e}") from None
     if kind.tag == "AprimeD" and (p - 1) % kind.param:
-        raise ValueError(f"{kind.label()} needs a divisor of {p - 1} at p={p}")
+        raise InputFormatError(f"{place}: {kind.label()} needs a divisor of {p - 1} at p={p}")
     return kind
 
 
@@ -723,6 +728,28 @@ def _restricted(catalog: ElabCatalog, maps: Isos, rank: int) -> tuple[np.ndarray
     return cls[s][k], by_code[maps[1][f][:, None] - ys[0], images]
 
 
+def _holds_a(C: SubgroupCategory, base: SubgroupCategory) -> None:
+    """Raise ClosureGuardError at the first pair, in row-major order, where
+    C, a category of explicit maps alone, misses maps of base (A's), once
+    base's maps pass the hom count cap.  A pair C does not list misses all
+    of base's there, so the first such pair is read off base's
+    class_sizes, spread to member pairs as in changed_pairs; only it and
+    the listed pairs before it are compared, by sorted row keys."""
+    catalog, n, k = C.catalog, len(C.catalog), C.catalog.class_count()
+    _refuse_past_cap("the category holds", base.hom_count())
+    (starts, members), (x, y) = catalog.class_table, np.divmod(base.class_sizes()[0], k)
+    t, at = ranges(starts[x], starts[x + 1])              # member at of class x[t]
+    u, to = ranges(starts[y[t]], starts[y[t] + 1])        # and member to of class y[t]
+    pairs = members[at[u]] * n + members[to]
+    listed = np.array(sorted(C.maps), dtype=np.int64).reshape(-1, 2) @ [n, 1]
+    stop = int(pairs[~find_sorted(listed, pairs)[1]].min(initial=n * n))
+    for g in listed[listed < stop].tolist() + [stop] * (stop < n * n):
+        mine, maps = (row_keys(D.hom(*divmod(g, n))) for D in (C, base))
+        if count := int((~find_sorted(mine, maps)[1]).sum()):
+            raise ClosureGuardError(f"input omits {count} conjugation-induced morphism"
+                                    f"{'s' if count != 1 else ''} on object pair {divmod(g, n)}")
+
+
 def closure(C: SubgroupCategory) -> SubgroupCategory:
     """Smallest hom collection containing C that is closed under
     composition, restriction (both domain and codomain), and inverses of
@@ -731,9 +758,9 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     SubgroupCategory).
 
     The input must contain every A-morphism (conjugation-induced maps and
-    inclusions), on every pair.  Every kind does; an input without one,
-    its maps all explicit, is checked, and ClosureGuardError names the
-    first pair that misses some.  The closure then holds the inclusions
+    inclusions), on every pair.  Every kind and closure does; an input of
+    explicit maps alone is checked (_holds_a), and ClosureGuardError names
+    the first pair that misses some.  The closure then holds the inclusions
     and the conjugation isomorphisms and is closed under corestriction,
     so each of its maps is an isomorphism onto its image followed by an
     inclusion (Quillen's factorization; see the module docstring), and
@@ -761,16 +788,9 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
     catalog, p, reps = C.catalog, C.catalog.prime, C.catalog.class_reps.tolist()
     rank, inputs = catalog.ranks()[reps], list(C.maps.items()) + list(C.given.items())
     if C.kind is None:
-        # every kind holds A; an explicit input must list it on every pair
         base = build_category(A, catalog)
-        for (i, j), maps in base.hom_dict().items():          # in row-major order
-            given = set(map(tuple, C.hom(i, j).tolist()))
-            count = sum(m not in given for m in map(tuple, maps.tolist()))
-            if count:
-                raise ClosureGuardError(
-                    f"input omits {count} conjugation-induced "
-                    f"morphism{'s' if count != 1 else ''} "
-                    f"on object pair ({i}, {j})")
+        if not C.given:         # a closure's result holds A, as its input did
+            _holds_a(C, base)
     else:
         _refuse_past_cap("the base between class representatives holds",
                          int(C.class_sizes()[1].sum()))

@@ -36,10 +36,10 @@ from . import __version__
 from . import categories as cg
 from . import chern, fppoly, gallery
 from .elabs import ElabCatalog, enumerate_elabs, p_rank
-from .config import INT64, POSITIVE, read_file
+from .config import DEFAULTS, INT64, NATURAL, POSITIVE, cap, number, read_file
 from .errors import (CapExceeded, CatalogMismatch, ClosureGuardError, ElabcatError,
                      InputFormatError, InvalidPermutation)
-from .fpmat import PRIME_LIMIT, is_prime
+from .fpmat import PRIME, is_prime
 from .groups import FiniteGroup, close_generators
 
 
@@ -236,11 +236,8 @@ def cmd_analyze(args) -> int:
     G = load_group(args.group)
     kinds = None
     if args.kinds is not None:
-        try:
-            kinds = [cg.parse_kind(tok, args.prime)
-                     for tok in args.kinds.split(",") if tok.strip()]
-        except ValueError as e:
-            raise InputFormatError(f"bad --kinds value: {e}")
+        kinds = [cg.parse_kind(tok, args.prime, "bad --kinds value")
+                 for tok in args.kinds.split(",") if tok.strip()]
         if not kinds:
             raise InputFormatError(f"bad --kinds value: {args.kinds!r} names no kind")
     report = analyze_report(G, args.prime, kinds, args.max_n)
@@ -321,12 +318,8 @@ def load_category(path: str, catalog: ElabCatalog) -> cg.SubgroupCategory:
     matrices, rows over F_p.
     """
     doc = read_file(path, CATEGORY)
-    kind = None
-    if "base_kind" in doc:
-        try:
-            kind = cg.parse_kind(doc["base_kind"], catalog.prime)
-        except ValueError as e:
-            raise InputFormatError(f"{path}: bad base_kind: {e}")
+    kind = (cg.parse_kind(doc["base_kind"], catalog.prime, f"{path}: bad base_kind")
+            if "base_kind" in doc else None)
     homs: dict[tuple[int, int], list] = {}
     ranks = catalog.ranks()
     for rec in doc.get("homs", []):
@@ -378,24 +371,24 @@ class Command(NamedTuple):
     handler: Callable[[Any], int]
     help: str
     positionals: tuple[str, ...]    # in order; "[name]" may be left out
-    options: dict[str, type]        # read as int or str, or bool for a flag
+    options: dict[str, Any]         # str, bool for a flag, or the Ints read
     required: tuple[str, ...]       # options that must be given
 
 
 COMMANDS = {
     "analyze": Command(cmd_analyze, "full report for one group", ("group",),
-                       {"--prime": int, "--kinds": str, "--max-n": int, "--pretty": bool},
+                       {"--prime": PRIME, "--kinds": str, "--max-n": NATURAL, "--pretty": bool},
                        ("--prime",)),
     "gallery": Command(cmd_gallery, "recheck the bundled example claims", ("[entry]",),
                        {}, ()),
     "dickson": Command(cmd_dickson, "regular weight list invariants", (),
-                       {"--prime": int, "--rank": int}, ("--prime", "--rank")),
+                       {"--prime": PRIME, "--rank": POSITIVE}, ("--prime", "--rank")),
     "symreduce": Command(cmd_symreduce, "regular product in the elementary symmetric basis",
-                         (), {"--prime": int, "--rank": int}, ("--prime", "--rank")),
+                         (), {"--prime": PRIME, "--rank": POSITIVE}, ("--prime", "--rank")),
     "pregular": Command(cmd_pregular, "p-regularity test for a character", ("group",),
-                        {"--prime": int, "--character": str}, ("--prime", "--character")),
+                        {"--prime": PRIME, "--character": str}, ("--prime", "--character")),
     "closure": Command(cmd_closure, "close an explicit hom collection", ("group",),
-                       {"--prime": int, "--category": str, "--pretty": bool},
+                       {"--prime": PRIME, "--category": str, "--pretty": bool},
                        ("--prime", "--category")),
 }
 
@@ -432,10 +425,11 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 
     After the command, options (--name VALUE or --name=VALUE, a flag
     without a value) and positionals come in any order; a value may start
-    with "-", and a repeated option keeps its last value.  Returns func
-    (the handler), command, and one attribute per option (--max-n as
-    max_n; None or False when left out) and per positional (None when
-    left out).  -h or --help, alone or after a command, and a leading
+    with "-", and a repeated option keeps its last value; an integer
+    option's value must fit its Ints as it is read.  Returns func (the
+    handler), command, and one attribute per option (--max-n as max_n;
+    None or False when left out) and per positional (None when left
+    out).  -h or --help, alone or after a command, and a leading
     --version return the handler that prints them instead.  A malformed
     command line raises InputFormatError.
     """
@@ -470,10 +464,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
             value = next(tokens, None)
             if value is None:
                 raise InputFormatError(f"{name}: {opt} needs a value")
-        try:
-            values[opt] = kind(value)
-        except ValueError:
-            raise InputFormatError(f"{name}: {opt} needs an integer, got {value!r}")
+        values[opt] = value if kind is str else number(value, kind, f"{name}: bad {opt}")
     wanted = [p.strip("[]") for p in cmd.positionals]
     if len(given) > len(wanted):
         raise InputFormatError(f"{name}: unexpected argument {given[len(wanted)]!r}")
@@ -486,26 +477,11 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     return SimpleNamespace(func=cmd.handler, command=name, **args)
 
 
-def check_numbers(args) -> None:
-    """Reject a --prime that is not prime or too large to test, a --rank
-    below 1 and a negative --max-n."""
-    p = getattr(args, "prime", None)
-    if p is not None and p >= PRIME_LIMIT:
-        raise InputFormatError(f"--prime {p} is too large to test (limit {PRIME_LIMIT})")
-    if p is not None and not is_prime(p):
-        raise InputFormatError(f"--prime {p} is not a prime")
-    n = getattr(args, "rank", None)
-    if n is not None and n < 1:
-        raise InputFormatError(f"--rank must be at least 1, got {n}")
-    m = getattr(args, "max_n", None)
-    if m is not None and m < 0:
-        raise InputFormatError(f"--max-n must be non-negative, got {m}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        check_numbers(args)
+        for name in DEFAULTS:       # a malformed cap exits 2 whether or not it is read
+            cap(name)
         code = args.func(args)
         sys.stdout.flush()          # a closed stdout raises here, not at exit
         return code

@@ -16,7 +16,8 @@ are read from the environment alone; only close_generators also takes a
 bound of its own (from_elements bounds a closure by its list).
 
 Every input document is read here too, by read against a table of its
-fields' types: the one place a type is checked and a type error worded.
+fields' types, and each integer of the command line and the caps by
+number: the one place a type is checked and a type error worded.
 """
 
 import json
@@ -38,13 +39,7 @@ def cap(name: str) -> int:
     if name not in DEFAULTS:
         raise KeyError(f"unknown cap {name!r}")
     raw = os.environ.get("ELABCAT_" + name.upper())
-    if raw is None:
-        return DEFAULTS[name]
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputFormatError(
-            f"ELABCAT_{name.upper()} must be an integer, got {raw!r}")
+    return DEFAULTS[name] if raw is None else number(raw, NATURAL, f"bad ELABCAT_{name.upper()}")
 
 
 def refuse(name: str, text: str) -> NoReturn:
@@ -57,14 +52,26 @@ def refuse(name: str, text: str) -> NoReturn:
 
 
 class Ints(NamedTuple):
-    """The JSON integers passing test, named in messages by words."""
+    """The integers passing test, named in messages by words."""
     words: str
     test: Callable[[int], bool]
 
 
 INT64 = Ints("an integer of at most 64 bits", lambda v: -2 ** 63 <= v < 2 ** 63)
 POSITIVE = Ints("a positive integer", lambda v: v > 0)
+NATURAL = Ints("a non-negative integer", lambda v: v >= 0)
 _WORDS = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
+
+
+def number(text: str, kind: Ints, place: str) -> int:
+    """text, a command-line value or a setting, as an integer of kind;
+    InputFormatError, its message after place, if it is none."""
+    try:
+        if kind.test(value := int(text)):
+            return value
+    except ValueError:
+        pass
+    raise InputFormatError(f"{place}: expected {kind.words}, got {text!r}")
 
 
 def _fits(value, kind) -> bool:

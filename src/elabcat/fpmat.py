@@ -13,8 +13,8 @@ one An(n) test of categories, with or without a catalog), and basis_search
 the linear maps that keep a label on each vector, for many pairs of
 spaces at once.
 Everything here is desk scale (dimensions at most a handful), so plain
-Gaussian elimination is used throughout.  is_prime checks every prime
-the command line and the gallery entry files take.
+Gaussian elimination is used throughout.  is_prime, through PRIME,
+checks every prime the command line and the gallery entry files take.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import cap, refuse
+from .config import Ints, cap, refuse
 from .groups import blocks, find_sorted, row_keys
 
 Mat = tuple[tuple[int, ...], ...]
@@ -283,6 +283,10 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# the integers the command line and an entry read as a prime
+PRIME = Ints(f"a prime below {PRIME_LIMIT}", lambda v: v < PRIME_LIMIT and is_prime(v))
 
 
 def primitive_element(q: int, mul: Callable[[int, int], int]) -> int:

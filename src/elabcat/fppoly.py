@@ -7,15 +7,14 @@ mod p and nonzero.  The form is canonical, so equality compares arrays.
 Every sum, product, power and substitution ends in one routine,
 ``_collect``: it sorts the terms by key and adds the coefficients of
 equal keys mod p.  A key is an owner (the polynomial a term belongs to)
-and an exponent row packed into one int64, owner * base^n + sum_i e_i *
+and an exponent row packed into one integer, owner * base^n + sum_i e_i *
 base^(n-1-i) with base = (largest exponent of the result) + 1 (Kronecker
 substitution; Monagan & Pearce, ISSAC 2009), so a term product is one
-integer add and key order is (owner, row) order.  When owners * base^n
-passes 2^63 the key is the row after an owner column, ordered by
-``np.lexsort``; that is exact at any size.  Coefficients are int64 for
-p < 2^31: a product of two residues is reduced before it is summed, and
-sums of up to 2^32 residues stay below 2^63.  Larger primes keep
-Python-int coefficients.
+integer add and key order is (owner, row) order.  Keys and coefficients
+follow one rule: int64 while every value fits, Python ints (an object
+array) past it.  Keys fit while owners * base^n < 2^63.  Coefficients
+fit for p < 2^31: a product of two residues is reduced before it is
+summed, and sums of up to 2^32 residues stay below 2^63.
 
 Every product is ``_times``: each row meets every term of its owner's
 factor, a row of a (factor, term) table padded with coefficient 0, in
@@ -52,49 +51,43 @@ def _dtype(prime: int):
 
 def _pack(rows: np.ndarray, top: int, owners: int = 1) -> np.ndarray:
     """Keys of owner 0 for exponent rows whose entries are at most top,
-    ordered as the rows are: packed int64 keys, or the rows after an
-    owner column when owners * base^n would pass 2^63."""
+    ordered as the rows are: int64 while owners * base^n < 2^63, Python
+    ints past it."""
     base, n = top + 1, rows.shape[1]
-    if owners * base ** n >= 1 << 63:
-        return np.column_stack((np.zeros(len(rows), dtype=np.int64), rows))
-    return rows @ (base ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    dtype = np.int64 if owners * base ** n < 1 << 63 else object
+    return rows.astype(dtype, copy=False) @ np.array(
+        [base ** k for k in range(n - 1, -1, -1)], dtype=dtype)
 
 
 def _unpack(keys: np.ndarray, top: int, n: int) -> np.ndarray:
     """Exponent rows of keys of owner 0 made by _pack(rows, top)."""
-    if keys.ndim == 2:
-        return keys[:, 1:]
     rows = np.empty((len(keys), n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
-        keys, rows[:, j] = np.divmod(keys, top + 1)
+        if (top + 1) ** (j + 1) < 1 << 63:          # the keys left are below base^(j+1)
+            keys = keys.astype(np.int64, copy=False)
+        rows[:, j], keys = keys % (top + 1), keys // (top + 1)
     return rows
 
 
 def _owners(keys: np.ndarray, span: int) -> np.ndarray:
-    """The owner of each key; span is base^n."""
-    return keys // span if keys.ndim == 1 else keys[:, 0]
+    """The owner of each key, as int64; span is base^n."""
+    return (keys // span).astype(np.int64, copy=False)
 
 
 def _own(keys: np.ndarray, owners, span: int) -> np.ndarray:
     """The keys moved to owners (an array, or one owner for all)."""
-    if keys.ndim == 1:
-        return owners * span + keys % span
-    return np.column_stack((np.broadcast_to(owners, len(keys)), keys[:, 1:]))
+    return np.asarray(owners, dtype=keys.dtype) * span + keys % span
 
 
 def _collect(keys: np.ndarray, coeffs: np.ndarray, prime: int):
     """Sorted distinct keys with the sums mod prime of their coefficients,
-    zero sums dropped.  1-D keys are packed; 2-D keys are owned rows."""
+    zero sums dropped."""
     if not len(keys):
         return keys, coeffs
-    if keys.ndim == 1:
-        order = np.argsort(keys)
-        keys = keys[order]
-        new = keys[1:] != keys[:-1]
-    else:
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        new = (keys[1:] != keys[:-1]).any(axis=1)
+    # timsort finds a product's sorted runs, sparing Python-int compares
+    order = np.argsort(keys, kind="stable" if keys.dtype == object else None)
+    keys = keys[order]
+    new = (keys[1:] != keys[:-1]).astype(bool, copy=False)
     starts = np.flatnonzero(np.concatenate(([True], new)))
     sums = np.add.reduceat(coeffs[order], starts) % prime
     keep = sums != 0
@@ -107,9 +100,8 @@ def _table(keys: np.ndarray, coeffs: np.ndarray, size: int, span: int):
     0 and coefficient 0."""
     owners = _owners(keys, span)
     pos = np.arange(len(owners)) - np.searchsorted(owners, owners)
-    tkeys = np.zeros((size, int(pos.max(initial=-1)) + 1, *keys.shape[1:]),
-                     dtype=np.int64)
-    tcoeffs = np.zeros(tkeys.shape[:2], dtype=coeffs.dtype)
+    tkeys = np.zeros((size, int(pos.max(initial=-1)) + 1), dtype=keys.dtype)
+    tcoeffs = np.zeros(tkeys.shape, dtype=coeffs.dtype)
     tkeys[owners, pos], tcoeffs[owners, pos] = _own(keys, 0, span), coeffs
     return tkeys, tcoeffs
 
@@ -128,7 +120,7 @@ def _times(keys, coeffs, table, prime: int, span: int, fac=None):
         keys, coeffs = keys[~keep], coeffs[~keep]
     for blk in blocks(len(keys), tkeys[0].size):
         tk, tc = (tkeys, tcoeffs) if len(tkeys) == 1 else (tkeys[fac[blk]], tcoeffs[fac[blk]])
-        held.append(((keys[blk, None] + tk).reshape(-1, *keys.shape[1:]),
+        held.append(((keys[blk, None] + tk).ravel(),
                      (coeffs[blk, None] * tc % prime).ravel()))
         waiting += len(held[-1][1])
         if waiting >= BLOCK_ENTRIES // 2:
@@ -360,7 +352,7 @@ class FpPolynomial:
                 c = int(img.coeffs[0])
                 c_pow = np.array([pow(c, k, p) for k in range(int(ks.max(initial=0)) + 1)],
                                  dtype=coeffs.dtype)
-                keys = keys + np.multiply.outer(ks, _pack(img.exps, top, owners)[0])
+                keys = keys + ks.astype(keys.dtype, copy=False) * _pack(img.exps, top, owners)[0]
                 coeffs = coeffs * c_pow[ks] % p
                 continue
             need = sorted_distinct(ks[ks > 0])

@@ -24,8 +24,8 @@ import numpy as np
 from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
 from .errors import InputFormatError
-from .config import POSITIVE, Ints, cap as _cap, read, read_file, refuse
-from .fpmat import (PRIME_LIMIT, Mat, code_digits, gl_generators, is_prime, mat_inv, mat_rank,
+from .config import NATURAL, POSITIVE, Ints, cap as _cap, read, read_file, refuse
+from .fpmat import (PRIME, Mat, code_digits, gl_generators, mat_inv, mat_rank,
                     primitive_element, subspace_bases)
 from .groups import ENTRIES_PER_ELEMENT, FiniteGroup, _orbit_labels, close_generators
 
@@ -65,7 +65,7 @@ class SmallField:
         if q in IRREDUCIBLE:
             n = len(IRREDUCIBLE[q]) - 1
             p = round(q ** (1 / n))
-        elif q < PRIME_LIMIT and is_prime(q):
+        elif PRIME.test(q):
             p, n = q, 1
         else:
             raise ValueError(f"no field of order {q} on record: a field order is a "
@@ -330,6 +330,7 @@ class GalleryEntry:
     params: dict
     prime: int
     claims: tuple
+    path: Path
 
 
 @dataclass(frozen=True)
@@ -370,8 +371,7 @@ def build_cyclic(n: int, p: int) -> CyclicBuild:
     return CyclicBuild(G, p, ElabSubgroup.from_element_indices(G, p, idxs))
 
 
-# the integers an entry reads as a prime, and as the order of a field
-PRIME = Ints(f"a prime below {PRIME_LIMIT}", lambda v: v < PRIME_LIMIT and is_prime(v))
+# the integers an entry reads as the order of a field
 FIELD_ORDER = Ints(f"a field order on record, a prime or one of {sorted(IRREDUCIBLE)}",
                    lambda v: v in IRREDUCIBLE or PRIME.test(v))
 
@@ -400,7 +400,8 @@ ENTRY = {"name": str, "builder": tuple(_BUILDERS), "params": dict, "prime": PRIM
 
 def load_entry(name: str) -> GalleryEntry:
     """The bundled entry name, or the entry file name ending in .json;
-    InputFormatError unless it fits ENTRY and each claim names a check."""
+    InputFormatError unless it fits ENTRY, each claim names a check and
+    fits its args table, and each claim's kind is valid at its prime."""
     path = Path(name) if name.endswith(".json") else _FIXTURE_DIR / f"{name}.json"
     if not path.is_file():
         raise InputFormatError(f"no gallery entry named {name!r}; "
@@ -413,9 +414,12 @@ def load_entry(name: str) -> GalleryEntry:
             raise InputFormatError(
                 f"{path}: claim {rec['id']}: unknown check {rec['check']!r}")
         args = read(rec.get("args", {}), _CHECKS[rec["check"]][1], path, f"claims[{k}].args")
+        if "kind" in args:
+            args["kind"] = cg.parse_kind(args["kind"], doc["prime"],
+                                         f"{path}: bad claims[{k}].args.kind")
         claims.append(GalleryClaim(rec["id"], rec["text"], rec["provenance"],
                                    rec["check"], rec["expected"], args))
-    return GalleryEntry(doc["name"], doc["builder"], params, doc["prime"], tuple(claims))
+    return GalleryEntry(doc["name"], doc["builder"], params, doc["prime"], tuple(claims), path)
 
 
 class _EntryContext:
@@ -426,6 +430,7 @@ class _EntryContext:
         self.build = _build_entry(entry)
         self.group: FiniteGroup = self.build.group
         self.prime: int = entry.prime
+        self.claim = ""            # the place of the claim being checked, claims[k]
         self._homs: dict = {}      # (canonical kind, E, F)
 
     @cached_property
@@ -442,26 +447,22 @@ class _EntryContext:
             self._homs[key] = cg.hom_matrices(*key)
         return self._homs[key]
 
-    def part(self, name: str, kind: type, what: str):
+    def part(self, name: str, kind: type, what: str, key: str = ""):
         """The build's attribute name, which must be a kind; a claim that
-        names another raises InputFormatError."""
+        names another raises InputFormatError at the args key that gave
+        the name, or at its check when the check names it."""
         obj = getattr(self.build, name, None)
         if not isinstance(obj, kind):
-            raise InputFormatError(f"entry {self.entry.name}: the {self.entry.builder} "
+            place = f"{self.claim}.args.{key}" if key else f"{self.claim}.check"
+            raise InputFormatError(f"{self.entry.path}: bad {place}: the {self.entry.builder} "
                                    f"build has no {what} named {name!r}")
         return obj
 
-    def subgroup(self, name: str) -> ElabSubgroup:
-        return self.part(name, ElabSubgroup, "subgroup")
+    def subgroup(self, args: dict, key: str) -> ElabSubgroup:
+        return self.part(args[key], ElabSubgroup, "subgroup", key)
 
-    def matrix_group(self, which: str) -> FiniteGroup:
-        return self.part(f"{which}_group", FiniteGroup, "matrix group")
-
-    def kind(self, text: str) -> cg.CategoryKind:
-        try:
-            return cg.parse_kind(text, self.prime)
-        except ValueError as e:
-            raise InputFormatError(f"entry {self.entry.name}: kind {text!r}: {e}") from None
+    def matrix_group(self, which: str, key: str = "") -> FiniteGroup:
+        return self.part(f"{which}_group", FiniteGroup, "matrix group", key)
 
 
 def _jsonify(value):
@@ -500,12 +501,12 @@ def _chk_field_modulus(ctx, args):
 
 @_check("object_rank", object=str)
 def _chk_object_rank(ctx, args):
-    return ctx.subgroup(args["object"]).rank
+    return ctx.subgroup(args, "object").rank
 
 
 @_check("object_order", object=str)
 def _chk_object_order(ctx, args):
-    return len(ctx.subgroup(args["object"]).elements)
+    return len(ctx.subgroup(args, "object").elements)
 
 
 @_check("linear_part_order")
@@ -540,25 +541,25 @@ def _chk_p_rank(ctx, args):
 
 @_check("component_count", kind=str)
 def _chk_component_count(ctx, args):
-    return len(cg.maximal_objects(cg.build_category(ctx.kind(args["kind"]), ctx.catalog)))
+    return len(cg.maximal_objects(cg.build_category(args["kind"], ctx.catalog)))
 
 
 @_check("aut_order", object=str, kind=str)
 def _chk_aut_order(ctx, args):
-    E = ctx.subgroup(args["object"])
-    return len(ctx.hom(ctx.kind(args["kind"]), E, E))
+    E = ctx.subgroup(args, "object")
+    return len(ctx.hom(args["kind"], E, E))
 
 
 @_check("hom_order", domain=str, codomain=str, kind=str)
 def _chk_hom_order(ctx, args):
-    D = ctx.subgroup(args["domain"])
-    C = ctx.subgroup(args["codomain"])
-    return len(ctx.hom(ctx.kind(args["kind"]), D, C))
+    D = ctx.subgroup(args, "domain")
+    C = ctx.subgroup(args, "codomain")
+    return len(ctx.hom(args["kind"], D, C))
 
 
 @_check("fibre_index", object=str)
 def _chk_fibre_index(ctx, args):
-    E = ctx.subgroup(args["object"])
+    E = ctx.subgroup(args, "object")
     return cg.generic_fibre_index(ctx.catalog, E)
 
 
@@ -570,21 +571,20 @@ def _chk_a_eq_aprime(ctx, args):
 @_check("conjugate_objects", a=str, b=str)
 def _chk_conjugate_objects(ctx, args):
     # an A map between subgroups of one rank is a conjugation onto the target
-    return _chk_kind_isomorphic(ctx, {**args, "kind": "A"})
+    return _chk_kind_isomorphic(ctx, {**args, "kind": cg.A})
 
 
 @_check("kind_isomorphic", a=str, b=str, kind=str)
 def _chk_kind_isomorphic(ctx, args):
-    E = ctx.subgroup(args["a"])
-    F = ctx.subgroup(args["b"])
-    kind = ctx.kind(args["kind"])
-    return E.rank == F.rank and len(ctx.hom(kind, E, F)) > 0
+    E = ctx.subgroup(args, "a")
+    F = ctx.subgroup(args, "b")
+    return E.rank == F.rank and len(ctx.hom(args["kind"], E, F)) > 0
 
 
 @_check("conjugacy_orbit_sizes", object=str)
 def _chk_conj_orbit_sizes(ctx, args):
     # sizes of the conjugacy class intersections with the subgroup
-    counts = cg.class_counts(ctx.subgroup(args["object"]), cg.A)[1]
+    counts = cg.class_counts(ctx.subgroup(args, "object"), cg.A)[1]
     return sorted(counts[counts > 0].tolist())
 
 
@@ -592,7 +592,7 @@ def _chk_conj_orbit_sizes(ctx, args):
 def _chk_class_centralizer(ctx, args):
     # centralizer order of the smallest member of the unique class meeting
     # the subgroup in exactly orbit_size elements
-    E = ctx.subgroup(args["object"])
+    E = ctx.subgroup(args, "object")
     cls, counts = cg.class_counts(E, cg.A)
     hits = [c for c, k in enumerate(counts.tolist()) if k and k == args["orbit_size"]]
     if len(hits) != 1:
@@ -608,7 +608,7 @@ def _orbit_partition(G: FiniteGroup) -> np.ndarray:
 
 @_check("matrix_orbit_sizes", which=str)
 def _chk_matrix_orbit_sizes(ctx, args):
-    sizes = np.bincount(_orbit_partition(ctx.matrix_group(args["which"])))
+    sizes = np.bincount(_orbit_partition(ctx.matrix_group(args["which"], "which")))
     return sorted(sizes[sizes > 0].tolist())
 
 
@@ -620,7 +620,7 @@ def _chk_matrix_orbits_match(ctx, args):
 
 @_check("matrix_group_order", which=str)
 def _chk_matrix_group_order(ctx, args):
-    return ctx.matrix_group(args["which"]).order
+    return ctx.matrix_group(args["which"], "which").order
 
 
 @_check("distinguished_map_matrix")
@@ -630,16 +630,15 @@ def _chk_distinguished_matrix(ctx, args):
 
 @_check("distinguished_map_in_kind", kind=str)
 def _chk_distinguished_in_kind(ctx, args):
-    kind = ctx.kind(args["kind"])
-    E = ctx.subgroup("distinguished")
+    E = ctx.part("distinguished", ElabSubgroup, "subgroup")
     codes = cg.column_codes(ctx.part("c_matrix", tuple, "distinguished map"), E.prime)
-    return bool((ctx.hom(kind, E, E) == codes).all(axis=1).any())
+    return bool((ctx.hom(args["kind"], E, E) == codes).all(axis=1).any())
 
 
-@_check("an_equals_a_on_object", object=str, n=int)
+@_check("an_equals_a_on_object", object=str, n=NATURAL)
 def _chk_an_equals_a(ctx, args):
-    E = ctx.subgroup(args["object"])
-    return np.array_equal(ctx.hom(ctx.kind(f"An({args['n']})"), E, E), ctx.hom(cg.A, E, E))
+    E = ctx.subgroup(args, "object")
+    return np.array_equal(ctx.hom(cg.a_n(args["n"]), E, E), ctx.hom(cg.A, E, E))
 
 
 @_check("pointwise_block_witnesses")
@@ -666,7 +665,8 @@ def verify_gallery(entry: GalleryEntry) -> GalleryReport:
     """Recompute every frozen claim of one entry."""
     ctx = _EntryContext(entry)
     results = []
-    for claim in entry.claims:
+    for k, claim in enumerate(entry.claims):
+        ctx.claim = f"claims[{k}]"
         computed = _jsonify(_CHECKS[claim.check][0](ctx, claim.args))
         results.append(ClaimResult(claim.claim_id, claim.text,
                                    claim.provenance, claim.expected,

@@ -80,8 +80,9 @@ It reads no batched search and no catalog cache.
 
 dict_add, dict_mul, dict_pow and dict_substitute: polynomials over F_p as
 {exponent tuple: coefficient} dicts, multiplied one term pair at a time
-and substituted one term at a time; none of them touches the packed
-arrays of ``fppoly.FpPolynomial``.
+and substituted one term at a time; left_to_right: a total Chern class
+as the product of its linear factors, one dict_mul each.  None of them
+touches the packed arrays of ``fppoly.FpPolynomial``.
 
 build_parser: the argparse parser the command line was once read with;
 it shares no code with ``cli.parse_args`` or its COMMANDS table.
@@ -873,6 +874,16 @@ def dict_substitute(p, nvars, f, images):
         for img, k in zip(images, exps):
             term = dict_mul(p, term, dict_pow(p, nvars, img, k))
         out = dict_add(p, out, term)
+    return out
+
+
+def left_to_right(p, rank, rows):
+    """The product of (1 + sum_i w_i x_i) over rows, as a dict, factor by factor."""
+    out = {(0,) * rank: 1}
+    for w in rows:
+        factor = {(0,) * rank: 1}
+        factor.update({tuple(int(j == i) for j in range(rank)): c for i, c in enumerate(w) if c})
+        out = dict_mul(p, out, factor)
     return out
 
 

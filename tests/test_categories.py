@@ -6,7 +6,7 @@ import pytest
 from brute_force import hom_in_kind, index_of_vector, vector_of_index, weyl_image
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
-from elabcat.errors import (CapExceeded, CatalogMismatch, NotMaximal)
+from elabcat.errors import CapExceeded, CatalogMismatch, InputFormatError, NotMaximal
 from elabcat.groups import close_generators, conjugate
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
@@ -23,12 +23,12 @@ def a4_catalog():
 class TestKinds:
     def test_labels_roundtrip(self):
         for kind in (cg.A, cg.APRIME, cg.CREG, cg.aprime_d(2), cg.a_n(3)):
-            assert cg.parse_kind(kind.label(), 7) == kind
+            assert cg.parse_kind(kind.label(), 7, "kind") == kind
 
     def test_parse_rejects_garbage(self):
         for text in ("B", "An()", "An(-1)", "AprimeD(0)", "Aprime(2)", "A:", "AprimeD(4)"):
-            with pytest.raises(ValueError):
-                cg.parse_kind(text, 7)
+            with pytest.raises(InputFormatError, match="^kind: "):
+                cg.parse_kind(text, 7, "kind")
 
     def test_aprime_is_an1(self):
         cat = a4_catalog()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import (affine_group, chern_class, dict_mul, frobenius_identity_check,
+from brute_force import (affine_group, chern_class, frobenius_identity_check, left_to_right,
                          linear_form, make_weights, p_regular_check, whitney_product_check)
 
 from elabcat.chern import (CharacterVector, dickson_check, p_regular_failures,
@@ -22,16 +22,6 @@ A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
 def random_weights(rng, p, rank, count):
     rows = [[rng.randrange(p) for _ in range(rank)] for _ in range(count)]
     return make_weights(p, rank, rows)
-
-
-def left_to_right(p, rank, rows):
-    """The product of (1 + sum_i w_i x_i) over rows, as a dict, factor by factor."""
-    out = {(0,) * rank: 1}
-    for w in rows:
-        factor = {(0,) * rank: 1}
-        factor.update({tuple(int(j == i) for j in range(rank)): c for i, c in enumerate(w) if c})
-        out = dict_mul(p, out, factor)
-    return out
 
 
 class TestTotalChern:
@@ -79,8 +69,8 @@ class TestTotalChern:
 
     def test_tree_keys_past_int64(self):
         # 40 factors in 12 variables, x1 in 28 of them: 40 * 29^12 passes
-        # 2^63, so the tree's keys are exponent rows after an owner column,
-        # while every __mul__ of the left-to-right product packs its keys
+        # 2^63, so the tree's keys are Python ints, while every __mul__ of
+        # the left-to-right product packs its keys as int64
         rows = ([[1] + [0] * 11] * 28 + [[int(j == i) for j in range(12)] for i in range(1, 12)]
                 + [[0] * 12])
         assert 40 * 29 ** 12 >= 2 ** 63 > 29 ** 12

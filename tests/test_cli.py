@@ -11,10 +11,10 @@ import pytest
 from brute_force import build_parser
 
 from elabcat import __version__, chern, cli
-from elabcat.categories import A, CREG, build_category
+from elabcat.categories import A, CREG, SubgroupCategory, build_category
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
-from elabcat.fpmat import injective_count
+from elabcat.fpmat import PRIME_LIMIT, injective_count
 
 A4 = {"name": "alt4", "degree": 4,
       "generators": [[1, 0, 3, 2], [2, 0, 1, 3]]}
@@ -147,9 +147,10 @@ class TestBadInput:
         assert cli.is_prime(1_000_000_000_000_000_003) and cli.is_prime((1 << 89) - 1)
 
     def test_prime_past_the_test_limit(self):
-        r = run_cli("dickson", "--prime", str(cli.PRIME_LIMIT), "--rank", "1")
+        r = run_cli("dickson", "--prime", str(PRIME_LIMIT), "--rank", "1")
         assert_input_error(r)
-        assert "too large" in r.stderr
+        assert r.stderr == (f"error: dickson: bad --prime: expected a prime below {PRIME_LIMIT}, "
+                            f"got '{PRIME_LIMIT}'\n")
 
     @pytest.mark.parametrize("cmd", ["dickson", "symreduce"])
     def test_rank_below_one(self, cmd):
@@ -191,6 +192,14 @@ class TestBadInput:
         assert_input_error(r)
         assert "ELABCAT_CATALOG_CAP" in r.stderr
 
+    @pytest.mark.parametrize("value", ["x", "-1", "2.5"])
+    def test_malformed_cap_the_command_never_reads(self, a4_path, monkeypatch, capsys, value):
+        # analyze multiplies no polynomial, yet the term cap is checked first
+        monkeypatch.setenv("ELABCAT_TERM_CAP", value)
+        assert cli.main(["analyze", a4_path, "--prime", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: bad ELABCAT_TERM_CAP: expected a "
+                                           f"non-negative integer, got {value!r}\n")
+
 
 def gallery_entry(tmp_path, **claim):
     """An affine-4 entry file holding one claim, its fields overridden by claim."""
@@ -222,7 +231,16 @@ class TestDocumentReader:
         ({"check": "aut_order", "args": {"kind": "A"}}, "missing key 'claims[0].args.object'"),
         ({"provenance": None},
          'bad claims[0].provenance: expected one of "cited", "derived", "trivial", got null'),
-    ], ids=["check", "kind", "args key", "provenance"])
+        ({"check": "aut_order", "args": {"object": "kernel", "kind": "An(x)"}},
+         "bad claims[0].args.kind: the parameter of An must be an integer, got 'x'"),
+        ({"check": "an_equals_a_on_object", "args": {"object": "kernel", "n": -1}},
+         "bad claims[0].args.n: expected a non-negative integer, got -1"),
+        ({"check": "object_rank", "args": {"object": "kernal"}},
+         "bad claims[0].args.object: the affine build has no subgroup named 'kernal'"),
+        ({"check": "matrix_orbits_match"},
+         "bad claims[0].check: the affine build has no matrix group named 'q_group'"),
+    ], ids=["check", "kind", "args key", "provenance", "kind label", "negative n", "unknown part",
+            "part of another build"])
     def test_gallery_claim(self, tmp_path, capsys, claim, message):
         path = gallery_entry(tmp_path, **claim)
         assert cli.main(["gallery", path]) == 2
@@ -260,7 +278,6 @@ VALID_COMMAND_LINES = [
     ["analyze", "g.json", "--prime=3", "--kinds", "A,Creg", "--max-n", "0", "--pretty"],
     ["analyze", "--pretty", "--max-n=2", "g.json", "--kinds=An(2)", "--prime", "5"],
     ["analyze", "g.json", "--prime", "2", "--prime", "3"],      # the last one is kept
-    ["analyze", "g.json", "--prime", "2", "--max-n", "-1"],     # for check_numbers to refuse
     ["analyze", "g.json", "--prime", "2", "--kinds="],
     ["gallery"],
     ["gallery", "affine-4"],
@@ -290,6 +307,7 @@ MALFORMED_COMMAND_LINES = {
     "non-integer prime": ["analyze", ALT4, "--prime", "two"],
     "non-integer rank": ["dickson", "--prime", "2", "--rank", "2.0"],
     "non-integer max-n": ["analyze", ALT4, "--prime", "2", "--max-n=x"],
+    "negative max-n": ["analyze", ALT4, "--prime", "2", "--max-n", "-1"],
     "missing required option": ["dickson", "--prime", "2"],
     "missing positional": ["closure", "--prime", "2", "--category", "c.json"],
     "nothing after the command": ["analyze"],
@@ -650,7 +668,7 @@ class TestGallery:
         start = time.perf_counter()
         assert cli.main(["gallery", str(path)]) == 0
         assert time.perf_counter() - start < 2
-        doc["prime"] = cli.PRIME_LIMIT
+        doc["prime"] = PRIME_LIMIT
         path.write_text(json.dumps(doc))
         main_input_error(capsys, "gallery", str(path))
 
@@ -858,6 +876,21 @@ class TestClosure:
         assert r.returncode == 5
         assert r.stderr == ("error: input omits 1 conjugation-induced morphism "
                             "on object pair (0, 0)\n")
+
+    def test_empty_input_over_s7_is_refused_without_listing_a_map(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        # S7 at p=2 has 607,888 member pairs with A maps: the first, (0, 0),
+        # is refused off A's class sizes, with no hom-set listed
+        def hom_dict(self):
+            raise AssertionError("hom_dict listed every A map")
+        monkeypatch.setattr(SubgroupCategory, "hom_dict", hom_dict)
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"homs": []}))
+        golden = Path(__file__).resolve().parent / "golden"
+        assert cli.main(["closure", str(golden / "sym7.group.json"), "--prime", "2",
+                         "--category", str(path)]) == 5
+        assert capsys.readouterr() == ("", "error: input omits 1 conjugation-induced morphism "
+                                           "on object pair (0, 0)\n")
 
     def test_unknown_subgroup_rejected(self, a4_path, tmp_path):
         path = tmp_path / "cat.json"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import (dict_add, dict_mul, dict_pow, dict_substitute, expand_in_elementaries,
-                         linear_form)
+                         left_to_right, linear_form, make_weights)
+from elabcat.chern import total_chern
 from elabcat.errors import CapExceeded, NotSymmetric
 from elabcat.fpmat import mat_mul
-from elabcat.fppoly import FpPolynomial, elementary_symmetric, symmetric_reduce
+from elabcat.fppoly import FpPolynomial, _pack, _unpack, elementary_symmetric, symmetric_reduce
 
 
 def monomial(prime, nvars, exps):
@@ -313,7 +315,7 @@ class TestAgainstDictOracle:
         assert symmetric_reduce(FpPolynomial(p, n, f)).terms == g
 
     def test_packed_key_past_int64(self):
-        # base 601 in 8 variables: 601^8 > 2^63, so keys are exponent rows
+        # base 601 in 8 variables: 601^8 > 2^63, so keys are Python ints
         p, n = 5, 8
         f = {(300, 0, 0, 0, 0, 0, 0, 5): 1, (0, 0, 0, 310, 0, 0, 0, 0): 2,
              (0,) * 8: 3}
@@ -329,6 +331,52 @@ class TestAgainstDictOracle:
         shift[3] = {(0, 0, 0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0, 0, 1): 1}
         assert F.substitute([FpPolynomial(p, n, d) for d in shift]).terms == \
             dict_substitute(p, n, f, shift)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pack_dtype_and_order(self, data):
+        # top + 1 drawn around the n-th root of 2^63 / owners, so both
+        # sides of the int64 bound are hit
+        n, owners = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 1000))
+        edge = round((2 ** 63 / owners) ** (1 / n))
+        top = data.draw(st.integers(max(0, edge - 3), min(edge + 1, 2 ** 63 - 1)))
+        rows = np.array(data.draw(st.lists(st.lists(st.integers(0, top), min_size=n, max_size=n),
+                                           max_size=8)), dtype=np.int64).reshape(-1, n)
+        keys = _pack(rows, top, owners)
+        assert keys.dtype == (np.int64 if owners * (top + 1) ** n < 2 ** 63 else object)
+        assert np.array_equal(_unpack(keys, top, n), rows)
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_keys_past_int64(self, data):
+        # exponents shifted by at least the n-th root of 2^63: each sum,
+        # product and substitution below packs its keys as Python ints
+        p, n = data.draw(st.sampled_from([2, 3, 5, 7])), data.draw(st.integers(2, 5))
+        shift = data.draw(st.integers(math.ceil(2 ** (63 / n)), 2 * math.ceil(2 ** (63 / n))))
+        f, g = ({tuple(e + shift for e in exps): c for exps, c in t.items()}
+                for t in (data.draw(term_dicts(p, n)), data.draw(term_dicts(p, n))))
+        F, G = FpPolynomial(p, n, f), FpPolynomial(p, n, g)
+        assert (F * G).terms == dict_mul(p, f, g)
+        assert (F + G).terms == dict_add(p, f, g)
+        # small exponents into shifted images; x1 * ... * xn keeps top past the bound
+        h = {**data.draw(term_dicts(p, n, max_terms=3, max_exp=2)), (1,) * n: 1}
+        images = [{tuple(e + shift for e in exps): c for exps, c in
+                   data.draw(term_dicts(p, n, max_terms=2, max_exp=1)).items()} or {(0,) * n: 1}
+                  for _ in range(n)]
+        assert FpPolynomial(p, n, h).substitute(
+            [FpPolynomial(p, n, img) for img in images]).terms == dict_substitute(p, n, h, images)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_tree_keys_past_int64(self, data):
+        # 8-12 factors in 20 variables, each with x1: 9^20 > 2^63, so the
+        # product tree packs its keys as Python ints
+        p, n = data.draw(st.sampled_from([2, 3, 5])), 20
+        rows = [[data.draw(st.integers(1, p - 1)), *data.draw(st.lists(
+            st.integers(0, p - 1), min_size=2, max_size=2)), *[0] * (n - 3)]
+            for _ in range(data.draw(st.integers(8, 12)))]
+        assert total_chern(make_weights(p, n, rows)).terms == left_to_right(p, n, rows)
 
     @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
     def test_large_primes(self, p):
