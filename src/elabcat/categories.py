@@ -80,7 +80,7 @@ from .elabs import ElabCatalog, ElabSubgroup
 from .errors import CatalogMismatch, ClosureGuardError, InputFormatError, NotMaximal
 # perfbench/tracing.py wraps categories.mat_mul; callers read column_codes here
 from .fpmat import (Mat, basis_search, code_digits, column_codes,  # noqa: F401
-                    image_tables, injective_count, mat_mul, mat_rank, matrix_of,
+                    image_tables, injective_count, mat_mul, matrix_of,
                     restricts_into, subspace_codes)
 from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, row_keys, runs,
                      sorted_distinct, split_rows)
@@ -614,7 +614,8 @@ def explicit_category(catalog: ElabCatalog, homs: dict[tuple[int, int], Iterable
     """The category over a kind's base (none when kind is None) whose
     explicit maps are the given hom collection, each hom-set given as
     rows of column codes: validated for shape (one code per domain basis
-    vector, each a vector of the codomain) and full column rank."""
+    vector, each a vector of the codomain) and full column rank (no
+    non-zero vector goes to 0)."""
     cleaned: dict[tuple[int, int], np.ndarray] = {}
     p = catalog.prime
     for (i, j), rows in homs.items():
@@ -624,9 +625,8 @@ def explicit_category(catalog: ElabCatalog, homs: dict[tuple[int, int], Iterable
                 else np.zeros((0, r), dtype=np.int64))
         if cols.shape != (len(rows), r) or ((cols < 0) | (cols >= p ** s)).any():
             raise ValueError(f"column codes do not map rank {r} into rank {s}")
-        for M in code_digits(p, s)[cols].transpose(0, 2, 1).tolist():
-            if mat_rank(M, p) != r:
-                raise ValueError("matrix does not have full column rank")
+        if (image_tables(cols, p, s)[:, 1:] == 0).any():
+            raise ValueError("matrix does not have full column rank")
         cleaned[(i, j)] = distinct_rows(cols)
     return SubgroupCategory(catalog, kind, cleaned)
 

@@ -64,12 +64,14 @@ _WORDS = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
 
 
 def number(text: str, kind: Ints, place: str) -> int:
-    """text, a command-line value or a setting, as an integer of kind;
+    """text, a command-line value or a setting, as an integer of kind: an
+    optional sign and ASCII digits, nothing else (int() takes more);
     InputFormatError, its message after place, if it is none."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
     try:
-        if kind.test(value := int(text)):
+        if digits.isascii() and digits.isdigit() and kind.test(value := int(text)):
             return value
-    except ValueError:
+    except ValueError:              # past int()'s limit on digits
         pass
     raise InputFormatError(f"{place}: expected {kind.words}, got {text!r}")
 

@@ -25,8 +25,8 @@ What the descent builds is what the catalog stores: each rank is one
 block of by_code rows, sorted once by the row_keys of their sorted
 elements, so a member is found from its element set by one sorted
 lookup, and the basis of a row is its entries at the codes p^k.  No
-ElabSubgroup is made while the catalog is built; catalog.subgroups[i]
-makes member i's from its row when first read and keeps it.
+ElabSubgroup is made while the catalog is built; catalog.subgroups, read
+by the tests alone, makes every member's from its row when first read.
 from_element_indices, with its checks, serves every other caller.
 """
 
@@ -135,27 +135,6 @@ def _times_powers(G: FiniteGroup, span: np.ndarray, g, p: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-class _Members(Sequence):
-    """catalog.subgroups: member i's ElabSubgroup, built from the
-    catalog's arrays on first read and kept, so repeated reads return the
-    same object."""
-
-    def __init__(self, catalog: "ElabCatalog"):
-        self._catalog, self._built = catalog, [None] * len(catalog.class_of)
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[i]
-        E = self._built[i]
-        if E is None:
-            E = self._built[i] = self._catalog._member(i)
-        return E
-
-
 class ElabCatalog:
     """Every elementary abelian p-subgroup of one group, classified.
 
@@ -164,8 +143,8 @@ class ElabCatalog:
     members of rank r, in member order, beside each row's sorted elements
     and their row_keys (increasing), so a member is found from its element
     set by one sorted lookup (indices_of_sets).  rank_starts[r] is the
-    first member of rank r.  subgroups[i], the ElabSubgroup of member i,
-    is built from its row on first read; no catalog loop builds one.
+    first member of rank r.  subgroups[i] is the ElabSubgroup of member i;
+    the list is built on its first read, and no catalog loop reads it.
 
     class_of labels conjugacy classes in order of first appearance;
     class_witness[i] is a group element index conjugating the class
@@ -192,17 +171,18 @@ class ElabCatalog:
         self._ranks = np.repeat(np.arange(len(codes)), counts)
         for a in (*codes, *rows, self._ranks, class_of, class_reps, class_witness, maximal):
             a.flags.writeable = False
-        self.subgroups = _Members(self)
         self.homs: dict = {}
         self.sizes: dict = {}
 
     def __len__(self) -> int:
         return len(self._ranks)
 
-    def _member(self, i: int) -> ElabSubgroup:
-        codes, r = self.by_code(i), self._ranks.item(i)
-        return ElabSubgroup(self.group, self.prime, codes[self.prime ** np.arange(r)].tolist(),
-                            codes)
+    @cached_property
+    def subgroups(self) -> list[ElabSubgroup]:
+        """Member i's ElabSubgroup at i, each built from its row."""
+        p = self.prime
+        return [ElabSubgroup(self.group, p, codes[p ** np.arange(r)].tolist(), codes)
+                for r, rows in enumerate(self.codes) for codes in rows]
 
     def by_code(self, i: int) -> np.ndarray:
         """Member i's by_code row, read without building its ElabSubgroup."""

@@ -1,13 +1,16 @@
 """Worked example groups with frozen expected values.
 
-Builders produce fully enumerated permutation groups together with their
-distinguished subgroups (translation kernels, unipotent blocks).  The
-fixture files under fixtures/ freeze expected values for each entry;
-verify_gallery recomputes every claim and reports agreement.
+Each builder returns a namespace of a fully enumerated permutation group,
+its prime and the distinguished parts its docstring lists (translation
+kernels, unipotent blocks).  The fixture files under fixtures/ freeze
+expected values for each entry; verify_gallery recomputes every claim.
 
 Finite fields are realized on the element codes 0..q-1 (base-p digit
 vectors, least significant digit first) with a fixed irreducible modulus
 per field order, listed in IRREDUCIBLE and echoed by the fixture files.
+field_product multiplies by a field element as the F_p-linear map it is,
+a polynomial in the companion matrix of the modulus; SmallField, the
+per-digit product of the tests, is its oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
@@ -25,7 +29,7 @@ from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
 from .errors import InputFormatError
 from .config import NATURAL, POSITIVE, Ints, cap as _cap, read, read_file, refuse
-from .fpmat import (PRIME, Mat, code_digits, gl_generators, mat_inv, mat_rank,
+from .fpmat import (PRIME, code_digits, gl_generators, mat_inv, mat_rank,
                     primitive_element, subspace_bases)
 from .groups import ENTRIES_PER_ELEMENT, FiniteGroup, _orbit_labels, close_generators
 
@@ -43,71 +47,34 @@ IRREDUCIBLE: dict[int, tuple[int, ...]] = {
 
 
 def modulus_text(q: int) -> str:
-    coeffs = IRREDUCIBLE[q]
-    parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else str(c)
-            parts.append(f"{head}t^{e}" if e > 1 else f"{head}t")
-    return " + ".join(parts)
+    terms = [("" if c == 1 and e else str(c)) + ("t" if e == 1 else f"t^{e}" if e else "")
+             for e, c in enumerate(IRREDUCIBLE[q]) if c]
+    return " + ".join(reversed(terms))
 
 
-class SmallField:
-    """Arithmetic on the element codes 0..q-1 of F_q, for q a prime below
-    PRIME_LIMIT or an order in IRREDUCIBLE (ValueError otherwise)."""
-
-    def __init__(self, q: int):
-        if q in IRREDUCIBLE:
-            n = len(IRREDUCIBLE[q]) - 1
-            p = round(q ** (1 / n))
-        elif PRIME.test(q):
-            p, n = q, 1
-        else:
-            raise ValueError(f"no field of order {q} on record: a field order is a "
-                             f"prime or one of {sorted(IRREDUCIBLE)}")
-        self.q, self.p, self.n = q, p, n
-        self.modulus = IRREDUCIBLE.get(q)
-
-    def digits(self, code: int) -> list[int]:
-        out = []
-        for _ in range(self.n):
-            out.append(code % self.p)
-            code //= self.p
-        return out
-
-    def code(self, digits) -> int:
-        out = 0
-        for d in reversed(list(digits)):
-            out = out * self.p + d % self.p
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        return self.code(x + y for x, y in zip(self.digits(a), self.digits(b)))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return a * b % self.p
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.n - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] += x * y
-        # reduce: t^n = -(modulus without leading term)
-        mod = self.modulus
-        for e in range(len(prod) - 1, self.n - 1, -1):
-            c = prod[e] % self.p
-            prod[e] = 0
-            for k in range(self.n):
-                prod[e - self.n + k] -= c * mod[k]
-        return self.code(prod[:self.n])
-
-    def primitive(self) -> int:
-        return primitive_element(self.q, self.mul)
+def field_product(q: int) -> tuple[int, int, Callable[[int, int], int]]:
+    """(p, n, mul): the characteristic, the degree and the product of F_q
+    on the element codes 0..q-1, for q a prime below PRIME_LIMIT or an
+    order in IRREDUCIBLE (ValueError otherwise).  A prime multiplies mod
+    q.  Otherwise the map x -> a*x is the polynomial sum a_k T^k in the
+    companion matrix T of the modulus, a_k the digits of a, and one q x q
+    table holds it applied to every digit vector."""
+    if PRIME.test(q):
+        return q, 1, lambda a, b: a * b % q
+    if q not in IRREDUCIBLE:
+        raise ValueError(f"no field of order {q} on record: a field order is a "
+                         f"prime or one of {sorted(IRREDUCIBLE)}")
+    modulus = IRREDUCIBLE[q]
+    n = len(modulus) - 1
+    p = round(q ** (1 / n))
+    # T sends t^k to t^(k+1), and t^(n-1) to t^n = -(modulus less its leading term)
+    T = np.eye(n, k=-1, dtype=np.int64)
+    T[:, -1] = np.negative(modulus[:-1]) % p
+    powers = [np.linalg.matrix_power(T, k) for k in range(n)]
+    digits = code_digits(p, n)
+    mats = np.tensordot(digits, powers, axes=1)                 # (q, n, n): x -> a*x
+    table = (digits @ np.swapaxes(mats, 1, 2) % p @ p ** np.arange(n)).tolist()
+    return p, n, lambda a, b: table[a][b]
 
 
 # -- builders ---------------------------------------------------------
@@ -148,27 +115,20 @@ def affine_images(mats, shifts, p: int, n: int) -> np.ndarray:
     return images @ p ** np.arange(n - 1, -1, -1)
 
 
-@dataclass
-class AffineBuild:
-    group: FiniteGroup
-    prime: int
-    kernel: ElabSubgroup      # the translation subgroup (F_q, +)
-
-
-def build_affine(q: int) -> AffineBuild:
-    """All maps x -> a*x + b on F_q, a nonzero; order q*(q-1)."""
+def build_affine(q: int) -> SimpleNamespace:
+    """All maps x -> a*x + b on F_q, a nonzero; order q*(q-1).
+    kernel: the translation subgroup (F_q, +)."""
     _check_degree(f"affine-{q}", q)
-    field = SmallField(q)
-    p, n = field.p, field.n
+    p, n, mul = field_product(q)
     # field addition adds digit vectors, so the translations of F_q are
     # those of F_p^n on the vector codes, translation by b in row b
     translations = affine_images(np.eye(n), code_vectors(p, n), p, n)
-    g = field.primitive()
-    scale = tuple(field.mul(g, x) for x in range(q))
+    g = primitive_element(q, mul)
+    scale = tuple(mul(g, x) for x in range(q))
     gens = [scale, translations[1]] if q > 2 else [translations[1]]
     G = close_generators(q, gens, name=f"affine-{q}")
     kernel = ElabSubgroup.from_element_indices(G, p, G.indices_of_rows(translations))
-    return AffineBuild(G, p, kernel)
+    return SimpleNamespace(group=G, prime=p, kernel=kernel)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -177,16 +137,10 @@ def cyclic_group(n: int) -> FiniteGroup:
     return close_generators(n, [shift], name=f"cyclic-{n}")
 
 
-@dataclass
-class GL3Build:
-    group: FiniteGroup
-    prime: int
-    e1: ElabSubgroup          # upper row block {I + a E12 + b E13}
-    e2: ElabSubgroup          # right column block {I + a E13 + b E23}
-
-
-def build_gl3(p: int) -> GL3Build:
-    """GL_3(F_p) acting on the nonzero vectors of F_p^3, point = code - 1."""
+def build_gl3(p: int) -> SimpleNamespace:
+    """GL_3(F_p) acting on the nonzero vectors of F_p^3, point = code - 1.
+    e1: the upper row block {I + a E12 + b E13}.
+    e2: the right column block {I + a E13 + b E23}."""
     degree = _check_degree(f"gl3-{p}", p, 3, 1)
 
     def perms(mats) -> np.ndarray:
@@ -199,28 +153,22 @@ def build_gl3(p: int) -> GL3Build:
     blocks[1, :, 0, 2], blocks[1, :, 1, 2] = code_vectors(p, 2).T
     idx = G.indices_of_rows(perms(blocks.reshape(-1, 3, 3))).reshape(2, -1)
     e1, e2 = (ElabSubgroup.from_element_indices(G, p, block) for block in idx)
-    return GL3Build(G, p, e1, e2)
+    return SimpleNamespace(group=G, prime=p, e1=e1, e2=e2)
 
 
 def gl3(p: int) -> FiniteGroup:
     return build_gl3(p).group
 
 
-@dataclass
-class TriangularBuild:
-    group: FiniteGroup
-    prime: int
-    kernel: ElabSubgroup       # the translated vector space F_p^n
-    q_group: FiniteGroup       # constant-diagonal unipotent block, on the p^n codes
-    u_group: FiniteGroup       # full upper unitriangular group, on the p^n codes
-
-
-def build_triangular(p: int, n: int) -> TriangularBuild:
+def build_triangular(p: int, n: int) -> SimpleNamespace:
     """F_p^n extended by the unipotent matrices constant along diagonals.
 
     The linear part Q is {I + a1 N + ... + a_{n-1} N^{n-1}} for the full
     Jordan block nilpotent N, order p^(n-1); the whole group has order
     p^n * p^(n-1).
+    kernel: the translated vector space F_p^n.
+    q_group: the constant-diagonal unipotent block Q, on the p^n codes.
+    u_group: the full upper unitriangular group, on the p^n codes.
     """
     degree = _check_degree(f"triangular-{p}-{n}", p, n)
     eye, zero = np.eye(n, dtype=np.int64), np.zeros(n)
@@ -234,23 +182,10 @@ def build_triangular(p: int, n: int) -> TriangularBuild:
     u_mats = np.reshape([eye + np.diag(np.arange(n - 1) == i, 1) for i in range(n - 1)],
                         (-1, n, n))
     u_group = close_generators(degree, affine_images(u_mats, zero, p, n), name=f"u-{p}-{n}")
-    return TriangularBuild(G, p, kernel, q_group, u_group)
+    return SimpleNamespace(group=G, prime=p, kernel=kernel, q_group=q_group, u_group=u_group)
 
 
-@dataclass
-class Prop10Build:
-    group: FiniteGroup
-    prime: int
-    dim: int                           # of E + Z, acted on by the p^dim codes
-    jordan: np.ndarray                 # the Jordan block c on E's coordinates
-    distinguished: ElabSubgroup        # translations by E + 0
-    c_matrix: Mat                      # c in E's canonical coordinates
-    max_subspaces: list[tuple]         # canonical bases of the M's
-    b_elements: list[int]              # group element index of each b_M
-    linear_order: int                  # order of the linear part
-
-
-def build_prop10(p: int, n: int) -> Prop10Build:
+def build_prop10(p: int, n: int) -> SimpleNamespace:
     """Vector space E + Z extended by the maps b_M = (c, psi_M).
 
     E has dimension n+1 carrying a single unipotent Jordan block c; Z has
@@ -262,6 +197,13 @@ def build_prop10(p: int, n: int) -> Prop10Build:
     length; past that the stabilizer chain refuses it before any element
     is.  The translations act regularly, so the linear part has order
     |G| / p^dim.
+    dim: of E + Z, acted on by the p^dim codes.
+    jordan: the Jordan block c on E's coordinates, an array.
+    distinguished: the translations by E + 0.
+    c_matrix: c in E's canonical coordinates, a tuple of rows.
+    max_subspaces: the canonical bases of the M's.
+    b_elements: the group element index of each b_M.
+    linear_order: the order of the linear part.
     """
     dim_e = n + 1
     limit = _cap("element_cap")
@@ -303,8 +245,9 @@ def build_prop10(p: int, n: int) -> Prop10Build:
     c_codes = affine_images(jordan, np.zeros(dim_e), p, dim_e)
     v_codes = G.array[list(E.basis), 0] // p ** dim_z
     c_matrix = cg.matrix_of(E.codes_of(by_e_code[c_codes[v_codes]]), p, E.rank)
-    return Prop10Build(G, p, dim, jordan, E, c_matrix, list(maxes),
-                       found[:dim_z].tolist(), G.order // G.degree)
+    return SimpleNamespace(group=G, prime=p, dim=dim, jordan=jordan, distinguished=E,
+                           c_matrix=c_matrix, max_subspaces=list(maxes),
+                           b_elements=found[:dim_z].tolist(), linear_order=G.order // G.degree)
 
 
 # -- fixtures and claim verification ----------------------------------
@@ -357,18 +300,11 @@ def entry_names() -> list[str]:
     return sorted(path.stem for path in _FIXTURE_DIR.glob("*.json"))
 
 
-@dataclass
-class CyclicBuild:
-    group: FiniteGroup
-    prime: int
-    kernel: ElabSubgroup
-
-
-def build_cyclic(n: int, p: int) -> CyclicBuild:
+def build_cyclic(n: int, p: int) -> SimpleNamespace:
+    """Z/n acting regularly; kernel: its elements of order 1 or p."""
     G = cyclic_group(n)
-    idxs = sorted(i for i in range(G.order)
-                  if G.element_orders[i] in (1, p))
-    return CyclicBuild(G, p, ElabSubgroup.from_element_indices(G, p, idxs))
+    idxs = np.flatnonzero(np.isin(G.element_orders, (1, p)))
+    return SimpleNamespace(group=G, prime=p, kernel=ElabSubgroup.from_element_indices(G, p, idxs))
 
 
 # the integers an entry reads as the order of a field

@@ -26,6 +26,12 @@ triangular_oracle and affine_oracle build the gallery's generators and
 distinguished subgroups from them (the affine translations from field
 additions).  They share no code with ``gallery.affine_images``.
 
+SmallField: F_q's sum and product on the element codes, one base-p digit
+at a time, the product by schoolbook multiplication and reduction by the
+modulus of ``gallery.IRREDUCIBLE``; it shares no code with the companion
+matrix table of ``gallery.field_product`` (the primitive element of both
+is ``fpmat.primitive_element``).
+
 counter_pruned: one pair at a time, a Counter of E's elements by the
 classes the kind allows them (from _allowed_classes), less F's; it shares
 no code with ``categories.class_counts``.  pairwise_maximal_objects and
@@ -108,9 +114,9 @@ from elabcat.categories import CREG, a_n, canonical, class_counts, hom_matrices,
 from elabcat.chern import WeightList, p_regular_failures, total_chern
 from elabcat.elabs import ElabSubgroup
 from elabcat.fppoly import FpPolynomial, elementary_symmetric
-from elabcat.fpmat import (gl_generators, injective_count, mat_inv, mat_mul, mat_rank,
-                           subspace_bases)
-from elabcat.gallery import SmallField, build_affine, build_triangular
+from elabcat.fpmat import (PRIME, gl_generators, injective_count, mat_inv, mat_mul, mat_rank,
+                           primitive_element, subspace_bases)
+from elabcat.gallery import IRREDUCIBLE, build_affine, build_triangular
 from elabcat.config import cap
 from elabcat.errors import CapExceeded, CatalogMismatch, ElementNotInSubgroup
 from elabcat.groups import (ConjugacyTable, _perm_rows, blocks, compose, conjugate,
@@ -258,6 +264,59 @@ def triangular_oracle(p, n):
     return {"group": q_gens + translations(identity_mat(n)), "q_group": q_gens,
             "u_group": u_gens,
             "kernel": sorted(translations(itertools.product(range(p), repeat=n)))}
+
+
+class SmallField:
+    """Arithmetic on the element codes 0..q-1 of F_q, for q a prime below
+    PRIME_LIMIT or an order in IRREDUCIBLE (ValueError otherwise)."""
+
+    def __init__(self, q: int):
+        if q in IRREDUCIBLE:
+            n = len(IRREDUCIBLE[q]) - 1
+            p = round(q ** (1 / n))
+        elif PRIME.test(q):
+            p, n = q, 1
+        else:
+            raise ValueError(f"no field of order {q} on record: a field order is a "
+                             f"prime or one of {sorted(IRREDUCIBLE)}")
+        self.q, self.p, self.n = q, p, n
+        self.modulus = IRREDUCIBLE.get(q)
+
+    def digits(self, code: int) -> list[int]:
+        out = []
+        for _ in range(self.n):
+            out.append(code % self.p)
+            code //= self.p
+        return out
+
+    def code(self, digits) -> int:
+        out = 0
+        for d in reversed(list(digits)):
+            out = out * self.p + d % self.p
+        return out
+
+    def add(self, a: int, b: int) -> int:
+        return self.code(x + y for x, y in zip(self.digits(a), self.digits(b)))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.n == 1:
+            return a * b % self.p
+        da, db = self.digits(a), self.digits(b)
+        prod = [0] * (2 * self.n - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] += x * y
+        # reduce: t^n = -(modulus without leading term)
+        mod = self.modulus
+        for e in range(len(prod) - 1, self.n - 1, -1):
+            c = prod[e] % self.p
+            prod[e] = 0
+            for k in range(self.n):
+                prod[e - self.n + k] -= c * mod[k]
+        return self.code(prod[:self.n])
+
+    def primitive(self) -> int:
+        return primitive_element(self.q, self.mul)
 
 
 def affine_oracle(q):

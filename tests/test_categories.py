@@ -1,12 +1,17 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brute_force import hom_in_kind, index_of_vector, vector_of_index, weyl_image
+from brute_force import hom_in_kind, index_of_vector, matrix, vector_of_index, weyl_image
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded, CatalogMismatch, InputFormatError, NotMaximal
+from elabcat.fpmat import mat_rank
+from elabcat.gallery import affine_images
 from elabcat.groups import close_generators, conjugate
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
@@ -60,7 +65,37 @@ def images(cols, V):
     return out
 
 
+@lru_cache(maxsize=None)
+def regular_catalog(p, n):
+    """The catalog of (Z/p)^n acting on itself by translations."""
+    eye = np.eye(n, dtype=np.int64)
+    return enumerate_elabs(close_generators(p ** n, affine_images(eye, eye, p, n)), p)
+
+
+@st.composite
+def column_code_rows(draw):
+    """(catalog, i, j, rows): up to four maps from member i into member j,
+    each given by random column codes."""
+    cat = regular_catalog(*draw(st.sampled_from([(2, 3), (3, 2)])))
+    i, j = (draw(st.integers(0, len(cat) - 1)) for _ in range(2))
+    r, s = cat.ranks().item(i), cat.ranks().item(j)
+    code = st.integers(0, cat.prime ** s - 1)
+    return cat, i, j, draw(st.lists(st.lists(code, min_size=r, max_size=r), max_size=4))
+
+
 class TestExplicitHoms:
+    @given(case=column_code_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_accepts_exactly_full_column_rank(self, case):
+        cat, i, j, rows = case
+        p, r, s = cat.prime, cat.ranks().item(i), cat.ranks().item(j)
+        if all(mat_rank(matrix(cols, p, s), p) == r for cols in rows):
+            C = cg.explicit_category(cat, {(i, j): rows})
+            assert C.hom(i, j).tolist() == sorted(map(list, set(map(tuple, rows))))
+        else:
+            with pytest.raises(ValueError, match="^matrix does not have full column rank$"):
+                cg.explicit_category(cat, {(i, j): rows})
+
     def test_validates_shape_and_rank(self):
         cat = a4_catalog()
         with pytest.raises(ValueError):     # one code for a rank-2 domain

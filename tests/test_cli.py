@@ -186,13 +186,19 @@ class TestBadInput:
         assert_input_error(r)
         assert "--max-n" in r.stderr
 
+    def test_underscored_cap(self, a4_path):
+        r = run_cli("analyze", a4_path, "--prime", "2", env={"ELABCAT_CATALOG_CAP": "1_000"})
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: bad ELABCAT_CATALOG_CAP: expected a non-negative integer, "
+                   "got '1_000'\n")
+
     def test_non_integer_cap(self, a4_path):
         r = run_cli("analyze", a4_path, "--prime", "2",
                     env={"ELABCAT_CATALOG_CAP": "lots"})
         assert_input_error(r)
         assert "ELABCAT_CATALOG_CAP" in r.stderr
 
-    @pytest.mark.parametrize("value", ["x", "-1", "2.5"])
+    @pytest.mark.parametrize("value", ["x", "-1", "2.5", "1_000", "\u0663", " 3"])
     def test_malformed_cap_the_command_never_reads(self, a4_path, monkeypatch, capsys, value):
         # analyze multiplies no polynomial, yet the term cap is checked first
         monkeypatch.setenv("ELABCAT_TERM_CAP", value)
@@ -313,6 +319,10 @@ MALFORMED_COMMAND_LINES = {
     "nothing after the command": ["analyze"],
     "extra positional": ["analyze", ALT4, "h.json", "--prime", "2"],
     "extra gallery entry": ["gallery", "affine-4", "affine-8"],
+    # int() reads these as 11, 3 and 3
+    "underscored prime": ["dickson", "--prime", "1_1", "--rank", "1"],
+    "non-ASCII digit": ["dickson", "--prime", "\u0663", "--rank", "1"],
+    "spaced prime": ["dickson", "--prime", " 3", "--rank", "1"],
 }
 
 
@@ -325,6 +335,16 @@ class TestCommandLine:
                              ids=MALFORMED_COMMAND_LINES.keys())
     def test_malformed_command_line(self, capsys, argv):
         main_input_error(capsys, *argv)
+
+    @pytest.mark.parametrize("value", ["1_1", "\u0663", " 3", "3 ", "+", ""])
+    def test_numbers_are_ascii_digits(self, capsys, value):
+        assert cli.main(["dickson", "--prime", value, "--rank", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: dickson: bad --prime: expected a prime below "
+                                           f"{PRIME_LIMIT}, got {value!r}\n")
+
+    def test_signed_numbers_are_read(self, capsys):
+        assert cli.main(["dickson", "--prime", "+3", "--rank", "1"]) == 0
+        assert cli.main(["analyze", ALT4, "--prime", "2", "--max-n", "+1"]) == 0
 
     def test_malformed_command_line_in_a_fresh_process(self):
         r = run_cli("analyze")

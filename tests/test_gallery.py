@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import (affine_oracle, affine_perm, gl3_oracle, matrix_perm_nonzero,
-                         triangular_oracle)
+from brute_force import (SmallField, affine_oracle, affine_perm, gl3_oracle,
+                         matrix_perm_nonzero, triangular_oracle)
 from elabcat import gallery as gal
 from elabcat.errors import CapExceeded, InputFormatError
+from elabcat.fpmat import primitive_element
 from elabcat.groups import FiniteGroup
 
 FAST_ENTRIES = ["affine-3", "affine-4", "affine-8", "cyclic-3", "gl3-2",
@@ -16,32 +17,36 @@ FAST_ENTRIES = ["affine-3", "affine-4", "affine-8", "cyclic-3", "gl3-2",
 
 
 class TestSmallField:
-    def test_f4_arithmetic(self):
-        F = gal.SmallField(4)
-        # t * t = t + 1 under t^2 + t + 1
-        t = F.code([0, 1])
-        assert F.mul(t, t) == F.add(t, 1)
-        assert F.mul(t, F.mul(t, t)) == 1
+    """gallery.field_product against the per-digit SmallField oracle."""
 
-    def test_f8_multiplicative_order(self):
-        F = gal.SmallField(8)
-        g = F.primitive()
-        x, seen = 1, set()
-        for _ in range(7):
-            x = F.mul(x, g)
-            seen.add(x)
-        assert len(seen) == 7
-
-    def test_prime_field(self):
-        F = gal.SmallField(5)
-        assert F.mul(3, 4) == 2
-        assert F.add(3, 4) == 2
+    @pytest.mark.parametrize("q", sorted(gal.IRREDUCIBLE) + [2, 3, 5, 7, 13])
+    def test_field_product_matches_oracle(self, q):
+        F = SmallField(q)
+        p, n, mul = gal.field_product(q)
+        assert (p, n) == (F.p, F.n)
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+        assert [mul(a, b) for a, b in pairs] == [F.mul(a, b) for a, b in pairs]
+        g = primitive_element(q, mul)
+        assert g == F.primitive()
+        # F_q^* is cyclic of order q - 1 ...
+        x, powers = 1, set()
+        for _ in range(q - 1):
+            x = mul(x, g)
+            powers.add(x)
+        assert len(powers) == q - 1 and 0 not in powers
+        if q in gal.IRREDUCIBLE:
+            # ... and t, code p, satisfies t^n = -(modulus less its leading term)
+            x = 1
+            for _ in range(n):
+                x = mul(x, p)
+            assert x == sum(-c % p * p ** k for k, c in enumerate(gal.IRREDUCIBLE[q][:-1]))
 
     def test_unknown_field_order(self):
-        with pytest.raises(ValueError):
-            gal.SmallField(32)
-        with pytest.raises(ValueError):
-            gal.SmallField(6)
+        for q in (32, 6):
+            with pytest.raises(ValueError, match=f"no field of order {q} on record"):
+                gal.field_product(q)
+            with pytest.raises(ValueError, match=f"no field of order {q} on record"):
+                gal.build_affine(q)
 
     def test_modulus_text(self):
         assert gal.modulus_text(4) == "t^2 + t + 1"
@@ -125,8 +130,10 @@ def test_affine_images_match_oracle(data):
     (lambda: gal.build_gl3(2), lambda: gl3_oracle(2)),
     (lambda: gal.build_gl3(3), lambda: gl3_oracle(3)),
     (lambda: gal.build_affine(8), lambda: affine_oracle(8)),
+    (lambda: gal.build_affine(9), lambda: affine_oracle(9)),
+    (lambda: gal.build_affine(13), lambda: affine_oracle(13)),
     (lambda: gal.build_triangular(2, 3), lambda: triangular_oracle(2, 3)),
-], ids=["gl3-2", "gl3-3", "affine-8", "tri-2-3"])
+], ids=["gl3-2", "gl3-3", "affine-8", "affine-9", "affine-13", "tri-2-3"])
 def test_builds_match_oracle(build, oracle):
     b = build()
     for part, want in oracle().items():
