@@ -32,8 +32,9 @@ base images alone (indices_of_base_images); arbitrary rows (index,
 membership, indices_of_rows, from_elements) are also compared with the
 element found, since a row may agree with one on the base only.
 
-One lookup builds the inverses and the right tables (the index of e * g
-for each generator g and every element e), row-major with one row per
+One lookup builds the inverses, from base images the chain forms with
+the rows (close_generators), and the right tables (the index of e * g for
+each generator g and every element e), row-major with one row per
 generator, from which come
 
 * the conjugation tables, the index of g^-1 * e * g, gathered through
@@ -153,16 +154,23 @@ def split_rows(owner: np.ndarray, rows: np.ndarray, count: int) -> list[np.ndarr
     return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _inverse_rows(perms: np.ndarray) -> np.ndarray:
+    """The inverse of each row of a (k, n) array of permutations."""
+    inverse = np.empty_like(perms)
+    inverse[np.arange(len(perms))[:, None], perms] = np.arange(perms.shape[1])
+    return inverse
+
+
 def _orbit_labels(perms: np.ndarray) -> np.ndarray:
     """The smallest member of each point's orbit under the permutations
     perms[k] (a (k, n) array): min-label propagation along perms and
-    their inverses, with pointer jumping."""
+    their inverses, with pointer jumping.  Both directions are needed:
+    along perms alone a label moves one step a round around a cycle."""
     n = perms.shape[1]
-    inverse = np.empty_like(perms)
-    np.put_along_axis(inverse, perms, np.arange(n), axis=1)
+    both = np.concatenate((perms, _inverse_rows(perms)))
     label = np.arange(n)
     while True:
-        new = np.vstack((label[None], label[perms], label[inverse])).min(axis=0)
+        new = np.minimum(label, label[both].min(axis=0, initial=n))
         new = new[new]
         if (new == label).all():
             return label
@@ -178,24 +186,23 @@ def _search(perms: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, list]:
     generator over the frontier, and the first to reach a point keeps it.
     A start's candidates keep their relative order in the joint frontier,
     so each orbit comes out as a search from its own start alone would
-    give it.
+    give it.  finder[x], the first candidate to reach x, is -1 at the
+    starts and unvisited (the int64 maximum) until then: it marks visits.
     """
     n = perms.shape[1]
-    visit, levels = np.empty(n, dtype=np.int64), []
-    seen, finder = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)
-    visit[:len(starts)], seen[starts] = starts, True
+    unvisited = np.iinfo(np.int64).max
+    visit, levels, finder = np.empty(n, dtype=np.int64), [], np.full(n, unvisited)
+    visit[:len(starts)], finder[starts] = starts, -1
     lo, hi = 0, len(starts)
     while lo < hi:
-        flat = perms[:, visit[lo:hi]].ravel()       # candidate at gen * (hi - lo) + src
-        fresh = np.flatnonzero(~seen[flat])
+        flat = np.take(perms, visit[lo:hi], axis=1).ravel()     # candidate gen * (hi - lo) + src
+        fresh = np.flatnonzero(finder[flat] == unvisited)
         hits = flat[fresh]
-        finder[hits] = len(flat)
         np.minimum.at(finder, hits, fresh)          # each target's first candidate
         first = fresh[finder[hits] == fresh]
         gen, src = np.divmod(first, hi - lo)
         at = slice(hi, hi + len(first))
         visit[at] = flat[first]
-        seen[visit[at]] = True
         levels.append((src + lo, gen, at))
         lo, hi = hi, at.stop
     return visit[:hi], levels
@@ -214,8 +221,9 @@ def orbits(perms: np.ndarray, right: np.ndarray
     """
     n = perms.shape[1]
     label = _orbit_labels(perms)
-    reps = np.flatnonzero(label == np.arange(n))
-    class_of = np.searchsorted(reps, label)
+    is_rep = label == np.arange(n)
+    reps = np.flatnonzero(is_rep)
+    class_of = (np.cumsum(is_rep) - 1)[label]
     sizes = np.bincount(class_of, minlength=len(reps))
     visit, levels = _search(perms, reps)
     witness = np.zeros(n, dtype=np.int64)
@@ -337,18 +345,21 @@ class FiniteGroup:
     entry per key up to the largest; sparser keys by binary search.
     Derived tables (inverses, orders, conjugacy data, centralizers) are
     computed lazily and cached.  Everything observable is immutable after
-    construction, so concurrent readers are safe.
+    construction (tables are read-only arrays): concurrent readers are safe.
     """
 
     def __init__(self, degree: int, generators: np.ndarray, rows: np.ndarray,
-                 base: np.ndarray, rank: np.ndarray, weights: np.ndarray, name: str = ""):
-        # rows: every element once, in any order; kept sorted by key
+                 inverse_images: np.ndarray, base: np.ndarray, rank: np.ndarray,
+                 weights: np.ndarray, name: str = ""):
+        # rows: every element once, in any order, and inverse_images the
+        # base images of each one's inverse; both kept sorted by key
         self.degree = degree
         self.generators = list(map(tuple, generators.tolist()))
         self.base, self._gens, self._rank, self._weights = base, generators, rank, weights
         keys = rank[rows[:, base]] @ weights
         order = np.argsort(keys)
-        self._arr, self._keys = rows[order], keys[order]
+        self._arr, self._keys, self._inverse_images = rows[order], keys[order], inverse_images[order]
+        self._arr.flags.writeable = self.base.flags.writeable = False
         # direct-address table of the keys, where they are dense enough
         self._position: np.ndarray | None = None
         if self._keys[-1] < ENTRIES_PER_ELEMENT * len(rows):
@@ -424,7 +435,7 @@ class FiniteGroup:
 
     @property
     def array(self) -> np.ndarray:
-        """(order, degree) array of images; do not mutate."""
+        """(order, degree) array of images, read-only."""
         return self._arr
 
     @cached_property
@@ -434,12 +445,13 @@ class FiniteGroup:
         the index of e * g, for e = element i and g = generators[k].  right
         comes with the inverses (_inverses_and_right); conj[k] =
         r[inv[r[inv]]] for r = right[k] and inv = inverse_indices, as
-        g^-1 * e * g = ((e^-1 * g)^-1) * g, gathered row by row.  Do not
-        mutate."""
+        g^-1 * e * g = ((e^-1 * g)^-1) * g, gathered row by row.
+        Read-only."""
         inv, right = self._inverses_and_right
         conj = np.empty_like(right)
         for rk, ck in zip(right, conj):
             np.take(rk, inv[rk[inv]], out=ck)
+        conj.flags.writeable = False
         return conj, right
 
     # -- index-level arithmetic ---------------------------------------
@@ -459,36 +471,36 @@ class FiniteGroup:
     @cached_property
     def _inverses_and_right(self) -> tuple[np.ndarray, np.ndarray]:
         """(inverse indices, right tables of generator_tables), built in one
-        lookup: e^-1 sends a base point b to the x with e[x] == b, and
-        e * g sends it to g[e[b]]."""
-        inv = np.empty_like(self._arr)
-        np.put_along_axis(inv, self._arr, np.arange(self.degree), axis=1)
-        base = self.base
+        lookup: e^-1's base images come from the chain with the rows (see
+        close_generators), and e * g sends a base point b to g[e[b]]."""
         idx = self.indices_of_base_images(np.concatenate(
-            (inv[None, :, base], np.take(self._gens, self._arr[:, base], axis=1))))
+            (self._inverse_images[None], np.take(self._gens, self._arr[:, self.base], axis=1))))
+        idx.flags.writeable = False
         return idx[0], idx[1:]
 
     @property
     def inverse_indices(self) -> np.ndarray:
-        """Index of each element's inverse."""
+        """Index of each element's inverse; read-only."""
         return self._inverses_and_right[0]
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        """Order of each element: the lcm of the cycle lengths of its points,
-        a point's cycle length being the first k with e^k(x) == x.  Order is
-        a class function, so only class representatives are scanned."""
+        """Order of each element, read-only: the lcm of its cycle lengths,
+        read on class representatives (order is a class function).  After
+        round t of pointer doubling least[x] is the least of x, e(x), ...,
+        e^(2^t - 1)(x) and step = e^(2^t); a cycle's length is the count of
+        points sharing its least point."""
         table = self.conjugacy
-        reps = self._arr[table.reps]
-        points = np.arange(self.degree)
-        cycle = np.zeros(reps.shape, dtype=np.int64)
-        power = reps
-        for k in range(1, self.degree + 1):
-            cycle[(power == points) & (cycle == 0)] = k
-            if cycle.all():
-                break
-            power = np.take_along_axis(reps, power, axis=1)
-        return np.lcm.reduce(cycle, axis=1)[table.class_of]
+        step = self._arr[table.reps]
+        rows = np.arange(len(step))[:, None]
+        least = np.broadcast_to(np.arange(self.degree), step.shape)
+        for _ in range((self.degree - 1).bit_length()):
+            least, step = np.minimum(least, least[rows, step]), step[rows, step]
+        at = rows * self.degree + least
+        cycle = np.bincount(at.ravel(), minlength=step.size)[at]
+        orders = np.lcm.reduce(cycle, axis=1)[table.class_of]
+        orders.flags.writeable = False
+        return orders
 
     def conjugate_indices(self, g, targets) -> np.ndarray:
         """Indices of g^-1 * e * g for each element index e in targets.
@@ -524,16 +536,17 @@ class FiniteGroup:
     # -- centralizers and transporters --------------------------------
 
     def centralizer_indices(self, e: int) -> np.ndarray:
-        """Sorted int64 indices of the elements commuting with element e:
-        one scan of G's base images, memoized for transporter_indices,
-        which asks for class representatives, and for the gallery
-        checks."""
+        """Sorted read-only int64 indices of the elements commuting with
+        element e: one scan of G's base images, memoized for
+        transporter_indices, which asks for class representatives, and for
+        the gallery checks."""
         cent = self._cent_memo.get(e)
         if cent is None:
             ep, base = self._arr[e], self.base
             # g*e and e*g are elements, equal when e(g(b)) == g(e(b)) on the base
             mask = np.all(ep[self._arr[:, base]] == self._arr[:, ep[base]], axis=1)
             cent = self._cent_memo[e] = np.flatnonzero(mask).astype(np.int64)
+            cent.flags.writeable = False
         return cent
 
     def transporter_indices(self, a, b) -> np.ndarray:
@@ -611,10 +624,10 @@ def _transversal(gens: np.ndarray, orbit: np.ndarray, levels: list
 
 
 def _schreier_generators(gens: np.ndarray, orbit: np.ndarray, trans: np.ndarray,
-                         tree: np.ndarray) -> np.ndarray:
-    """The distinct non-identity u_d * s * u_(d^s)^-1 over the steps (d, s)
-    of _transversal off its tree (on it they are the identity): they
-    generate the stabilizer of orbit[0] (Schreier's lemma)."""
+                         inverse: np.ndarray, tree: np.ndarray) -> np.ndarray:
+    """The distinct non-identity u_d * s * u_(d^s)^-1 (inverse[j] is u_j^-1)
+    over the steps (d, s) of _transversal off its tree (on it they are the
+    identity): they generate the stabilizer of orbit[0] (Schreier's lemma)."""
     degree = gens.shape[1]
     where = np.empty(degree, dtype=np.int64)
     where[orbit] = np.arange(len(orbit))
@@ -622,9 +635,7 @@ def _schreier_generators(gens: np.ndarray, orbit: np.ndarray, trans: np.ndarray,
     found = [gens[:0]]
     for b in blocks(len(src), degree):
         i, g = src[b], s[b]
-        inv = np.empty((len(i), degree), dtype=trans.dtype)     # u_(d^s)^-1
-        np.put_along_axis(inv, trans[where[gens[g, orbit[i]]]], np.arange(degree), axis=1)
-        rows = np.take_along_axis(inv, gens[g[:, None], trans[i]], axis=1)
+        rows = inverse[where[gens[g, orbit[i]]][:, None], gens[g[:, None], trans[i]]]
         found.append(rows[(rows != np.arange(degree)).any(axis=1)])
     return distinct_rows(np.concatenate(found))
 
@@ -650,8 +661,9 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     rows of length degree) is allocated, and D_1, the G-orbit of b_1, also
     before its search; the degree alone, the identity's row of the table,
     before any per-point array is built.  The elements are then the
-    products u_m * ... * u_1, one from each transversal, each formed once;
-    FiniteGroup sorts them by key.
+    products u_m * ... * u_1, one from each transversal, each formed once,
+    and the base images of their inverses u_1^-1 * ... * u_m^-1 through the
+    inverted transversals; FiniteGroup sorts both by key.
     """
     limit = element_cap if element_cap is not None else _cap("element_cap")
     if degree > ENTRIES_PER_ELEMENT * _cap("element_cap"):       # before any per-point array
@@ -687,13 +699,17 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
         order *= len(orbit)
         guard(order, size[base].tolist())
         trans, tree = _transversal(stab, orbit, levels)
-        transversals.append(trans)
-        stab = _schreier_generators(stab, orbit, trans, tree)
+        transversals.append((trans, _inverse_rows(trans)))
+        stab = _schreier_generators(stab, orbit, *transversals[-1], tree)
     rows = points.astype(np.int32)[None]
-    for trans in reversed(transversals):
-        rows = trans[:, rows].reshape(-1, degree)   # e * u: row x is u[e[x]]
+    for trans, _ in reversed(transversals):
+        rows = np.take(trans, rows, axis=1).reshape(-1, degree)     # e * u: row x is u[e[x]]
+    # the base images of each row's inverse u_1^-1 * ... * u_m^-1, one column per row
+    images = np.array(base, dtype=np.int32)[:, None]
+    for _, inverse in transversals:
+        images = np.take(inverse.T, images, axis=0).reshape(len(base), -1)
     weights = [prod(size[base[k + 1:]].tolist()) for k in range(len(base))]
-    return FiniteGroup(degree, gens, rows, np.array(base, dtype=np.int64), rank,
+    return FiniteGroup(degree, gens, rows, images.T, np.array(base, dtype=np.int64), rank,
                        np.array(weights, dtype=np.int64), name=name)
 
 

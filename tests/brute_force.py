@@ -60,6 +60,9 @@ of ``FiniteGroup``.
 
 brute_search: the breadth-first search of ``groups._search`` as tuple
 loops over lists, one candidate at a time, with a set of points seen.
+brute_orbits: orbits as sets, grown from each point not yet placed by a
+worklist over the permutations alone; it shares no code with the label
+propagation of ``groups._orbit_labels`` or with ``groups.orbits``.
 
 scan_centralizer and brute_catalog: centralizers by a scan of every
 element, and the catalog by the rank induction that spans every
@@ -790,6 +793,28 @@ def brute_search(perms, starts):
                 frontier.append(t)
         visit += frontier
     return visit, steps
+
+
+def brute_orbits(perms, n):
+    """(class_of, reps, sizes) of the orbits of range(n) under the
+    permutations perms (tuples), numbered in order of their smallest
+    member, each orbit the set reached from that member by applying the
+    permutations until nothing new appears."""
+    class_of, reps, sizes = [-1] * n, [], []
+    for x in range(n):
+        if class_of[x] >= 0:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            fresh = {p[y] for p in perms} - orbit
+            orbit |= fresh
+            todo += fresh
+        for y in orbit:
+            class_of[y] = len(reps)
+        reps.append(x)
+        sizes.append(len(orbit))
+    return class_of, reps, sizes
 
 
 def brute_coordinates(elements, prime, members):

@@ -4,7 +4,8 @@ tables, base and conjugacy byte for byte on named groups and random
 ones, keys increasing along the table, lookups of rows that agree with
 an element on the base only, and the guards that refuse a group before
 its elements are formed; the one breadth-first search (groups._search)
-against the tuple loops of brute_force.py.
+against the tuple loops of brute_force.py, and orbit labels and orbits
+(groups._orbit_labels, groups.orbits) against its set-based orbits.
 """
 
 import itertools
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import bfs_closure, brute_search
+from brute_force import bfs_closure, brute_orbits, brute_search
 from elabcat import cli, gallery, groups
 from elabcat.errors import CapExceeded, InvalidPermutation
 from elabcat.groups import close_generators, from_elements
@@ -162,20 +163,11 @@ def searches(draw):
     """(perms, starts): one to three random permutations of degree at most
     40, and one random member of each of their orbits, in random order."""
     n = draw(st.integers(min_value=1, max_value=40))
-    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    starts, seen = [], set()
-    for x in range(n):
-        if x in seen:
-            continue
-        orbit, todo = {x}, [x]
-        while todo:
-            y = todo.pop()
-            fresh = {p[y] for p in perms} - orbit
-            orbit |= fresh
-            todo += fresh
-        seen |= orbit
-        starts.append(draw(st.sampled_from(sorted(orbit))))
-    return [tuple(p) for p in perms], draw(st.permutations(starts))
+    perms = [tuple(p) for p in draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))]
+    class_of, reps, _ = brute_orbits(perms, n)
+    starts = [draw(st.sampled_from([x for x in range(n) if class_of[x] == c]))
+              for c in range(len(reps))]
+    return perms, draw(st.permutations(starts))
 
 
 @given(case=searches())
@@ -198,6 +190,62 @@ def test_search_keeps_each_points_first_candidate(case):
         # transversal row i sends the start to orbit[i]
         trans, _ = groups._transversal(arr, orbit, alone)
         assert trans[:, s].tolist() == orbit.tolist()
+
+
+@st.composite
+def perm_stacks(draw):
+    """A (k, n) array of k = 0 to 4 permutations of degree 1 to 40, each a
+    random one, the long cycle x -> x + 1, the identity or a repeat of
+    one before it."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    stack = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["random", "cycle", "identity", "repeat"]))
+        if kind == "repeat" and stack:
+            stack.append(draw(st.sampled_from(stack)))
+        elif kind == "cycle":
+            stack.append([(x + 1) % n for x in range(n)])
+        elif kind == "identity":
+            stack.append(list(range(n)))
+        else:
+            stack.append(draw(st.permutations(range(n))))
+    return np.array(stack, dtype=np.int64).reshape(len(stack), n)
+
+
+@given(perms=perm_stacks())
+@example(perms=np.zeros((0, 5), dtype=np.int64))
+@example(perms=np.array([[1, 0, 2, 3, 4, 5]] * 3))
+@example(perms=np.array([[(x + 1) % 40 for x in range(40)]]))
+@example(perms=np.array([[(x - 1) % 40 for x in range(40)], list(range(40))]))
+@settings(max_examples=80, deadline=None)
+def test_orbits_match_set_oracle(perms):
+    n = perms.shape[1]
+    tuples = [tuple(p) for p in perms.tolist()]
+    class_of, reps, sizes = brute_orbits(tuples, n)
+    assert groups._orbit_labels(perms).tolist() == [reps[c] for c in class_of]
+    # the permutations acting on their own points stand in for G: a point
+    # reached from s by perms[k] has witness perms[k][witness[s]], the
+    # smallest members witness 0
+    got_class, got_reps, got_sizes, witness = groups.orbits(perms, perms)
+    assert (got_class.tolist(), got_reps.tolist(), got_sizes.tolist()) == (class_of, reps, sizes)
+    visit, steps = brute_search(tuples, reps)
+    want = dict.fromkeys(reps, 0)
+    for t in visit[len(reps):]:
+        s, k = steps[t]
+        want[t] = tuples[k][want[s]]
+    assert witness.tolist() == [want[x] for x in range(n)]
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["plus-one", "minus-one"])
+def test_orbit_labels_of_the_long_cycle(step):
+    # along x -> x + 1 alone the least label would move one point a round;
+    # following the inverses too, pointer jumping doubles its reach
+    n = 65536
+    perms = ((np.arange(n) + step) % n)[None]
+    start = time.perf_counter()
+    label = groups._orbit_labels(perms)
+    assert time.perf_counter() - start < 1
+    assert not label.any()
 
 
 def test_rows_agreeing_on_the_base_are_checked():

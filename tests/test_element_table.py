@@ -1,4 +1,5 @@
-"""The numpy element table of FiniteGroup, its generator tables, base and
+"""The numpy element table of FiniteGroup, its generator tables, base,
+inverses and element orders (also on gallery groups and long cycles) and
 conjugated centralizers, the code-ordered coordinates of ElabSubgroup and
 the catalog by centralizer descent against the oracles in brute_force.py,
 on random groups of degree at most 7, the descent's commuting-pairs
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from brute_force import (brute_catalog, brute_conjugacy, brute_coordinates, index_of_vector,
                          vector_of_index,
                          brute_group, scan_centralizer)
-from elabcat import elabs
+from elabcat import elabs, gallery
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
 from elabcat.groups import (centralizer, close_generators, compose, conjugate,
@@ -101,6 +102,18 @@ def test_element_table_matches_tuple_oracle(group, rnd):
             for vec, i in coords.items():
                 assert index_of_vector(E, vec) == i
                 assert vector_of_index(E, i) == vec
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gallery.gl3(3), lambda: gallery.build_prop10(2, 1).group,
+    lambda: gallery.cyclic_group(64), lambda: gallery.cyclic_group(257),
+], ids=["gl3-3", "prop10-2-1", "cyclic-64", "cyclic-257"])
+def test_inverses_and_orders_match_row_oracles(make):
+    G = make()
+    # a row's argsort is its inverse's row, found apart from the chain
+    assert G.inverse_indices.tolist() == G.indices_of_rows(np.argsort(G.array, axis=1)).tolist()
+    reps = G.conjugacy.reps.tolist()
+    assert G.element_orders[reps].tolist() == [perm_order(G.element(r)) for r in reps]
 
 
 @given(group=generated_groups())

@@ -133,6 +133,15 @@ class TestFiniteGroup:
         for i in range(G.order):
             assert compose(G.element(i), G.element(inv[i])) == identity_perm(4)
 
+    def test_tables_are_read_only(self):
+        G = close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        conj, right = G.generator_tables
+        for table in (G.array, G.base, G.inverse_indices, conj, right, G.element_orders,
+                      G.centralizer_indices(7)):
+            with pytest.raises(ValueError):
+                table[...] = 7
+        assert sorted(set(G.element_orders.tolist())) == [1, 2, 3, 4, 5, 6]
+
     def test_conjugate_indices_batch(self):
         G = a4()
         targets = np.arange(G.order)
