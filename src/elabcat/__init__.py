@@ -23,20 +23,4 @@ from .errors import (
     NotMaximal,
     NotSymmetric,
 )
-from .groups import (
-    FiniteGroup,
-    ConjugacyTable,
-    Perm,
-    centralizer,
-    close_generators,
-    compose,
-    conjugacy_classes,
-    conjugate,
-    from_elements,
-    identity_perm,
-    inverse,
-    normalizer,
-    perm_order,
-    perm_power,
-    transporter,
-)
+from .groups import ConjugacyTable, FiniteGroup, Perm, close_generators

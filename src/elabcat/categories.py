@@ -67,11 +67,10 @@ Foundations of Databases, 1995, ch. 13, within a rank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -88,20 +87,26 @@ from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, ro
 # -- kinds ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CategoryKind:
+class _Kind(NamedTuple):
     tag: str
     param: Optional[int] = None
 
-    def __post_init__(self):
-        if self.tag not in ("Creg", "A", "Aprime", "AprimeD", "An"):
-            raise ValueError(f"unknown category kind {self.tag!r}")
-        if self.tag == "AprimeD" and (self.param is None or self.param < 1):
+
+class CategoryKind(_Kind):
+    """A category kind, its tag and parameter checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag, param=None):
+        if tag not in ("Creg", "A", "Aprime", "AprimeD", "An"):
+            raise ValueError(f"unknown category kind {tag!r}")
+        if tag == "AprimeD" and (param is None or param < 1):
             raise ValueError("AprimeD needs a positive divisor parameter")
-        if self.tag == "An" and (self.param is None or self.param < 0):
+        if tag == "An" and (param is None or param < 0):
             raise ValueError("An needs a non-negative tuple-length parameter")
-        if self.tag in ("Creg", "A", "Aprime") and self.param is not None:
-            raise ValueError(f"{self.tag} takes no parameter")
+        if tag in ("Creg", "A", "Aprime") and param is not None:
+            raise ValueError(f"{tag} takes no parameter")
+        return super().__new__(cls, tag, param)
 
     def label(self) -> str:
         if self.param is None:
@@ -890,8 +895,7 @@ def maximal_objects(C: SubgroupCategory) -> list[list[int]]:
     return [keep[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
+class EqualityVerdict(NamedTuple):
     equal: bool
     domain_class: Optional[int] = None
     codomain_class: Optional[int] = None

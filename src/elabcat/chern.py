@@ -11,7 +11,7 @@ nonzero degrees are p^n - p^j for 0 <= j < n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,20 +25,26 @@ from .groups import FiniteGroup
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeightList:
-    """A finite multiset of characters of (Z/p)^rank, order preserved."""
-
+class _Weights(NamedTuple):
     prime: int
     rank: int
     weights: tuple[Weight, ...]
 
-    def __post_init__(self):
-        for w in self.weights:
-            if len(w) != self.rank:
-                raise ValueError(f"weight {w} has length != {self.rank}")
-            if any(not 0 <= x < self.prime for x in w):
-                raise ValueError(f"weight {w} not reduced mod {self.prime}")
+
+class WeightList(_Weights):
+    """A finite multiset of characters of (Z/p)^rank, order preserved;
+    its length is the number of weights, so a changed list is built by
+    WeightList(...), not by the tuple's _replace or _make."""
+
+    __slots__ = ()
+
+    def __new__(cls, prime: int, rank: int, weights: tuple[Weight, ...]):
+        for w in weights:
+            if len(w) != rank:
+                raise ValueError(f"weight {w} has length != {rank}")
+            if any(not 0 <= x < prime for x in w):
+                raise ValueError(f"weight {w} not reduced mod {prime}")
+        return super().__new__(cls, prime, rank, weights)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -95,8 +101,7 @@ def total_chern(weights: WeightList) -> FpPolynomial:
     return product_tree(p, n, node, np.eye(n + 1, dtype=np.int64)[var, 1:], w[node, var], p)
 
 
-@dataclass(frozen=True)
-class DicksonReport:
+class DicksonReport(NamedTuple):
     prime: int
     rank: int
     expected_degrees: tuple[int, ...]
@@ -137,20 +142,24 @@ def regular_rep_product(p: int, n: int) -> FpPolynomial:
 # -- characters and p-regularity --------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterVector:
+class _Character(NamedTuple):
+    group: FiniteGroup
+    values: tuple[int, ...]
+
+
+class CharacterVector(_Character):
     """Integer class function on a fully enumerated group.
 
     values[c] is the value on conjugacy class c, in the group's canonical
     class order, so constancy on classes holds by construction.
     """
 
-    group: FiniteGroup
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != self.group.conjugacy.class_count():
+    def __new__(cls, group: FiniteGroup, values: tuple[int, ...]):
+        if len(values) != group.conjugacy.class_count():
             raise ValueError("one value per conjugacy class required")
+        return super().__new__(cls, group, values)
 
     def at_element(self, i: int) -> int:
         return self.values[self.group.conjugacy.class_of[i]]

@@ -389,24 +389,24 @@ class FpPolynomial:
     # -- printing -----------------------------------------------------
 
     def format(self, varname: str = "x") -> str:
+        """The terms in graded lexicographic order, joined by " + ": a
+        term is its coefficient, unless 1 and the term not constant, and
+        its factors x{i} or x{i}^{e}, joined by "*".  Each variable's
+        factor strings are built once, for the exponents present, and
+        looked up along its exponent column."""
         if self.is_zero():
             return "0"
         order = np.lexsort((*(-self.exps[:, ::-1].T), self.exps.sum(axis=1)))
+        columns = []
+        for i, col in enumerate(self.exps[order].T.tolist()):
+            names = {e: f"{varname}{i + 1}^{e}" if e > 1 else f"{varname}{i + 1}" if e else ""
+                     for e in set(col)}
+            columns.append(map(names.__getitem__, col))
         parts = []
-        for exps, c in zip(self.exps[order].tolist(),
-                           self.coeffs[order].tolist()):
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"{varname}{i + 1}")
-                elif e > 1:
-                    factors.append(f"{varname}{i + 1}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
+        rows = zip(*columns) if columns else itertools.repeat(())
+        for c, factors in zip(self.coeffs[order].tolist(), rows):
+            term = "*".join(filter(None, factors))
+            parts.append(f"{c}*{term}" if term and c != 1 else term or str(c))
         return " + ".join(parts)
 
     def __str__(self) -> str:

@@ -16,12 +16,11 @@ per-digit product of the tests, is its oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -256,8 +255,7 @@ _FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 _PROVENANCE = ("cited", "derived", "trivial")
 
 
-@dataclass(frozen=True)
-class GalleryClaim:
+class GalleryClaim(NamedTuple):
     claim_id: str
     text: str
     provenance: str
@@ -266,8 +264,7 @@ class GalleryClaim:
     args: dict
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
+class GalleryEntry(NamedTuple):
     name: str
     builder: str
     params: dict
@@ -276,8 +273,7 @@ class GalleryEntry:
     path: Path
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     text: str
     provenance: str
@@ -286,8 +282,7 @@ class ClaimResult:
     ok: bool
 
 
-@dataclass(frozen=True)
-class GalleryReport:
+class GalleryReport(NamedTuple):
     name: str
     results: tuple
 

@@ -2,17 +2,17 @@
 
 Conventions, fixed once for the whole package:
 
-* permutations are tuples of images on {0, ..., degree-1}, so ``p[x]`` is
-  the image of the point ``x``;
-* composition reads left to right: ``compose(p, q)`` applies ``p`` first,
-  ``compose(p, q)[x] == q[p[x]]``;
-* ``conjugate(g, e)`` is ``g^-1 * e * g``, hence
-  ``conjugate(g*h, e) == conjugate(h, conjugate(g, e))``.
-
-A group is one table, the (order, degree) array of its elements' images
-with rows sorted as the image tuples sort; element indices everywhere are
-positions in it, which makes class labels, transporter cosets and catalog
-layouts reproducible between runs.
+* an element is named by its index, its row's position in the group's
+  table, the (order, degree) array of images on {0, ..., degree-1}, so
+  ``G.array[i][x]`` is element i's image of the point ``x``; the rows are
+  sorted as the image tuples sort, which makes class labels, transporter
+  cosets and catalog layouts reproducible between runs, and the
+  identity, the smallest row, is index 0;
+* products read left to right: ``G.mul(i, j)`` applies element i first,
+  so its image of x is ``G.array[j][G.array[i][x]]``;
+* conjugation is ``g^-1 * e * g`` (``conjugate_indices(g, e)``, the
+  ``witness`` of ConjugacyTable, ``transporter_indices``), a right
+  action: conjugating by g * h is conjugating by g, then by h.
 
 Every group comes from a stabilizer chain (close_generators; Sims 1970,
 Seress, Permutation Group Algorithms, 2003, ch. 4) on the greedy base:
@@ -28,9 +28,9 @@ gather for a whole batch; groups with sparser keys keep one integer
 binary search.  Elements of G found by arithmetic (products, inverses,
 conjugates, transporters, the conjugators behind every A map, the
 generator tables, the catalog's commuting pairs) are looked up by their
-base images alone (indices_of_base_images); arbitrary rows (index,
-membership, indices_of_rows, from_elements) are also compared with the
-element found, since a row may agree with one on the base only.
+base images alone (indices_of_base_images); arbitrary rows
+(indices_of_rows) are also compared with the element found, since a row
+may agree with one on the base only.
 
 One lookup builds the inverses, from base images the chain forms with
 the rows (close_generators), and the right tables (the index of e * g for
@@ -46,21 +46,18 @@ generator, from which come
   gives the chain's basic orbits, whose transversals read its levels;
 * commutation tests x*y == y*x, a comparison of 2*len(base) images,
   for centralizers and the catalog's commuting-pairs relation.
-
-``elements``, the rows as a list of tuples, is built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from math import lcm, prod
-from typing import Iterable, Sequence
+from math import prod
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import cap as _cap, refuse
-from .errors import CapExceeded, DegreeMismatch, InvalidPermutation
+from .errors import CapExceeded, InvalidPermutation
 
 Perm = tuple[int, ...]
 
@@ -232,10 +229,6 @@ def orbits(perms: np.ndarray, right: np.ndarray
     return class_of, reps, sizes, witness
 
 
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
 def _perm_rows(perms, degree: int) -> np.ndarray:
     """(n, degree) int32 array of image lists, each checked to be a
     bijection of {0, ..., degree-1}; InvalidPermutation otherwise."""
@@ -255,67 +248,13 @@ def _perm_rows(perms, degree: int) -> np.ndarray:
     return rows.astype(np.int32)
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Apply p first, then q."""
-    if len(p) != len(q):
-        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
-    return tuple(q[x] for x in p)
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for x, y in enumerate(p):
-        inv[y] = x
-    return tuple(inv)
-
-
-def conjugate(g: Perm, e: Perm) -> Perm:
-    """g^-1 * e * g under the left-to-right composition convention."""
-    if len(g) != len(e):
-        raise DegreeMismatch(f"degrees {len(g)} and {len(e)} differ")
-    ginv = inverse(g)
-    return tuple(g[e[x]] for x in ginv)
-
-
-def perm_order(p: Perm) -> int:
-    """Multiplicative order, via cycle lengths."""
-    seen = [False] * len(p)
-    order = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        order = lcm(order, length)
-    return order
-
-
-def perm_power(p: Perm, k: int) -> Perm:
-    """p composed with itself k times (k may be negative)."""
-    if k < 0:
-        return perm_power(inverse(p), -k)
-    result = identity_perm(len(p))
-    base = p
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugacyTable:
+class ConjugacyTable(NamedTuple):
     """Conjugacy data for a fully enumerated group, as read-only int64
-    arrays.
+    arrays (FiniteGroup.conjugacy).
 
     class_of[i] is the class label of element i, classes numbered in order
     of their smallest member.  witness[i] is the index of some g with
-    conjugate(g, rep) == element i, where rep is the class representative;
+    g^-1 * rep * g == element i, where rep is the class representative;
     witness[rep] is the identity.
     """
 
@@ -323,10 +262,6 @@ class ConjugacyTable:
     reps: np.ndarray
     sizes: np.ndarray
     witness: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.class_of, self.reps, self.sizes, self.witness):
-            a.flags.writeable = False
 
     def class_count(self) -> int:
         return len(self.reps)
@@ -375,16 +310,6 @@ class FiniteGroup:
     def __len__(self) -> int:
         return len(self._arr)
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, perm) -> bool:
-        try:
-            self.index(perm)
-        except KeyError:
-            return False
-        return True
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, degree={self.degree}, order={len(self)})"
 
@@ -392,19 +317,8 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self._arr)
 
-    @cached_property
-    def elements(self) -> list[Perm]:
-        """The rows as a list of tuples, built on first read; do not mutate."""
-        return list(map(tuple, self._arr.tolist()))
-
     def element(self, i: int) -> Perm:
         return tuple(self._arr[i].tolist())
-
-    def index(self, perm: Perm) -> int:
-        try:
-            return int(self.indices_of_rows(_perm_rows([perm], self.degree))[0])
-        except (KeyError, InvalidPermutation):
-            raise KeyError(f"permutation {perm!r} not in {self.name}") from None
 
     def indices_of_base_images(self, images: np.ndarray) -> np.ndarray:
         """Element index of each element of G given by its images of the
@@ -531,6 +445,8 @@ class FiniteGroup:
         each level generator by generator.  Built on first read."""
         if self._conj is None:
             self._conj = ConjugacyTable(*orbits(*self.generator_tables))
+            for a in self._conj:
+                a.flags.writeable = False
         return self._conj
 
     # -- centralizers and transporters --------------------------------
@@ -550,7 +466,7 @@ class FiniteGroup:
         return cent
 
     def transporter_indices(self, a, b) -> np.ndarray:
-        """Sorted indices of all g with conjugate(g, a) == b; for arrays of
+        """Sorted indices of all g with g^-1 * a * g == b; for arrays of
         b's (and of a's beside them, or one a), the coset of each pair
         whose two are conjugate, joined in their order, each
         |C(a)| = |G| / |class of a| long.
@@ -712,58 +628,3 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     return FiniteGroup(degree, gens, rows, images.T, np.array(base, dtype=np.int64), rank,
                        np.array(weights, dtype=np.int64), name=name)
 
-
-def from_elements(degree: int, elements: Iterable[Sequence[int]] | np.ndarray,
-                  name: str = "") -> FiniteGroup:
-    """The group of exactly the listed elements, closed from greedy
-    generators: each the smallest listed element outside the subgroup so
-    far, which it at least doubles, so there are at most log2 |G|.  Raises
-    InvalidPermutation unless the closure is exactly the list."""
-    rows = _perm_rows(elements, degree)
-    rows = rows[np.argsort(row_keys(rows))]
-    gens = rows[:0]
-    while True:
-        try:
-            G = close_generators(degree, gens, element_cap=len(rows), name=name)
-        except CapExceeded as e:
-            if e.guard != "element_cap":
-                raise
-            raise InvalidPermutation("element list is not closed under products") from None
-        inside = G._find(rows)[1]
-        if inside.all():
-            break
-        gens = np.vstack((gens, rows[np.argmin(inside)]))
-    if len(G) != len(rows) or (G.array != rows).any():
-        raise InvalidPermutation("element list is not a group")
-    return G
-
-
-def conjugacy_classes(G: FiniteGroup) -> ConjugacyTable:
-    return G.conjugacy
-
-
-def transporter(G: FiniteGroup, a: Perm, b: Perm) -> list[Perm]:
-    """All g in G with conjugate(g, a) == b, sorted; empty if none."""
-    idx = G.transporter_indices(G.index(a), G.index(b))
-    return [G.element(int(i)) for i in idx]
-
-
-def centralizer(G: FiniteGroup, elems: Iterable[Perm]) -> FiniteGroup:
-    """Subgroup of G commuting with every listed element."""
-    keep = np.arange(len(G), dtype=np.int64)
-    for e in elems:
-        keep = np.intersect1d(keep, G.centralizer_indices(G.index(e)), assume_unique=True)
-    return from_elements(G.degree, G.array[keep], name=f"centralizer in {G.name}")
-
-
-def normalizer(G: FiniteGroup, subgroup: Iterable[Perm]) -> FiniteGroup:
-    """Elements g with conjugate(g, H) == H setwise.
-
-    Conjugation is injective, so g qualifies as soon as it conjugates
-    every member of H into H.
-    """
-    inside = np.zeros(len(G), dtype=bool)
-    sub = [G.index(e) for e in subgroup]
-    inside[sub] = True
-    keep = inside[G.conjugate_indices(np.arange(len(G)), sub)].all(axis=1)
-    return from_elements(G.degree, G.array[keep], name=f"normalizer in {G.name}")

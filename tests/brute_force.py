@@ -53,10 +53,24 @@ bfs_closure: the breadth-first closure over the numpy element table,
 with lookups by byte keys of whole rows; it shares no code with the
 stabilizer chain of ``groups.close_generators`` or its int64 keys.
 
-brute_group, brute_conjugacy and brute_coordinates: groups as sorted
-tuple lists with a tuple -> index dict, every product taken one at a time
-through ``groups.compose``; none of them touches the numpy element table
-of ``FiniteGroup``.
+identity_perm, compose, inverse, conjugate, perm_order and perm_power:
+permutations as tuples of images, composed left to right (compose(p, q)
+applies p first) and conjugated as g^-1 * e * g, the conventions of
+``groups``; each forms its product one point at a time and reads no
+group.  brute_group, brute_conjugacy and brute_coordinates take every
+product through them, and brute_catalog its subgroup conjugations and
+witnesses.  brute_group, brute_conjugacy and brute_coordinates hold
+groups as sorted tuple lists with a tuple -> index dict; none of them
+touches the numpy element table of ``FiniteGroup``.
+
+elements_of, index_of and in_group: a FiniteGroup's rows as tuples, and
+one tuple's index and membership through ``FiniteGroup.indices_of_rows``.
+from_elements: the group of exactly a listed element set, closed by
+``groups.close_generators`` from greedy generators.  transporter,
+centralizer and normalizer: the tuple-level forms of the index-level
+``transporter_indices``, ``centralizer_indices`` and
+``conjugate_indices``, each result a tuple list or a group from
+from_elements.
 
 brute_search: the breadth-first search of ``groups._search`` as tuple
 loops over lists, one candidate at a time, with a set of points seen.
@@ -90,7 +104,9 @@ It reads no batched search and no catalog cache.
 dict_add, dict_mul, dict_pow and dict_substitute: polynomials over F_p as
 {exponent tuple: coefficient} dicts, multiplied one term pair at a time
 and substituted one term at a time; left_to_right: a total Chern class
-as the product of its linear factors, one dict_mul each.  None of them
+as the product of its linear factors, one dict_mul each; format_terms:
+the printed form of ``FpPolynomial.format``, one term and one factor at
+a time from the terms dict, sorted by a Python key.  None of them
 touches the packed arrays of ``fppoly.FpPolynomial``.
 
 build_parser: the argparse parser the command line was once read with;
@@ -109,6 +125,7 @@ import argparse
 import itertools
 from collections import Counter
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -121,9 +138,10 @@ from elabcat.fpmat import (PRIME, gl_generators, injective_count, mat_inv, mat_m
                            primitive_element, subspace_bases)
 from elabcat.gallery import IRREDUCIBLE, build_affine, build_triangular
 from elabcat.config import cap
-from elabcat.errors import CapExceeded, CatalogMismatch, ElementNotInSubgroup
-from elabcat.groups import (ConjugacyTable, _perm_rows, blocks, compose, conjugate,
-                            find_sorted, identity_perm, orbits, row_keys, row_positions)
+from elabcat.errors import (CapExceeded, CatalogMismatch, DegreeMismatch, ElementNotInSubgroup,
+                            InvalidPermutation)
+from elabcat.groups import (ConjugacyTable, _perm_rows, blocks, close_generators, find_sorted,
+                            orbits, row_keys, row_positions)
 
 
 def codes(M, p):
@@ -475,7 +493,7 @@ def generated_by(G, p, gens):
 def conjugate_subgroup(G, g, E):
     """The subgroup g^-1 * E * g."""
     return ElabSubgroup.from_element_indices(
-        G, E.prime, G.conjugate_indices(G.index(g), E.elements).tolist())
+        G, E.prime, G.conjugate_indices(index_of(G, g), E.elements).tolist())
 
 
 def colimit_points(G, p, m):
@@ -654,6 +672,138 @@ def pairwise_equal(kind1, kind2, catalog):
                 M, cols = min((matrix_of(c, p, F.rank), c) for c in s1 ^ s2)
                 return ci, cj, M, kind1.label() if cols in s1 else kind2.label()
     return None
+
+
+# -- permutations as tuples and groups as tuple lists ----------------
+
+
+def identity_perm(degree):
+    return tuple(range(degree))
+
+
+def compose(p, q):
+    """Apply p first, then q."""
+    if len(p) != len(q):
+        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
+    return tuple(q[x] for x in p)
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
+
+
+def conjugate(g, e):
+    """g^-1 * e * g under the left-to-right composition convention."""
+    if len(g) != len(e):
+        raise DegreeMismatch(f"degrees {len(g)} and {len(e)} differ")
+    ginv = inverse(g)
+    return tuple(g[e[x]] for x in ginv)
+
+
+def perm_order(p):
+    """Multiplicative order, via cycle lengths."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        order = lcm(order, length)
+    return order
+
+
+def perm_power(p, k):
+    """p composed with itself k times (k may be negative)."""
+    if k < 0:
+        return perm_power(inverse(p), -k)
+    result = identity_perm(len(p))
+    base = p
+    while k:
+        if k & 1:
+            result = compose(result, base)
+        base = compose(base, base)
+        k >>= 1
+    return result
+
+
+def elements_of(G):
+    """G's elements as tuples, in index order."""
+    return list(map(tuple, G.array.tolist()))
+
+
+def index_of(G, perm):
+    """The index of the element perm of G; KeyError if it is none."""
+    try:
+        return int(G.indices_of_rows(_perm_rows([perm], G.degree))[0])
+    except (KeyError, InvalidPermutation):
+        raise KeyError(f"permutation {perm!r} not in {G.name}") from None
+
+
+def in_group(G, perm):
+    try:
+        index_of(G, perm)
+    except KeyError:
+        return False
+    return True
+
+
+def from_elements(degree, elements, name=""):
+    """The group of exactly the listed elements, closed from greedy
+    generators: each the smallest listed element outside the subgroup so
+    far, which it at least doubles, so there are at most log2 |G|.  Raises
+    InvalidPermutation unless the closure is exactly the list."""
+    rows = _perm_rows(elements, degree)
+    rows = rows[np.argsort(row_keys(rows))]
+    gens = rows[:0]
+    while True:
+        try:
+            G = close_generators(degree, gens, element_cap=len(rows), name=name)
+        except CapExceeded as e:
+            if e.guard != "element_cap":
+                raise
+            raise InvalidPermutation("element list is not closed under products") from None
+        inside = G._find(rows)[1]
+        if inside.all():
+            break
+        gens = np.vstack((gens, rows[np.argmin(inside)]))
+    if len(G) != len(rows) or (G.array != rows).any():
+        raise InvalidPermutation("element list is not a group")
+    return G
+
+
+def transporter(G, a, b):
+    """All g in G with conjugate(g, a) == b, sorted; empty if none."""
+    idx = G.transporter_indices(index_of(G, a), index_of(G, b))
+    return [G.element(int(i)) for i in idx]
+
+
+def centralizer(G, elems):
+    """Subgroup of G commuting with every listed element."""
+    keep = np.arange(len(G), dtype=np.int64)
+    for e in elems:
+        keep = np.intersect1d(keep, G.centralizer_indices(index_of(G, e)), assume_unique=True)
+    return from_elements(G.degree, G.array[keep], name=f"centralizer in {G.name}")
+
+
+def normalizer(G, subgroup):
+    """Elements g with conjugate(g, H) == H setwise.
+
+    Conjugation is injective, so g qualifies as soon as it conjugates
+    every member of H into H.
+    """
+    inside = np.zeros(len(G), dtype=bool)
+    sub = [index_of(G, e) for e in subgroup]
+    inside[sub] = True
+    keep = inside[G.conjugate_indices(np.arange(len(G)), sub)].all(axis=1)
+    return from_elements(G.degree, G.array[keep], name=f"normalizer in {G.name}")
 
 
 def brute_group(degree, generators):
@@ -865,7 +1015,7 @@ def brute_catalog(G, p):
     witness(source) * g to reach a member giving its witness; a member is
     maximal when no member of the next rank holds it.
     """
-    elements = G.elements
+    elements = elements_of(G)
     index = {e: i for i, e in enumerate(elements)}
     orders = G.element_orders
     cents = {}
@@ -969,6 +1119,28 @@ def left_to_right(p, rank, rows):
         factor.update({tuple(int(j == i) for j in range(rank)): c for i, c in enumerate(w) if c})
         out = dict_mul(p, out, factor)
     return out
+
+
+def format_terms(f, varname="x"):
+    """f's terms in graded lexicographic order (total degree ascending,
+    earlier variables first within a degree), joined by " + "."""
+    if not f.terms:
+        return "0"
+    parts = []
+    for exps, c in sorted(f.terms.items(), key=lambda t: (sum(t[0]), [-e for e in t[0]])):
+        factors = []
+        for i, e in enumerate(exps):
+            if e == 1:
+                factors.append(f"{varname}{i + 1}")
+            elif e > 1:
+                factors.append(f"{varname}{i + 1}^{e}")
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append(f"{c}*" + "*".join(factors))
+    return " + ".join(parts)
 
 
 def build_parser():

@@ -3,12 +3,14 @@
 Every expected value here is frozen from an independent derivation (hand
 counts, classical formulas, or literature values recorded in the gallery
 fixtures); the tests recompute them from scratch and also enforce the
-stated time budget for each criterion.
+stated time budget for each criterion.  The last test runs the README's
+library example as written.
 """
 import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -23,7 +25,6 @@ from elabcat.fppoly import symmetric_reduce
 from elabcat.fpmat import gl_generators
 from elabcat.gallery import (_orbit_partition, build_cyclic, build_gl3, build_prop10,
                              build_triangular, cyclic_group, gl3)
-from elabcat.groups import conjugacy_classes
 from brute_force import (affine_group, close_matrix_group, expand_in_elementaries,
                          frobenius_identity_check, is_conjugate_subgroup, make_weights, mat_vec,
                          p_regular_check, triangular_group, vec_code, whitney_product_check)
@@ -73,7 +74,7 @@ def test_criterion_02_sym3_kinds_agree():
 def test_criterion_03_gl3_f2_components_merge():
     with budget(10):
         G = gl3(2)
-        table = conjugacy_classes(G)
+        table = G.conjugacy
         orders = G.element_orders
         assert sum(1 for r in table.reps if orders[r] == 2) == 1
         cat = enumerate_elabs(G, 2)
@@ -86,7 +87,7 @@ def test_criterion_04_gl3_f3_jordan_forms():
     with budget(120):
         b = build_gl3(3)
         G = b.group
-        table = conjugacy_classes(G)
+        table = G.conjugacy
         orders = G.element_orders
         assert sum(1 for r in table.reps if orders[r] == 3) == 2
         assert is_conjugate_subgroup(G, b.e1, b.e2) is None
@@ -272,3 +273,17 @@ def test_criterion_14_analyze_report_is_deterministic(tmp_path):
             parsed.pop("timing")
             outs.append(json.dumps(parsed).encode())
         assert outs[0] == outs[1]
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    with budget(5):
+        exec(block, scope)
+    assert scope["G"].order == 12
+    assert sorted(scope["table"].sizes.tolist()) == [1, 3, 4, 4]
+    assert scope["table"] is scope["G"].conjugacy
+    assert not scope["verdict"] and scope["verdict"].only_in == "Aprime"
+    assert scope["C"].kind == cg.APRIME and len(scope["cat"]) == 5

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import hom_in_kind, index_of_vector, matrix, vector_of_index, weyl_image
+from brute_force import (conjugate, hom_in_kind, index_of, index_of_vector, matrix, vector_of_index,
+                         weyl_image)
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded, CatalogMismatch, InputFormatError, NotMaximal
 from elabcat.fpmat import mat_rank
 from elabcat.gallery import affine_images
-from elabcat.groups import close_generators, conjugate
+from elabcat.groups import close_generators
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
 
@@ -145,7 +146,7 @@ class TestHomSets:
         for cols in cg.hom_matrices(cg.A, V, V).tolist():
             image = images(cols, V)
             witnesses = [g for g in range(G.order)
-                         if all(G.index(conjugate(G.element(g), G.element(i)))
+                         if all(index_of(G, conjugate(G.element(g), G.element(i)))
                                 == image[i]
                                 for i in V.elements)]
             assert witnesses

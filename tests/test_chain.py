@@ -19,10 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import bfs_closure, brute_orbits, brute_search
+from brute_force import (bfs_closure, brute_orbits, brute_search, elements_of, from_elements,
+                         in_group, index_of)
 from elabcat import cli, gallery, groups
 from elabcat.errors import CapExceeded, InvalidPermutation
-from elabcat.groups import close_generators, from_elements
+from elabcat.groups import close_generators
 
 
 def symmetric(n):
@@ -113,9 +114,9 @@ def test_keys_past_the_last_element_are_not_found():
     assert tuple(past[0].tolist()) == (3, 7, 0, 1, 2, 4, 5, 6)
     for row in (past[0], past[-1]):
         perm = tuple(row.tolist())
-        assert perm not in G
+        assert not in_group(G, perm)
         with pytest.raises(KeyError):
-            G.index(perm)
+            index_of(G, perm)
         with pytest.raises(KeyError):
             G.indices_of_rows(np.vstack((G.array[:3], row)))
     assert not G._find(past)[1].any()
@@ -258,9 +259,9 @@ def test_rows_agreeing_on_the_base_are_checked():
             # with element i on the base, so it is not an element
             row = G.array[i].copy()
             row[free[:2]] = row[free[1::-1]]
-            assert tuple(row.tolist()) not in G
+            assert not in_group(G, tuple(row.tolist()))
             with pytest.raises(KeyError):
-                G.index(tuple(row.tolist()))
+                index_of(G, tuple(row.tolist()))
             with pytest.raises(KeyError):
                 G.indices_of_rows(np.vstack((G.array[:3], row)))
             assert G.indices_of_base_images(row[G.base]) == i
@@ -268,14 +269,14 @@ def test_rows_agreeing_on_the_base_are_checked():
 
 def test_element_lists_that_are_not_groups():
     G = close_generators(*symmetric(4))
-    elements = G.elements
+    elements = elements_of(G)
     with pytest.raises(InvalidPermutation):
         from_elements(4, elements[:-1])                 # not closed
     with pytest.raises(InvalidPermutation):
         from_elements(4, elements + elements[5:6])      # a duplicate
     with pytest.raises(InvalidPermutation):
         from_elements(4, elements[:-1] + elements[5:6])  # the same length
-    assert from_elements(4, elements[::-1]).elements == elements
+    assert elements_of(from_elements(4, elements[::-1])) == elements
 
 
 @pytest.mark.parametrize("n", [9, 12])

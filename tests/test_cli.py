@@ -983,6 +983,30 @@ class TestMisc:
                            text=True, env=env)
         assert r.stdout.split("\n")[0] == "[0, 0, 0, 0] []", r.stderr
 
+    def test_dataclasses_is_never_imported(self):
+        # records are NamedTuples: a dataclass generates and compiles its
+        # methods at every import, and importing dataclasses costs too;
+        # numpy does not import it
+        golden = Path(__file__).resolve().parent / "golden"
+        runs = [["analyze", str(golden / "alt4.group.json"), "--prime", "2"],
+                ["pregular", str(golden / "alt4.group.json"), "--prime", "2",
+                 "--character", "permutation"],
+                ["gallery", "affine-4"],
+                ["dickson", "--prime", "2", "--rank", "3"]]
+        code = ("import contextlib, io, sys\n"
+                "import numpy\n"
+                "seen = ['dataclasses' in sys.modules]\n"
+                "import elabcat.cli\n"
+                "seen.append('dataclasses' in sys.modules)\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [elabcat.cli.main(argv) for argv in {runs!r}]\n"
+                "print(codes, seen + ['dataclasses' in sys.modules])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env)
+        assert r.stdout.split("\n")[0] == "[0, 0, 0, 0] [False, False, False]", r.stderr
+
     def test_closed_stdout_exits_quietly(self):
         # a 4 MB report, far more than a pipe holds, so the command is
         # still writing when its reader closes the pipe after one line

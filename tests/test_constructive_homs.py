@@ -15,8 +15,8 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import (affine_group, brute_hom_sets, code_rows, generated_by, injective_oracle,
-                         weyl_image)
+from brute_force import (affine_group, brute_hom_sets, code_rows, generated_by, index_of,
+                         injective_oracle, weyl_image)
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs, p_rank
 from elabcat.groups import close_generators
@@ -89,7 +89,7 @@ def cycles(p, k=3):
     gens = [tuple(x - x % p + (x + 1) % p if x // p == i else x for x in range(p * k))
             for i in range(k)]
     G = close_generators(p * k, gens)
-    return G, [G.index(g) for g in gens]
+    return G, [index_of(G, g) for g in gens]
 
 
 @given(p=st.sampled_from([2, 3, 5]), rows=st.integers(0, 3), cols=st.integers(0, 3))

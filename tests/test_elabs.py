@@ -1,7 +1,7 @@
 import pytest
 
-from brute_force import (conjugate_subgroup, generated_by, index_of_vector, is_conjugate_subgroup,
-                         vector_of_index)
+from brute_force import (conjugate_subgroup, generated_by, index_of, index_of_vector,
+                         is_conjugate_subgroup, vector_of_index)
 from elabcat.elabs import ElabSubgroup, enumerate_elabs, p_rank
 from elabcat.errors import CapExceeded, CatalogMismatch, ElementNotInSubgroup
 from elabcat.groups import close_generators
@@ -51,7 +51,7 @@ class TestElabSubgroup:
         v = sorted(i for i in range(G.order) if G.element_orders[i] in (1, 2))
         E = ElabSubgroup.from_element_indices(G, 2, v)
         perm = G.element(E.elements[3])
-        vec = vector_of_index(E, G.index(perm))
+        vec = vector_of_index(E, index_of(G, perm))
         assert G.element(index_of_vector(E, vec)) == perm
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import (dict_add, dict_mul, dict_pow, dict_substitute, expand_in_elementaries,
-                         left_to_right, linear_form, make_weights)
+                         format_terms, left_to_right, linear_form, make_weights)
 from elabcat.chern import total_chern
 from elabcat.errors import CapExceeded, NotSymmetric
 from elabcat.fpmat import mat_mul
@@ -202,6 +202,29 @@ class TestFormat:
 
     def test_varname(self):
         assert FpPolynomial.variable(2, 2, 1).format("s") == "s2"
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_term_oracle(self, data):
+        # the zero polynomial, constants, coefficient 1 and others,
+        # exponents of 10 or more, and up to 12 variables
+        p = data.draw(st.sampled_from([2, 3, 7, 2 ** 61 - 1]))
+        n = data.draw(st.integers(0, 12))
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.one_of(st.integers(0, 2), st.integers(10, 120))] * n),
+            st.one_of(st.just(1), st.integers(1, p - 1)), max_size=8))
+        f = FpPolynomial(p, n, terms)
+        for varname in ("x", "s"):
+            assert f.format(varname) == format_terms(f, varname)
+
+    def test_matches_term_oracle_on_wide_polynomials(self):
+        f = FpPolynomial(5, 11, {(0,) * 11: 3, (1,) * 11: 1, (10,) + (0,) * 10: 2,
+                                 (0,) * 10 + (12,): 1, (2, 0, 1) + (0,) * 8: 4})
+        want = "3 + 4*x1^2*x3 + 2*x1^10 + x1*x2*x3*x4*x5*x6*x7*x8*x9*x10*x11 + x11^12"
+        assert f.format() == format_terms(f) == want
+        assert f.format("s") == format_terms(f, "s") == want.replace("x", "s")
+        zero = FpPolynomial.zero(5, 11)
+        assert zero.format() == format_terms(zero) == "0"
 
 
 class TestSymmetric:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -198,7 +197,7 @@ class TestFixtures:
         # it have built
         entry = gal.load_entry(name)
         forward = gal.verify_gallery(entry).results
-        backward = gal.verify_gallery(dataclasses.replace(entry, claims=entry.claims[::-1]))
+        backward = gal.verify_gallery(entry._replace(claims=entry.claims[::-1]))
         assert [(r.claim_id, r.computed) for r in backward.results[::-1]] == [
             (r.claim_id, r.computed) for r in forward]
 

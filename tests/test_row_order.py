@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elabcat.groups import close_generators, distinct_rows, from_elements, row_keys
+from brute_force import from_elements
+from elabcat.groups import close_generators, distinct_rows, row_keys
 
 # entries near both ends of [0, 2^32), where byte and integer order could part
 ENTRIES = st.one_of(st.integers(0, 3), st.integers(2 ** 32 - 3, 2 ** 32 - 1),
