@@ -15,9 +15,7 @@ from .errors import (
     CapExceeded,
     CatalogMismatch,
     ClosureGuardError,
-    DegreeMismatch,
     ElabcatError,
-    ElementNotInSubgroup,
     InputFormatError,
     InvalidPermutation,
     NotMaximal,

@@ -67,16 +67,16 @@ Foundations of Databases, 1995, ch. 13, within a rank).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import cap as _cap, refuse
 from .elabs import ElabCatalog, ElabSubgroup
-from .errors import CatalogMismatch, ClosureGuardError, InputFormatError, NotMaximal
+from .errors import CatalogMismatch, ClosureGuardError, InputFormatError
 # perfbench/tracing.py wraps categories.mat_mul; callers read column_codes here
 from .fpmat import (Mat, basis_search, code_digits, column_codes,  # noqa: F401
                     image_tables, injective_count, mat_mul, matrix_of,
@@ -902,9 +902,6 @@ class EqualityVerdict(NamedTuple):
     matrix: Optional[Mat] = None
     only_in: Optional[str] = None
 
-    def __bool__(self) -> bool:
-        return self.equal
-
 
 def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
                      catalog: ElabCatalog) -> EqualityVerdict:
@@ -940,12 +937,13 @@ def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
     return EqualityVerdict(True)
 
 
-def generic_fibre_index(catalog: ElabCatalog, E: ElabSubgroup) -> Fraction:
-    """|Aut_Aprime(E)| / |Aut_A(E)| for a maximal catalog member E."""
-    idx = catalog.index_of(E)
-    if not catalog.maximal[idx]:
-        raise NotMaximal(f"subgroup {idx} is not maximal in its catalog")
-    c = int(catalog.class_of[idx])
-    num, den = (int(build_category(k, catalog).iso_classes()[0][c]) for k in (APRIME, A))
-    return Fraction(num, den)
-
+def fibre_indices(catalog: ElabCatalog) -> dict[int, tuple[int, int, tuple[int, int]]]:
+    """For each maximal class c, increasing: |Aut_A(E)| and |Aut_Aprime(E)|
+    of its members E, and the fibre index |Aut_Aprime(E)| / |Aut_A(E)| in
+    lowest terms, as (numerator, denominator)."""
+    aut_a, aut_aprime = (build_category(k, catalog).iso_classes()[0] for k in (A, APRIME))
+    out = {}
+    for c in catalog.maximal_class_indices():
+        a, b = aut_a.item(c), aut_aprime.item(c)
+        out[c] = a, b, (b // gcd(a, b), a // gcd(a, b))
+    return out

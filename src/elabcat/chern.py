@@ -33,8 +33,9 @@ class _Weights(NamedTuple):
 
 class WeightList(_Weights):
     """A finite multiset of characters of (Z/p)^rank, order preserved;
-    its length is the number of weights, so a changed list is built by
-    WeightList(...), not by the tuple's _replace or _make."""
+    its length is the number of weights, so a changed list, joined or
+    repeated, is built by WeightList(prime, rank, weights), not by the
+    tuple's _replace or _make."""
 
     __slots__ = ()
 
@@ -48,14 +49,6 @@ class WeightList(_Weights):
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def repeat(self, k: int) -> "WeightList":
-        return WeightList(self.prime, self.rank, self.weights * k)
-
-    def concat(self, other: "WeightList") -> "WeightList":
-        if other.prime != self.prime or other.rank != self.rank:
-            raise ValueError("weight lists over different groups")
-        return WeightList(self.prime, self.rank, self.weights + other.weights)
 
 
 def _check_count(base: int, exp: int = 1) -> None:
@@ -94,7 +87,7 @@ def total_chern(weights: WeightList) -> FpPolynomial:
     p, n = weights.prime, weights.rank
     _check_count(len(weights))
     if not len(weights):
-        return FpPolynomial.one(p, n)
+        return FpPolynomial.constant(p, n, 1)
     # factor s is 1 + sum_i w_i x_i: a term for the 1 and for each w_i != 0
     w = np.column_stack((np.ones(len(weights), dtype=np.int64), weights.weights))
     node, var = np.nonzero(w)

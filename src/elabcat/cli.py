@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from itertools import count
 from math import gcd
 from pathlib import Path
@@ -183,17 +182,10 @@ def analyze_report(G: FiniteGroup, p: int,
     timing["verdicts"] = round(time.perf_counter() - t2, 6)
 
     t3 = time.perf_counter()
-    fibres, reps = [], catalog.class_reps
-    aut_a, aut_aprime = (cg.build_category(k, catalog).iso_classes()[0] for k in (cg.A, cg.APRIME))
-    for c in catalog.maximal_class_indices():
-        ratio = Fraction(aut_aprime.item(c), aut_a.item(c))
-        fibres.append({
-            "class": c,
-            "rank": catalog.ranks().item(reps[c]),
-            "aut_a": aut_a.item(c),
-            "aut_aprime": aut_aprime.item(c),
-            "index": [ratio.numerator, ratio.denominator],
-        })
+    ranks, reps = catalog.ranks(), catalog.class_reps
+    fibres = [{"class": c, "rank": ranks.item(reps[c]), "aut_a": a, "aut_aprime": b,
+               "index": list(index)}
+              for c, (a, b, index) in cg.fibre_indices(catalog).items()]
     timing["fibres"] = round(time.perf_counter() - t3, 6)
 
     notes = []

@@ -12,8 +12,7 @@ ELABCAT_TERM_CAP       max stored monomials per polynomial, or weights per list 
 
 A guard reads its cap with cap(name), compares, and calls refuse(name,
 text): CapExceeded(name) with text and the variable to raise.  The caps
-are read from the environment alone; only close_generators also takes a
-bound of its own, its element_cap argument.
+are read from the environment alone.
 
 Every input document is read here too, by read against a table of its
 fields' types, and each integer of the command line and the caps by

@@ -9,10 +9,6 @@ class InvalidPermutation(ElabcatError):
     """Image list is not a bijection on {0, ..., degree-1}."""
 
 
-class DegreeMismatch(ElabcatError):
-    """Permutations of different degrees were combined."""
-
-
 class CapExceeded(ElabcatError):
     """An enumeration, or a size estimate made before one, passed its cap.
 
@@ -23,10 +19,6 @@ class CapExceeded(ElabcatError):
     def __init__(self, guard: str, message: str):
         super().__init__(message)
         self.guard = guard
-
-
-class ElementNotInSubgroup(ElabcatError):
-    """Element passed to a subgroup operation does not lie in it."""
 
 
 class CatalogMismatch(ElabcatError):

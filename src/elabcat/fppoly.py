@@ -3,6 +3,9 @@
 A polynomial is two numpy arrays: ``exps``, its distinct exponent rows
 in lexicographic order, and ``coeffs``, their coefficients, each reduced
 mod p and nonzero.  The form is canonical, so equality compares arrays.
+It is built from a {exponent tuple: coefficient} dict, or as a
+constant; +, * and == take polynomials of one prime and variable count,
+never ints, so a polynomial equals only a polynomial and is not hashable.
 
 Every sum, product, power and substitution ends in one routine,
 ``_collect``: it sorts the terms by key and adds the coefficients of
@@ -172,9 +175,7 @@ def _powers(img: "FpPolynomial", ks: np.ndarray, top: int, owners: int):
 class FpPolynomial:
     __slots__ = ("prime", "nvars", "exps", "coeffs")
 
-    def __init__(self, prime: int, nvars: int,
-                 terms: dict[Exponents, int] | None = None):
-        terms = terms or {}
+    def __init__(self, prime: int, nvars: int, terms: dict[Exponents, int]):
         for exps in terms:
             if len(exps) != nvars or not all(isinstance(e, (int, np.integer)) and e >= 0
                                              for e in exps):
@@ -184,8 +185,7 @@ class FpPolynomial:
         self._hold(prime, nvars, *_canonical(rows, coeffs, prime))
 
     def _hold(self, prime, nvars, exps, coeffs):
-        # read-only: arrays are shared between polynomials, and a hash
-        # must not change
+        # read-only: arrays are shared between polynomials
         exps.flags.writeable = coeffs.flags.writeable = False
         self.prime, self.nvars, self.exps, self.coeffs = prime, nvars, exps, coeffs
 
@@ -201,24 +201,9 @@ class FpPolynomial:
         """The terms as an exponent tuple -> coefficient dict (a copy)."""
         return dict(zip(map(tuple, self.exps.tolist()), self.coeffs.tolist()))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, prime: int, nvars: int) -> "FpPolynomial":
-        return cls(prime, nvars, {})
-
     @classmethod
     def constant(cls, prime: int, nvars: int, c: int) -> "FpPolynomial":
         return cls(prime, nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def one(cls, prime: int, nvars: int) -> "FpPolynomial":
-        return cls.constant(prime, nvars, 1)
-
-    @classmethod
-    def variable(cls, prime: int, nvars: int, i: int) -> "FpPolynomial":
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(prime, nvars, {exps: 1})
 
     # -- ring operations ----------------------------------------------
 
@@ -226,32 +211,13 @@ class FpPolynomial:
         if self.prime != other.prime or self.nvars != other.nvars:
             raise ValueError("mixed primes or variable counts")
 
-    def _lift(self, other):
-        if isinstance(other, int):
-            return FpPolynomial.constant(self.prime, self.nvars, other)
-        self._compat(other)
-        return other
-
     def __add__(self, other):
-        other = self._lift(other)
+        self._compat(other)
         return FpPolynomial._wrap(self.prime, self.nvars, *_canonical(
             np.concatenate((self.exps, other.exps)),
             np.concatenate((self.coeffs, other.coeffs)), self.prime))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + -self._lift(other)
-
-    def __rsub__(self, other):
-        return self._lift(other) + -self
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         self._compat(other)
         p, n = self.prime, self.nvars
         top = int((_top(self.exps) + _top(other.exps)).max(initial=0))
@@ -259,8 +225,6 @@ class FpPolynomial:
                               (_pack(other.exps, top)[None], other.coeffs[None]),
                               p, (top + 1) ** n)
         return FpPolynomial._wrap(p, n, _unpack(keys, top, n), coeffs)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
@@ -271,39 +235,18 @@ class FpPolynomial:
                 result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return FpPolynomial.one(self.prime, self.nvars) if result is None else result
-
-    def scale(self, c: int) -> "FpPolynomial":
-        c %= self.prime
-        if not c:
-            return FpPolynomial.zero(self.prime, self.nvars)
-        return FpPolynomial._wrap(self.prime, self.nvars, self.exps,
-                                  self.coeffs * c % self.prime)
+        return FpPolynomial.constant(self.prime, self.nvars, 1) if result is None else result
 
     def __eq__(self, other) -> bool:
-        """An int n equals only the constant polynomial n with 0 <= n < p,
-        so equal objects hash equal."""
-        if isinstance(other, int):
-            return 0 <= other < self.prime and self == self._lift(other)
         return (isinstance(other, FpPolynomial) and self.prime == other.prime
                 and self.nvars == other.nvars
                 and np.array_equal(self.exps, other.exps)
                 and np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        if not self.exps.any():         # a constant hashes as its int
-            return hash(int(self.coeffs.sum()))
-        return hash((self.prime, self.nvars, self.exps.tobytes(),
-                     tuple(self.coeffs.tolist())))
-
     def is_zero(self) -> bool:
         return not len(self.coeffs)
 
     # -- structure ----------------------------------------------------
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return int(self.exps.sum(axis=1).max(initial=-1))
 
     def degrees(self) -> list[int]:
         """Sorted list of total degrees with a nonzero homogeneous part."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
-from .errors import InputFormatError
+from .errors import InputFormatError, NotMaximal
 from .config import NATURAL, POSITIVE, Ints, cap as _cap, read, read_file, refuse
 from .fpmat import (PRIME, code_digits, gl_generators, mat_inv, mat_rank,
                     primitive_element, subspace_bases)
@@ -153,10 +152,6 @@ def build_gl3(p: int) -> SimpleNamespace:
     idx = G.indices_of_rows(perms(blocks.reshape(-1, 3, 3))).reshape(2, -1)
     e1, e2 = (ElabSubgroup.from_element_indices(G, p, block) for block in idx)
     return SimpleNamespace(group=G, prime=p, e1=e1, e2=e2)
-
-
-def gl3(p: int) -> FiniteGroup:
-    return build_gl3(p).group
 
 
 def build_triangular(p: int, n: int) -> SimpleNamespace:
@@ -403,8 +398,6 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
     return value
 
 
@@ -490,8 +483,11 @@ def _chk_hom_order(ctx, args):
 
 @_check("fibre_index", object=str)
 def _chk_fibre_index(ctx, args):
-    E = ctx.subgroup(args, "object")
-    return cg.generic_fibre_index(ctx.catalog, E)
+    idx = ctx.catalog.index_of(ctx.subgroup(args, "object"))
+    fibre = cg.fibre_indices(ctx.catalog).get(ctx.catalog.class_of.item(idx))
+    if fibre is None:
+        raise NotMaximal(f"subgroup {idx} is not maximal in its catalog")
+    return fibre[2]
 
 
 @_check("a_equals_aprime")

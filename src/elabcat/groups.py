@@ -557,7 +557,7 @@ def _schreier_generators(gens: np.ndarray, orbit: np.ndarray, trans: np.ndarray,
 
 
 def close_generators(degree: int, generators: Iterable[Sequence[int]],
-                     element_cap: int | None = None, name: str = "") -> FiniteGroup:
+                     name: str = "") -> FiniteGroup:
     """The group generated by a generator list, from its stabilizer chain;
     the only way a FiniteGroup is built.
 
@@ -569,10 +569,9 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     stabilizer of b_k in G_k; the chain ends when none is left.
 
     |G| is the product of the |D_k|: CapExceeded("element_cap") is raised
-    once the orbits so far pass the cap (default from config, override via
-    argument), or their product times the degree, which bounds the element
-    table and every transversal, passes ENTRIES_PER_ELEMENT times the
-    configured cap; CapExceeded("element_key") once the keys would pass
+    once the orbits so far pass the cap, or their product times the
+    degree, which bounds the element table and every transversal, passes
+    ENTRIES_PER_ELEMENT times the cap; CapExceeded("element_key") once the keys would pass
     KEY_BITS bits.  All are checked before the transversal of D_k (|D_k|
     rows of length degree) is allocated, and D_1, the G-orbit of b_1, also
     before its search; the degree alone, the identity's row of the table,
@@ -581,8 +580,8 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     and the base images of their inverses u_1^-1 * ... * u_m^-1 through the
     inverted transversals; FiniteGroup sorts both by key.
     """
-    limit = element_cap if element_cap is not None else _cap("element_cap")
-    if degree > ENTRIES_PER_ELEMENT * _cap("element_cap"):       # before any per-point array
+    limit = _cap("element_cap")
+    if degree > ENTRIES_PER_ELEMENT * limit:       # before any per-point array
         refuse("element_cap", f"group element table of 1 x {degree} entries "
                               f"passed {ENTRIES_PER_ELEMENT} per element of the cap")
     gens = _perm_rows(generators, degree)
@@ -598,7 +597,7 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
         bits = (prod(radix) - 1).bit_length()
         if order > limit:
             refuse("element_cap", f"group closure passed the element cap ({limit})")
-        if order * degree > ENTRIES_PER_ELEMENT * _cap("element_cap"):
+        if order * degree > ENTRIES_PER_ELEMENT * limit:
             refuse("element_cap", f"group element table of {order} x {degree} entries "
                                   f"passed {ENTRIES_PER_ELEMENT} per element of the cap")
         if bits > KEY_BITS:

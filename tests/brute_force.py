@@ -113,7 +113,7 @@ build_parser: the argparse parser the command line was once read with;
 it shares no code with ``cli.parse_args`` or its COMMANDS table.
 
 vector_of_index, index_of_vector, is_conjugate_subgroup, affine_group,
-triangular_group, linear_form, expand_in_elementaries, make_weights,
+triangular_group, linear_form, variable, expand_in_elementaries, make_weights,
 chern_class, frobenius_identity_check, whitney_product_check and
 p_regular_check: helpers no command reaches, kept for the tests that
 read them.  Each is a scalar or one-call form of what the library
@@ -138,10 +138,17 @@ from elabcat.fpmat import (PRIME, gl_generators, injective_count, mat_inv, mat_m
                            primitive_element, subspace_bases)
 from elabcat.gallery import IRREDUCIBLE, build_affine, build_triangular
 from elabcat.config import cap
-from elabcat.errors import (CapExceeded, CatalogMismatch, DegreeMismatch, ElementNotInSubgroup,
-                            InvalidPermutation)
+from elabcat.errors import CapExceeded, CatalogMismatch, ElabcatError, InvalidPermutation
 from elabcat.groups import (ConjugacyTable, _perm_rows, blocks, close_generators, find_sorted,
                             orbits, row_keys, row_positions)
+
+
+class DegreeMismatch(ElabcatError):
+    """Permutations of different degrees were combined."""
+
+
+class ElementNotInSubgroup(ElabcatError):
+    """An element or coordinate vector does not lie in the subgroup."""
 
 
 def codes(M, p):
@@ -759,17 +766,15 @@ def from_elements(degree, elements, name=""):
     """The group of exactly the listed elements, closed from greedy
     generators: each the smallest listed element outside the subgroup so
     far, which it at least doubles, so there are at most log2 |G|.  Raises
-    InvalidPermutation unless the closure is exactly the list."""
+    InvalidPermutation unless the closure is exactly the list: once a
+    closure has more elements than the list, it is not closed."""
     rows = _perm_rows(elements, degree)
     rows = rows[np.argsort(row_keys(rows))]
     gens = rows[:0]
     while True:
-        try:
-            G = close_generators(degree, gens, element_cap=len(rows), name=name)
-        except CapExceeded as e:
-            if e.guard != "element_cap":
-                raise
-            raise InvalidPermutation("element list is not closed under products") from None
+        G = close_generators(degree, gens, name=name)
+        if len(G) > len(rows):
+            raise InvalidPermutation("element list is not closed under products")
         inside = G._find(rows)[1]
         if inside.all():
             break
@@ -825,7 +830,7 @@ def brute_group(degree, generators):
     return sorted(seen)
 
 
-def bfs_closure(degree, generators, element_cap=None):
+def bfs_closure(degree, generators):
     """The breadth-first closure of a generator list, as groups built it
     before the stabilizer chain, with its element lookups on byte keys of
     whole rows: (array, conj, right, base, conjugacy), each computed as
@@ -839,7 +844,7 @@ def bfs_closure(degree, generators, element_cap=None):
     end.  Raises CapExceeded("element_cap") once the group has more
     elements than the cap.
     """
-    limit = element_cap if element_cap is not None else cap("element_cap")
+    limit = cap("element_cap")
     gens = _perm_rows(generators, degree)
     rows = np.arange(degree, dtype=np.int32)[None]    # the last level, by key
     keys = row_keys(rows)                             # every key found, sorted
@@ -1239,6 +1244,11 @@ def linear_form(prime, coeffs):
                                    for i, c in enumerate(coeffs)})
 
 
+def variable(prime, nvars, i):
+    """The polynomial x_{i+1} in nvars variables."""
+    return linear_form(prime, [int(j == i) for j in range(nvars)])
+
+
 def expand_in_elementaries(g):
     """Inverse direction of symmetric_reduce: plug e_k in for variable k-1."""
     return g.substitute([elementary_symmetric(g.prime, g.nvars, k)
@@ -1255,13 +1265,15 @@ def chern_class(weights, i):
 
 def frobenius_identity_check(weights, m):
     """Does the (p*m)-fold total Chern class equal the m-fold one to the p-th power."""
-    p = weights.prime
-    return total_chern(weights.repeat(p * m)) == total_chern(weights.repeat(m)) ** p
+    p, rank, w = weights
+    big, small = (total_chern(WeightList(p, rank, w * k)) for k in (p * m, m))
+    return big == small ** p
 
 
 def whitney_product_check(w1, w2):
     """Does concatenation multiply total Chern classes."""
-    return total_chern(w1.concat(w2)) == total_chern(w1) * total_chern(w2)
+    both = WeightList(w1.prime, w1.rank, w1.weights + w2.weights)
+    return total_chern(both) == total_chern(w1) * total_chern(w2)
 
 
 def p_regular_check(G, p, chi, catalog):

@@ -1,5 +1,5 @@
-from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded, CatalogMismatch, InputFormatError, NotMaximal
 from elabcat.fpmat import mat_rank
-from elabcat.gallery import affine_images
+from elabcat.gallery import _chk_fibre_index, affine_images
 from elabcat.groups import close_generators
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
@@ -222,9 +222,9 @@ class TestCategory:
     def test_categories_equal_verdict(self):
         cat = a4_catalog()
         same = cg.categories_equal(cg.A, cg.a_n(2), cat)
-        assert same.equal and bool(same)
+        assert same.equal
         diff = cg.categories_equal(cg.A, cg.APRIME, cat)
-        assert not diff.equal and not bool(diff)
+        assert not diff.equal
         assert diff.only_in == "Aprime"
         assert diff.domain_class == 2 and diff.codomain_class == 2
         assert diff.matrix == ((0, 1), (1, 0))
@@ -232,9 +232,13 @@ class TestCategory:
     def test_generic_fibre_index(self):
         cat = a4_catalog()
         V = cat.subgroups[4]
-        assert cg.generic_fibre_index(cat, V) == Fraction(2)
+        # V's class is the one maximal class: |Aut_A(V)| = 3, |Aut_Aprime(V)| = 6
+        assert cg.fibre_indices(cat) == {cat.class_of.item(4): (3, 6, (2, 1))}
+        # the gallery's fibre_index claim reads it, and refuses other members
+        ctx = SimpleNamespace(catalog=cat, subgroup=lambda args, key: args[key])
+        assert _chk_fibre_index(ctx, {"object": V}) == (2, 1)
         with pytest.raises(NotMaximal):
-            cg.generic_fibre_index(cat, cat.subgroups[1])
+            _chk_fibre_index(ctx, {"object": cat.subgroups[1]})
 
     def test_weyl_image_matches_a_homs(self):
         cat = a4_catalog()

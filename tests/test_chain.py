@@ -59,7 +59,7 @@ def built(G):
 
 
 NAMED = {
-    "gl3-3": lambda: built(gallery.gl3(3)),
+    "gl3-3": lambda: built(gallery.build_gl3(3).group),
     "S7": lambda: symmetric(7),
     "S8": lambda: symmetric(8),
     "A4xA4": a4_squared,
@@ -71,14 +71,14 @@ NAMED = {
 }
 
 
-def assert_matches_bfs(degree, gens, element_cap=None):
+def assert_matches_bfs(degree, gens):
     try:
-        array, conj, right, base, conjugacy = bfs_closure(degree, gens, element_cap)
+        array, conj, right, base, conjugacy = bfs_closure(degree, gens)
     except CapExceeded:
         with pytest.raises(CapExceeded):
-            close_generators(degree, gens, element_cap=element_cap)
+            close_generators(degree, gens)
         return
-    G = close_generators(degree, gens, element_cap=element_cap)
+    G = close_generators(degree, gens)
     assert G.array.dtype == array.dtype and G.array.tobytes() == array.tobytes()
     for got, want in zip(G.generator_tables, (conj, right)):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -156,7 +156,9 @@ def generator_lists(draw):
 def test_chain_matches_bfs_closure_on_random_groups(group):
     # the cap keeps the breadth-first oracle quick; both sides must refuse
     # the same groups
-    assert_matches_bfs(*group, element_cap=5040)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ELABCAT_ELEMENT_CAP", "5040")
+        assert_matches_bfs(*group)
 
 
 @st.composite

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import (affine_group, chern_class, frobenius_identity_check, left_to_right,
-                         linear_form, make_weights, p_regular_check, whitney_product_check)
+                         linear_form, make_weights, p_regular_check, variable,
+                         whitney_product_check)
 
-from elabcat.chern import (CharacterVector, dickson_check, p_regular_failures,
-                           permutation_character, regular_character,
+from elabcat.chern import (CharacterVector, WeightList, dickson_check,
+                           p_regular_failures, permutation_character, regular_character,
                            regular_rep_product, regular_weights, total_chern,
                            trivial_character)
 from elabcat.elabs import enumerate_elabs
@@ -28,8 +29,8 @@ class TestTotalChern:
     def test_single_weight(self):
         w = make_weights(2, 2, [[1, 0]])
         c = total_chern(w)
-        x = FpPolynomial.variable(2, 2, 0)
-        assert c == FpPolynomial.one(2, 2) + x
+        x = variable(2, 2, 0)
+        assert c == FpPolynomial.constant(2, 2, 1) + x
 
     def test_zero_weight_contributes_nothing(self):
         w = make_weights(3, 2, [[0, 0], [1, 0]])
@@ -42,12 +43,19 @@ class TestTotalChern:
         for d in c.degrees():
             assert chern_class(w, d) == c.homogeneous_part(d)
 
-    def test_repeat_and_concat(self):
-        w = make_weights(2, 2, [[1, 0]])
-        v = make_weights(2, 2, [[0, 1]])
-        both = w.concat(v)
-        assert total_chern(both) == total_chern(w) * total_chern(v)
-        assert total_chern(w.repeat(2)) == total_chern(w) ** 2
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_repeat_and_concat(self, data):
+        # Whitney: the total Chern class of a joined list is the product
+        # of the parts', so k copies of one list give its k-th power
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        rank = data.draw(st.integers(0, 3))
+        w1, w2 = (data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * rank), max_size=6))
+                  for _ in range(2))
+        k = data.draw(st.integers(0, 3))
+        c1, c2 = (total_chern(WeightList(p, rank, tuple(w))) for w in (w1, w2))
+        assert total_chern(WeightList(p, rank, tuple(w1 + w2))) == c1 * c2
+        assert total_chern(WeightList(p, rank, tuple(w1 * k))) == c1 ** k
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -74,9 +82,9 @@ class TestTotalChern:
         rows = ([[1] + [0] * 11] * 28 + [[int(j == i) for j in range(12)] for i in range(1, 12)]
                 + [[0] * 12])
         assert 40 * 29 ** 12 >= 2 ** 63 > 29 ** 12
-        want = FpPolynomial.one(2, 12)
+        want = FpPolynomial.constant(2, 12, 1)
         for r in rows:
-            want = want * (linear_form(2, r) + 1)
+            want = want * (linear_form(2, r) + FpPolynomial.constant(2, 12, 1))
         assert total_chern(make_weights(2, 12, rows)) == want
 
     def test_tree_term_cap(self, monkeypatch):
@@ -149,7 +157,7 @@ class TestRegularProduct:
 
     @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in range(4)])
     def test_expansion_is_the_product_of_its_factors(self, p, n):
-        want = FpPolynomial.one(p, n)
+        want = FpPolynomial.constant(p, n, 1)
         for i in range(n):
             want = want * FpPolynomial(p, n, {tuple(k * (j == i) for j in range(n)): 1
                                               for k in range(p)})

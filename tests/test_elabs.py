@@ -1,9 +1,9 @@
 import pytest
 
-from brute_force import (conjugate_subgroup, generated_by, index_of, index_of_vector,
-                         is_conjugate_subgroup, vector_of_index)
+from brute_force import (ElementNotInSubgroup, conjugate_subgroup, generated_by, index_of,
+                         index_of_vector, is_conjugate_subgroup, vector_of_index)
 from elabcat.elabs import ElabSubgroup, enumerate_elabs, p_rank
-from elabcat.errors import CapExceeded, CatalogMismatch, ElementNotInSubgroup
+from elabcat.errors import CapExceeded, CatalogMismatch
 from elabcat.groups import close_generators
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]

@@ -105,7 +105,7 @@ def test_element_table_matches_tuple_oracle(group, rnd):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: gallery.gl3(3), lambda: gallery.build_prop10(2, 1).group,
+    lambda: gallery.build_gl3(3).group, lambda: gallery.build_prop10(2, 1).group,
     lambda: gallery.cyclic_group(64), lambda: gallery.cyclic_group(257),
 ], ids=["gl3-3", "prop10-2-1", "cyclic-64", "cyclic-257"])
 def test_inverses_and_orders_match_row_oracles(make):
@@ -233,8 +233,10 @@ def test_catalog_cap_stops_before_commuting_pairs(monkeypatch):
                             "raise ELABCAT_CATALOG_CAP to allow more")
 
 
-def test_element_cap_boundary():
+def test_element_cap_boundary(monkeypatch):
+    monkeypatch.setenv("ELABCAT_ELEMENT_CAP", "5039")
     with pytest.raises(CapExceeded) as e:
-        close_generators(7, S7_GENS, element_cap=5039)
+        close_generators(7, S7_GENS)
     assert e.value.guard == "element_cap"
-    assert len(close_generators(7, S7_GENS, element_cap=5040)) == 5040
+    monkeypatch.setenv("ELABCAT_ELEMENT_CAP", "5040")
+    assert len(close_generators(7, S7_GENS)) == 5040

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import (dict_add, dict_mul, dict_pow, dict_substitute, expand_in_elementaries,
-                         format_terms, left_to_right, linear_form, make_weights)
+                         format_terms, left_to_right, linear_form, make_weights, variable)
 from elabcat.chern import total_chern
 from elabcat.errors import CapExceeded, NotSymmetric
 from elabcat.fpmat import mat_mul
@@ -15,9 +15,9 @@ from elabcat.fppoly import FpPolynomial, _pack, _unpack, elementary_symmetric, s
 
 
 def monomial(prime, nvars, exps):
-    out = FpPolynomial.one(prime, nvars)
+    out = FpPolynomial.constant(prime, nvars, 1)
     for i, e in enumerate(exps):
-        out = out * FpPolynomial.variable(prime, nvars, i) ** e
+        out = out * variable(prime, nvars, i) ** e
     return out
 
 
@@ -27,49 +27,50 @@ def poly_strategy(prime=3, nvars=2, max_terms=4, max_exp=3):
         st.integers(1, prime - 1))
     return st.lists(term, max_size=max_terms).map(
         lambda items: sum(
-            (monomial(prime, nvars, e).scale(c) for e, c in items),
-            FpPolynomial.zero(prime, nvars)))
+            (monomial(prime, nvars, e) * FpPolynomial.constant(prime, nvars, c)
+             for e, c in items),
+            FpPolynomial(prime, nvars, {})))
 
 
 class TestArithmetic:
     def test_zero_and_one(self):
-        z = FpPolynomial.zero(2, 2)
-        one = FpPolynomial.one(2, 2)
+        z = FpPolynomial(2, 2, {})
+        one = FpPolynomial.constant(2, 2, 1)
         assert z.is_zero()
         assert not one.is_zero()
         assert one + z == one
 
     def test_coefficients_reduced_mod_p(self):
-        x = FpPolynomial.variable(3, 1, 0)
+        x = variable(3, 1, 0)
         assert (x + x + x).is_zero()
-        assert x.scale(3).is_zero()
+        assert (x * FpPolynomial.constant(3, 1, 3)).is_zero()
 
-    def test_sub_and_neg(self):
-        x = FpPolynomial.variable(5, 1, 0)
-        assert (x - x).is_zero()
-        assert (x + (-x)).is_zero()
-
-    def test_int_scaling(self):
-        x = FpPolynomial.variable(5, 1, 0)
-        assert 2 * x == x + x
+    def test_equals_only_polynomials(self):
+        # a constant is not its int, and a polynomial has no hash
+        one = FpPolynomial.constant(3, 1, 1)
+        assert one == FpPolynomial.constant(3, 1, 4) and one != 1
+        assert FpPolynomial.constant(3, 1, 2) not in (2, 5, -1)
+        assert variable(3, 1, 0) != 0 and FpPolynomial(3, 1, {}) != 0
+        assert one != FpPolynomial.constant(3, 2, 1) and one != FpPolynomial.constant(5, 1, 1)
+        with pytest.raises(TypeError):
+            hash(one)
 
     def test_pow(self):
-        x = FpPolynomial.variable(2, 2, 0)
-        y = FpPolynomial.variable(2, 2, 1)
+        x = variable(2, 2, 0)
+        y = variable(2, 2, 1)
         # freshman's dream over F_2
         assert (x + y) ** 2 == x ** 2 + y ** 2
 
     def test_linear_form(self):
         f = linear_form(3, (1, 2))
-        x = FpPolynomial.variable(3, 2, 0)
-        y = FpPolynomial.variable(3, 2, 1)
-        assert f == x + y.scale(2)
+        x = variable(3, 2, 0)
+        y = variable(3, 2, 1)
+        assert f == x + y * FpPolynomial.constant(3, 2, 2)
 
     def test_degree_and_parts(self):
-        x = FpPolynomial.variable(2, 2, 0)
-        y = FpPolynomial.variable(2, 2, 1)
-        f = x * y + x + FpPolynomial.one(2, 2)
-        assert f.degree() == 2
+        x = variable(2, 2, 0)
+        y = variable(2, 2, 1)
+        f = x * y + x + FpPolynomial.constant(2, 2, 1)
         assert f.homogeneous_part(1) == x
         assert f.homogeneous_part(2) == x * y
         assert sorted(f.degrees()) == [0, 1, 2]
@@ -86,13 +87,12 @@ class TestArithmetic:
     @given(poly_strategy())
     @settings(max_examples=20, deadline=None)
     def test_additive_inverse(self, f):
-        assert (f - f).is_zero()
-        assert (f + f.scale(-1)).is_zero()
+        assert (f + f * FpPolynomial.constant(f.prime, f.nvars, -1)).is_zero()
 
     def test_term_cap(self, monkeypatch):
-        f = FpPolynomial.one(2, 3)
+        f = FpPolynomial.constant(2, 3, 1)
         for i in range(3):
-            f = f * (FpPolynomial.variable(2, 3, i) + FpPolynomial.one(2, 3))
+            f = f * (variable(2, 3, i) + FpPolynomial.constant(2, 3, 1))
         monkeypatch.setenv("ELABCAT_TERM_CAP", "4")
         with pytest.raises(CapExceeded) as e:
             f * f
@@ -113,43 +113,18 @@ class TestConstruction:
 
     def test_numpy_integer_exponents(self):
         assert FpPolynomial(3, 1, {(np.int64(2),): 1}) == \
-            FpPolynomial.variable(3, 1, 0) ** 2
-
-
-class TestConstants:
-    def test_constant_hashes_as_its_int(self):
-        one, zero = FpPolynomial.one(3, 1), FpPolynomial.zero(3, 1)
-        two = FpPolynomial.constant(3, 2, 2)
-        assert one == 1 and hash(one) == hash(1)
-        assert zero == 0 and hash(zero) == hash(0)
-        assert two == 2 and hash(two) == hash(2)
-        assert len({one, 1}) == 1
-
-    def test_int_equals_only_its_reduced_constant(self):
-        # 5 and 2 hash differently, so they cannot both equal the constant 2
-        assert FpPolynomial.constant(3, 1, 2) != 5
-        assert FpPolynomial.constant(3, 1, 2) != -1
-        assert FpPolynomial.variable(3, 1, 0) != 0
-
-    def test_int_on_either_side(self):
-        x = FpPolynomial.variable(5, 1, 0)
-        one = FpPolynomial.one(5, 1)
-        assert 1 - x == one - x
-        assert 1 - x == -(x - 1)
-        assert (3 - x) + x == 3
-        assert 1 + x == x + 1
-        assert 2 * x == x * 2
+            variable(3, 1, 0) ** 2
 
 
 class TestSubstitution:
     def test_substitute_linear_swap(self):
-        x = FpPolynomial.variable(2, 2, 0)
-        y = FpPolynomial.variable(2, 2, 1)
+        x = variable(2, 2, 0)
+        y = variable(2, 2, 1)
         f = x ** 2 + y
         assert f.substitute_linear(((0, 1), (1, 0))) == y ** 2 + x
 
     def test_substitute_linear_composes(self):
-        f = FpPolynomial.variable(3, 2, 0) ** 2 + FpPolynomial.variable(3, 2, 1)
+        f = variable(3, 2, 0) ** 2 + variable(3, 2, 1)
         M = ((1, 1), (0, 1))
         N = ((1, 0), (2, 1))
         both = f.substitute_linear(mat_mul(M, N, 3))
@@ -157,8 +132,8 @@ class TestSubstitution:
         assert both == stepwise
 
     def test_substitute_images(self):
-        x = FpPolynomial.variable(2, 2, 0)
-        y = FpPolynomial.variable(2, 2, 1)
+        x = variable(2, 2, 0)
+        y = variable(2, 2, 1)
         assert (x * y).substitute([y, x]) == x * y
         assert (x + y ** 2).substitute([y, x]) == y + x ** 2
 
@@ -186,22 +161,22 @@ class TestSubstitution:
 
 class TestFormat:
     def test_constant_and_zero(self):
-        assert FpPolynomial.zero(2, 2).format() == "0"
-        assert FpPolynomial.one(2, 2).format() == "1"
+        assert FpPolynomial(2, 2, {}).format() == "0"
+        assert FpPolynomial.constant(2, 2, 1).format() == "1"
         assert FpPolynomial.constant(3, 1, 2).format() == "2"
 
     def test_graded_order(self):
-        x = FpPolynomial.variable(2, 2, 0)
-        y = FpPolynomial.variable(2, 2, 1)
-        f = FpPolynomial.one(2, 2) + x + y + x * y
+        x = variable(2, 2, 0)
+        y = variable(2, 2, 1)
+        f = FpPolynomial.constant(2, 2, 1) + x + y + x * y
         assert f.format() == "1 + x1 + x2 + x1*x2"
 
     def test_coefficient_prefix(self):
-        f = (FpPolynomial.variable(3, 1, 0) ** 2).scale(2)
+        f = variable(3, 1, 0) ** 2 * FpPolynomial.constant(3, 1, 2)
         assert f.format() == "2*x1^2"
 
     def test_varname(self):
-        assert FpPolynomial.variable(2, 2, 1).format("s") == "s2"
+        assert variable(2, 2, 1).format("s") == "s2"
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -223,7 +198,7 @@ class TestFormat:
         want = "3 + 4*x1^2*x3 + 2*x1^10 + x1*x2*x3*x4*x5*x6*x7*x8*x9*x10*x11 + x11^12"
         assert f.format() == format_terms(f) == want
         assert f.format("s") == format_terms(f, "s") == want.replace("x", "s")
-        zero = FpPolynomial.zero(5, 11)
+        zero = FpPolynomial(5, 11, {})
         assert zero.format() == format_terms(zero) == "0"
 
 
@@ -231,18 +206,18 @@ class TestSymmetric:
     def test_elementary_symmetric(self):
         assert elementary_symmetric(2, 2, 1).format() == "x1 + x2"
         assert elementary_symmetric(2, 2, 2).format() == "x1*x2"
-        assert elementary_symmetric(2, 2, 0) == FpPolynomial.one(2, 2)
+        assert elementary_symmetric(2, 2, 0) == FpPolynomial.constant(2, 2, 1)
 
     def test_is_symmetric(self):
-        x = FpPolynomial.variable(2, 3, 0)
-        y = FpPolynomial.variable(2, 3, 1)
-        z = FpPolynomial.variable(2, 3, 2)
+        x = variable(2, 3, 0)
+        y = variable(2, 3, 1)
+        z = variable(2, 3, 2)
         assert (x * y + y * z + x * z).is_symmetric()
         assert not (x + y).is_symmetric()
 
     def test_reduce_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            symmetric_reduce(FpPolynomial.variable(2, 2, 0))
+            symmetric_reduce(variable(2, 2, 0))
 
     def test_reduce_roundtrip_small(self):
         f = elementary_symmetric(3, 3, 1) ** 2 + elementary_symmetric(3, 3, 2)
@@ -285,7 +260,7 @@ class TestAgainstDictOracle:
         minus_g = {e: p - c for e, c in g.items()}
         assert (F * G).terms == dict_mul(p, f, g)
         assert (F + G).terms == dict_add(p, f, g)
-        assert (F - G).terms == dict_add(p, f, minus_g)
+        assert (F + FpPolynomial(p, n, minus_g)).terms == dict_add(p, f, minus_g)
         assert (F ** k).terms == dict_pow(p, n, f, k)
 
     @given(st.data())
@@ -410,25 +385,29 @@ class TestAgainstDictOracle:
         F, G = FpPolynomial(p, 2, f), FpPolynomial(p, 2, g)
         assert (F * G).terms == dict_mul(p, f, g)
         assert (F ** 3).terms == dict_pow(p, 2, f, 3)
-        assert (F - G).terms == dict_add(p, f, {e: p - c for e, c in g.items()})
+        minus_g = {e: p - c for e, c in g.items()}
+        assert (F + FpPolynomial(p, 2, minus_g)).terms == dict_add(p, f, minus_g)
         images = [{(1, 0): p - 1, (0, 1): 3}, {(1, 0): 2}]
         assert F.substitute([FpPolynomial(p, 2, d) for d in images]).terms == \
             dict_substitute(p, 2, f, images)
-        assert F.scale(p + 2).terms == {e: c * 2 % p for e, c in f.items()}
+        assert (F * FpPolynomial.constant(p, 2, p + 2)).terms == \
+            {e: c * 2 % p for e, c in f.items()}
 
     def test_zero_polynomial_and_no_variables(self):
         for n in (0, 2):
-            z, x = FpPolynomial.zero(3, n), FpPolynomial.constant(3, n, 2)
-            assert z.is_zero() and z.terms == {} and z.degree() == -1
+            z, x = FpPolynomial(3, n, {}), FpPolynomial.constant(3, n, 2)
+            one = FpPolynomial.constant(3, n, 1)
+            assert z.is_zero() and z.terms == {} and z.degrees() == []
             assert (z * x).is_zero() and (x * z).is_zero()
-            assert z + x == x and x - x == z and z ** 0 == 1 and z ** 2 == 0
+            assert z + x == x and x + FpPolynomial.constant(3, n, -2) == z
+            assert z ** 0 == one and x ** 0 == one and z ** 2 == z
             assert (x * x).terms == {(0,) * n: 1}
             assert z.format() == "0" and x.format() == "2"
             assert symmetric_reduce(z).is_zero()
             assert symmetric_reduce(x) == FpPolynomial.constant(3, n, 2)
-            assert z.substitute([FpPolynomial.one(3, 1)] * n).is_zero()
+            assert z.substitute([FpPolynomial.constant(3, 1, 1)] * n).is_zero()
         c = FpPolynomial.constant(7, 0, 4)
-        assert c.substitute([]) == 4 and c.degrees() == [0]
-        assert c.substitute_linear([]) == 4
+        assert c.substitute([]) == c and c.degrees() == [0]
+        assert c.substitute_linear([]) == c
         assert FpPolynomial.constant(3, 2, 2).substitute(
-            [FpPolynomial.variable(3, 1, 0)] * 2).terms == {(0,): 2}
+            [variable(3, 1, 0)] * 2).terms == {(0,): 2}

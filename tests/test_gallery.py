@@ -74,8 +74,8 @@ class TestBuilders:
         assert b.kernel.rank == 1
 
     def test_gl3_orders(self):
-        assert gal.gl3(2).order == 168
         b = gal.build_gl3(2)
+        assert b.group.order == 168
         assert b.e1.rank == 2 and b.e2.rank == 2
 
     def test_triangular(self):

@@ -112,10 +112,10 @@ class TestFiniteGroup:
         N = normalizer(G, [G.element(i) for i in v])
         assert N.order == 12
 
-    def test_element_cap(self):
+    def test_element_cap(self, monkeypatch):
+        monkeypatch.setenv("ELABCAT_ELEMENT_CAP", "30")
         with pytest.raises(CapExceeded) as e:
-            close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
-                             element_cap=30)
+            close_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
         assert e.value.guard == "element_cap"
 
     def test_from_elements_roundtrip(self):
