@@ -35,8 +35,6 @@ DEFAULTS = {
 
 def cap(name: str) -> int:
     """Current value of a named cap, honoring environment overrides."""
-    if name not in DEFAULTS:
-        raise KeyError(f"unknown cap {name!r}")
     raw = os.environ.get("ELABCAT_" + name.upper())
     return DEFAULTS[name] if raw is None else number(raw, NATURAL, f"bad ELABCAT_{name.upper()}")
 

@@ -72,8 +72,9 @@ class ElabSubgroup:
                              indices: Iterable[int]) -> "ElabSubgroup":
         """Canonicalize an element-index set into a subgroup object.
 
-        Validates that the set is closed, every non-identity member has
-        order prime, and the basis generates it freely.
+        Validates that every non-identity member has order prime, that
+        each basis element commutes with those before it, and that the
+        set is closed; the basis then generates it freely.
         """
         ident = ambient.identity_index
         idx = sorted_distinct(np.append(np.fromiter(indices, dtype=np.int64), ident))
@@ -89,19 +90,15 @@ class ElabSubgroup:
         covered[0] = True
         while not covered.all():
             b = int(idx[np.argmin(covered)])   # the smallest element outside
+            if basis and not np.array_equal(ambient.mul(basis, b), ambient.mul(b, basis)):
+                raise InvalidPermutation(f"element {b} does not commute with the basis {basis}")
             basis.append(b)
             span = _times_powers(ambient, span, b, prime)
             at, found = find_sorted(idx, span)
             if not found.all():
                 raise InvalidPermutation("element set is not closed under products")
             covered[at] = True
-            if covered.sum() != len(span):
-                raise InvalidPermutation("basis does not generate freely")
         return cls(ambient, prime, basis, span)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -466,10 +463,7 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
     for r in range(1, len(rows)):
         hi = lo + len(rows[r])
         images = np.sort(conj[:, rows[r]], axis=2).reshape(-1, rows[r].shape[1])
-        try:
-            at = row_positions(rows[r], keys[r], images)
-        except KeyError:
-            raise InvalidPermutation("catalog not closed under conjugation") from None
+        at = row_positions(rows[r], keys[r], images)
         perms[:, lo:hi] = lo + at.reshape(len(conj), hi - lo)
         lo = hi
     class_of, class_reps, _, class_witness = orbits(perms, right)

@@ -1,20 +1,19 @@
-"""Tiny dense linear algebra over prime fields, and is_prime.
+"""Linear algebra over prime fields on arrays of column codes, and is_prime.
 
-Matrices here are tuples of row tuples of ints reduced mod p: the
-generators of the gallery's matrix groups, the rank check of explicit
-morphisms, and the test oracles.  subspace_bases enumerates subspaces by
-reduced row echelon form.  Hom-sets themselves are arrays of column codes
-(see categories); column_codes and matrix_of convert a matrix to and
-from them, and code_digits lists the vector of every code.  On such
-arrays, image_tables gives the code of every image of each map,
-subspace_codes the codes of every subspace's elements, restricts_into
-which maps restrict on the subspaces of their domain to given maps (the
-one An(n) test of categories, with or without a catalog), and basis_search
-the linear maps that keep a label on each vector, for many pairs of
-spaces at once.
-Everything here is desk scale (dimensions at most a handful), so plain
-Gaussian elimination is used throughout.  is_prime, through PRIME,
-checks every prime the command line and the gallery entry files take.
+Hom-sets are arrays of column codes (see categories), and code_digits
+lists the vector of every code.  On such arrays, image_tables gives the
+code of every image of each map, subspace_codes the codes of every
+subspace's elements, restricts_into which maps restrict on the subspaces
+of their domain to given maps (the one An(n) test of categories, with or
+without a catalog), and basis_search the linear maps that keep a label
+on each vector, for many pairs of spaces at once.  subspace_bases
+enumerates subspaces by reduced row echelon form.
+The tuple matrices left (tuples of row tuples of ints mod p) are boundary
+conversions: column_codes and matrix_of turn a matrix read or printed
+into codes and back, and gl_generators gives the gallery's GL_n
+generators.  mat_mul stays for the benchmark's tracer, which wraps it.
+is_prime, through PRIME, checks every prime the command line and the
+gallery entry files take.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,42 +64,6 @@ def mat_mul(A: Mat, B: Mat, p: int) -> Mat:
     return tuple(
         tuple(sum(a * B[k][j] for k, a in enumerate(row)) % p for j in range(cols))
         for row in A)
-
-
-def _row_reduce(rows: list[list[int]], ncols: int, p: int) -> int:
-    """Gauss-Jordan elimination over F_p on the first ncols columns, in
-    place; returns the rank (the number of pivot rows, now on top)."""
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def mat_rank(A: Mat, p: int) -> int:
-    rows = [list(r) for r in A]
-    return _row_reduce(rows, len(rows[0]) if rows else 0, p)
-
-
-def mat_inv(A: Mat, p: int) -> Optional[Mat]:
-    """Inverse of a square matrix, or None when singular."""
-    n = len(A)
-    if any(len(r) != n for r in A):
-        return None
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-           for i, r in enumerate(A)]
-    if _row_reduce(aug, n, p) < n:
-        return None
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def injective_count(p: int, rows: int, cols: int) -> int:

@@ -212,12 +212,16 @@ class FpPolynomial:
             raise ValueError("mixed primes or variable counts")
 
     def __add__(self, other):
+        if not isinstance(other, FpPolynomial):
+            return NotImplemented
         self._compat(other)
         return FpPolynomial._wrap(self.prime, self.nvars, *_canonical(
             np.concatenate((self.exps, other.exps)),
             np.concatenate((self.coeffs, other.coeffs)), self.prime))
 
     def __mul__(self, other):
+        if not isinstance(other, FpPolynomial):
+            return NotImplemented
         self._compat(other)
         p, n = self.prime, self.nvars
         top = int((_top(self.exps) + _top(other.exps)).max(initial=0))
@@ -415,8 +419,6 @@ def symmetric_reduce(f: FpPolynomial) -> FpPolynomial:
         deg = rest.exps.sum(axis=1)
         at = np.flatnonzero(deg == deg.max())[-1]
         lead, c = rest.exps[at].tolist(), int(rest.coeffs[at])
-        if any(lead[i] < lead[i + 1] for i in range(n - 1)):
-            raise NotSymmetric("leading exponent not weakly decreasing")
         shape = tuple(lead[i] - (lead[i + 1] if i + 1 < n else 0)
                       for i in range(n))
         prod = FpPolynomial.constant(p, n, -c)

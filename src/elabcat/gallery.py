@@ -15,7 +15,6 @@ per-digit product of the tests, is its oracle.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,8 +26,7 @@ from . import categories as cg
 from .elabs import ElabCatalog, ElabSubgroup, enumerate_elabs, p_rank
 from .errors import InputFormatError, NotMaximal
 from .config import NATURAL, POSITIVE, Ints, cap as _cap, read, read_file, refuse
-from .fpmat import (PRIME, code_digits, gl_generators, mat_inv, mat_rank,
-                    primitive_element, subspace_bases)
+from .fpmat import PRIME, code_digits, gl_generators, primitive_element, subspace_bases
 from .groups import ENTRIES_PER_ELEMENT, FiniteGroup, _orbit_labels, close_generators
 
 # -- small finite fields ----------------------------------------------
@@ -210,19 +208,17 @@ def build_prop10(p: int, n: int) -> SimpleNamespace:
     maxes = subspace_bases(p, dim_e, n)
     jordan = np.eye(dim_e, dtype=np.int64) + np.eye(dim_e, k=1, dtype=np.int64)
 
-    def functional(basis) -> tuple[int, ...]:
-        # row vector vanishing on the subspace, 1 on the first vector outside
-        transversal = next(v for v in itertools.product(range(p), repeat=dim_e)
-                           if mat_rank(basis + (v,), p) > len(basis))
-        # r . b = 0 for b in basis and r . transversal = 1: the last
-        # column of the inverse of the matrix with those rows
-        inv = mat_inv(basis + (transversal,), p)
-        return tuple(row[-1] for row in inv)
-
+    # psi_M, one scan of E's vectors in code order: the first nonzero r
+    # killing M spans its normals, and the first vector t with r . t != 0
+    # is the transversal, so psi_M = r / (r . t) kills M and sends t to 1
+    vecs = code_vectors(p, dim_e)
+    normal = vecs[1:][np.argmax((np.array(maxes) @ vecs[1:].T % p == 0).all(axis=1), axis=1)]
+    dots = normal @ vecs.T % p
+    scale = [pow(d, -1, p) for d in dots[np.arange(dim_z), np.argmax(dots != 0, axis=1)].tolist()]
     # b_M is c on E and the identity on Z, plus psi_M into z_M
     b_mats = np.tile(np.eye(dim, dtype=np.int64), (dim_z, 1, 1))
     b_mats[:, :dim_e, :dim_e] = jordan
-    b_mats[np.arange(dim_z), dim_e + np.arange(dim_z), :dim_e] = [functional(b) for b in maxes]
+    b_mats[np.arange(dim_z), dim_e + np.arange(dim_z), :dim_e] = normal * np.c_[scale] % p
     b_perms = affine_images(b_mats, np.zeros(dim), p, dim)
     eye = np.eye(dim, dtype=np.int64)
     G = close_generators(degree, np.vstack((b_perms, affine_images(eye, eye, p, dim))),
@@ -396,8 +392,6 @@ def _jsonify(value):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (np.integer,)):
-        return int(value)
     return value
 
 

@@ -4,8 +4,8 @@ Hom-sets here are sets of tuple matrices (tuples of row tuples); codes
 and code_rows turn them into the column codes the library holds, and
 matrix and matrices turn column codes back into tuple matrices.
 
-injective_oracle: every matrix of a shape, kept when ``fpmat.mat_rank``
-says it has full column rank.  hom_in_kind: membership of one matrix in a
+injective_oracle: every matrix of a shape, kept when mat_rank says it
+has full column rank.  hom_in_kind: membership of one matrix in a
 kind, straight from the definition (one transporter per subspace basis
 for A and An(n), the allowed classes of each element for Aprime and
 AprimeD).  brute_hom_sets filters the first by the second, and
@@ -13,12 +13,14 @@ weyl_image reads the conjugation action of the normalizer by conjugating
 E's basis by every element of G.  None of them shares code with the
 breadth-first search in ``categories.hom_matrices``.
 
-span, subspace_oracle and close_matrix_group: spans as sets of vector
-tuples, subspaces by scanning every increasing tuple of independent
-vectors and keeping the first basis of each span, and matrix groups by a
-breadth-first closure over ``fpmat.mat_mul``; they share no code with the
-reduced echelon enumeration of ``fpmat.subspace_bases`` or with
-``groups.close_generators``.
+span, mat_rank, mat_inv, subspace_oracle and close_matrix_group: spans as
+sets of vector tuples, a rank as the dimension of the column span read
+off its size, an inverse as the power of a matrix that multiplies it to
+1, subspaces by scanning every increasing tuple of independent vectors
+and keeping the first basis of each span, and matrix groups by a
+breadth-first closure over ``fpmat.mat_mul``; no elimination is used, and
+they share no code with the reduced echelon enumeration of
+``fpmat.subspace_bases`` or with ``groups.close_generators``.
 
 affine_perm and matrix_perm_nonzero: matrices acting on the big-endian
 vector codes one point at a time through mat_vec; gl3_oracle,
@@ -134,7 +136,7 @@ from elabcat.categories import CREG, a_n, canonical, class_counts, hom_matrices,
 from elabcat.chern import WeightList, p_regular_failures, total_chern
 from elabcat.elabs import ElabSubgroup
 from elabcat.fppoly import FpPolynomial, elementary_symmetric
-from elabcat.fpmat import (PRIME, gl_generators, injective_count, mat_inv, mat_mul, mat_rank,
+from elabcat.fpmat import (PRIME, gl_generators, injective_count, mat_mul,
                            primitive_element, subspace_bases)
 from elabcat.gallery import IRREDUCIBLE, build_affine, build_triangular
 from elabcat.config import cap
@@ -198,6 +200,27 @@ def span(p, vecs):
                 addition.add(tuple((x + c * y) % p for x, y in zip(s, v)))
         out |= addition
     return frozenset(out)
+
+
+def mat_rank(M, p):
+    """Rank of a tuple matrix: the dimension of its column span, whose
+    size is p to that power."""
+    size = len(span(p, zip(*M)))
+    return next(r for r in itertools.count() if p ** r >= size)
+
+
+def mat_inv(M, p):
+    """Inverse of an invertible square tuple matrix: M^(k-1) for the least
+    k with M^k = 1, which is below p^n for an n x n matrix (ValueError if
+    there is none)."""
+    one = identity_mat(len(M))
+    power = one
+    for _ in range(p ** len(M)):
+        after = mat_mul(power, M, p)
+        if after == one:
+            return power
+        power = after
+    raise ValueError("matrix is not invertible")
 
 
 @lru_cache(maxsize=None)

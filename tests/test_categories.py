@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import (conjugate, hom_in_kind, index_of, index_of_vector, matrix, vector_of_index,
-                         weyl_image)
+from brute_force import (conjugate, hom_in_kind, index_of, index_of_vector, mat_rank, matrix,
+                         vector_of_index, weyl_image)
 from elabcat import categories as cg
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded, CatalogMismatch, InputFormatError, NotMaximal
-from elabcat.fpmat import mat_rank
 from elabcat.gallery import _chk_fibre_index, affine_images
 from elabcat.groups import close_generators
 

@@ -186,6 +186,20 @@ class TestCharacters:
             fixed = sum(1 for x, y in enumerate(G.element(rep)) if x == y)
             assert chi.at_element(rep) == fixed
 
+    def test_weight_and_value_checks(self):
+        with pytest.raises(ValueError, match=r"^weight \(1,\) has length != 2$"):
+            WeightList(2, 2, ((1,),))
+        with pytest.raises(ValueError, match=r"^weight \(2,\) not reduced mod 2$"):
+            WeightList(2, 1, ((2,),))
+        G = close_generators(4, A4_GENS, name="a4")
+        with pytest.raises(ValueError, match="^one value per conjugacy class required$"):
+            CharacterVector(G, (1,))
+
+    def test_catalog_prime_mismatch(self):
+        G = close_generators(4, A4_GENS, name="a4")
+        with pytest.raises(CatalogMismatch, match="^catalog belongs to a different group or prime$"):
+            p_regular_failures(G, 3, regular_character(G), enumerate_elabs(G, 2))
+
     def test_character_group_mismatch(self):
         G = close_generators(4, A4_GENS, name="a4")
         H = affine_group(3)
@@ -206,6 +220,12 @@ class TestPRegular:
         G = affine_group(3)
         cat = enumerate_elabs(G, 3)
         assert p_regular_check(G, 3, permutation_character(G), cat)
+
+    def test_degree_must_be_positive(self):
+        G = close_generators(4, A4_GENS, name="a4")
+        chi = CharacterVector(G, (-1,) * G.conjugacy.class_count())
+        failures = p_regular_failures(G, 2, chi, enumerate_elabs(G, 2))
+        assert failures[0] == "degree -1 is not positive"
 
     def test_trivial_character_fails(self):
         G = close_generators(4, A4_GENS, name="a4")

@@ -206,6 +206,22 @@ class TestBadInput:
         assert capsys.readouterr() == ("", "error: bad ELABCAT_TERM_CAP: expected a "
                                            f"non-negative integer, got {value!r}\n")
 
+    @pytest.mark.parametrize("role", ["group", "category", "character"])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+    def test_unreadable_document(self, a4_path, tmp_path, capsys, role, missing):
+        bad = str(tmp_path / "absent.json") if missing else str(tmp_path)
+        argv = {"group": ["analyze", bad, "--prime", "2"],
+                "category": ["closure", a4_path, "--prime", "2", "--category", bad],
+                "character": ["pregular", a4_path, "--prime", "2", "--character", bad]}[role]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read {bad}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_prime_past_the_digit_limit_of_int(self, a4_path, capsys):
+        # 5,000 digits: int() itself refuses them with a ValueError
+        main_input_error(capsys, "analyze", a4_path, "--prime", "1" + "0" * 4999)
+
 
 def gallery_entry(tmp_path, **claim):
     """An affine-4 entry file holding one claim, its fields overridden by claim."""
@@ -463,6 +479,8 @@ class TestGuardsAndFailures:
             assert math.prod(q ** e for q, e in factors.items()) == n
         n = 1000003 * 1000033 ** 2 * 2 ** 5
         assert cli.prime_factors(n) == {2: 5, 1000003: 1, 1000033: 2}
+        # both factors past the trial bound: the rho batch overshoots and steps back
+        assert cli.prime_factors(1013 * 1019) == {1013: 1, 1019: 1}
         labels = [k.label() for k in cli.default_kinds(13, 1, None)]
         assert labels == ["A", "Aprime", "AprimeD(2)", "AprimeD(3)", "AprimeD(4)",
                           "AprimeD(6)", "AprimeD(12)", "An(1)"]
@@ -938,6 +956,13 @@ class TestMisc:
         r = run_cli("--version")
         assert r.returncode == 0
         assert r.stdout == f"elabcat {__version__}\n"
+
+    def test_cli_module_runs_as_a_script(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-m", "elabcat.cli", "--version"],
+                           capture_output=True, text=True, env=env)
+        assert (r.returncode, r.stdout, r.stderr) == (0, f"elabcat {__version__}\n", "")
 
     def test_no_command_fails(self):
         r = run_cli()

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from brute_force import (brute_closure, codes, injective_oracle, matrices,
+from brute_force import (brute_closure, codes, injective_oracle, mat_inv, matrices,
                          restriction, subgroups_of)
 from elabcat import categories as cg
 from elabcat import gallery
 from elabcat.cli import load_group, main
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import ClosureGuardError
-from elabcat.fpmat import mat_inv, mat_mul
+from elabcat.fpmat import mat_mul
 from elabcat.groups import close_generators
 from test_hom_cache import assert_held_canonically, small_groups
 

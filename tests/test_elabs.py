@@ -3,7 +3,8 @@ import pytest
 from brute_force import (ElementNotInSubgroup, conjugate_subgroup, generated_by, index_of,
                          index_of_vector, is_conjugate_subgroup, vector_of_index)
 from elabcat.elabs import ElabSubgroup, enumerate_elabs, p_rank
-from elabcat.errors import CapExceeded, CatalogMismatch
+from elabcat.errors import CapExceeded, CatalogMismatch, InvalidPermutation
+from elabcat.gallery import build_triangular
 from elabcat.groups import close_generators
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
@@ -34,6 +35,25 @@ class TestElabSubgroup:
         three = next(i for i in range(G.order) if G.element_orders[i] == 3)
         with pytest.raises(Exception):
             ElabSubgroup.from_element_indices(G, 2, sorted({0, three}))
+
+    def test_rejects_a_set_not_closed(self):
+        G = a4()
+        v = sorted(i for i in range(G.order) if G.element_orders[i] in (1, 2))
+        with pytest.raises(InvalidPermutation, match="^element set is not closed under products$"):
+            ElabSubgroup.from_element_indices(G, 2, v[:3])
+
+    @pytest.mark.parametrize("sigma", [range(9), (1, 5, 6, 0, 8, 4, 7, 2, 3)],
+                             ids=["as-built", "relabelled"])
+    def test_rejects_a_group_that_is_not_abelian(self, sigma):
+        # the Heisenberg group of order 27: every element but 1 has order
+        # 3, and relabelled by sigma it was once taken for (Z/3)^3
+        H = build_triangular(3, 2).group
+        back = sorted(range(9), key=sigma.__getitem__)
+        gens = [[sigma[g[back[y]]] for y in range(9)] for g in H.generators]
+        G = close_generators(9, gens, name="heisenberg-27")
+        assert G.order == 27 and set(G.element_orders.tolist()) == {1, 3}
+        with pytest.raises(InvalidPermutation, match="does not commute"):
+            ElabSubgroup.from_element_indices(G, 3, range(G.order))
 
     def test_vector_coordinates_roundtrip(self):
         G = a4()

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from brute_force import (close_matrix_group, identity_mat, injective_oracle, mat_vec, span,
-                         subspace_oracle)
-from elabcat.fpmat import (gl_generators, image_tables, injective_count, mat_inv, mat_mul,
-                           mat_rank, primitive_element, restricts_into, subspace_bases,
-                           subspace_codes)
+from brute_force import (close_matrix_group, identity_mat, injective_oracle, mat_rank, mat_vec,
+                         span, subspace_oracle)
+from elabcat.fpmat import (gl_generators, image_tables, injective_count, mat_mul,
+                           primitive_element, restricts_into, subspace_bases, subspace_codes)
 from elabcat.gallery import affine_images
 from elabcat.groups import close_generators
 
@@ -38,17 +37,6 @@ class TestBasics:
         M = ((1, 1), (0, 1))
         assert mat_mul(M, M, 2) == ((1, 0), (0, 1))
         assert mat_vec(M, (1, 1), 2) == (0, 1)
-
-    def test_rank(self):
-        assert mat_rank(((1, 1), (1, 1)), 2) == 1
-        assert mat_rank(identity_mat(3), 5) == 3
-        assert mat_rank(((0, 0), (0, 0)), 3) == 0
-
-    def test_inverse(self):
-        M = ((1, 2), (0, 1))
-        Minv = mat_inv(M, 3)
-        assert mat_mul(M, Minv, 3) == identity_mat(2)
-        assert mat_inv(((1, 1), (1, 1)), 2) is None
 
     def test_span(self):
         vecs = span(3, ((1, 0),))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -54,6 +55,28 @@ class TestArithmetic:
         assert one != FpPolynomial.constant(3, 2, 1) and one != FpPolynomial.constant(5, 1, 1)
         with pytest.raises(TypeError):
             hash(one)
+
+    @pytest.mark.parametrize("other", [2, "x"])
+    @pytest.mark.parametrize("op", [operator.add, operator.mul])
+    def test_non_polynomial_operand_is_a_type_error(self, op, other):
+        f = FpPolynomial.constant(3, 1, 1)
+        with pytest.raises(TypeError):
+            op(f, other)
+        with pytest.raises(TypeError):
+            op(other, f)
+
+    def test_operand_checks(self):
+        f = variable(3, 2, 0)
+        with pytest.raises(ValueError, match="^mixed primes or variable counts$"):
+            f + variable(5, 2, 0)
+        with pytest.raises(ValueError, match="^negative powers are not defined$"):
+            f ** -1
+        with pytest.raises(ValueError, match="^need 2 substitution images$"):
+            f.substitute([variable(3, 1, 0)])
+        with pytest.raises(ValueError, match="^substitution images over a different prime$"):
+            f.substitute([variable(5, 1, 0)] * 2)
+        with pytest.raises(ValueError, match="^need an 2x2 matrix$"):
+            f.substitute_linear(((1, 0),))
 
     def test_pow(self):
         x = variable(2, 2, 0)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,12 @@ from elabcat.errors import CapExceeded, InputFormatError
 from elabcat.fpmat import primitive_element
 from elabcat.groups import FiniteGroup
 
+# sha256 of repr(shape) and the int64 bytes of prop10's generator rows
+PROP10_ROWS = {
+    (2, 1): "304080b2f5eeba7b67e44941b8abae556422a894b2f21b01e65e099dee25fd40",
+    (3, 1): "02bd0cbce3676985bb3bd59462324314a30aa1b8bf29f9f7eb3a544b26541f32",
+    (2, 2): "e12872d6a2738dd6728b6ec66dea83f0e4c1c2db64781ff0e25336d20bd83be0",
+}
 FAST_ENTRIES = ["affine-3", "affine-4", "affine-8", "cyclic-3", "gl3-2",
                 "prop10-2-1", "triangular-2-3"]
 
@@ -92,6 +100,27 @@ class TestBuilders:
         assert b.distinguished.rank == 2
         assert len(b.max_subspaces) == 3
         assert b.c_matrix == ((1, 0), (1, 1))
+
+    def test_prop10_generators_are_pinned(self, monkeypatch):
+        # psi_M's scaling: the gallery claims hold for any normal of M, so
+        # the generator rows are frozen, (3, 1) and (2, 2) as they reach
+        # close_generators, which refuses them
+        def digest(rows):
+            rows = np.ascontiguousarray(rows, dtype=np.int64)
+            return hashlib.sha256(repr(rows.shape).encode() + rows.tobytes()).hexdigest()
+
+        assert digest(gal.build_prop10(2, 1).group.generators) == PROP10_ROWS[2, 1]
+        handed = {}
+
+        def capture(degree, gens, name):
+            handed[name] = digest(gens)
+            raise CapExceeded("element_cap", "captured")
+
+        monkeypatch.setattr(gal, "close_generators", capture)
+        for p, n in ((3, 1), (2, 2)):
+            with pytest.raises(CapExceeded, match="^captured$"):
+                gal.build_prop10(p, n)
+            assert handed.pop(f"prop10-{p}-{n}") == PROP10_ROWS[p, n]
 
     def test_prop10_refuses_before_closure(self):
         # the 3^6 translations fit under the element cap, so the
