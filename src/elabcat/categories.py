@@ -276,7 +276,7 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
             by_code = catalog.by_codes(r, reps)
             if r == 1:                      # <b> onto itself: b to each of its class inside
                 cls = catalog.group.conjugacy.class_of[by_code]
-                owner, f = np.nonzero(cls == cls[:, 1, None])
+                owner, f = (cls == cls[:, 1, None]).nonzero()
                 cols = f[:, None]
             else:
                 owner, _, images = catalog.group.conjugators(by_code[:, p ** np.arange(r)], by_code)
@@ -296,9 +296,9 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
                     maps[t] for t in wide], _isos(catalog, A, reps, reps))):
                 built[t] = h
     else:
-        dom, cod = np.split(_labels(catalog.group, p, r, catalog.by_codes(r, np.append(i, j)),
+        dom, cod = np.split(_labels(catalog.group, p, r, catalog.by_codes(r, np.concatenate((i, j))),
                                     kind), 2)
-        at = np.flatnonzero((np.sort(dom, axis=1) == np.sort(cod, axis=1)).all(axis=1))
+        at = (np.sort(dom, axis=1) == np.sort(cod, axis=1)).all(axis=1).nonzero()[0]
         pair, cols = basis_search(p, dom[at], cod[at], r, r)
         built = split_rows(at[pair], cols, len(i))
     for t, a, b, h in zip(todo, i.tolist(), j.tolist(), built):
@@ -359,25 +359,25 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     kind = C._kind_at(rank)
     class_starts, by_class = catalog.class_table
     first, (keys, sizes) = C.iso_classes()[1], C.class_sizes()
-    a, b = np.searchsorted(keys, [x * len(reps), x * len(reps) + len(reps)])
+    a, b = keys.searchsorted([x * len(reps), x * len(reps) + len(reps)])
     _refuse_past_cap(f"the {C.provenance if kind is None else kind.label()} hom-sets "
                      f"out of 1 objects hold", int(sizes[a:b].sum()))
-    ys = np.flatnonzero(first == first[x])
+    ys = (first == first[x]).nonzero()[0]
     isos = [C._base_hom(i, reps[y]) for y in ys.tolist()]
     # the pairs (m, R) of catalog.inside with m in a class ys[y], by
     # sorted lookups of those members; each beside each map i -> rep ys[y]
     members, supers = catalog.inside
     y, at = ranges(class_starts[ys], class_starts[ys + 1])
-    k, at = ranges(*(np.searchsorted(members, by_class[at], side) for side in ("left", "right")))
+    k, at = ranges(*(members.searchsorted(by_class[at], side) for side in ("left", "right")))
     m, R, y = members[at], supers[at], y[k]
     lengths = np.array([len(h) for h in isos])
-    starts = np.cumsum(lengths) - lengths
+    starts = lengths.cumsum() - lengths
     pair, row = ranges(starts[y], starts[y] + lengths[y])
     conj = np.take_along_axis(catalog.by_codes(rank, m),
                               catalog.conjugation_codes[m, :catalog.prime ** rank], axis=1)
     target = R[pair]
     cols = catalog.codes_in(target[:, None], conj[pair[:, None], np.concatenate(isos)[row]])
-    order = np.argsort(row_keys(np.column_stack([target, cols])))
+    order = row_keys(np.column_stack([target, cols])).argsort()
     target, cols = target[order], cols[order]
     cols.flags.writeable = False
     bounds = runs(target)
@@ -492,7 +492,7 @@ class SubgroupCategory:
             catalog, reps = self.catalog, self.catalog.class_reps
             aut, first = np.zeros(len(reps), dtype=np.int64), np.arange(len(reps))
             for r in range(len(catalog.codes)):         # every rank up to the p-rank
-                xs = np.flatnonzero(catalog.ranks()[reps] == r)
+                xs = (catalog.ranks()[reps] == r).nonzero()[0]
                 _classify(catalog, canonical(self.kind, r), r, xs, aut, first)
             aut.flags.writeable = first.flags.writeable = False
             self._classes["iso"] = aut, first
@@ -509,9 +509,9 @@ class SubgroupCategory:
             catalog, k, cls = self.catalog, self.catalog.class_count(), self.catalog.class_of
             (m, R), (aut, first) = catalog.inside, self.iso_classes()
             pairs = np.sort(first[cls[m]] * k + cls[R])
-            bounds = runs(pairs)
-            pairs, count = pairs[bounds[:-1]], np.diff(bounds)
-            xs = np.flatnonzero(aut)
+            bounds = np.array(runs(pairs))
+            pairs, count = pairs[bounds[:-1]], bounds[1:] - bounds[:-1]
+            xs = aut.nonzero()[0]
             s, t = _matches(first[xs], pairs // k)       # each row onto its leader's
             got = xs[s] * k + pairs[t] % k, aut[xs[s]] * count[t]
             got[0].flags.writeable = got[1].flags.writeable = False
@@ -522,14 +522,15 @@ class SubgroupCategory:
         """The class_sizes entry at each key x * k + y, 0 off its keys."""
         keys, sizes = self.class_sizes()
         at, found = find_sorted(keys, xy)
-        return np.append(sizes, 0)[np.where(found, at, len(sizes))]
+        return np.concatenate((sizes, [0]))[np.where(found, at, len(sizes))]
 
     def hom_count(self) -> int:
         """The maps of every hom-set, listing none: size * |x| * |y| over
         class_sizes (|x| the members of class x), each explicit pair's
         hom-set in place of the base's there, read in row-major order."""
         (keys, sizes), k = self.class_sizes(), self.catalog.class_count()
-        members = np.diff(self.catalog.class_table[0])
+        starts = self.catalog.class_table[0]
+        members = starts[1:] - starts[:-1]
         return int(sizes @ (members[keys // k] * members[keys % k])) + sum(
             len(self.hom(*key)) - len(self._base_hom(*key)) for key in sorted(self.maps))
 
@@ -601,10 +602,10 @@ def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
     the rows of each in lexicographic order."""
     p, codes = catalog.prime, catalog.conjugation_codes
     (m, r), s = cols.shape, catalog.ranks().item(J[0])
-    back = np.argsort(codes[I, :p ** r], axis=1)[:, p ** np.arange(r)]    # c_i^-1 on i's basis
+    back = codes[I, :p ** r].argsort(axis=1)[:, p ** np.arange(r)]    # c_i^-1 on i's basis
     pulled = image_tables(cols, p, s)[:, back].swapaxes(0, 1)              # (i, map, column)
     got = codes[J[:, None, None], pulled[:, None]].reshape(len(I) * len(J) * m, r)
-    order = np.argsort(row_keys(np.column_stack([np.arange(len(got)) // m, got])))
+    order = row_keys(np.column_stack([np.arange(len(got)) // m, got])).argsort()
     got = got[order].reshape(len(I) * len(J), m, r)
     got.flags.writeable = False
     return got
@@ -638,8 +639,8 @@ def explicit_category(catalog: ElabCatalog, homs: dict[tuple[int, int], Iterable
 
 def _matches(keys: np.ndarray, among: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, t) for every keys[s] == among[t], in increasing order of s, then t."""
-    order = np.argsort(among, kind="stable")
-    s, at = ranges(*(np.searchsorted(among[order], keys, side=side)
+    order = among.argsort(kind="stable")
+    s, at = ranges(*(among[order].searchsorted(keys, side=side)
                      for side in ("left", "right")))
     return s, order[at]
 
@@ -668,7 +669,7 @@ def _unknown(maps: Isos, known: np.ndarray, basis: np.ndarray) -> tuple[Isos, np
     """The distinct maps among maps whose keys are not in known (sorted),
     and their keys; basis holds the codes of the domain's basis."""
     keys = _iso_keys(maps[0], maps[1], maps[2][:, basis])
-    order = np.argsort(keys)
+    order = keys.argsort()
     keys = keys[order]
     keep = np.ones(len(keys), dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
@@ -693,7 +694,7 @@ def _groupoid(old: Isos, seeds: Isos, basis: np.ndarray) -> Optional[Isos]:
     their inverses with old's members."""
     known = np.sort(_iso_keys(old[0], old[1], old[2][:, basis]))
     seeds = _unknown(seeds, known, basis)[0]
-    gens = _joined([seeds, (seeds[1], seeds[0], np.argsort(seeds[2], axis=1))])
+    gens = _joined([seeds, (seeds[1], seeds[0], seeds[2].argsort(axis=1))])
     delta, keys = _unknown(_composed(old, gens), known, basis)
     gens, added = _joined([gens, old]), []
     while len(keys):
@@ -709,7 +710,7 @@ def _onto_images(catalog: ElabCatalog, dom: np.ndarray, elems: np.ndarray) -> Is
     corestricted onto their images, catalog members T found by their
     element sets, and carried to the representative of T by c_T^-1."""
     T = catalog.indices_of_sets(elems)
-    back = np.argsort(catalog.conjugation_codes[T, :elems.shape[1]], axis=1)
+    back = catalog.conjugation_codes[T, :elems.shape[1]].argsort(axis=1)
     return dom, catalog.class_of[T], np.take_along_axis(
         back, catalog.codes_in(T[:, None], elems), axis=1)
 
@@ -719,7 +720,7 @@ def _restricted(catalog: ElabCatalog, maps: Isos, rank: int) -> tuple[np.ndarray
     every map x -> y of maps restricted to each member S of rank - 1
     inside rep x, read on rep S through c_S."""
     ranks, cls, reps = catalog.ranks(), catalog.class_of, catalog.class_reps
-    ys = np.flatnonzero(ranks[reps] == rank)    # classes follow rank order
+    ys = (ranks[reps] == rank).nonzero()[0]    # classes follow rank order
     by_code = catalog.by_codes(rank, reps[ys])
     s, x = catalog.inside
     keep = (ranks[s] == rank - 1) & (ranks[x] == rank)
@@ -826,7 +827,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                     pending[r - 1].append(_restricted(catalog, added, r))
                 dom, cod, tables = _joined([old, added])
                 cols, pair = tables[:, basis], dom * len(reps) + cod
-                order = np.argsort(_iso_keys(dom, cod, cols))
+                order = _iso_keys(dom, cod, cols).argsort()
                 cols, bounds = cols[order], runs(pair[order])
                 x, y = np.divmod(pair[order][bounds[:-1]], len(reps))
                 mine = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -850,7 +851,7 @@ def changed_pairs(C: SubgroupCategory,
     mine = np.array(sorted(C.maps), dtype=np.int64).reshape(-1, 2) @ [n, 1]   # explicit pairs
     i, j = np.divmod(sorted_distinct(np.concatenate([members[at[u]] * n + members[to], mine])), n)
     before, after = C._sizes_at(cls[i] * k + cls[j]), closed._sizes_at(cls[i] * k + cls[j])
-    before[np.searchsorted(i * n + j, mine)] = [len(C.hom(*divmod(g, n))) for g in mine.tolist()]
+    before[(i * n + j).searchsorted(mine)] = [len(C.hom(*divmod(g, n))) for g in mine.tolist()]
     keep = before != after
     return list(zip(*(a[keep].tolist() for a in (i, j, before, after))))
 
@@ -880,17 +881,17 @@ def maximal_objects(C: SubgroupCategory) -> list[list[int]]:
     maximal = ~(grows[first] & (aut > 0))[cls]
     dom, cod = np.array(list(C.maps), dtype=np.int64).reshape(-1, 2).T
     maximal[dom[ranks[dom] < ranks[cod]]] = False
-    keep = np.flatnonzero(maximal)
+    keep = maximal.nonzero()[0]
     glued = keep[aut[cls[keep]] > 0]
     ends = maximal[dom] & maximal[cod]
     src = np.concatenate([n + np.arange(len(first)), glued, dom[ends]])
     dst = np.concatenate([n + first, n + cls[glued], cod[ends]])
     label, old = np.arange(n + len(first)), None
-    while not np.array_equal(label, old):
+    while old is None or (label != old).any():
         old, label = label, label.copy()
         np.minimum.at(label, src, old[dst])
         np.minimum.at(label, dst, old[src])
-    keep = keep[np.argsort(label[keep], kind="stable")]
+    keep = keep[label[keep].argsort(kind="stable")]
     bounds = runs(label[keep])
     return [keep[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
@@ -929,7 +930,7 @@ def categories_equal(kind1: CategoryKind, kind2: CategoryKind,
         x, y = x[walk], y[walk]
     for ci, cj in zip(x.tolist(), y.tolist()):
         h1, h2 = C1.hom(reps[ci], reps[cj]), C2.hom(reps[ci], reps[cj])
-        if not np.array_equal(h1, h2):
+        if not (h1.shape == h2.shape and (h1 == h2).all()):
             s1, s2 = set(map(tuple, h1.tolist())), set(map(tuple, h2.tolist()))
             M, cols = min((matrix_of(c, p, catalog.ranks().item(reps[cj])), c) for c in s1 ^ s2)
             side = kind1.label() if cols in s1 else kind2.label()

@@ -151,7 +151,7 @@ def analyze_report(G: FiniteGroup, p: int,
         # sharing a catalog.sizes entry, and others) share one list
         keys, sizes = C.class_sizes()
         hom_sizes = next((rows for a, b, rows in listed
-                          if np.array_equal(a, keys) and np.array_equal(b, sizes)), None)
+                          if len(a) == len(keys) and (a == keys).all() and (b == sizes).all()), None)
         if hom_sizes is None:
             dense = np.zeros((k, k), dtype=np.int64)
             np.put(dense, keys, sizes)

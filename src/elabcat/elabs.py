@@ -64,7 +64,7 @@ class ElabSubgroup:
         self.basis = tuple(basis)
         self.by_code = by_code
         self.by_code.flags.writeable = False
-        self._order = np.argsort(by_code)           # codes in element order
+        self._order = by_code.argsort()           # codes in element order
         self.elements = tuple(by_code[self._order].tolist())
 
     @classmethod
@@ -77,11 +77,11 @@ class ElabSubgroup:
         set is closed; the basis then generates it freely.
         """
         ident = ambient.identity_index
-        idx = sorted_distinct(np.append(np.fromiter(indices, dtype=np.int64), ident))
+        idx = sorted_distinct(np.concatenate((np.fromiter(indices, dtype=np.int64), [ident])))
         orders = ambient.element_orders[idx]
         bad = (orders != prime) & (idx != ident)
         if bad.any():
-            k = int(np.argmax(bad))
+            k = int(bad.argmax())
             raise InvalidPermutation(
                 f"element {idx[k]} has order {orders[k]}, expected {prime}")
         basis: list[int] = []
@@ -89,8 +89,8 @@ class ElabSubgroup:
         covered = np.zeros(len(idx), dtype=bool)     # which of idx span holds
         covered[0] = True
         while not covered.all():
-            b = int(idx[np.argmin(covered)])   # the smallest element outside
-            if basis and not np.array_equal(ambient.mul(basis, b), ambient.mul(b, basis)):
+            b = int(idx[covered.argmin()])   # the smallest element outside
+            if basis and (ambient.mul(basis, b) != ambient.mul(b, basis)).any():
                 raise InvalidPermutation(f"element {b} does not commute with the basis {basis}")
             basis.append(b)
             span = _times_powers(ambient, span, b, prime)
@@ -164,8 +164,8 @@ class ElabCatalog:
         self.class_of, self.class_reps = class_of, class_reps
         self.class_witness, self.maximal = class_witness, maximal
         counts = [len(c) for c in codes]
-        self.rank_starts = np.cumsum([0] + counts)
-        self._ranks = np.repeat(np.arange(len(codes)), counts)
+        self.rank_starts = np.array([0] + counts).cumsum()
+        self._ranks = np.arange(len(codes)).repeat(counts)
         for a in (*codes, *rows, self._ranks, class_of, class_reps, class_witness, maximal):
             a.flags.writeable = False
         self.homs: dict = {}
@@ -237,14 +237,14 @@ class ElabCatalog:
 
     def maximal_class_indices(self) -> list[int]:
         # maximality is a class invariant; checked in the test suite
-        return np.flatnonzero(self.maximal[self.class_reps]).tolist()
+        return self.maximal[self.class_reps].nonzero()[0].tolist()
 
     @cached_property
     def class_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, members): members[starts[c]:starts[c + 1]] are the
         members of class c, increasing."""
-        members = np.argsort(self.class_of, kind="stable")
-        starts = np.searchsorted(self.class_of[members], np.arange(len(self.class_reps) + 1))
+        members = self.class_of.argsort(kind="stable")
+        starts = self.class_of[members].searchsorted(np.arange(len(self.class_reps) + 1))
         return starts, members
 
     @cached_property
@@ -261,7 +261,7 @@ class ElabCatalog:
         reps = self.class_reps[self.class_of]
         for r, (lo, hi) in enumerate(zip(self.rank_starts.tolist(), self.rank_starts[1:].tolist())):
             # every member of the rank but the representatives, at once
-            i = lo + np.flatnonzero(reps[lo:hi] != np.arange(lo, hi))
+            i = lo + (reps[lo:hi] != np.arange(lo, hi)).nonzero()[0]
             conj = self.group.conjugate_indices(self.class_witness[i], self.by_codes(r, reps[i]))
             out[i, :self.prime ** r] = self.codes_in(i[:, None], conj)
         return out
@@ -271,10 +271,10 @@ class ElabCatalog:
         """(keys, codes) of every (member j, element x of it): the sorted
         keys j * |G| + x, and the code of x in member j at each key."""
         sizes = self.prime ** self._ranks
-        owner = np.repeat(np.arange(len(sizes)), sizes)
+        owner = np.arange(len(sizes)).repeat(sizes)
         keys = owner * len(self.group) + np.concatenate([c.ravel() for c in self.codes])
-        order = np.argsort(keys)
-        codes = np.arange(len(keys)) - (np.cumsum(sizes) - sizes)[owner]
+        order = keys.argsort()
+        codes = np.arange(len(keys)) - (sizes.cumsum() - sizes)[owner]
         return keys[order], codes[order]
     def codes_in(self, members, elements) -> np.ndarray:
         """Code of each element index in the member beside it (the two
@@ -307,7 +307,7 @@ class ElabCatalog:
                     self.by_codes(s, R)[:, subs].reshape(-1, p ** r)))
                 supers.append(R.repeat(len(subs)))
         members, supers = np.concatenate(members), np.concatenate(supers)
-        order = np.argsort(members * len(self) + supers)
+        order = (members * len(self) + supers).argsort()
         members, supers = members[order], supers[order]
         members.flags.writeable = supers.flags.writeable = False
         return members, supers
@@ -325,20 +325,21 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     then its class's row conjugated by its witness, one conjugate_indices
     call for every row.
     """
-    n, arr, base, table = len(G), G.array, G.base, G.conjugacy
+    n, flat, d, base, table = len(G), G.array.ravel(), G.degree, G.base, G.conjugacy
     cls = table.class_of[gens]
     classes = sorted_distinct(cls)
     reps = table.reps[classes]
     hits, cents = [], []
     for b in blocks(len(reps), 4 * len(base) * len(xs)):
-        r, y = reps[b, None, None], xs[None, :, None]
+        r, y = reps[b, None, None] * d, xs[None, :, None] * d
         # images of the base under r*y and y*r, r applied first
-        rep, at = np.nonzero((arr[y, arr[r, base]] == arr[r, arr[y, base]]).all(axis=2))
+        rep, at = (flat.take(y + flat.take(r + base))
+                   == flat.take(r + flat.take(y + base))).all(axis=2).nonzero()
         hits.append(rep + b.start)
         cents.append(xs[at])
     rep, cent = np.concatenate(hits), np.concatenate(cents)
-    of_class = np.searchsorted(classes, cls)
-    owner, at = ranges(np.searchsorted(rep, of_class), np.searchsorted(rep, of_class, "right"))
+    of_class = classes.searchsorted(cls)
+    owner, at = ranges(rep.searchsorted(of_class), rep.searchsorted(of_class, "right"))
     y = G.conjugate_indices(table.witness[gens[owner]], cent[at, None])[:, 0]
     return np.sort(gens[owner] * n + y)
 
@@ -393,12 +394,12 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
     # X(E) of each member E of the rank as (owner, xs): member position
     # and element, sorted by both; and each member's last basis element
     last = np.array([ident])
-    xs = np.flatnonzero(G.element_orders == p)
+    xs = (G.element_orders == p).nonzero()[0]
     owner = np.zeros(len(xs), dtype=np.int64)
     pairs = None                    # the commuting pairs, once rank 1 is built
     while True:
         counts = np.bincount(owner, minlength=len(spans))
-        starts = np.cumsum(counts) - counts
+        starts = counts.cumsum() - counts
         maximal.append(counts == 0)
         width = spans.shape[1]
         sel = xs > last[owner]
@@ -420,7 +421,7 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
         kept_spans = np.concatenate(kept_spans)
         sorted_rows = np.sort(kept_spans, axis=1)
         key = row_keys(sorted_rows)
-        at = np.argsort(key)
+        at = key.argsort()
         parents, kept_x = np.concatenate(parents)[at], np.concatenate(kept_x)[at]
         spans = kept_spans[at]
         codes.append(spans)
@@ -437,7 +438,7 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
         # child's key of y = 0); walk the side with fewer pairs and look
         # every y up in the other
         heads = gen_of[kept_x] * n
-        walk = (pairs, np.searchsorted(pairs, heads), np.searchsorted(pairs, heads + n), heads)
+        walk = (pairs, pairs.searchsorted(heads), pairs.searchsorted(heads + n), heads)
         other = (owner * n + xs, starts[parents], starts[parents] + counts[parents],
                  parents * n)
         if (walk[2] - walk[1]).sum() > counts[parents].sum():

@@ -162,7 +162,7 @@ def basis_search(p: int, dom: np.ndarray, cod: np.ndarray, r: int,
             c = cand[pair[b]]                                 # (rows, candidates)
             new = (digits[imgs[b]][:, None, None] + digits[np.minimum(c, n - 1)][
                 :, :, None, None] * coef) % p @ weights      # (rows, candidates, p-1, q)
-            t, x = np.nonzero((c < n) & ok[pair[b, None, None, None], codes, new].all(axis=(2, 3)))
+            t, x = ((c < n) & ok[pair[b, None, None, None], codes, new].all(axis=(2, 3))).nonzero()
             grown.append((pair[b][t], np.column_stack([cols[b][t], c[t, x]]), np.concatenate(
                 [imgs[b][t], new[t, x].reshape(len(t), codes.size)], axis=1)))
         pair, cols, imgs = (np.concatenate(a) for a in zip(*grown))

@@ -88,10 +88,10 @@ def _collect(keys: np.ndarray, coeffs: np.ndarray, prime: int):
     if not len(keys):
         return keys, coeffs
     # timsort finds a product's sorted runs, sparing Python-int compares
-    order = np.argsort(keys, kind="stable" if keys.dtype == object else None)
+    order = keys.argsort(kind="stable" if keys.dtype == object else None)
     keys = keys[order]
     new = (keys[1:] != keys[:-1]).astype(bool, copy=False)
-    starts = np.flatnonzero(np.concatenate(([True], new)))
+    starts = np.concatenate(([True], new)).nonzero()[0]
     sums = np.add.reduceat(coeffs[order], starts) % prime
     keep = sums != 0
     return keys[starts[keep]], sums[keep]
@@ -102,7 +102,7 @@ def _table(keys: np.ndarray, coeffs: np.ndarray, size: int, span: int):
     table: row f holds owner f's terms moved to owner 0, padded with key
     0 and coefficient 0."""
     owners = _owners(keys, span)
-    pos = np.arange(len(owners)) - np.searchsorted(owners, owners)
+    pos = np.arange(len(owners)) - owners.searchsorted(owners)
     tkeys = np.zeros((size, int(pos.max(initial=-1)) + 1), dtype=keys.dtype)
     tcoeffs = np.zeros(tkeys.shape, dtype=coeffs.dtype)
     tkeys[owners, pos], tcoeffs[owners, pos] = _own(keys, 0, span), coeffs
@@ -243,9 +243,8 @@ class FpPolynomial:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FpPolynomial) and self.prime == other.prime
-                and self.nvars == other.nvars
-                and np.array_equal(self.exps, other.exps)
-                and np.array_equal(self.coeffs, other.coeffs))
+                and self.nvars == other.nvars and self.exps.shape == other.exps.shape
+                and bool((self.exps == other.exps).all() and (self.coeffs == other.coeffs).all()))
 
     def is_zero(self) -> bool:
         return not len(self.coeffs)
@@ -305,7 +304,7 @@ class FpPolynomial:
             need = sorted_distinct(ks[ks > 0])
             if len(need):
                 keys, coeffs = _times(keys, coeffs, _powers(img, need, top, owners), p, span,
-                                      np.where(ks > 0, np.searchsorted(need, ks), -1))
+                                      np.where(ks > 0, need.searchsorted(ks), -1))
         keys, coeffs = _collect(_own(keys, 0, span), coeffs, p)
         return FpPolynomial._wrap(p, m, _unpack(keys, top, m), coeffs)
 
@@ -417,7 +416,7 @@ def symmetric_reduce(f: FpPolynomial) -> FpPolynomial:
     while not rest.is_zero():
         # rows are in lex order: the last one of top degree leads
         deg = rest.exps.sum(axis=1)
-        at = np.flatnonzero(deg == deg.max())[-1]
+        at = (deg == deg.max()).nonzero()[0][-1]
         lead, c = rest.exps[at].tolist(), int(rest.coeffs[at])
         shape = tuple(lead[i] - (lead[i + 1] if i + 1 < n else 0)
                       for i in range(n))

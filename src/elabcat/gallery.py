@@ -212,9 +212,9 @@ def build_prop10(p: int, n: int) -> SimpleNamespace:
     # killing M spans its normals, and the first vector t with r . t != 0
     # is the transversal, so psi_M = r / (r . t) kills M and sends t to 1
     vecs = code_vectors(p, dim_e)
-    normal = vecs[1:][np.argmax((np.array(maxes) @ vecs[1:].T % p == 0).all(axis=1), axis=1)]
+    normal = vecs[1:][(np.array(maxes) @ vecs[1:].T % p == 0).all(axis=1).argmax(axis=1)]
     dots = normal @ vecs.T % p
-    scale = [pow(d, -1, p) for d in dots[np.arange(dim_z), np.argmax(dots != 0, axis=1)].tolist()]
+    scale = [pow(d, -1, p) for d in dots[np.arange(dim_z), (dots != 0).argmax(axis=1)].tolist()]
     # b_M is c on E and the identity on Z, plus psi_M into z_M
     b_mats = np.tile(np.eye(dim, dtype=np.int64), (dim_z, 1, 1))
     b_mats[:, :dim_e, :dim_e] = jordan
@@ -289,7 +289,7 @@ def entry_names() -> list[str]:
 def build_cyclic(n: int, p: int) -> SimpleNamespace:
     """Z/n acting regularly; kernel: its elements of order 1 or p."""
     G = cyclic_group(n)
-    idxs = np.flatnonzero(np.isin(G.element_orders, (1, p)))
+    idxs = np.isin(G.element_orders, (1, p)).nonzero()[0]
     return SimpleNamespace(group=G, prime=p, kernel=ElabSubgroup.from_element_indices(G, p, idxs))
 
 
@@ -521,6 +521,11 @@ def _chk_class_centralizer(ctx, args):
     return len(ctx.group.centralizer_indices(int(E.by_code[cls == hits[0]].min())))
 
 
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have one shape and equal entries."""
+    return a.shape == b.shape and bool((a == b).all())
+
+
 def _orbit_partition(G: FiniteGroup) -> np.ndarray:
     """Each point's smallest orbit-mate under G: equal arrays are equal
     orbit partitions."""
@@ -535,8 +540,7 @@ def _chk_matrix_orbit_sizes(ctx, args):
 
 @_check("matrix_orbits_match")
 def _chk_matrix_orbits_match(ctx, args):
-    return np.array_equal(_orbit_partition(ctx.matrix_group("q")),
-                          _orbit_partition(ctx.matrix_group("u")))
+    return _equal(_orbit_partition(ctx.matrix_group("q")), _orbit_partition(ctx.matrix_group("u")))
 
 
 @_check("matrix_group_order", which=str)
@@ -559,7 +563,7 @@ def _chk_distinguished_in_kind(ctx, args):
 @_check("an_equals_a_on_object", object=str, n=NATURAL)
 def _chk_an_equals_a(ctx, args):
     E = ctx.subgroup(args, "object")
-    return np.array_equal(ctx.hom(cg.a_n(args["n"]), E, E), ctx.hom(cg.A, E, E))
+    return _equal(ctx.hom(cg.a_n(args["n"]), E, E), ctx.hom(cg.A, E, E))
 
 
 @_check("pointwise_block_witnesses")
@@ -576,8 +580,7 @@ def _chk_pointwise_witnesses(ctx, args):
 
     for basis, b_idx in zip(b.max_subspaces, b.b_elements):
         vs = code_vectors(p, len(basis)) @ np.array(basis) % p
-        if not np.array_equal(G.conjugate_indices(b_idx, translations(vs)),
-                              translations(vs @ c.T % p)):
+        if not _equal(G.conjugate_indices(b_idx, translations(vs)), translations(vs @ c.T % p)):
             return False
     return True
 

@@ -30,7 +30,11 @@ conjugates, transporters, the conjugators behind every A map, the
 generator tables, the catalog's commuting pairs) are looked up by their
 base images alone (indices_of_base_images); arbitrary rows
 (indices_of_rows) are also compared with the element found, since a row
-may agree with one on the base only.
+may agree with one on the base only.  The kernels (products,
+conjugates, transporters, element orders, commuting pairs) gather with
+one ``take`` on the table's flat view at element * degree + point: the
+2-D table indexed by two broadcast index arrays takes numpy's slower
+multi-index path.
 
 One lookup builds the inverses, from base images the chain forms with
 the rows (close_generators), and the right tables (the index of e * g for
@@ -73,13 +77,13 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     if not rows.shape[1]:                       # rows of no entries are equal
         return np.zeros(len(rows), dtype="V1")
     rows = rows.astype(">u4", order="C")
-    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+    return rows.view(f"V{4 * rows.shape[1]}").ravel()   # (np.void, n) runs a Python ctypes check
 
 
 def row_positions(table: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Position of each row of rows in table, whose rows are distinct and
     sorted with keys = row_keys(table); KeyError if a row is absent."""
-    idx = np.searchsorted(keys, row_keys(rows))
+    idx = keys.searchsorted(row_keys(rows))
     np.minimum(idx, len(keys) - 1, out=idx)
     if not (table[idx] == rows).all():
         raise KeyError("a row is not in the table")
@@ -90,7 +94,7 @@ def find_sorted(sorted_arr: np.ndarray,
                 values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(position, found) of each value in a sorted array: found says
     whether sorted_arr[position] is the value."""
-    at = np.searchsorted(sorted_arr, values)
+    at = sorted_arr.searchsorted(values)
     if not len(sorted_arr):
         return at, np.zeros(np.shape(at), dtype=bool)
     at = np.minimum(at, len(sorted_arr) - 1)
@@ -120,8 +124,8 @@ def blocks(rows: int, width: int) -> Iterable[slice]:
 def ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(t, x) for every x in range(lo[t], hi[t]), t increasing."""
     sizes = hi - lo
-    t = np.repeat(np.arange(len(sizes)), sizes)
-    return t, np.arange(len(t)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + lo[t]
+    t = np.arange(len(sizes)).repeat(sizes)
+    return t, np.arange(len(t)) - (sizes.cumsum() - sizes).repeat(sizes) + lo[t]
 
 
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -130,7 +134,7 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
     if len(rows) < 2:
         return rows
     keys = row_keys(rows)
-    order = np.argsort(keys)
+    order = keys.argsort()
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = keys[order[1:]] != keys[order[:-1]]
     return rows[order[keep]]
@@ -139,7 +143,7 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
 def runs(keys: np.ndarray) -> list[int]:
     """Where each run of equal entries of a non-empty array starts, then
     its length."""
-    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))).tolist()
+    return np.concatenate(([True], keys[1:] != keys[:-1], [True])).nonzero()[0].tolist()
 
 
 def split_rows(owner: np.ndarray, rows: np.ndarray, count: int) -> list[np.ndarray]:
@@ -147,7 +151,7 @@ def split_rows(owner: np.ndarray, rows: np.ndarray, count: int) -> list[np.ndarr
     rows grouped by increasing owner."""
     rows = np.ascontiguousarray(rows)
     rows.flags.writeable = False
-    bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
+    bounds = owner.searchsorted(np.arange(count + 1)).tolist()
     return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
@@ -187,13 +191,12 @@ def _search(perms: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, list]:
     starts and unvisited (the int64 maximum) until then: it marks visits.
     """
     n = perms.shape[1]
-    unvisited = np.iinfo(np.int64).max
-    visit, levels, finder = np.empty(n, dtype=np.int64), [], np.full(n, unvisited)
+    visit, levels, finder = np.empty(n, dtype=np.int64), [], np.full(n, _UNVISITED)
     visit[:len(starts)], finder[starts] = starts, -1
     lo, hi = 0, len(starts)
     while lo < hi:
-        flat = np.take(perms, visit[lo:hi], axis=1).ravel()     # candidate gen * (hi - lo) + src
-        fresh = np.flatnonzero(finder[flat] == unvisited)
+        flat = perms.take(visit[lo:hi], axis=1).ravel()     # candidate gen * (hi - lo) + src
+        fresh = (finder[flat] == _UNVISITED).nonzero()[0]
         hits = flat[fresh]
         np.minimum.at(finder, hits, fresh)          # each target's first candidate
         first = fresh[finder[hits] == fresh]
@@ -219,8 +222,8 @@ def orbits(perms: np.ndarray, right: np.ndarray
     n = perms.shape[1]
     label = _orbit_labels(perms)
     is_rep = label == np.arange(n)
-    reps = np.flatnonzero(is_rep)
-    class_of = (np.cumsum(is_rep) - 1)[label]
+    reps = is_rep.nonzero()[0]
+    class_of = (is_rep.cumsum() - 1)[label]
     sizes = np.bincount(class_of, minlength=len(reps))
     visit, levels = _search(perms, reps)
     witness = np.zeros(n, dtype=np.int64)
@@ -243,7 +246,7 @@ def _perm_rows(perms, degree: int) -> np.ndarray:
         raise InvalidPermutation(f"expected degree {degree}, got {rows.shape[-1]}")
     ok = (np.sort(rows, axis=1) == np.arange(degree)).all(axis=1)
     if not ok.all():
-        bad = tuple(rows[np.argmin(ok)].tolist())
+        bad = tuple(rows[ok.argmin()].tolist())
         raise InvalidPermutation(f"images {bad!r} are not a bijection")
     return rows.astype(np.int32)
 
@@ -292,9 +295,10 @@ class FiniteGroup:
         self.generators = list(map(tuple, generators.tolist()))
         self.base, self._gens, self._rank, self._weights = base, generators, rank, weights
         keys = rank[rows[:, base]] @ weights
-        order = np.argsort(keys)
+        order = keys.argsort()
         self._arr, self._keys, self._inverse_images = rows[order], keys[order], inverse_images[order]
         self._arr.flags.writeable = self.base.flags.writeable = False
+        self._flat = self._arr.ravel()          # row e's image of x at e * degree + x
         # direct-address table of the keys, where they are dense enough
         self._position: np.ndarray | None = None
         if self._keys[-1] < ENTRIES_PER_ELEMENT * len(rows):
@@ -330,13 +334,13 @@ class FiniteGroup:
         """Element index of each key: one gather from the direct-address
         table, else a binary search; some index for a key of no element."""
         if self._position is None:
-            return np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
-        return np.take(self._position, keys, mode="clip")
+            return np.minimum(self._keys.searchsorted(keys), len(self) - 1)
+        return self._position.take(keys, mode="clip")
 
     def _find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position, found) of each row of an (n, degree) image array: its
         base images give the one candidate, found says whether that is it."""
-        at = self._lookup(np.take(self._rank, rows[:, self.base], mode="clip") @ self._weights)
+        at = self._lookup(self._rank.take(rows[:, self.base], mode="clip") @ self._weights)
         return at, (self._arr[at] == rows).all(axis=1)
 
     def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -364,7 +368,7 @@ class FiniteGroup:
         inv, right = self._inverses_and_right
         conj = np.empty_like(right)
         for rk, ck in zip(right, conj):
-            np.take(rk, inv[rk[inv]], out=ck)
+            rk.take(inv[rk[inv]], out=ck)
         conj.flags.writeable = False
         return conj, right
 
@@ -378,8 +382,8 @@ class FiniteGroup:
         """
         i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
         # the product's image of a base point is j's image of i's image
-        images = self._arr[j[..., None], self._arr[i[..., None], self.base]]
-        out = self.indices_of_base_images(images)
+        at = self._flat.take(i[..., None] * self.degree + self.base)
+        out = self.indices_of_base_images(self._flat.take(j[..., None] * self.degree + at))
         return int(out) if out.ndim == 0 else out
 
     @cached_property
@@ -388,7 +392,7 @@ class FiniteGroup:
         lookup: e^-1's base images come from the chain with the rows (see
         close_generators), and e * g sends a base point b to g[e[b]]."""
         idx = self.indices_of_base_images(np.concatenate(
-            (self._inverse_images[None], np.take(self._gens, self._arr[:, self.base], axis=1))))
+            (self._inverse_images[None], self._gens.take(self._arr[:, self.base], axis=1))))
         idx.flags.writeable = False
         return idx[0], idx[1:]
 
@@ -406,11 +410,12 @@ class FiniteGroup:
         points sharing its least point."""
         table = self.conjugacy
         step = self._arr[table.reps]
-        rows = np.arange(len(step))[:, None]
+        rows = np.arange(len(step))[:, None] * self.degree     # x of row r at rows[r] + x
         least = np.broadcast_to(np.arange(self.degree), step.shape)
         for _ in range((self.degree - 1).bit_length()):
-            least, step = np.minimum(least, least[rows, step]), step[rows, step]
-        at = rows * self.degree + least
+            at = rows + step
+            least, step = np.minimum(least, least.take(at)), step.take(at)
+        at = rows + least
         cycle = np.bincount(at.ravel(), minlength=step.size)[at]
         orders = np.lcm.reduce(cycle, axis=1)[table.class_of]
         orders.flags.writeable = False
@@ -426,13 +431,14 @@ class FiniteGroup:
         """
         gs = np.atleast_1d(np.asarray(g, dtype=np.int64))
         ts = np.asarray(targets, dtype=np.int64)
+        flat, d = self._flat, self.degree
         # g^-1's images of the base
-        ginv = self._arr[self.inverse_indices[gs][:, None], self.base]
+        ginv = flat.take(self.inverse_indices[gs][:, None] * d + self.base)
         out = np.empty((len(gs), ts.shape[-1]), dtype=np.int64)
         for b in blocks(len(gs), ts.shape[-1] * len(self.base)):
             # g^-1 * e * g sends a base point x to g[e[g^-1[x]]]
-            inner = self._arr[(ts[b] if ts.ndim == 2 else ts[None])[..., None], ginv[b, None]]
-            out[b] = self.indices_of_base_images(self._arr[gs[b, None, None], inner])
+            inner = flat.take((ts[b] if ts.ndim == 2 else ts[None])[..., None] * d + ginv[b, None])
+            out[b] = self.indices_of_base_images(flat.take(gs[b, None, None] * d + inner))
         return out if np.ndim(g) else out[0]
 
     # -- conjugacy ----------------------------------------------------
@@ -461,7 +467,7 @@ class FiniteGroup:
             ep, base = self._arr[e], self.base
             # g*e and e*g are elements, equal when e(g(b)) == g(e(b)) on the base
             mask = np.all(ep[self._arr[:, base]] == self._arr[:, ep[base]], axis=1)
-            cent = self._cent_memo[e] = np.flatnonzero(mask).astype(np.int64)
+            cent = self._cent_memo[e] = mask.nonzero()[0].astype(np.int64)
             cent.flags.writeable = False
         return cent
 
@@ -480,18 +486,19 @@ class FiniteGroup:
         a, bs = np.asarray(a, dtype=np.int64), np.atleast_1d(np.asarray(b, dtype=np.int64))
         keep = table.class_of[bs] == table.class_of[a]
         a, bs = a[keep] if a.ndim else a[None], bs[keep]
-        cls, parts = table.class_of[bs], []
+        cls, parts, flat, d = table.class_of[bs], [], self._flat, self.degree
         for c in sorted_distinct(cls).tolist():
-            at = np.flatnonzero(cls == c)
+            at = (cls == c).nonzero()[0]
             # w_a^-1 * h * w_b sends a base point x to w_b[h[w_a^-1[x]]]
             wa = table.witness[a[at] if len(a) > 1 else a]
-            winv = self._arr[self.inverse_indices[wa][:, None, None], self.base]
-            left = self._arr[self.centralizer_indices(table.reps.item(c))[:, None], winv]
-            idx = self.indices_of_base_images(self._arr[table.witness[bs[at], None, None], left])
+            winv = flat.take(self.inverse_indices[wa][:, None, None] * d + self.base)
+            left = flat.take(self.centralizer_indices(table.reps.item(c))[:, None] * d + winv)
+            wb = table.witness[bs[at], None, None]
+            idx = self.indices_of_base_images(flat.take(wb * d + left))
             idx.sort(axis=1)
             parts.append((at, idx))
         size = len(self) // table.sizes[cls]
-        out, starts = np.empty(size.sum(), dtype=np.int64), np.cumsum(size) - size
+        out, starts = np.empty(size.sum(), dtype=np.int64), size.cumsum() - size
         for at, idx in parts:
             out[starts[at, None] + np.arange(idx.shape[1])] = idx
         return out
@@ -509,7 +516,7 @@ class FiniteGroup:
             return np.arange(len(bases)), np.zeros(len(bases), dtype=np.int64), bases
         table = self.conjugacy
         first = bases[:, 0]
-        owner, at = np.nonzero(table.class_of[targets] == table.class_of[first, None])
+        owner, at = (table.class_of[targets] == table.class_of[first, None]).nonzero()
         g = self.transporter_indices(first[owner], targets[owner, at])
         owner = owner.repeat(len(self) // table.sizes[table.class_of[first[owner]]])
         return owner, g, self.conjugate_indices(g, bases[owner])
@@ -521,6 +528,8 @@ KEY_BITS = 63
 # configured element cap: 16 MiB of int32 at the default cap; also the
 # most keys per element for which a group keeps a direct-address table
 ENTRIES_PER_ELEMENT = 64
+# the mark of a point no search has reached yet (see _search)
+_UNVISITED = np.iinfo(np.int64).max
 
 
 def _transversal(gens: np.ndarray, orbit: np.ndarray, levels: list
@@ -547,7 +556,7 @@ def _schreier_generators(gens: np.ndarray, orbit: np.ndarray, trans: np.ndarray,
     degree = gens.shape[1]
     where = np.empty(degree, dtype=np.int64)
     where[orbit] = np.arange(len(orbit))
-    src, s = np.nonzero(~tree)
+    src, s = (~tree).nonzero()
     found = [gens[:0]]
     for b in blocks(len(src), degree):
         i, g = src[b], s[b]
@@ -588,9 +597,9 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     points = np.arange(degree)
     # each point's rank in its G-orbit, and the orbit's size
     label = _orbit_labels(gens)
-    by_orbit = np.argsort(label, kind="stable")
+    by_orbit = label.argsort(kind="stable")
     rank = np.empty(degree, dtype=np.int64)
-    rank[by_orbit] = points - np.searchsorted(label[by_orbit], label[by_orbit])
+    rank[by_orbit] = points - label[by_orbit].searchsorted(label[by_orbit])
     size = np.bincount(label, minlength=degree)[label]
 
     def guard(order: int, radix: list[int]):
@@ -607,7 +616,7 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
     stab, base, transversals, order = distinct_rows(gens[(gens != points).any(axis=1)]), [], [], 1
     guard(order, [])
     while len(stab):
-        base.append(int(np.argmax((stab != points).any(axis=0))))
+        base.append(int((stab != points).any(axis=0).argmax()))
         if len(base) == 1:
             guard(int(size[base[0]]), [])
         orbit, levels = _search(stab, np.array(base[-1:]))
@@ -618,11 +627,11 @@ def close_generators(degree: int, generators: Iterable[Sequence[int]],
         stab = _schreier_generators(stab, orbit, *transversals[-1], tree)
     rows = points.astype(np.int32)[None]
     for trans, _ in reversed(transversals):
-        rows = np.take(trans, rows, axis=1).reshape(-1, degree)     # e * u: row x is u[e[x]]
+        rows = trans.take(rows, axis=1).reshape(-1, degree)     # e * u: row x is u[e[x]]
     # the base images of each row's inverse u_1^-1 * ... * u_m^-1, one column per row
     images = np.array(base, dtype=np.int32)[:, None]
     for _, inverse in transversals:
-        images = np.take(inverse.T, images, axis=0).reshape(len(base), -1)
+        images = inverse.T.take(images, axis=0).reshape(len(base), -1)
     weights = [prod(size[base[k + 1:]].tolist()) for k in range(len(base))]
     return FiniteGroup(degree, gens, rows, images.T, np.array(base, dtype=np.int64), rank,
                        np.array(weights, dtype=np.int64), name=name)
