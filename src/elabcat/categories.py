@@ -81,8 +81,8 @@ from .errors import CatalogMismatch, ClosureGuardError, InputFormatError
 from .fpmat import (Mat, basis_search, code_digits, column_codes,  # noqa: F401
                     image_tables, injective_count, mat_mul, matrix_of,
                     restricts_into, subspace_codes)
-from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, ranges, row_keys, runs,
-                     sorted_distinct, split_rows)
+from .groups import (FiniteGroup, blocks, distinct_rows, find_sorted, gather, ranges, row_keys,
+                     runs, sorted_distinct, sorted_in_place, split_rows)
 
 # -- kinds ------------------------------------------------------------
 
@@ -227,19 +227,20 @@ def hom_matrices(kind: CategoryKind, E: ElabSubgroup,
     if kind == A:
         # conjugators inducing the same map give repeated rows
         cols = F.codes_of(E.ambient.conjugators([E.basis], F.by_code[None])[2])
-        return distinct_rows(cols[(cols >= 0).all(axis=1)])
+        return distinct_rows(cols.compress((cols >= 0).all(axis=1), axis=0))
     # each element may go to any element of its merged class
     cols = basis_search(E.prime, E_cls[None], F_cls[None], E.rank, F.rank)[1]
     if kind.tag == "An" and len(cols):
         at = subspace_codes(E.prime, E.rank, kind.param)[:, E.prime ** np.arange(kind.param)]
         # the A maps into F of a block of rank-n subspaces, at most |G| each
         for b in blocks(len(at), len(E.ambient) * (kind.param + 2)):
-            owner, _, images = E.ambient.conjugators(E.by_code[at[b]], np.broadcast_to(
-                F.by_code, (len(at[b]), len(F))))
-            rows = np.column_stack([owner, F.codes_of(images)])
-            rows = distinct_rows(rows[(rows >= 0).all(axis=1)])
-            cols = cols[restricts_into(cols, np.zeros(len(cols), dtype=np.int64), E.prime, F.rank,
-                                       at[None, b], np.arange(len(at[b]))[None, :, None], rows)]
+            owner, _, images = E.ambient.conjugators(E.by_code[at[b]],
+                                                     F.by_code[None].repeat(len(at[b]), axis=0))
+            rows = np.concatenate((owner[:, None], F.codes_of(images)), axis=1)
+            rows = distinct_rows(rows.compress((rows >= 0).all(axis=1), axis=0))
+            cols = cols.compress(restricts_into(
+                cols, np.zeros(len(cols), dtype=np.int64), E.prime, F.rank, at[None, b],
+                np.arange(len(at[b]))[None, :, None], rows), axis=0)
     return cols
 
 
@@ -281,7 +282,8 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
             else:
                 owner, _, images = catalog.group.conjugators(by_code[:, p ** np.arange(r)], by_code)
                 cols = catalog.codes_in(reps[owner, None], images)
-                rows = distinct_rows(np.column_stack([owner, cols])[(cols >= 0).all(axis=1)])
+                rows = np.concatenate((owner[:, None], cols), axis=1)
+                rows = distinct_rows(rows.compress((cols >= 0).all(axis=1), axis=0))
                 owner, cols = rows[:, 0], rows[:, 1:]
             homs.update(zip([(A, a, a) for a in reps.tolist()], split_rows(owner, cols, len(reps))))
         built = [homs[A, a, a] if a == b else homs[A, a, a][:0]
@@ -296,10 +298,10 @@ def _isos(catalog: ElabCatalog, kind: CategoryKind, i: np.ndarray,
                     maps[t] for t in wide], _isos(catalog, A, reps, reps))):
                 built[t] = h
     else:
-        dom, cod = np.split(_labels(catalog.group, p, r, catalog.by_codes(r, np.concatenate((i, j))),
-                                    kind), 2)
+        labels = _labels(catalog.group, p, r, catalog.by_codes(r, np.concatenate((i, j))), kind)
+        dom, cod = labels[:len(i)], labels[len(i):]
         at = (np.sort(dom, axis=1) == np.sort(cod, axis=1)).all(axis=1).nonzero()[0]
-        pair, cols = basis_search(p, dom[at], cod[at], r, r)
+        pair, cols = basis_search(p, dom.take(at, axis=0), cod.take(at, axis=0), r, r)
         built = split_rows(at[pair], cols, len(i))
     for t, a, b, h in zip(todo, i.tolist(), j.tolist(), built):
         got[t] = homs[kind, a, b] = h
@@ -320,7 +322,7 @@ def _conjugations_on(catalog: ElabCatalog, n: int, members: np.ndarray, targets:
     of, cols = np.arange(len(maps)).repeat([len(f) for f in maps]), np.concatenate(maps)
     p, r = catalog.prime, catalog.ranks().item(members[0])
     subs = subspace_codes(p, r, n)
-    U, V = (catalog.indices_of_sets(catalog.by_codes(r, x)[:, subs].reshape(-1, p ** n))
+    U, V = (catalog.indices_of_sets(catalog.by_codes(r, x).take(subs, axis=1).reshape(-1, p ** n))
             for x in (members, targets))
     # autos[k] belongs to the k-th class of rank n (classes follow rank order)
     k = (catalog.class_of[V] - catalog.class_of[catalog.rank_starts[n]]).tolist()
@@ -328,15 +330,16 @@ def _conjugations_on(catalog: ElabCatalog, n: int, members: np.ndarray, targets:
     W, a = V.repeat(count), np.concatenate([autos[x] for x in k])
     # the codes of c_U on the basis of U's representative in each domain,
     # and of every c_V o a in each target
-    basis = np.broadcast_to(p ** np.arange(n), (len(U), n))
-    at, into = (catalog.codes_in(x.repeat(len(subs)).repeat(reps)[:, None], np.take_along_axis(
-        catalog.by_codes(n, X), np.take_along_axis(catalog.conjugation_codes[X], codes, axis=1),
-        axis=1)) for x, X, reps, codes in ((members, U, 1, basis), (targets, W, count, a)))
+    at, into = (catalog.codes_in(x.repeat(len(subs)).repeat(reps)[:, None], gather(
+        catalog.by_codes(n, X), np.arange(len(X))[:, None],
+        gather(catalog.conjugation_codes, X[:, None], codes)))
+        for x, X, reps, codes in ((members, U, 1, p ** np.arange(n)), (targets, W, count, a)))
     pair = np.arange(len(targets)).repeat(len(subs))
-    tag = np.column_stack([pair, catalog.class_of[U]]).reshape(len(members), len(subs), 2)
-    keep = restricts_into(cols, of, p, r, at.reshape(len(members), len(subs), n), tag,
-                          np.column_stack([pair.repeat(count), catalog.class_of[W], into]))
-    return split_rows(of[keep], cols[keep], len(maps))
+    tag = np.concatenate((pair[:, None], catalog.class_of[U][:, None]), axis=1)
+    keep = restricts_into(cols, of, p, r, at.reshape(len(members), len(subs), n), tag.reshape(
+        len(members), len(subs), 2), np.concatenate((pair.repeat(count)[:, None],
+                                                      catalog.class_of[W][:, None], into), axis=1))
+    return split_rows(of[keep], cols.compress(keep, axis=0), len(maps))
 
 
 def _rows(C: SubgroupCategory, i: int) -> None:
@@ -373,12 +376,11 @@ def _rows(C: SubgroupCategory, i: int) -> None:
     lengths = np.array([len(h) for h in isos])
     starts = lengths.cumsum() - lengths
     pair, row = ranges(starts[y], starts[y] + lengths[y])
-    conj = np.take_along_axis(catalog.by_codes(rank, m),
-                              catalog.conjugation_codes[m, :catalog.prime ** rank], axis=1)
-    target = R[pair]
-    cols = catalog.codes_in(target[:, None], conj[pair[:, None], np.concatenate(isos)[row]])
-    order = row_keys(np.column_stack([target, cols])).argsort()
-    target, cols = target[order], cols[order]
+    target = R[pair]        # c_m o iso on the codes of the representative, then into R
+    conj = gather(catalog.conjugation_codes, m[pair, None], np.concatenate(isos).take(row, axis=0))
+    cols = catalog.codes_in(target[:, None], gather(catalog.by_codes(rank, m), pair[:, None], conj))
+    order = row_keys(np.concatenate((target[:, None], cols), axis=1)).argsort()
+    target, cols = target[order], cols.take(order, axis=0)
     cols.flags.writeable = False
     bounds = runs(target)
     for t, a, b in zip(target[bounds[:-1]].tolist(), bounds, bounds[1:]):
@@ -508,7 +510,7 @@ class SubgroupCategory:
         if "sizes" not in self._classes:
             catalog, k, cls = self.catalog, self.catalog.class_count(), self.catalog.class_of
             (m, R), (aut, first) = catalog.inside, self.iso_classes()
-            pairs = np.sort(first[cls[m]] * k + cls[R])
+            pairs = sorted_in_place(first[cls[m]] * k + cls[R])
             bounds = np.array(runs(pairs))
             pairs, count = pairs[bounds[:-1]], bounds[1:] - bounds[:-1]
             xs = aut.nonzero()[0]
@@ -575,8 +577,8 @@ def _classify(catalog: ElabCatalog, kind: CategoryKind, r: int, xs: np.ndarray,
         return
     group = range(len(xs))
     if kind != A and len(xs) > 1:
-        group = row_keys(np.sort(_labels(catalog.group, p, r, catalog.by_codes(r, reps), kind),
-                                 axis=1)).tolist()
+        group = row_keys(sorted_in_place(_labels(catalog.group, p, r, catalog.by_codes(r, reps),
+                                                 kind), axis=1)).tolist()
     left = dom = list(range(len(xs)))               # dom: the automorphism groups
     while left:
         lead: dict = {}                             # each group's least class left
@@ -602,11 +604,11 @@ def _carried(catalog: ElabCatalog, cols: np.ndarray, I: np.ndarray,
     the rows of each in lexicographic order."""
     p, codes = catalog.prime, catalog.conjugation_codes
     (m, r), s = cols.shape, catalog.ranks().item(J[0])
-    back = codes[I, :p ** r].argsort(axis=1)[:, p ** np.arange(r)]    # c_i^-1 on i's basis
-    pulled = image_tables(cols, p, s)[:, back].swapaxes(0, 1)              # (i, map, column)
-    got = codes[J[:, None, None], pulled[:, None]].reshape(len(I) * len(J) * m, r)
-    order = row_keys(np.column_stack([np.arange(len(got)) // m, got])).argsort()
-    got = got[order].reshape(len(I) * len(J), m, r)
+    back = codes.take(I, axis=0)[:, :p ** r].argsort(axis=1)[:, p ** np.arange(r)]    # c_i^-1
+    pulled = image_tables(cols, p, s).take(back, axis=1).swapaxes(0, 1)   # (i, map, column)
+    got = gather(codes, J[:, None, None], pulled[:, None]).reshape(len(I) * len(J) * m, r)
+    order = row_keys(np.concatenate((np.arange(len(got))[:, None] // m, got), axis=1)).argsort()
+    got = got.take(order, axis=0).reshape(len(I) * len(J), m, r)
     got.flags.writeable = False
     return got
 
@@ -658,7 +660,7 @@ def _iso_keys(dom: np.ndarray, cod: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Exact key of each map dom -> cod between classes, given by its
     column codes: the keys order as the tuples (dom, cod, *cols) do,
     however many places the codes take."""
-    return row_keys(np.column_stack([dom, cod, cols]))
+    return row_keys(np.concatenate((dom[:, None], cod[:, None], cols), axis=1))
 
 
 def _joined(parts: Sequence[Isos]) -> Isos:
@@ -671,16 +673,15 @@ def _unknown(maps: Isos, known: np.ndarray, basis: np.ndarray) -> tuple[Isos, np
     keys = _iso_keys(maps[0], maps[1], maps[2][:, basis])
     order = keys.argsort()
     keys = keys[order]
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    keep &= ~find_sorted(known, keys)[1]
-    return tuple(a[order[keep]] for a in maps), keys[keep]
+    keep = np.concatenate(([True], keys[1:] != keys[:-1])) & ~find_sorted(known, keys)[1]
+    at = order[keep]
+    return (maps[0][at], maps[1][at], maps[2].take(at, axis=0)), keys[keep]
 
 
 def _composed(f: Isos, g: Isos) -> Isos:
     """g o h for every h in f and g in g with h's codomain g's domain."""
     t, at = _matches(f[1], g[0])
-    return f[0][t], g[1][at], np.take_along_axis(g[2][at], f[2][t], axis=1)
+    return f[0][t], g[1][at], gather(g[2], at[:, None], f[2].take(t, axis=0))
 
 
 def _groupoid(old: Isos, seeds: Isos, basis: np.ndarray) -> Optional[Isos]:
@@ -692,13 +693,13 @@ def _groupoid(old: Isos, seeds: Isos, basis: np.ndarray) -> Optional[Isos]:
     semi-naive rounds, each composing only the maps first found in the
     last one.  Old is closed, so the first round composes the seeds and
     their inverses with old's members."""
-    known = np.sort(_iso_keys(old[0], old[1], old[2][:, basis]))
+    known = sorted_in_place(_iso_keys(old[0], old[1], old[2][:, basis]))
     seeds = _unknown(seeds, known, basis)[0]
     gens = _joined([seeds, (seeds[1], seeds[0], seeds[2].argsort(axis=1))])
     delta, keys = _unknown(_composed(old, gens), known, basis)
     gens, added = _joined([gens, old]), []
     while len(keys):
-        known = np.sort(np.concatenate([known, keys]))
+        known = sorted_in_place(np.concatenate([known, keys]))
         added.append(delta)
         delta, keys = _unknown(_composed(delta, gens), known, basis)
     return _joined(added) if added else None
@@ -710,9 +711,9 @@ def _onto_images(catalog: ElabCatalog, dom: np.ndarray, elems: np.ndarray) -> Is
     corestricted onto their images, catalog members T found by their
     element sets, and carried to the representative of T by c_T^-1."""
     T = catalog.indices_of_sets(elems)
-    back = catalog.conjugation_codes[T, :elems.shape[1]].argsort(axis=1)
-    return dom, catalog.class_of[T], np.take_along_axis(
-        back, catalog.codes_in(T[:, None], elems), axis=1)
+    back = catalog.conjugation_codes.take(T, axis=0)[:, :elems.shape[1]].argsort(axis=1)
+    return dom, catalog.class_of[T], gather(back, np.arange(len(T))[:, None],
+                                            catalog.codes_in(T[:, None], elems))
 
 
 def _restricted(catalog: ElabCatalog, maps: Isos, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -725,13 +726,12 @@ def _restricted(catalog: ElabCatalog, maps: Isos, rank: int) -> tuple[np.ndarray
     s, x = catalog.inside
     keep = (ranks[s] == rank - 1) & (ranks[x] == rank)
     s, x = s[keep], x[keep]
-    q = catalog.prime ** (rank - 1)
-    inner = catalog.by_codes(rank - 1, s)
-    pull = catalog.codes_in(x[:, None], np.take_along_axis(
-        inner, catalog.conjugation_codes[s, :q], axis=1))     # codes in rep x
+    inner = gather(catalog.by_codes(rank - 1, s), np.arange(len(s))[:, None],
+                   catalog.conjugation_codes.take(s, axis=0)[:, :catalog.prime ** (rank - 1)])
+    pull = catalog.codes_in(x[:, None], inner)     # codes in rep x
     f, k = _matches(maps[0], cls[x])
-    images = np.take_along_axis(maps[2][f], pull[k], axis=1)
-    return cls[s][k], by_code[maps[1][f][:, None] - ys[0], images]
+    images = gather(maps[2], f[:, None], pull.take(k, axis=0))
+    return cls[s][k], gather(by_code, (maps[1][f] - ys[0])[:, None], images)
 
 
 def _holds_a(C: SubgroupCategory, base: SubgroupCategory) -> None:
@@ -828,7 +828,7 @@ def closure(C: SubgroupCategory) -> SubgroupCategory:
                 dom, cod, tables = _joined([old, added])
                 cols, pair = tables[:, basis], dom * len(reps) + cod
                 order = _iso_keys(dom, cod, cols).argsort()
-                cols, bounds = cols[order], runs(pair[order])
+                cols, bounds = cols.take(order, axis=0), runs(pair[order])
                 x, y = np.divmod(pair[order][bounds[:-1]], len(reps))
                 mine = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
         homs.update(zip([(reps[a], reps[b]) for a, b in zip(x.tolist(), y.tolist())], mine))

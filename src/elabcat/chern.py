@@ -89,7 +89,7 @@ def total_chern(weights: WeightList) -> FpPolynomial:
     if not len(weights):
         return FpPolynomial.constant(p, n, 1)
     # factor s is 1 + sum_i w_i x_i: a term for the 1 and for each w_i != 0
-    w = np.column_stack((np.ones(len(weights), dtype=np.int64), weights.weights))
+    w = np.concatenate((np.ones((len(weights), 1), dtype=np.int64), weights.weights), axis=1)
     node, var = w.nonzero()
     return product_tree(p, n, node, np.eye(n + 1, dtype=np.int64)[var, 1:], w[node, var], p)
 

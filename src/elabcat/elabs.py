@@ -42,7 +42,7 @@ from .config import cap as _cap, refuse
 from .errors import CatalogMismatch, InvalidPermutation
 from .fpmat import subspace_codes
 from .groups import (FiniteGroup, blocks, find_sorted, orbits, ranges, row_keys,
-                     row_positions, sorted_distinct)
+                     row_positions, sorted_distinct, sorted_in_place)
 
 
 class ElabSubgroup:
@@ -189,7 +189,7 @@ class ElabCatalog:
     def by_codes(self, rank: int, members) -> np.ndarray:
         """The by_code rows of members, all of the given rank, as one
         (len(members), p^rank) array."""
-        return self.codes[rank][np.asarray(members) - self.rank_starts[rank]]
+        return self.codes[rank].take(np.asarray(members) - self.rank_starts[rank], axis=0)
 
     def index_of(self, E: ElabSubgroup) -> int:
         if E.ambient is not self.group or E.prime != self.prime:
@@ -302,9 +302,9 @@ class ElabCatalog:
         for s in range(2, top + 1):
             R = self.rank_reps(s)
             for r in range(1, s):
-                subs = tops[r][(tops[r] < p ** s).all(axis=1)]
+                subs = tops[r].compress((tops[r] < p ** s).all(axis=1), axis=0)
                 members.append(self.indices_of_sets(
-                    self.by_codes(s, R)[:, subs].reshape(-1, p ** r)))
+                    self.by_codes(s, R).take(subs, axis=1).reshape(-1, p ** r)))
                 supers.append(R.repeat(len(subs)))
         members, supers = np.concatenate(members), np.concatenate(supers)
         order = (members * len(self) + supers).argsort()
@@ -341,7 +341,7 @@ def _commuting_pairs(G: FiniteGroup, xs: np.ndarray, gens: np.ndarray) -> np.nda
     of_class = classes.searchsorted(cls)
     owner, at = ranges(rep.searchsorted(of_class), rep.searchsorted(of_class, "right"))
     y = G.conjugate_indices(table.witness[gens[owner]], cent[at, None])[:, 0]
-    return np.sort(gens[owner] * n + y)
+    return sorted_in_place(gens[owner] * n + y)
 
 
 def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
@@ -407,11 +407,11 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
         parents, kept_x, kept_spans, before = [], [], [], total
         for b in blocks(len(cand_x), p * width * G.degree):
             # E * <x> for each candidate, one row each, in code order
-            grown = _times_powers(G, spans[cand_parent[b]], cand_x[b, None], p)
+            grown = _times_powers(G, spans.take(cand_parent[b], axis=0), cand_x[b, None], p)
             keep = grown[:, width:].min(axis=1) == cand_x[b]
             parents.append(cand_parent[b][keep])
             kept_x.append(cand_x[b][keep])
-            kept_spans.append(grown[keep])
+            kept_spans.append(grown.compress(keep, axis=0))
             total += len(kept_spans[-1])
             if total > limit:
                 refuse("catalog_cap", f"subgroup catalog passed the cap ({limit})")
@@ -423,9 +423,9 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
         key = row_keys(sorted_rows)
         at = key.argsort()
         parents, kept_x = np.concatenate(parents)[at], np.concatenate(kept_x)[at]
-        spans = kept_spans[at]
+        spans = kept_spans.take(at, axis=0)
         codes.append(spans)
-        rows.append(sorted_rows[at])
+        rows.append(sorted_rows.take(at, axis=0))
         keys.append(key[at])
         if pairs is None:
             # the members of rank 1 are the <g>, g = gen(x) for each x in them
@@ -450,7 +450,7 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
             child += c.start
             y = pair_keys[at] - shift[child]
             keep = find_sorted(look, offset[child] + y)[1]
-            keep &= (spans[child, width:] != y[:, None]).all(axis=1)
+            keep &= (spans[:, width:].take(child, axis=0) != y[:, None]).all(axis=1)
             new_owner.append(child[keep])
             new_xs.append(y[keep])
         last = kept_x
@@ -463,7 +463,7 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
     lo = 1
     for r in range(1, len(rows)):
         hi = lo + len(rows[r])
-        images = np.sort(conj[:, rows[r]], axis=2).reshape(-1, rows[r].shape[1])
+        images = sorted_in_place(conj.take(rows[r], axis=1), axis=2).reshape(-1, rows[r].shape[1])
         at = row_positions(rows[r], keys[r], images)
         perms[:, lo:hi] = lo + at.reshape(len(conj), hi - lo)
         lo = hi

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import Ints, cap, refuse
-from .groups import blocks, find_sorted, row_keys
+from .groups import blocks, find_sorted, gather, row_keys, sorted_in_place
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
@@ -85,7 +85,7 @@ def image_tables(cols: np.ndarray, p: int, rows: int) -> np.ndarray:
     places = p ** np.arange(rows)
     out = np.empty((len(cols), len(vecs)), dtype=np.int64)
     for b in blocks(len(cols), len(vecs) * rows):
-        out[b] = vecs @ col_vecs[cols[b]] % p @ places     # (maps, vectors, rows) digits
+        out[b] = vecs @ col_vecs.take(cols[b], axis=0) % p @ places  # (maps, vectors, rows) digits
     return out
 
 
@@ -109,11 +109,13 @@ def restricts_into(cols: np.ndarray, of: np.ndarray, p: int, rows: int, at: np.n
     restriction keyed exactly by the bytes of its row, whose entries are
     below 2^32 (row_keys).
     """
-    known = np.sort(row_keys(allowed))
+    known = sorted_in_place(row_keys(allowed))
     keep = np.empty(len(cols), dtype=bool)
     for b in blocks(len(cols), p ** cols.shape[1] + at[0].size + tag[0].size):
-        onto = np.take_along_axis(image_tables(cols[b], p, rows)[:, None], at[of[b]], axis=2)
-        keys = row_keys(np.concatenate([tag[of[b]], onto], axis=2).reshape(-1, allowed.shape[1]))
+        onto = gather(image_tables(cols[b], p, rows), np.arange(len(of[b]))[:, None, None],
+                      at.take(of[b], axis=0))
+        keys = row_keys(np.concatenate([tag.take(of[b], axis=0), onto], axis=2).reshape(
+            -1, allowed.shape[1]))
         keep[b] = find_sorted(known, keys)[1].reshape(-1, at.shape[1]).all(axis=1)
     return keep
 
@@ -139,7 +141,7 @@ def basis_search(p: int, dom: np.ndarray, cod: np.ndarray, r: int,
     images, a bound on its maps, passes the hom count cap.
     """
     ok = dom[:, :, None] == cod[:, None, :]          # (pairs, p^r, p^s): the allowed images
-    counts = ok[:, p ** np.arange(r)].sum(axis=2)    # of each basis vector
+    counts = ok.take(p ** np.arange(r), axis=1).sum(axis=2)    # of each basis vector
     limit = cap("hom_count_cap")
     # the float product picks the pairs to check, the exact one decides
     for total in map(math.prod, counts[counts.prod(axis=1, dtype=float) > limit / 2].tolist()):
@@ -155,16 +157,18 @@ def basis_search(p: int, dom: np.ndarray, cod: np.ndarray, r: int,
             return pair, np.zeros((0, r), dtype=np.int64)
         q, n = p ** k, len(digits)
         # each pair's allowed images of basis vector k, increasing, padded with n
-        cand = np.sort(np.where(ok[:, q], np.arange(n), n), axis=1)[:, :max(1, counts[:, k].max())]
+        cand = sorted_in_place(np.where(ok[:, q], np.arange(n), n), axis=1)[
+            :, :max(1, counts[:, k].max())]
         codes = np.arange(q) + q * coef[:, 0]                # (p-1, q), code order
         grown = []
         for b in blocks(len(cols), cand.shape[1] * codes.size * s):
-            c = cand[pair[b]]                                 # (rows, candidates)
-            new = (digits[imgs[b]][:, None, None] + digits[np.minimum(c, n - 1)][
-                :, :, None, None] * coef) % p @ weights      # (rows, candidates, p-1, q)
+            c = cand.take(pair[b], axis=0)                    # (rows, candidates)
+            new = (digits.take(imgs[b], axis=0)[:, None, None] + digits.take(np.minimum(c, n - 1),
+                   axis=0)[:, :, None, None] * coef) % p @ weights   # (rows, candidates, p-1, q)
             t, x = ((c < n) & ok[pair[b, None, None, None], codes, new].all(axis=(2, 3))).nonzero()
-            grown.append((pair[b][t], np.column_stack([cols[b][t], c[t, x]]), np.concatenate(
-                [imgs[b][t], new[t, x].reshape(len(t), codes.size)], axis=1)))
+            grown.append((pair[b][t], np.concatenate((cols[b].take(t, axis=0), c[t, x, None]), 1),
+                          np.concatenate((imgs[b].take(t, axis=0),
+                                          new[t, x].reshape(len(t), codes.size)), 1)))
         pair, cols, imgs = (np.concatenate(a) for a in zip(*grown))
     return pair, cols
 

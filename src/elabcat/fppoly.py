@@ -257,7 +257,7 @@ class FpPolynomial:
 
     def homogeneous_part(self, d: int) -> "FpPolynomial":
         keep = self.exps.sum(axis=1) == d
-        return FpPolynomial._wrap(self.prime, self.nvars, self.exps[keep],
+        return FpPolynomial._wrap(self.prime, self.nvars, self.exps.compress(keep, axis=0),
                                   self.coeffs[keep])
 
     def substitute(self, images: Sequence["FpPolynomial"]) -> "FpPolynomial":
@@ -344,7 +344,7 @@ class FpPolynomial:
             return "0"
         order = np.lexsort((*(-self.exps[:, ::-1].T), self.exps.sum(axis=1)))
         columns = []
-        for i, col in enumerate(self.exps[order].T.tolist()):
+        for i, col in enumerate(self.exps.take(order, axis=0).T.tolist()):
             names = {e: f"{varname}{i + 1}^{e}" if e > 1 else f"{varname}{i + 1}" if e else ""
                      for e in set(col)}
             columns.append(map(names.__getitem__, col))

@@ -224,7 +224,7 @@ def build_prop10(p: int, n: int) -> SimpleNamespace:
     G = close_generators(degree, np.vstack((b_perms, affine_images(eye, eye, p, dim))),
                          name=f"prop10-{p}-{n}")
     # the b_M, then the translations by E + 0 with E's vectors in code order
-    e_shifts = np.pad(code_vectors(p, dim_e), ((0, 0), (0, dim_z)))
+    e_shifts = np.concatenate((code_vectors(p, dim_e), np.zeros((p ** dim_e, dim_z), int)), axis=1)
     found = G.indices_of_rows(np.vstack((b_perms, affine_images(eye, e_shifts, p, dim))))
     by_e_code = found[dim_z:]
     E = ElabSubgroup.from_element_indices(G, p, by_e_code)
@@ -575,7 +575,7 @@ def _chk_pointwise_witnesses(ctx, args):
     G, p, eye = b.group, b.prime, np.eye(b.dim)
 
     def translations(vs) -> np.ndarray:
-        shifts = np.pad(vs, ((0, 0), (0, b.dim - len(c))))
+        shifts = np.concatenate((vs, np.zeros((len(vs), b.dim - len(c)), dtype=np.int64)), axis=1)
         return G.indices_of_rows(affine_images(eye, shifts, p, b.dim))
 
     for basis, b_idx in zip(b.max_subspaces, b.b_elements):

@@ -6,7 +6,10 @@ costs more than its entries, and each wrapper below adds Python frames
 (a dispatcher, ``_wrapfunc``) in front of the C method: ``np.take`` is
 about four times ``a.take`` on a 100-entry array.  ``np.diff`` is a
 slice difference, ``np.append`` a ``np.concatenate``, ``np.array_equal``
-a shape test and ``(a == b).all()``.
+a shape test and ``(a == b).all()``.  ``np.column_stack`` is a
+``np.concatenate`` of ``[:, None]`` columns, ``np.take_along_axis`` a
+``take`` on the flat view, ``np.broadcast_to`` a ``repeat``, ``np.split``
+two slices and ``np.pad`` a ``np.concatenate`` with zeros.
 """
 
 import ast
@@ -19,6 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "elabcat"
 WRAPPERS = frozenset({
     "take", "searchsorted", "argsort", "flatnonzero", "nonzero", "repeat",
     "cumsum", "argmax", "argmin", "diff", "append", "array_equal",
+    "column_stack", "take_along_axis", "broadcast_to", "split", "pad",
 })
 
 
@@ -47,4 +51,4 @@ def test_the_lint_sees_every_spelling():
            "c = x.take(i) + np.sort(x) + np.take_along_axis(x, i, 0)\n"
            "d = [np.diff(v) for v in w]\n")
     assert wrapper_calls(src, "m.py") == ["m.py:2 np.take", "m.py:3 np.flatnonzero",
-                                          "m.py:6 np.diff"]
+                                          "m.py:5 np.take_along_axis", "m.py:6 np.diff"]
