@@ -5,18 +5,20 @@ first Chern class is the corresponding linear form in n variables.  The
 total Chern class of a list of weights is the product of (1 + form) over
 the list, with Whitney multiplicativity by construction.  The regular
 weight list (every character once) produces the Dickson invariants, whose
-nonzero degrees are p^n - p^j for 0 <= j < n.
+nonzero degrees are p^n - p^j for 0 <= j < n.  The regular product's
+reduction and the p-regularity test read identities, not enumerations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import cap as _cap, refuse
-from .elabs import ElabCatalog
+from .elabs import enumerate_elabs
 from .errors import CatalogMismatch
 from .fpmat import gl_generators
 from .fppoly import FpPolynomial, product_tree
@@ -120,13 +122,43 @@ def dickson_check(p: int, n: int) -> DicksonReport:
     return DicksonReport(p, n, expected, found, found == expected, invariant, D)
 
 
+def regular_reduced(p: int, n: int) -> str:
+    """symmetric_reduce(regular_rep_product(p, n)).format("s"), from
+    the closed form ((-1)^n + sum_k (-1)^(n-k) s_k)^(p-1) (over F_p,
+    1 + t + ... + t^(p-1) = (t - 1)^(p-1)): as (p-1)!/(p-1-d)! = (-1)^d d!,
+    its term s^a of degree d < p has coefficient (-1)^(a_2 + a_4 + ...)
+    d!/(a_1! ... a_n!), never 0 mod p: C(n+p-1, n) terms, which term_cap bounds.
+    terms() walks them in graded lex order, a term's first variable
+    increasing, then its exponent decreasing, then the rest so; the last
+    variable takes all the degree left."""
+    limit, k = _cap("term_cap"), min(n, p - 1)
+    if k > limit.bit_length() or math.comb(n + p - 1, k) > limit:  # C(n+p-1, k) >= 2^k
+        refuse("term_cap", f"reduced regular product passed {limit} terms")
+    fact = list(itertools.accumulate(range(1, p if n else 1), lambda f, j: f * j % p, initial=1))
+    inv = [pow(f, -1, p) for f in fact]
+
+    def terms(d, start, c, sign, factors):
+        if not d:
+            c, term = p - c if sign else c, "*".join(factors)
+            yield f"{c}*{term}" if term and c != 1 else term or str(c)
+            return
+        for v in range(start, n):
+            for e in range(d, 0, -1) if v < n - 1 else (d,):
+                name = f"s{v + 1}^{e}" if e > 1 else f"s{v + 1}"
+                yield from terms(d - e, v + 1, c * inv[e] % p, sign ^ (v & e & 1),
+                                 factors + [name])
+
+    return " + ".join(t for d in range(len(fact)) for t in terms(d, 0, fact[d], 0, []))
+
+
 def regular_rep_product(p: int, n: int) -> FpPolynomial:
     """Product over variables of (1 + t_i + ... + t_i^(p-1)).
 
     Expanding it enumerates every exponent vector in {0,...,p-1}^n once,
     so this is the multiplicative form of the regular character list; it
     is symmetric and reduces to the elementary symmetric basis.  It is
-    built expanded: coefficient 1 on every such vector.
+    built expanded: coefficient 1 on every such vector.  No command
+    builds it: it is the oracle of regular_reduced.
     """
     _check_count(p, n)
     return FpPolynomial(p, n, dict.fromkeys(itertools.product(range(p), repeat=n), 1))
@@ -179,19 +211,19 @@ def trivial_character(G: FiniteGroup) -> CharacterVector:
     return CharacterVector(G, (1,) * G.conjugacy.class_count())
 
 
-def p_regular_failures(G: FiniteGroup, p: int, chi: CharacterVector,
-                       catalog: ElabCatalog) -> list[str]:
+def p_regular_failures(G: FiniteGroup, p: int, chi: CharacterVector) -> list[str]:
     """Reasons chi fails the p-regularity test; empty when it passes.
 
     The conditions: positive degree, vanishing on every element of order
     p, and degree divisible by the order of every maximal elementary
     abelian p-subgroup.  Together these say each maximal subgroup sees
-    chi as a multiple of its regular character.
+    chi as a multiple of its regular character.  Every such order divides
+    |G|_p (Lagrange), so the catalog is enumerated, and catalog_cap can
+    refuse, only when |G|_p does not divide the degree: never for the
+    regular character, nor when p does not divide |G|.
     """
     if chi.group is not G:
         raise CatalogMismatch("character belongs to a different group")
-    if catalog.group is not G or catalog.prime != p:
-        raise CatalogMismatch("catalog belongs to a different group or prime")
     failures = []
     deg = chi.degree_value
     if deg <= 0:
@@ -201,10 +233,9 @@ def p_regular_failures(G: FiniteGroup, p: int, chi: CharacterVector,
         if orders[rep] == p and chi.values[c] != 0:
             failures.append(
                 f"value {chi.values[c]} on class {c} of order-{p} elements")
-    ranks = catalog.ranks()[catalog.class_reps].tolist()
-    for c in catalog.maximal_class_indices():
-        order = p ** ranks[c]
-        if deg % order != 0:
-            failures.append(
-                f"degree {deg} not divisible by maximal subgroup order {order}")
+    if deg % math.gcd(G.order, p ** G.order.bit_length()):        # |G|_p
+        catalog = enumerate_elabs(G, p)
+        ranks = catalog.ranks()[catalog.class_reps].tolist()
+        failures += [f"degree {deg} not divisible by maximal subgroup order {p ** ranks[c]}"
+                     for c in catalog.maximal_class_indices() if deg % p ** ranks[c]]
     return failures

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from . import categories as cg
-from . import chern, fppoly, gallery
+from . import chern, gallery
 from .elabs import ElabCatalog, enumerate_elabs, p_rank
 from .config import DEFAULTS, INT64, NATURAL, POSITIVE, cap, number, read_file
 from .errors import (CapExceeded, CatalogMismatch, ClosureGuardError, ElabcatError,
@@ -268,8 +268,7 @@ def cmd_dickson(args) -> int:
 
 
 def cmd_symreduce(args) -> int:
-    P = chern.regular_rep_product(args.prime, args.rank)
-    print(fppoly.symmetric_reduce(P).format("s"))
+    print(chern.regular_reduced(args.prime, args.rank))
     return 0
 
 
@@ -280,7 +279,6 @@ CHARACTERS = {"regular": chern.regular_character, "permutation": chern.permutati
 
 def cmd_pregular(args) -> int:
     G = load_group(args.group)
-    catalog = enumerate_elabs(G, args.prime)
     which = args.character
     if which in CHARACTERS:
         chi = CHARACTERS[which](G)
@@ -290,11 +288,8 @@ def cmd_pregular(args) -> int:
             raise InputFormatError(
                 f"{which}: need {G.conjugacy.class_count()} integer class values")
         chi = chern.CharacterVector(G, tuple(values))
-    failures = chern.p_regular_failures(G, args.prime, chi, catalog)
-    if failures:
-        print(f"false ({'; '.join(failures)})")
-    else:
-        print("true")
+    failures = chern.p_regular_failures(G, args.prime, chi)
+    print(f"false ({'; '.join(failures)})" if failures else "true")
     return 0
 
 

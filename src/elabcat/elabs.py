@@ -359,7 +359,11 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
     above E's last basis element; the candidates x that are not
     min(E*<x> minus E) are dropped.  F's greedy basis is then E's basis
     followed by x, and the span E*<x>, grown in the code order of (E's
-    basis, x), is F's by_code.
+    basis, x), is F's by_code.  A candidate (E, x) of rank r >= 1 is
+    spanned only if (E', x), E' the parent of E, was kept at rank r - 1:
+    X(E) lies in X(E'), x > last(E') and E'*<x> minus E' lies in E*<x>
+    minus E (x^t is outside E for 0 < t < p), so x = min(E*<x> minus E)
+    forces x = min(E'*<x> minus E').
 
     Commutation is one relation on X0, built once the members of rank 1
     exist and have passed the cap: its row for g = min(<g> minus 1), the
@@ -397,12 +401,15 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
     xs = (G.element_orders == p).nonzero()[0]
     owner = np.zeros(len(xs), dtype=np.int64)
     pairs = None                    # the commuting pairs, once rank 1 is built
+    # parents, and the pairs kept one rank down as parent * n + x (all at rank 0)
+    up, built = np.zeros(1, dtype=np.int64), xs
     while True:
         counts = np.bincount(owner, minlength=len(spans))
         starts = counts.cumsum() - counts
         maximal.append(counts == 0)
         width = spans.shape[1]
         sel = xs > last[owner]
+        sel[sel] = find_sorted(built, up.take(owner[sel]) * n + xs[sel])[1]
         cand_parent, cand_x = owner[sel], xs[sel]
         parents, kept_x, kept_spans, before = [], [], [], total
         for b in blocks(len(cand_x), p * width * G.degree):
@@ -453,7 +460,7 @@ def enumerate_elabs(G: FiniteGroup, p: int) -> ElabCatalog:
             keep &= (spans[:, width:].take(child, axis=0) != y[:, None]).all(axis=1)
             new_owner.append(child[keep])
             new_xs.append(y[keep])
-        last = kept_x
+        last, up, built = kept_x, parents, sorted_in_place(parents * n + kept_x)
         owner, xs = np.concatenate(new_owner), np.concatenate(new_xs)
 
     # each generator's permutation of the catalog, a rank at a time: the

@@ -404,6 +404,7 @@ def symmetric_reduce(f: FpPolynomial) -> FpPolynomial:
     leading exponent of a symmetric polynomial is weakly decreasing, and
     subtracting the matching product of elementary symmetric polynomials
     strictly lowers it.  Raises NotSymmetric for non-symmetric input.
+    No command runs it: it is the oracle of chern.regular_reduced.
     """
     if not f.is_symmetric():
         raise NotSymmetric(f"{f} is not symmetric in its {f.nvars} variables")

@@ -116,11 +116,15 @@ it shares no code with ``cli.parse_args`` or its COMMANDS table.
 
 vector_of_index, index_of_vector, is_conjugate_subgroup, affine_group,
 triangular_group, linear_form, variable, expand_in_elementaries, make_weights,
-chern_class, frobenius_identity_check, whitney_product_check and
-p_regular_check: helpers no command reaches, kept for the tests that
-read them.  Each is a scalar or one-call form of what the library
-computes (is_conjugate_subgroup searches ``G.conjugators`` beside the
-catalog's class_of), not an independent derivation.
+chern_class, frobenius_identity_check and whitney_product_check: helpers
+no command reaches, kept for the tests that read them.  Each is a scalar
+or one-call form of what the library computes (is_conjugate_subgroup
+searches ``G.conjugators`` beside the catalog's class_of), not an
+independent derivation.
+
+catalog_failures: the p-regularity test as ``chern.p_regular_failures``
+made it before the Lagrange shortcut, every maximal class of a catalog
+read whatever the degree, with the same failure texts.
 """
 
 import argparse
@@ -133,7 +137,7 @@ import numpy as np
 
 from elabcat import __version__, cli
 from elabcat.categories import CREG, a_n, canonical, class_counts, hom_matrices, matrix_of
-from elabcat.chern import WeightList, p_regular_failures, total_chern
+from elabcat.chern import WeightList, total_chern
 from elabcat.elabs import ElabSubgroup
 from elabcat.fppoly import FpPolynomial, elementary_symmetric
 from elabcat.fpmat import (PRIME, gl_generators, injective_count, mat_mul,
@@ -1299,5 +1303,14 @@ def whitney_product_check(w1, w2):
     return total_chern(both) == total_chern(w1) * total_chern(w2)
 
 
-def p_regular_check(G, p, chi, catalog):
-    return not p_regular_failures(G, p, chi, catalog)
+def catalog_failures(G, p, chi, catalog):
+    """Reasons chi fails p-regularity, the degree tested against the
+    order of every maximal class of the catalog."""
+    deg, orders = chi.degree_value, G.element_orders
+    failures = [f"degree {deg} is not positive"] if deg <= 0 else []
+    failures += [f"value {chi.values[c]} on class {c} of order-{p} elements"
+                 for c, rep in enumerate(G.conjugacy.reps)
+                 if orders[rep] == p and chi.values[c] != 0]
+    ranks = catalog.ranks()[catalog.class_reps].tolist()
+    return failures + [f"degree {deg} not divisible by maximal subgroup order {p ** ranks[c]}"
+                       for c in catalog.maximal_class_indices() if deg % p ** ranks[c]]

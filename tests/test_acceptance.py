@@ -17,16 +17,18 @@ import pytest
 
 from elabcat import categories as cg
 from elabcat.categories import column_codes, hom_matrices
-from elabcat.chern import (dickson_check, permutation_character, regular_character,
-                           regular_rep_product, trivial_character)
+from elabcat.chern import (dickson_check, p_regular_failures, permutation_character,
+                           regular_character, regular_reduced, regular_rep_product,
+                           trivial_character)
 from elabcat.elabs import enumerate_elabs, p_rank
 from elabcat.fppoly import symmetric_reduce
 from elabcat.fpmat import gl_generators
 from elabcat.gallery import (_orbit_partition, build_cyclic, build_gl3, build_prop10,
                              build_triangular, cyclic_group)
-from brute_force import (affine_group, close_matrix_group, expand_in_elementaries,
-                         frobenius_identity_check, is_conjugate_subgroup, make_weights, mat_vec,
-                         p_regular_check, triangular_group, vec_code, whitney_product_check)
+from brute_force import (affine_group, catalog_failures, close_matrix_group,
+                         expand_in_elementaries, frobenius_identity_check, is_conjugate_subgroup,
+                         make_weights, mat_vec, triangular_group, vec_code,
+                         whitney_product_check)
 from test_cli import run_cli
 
 
@@ -250,18 +252,18 @@ def test_criterion_12_symmetric_reduction_round_trips():
             f = regular_rep_product(p, n)
             assert expand_in_elementaries(symmetric_reduce(f)) == f
         assert symmetric_reduce(regular_rep_product(2, 2)).format("s") == \
-            "1 + s1 + s2"
+            "1 + s1 + s2" == regular_reduced(2, 2)
 
 
 def test_criterion_13_p_regular_characters():
     with budget(1):
         G = affine_group(4)
-        cat = enumerate_elabs(G, 2)
-        assert p_regular_check(G, 2, regular_character(G), cat)
+        assert p_regular_failures(G, 2, regular_character(G)) == []
         S3 = affine_group(3)
-        cat3 = enumerate_elabs(S3, 3)
-        assert p_regular_check(S3, 3, permutation_character(S3), cat3)
-        assert not p_regular_check(G, 2, trivial_character(G), cat)
+        assert p_regular_failures(S3, 3, permutation_character(S3)) == []
+        trivial = trivial_character(G)
+        assert p_regular_failures(G, 2, trivial) == catalog_failures(
+            G, 2, trivial, enumerate_elabs(G, 2)) != []
 
 
 def test_criterion_14_analyze_report_is_deterministic(tmp_path):

@@ -1,21 +1,24 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import (affine_group, chern_class, frobenius_identity_check, left_to_right,
-                         linear_form, make_weights, p_regular_check, variable,
+from brute_force import (affine_group, catalog_failures, chern_class, frobenius_identity_check,
+                         left_to_right, linear_form, make_weights, variable,
                          whitney_product_check)
 
+from elabcat import chern
 from elabcat.chern import (CharacterVector, WeightList, dickson_check,
                            p_regular_failures, permutation_character, regular_character,
-                           regular_rep_product, regular_weights, total_chern,
+                           regular_reduced, regular_rep_product, regular_weights, total_chern,
                            trivial_character)
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded, CatalogMismatch
 from elabcat.fppoly import FpPolynomial, symmetric_reduce
 from elabcat.groups import close_generators
+from test_hom_cache import small_groups
 
 A4_GENS = [(1, 0, 3, 2), (2, 0, 1, 3)]
 
@@ -167,6 +170,24 @@ class TestRegularProduct:
         g = symmetric_reduce(regular_rep_product(2, 3))
         assert g.format("s") == "1 + s1 + s2 + s3"
 
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7)
+                                     for n in range(12) if p ** n <= 3000])
+    def test_closed_form_is_the_reduction(self, p, n):
+        assert regular_reduced(p, n) == symmetric_reduce(regular_rep_product(p, n)).format("s")
+
+    @pytest.mark.parametrize("p,n,terms", [(3, 3, 10), (2, 18, 19), (631, 2, 199_396),
+                                           (199_999, 1, 199_999), (3, 10 ** 9, None)])
+    def test_term_cap_counts_the_monomials_below_degree_p(self, p, n, terms, monkeypatch):
+        # refused exactly when C(n+p-1, n) passes the cap; p^n may pass it
+        if terms is None:
+            with pytest.raises(CapExceeded, match="^reduced regular product passed 200000 terms"):
+                regular_reduced(p, n)
+            return
+        assert regular_reduced(p, n).count(" + ") + 1 == terms == math.comb(n + p - 1, n)
+        monkeypatch.setenv("ELABCAT_TERM_CAP", str(terms - 1))
+        with pytest.raises(CapExceeded, match=f"^reduced regular product passed {terms - 1} terms"):
+            regular_reduced(p, n)
+
 
 class TestCharacters:
     def test_regular_character_values(self):
@@ -195,41 +216,68 @@ class TestCharacters:
         with pytest.raises(ValueError, match="^one value per conjugacy class required$"):
             CharacterVector(G, (1,))
 
-    def test_catalog_prime_mismatch(self):
-        G = close_generators(4, A4_GENS, name="a4")
-        with pytest.raises(CatalogMismatch, match="^catalog belongs to a different group or prime$"):
-            p_regular_failures(G, 3, regular_character(G), enumerate_elabs(G, 2))
-
     def test_character_group_mismatch(self):
         G = close_generators(4, A4_GENS, name="a4")
         H = affine_group(3)
         chi = regular_character(G)
-        cat = enumerate_elabs(H, 3)
-        with pytest.raises(CatalogMismatch):
-            p_regular_failures(H, 3, chi, cat)
+        with pytest.raises(CatalogMismatch, match="^character belongs to a different group$"):
+            p_regular_failures(H, 3, chi)
 
 
 class TestPRegular:
     def test_regular_character_passes(self):
         G = close_generators(4, A4_GENS, name="a4")
         cat = enumerate_elabs(G, 2)
-        assert p_regular_check(G, 2, regular_character(G), cat)
-        assert p_regular_failures(G, 2, regular_character(G), cat) == []
+        assert catalog_failures(G, 2, regular_character(G), cat) == []
+        assert p_regular_failures(G, 2, regular_character(G)) == []
 
     def test_natural_s3_character_passes(self):
         G = affine_group(3)
         cat = enumerate_elabs(G, 3)
-        assert p_regular_check(G, 3, permutation_character(G), cat)
+        assert catalog_failures(G, 3, permutation_character(G), cat) == []
+        assert p_regular_failures(G, 3, permutation_character(G)) == []
 
     def test_degree_must_be_positive(self):
         G = close_generators(4, A4_GENS, name="a4")
         chi = CharacterVector(G, (-1,) * G.conjugacy.class_count())
-        failures = p_regular_failures(G, 2, chi, enumerate_elabs(G, 2))
+        failures = p_regular_failures(G, 2, chi)
         assert failures[0] == "degree -1 is not positive"
 
     def test_trivial_character_fails(self):
         G = close_generators(4, A4_GENS, name="a4")
         cat = enumerate_elabs(G, 2)
-        failures = p_regular_failures(G, 2, trivial_character(G), cat)
+        failures = p_regular_failures(G, 2, trivial_character(G))
         assert failures
-        assert not p_regular_check(G, 2, trivial_character(G), cat)
+        assert failures == catalog_failures(G, 2, trivial_character(G), cat)
+
+    @given(G=small_groups(), p=st.sampled_from([2, 3, 5]), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_shortcut_matches_the_full_catalog(self, G, p, data):
+        sylow = math.gcd(G.order, p ** G.order.bit_length())
+        classes = G.conjugacy.class_count()
+        value = st.integers(-3 * sylow, 3 * sylow)
+        # random class functions, their degree a multiple of |G|_p and not
+        chis = [chi(G) for chi in (regular_character, permutation_character, trivial_character)]
+        for multiple in (True, False) if sylow > 1 else (True,):
+            values = data.draw(st.lists(value, min_size=classes, max_size=classes))
+            ident = G.conjugacy.class_of[G.identity_index]
+            values[ident] = data.draw(value.filter(lambda v: (v % sylow == 0) == multiple))
+            chis.append(CharacterVector(G, tuple(values)))
+        catalog = enumerate_elabs(G, p)
+        for chi in chis:
+            assert p_regular_failures(G, p, chi) == catalog_failures(G, p, chi, catalog)
+
+    def test_catalog_only_past_the_shortcut(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(chern, "enumerate_elabs",
+                            lambda G, p: calls.append(p) or enumerate_elabs(G, p))
+        G = affine_group(3)         # S3, |G|_2 = 2, |G|_3 = 3
+        for p, chi in ((2, regular_character(G)), (3, regular_character(G)),
+                       (5, trivial_character(G)), (3, permutation_character(G)),
+                       (2, CharacterVector(G, (4, 0, 0)))):
+            p_regular_failures(G, p, chi)
+        assert calls == []
+        assert p_regular_failures(G, 2, trivial_character(G)) == [
+            "value 1 on class 1 of order-2 elements",
+            "degree 1 not divisible by maximal subgroup order 2"]
+        assert calls == [2]

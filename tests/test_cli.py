@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from brute_force import build_parser
 
-from elabcat import __version__, chern, cli
+from elabcat import __version__, chern, cli, elabs
 from elabcat.categories import A, CREG, SubgroupCategory, build_category
 from elabcat.elabs import enumerate_elabs
 from elabcat.errors import CapExceeded
@@ -532,6 +532,15 @@ CAP_REFUSALS = {
                 ["analyze", str(GOLDEN / "sym5.group.json"), "--prime", "2"],
                 "catalog_cap: subgroup catalog passed the cap (10); "
                 "raise ELABCAT_CATALOG_CAP to allow more"),
+    "pregular-catalog": ({"ELABCAT_CATALOG_CAP": "10"},
+                         ["pregular", str(GOLDEN / "sym5.group.json"), "--prime", "2",
+                          "--character", "permutation"],
+                         "catalog_cap: subgroup catalog passed the cap (10); "
+                         "raise ELABCAT_CATALOG_CAP to allow more"),
+    # C(3+3-1, 3) = 10 terms at (3, 3)
+    "reduced-terms": ({"ELABCAT_TERM_CAP": "9"}, ["symreduce", "--prime", "3", "--rank", "3"],
+                      "term_cap: reduced regular product passed 9 terms; "
+                      "raise ELABCAT_TERM_CAP to allow more"),
     "product-terms": ({"ELABCAT_TERM_CAP": "100"}, ["dickson", "--prime", "2", "--rank", "5"],
                       "term_cap: polynomial product passed 100 terms; "
                       "raise ELABCAT_TERM_CAP to allow more"),
@@ -761,6 +770,32 @@ class TestPolynomialCommands:
                     "--character", "trivial")
         assert r.returncode == 0
         assert r.stdout.startswith("false (")
+
+    def test_pregular_enumerates_only_past_the_shortcut(self, monkeypatch, capsys):
+        # |S7|_2 = 16 divides the regular degree, 5040, and not 7
+        calls = []
+
+        def counting(G, p):
+            calls.append(p)
+            return enumerate_elabs(G, p)
+
+        for module in (elabs, cli, chern):
+            monkeypatch.setattr(module, "enumerate_elabs", counting)
+        sym7 = str(GOLDEN / "sym7.group.json")
+        assert cli.main(["pregular", sym7, "--prime", "2", "--character", "regular"]) == 0
+        assert (capsys.readouterr().out, calls) == ("true\n", [])
+        assert cli.main(["pregular", sym7, "--prime", "2", "--character", "permutation"]) == 0
+        assert capsys.readouterr().out.startswith("false (") and calls == [2]
+
+    def test_caps_pass_what_fits(self, monkeypatch, capsys):
+        # the other side of the reduced-terms and pregular-catalog refusals
+        monkeypatch.setenv("ELABCAT_TERM_CAP", "10")
+        monkeypatch.setenv("ELABCAT_CATALOG_CAP", "10")
+        assert cli.main(["symreduce", "--prime", "3", "--rank", "3"]) == 0
+        assert cli.main(["pregular", str(GOLDEN / "sym5.group.json"), "--prime", "2",
+                         "--character", "regular"]) == 0
+        golden = (GOLDEN / "symreduce-p3-r3.txt").read_text()
+        assert capsys.readouterr() == (golden + "true\n", "")
 
     def test_pregular_character_file(self, a4_path, tmp_path):
         # regular character of A_4 given explicitly: 12 on the identity
